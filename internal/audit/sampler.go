@@ -75,6 +75,22 @@ func (s *Sampler) Enabled() bool { return s != nil && s.rate > 0 }
 
 // ObserveFeatures implements the comm.FeatureObserver hot-path hook.
 func (s *Sampler) ObserveFeatures(model string, version int, f *tensor.Tensor) {
+	observe(s, model, version, f)
+}
+
+// ObserveFeatures32 implements the comm.FeatureObserver32 hot-path hook: on
+// an f32-precision server the sampler receives the float32 tensors the
+// compute path actually runs on, so the attack replay and SSIM scoring
+// consume what production traffic really leaked, rounded nowhere further.
+func (s *Sampler) ObserveFeatures32(model string, version int, f *tensor.Tensor32) {
+	observe(s, model, version, f)
+}
+
+// observe is the sampler's one ingress at either precision. Skipped
+// observations cost one atomic add, zero allocations, no lock; the copy into
+// the float64 reservoir (exact for float32 — every float32 is a float64)
+// happens only after the rate gate passes.
+func observe[T tensor.Float](s *Sampler, model string, version int, f *tensor.Dense[T]) {
 	if s == nil || s.rate == 0 {
 		return
 	}
@@ -86,9 +102,7 @@ func (s *Sampler) ObserveFeatures(model string, version int, f *tensor.Tensor) {
 	// The tensor belongs to the request; copy before retaining. The copy
 	// happens outside the lock so concurrent workers only serialize on the
 	// cheap reservoir bookkeeping.
-	cp := tensor.New(f.Shape...)
-	copy(cp.Data, f.Data)
-	smp := Sample{Model: model, Version: version, Features: cp}
+	smp := Sample{Model: model, Version: version, Features: tensor.ConvertInto(tensor.New(f.Shape...), f)}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -98,36 +112,6 @@ func (s *Sampler) ObserveFeatures(model string, version int, f *tensor.Tensor) {
 		return
 	}
 	// Uniform reservoir replacement over the admitted stream.
-	if j := s.r.Intn(int(s.admitted)); j < s.cap {
-		s.reservoir[j] = smp
-	}
-}
-
-// ObserveFeatures32 implements the comm.FeatureObserver32 hot-path hook: on
-// an f32-precision server the sampler receives the float32 tensors the
-// compute path actually runs on. Widening into the float64 reservoir — exact,
-// every float32 is a float64 — happens only after the rate gate passes, so
-// skipped observations keep the cost contract above: one atomic add, zero
-// allocations, no lock. The attack replay and SSIM scoring then consume what
-// production traffic really leaked, rounded nowhere further.
-func (s *Sampler) ObserveFeatures32(model string, version int, f *tensor.Tensor32) {
-	if s == nil || s.rate == 0 {
-		return
-	}
-	n := s.seen.Add(1)
-	if n%s.rate != 0 {
-		return
-	}
-	s.sampled.Add(1)
-	smp := Sample{Model: model, Version: version, Features: tensor.Widen64(f)}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.admitted++
-	if len(s.reservoir) < s.cap {
-		s.reservoir = append(s.reservoir, smp)
-		return
-	}
 	if j := s.r.Intn(int(s.admitted)); j < s.cap {
 		s.reservoir[j] = smp
 	}

@@ -73,54 +73,25 @@ func gauss(s *uint64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-func noiseData(s *uint64, data []float64, sigma float64) {
+func noiseData[T tensor.Float](s *uint64, data []T, sigma float64) {
 	for i := range data {
-		data[i] += sigma * gauss(s)
+		data[i] += T(sigma * gauss(s))
 	}
 }
 
-func noiseData32(s *uint64, data []float32, sigma float64) {
-	for i := range data {
-		data[i] += float32(sigma * gauss(s))
-	}
-}
-
-func noiseTensors(s *uint64, ts []*tensor.Tensor, sigma float64) {
-	for _, t := range ts {
-		noiseData(s, t.Data, sigma)
-	}
-}
-
-func noiseTensors32(s *uint64, ts []*tensor.Tensor32, sigma float64) {
-	for _, t := range ts {
-		noiseData32(s, t.Data, sigma)
-	}
-}
-
-// noiseResponse perturbs a successful response's payload in place with
-// Gaussian noise of the job's verdict sigma — the budget-aware analogue of
-// the client's own transmission noise, raising the floor of what a drained
+// noiseResponse perturbs a served response's payload in place with Gaussian
+// noise of the job's verdict sigma — the budget-aware analogue of the
+// client's own transmission noise, raising the floor of what a drained
 // client's further queries can resolve. The tensors are arena-backed and
 // about to be encoded, so in-place addition is safe and allocation-free.
-func noiseResponse(j *job, resp *Response) {
-	sigma := j.noiseSigma
-	if sigma <= 0 {
+func noiseResponse(j *job) {
+	if j.noiseSigma <= 0 {
 		return
 	}
 	if j.rng == 0 {
 		j.rng = noiseSeq.Add(1)*0x9E3779B97F4A7C15 | 1
 	}
-	if j.f32Resp {
-		noiseTensors32(&j.rng, j.feats32, sigma)
-		for _, row := range j.outputs32 {
-			noiseTensors32(&j.rng, row, sigma)
-		}
-		return
-	}
-	noiseTensors(&j.rng, resp.Features, sigma)
-	for _, row := range resp.Outputs {
-		noiseTensors(&j.rng, row, sigma)
-	}
+	j.pay.noise(&j.rng, j.noiseSigma)
 }
 
 // chargeJob runs the budget verdict for one job before any compute: a
@@ -139,7 +110,7 @@ func (s *Server) chargeJob(j *job) bool {
 	if g == nil || j.account == nil {
 		return true
 	}
-	_, rows := requestSize(j)
+	_, rows := j.pay.size()
 	v := g.Charge(j.account, rows)
 	if v.Refuse {
 		// Metrics stay honest without special-casing: both serving paths run

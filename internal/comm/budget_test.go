@@ -109,8 +109,7 @@ func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
 					if err != nil {
 						return
 					}
-					var req Request
-					if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
+					if _, err := parseRequest(body, nil); err != nil {
 						return
 					}
 					attempts.Add(1)
@@ -119,7 +118,7 @@ func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
 						refused = true
 						resp = &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
 					}
-					buf, err := appendResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
+					buf, err := encodeResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
 					if err != nil {
 						return
 					}
@@ -327,12 +326,13 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	const n = 1 << 14
 	const sigma = 0.1
 
-	j := newJob()
+	j := newJob[float64]()
 	j.rng = 12345
 	j.noiseSigma = sigma
 	feat := tensor.New(1, n)
-	resp := &Response{Features: []*tensor.Tensor{feat}}
-	noiseResponse(j, resp)
+	p := payloadOf[float64](j)
+	p.feats, p.served = []*tensor.Tensor{feat}, true
+	noiseResponse(j)
 
 	var sum, sumSq float64
 	for _, v := range feat.Data {
@@ -349,12 +349,14 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	}
 
 	// Sigma 0 leaves the payload untouched (and must not seed the rng).
-	j2 := newJob()
+	j2 := newJob[float64]()
 	clean := tensor.New(1, 8)
 	for i := range clean.Data {
 		clean.Data[i] = float64(i)
 	}
-	noiseResponse(j2, &Response{Features: []*tensor.Tensor{clean}})
+	p2 := payloadOf[float64](j2)
+	p2.feats, p2.served = []*tensor.Tensor{clean}, true
+	noiseResponse(j2)
 	for i, v := range clean.Data {
 		if v != float64(i) {
 			t.Fatalf("sigma-0 noiseResponse modified value %d", i)
@@ -365,12 +367,12 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	}
 
 	// The f32 response path perturbs the f32 payload.
-	j3 := newJob()
+	j3 := newJob[float32]()
 	j3.noiseSigma = sigma
-	j3.f32Resp = true
 	f32 := tensor.New32(1, n)
-	j3.feats32 = []*tensor.Tensor32{f32}
-	noiseResponse(j3, &Response{})
+	p3 := payloadOf[float32](j3)
+	p3.feats, p3.served = []*tensor.Tensor32{f32}, true
+	noiseResponse(j3)
 	var nonzero int
 	for _, v := range f32.Data {
 		if v != 0 {
@@ -416,11 +418,11 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 
 	run := func(t *testing.T, srv *Server, acct *privacy.Account, wantNoise bool) {
 		t.Helper()
-		j := newJob()
+		j := newJob[float64]()
 		replicas := newReplicaCache(PrecisionF64)
 		encBuf := make([]byte, 0, 1<<16)
 		cycle := func() {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := j.pay.parse(body, &j.req, nil); err != nil {
 				t.Fatal(err)
 			}
 			j.account = acct
@@ -432,7 +434,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 				t.Fatal("drained account served without an escalation-noise verdict")
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -485,11 +487,11 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		j.account = acct
@@ -501,7 +503,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		j.account = acct
@@ -510,7 +512,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

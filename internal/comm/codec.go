@@ -54,8 +54,10 @@ package comm
 //
 // Trust boundary: decoders validate every length against the remaining
 // frame before allocating, so a hostile frame claiming 2^30 elements over a
-// short body is rejected, not allocated. FuzzWireRequestFrame and
-// FuzzWireStream run random bytes through both parsers.
+// short body is rejected, not allocated. The request parser and the tensor
+// reader/writer are written once over the element type; FuzzWireRequestFrame
+// and FuzzWireResponseFrame run random bytes through both instantiations
+// and require them to agree, FuzzWireStream through the stream decoder.
 
 import (
 	"bufio"
@@ -174,32 +176,14 @@ func windowAdviceMs(window time.Duration) uint16 {
 	return uint16(ms)
 }
 
-// tensorAlloc abstracts where decoded tensors land: the serving path hands
-// out arena storage recycled per request, the client and wiretap paths
-// allocate from the heap.
-type tensorAlloc interface {
-	newTensor(shape []int) *tensor.Tensor
-}
-
-type heapAlloc struct{}
-
-func (heapAlloc) newTensor(shape []int) *tensor.Tensor { return tensor.New(shape...) }
-
-// arenaAlloc adapts a *tensor.Arena to the allocator interface. It is a
-// defined type over Arena (not a wrapper struct) so that the *arenaAlloc
-// stored in the interface is a plain pointer — a struct value would be boxed
-// on every readRequest, one heap allocation per request.
-type arenaAlloc tensor.Arena
-
-func (al *arenaAlloc) newTensor(shape []int) *tensor.Tensor {
-	// Wire payloads overwrite every element; no zeroing needed.
-	return (*tensor.Arena)(al).NewTensor(shape...)
-}
-
 // --- encoding ---
 
-// appendTensor encodes one tensor.
-func appendTensor(buf []byte, t *tensor.Tensor, f32 bool) []byte {
+// appendTensor encodes one tensor of either element type onto either wire
+// dtype. Matching types move raw bits with no conversion (a float32 payload
+// on the f32 wire never touches float64); float64 onto the f32 wire rounds
+// each value once; float32 onto the f64 wire widens exactly, so a float64
+// client sees precisely what an f32 compute produced.
+func appendTensor[T tensor.Float](buf []byte, t *tensor.Dense[T], f32 bool) []byte {
 	buf = append(buf, byte(len(t.Shape)))
 	if f32 {
 		buf = append(buf, wireDtypeF32)
@@ -215,7 +199,7 @@ func appendTensor(buf []byte, t *tensor.Tensor, f32 bool) []byte {
 		}
 	} else {
 		for _, v := range t.Data {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v)))
 		}
 	}
 	return buf
@@ -264,12 +248,16 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 	return appendTensor(buf, req.Features, f32), nil
 }
 
-// appendResponse encodes a response body (no length prefix). withCode emits
-// the version-2 code field; a v1 connection omits it and the peer sees only
-// the error text. A nonzero traceID echoes the request's trace context in
-// the v3 traced layout (0x04); callers must only pass one for requests that
-// arrived traced on a version ≥ 3 connection.
-func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error) {
+// appendResponse encodes a response body (no length prefix): the header from
+// resp, the tensors from feats (one per body) or, when outputs is non-nil,
+// from the batched [input][body] grid — the server passes its job payload's
+// parts at the compute precision, anything holding a float64 Response passes
+// resp.Features and resp.Outputs. withCode emits the version-2 code field; a
+// v1 connection omits it and the peer sees only the error text. A nonzero
+// traceID echoes the request's trace context in the v3 traced layout (0x04);
+// callers must only pass one for requests that arrived traced on a version
+// ≥ 3 connection.
+func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.Dense[T], outputs [][]*tensor.Dense[T], f32, withCode bool, traceID uint64) ([]byte, error) {
 	if len(resp.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(resp.Model), maxWireModel)
 	}
@@ -293,11 +281,11 @@ func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint
 	if withCode {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
 	}
-	if resp.Outputs != nil {
-		outer := len(resp.Outputs)
+	if outputs != nil {
+		outer := len(outputs)
 		inner := 0
 		if outer > 0 {
-			inner = len(resp.Outputs[0])
+			inner = len(outputs[0])
 		}
 		if outer > math.MaxUint16 || inner > math.MaxUint16 {
 			return buf, fmt.Errorf("comm: response outputs %d×%d exceed wire limits", outer, inner)
@@ -305,7 +293,7 @@ func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint
 		buf = append(buf, wireKindBatched)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(outer))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(inner))
-		for _, row := range resp.Outputs {
+		for _, row := range outputs {
 			if len(row) != inner {
 				return buf, fmt.Errorf("comm: ragged response outputs (%d vs %d per input)", len(row), inner)
 			}
@@ -319,11 +307,11 @@ func appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint
 		return buf, nil
 	}
 	buf = append(buf, wireKindFeatures)
-	if len(resp.Features) > math.MaxUint16 {
-		return buf, fmt.Errorf("comm: response of %d feature maps exceeds wire limit", len(resp.Features))
+	if len(feats) > math.MaxUint16 {
+		return buf, fmt.Errorf("comm: response of %d feature maps exceeds wire limit", len(feats))
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Features)))
-	for _, t := range resp.Features {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(feats)))
+	for _, t := range feats {
 		if t == nil {
 			return buf, fmt.Errorf("comm: nil tensor in response features")
 		}
@@ -462,10 +450,15 @@ func (r *wireReader) str(n int) (string, error) {
 	return s, nil
 }
 
-// tensor decodes one tensor, validating every dimension against the bytes
-// actually present before allocating — the rule that keeps a hostile frame
-// from turning a 20-byte message into a multi-gigabyte allocation.
-func (r *wireReader) tensor(alloc tensorAlloc, shapeBuf []int) (*tensor.Tensor, error) {
+// readTensor decodes one tensor of either wire dtype into element type T
+// over a, validating every dimension against the bytes actually present
+// before allocating — the rule that keeps a hostile frame from turning a
+// 20-byte message into a multi-gigabyte allocation. A payload whose dtype
+// matches T copies raw bits; f32 into float64 widens exactly; f64 into
+// float32 is the one sanctioned narrowing of a float64 client's features on
+// an f32 server. A zero Arena is the heap: the client and wiretap decode
+// into one they never Reset.
+func readTensor[T tensor.Float](r *wireReader, a *tensor.Arena[T], shapeBuf []int) (*tensor.Dense[T], error) {
 	rank, err := r.u8()
 	if err != nil {
 		return nil, err
@@ -506,28 +499,29 @@ func (r *wireReader) tensor(alloc tensorAlloc, shapeBuf []int) (*tensor.Tensor, 
 	if r.remaining() < n*width {
 		return nil, fmt.Errorf("comm: tensor payload truncated (%d elements, %d bytes left)", n, r.remaining())
 	}
-	t := alloc.newTensor(shape)
+	t := a.NewTensor(shape...) // wire payloads overwrite every element; no zeroing needed
 	src := r.b[r.off:]
 	if dtype == wireDtypeF64 {
 		for i := 0; i < n; i++ {
-			t.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+			t.Data[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:])))
 		}
 		r.off += 8 * n
 	} else {
 		for i := 0; i < n; i++ {
-			t.Data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
+			t.Data[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 		}
 		r.off += 4 * n
 	}
 	return t, nil
 }
 
-// parseRequestInto decodes a request frame body into req. alloc places the
-// tensor data; j (optional) donates its reusable Inputs slice so the serving
-// path's steady state allocates nothing. tc (optional) receives the trace
-// context when the frame uses the v3 traced layout; a traced frame with a
-// nil tc is decoded and its trace header discarded (the wiretap path).
-func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *trace.Context) error {
+// parseRequestInto decodes a request frame body: the routing header into
+// req, the tensors into p (over p's arena and reusable Inputs storage, so
+// the serving path's steady state allocates nothing) — req.Features and
+// req.Inputs stay nil. tc (optional) receives the trace context when the
+// frame uses the v3 traced layout; a traced frame with a nil tc is decoded
+// and its trace header discarded (the wiretap path).
+func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], tc *trace.Context) error {
 	r := wireReader{b: body}
 	msg, err := r.u8()
 	if err != nil {
@@ -580,43 +574,28 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 	if err != nil {
 		return err
 	}
-	// The shape scratch must not live on this stack frame: it crosses the
-	// allocator interface, so escape analysis would heap-move a local array
-	// on every request. The job donates its persistent buffer; only the
-	// job-less paths (client, wiretap) pay a per-call slice.
-	var shapeBuf []int
-	if j != nil {
-		shapeBuf = j.shape[:0]
-	} else {
-		shapeBuf = make([]int, 0, maxWireRank)
-	}
 	switch kind {
 	case wireKindFeatures:
 		if count != 1 {
 			return fmt.Errorf("comm: feature request carries %d tensors, want 1", count)
 		}
-		if req.Features, err = r.tensor(alloc, shapeBuf); err != nil {
+		if p.feat, err = readTensor(&r, &p.arena, p.shape[:0]); err != nil {
 			return err
 		}
 	case wireKindBatched:
 		if count == 0 {
 			return fmt.Errorf("comm: batched request carries no inputs")
 		}
-		inputs := []*tensor.Tensor(nil)
-		if j != nil {
-			inputs = j.inputs[:0]
-		}
+		p.batched = true
+		inputs := p.inputs[:0]
 		for i := 0; i < count; i++ {
-			t, err := r.tensor(alloc, shapeBuf)
+			t, err := readTensor(&r, &p.arena, p.shape[:0])
 			if err != nil {
 				return err
 			}
 			inputs = append(inputs, t)
 		}
-		if j != nil {
-			j.inputs = inputs
-		}
-		req.Inputs = inputs
+		p.inputs = inputs
 	default:
 		return fmt.Errorf("comm: unknown request kind %d", kind)
 	}
@@ -624,6 +603,23 @@ func parseRequestInto(body []byte, req *Request, alloc tensorAlloc, j *job, tc *
 		return fmt.Errorf("comm: %d trailing bytes after request", r.remaining())
 	}
 	return nil
+}
+
+// parseRequest decodes a request frame body onto the heap as a float64
+// Request — the wiretap's form (and the tests'); the serving path decodes
+// into a job's payload instead.
+func parseRequest(body []byte, tc *trace.Context) (*Request, error) {
+	var p payload[float64]
+	req := &Request{}
+	if err := parseRequestInto(body, req, &p, tc); err != nil {
+		return nil, err
+	}
+	if p.batched {
+		req.Inputs = p.inputs
+	} else {
+		req.Features = p.feat
+	}
+	return req, nil
 }
 
 // parseResponseInto decodes a response frame body into resp, allocating from
@@ -687,6 +683,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	if err != nil {
 		return err
 	}
+	var heap tensor.Arena[float64]
 	var shapeBuf [maxWireRank]int
 	switch kind {
 	case wireKindFeatures:
@@ -697,7 +694,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		if count > 0 {
 			resp.Features = make([]*tensor.Tensor, count)
 			for i := range resp.Features {
-				if resp.Features[i], err = r.tensor(heapAlloc{}, shapeBuf[:]); err != nil {
+				if resp.Features[i], err = readTensor(&r, &heap, shapeBuf[:0]); err != nil {
 					return err
 				}
 			}
@@ -720,7 +717,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		for i := range resp.Outputs {
 			resp.Outputs[i] = make([]*tensor.Tensor, inner)
 			for b := range resp.Outputs[i] {
-				if resp.Outputs[i][b], err = r.tensor(heapAlloc{}, shapeBuf[:]); err != nil {
+				if resp.Outputs[i][b], err = readTensor(&r, &heap, shapeBuf[:0]); err != nil {
 					return err
 				}
 			}
@@ -941,8 +938,8 @@ func DecodeWireStream(stream []byte) ([]*Request, error) {
 				}
 				continue
 			}
-			req := &Request{}
-			if err := parseRequestInto(body, req, heapAlloc{}, nil, nil); err != nil {
+			req, err := parseRequest(body, nil)
+			if err != nil {
 				return out, err
 			}
 			out = append(out, req)

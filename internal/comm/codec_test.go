@@ -63,15 +63,15 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		var heap Request
-		if err := parseRequestInto(body, &heap, heapAlloc{}, nil, nil); err != nil {
+		heap, err := parseRequest(body, nil)
+		if err != nil {
 			t.Fatalf("request %d heap decode: %v", i, err)
 		}
-		j := newJob()
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		j := newJob[float64]()
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			t.Fatalf("request %d arena decode: %v", i, err)
 		}
-		for _, got := range []*Request{&heap, &j.req} {
+		for _, got := range []*Request{heap, jobRequest(j)} {
 			if got.Model != req.Model || got.Version != req.Version {
 				t.Errorf("request %d header: got (%q,%d), want (%q,%d)", i, got.Model, got.Version, req.Model, req.Version)
 			}
@@ -102,7 +102,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, resp := range resps {
-		body, err := appendResponse(nil, resp, false, false, 0)
+		body, err := encodeResponse(nil, resp, false, false, 0)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
@@ -143,8 +143,8 @@ func TestFloat32WireRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Request
-	if err := parseRequestInto(body, &got, heapAlloc{}, nil, nil); err != nil {
+	got, err := parseRequest(body, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range req.Features.Data {
@@ -182,8 +182,7 @@ func TestHostileFramesRejected(t *testing.T) {
 			4, wireDtypeF64, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0},
 	}
 	for name, body := range cases {
-		var req Request
-		if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err == nil {
+		if _, err := parseRequest(body, nil); err == nil {
 			t.Errorf("%s: hostile request frame accepted", name)
 		}
 		var resp Response
@@ -201,16 +200,16 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float64]()
 	resp := &Response{Features: []*tensor.Tensor{wireTensor(14, 2, 64), wireTensor(15, 2, 64)}}
 	encBuf := make([]byte, 0, 4096)
 
 	// Warm-up: size the arena and the encode buffer.
-	if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
 	j.reset()
-	if encBuf, err = appendResponse(encBuf[:0], resp, false, false, 0); err != nil {
+	if encBuf, err = encodeResponse(encBuf[:0], resp, false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cap(encBuf) < len(encBuf) {
@@ -218,12 +217,12 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(50, func() {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			t.Fatal(err)
 		}
 		j.reset()
 		var e error
-		encBuf, e = appendResponse(encBuf[:0], resp, false, false, 0)
+		encBuf, e = encodeResponse(encBuf[:0], resp, false, false, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -366,11 +365,11 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			t.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -378,7 +377,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -416,13 +415,13 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	// Warm-up: clone replicas, size arenas and buffers, so the timed loop
 	// is pure steady state.
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -433,7 +432,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -441,7 +440,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}
@@ -472,7 +471,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 		return out
 	}
 	srv := NewServer(flatBodies(), WithWorkers(2), WithReplicas(flatBodies))
-	j := newJob()
+	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
 
 	good := &Request{Features: wireTensor(23, 1, 4, 8, 8)}
@@ -481,6 +480,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 
 	serve := func(req *Request) *Response {
 		j.req = *req
+		j.pay.ingest(&j.req)
 		resp := srv.serve(j, replicas)
 		j.reset()
 		return resp
@@ -504,7 +504,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	serve(bad)
 	footprint := func() int {
 		total := 0
-		for _, sc := range wr.scratches {
+		for _, sc := range bodiesOf[float64](wr).scratches {
 			total += sc.Footprint()
 		}
 		return total

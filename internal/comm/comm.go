@@ -138,7 +138,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // the wire — nothing about it can be trusted: non-nil, non-empty shape,
 // positive dimensions, and shape/data agreement. Both trust boundaries
 // (server validating requests, client validating responses) build on it.
-func validateTensor(f *tensor.Tensor) error {
+func validateTensor[T tensor.Float](f *tensor.Dense[T]) error {
 	if f == nil {
 		return fmt.Errorf("comm: missing tensor")
 	}
@@ -160,14 +160,14 @@ func validateTensor(f *tensor.Tensor) error {
 
 // validateFeatures checks one transmitted feature tensor: structurally
 // honest and of the [N,C,H,W] rank the bodies expect.
-func validateFeatures(f *tensor.Tensor) error {
+func validateFeatures[T tensor.Float](f *tensor.Dense[T]) error {
 	if f == nil || len(f.Shape) != 4 {
 		return fmt.Errorf("comm: request must carry [N,C,H,W] features")
 	}
 	return validateTensor(f)
 }
 
-// Batch stacking and splitting live on the serving job (see job.stackInputs
-// in server.go and the split loop in processUnguarded): both write into the
-// request's recycled arena so the batched path shares the single-feature
-// path's zero-allocation steady state.
+// Batch stacking and splitting live on the serving job's payload (see
+// payload.stackInputs and the split loop in payload.process): both write
+// into the request's recycled arena so the batched path shares the
+// single-feature path's zero-allocation steady state.

@@ -22,9 +22,9 @@ package comm
 //     responsible for the overload — and only if the submitter's own queue
 //     is at least as long is the newcomer itself shed.
 //  3. The zero-allocation steady state of the PR 5 request loop. Batches
-//     recycle through a free list; the stacked input lives in the batch's
-//     arena, per-job outputs in each job's arena (reset by its connection
-//     writer, exactly as in the un-coalesced path).
+//     recycle through a free list; the stacked input lives in the computing
+//     worker's replica, per-job outputs in each job's arena (reset by its
+//     connection writer, exactly as in the un-coalesced path).
 //
 // The batch window (WithBatchWindow) trades latency for occupancy: the
 // batcher sleeps the window after seeing a batch's first job, letting
@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
 )
 
@@ -63,9 +62,6 @@ type coalesceKey struct {
 	model   string
 	version int
 	c, h, w int
-	// f32 marks jobs decoded into float32 storage, so a batch is homogeneous
-	// in decode precision and the stacked pass never mixes arenas.
-	f32 bool
 }
 
 // jobKey classifies a decoded request for coalescing. Only single-tensor
@@ -73,17 +69,11 @@ type coalesceKey struct {
 // (Inputs) and malformed shapes dispatch as singleton batches and take the
 // ordinary serve path, which owns their validation and error text.
 func jobKey(j *job) (coalesceKey, bool) {
-	if f := j.feat32; f != nil {
-		if len(f.Shape) != 4 {
-			return coalesceKey{}, false
-		}
-		return coalesceKey{model: j.req.Model, version: j.req.Version, c: f.Shape[1], h: f.Shape[2], w: f.Shape[3], f32: true}, true
-	}
-	f := j.req.Features
-	if f == nil || len(f.Shape) != 4 {
+	shape := j.pay.featureShape()
+	if len(shape) != 4 {
 		return coalesceKey{}, false
 	}
-	return coalesceKey{model: j.req.Model, version: j.req.Version, c: f.Shape[1], h: f.Shape[2], w: f.Shape[3]}, true
+	return coalesceKey{model: j.req.Model, version: j.req.Version, c: shape[1], h: shape[2], w: shape[3]}, true
 }
 
 // connQueue is one connection's FIFO of admitted jobs. head indexes the
@@ -124,21 +114,13 @@ func (q *connQueue) dropNewest() *job {
 	return j
 }
 
-// dispatchBatch is one coalesced unit of work: the jobs it answers, the
-// arena backing the stacked input, and the reusable bookkeeping slices.
-// Batches recycle through the dispatcher's free list.
+// dispatchBatch is one coalesced unit of work: the jobs it answers and the
+// reusable per-job bookkeeping. The stacked input and the forward outputs
+// live in the worker replica that computes the pass, the per-job copies in
+// each job's arena. Batches recycle through the dispatcher's free list.
 type dispatchBatch struct {
 	jobs []*job
-	rows []int // per-job stacked row count; -1 marks a job failed validation
-	outs []*tensor.Tensor
-	// arena backs the stacked input tensor; reset when the batch recycles
-	// (the forward outputs live in worker scratches and the per-job copies
-	// in each job's arena, so nothing outlives the reset).
-	arena tensor.Arena
-	// Float32 twins of the above, used by a PrecisionF32 server's stacked
-	// pass (see coalescedPass32).
-	outs32  []*tensor.Tensor32
-	arena32 tensor.Arena32
+	rows []int // per-job stacked row count; -1 marks a job refused or failed validation
 }
 
 func (b *dispatchBatch) reset() {
@@ -147,10 +129,6 @@ func (b *dispatchBatch) reset() {
 	}
 	b.jobs = b.jobs[:0]
 	b.rows = b.rows[:0]
-	b.outs = b.outs[:0]
-	b.arena.Reset()
-	b.outs32 = b.outs32[:0]
-	b.arena32.Reset()
 }
 
 // dispatcher is the continuous-batching intake: per-connection bounded
@@ -536,7 +514,7 @@ func (s *Server) serveBatch(b *dispatchBatch, replicas *replicaCache) {
 // failBatch writes one error onto every job that has no response yet.
 func failBatch(b *dispatchBatch, msg string) {
 	for _, j := range b.jobs {
-		if j.resp.Err == "" && j.resp.Features == nil && j.resp.Outputs == nil && !j.f32Resp {
+		if j.resp.Err == "" && !j.pay.answered() {
 			j.resp = Response{Err: msg}
 		}
 	}
@@ -571,7 +549,7 @@ func (s *Server) serveCoalesced(b *dispatchBatch, replicas *replicaCache) {
 	if s.opts.observer != nil {
 		for _, j := range b.jobs {
 			if j.resp.Err == "" {
-				observeJob(s.opts.observer, m.Name(), m.Version(), j)
+				j.pay.observe(s.opts.observer, m.Name(), m.Version())
 			}
 		}
 	}
@@ -580,63 +558,5 @@ func (s *Server) serveCoalesced(b *dispatchBatch, replicas *replicaCache) {
 		failBatch(b, err.Error())
 		return
 	}
-	if s.opts.precision == PrecisionF32 {
-		s.coalescedPass32(b, wr, m)
-		return
-	}
-	// Validate members and size the stack. The coalesce key fixed [C,H,W];
-	// rows vary per job.
-	total := 0
-	rows := b.rows[:0]
-	for _, j := range b.jobs {
-		if j.resp.Err != "" { // refused by the budget guard above
-			rows = append(rows, -1)
-			continue
-		}
-		if err := validateFeatures(j.req.Features); err != nil {
-			j.resp = Response{Err: err.Error()}
-			rows = append(rows, -1)
-			continue
-		}
-		r := j.req.Features.Shape[0]
-		rows = append(rows, r)
-		total += r
-	}
-	b.rows = rows
-	if total == 0 {
-		return // every member was refused or failed validation; each carries its own error
-	}
-	stacked := b.arena.NewTensor(total, head.Features.Shape[1], head.Features.Shape[2], head.Features.Shape[3])
-	off := 0
-	for i, j := range b.jobs {
-		if b.rows[i] < 0 {
-			continue
-		}
-		off += copy(stacked.Data[off:], j.req.Features.Data)
-	}
-	outs := s.forwardBodies(&b.outs, wr, stacked)
-	// Split each body's stacked output back per job, copying into the
-	// job's own arena — after this, nothing ties a job to the batch.
-	row := 0
-	for i, j := range b.jobs {
-		if b.rows[i] < 0 {
-			continue
-		}
-		r := b.rows[i]
-		feats := j.feats[:0]
-		for _, out := range outs {
-			per := out.Size() / out.Shape[0]
-			shape := append(j.shape[:0], r)
-			shape = append(shape, out.Shape[1:]...)
-			part := j.arena.NewTensor(shape...)
-			copy(part.Data, out.Data[row*per:(row+r)*per])
-			feats = append(feats, part)
-		}
-		j.feats = feats
-		j.resp = Response{Features: feats, Model: m.Name(), Version: m.Version()}
-		if j.noiseSigma > 0 {
-			noiseResponse(j, &j.resp)
-		}
-		row += r
-	}
+	b.jobs[0].pay.coalesce(s, b, wr, m)
 }

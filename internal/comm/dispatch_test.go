@@ -319,14 +319,14 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 	}
 	jobs := make([]*job, K)
 	for i := range jobs {
-		jobs[i] = newJob()
+		jobs[i] = newJob[float64]()
 	}
 	b := &dispatchBatch{}
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
 		for _, j := range jobs {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := j.pay.parse(body, &j.req, nil); err != nil {
 				t.Fatal(err)
 			}
 			b.jobs = append(b.jobs, j)
@@ -338,7 +338,7 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 				t.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -363,23 +363,23 @@ func TestCoalescedBatchErrorIsolation(t *testing.T) {
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
 	replicas := newReplicaCache(PrecisionF64)
 
-	good := newJob()
-	good.req = Request{Features: wireTensor(320, 1, 4, 8, 8)}
-	bad := newJob()
-	bad.req = Request{Features: &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}}
-	good2 := newJob()
-	good2.req = Request{Features: wireTensor(321, 2, 4, 8, 8)}
+	good := jobFor(Request{Features: wireTensor(320, 1, 4, 8, 8)})
+	bad := jobFor(Request{Features: &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}})
+	good2 := jobFor(Request{Features: wireTensor(321, 2, 4, 8, 8)})
 
 	b := &dispatchBatch{jobs: []*job{good, bad, good2}}
 	srv.serveBatch(b, replicas)
 
-	if resp := <-good.reply; resp.Err != "" || len(resp.Features) != nBodies {
+	resp := <-good.reply
+	good.pay.export(resp)
+	if resp.Err != "" || len(resp.Features) != nBodies {
 		t.Errorf("valid member 0 not served: err=%q features=%d", resp.Err, len(resp.Features))
 	}
 	if resp := <-bad.reply; resp.Err == "" {
 		t.Error("lying member accepted into the stacked pass")
 	}
-	resp := <-good2.reply
+	resp = <-good2.reply
+	good2.pay.export(resp)
 	if resp.Err != "" || len(resp.Features) != nBodies {
 		t.Fatalf("valid member 2 not served: err=%q", resp.Err)
 	}
@@ -396,10 +396,10 @@ func TestCoalescedBatchErrorIsolation(t *testing.T) {
 // response yet — and only those, so a member already answered (e.g. rejected
 // during validation) is not overwritten or double-replied.
 func TestFailBatchRepliesEveryPendingJob(t *testing.T) {
-	answered := newJob()
+	answered := newJob[float64]()
 	answered.resp = Response{Err: "already rejected"}
-	pending := newJob()
-	pending2 := newJob()
+	pending := newJob[float64]()
+	pending2 := newJob[float64]()
 	b := &dispatchBatch{jobs: []*job{answered, pending, pending2}}
 
 	failBatch(b, "stacked pass panicked")
@@ -430,14 +430,14 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) {
 	}
 	jobs := make([]*job, K)
 	for i := range jobs {
-		jobs[i] = newJob()
+		jobs[i] = newJob[float64]()
 	}
 	batch := &dispatchBatch{}
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	cycle := func() {
 		for _, j := range jobs {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+			if err := j.pay.parse(body, &j.req, nil); err != nil {
 				b.Fatal(err)
 			}
 			batch.jobs = append(batch.jobs, j)
@@ -449,7 +449,7 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) {
 				b.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 			if e != nil {
 				b.Fatal(e)
 			}

@@ -131,11 +131,11 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -146,7 +146,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -154,7 +154,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

@@ -11,9 +11,13 @@ import (
 
 // FuzzWireRequestFrame runs arbitrary bytes through the binary request
 // parser — the server's trust boundary for everything after the frame
-// length. The parser must never panic and never allocate beyond what the
-// frame's actual byte count supports (the lying-dims guard); round-tripping
-// whatever decodes must reproduce the frame's semantics.
+// length — at BOTH element types it is instantiated at (a float64 server's
+// and a float32 server's decode). The parser must never panic and never
+// allocate beyond what the frame's actual byte count supports (the
+// lying-dims guard); the two instantiations must agree on accept/reject,
+// header, trace context and every shape, with each float32-decoded value the
+// single rounding of its float64-decoded twin; and round-tripping whatever
+// decodes must reproduce the frame's semantics.
 func FuzzWireRequestFrame(f *testing.F) {
 	seed, err := appendRequest(nil, &Request{Model: "m", Version: 2, Features: wireTensor(41, 1, 2, 4, 4)}, false, trace.Context{})
 	if err != nil {
@@ -42,17 +46,46 @@ func FuzzWireRequestFrame(f *testing.F) {
 	f.Add(zeroID)
 	f.Add([]byte{wireMsgRequestTraced, 1, 2, 3}) // truncated trace header
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req Request
-		if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
+		var (
+			p64          payload[float64]
+			p32          payload[float32]
+			req64, req32 Request
+			tc64, tc32   trace.Context
+		)
+		err64 := parseRequestInto(body, &req64, &p64, &tc64)
+		err32 := parseRequestInto(body, &req32, &p32, &tc32)
+		if (err64 == nil) != (err32 == nil) || (err64 != nil && err64.Error() != err32.Error()) {
+			t.Fatalf("instantiations disagree on the frame: f64 %v, f32 %v", err64, err32)
+		}
+		if err64 != nil {
 			return
 		}
+		if req64.Model != req32.Model || req64.Version != req32.Version || tc64 != tc32 || p64.batched != p32.batched {
+			t.Fatal("instantiations decode different headers")
+		}
+		in64, in32 := append(p64.inputs, p64.feat), append(p32.inputs, p32.feat)
+		if len(in64) != len(in32) {
+			t.Fatalf("instantiations decode %d vs %d tensors", len(in64), len(in32))
+		}
+		for i, t64 := range in64 {
+			if (t64 == nil) != (in32[i] == nil) {
+				t.Fatalf("tensor %d present in one instantiation only", i)
+			}
+			if t64 != nil {
+				sameNarrowed(t, t64, in32[i])
+			}
+		}
 		// Whatever parsed must re-encode and re-parse to the same header.
-		re, err := appendRequest(nil, &req, false, trace.Context{})
+		req, err := parseRequest(body, nil)
+		if err != nil {
+			t.Fatalf("heap decode rejects what the payload decode accepted: %v", err)
+		}
+		re, err := appendRequest(nil, req, false, trace.Context{})
 		if err != nil {
 			t.Fatalf("decoded request does not re-encode: %v", err)
 		}
-		var req2 Request
-		if err := parseRequestInto(re, &req2, heapAlloc{}, nil, nil); err != nil {
+		req2, err := parseRequest(re, nil)
+		if err != nil {
 			t.Fatalf("re-encoded request does not parse: %v", err)
 		}
 		if req2.Model != req.Model || req2.Version != req.Version {
@@ -61,34 +94,72 @@ func FuzzWireRequestFrame(f *testing.F) {
 	})
 }
 
+// sameNarrowed requires a float32-decoded tensor to be exactly the float64
+// decode of the same bytes rounded once: equal shapes, and each value the
+// float32 conversion of its twin (NaNs matching NaNs — a conversion may quiet
+// a signalling payload).
+func sameNarrowed(t *testing.T, t64 *tensor.Tensor, t32 *tensor.Tensor32) {
+	t.Helper()
+	if len(t64.Shape) != len(t32.Shape) || len(t64.Data) != len(t32.Data) {
+		t.Fatalf("shapes differ across instantiations: %v vs %v", t64.Shape, t32.Shape)
+	}
+	for i, d := range t64.Shape {
+		if t32.Shape[i] != d {
+			t.Fatalf("shapes differ across instantiations: %v vs %v", t64.Shape, t32.Shape)
+		}
+	}
+	for i, v := range t64.Data {
+		if w, g := float32(v), t32.Data[i]; w != g && (w == w || g == g) {
+			t.Fatalf("value %d: float32 decode %v is not the rounding %v of the float64 decode %v", i, g, w, v)
+		}
+	}
+}
+
+// narrowAll rounds response parts to float32, keeping nil where nil.
+func narrowAll(ts []*tensor.Tensor) []*tensor.Tensor32 {
+	if ts == nil {
+		return nil
+	}
+	out := make([]*tensor.Tensor32, len(ts))
+	for i, t := range ts {
+		out[i] = tensor.Narrow32(t)
+	}
+	return out
+}
+
 // FuzzWireResponseFrame covers the client's half of the trust boundary: the
 // server is the adversary of the threat model, so its frames deserve the
 // same hostility testing as requests. Both frame layouts run — the v1 form
 // and the v2 form carrying the response code — and a frame that decodes in
 // v2 must round-trip its code (the overload verdict must survive the wire
-// exactly, or a shed would be mistaken for a terminal failure).
+// exactly, or a shed would be mistaken for a terminal failure). Whatever
+// decodes is then re-encoded by both instantiations of the response writer —
+// from the float64 parts and from their float32 narrowing, as a float64 and a
+// float32 server would hold them: on the f32 wire the two frames must be the
+// same bytes (one rounding either way), and on the f64 wire the float32
+// writer's frame must decode to exactly the widened float32 values.
 func FuzzWireResponseFrame(f *testing.F) {
-	seed, err := appendResponse(nil, &Response{Model: "m", Version: 1,
+	seed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
 		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	errFrame, err := appendResponse(nil, &Response{Err: "x"}, false, false, 0)
+	errFrame, err := encodeResponse(nil, &Response{Err: "x"}, false, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(errFrame)
 	// The admission-control shed frame, exactly as the dispatcher emits it
 	// on a v2 connection.
-	shed, err := appendResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, true, 0)
+	shed, err := encodeResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, true, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(shed)
 	// The v3 traced response: trace-ID echo ahead of the v2 payload, plus a
 	// truncated-echo corruption.
-	echoed, err := appendResponse(nil, &Response{Model: "m", Version: 1,
+	echoed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
 		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, true, 0xFEEDFACECAFEBEEF)
 	if err != nil {
 		f.Fatal(err)
@@ -102,7 +173,7 @@ func FuzzWireResponseFrame(f *testing.F) {
 		if err := parseResponseInto(body, &resp, true, nil); err != nil {
 			return
 		}
-		re, err := appendResponse(nil, &resp, false, true, 0)
+		re, err := encodeResponse(nil, &resp, false, true, 0)
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
@@ -113,6 +184,39 @@ func FuzzWireResponseFrame(f *testing.F) {
 		if resp2.Code != resp.Code || resp2.Err != resp.Err {
 			t.Fatalf("response code/err does not round-trip: (%d,%q) vs (%d,%q)",
 				resp.Code, resp.Err, resp2.Code, resp2.Err)
+		}
+
+		feats32 := narrowAll(resp.Features)
+		var outs32 [][]*tensor.Tensor32
+		if resp.Outputs != nil {
+			outs32 = make([][]*tensor.Tensor32, len(resp.Outputs))
+			for i, row := range resp.Outputs {
+				outs32[i] = narrowAll(row)
+			}
+		}
+		from64, err64 := encodeResponse(nil, &resp, true, true, 0)
+		from32, err32 := appendResponse(nil, &resp, feats32, outs32, true, true, 0)
+		if (err64 == nil) != (err32 == nil) {
+			t.Fatalf("writer instantiations disagree: f64 %v, f32 %v", err64, err32)
+		}
+		if err64 == nil && !bytes.Equal(from64, from32) {
+			t.Fatal("f32-wire frames differ between the float64 and float32 writers")
+		}
+		wide, err := appendResponse(nil, &resp, feats32, outs32, false, true, 0)
+		if err != nil {
+			return // ragged grids are rejected identically at either precision
+		}
+		var widened Response
+		if err := parseResponseInto(wide, &widened, true, nil); err != nil {
+			t.Fatalf("float32 writer's f64-wire frame does not parse: %v", err)
+		}
+		for i, t32 := range feats32 {
+			sameNarrowed(t, widened.Features[i], t32)
+		}
+		for i, row := range outs32 {
+			for b, t32 := range row {
+				sameNarrowed(t, widened.Outputs[i][b], t32)
+			}
 		}
 	})
 }
@@ -178,22 +282,20 @@ func FuzzWireTracedFrames(f *testing.F) {
 	f.Add([]byte{wireMsgRequestTraced, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF}) // unknown tflags bits
 	f.Add([]byte{wireMsgRequestTraced, 1, 2, 3, 4})                   // truncated ID
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var req Request
 		var tc trace.Context
-		j := newJob()
-		if err := parseRequestInto(body, &req, (*arenaAlloc)(&j.arena), j, &tc); err != nil {
+		req, err := parseRequest(body, &tc)
+		if err != nil {
 			return
 		}
 		if len(body) > 0 && body[0] == wireMsgRequestTraced && tc.ID == 0 {
 			t.Fatal("traced frame parsed with the reserved zero trace ID")
 		}
-		re, err := appendRequest(nil, &req, false, tc)
+		re, err := appendRequest(nil, req, false, tc)
 		if err != nil {
 			t.Fatalf("decoded traced request does not re-encode: %v", err)
 		}
-		var req2 Request
 		var tc2 trace.Context
-		if err := parseRequestInto(re, &req2, heapAlloc{}, nil, &tc2); err != nil {
+		if _, err := parseRequest(re, &tc2); err != nil {
 			t.Fatalf("re-encoded traced request does not parse: %v", err)
 		}
 		if tc2 != tc {

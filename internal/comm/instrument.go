@@ -123,95 +123,30 @@ func (m *ServerMetrics) record(j *job, resp *Response, dur time.Duration) {
 	if resp.Err != "" {
 		m.Errors.Inc()
 	}
-	inputs, rows := requestSize(j)
+	inputs, rows := j.pay.size()
 	m.BatchInputs.Observe(float64(inputs))
 	m.Images.Add(uint64(rows))
 	m.ServeSeconds.Observe(dur.Seconds())
 }
 
-// requestSize reports how many input tensors and total batch rows a request
-// carries — whichever precision it decoded at — tolerating malformed wire
-// data (shapes are validated later, on the compute path).
-func requestSize(j *job) (inputs, rows int) {
-	if len(j.inputs32) > 0 {
-		for _, in := range j.inputs32 {
-			if in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
-				rows += in.Shape[0]
-			}
-		}
-		return len(j.inputs32), rows
-	}
-	if f := j.feat32; f != nil {
-		if len(f.Shape) > 0 && f.Shape[0] > 0 {
-			rows = f.Shape[0]
-		}
-		return 1, rows
-	}
-	req := &j.req
-	if req.Inputs != nil {
-		for _, in := range req.Inputs {
-			if in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
-				rows += in.Shape[0]
-			}
-		}
-		return len(req.Inputs), rows
-	}
-	if f := req.Features; f != nil && len(f.Shape) > 0 && f.Shape[0] > 0 {
-		rows = f.Shape[0]
-	}
-	return 1, rows
-}
-
-// observeRequest mirrors a request's feature tensors into the observer.
-// Each tensor is fully validated first — the same structural-honesty check
-// the compute path applies — because the observer may copy what it is
-// handed: an attacker-controlled Shape claiming 2^62 elements over an empty
-// Data slice must be rejected here, not allocated by the sampler (the
-// compute path re-validates later; that redundancy is the trust boundary).
-func observeRequest(o FeatureObserver, model string, version int, req *Request) {
-	if req.Inputs != nil {
-		for _, in := range req.Inputs {
-			if validateFeatures(in) == nil {
-				o.ObserveFeatures(model, version, in)
-			}
-		}
+// observeTensor applies the wire trust boundary (validate before the
+// observer may copy) and routes one tensor to the observer at the precision
+// the compute path actually runs on: float64 tensors through ObserveFeatures,
+// float32 tensors through the FeatureObserver32 side interface (or a widened
+// copy when the observer predates it), so the auditor scores leakage against
+// what production really computed on.
+func observeTensor[T tensor.Float](o FeatureObserver, model string, version int, t *tensor.Dense[T]) {
+	if validateFeatures(t) != nil {
 		return
 	}
-	if validateFeatures(req.Features) == nil {
-		o.ObserveFeatures(model, version, req.Features)
-	}
-}
-
-// observeJob mirrors a job's transmitted features into the observer at
-// whichever precision they were decoded — float64 requests take the
-// observeRequest path unchanged; f32-decoded requests go through the
-// FeatureObserver32 side interface (or a widened copy when the observer
-// predates it), so the auditor scores leakage against the precision that
-// actually runs.
-func observeJob(o FeatureObserver, model string, version int, j *job) {
-	if !j.decodedF32() {
-		observeRequest(o, model, version, &j.req)
-		return
-	}
-	o32, _ := o.(FeatureObserver32)
-	if len(j.inputs32) > 0 {
-		for _, in := range j.inputs32 {
-			observeTensor32(o, o32, model, version, in)
+	switch t := any(t).(type) {
+	case *tensor.Tensor:
+		o.ObserveFeatures(model, version, t)
+	case *tensor.Tensor32:
+		if o32, ok := o.(FeatureObserver32); ok {
+			o32.ObserveFeatures32(model, version, t)
+		} else {
+			o.ObserveFeatures(model, version, tensor.Widen64(t))
 		}
-		return
 	}
-	observeTensor32(o, o32, model, version, j.feat32)
-}
-
-// observeTensor32 applies the wire trust boundary (validate before the
-// observer may copy) and routes one f32 tensor to the observer.
-func observeTensor32(o FeatureObserver, o32 FeatureObserver32, model string, version int, t *tensor.Tensor32) {
-	if validateFeatures32(t) != nil {
-		return
-	}
-	if o32 != nil {
-		o32.ObserveFeatures32(model, version, t)
-		return
-	}
-	o.ObserveFeatures(model, version, tensor.Widen64(t))
 }

@@ -1,0 +1,508 @@
+package comm
+
+// The element-typed half of the serving path. A server computes in one
+// precision (WithPrecision: float64, the reference oracle and default, or
+// float32), and everything about a request that depends on that choice — the
+// arena its tensors live in, the decoded features, the response parts, the
+// stacked pass over the bodies — is payload[T] and bodySet[T], written once
+// over the element type. The rest of the server (job recycling, dispatcher,
+// codecs' framing, metrics, tracing, budget) never names an element type: it
+// reaches the tensors through the tensors interface, and the server's
+// Precision picks the instantiation in exactly two places, newJob and
+// replicaFor.
+//
+// On a float32 server whose connection negotiated the f32 wire, decode →
+// forward → encode performs no float64 conversion at all: the payload bits
+// feed the kernels directly. Requests that are float64-typed by construction
+// — legacy gob connections and the sync process entry, which carry
+// *tensor.Tensor in Request/Response — narrow once at ingress (ingest), run
+// the one generic path, and widen exactly at egress (export); an f64-wire
+// binary frame narrows in the wire reader itself. Either way one server
+// precision serves every client dialect with one rounding step.
+
+import (
+	"fmt"
+	"sync"
+
+	"ensembler/internal/nn"
+	"ensembler/internal/tensor"
+	"ensembler/internal/trace"
+)
+
+// Precision selects the element type the compute path runs in.
+type Precision int
+
+const (
+	// PrecisionF64 computes in float64 — the reference oracle, bit-identical
+	// to every release before precision dispatch existed. The default.
+	PrecisionF64 Precision = iota
+	// PrecisionF32 compiles worker replicas to float32 and serves on the f32
+	// kernels: half the memory traffic, forward drift bounded at 1e-5
+	// relative by the nn and audit property tests.
+	PrecisionF32
+)
+
+func (p Precision) String() string {
+	if p == PrecisionF32 {
+		return "f32"
+	}
+	return "f64"
+}
+
+// ParsePrecision parses the -precision flag / registry manifest form. The
+// empty string is the float64 default, matching manifests that predate the
+// field.
+func ParsePrecision(s string) (Precision, error) {
+	switch s {
+	case "", "f64":
+		return PrecisionF64, nil
+	case "f32":
+		return PrecisionF32, nil
+	}
+	return 0, fmt.Errorf("comm: unknown precision %q (want f64 or f32)", s)
+}
+
+// WithPrecision selects the compute element type for every model the server
+// hosts. PrecisionF32 requires every hosted layer to have an f32 compile
+// path (all built-in nn layers do); a model that does not compile fails its
+// requests with the compile error rather than silently falling back to f64.
+func WithPrecision(p Precision) ServerOption {
+	return func(o *serverOptions) { o.precision = p }
+}
+
+// tensors is the element-type-erased face of payload[T]: everything the
+// serving path does to one job's tensors.
+type tensors interface {
+	// reset reclaims the payload for the next request, invalidating every
+	// arena tensor. Must only run after the response has been fully encoded.
+	reset()
+	// parse decodes a binary request frame body (routing header into req,
+	// tensors into the payload).
+	parse(body []byte, req *Request, tc *trace.Context) error
+	// ingest takes over a float64-typed request's tensors (gob, sync entry).
+	ingest(req *Request)
+	// export hands a served response's tensors to a float64-typed Response.
+	export(resp *Response)
+	// appendResponse encodes resp's header and, if served, the payload's
+	// response tensors as a binary response frame body.
+	appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error)
+	// size reports the request's input tensor and total row counts.
+	size() (inputs, rows int)
+	// featureShape is the shape of a single-tensor request's features (nil
+	// for client-batched requests) — what the dispatcher coalesces on.
+	featureShape() []int
+	// observe mirrors the request's validated tensors into o.
+	observe(o FeatureObserver, model string, version int)
+	// noise perturbs a served response in place.
+	noise(rng *uint64, sigma float64)
+	// answered reports whether the payload holds a complete response.
+	answered() bool
+	// process validates and computes one request over wr, filling j.resp.
+	process(s *Server, j *job, wr *workerReplica) *Response
+	// coalesce computes one stacked pass for b, whose first job this payload
+	// belongs to, filling every member's resp.
+	coalesce(s *Server, b *dispatchBatch, wr *workerReplica, m ServedModel)
+}
+
+// payload is one job's tensors at the serving precision: the decoded
+// request, the response parts, and the arena backing both. It recycles with
+// its job, which is what keeps the steady-state loop allocation-free.
+type payload[T tensor.Float] struct {
+	// arena backs the decoded request tensors and every response tensor;
+	// reset by the connection writer once the response is encoded.
+	arena tensor.Arena[T]
+
+	feat    *tensor.Dense[T]   // a single-tensor request's features
+	inputs  []*tensor.Dense[T] // a client-batched request's inputs (reusable storage)
+	batched bool               // which of the two this request carries
+
+	feats   []*tensor.Dense[T]   // response to a single-tensor request: one part per body
+	outputs [][]*tensor.Dense[T] // response to a batched request: [input][body]
+	served  bool                 // feats/outputs hold a complete response
+
+	rows  []int            // per-input row counts of a batched request
+	shape [maxWireRank]int // scratch for composing output shapes
+}
+
+func (p *payload[T]) reset() {
+	p.feat = nil
+	p.inputs = p.inputs[:0]
+	p.batched = false
+	p.feats = p.feats[:0]
+	p.outputs = p.outputs[:0]
+	p.served = false
+	p.rows = p.rows[:0]
+	p.arena.Reset()
+}
+
+// payloadOf returns j's payload at its (known) element type.
+func payloadOf[T tensor.Float](j *job) *payload[T] { return j.pay.(*payload[T]) }
+
+func (p *payload[T]) parse(body []byte, req *Request, tc *trace.Context) error {
+	return parseRequestInto(body, req, p, tc)
+}
+
+func (p *payload[T]) answered() bool { return p.served }
+
+// convertIn carries one float64-typed request tensor to the serving
+// precision: itself at float64, one rounding per element at float32. Nothing
+// about src is trusted yet — it is validated downstream like any wire tensor
+// — so its shape and element count are kept verbatim and nothing is ever
+// allocated from the shape it claims.
+func convertIn[T tensor.Float](a *tensor.Arena[T], src *tensor.Tensor) *tensor.Dense[T] {
+	if src == nil {
+		return nil
+	}
+	if same, ok := any(src).(*tensor.Dense[T]); ok {
+		return same
+	}
+	dst := &tensor.Dense[T]{Shape: src.Shape, Data: a.Alloc(len(src.Data))}
+	for i, v := range src.Data {
+		dst.Data[i] = T(v)
+	}
+	return dst
+}
+
+// convertOut widens response parts to float64 — exactly (every float32 is a
+// float64), so a float64 client sees precisely what the compute produced; at
+// float64 the parts are returned as they are.
+func convertOut[T tensor.Float](ts []*tensor.Dense[T]) []*tensor.Tensor {
+	if same, ok := any(ts).([]*tensor.Tensor); ok {
+		return same
+	}
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = tensor.ConvertInto(tensor.New(t.Shape...), t)
+	}
+	return out
+}
+
+func (p *payload[T]) ingest(req *Request) {
+	if req.Inputs != nil {
+		p.batched = true
+		inputs := p.inputs[:0]
+		for _, in := range req.Inputs {
+			inputs = append(inputs, convertIn(&p.arena, in))
+		}
+		p.inputs = inputs
+		return
+	}
+	p.feat = convertIn(&p.arena, req.Features)
+}
+
+func (p *payload[T]) export(resp *Response) {
+	if !p.served {
+		return
+	}
+	if !p.batched {
+		resp.Features = convertOut(p.feats)
+		return
+	}
+	resp.Outputs = make([][]*tensor.Tensor, len(p.outputs))
+	for i, row := range p.outputs {
+		resp.Outputs[i] = convertOut(row)
+	}
+}
+
+func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error) {
+	var feats []*tensor.Dense[T]
+	var outputs [][]*tensor.Dense[T]
+	if p.served {
+		if p.batched {
+			outputs = p.outputs
+		} else {
+			feats = p.feats
+		}
+	}
+	return appendResponse(buf, resp, feats, outputs, f32, withCode, traceID)
+}
+
+// size tolerates malformed wire data (shapes are validated later, on the
+// compute path).
+func (p *payload[T]) size() (inputs, rows int) {
+	if !p.batched {
+		if f := p.feat; f != nil && len(f.Shape) > 0 && f.Shape[0] > 0 {
+			rows = f.Shape[0]
+		}
+		return 1, rows
+	}
+	for _, in := range p.inputs {
+		if in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
+			rows += in.Shape[0]
+		}
+	}
+	return len(p.inputs), rows
+}
+
+func (p *payload[T]) featureShape() []int {
+	if p.batched || p.feat == nil {
+		return nil
+	}
+	return p.feat.Shape
+}
+
+// observe validates each tensor fully first — the same structural-honesty
+// check the compute path applies — because the observer may copy what it is
+// handed: an attacker-controlled Shape claiming 2^62 elements over an empty
+// Data slice must be rejected here, not allocated by the sampler (the
+// compute path re-validates later; that redundancy is the trust boundary).
+func (p *payload[T]) observe(o FeatureObserver, model string, version int) {
+	if p.batched {
+		for _, in := range p.inputs {
+			observeTensor(o, model, version, in)
+		}
+		return
+	}
+	observeTensor(o, model, version, p.feat)
+}
+
+func (p *payload[T]) noise(rng *uint64, sigma float64) {
+	if !p.served {
+		return
+	}
+	for _, t := range p.feats {
+		noiseData(rng, t.Data, sigma)
+	}
+	for _, row := range p.outputs {
+		for _, t := range row {
+			noiseData(rng, t.Data, sigma)
+		}
+	}
+}
+
+// part copies rows [row, row+r) of one body's stacked output out of the
+// body's scratch into the job arena.
+func (p *payload[T]) part(out *tensor.Dense[T], row, r int) *tensor.Dense[T] {
+	per := out.Size() / out.Shape[0]
+	shape := append(p.shape[:0], r)
+	shape = append(shape, out.Shape[1:]...)
+	part := p.arena.NewTensor(shape...)
+	copy(part.Data, out.Data[row*per:(row+r)*per])
+	return part
+}
+
+func (p *payload[T]) process(s *Server, j *job, wr *workerReplica) *Response {
+	bodies := bodiesOf[T](wr)
+	if p.batched {
+		if len(p.inputs) == 0 {
+			return &Response{Err: "comm: batched request carries no inputs"}
+		}
+		if len(p.inputs) > s.opts.maxBatch {
+			return &Response{Err: fmt.Sprintf("comm: batch of %d exceeds server cap %d", len(p.inputs), s.opts.maxBatch)}
+		}
+		stacked, err := p.stackInputs()
+		if err != nil {
+			return &Response{Err: err.Error()}
+		}
+		perBody := bodies.forward(s.opts.workers, stacked)
+		// Transpose [body][input] into the wire layout [input][body].
+		if cap(p.outputs) < len(p.rows) {
+			p.outputs = make([][]*tensor.Dense[T], len(p.rows))
+		}
+		p.outputs = p.outputs[:len(p.rows)]
+		for i := range p.outputs {
+			if cap(p.outputs[i]) < len(perBody) {
+				p.outputs[i] = make([]*tensor.Dense[T], len(perBody))
+			}
+			p.outputs[i] = p.outputs[i][:len(perBody)]
+		}
+		for b, out := range perBody {
+			row := 0
+			for i, r := range p.rows {
+				p.outputs[i][b] = p.part(out, row, r)
+				row += r
+			}
+		}
+	} else {
+		if err := validateFeatures(p.feat); err != nil {
+			return &Response{Err: err.Error()}
+		}
+		feats := p.feats[:0]
+		for _, out := range bodies.forward(s.opts.workers, p.feat) {
+			feats = append(feats, p.arena.Clone(out))
+		}
+		p.feats = feats
+	}
+	p.served = true
+	j.resp = Response{}
+	return &j.resp
+}
+
+// stackInputs concatenates the batched request's inputs along the batch axis
+// into the job arena, recording per-input row counts in p.rows.
+func (p *payload[T]) stackInputs() (*tensor.Dense[T], error) {
+	rows := p.rows[:0]
+	total := 0
+	for i, in := range p.inputs {
+		if err := validateFeatures(in); err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			a, b := p.inputs[0].Shape, in.Shape
+			if a[1] != b[1] || a[2] != b[2] || a[3] != b[3] {
+				return nil, fmt.Errorf("comm: batched inputs disagree on feature shape: %v vs %v", a[1:], b[1:])
+			}
+		}
+		rows = append(rows, in.Shape[0])
+		total += in.Shape[0]
+	}
+	p.rows = rows
+	s := p.inputs[0].Shape
+	out := p.arena.NewTensor(total, s[1], s[2], s[3])
+	off := 0
+	for _, in := range p.inputs {
+		off += copy(out.Data[off:], in.Data)
+	}
+	return out, nil
+}
+
+// coalesce is serveCoalesced's stack→forward→split core. The coalesce key
+// fixed [C,H,W] across members; rows vary per job. Invalid members get their
+// own error response and are excluded from the stack.
+func (p *payload[T]) coalesce(s *Server, b *dispatchBatch, wr *workerReplica, m ServedModel) {
+	bodies := bodiesOf[T](wr)
+	total := 0
+	rows := b.rows[:0]
+	for _, j := range b.jobs {
+		if j.resp.Err != "" { // refused by the budget guard in serveCoalesced
+			rows = append(rows, -1)
+			continue
+		}
+		f := payloadOf[T](j).feat
+		if err := validateFeatures(f); err != nil {
+			j.resp = Response{Err: err.Error()}
+			rows = append(rows, -1)
+			continue
+		}
+		rows = append(rows, f.Shape[0])
+		total += f.Shape[0]
+	}
+	b.rows = rows
+	if total == 0 {
+		return // every member was refused or failed validation; each carries its own error
+	}
+	// The stacked input lives in the replica, like the scratches its outputs
+	// land in: one pass at a time computes on a replica, and the per-job
+	// copies below leave nothing tying a job to it.
+	bodies.stack.Reset()
+	hs := p.feat.Shape
+	stacked := bodies.stack.NewTensor(total, hs[1], hs[2], hs[3])
+	off := 0
+	for i, j := range b.jobs {
+		if b.rows[i] >= 0 {
+			off += copy(stacked.Data[off:], payloadOf[T](j).feat.Data)
+		}
+	}
+	outs := bodies.forward(s.opts.workers, stacked)
+	row := 0
+	for i, j := range b.jobs {
+		r := b.rows[i]
+		if r < 0 {
+			continue
+		}
+		jp := payloadOf[T](j)
+		feats := jp.feats[:0]
+		for _, out := range outs {
+			feats = append(feats, jp.part(out, row, r))
+		}
+		jp.feats = feats
+		jp.served = true
+		j.resp = Response{Model: m.Name(), Version: m.Version()}
+		if j.noiseSigma > 0 {
+			noiseResponse(j)
+		}
+		row += r
+	}
+}
+
+// inferer is a body ready to run at element type T: a live *nn.Network at
+// float64, a compiled *nn.Net32 at float32.
+type inferer[T tensor.Float] interface {
+	ForwardInfer(x *tensor.Dense[T], s *nn.Scratch[T]) *tensor.Dense[T]
+}
+
+// bodySet is one worker replica's bodies at the serving precision, with one
+// inference scratch per body: the scratch is as private as the replica (one
+// goroutine computes on it at a time) and holds every activation buffer a
+// body pass needs, so steady-state requests allocate nothing.
+type bodySet[T tensor.Float] struct {
+	nets      []inferer[T]
+	scratches []*nn.Scratch[T]
+	outs      []*tensor.Dense[T] // reusable per-body output list, valid until the next forward
+	stack     tensor.Arena[T]    // backs a coalesced pass's stacked input
+}
+
+func newBodySet[T tensor.Float](nets []inferer[T]) *bodySet[T] {
+	bs := &bodySet[T]{nets: nets, scratches: make([]*nn.Scratch[T], len(nets))}
+	for i := range bs.scratches {
+		bs.scratches[i] = &nn.Scratch[T]{}
+	}
+	return bs
+}
+
+// bodiesOf returns wr's bodies at the serving element type.
+func bodiesOf[T tensor.Float](wr *workerReplica) *bodySet[T] { return wr.run.(*bodySet[T]) }
+
+// forward runs every body of the replica over x in inference mode, each over
+// its private scratch, returning outputs in body order. Each scratch is
+// Reset at the START of its body's pass, never after: the results stay valid
+// until the same replica's next request, and a pass that panics mid-network
+// (hostile shapes that clear validateFeatures but break deeper in) cannot
+// leave un-reset arenas accumulating demand across malformed requests — the
+// next request's reset reclaims them.
+//
+// With a multi-worker pool the bodies run serially — the pool is the one
+// level of parallelism, and N workers × serial bodies keeps every core on
+// dedicated cache-resident work instead of oversubscribing N×bodies
+// goroutines. A single-worker server keeps the historical per-body fan-out
+// (it is the only parallelism available).
+func (bs *bodySet[T]) forward(workers int, x *tensor.Dense[T]) []*tensor.Dense[T] {
+	// The serial path must not share a local with the goroutine-spawning
+	// branch: a closure-captured slice header is heap-moved on every call,
+	// which is exactly the allocation this loop exists to avoid.
+	if workers > 1 || len(bs.nets) == 1 {
+		outs := bs.outs[:0]
+		for i, b := range bs.nets {
+			sc := bs.scratches[i]
+			sc.Reset()
+			outs = append(outs, b.ForwardInfer(x, sc))
+		}
+		bs.outs = outs
+		return outs
+	}
+	return bs.forwardParallel(x)
+}
+
+// forwardParallel is the single-worker server's per-body fan-out. A panic in
+// any body's goroutine is re-raised on the calling goroutine for processWith
+// to absorb.
+func (bs *bodySet[T]) forwardParallel(x *tensor.Dense[T]) []*tensor.Dense[T] {
+	outs := bs.outs[:0]
+	for range bs.nets {
+		outs = append(outs, nil)
+	}
+	bs.outs = outs
+	panics := make(chan any, len(bs.nets))
+	var wg sync.WaitGroup
+	for i, b := range bs.nets {
+		wg.Add(1)
+		go func(i int, b inferer[T]) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panics <- r
+				}
+			}()
+			sc := bs.scratches[i]
+			sc.Reset()
+			outs[i] = b.ForwardInfer(x, sc)
+		}(i, b)
+	}
+	wg.Wait()
+	select {
+	case r := <-panics:
+		panic(r)
+	default:
+	}
+	return outs
+}

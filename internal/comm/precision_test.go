@@ -47,19 +47,16 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float32]()
 	replicas := newReplicaCache(PrecisionF32)
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, replicas)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	if !j.f32Resp {
-		t.Fatal("f32-wire request on an f32 server did not take the f32 response path")
-	}
-	enc, err := appendResponse32(nil, j, resp, true, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, true, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +99,16 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float32]()
 	replicas := newReplicaCache(PrecisionF32)
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, replicas)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := appendResponse32(nil, j, resp, false, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, false, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +118,9 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 	}
 	checkWidenedExact(t, "binary-f64", &got, want)
 
-	// Sync/gob ingress: float64 tensors narrow at serve time instead of
-	// decode time — same bits, same results.
-	j2 := newJob()
-	j2.req.Features = x
-	resp2 := srv.serve(j2, newReplicaCache(PrecisionF32))
+	// Sync/gob ingress: float64 tensors narrow when the payload ingests them
+	// instead of at decode time — same bits, same results.
+	resp2 := srv.process(&Request{Features: x})
 	if resp2.Err != "" {
 		t.Fatal(resp2.Err)
 	}
@@ -168,15 +163,15 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
-	if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+	j := newJob[float32]()
+	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp := srv.serve(j, newReplicaCache(PrecisionF32))
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := appendResponse32(nil, j, resp, true, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, true, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,11 +205,11 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	}
 }
 
-// TestServerComputeLoopZeroAllocsF32 pins the tentpole acceptance criterion
-// for the float32 backend: the full f32 server loop — binary decode into the
+// TestServerComputeLoopZeroAllocsF32 pins the zero-allocation criterion at
+// the float32 instantiation: the full server loop — binary decode into the
 // f32 arena, resolve, replica lookup (compiled Net32 bodies), every body
 // pass, response copy-out, f32 encode — performs zero heap allocations at
-// steady state, exactly like its f64 twin above.
+// steady state, exactly like the float64 instantiation.
 func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 	const nBodies = 3
 	srv := newF32Server(nBodies)
@@ -222,11 +217,11 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float32]()
 	replicas := newReplicaCache(PrecisionF32)
 	encBuf := make([]byte, 0, 1<<16)
 	cycle := func() {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			t.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -234,7 +229,7 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse32(append(encBuf[:0], 0, 0, 0, 0), j, resp, true, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, true, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -270,11 +265,11 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	j := newJob()
+	j := newJob[float32]()
 	replicas := newReplicaCache(PrecisionF32)
 	encBuf := make([]byte, 0, 1<<20)
 	for i := 0; i < 2; i++ {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		if resp := srv.serve(j, replicas); resp.Err != "" {
@@ -285,7 +280,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := parseRequestInto32(body, &j.req, j, nil); err != nil {
+		if err := j.pay.parse(body, &j.req, nil); err != nil {
 			b.Fatal(err)
 		}
 		resp := srv.serve(j, replicas)
@@ -293,7 +288,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = appendResponse32(append(encBuf[:0], 0, 0, 0, 0), j, resp, true, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

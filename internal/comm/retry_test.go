@@ -273,8 +273,7 @@ func shedOnceBinary(t *testing.T, windowMs uint16) string {
 					if err != nil {
 						return
 					}
-					var req Request
-					if err := parseRequestInto(body, &req, heapAlloc{}, nil, nil); err != nil {
+					if _, err := parseRequest(body, nil); err != nil {
 						return
 					}
 					resp := &Response{Features: []*tensor.Tensor{feature}}
@@ -282,7 +281,7 @@ func shedOnceBinary(t *testing.T, windowMs uint16) string {
 						shed = true
 						resp = &Response{Err: overloadedMsg, Code: CodeOverloaded}
 					}
-					buf, err := appendResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
+					buf, err := encodeResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
 					if err != nil {
 						return
 					}

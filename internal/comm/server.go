@@ -202,38 +202,21 @@ type Server struct {
 }
 
 // job is one request's full serving context: the decoded request, the reply
-// channel the pool answers on, and the request-scoped arena plus reusable
-// slice storage that make the steady-state loop allocation-free. A job is
-// recycled per connection — the reader draws one from the free list, the
-// writer resets and returns it after the response bytes leave the process —
-// so at pipelining depth d a connection owns d jobs, total.
+// channel the pool answers on, and the request-scoped payload (arena plus
+// reusable slice storage) that makes the steady-state loop allocation-free.
+// A job is recycled per connection — the reader draws one from the free
+// list, the writer resets and returns it after the response bytes leave the
+// process — so at pipelining depth d a connection owns d jobs, total.
 type job struct {
 	req   Request
 	resp  Response
 	reply chan *Response
 
-	// arena backs the binary-decoded request tensors and every response
-	// tensor; reset by the connection writer once the response is encoded.
-	arena tensor.Arena
-
-	feats   []*tensor.Tensor   // reusable Response.Features storage
-	inputs  []*tensor.Tensor   // reusable decoded Request.Inputs storage
-	outs    []*tensor.Tensor   // reusable per-body output list
-	outputs [][]*tensor.Tensor // reusable Response.Outputs grid
-	rows    []int              // reusable per-input row counts
-	shape   [maxWireRank]int   // scratch for composing output shapes
-
-	// Float32 serving context (see server32.go), populated only on a
-	// PrecisionF32 server. arena32 backs f32-decoded request tensors and f32
-	// response payloads; f32Resp routes the encoder to feats32/outputs32
-	// instead of the float64 Response fields.
-	arena32   tensor.Arena32
-	feat32    *tensor.Tensor32     // f32-decoded Request.Features
-	inputs32  []*tensor.Tensor32   // reusable f32-decoded Request.Inputs storage
-	feats32   []*tensor.Tensor32   // reusable f32 response features storage
-	outs32    []*tensor.Tensor32   // reusable f32 per-body output list
-	outputs32 [][]*tensor.Tensor32 // reusable f32 response outputs grid
-	f32Resp   bool
+	// pay holds the request's and response's tensors at the server's compute
+	// precision (see payload.go). On the binary wire req carries only the
+	// routing header; a float64-typed request (gob, the sync entry) also
+	// arrives with its tensors in req, which the codec ingests into pay.
+	pay tensors
 
 	// Privacy-budget context, populated only when the server has a budget
 	// guard. account is the connection's ledger account (resolved once at
@@ -259,26 +242,25 @@ type job struct {
 	tr        trace.Active
 }
 
-func newJob() *job { return &job{reply: make(chan *Response, 1)} }
+// newJob returns a job whose payload computes at element type T.
+func newJob[T tensor.Float]() *job {
+	return &job{reply: make(chan *Response, 1), pay: &payload[T]{}}
+}
+
+// newJob returns a job at the server's compute precision.
+func (s *Server) newJob() *job {
+	if s.opts.precision == PrecisionF32 {
+		return newJob[float32]()
+	}
+	return newJob[float64]()
+}
 
 // reset reclaims the job for the next request. Must only run after the
 // response has been fully encoded: it invalidates every arena tensor.
 func (j *job) reset() {
 	j.req = Request{}
 	j.resp = Response{}
-	j.feats = j.feats[:0]
-	j.inputs = j.inputs[:0]
-	j.outs = j.outs[:0]
-	j.outputs = j.outputs[:0]
-	j.rows = j.rows[:0]
-	j.arena.Reset()
-	j.feat32 = nil
-	j.inputs32 = j.inputs32[:0]
-	j.feats32 = j.feats32[:0]
-	j.outs32 = j.outs32[:0]
-	j.outputs32 = j.outputs32[:0]
-	j.f32Resp = false
-	j.arena32.Reset()
+	j.pay.reset()
 	j.account = nil
 	j.noiseSigma = 0
 	j.wireTrace = trace.Context{}
@@ -532,10 +514,17 @@ func (c *gobServerCodec) readRequest(j *job) error {
 		return err
 	}
 	j.req = Request{} // gob leaves absent fields untouched; never inherit the previous request's
-	return c.dec.Decode(&j.req)
+	if err := c.dec.Decode(&j.req); err != nil {
+		return err
+	}
+	j.pay.ingest(&j.req)
+	return nil
 }
 
-func (c *gobServerCodec) writeResponse(j *job, resp *Response) error { return c.enc.Encode(resp) }
+func (c *gobServerCodec) writeResponse(j *job, resp *Response) error {
+	j.pay.export(resp)
+	return c.enc.Encode(resp)
+}
 
 type binServerCodec struct {
 	binFramer
@@ -545,9 +534,6 @@ type binServerCodec struct {
 	// traceOK marks a version ≥3 connection, the only kind whose responses
 	// may carry traced frames.
 	traceOK bool
-	// f32compute marks a PrecisionF32 server: requests decode into the job's
-	// f32 arena and successful responses encode from its f32 payload.
-	f32compute bool
 }
 
 func (c *binServerCodec) readRequest(j *job) error {
@@ -563,11 +549,7 @@ func (c *binServerCodec) readRequest(j *job) error {
 		t0 = time.Now()
 	}
 	j.req = Request{}
-	if c.f32compute {
-		if err := parseRequestInto32(body, &j.req, j, &j.wireTrace); err != nil {
-			return err
-		}
-	} else if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, &j.wireTrace); err != nil {
+	if err := j.pay.parse(body, &j.req, &j.wireTrace); err != nil {
 		return err
 	}
 	if c.timing {
@@ -586,16 +568,10 @@ func (c *binServerCodec) readRequest(j *job) error {
 
 func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 	var echo uint64
-	if j != nil && j.traced {
+	if j.traced {
 		echo = j.wireTrace.ID
 	}
-	var buf []byte
-	var err error
-	if j != nil && j.f32Resp {
-		buf, err = appendResponse32(c.frameStart(), j, resp, c.f32, c.code, echo)
-	} else {
-		buf, err = appendResponse(c.frameStart(), resp, c.f32, c.code, echo)
-	}
+	buf, err := j.pay.appendResponse(c.frameStart(), resp, c.f32, c.code, echo)
 	c.encBuf = buf
 	if err != nil {
 		return err
@@ -656,10 +632,9 @@ func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (serverCodec, string
 		}
 	}
 	return &binServerCodec{
-		binFramer:  binFramer{w: conn, r: br, f32: flags&wireFlagF32 != 0, code: version >= 2},
-		timing:     s.opts.tracer != nil,
-		traceOK:    version >= 3,
-		f32compute: s.opts.precision == PrecisionF32,
+		binFramer: binFramer{w: conn, r: br, f32: flags&wireFlagF32 != 0, code: version >= 2},
+		timing:    s.opts.tracer != nil,
+		traceOK:   version >= 3,
 	}, clientID, nil
 }
 
@@ -744,7 +719,7 @@ func (s *Server) handle(conn net.Conn) {
 		select {
 		case j = <-free:
 		default:
-			j = newJob()
+			j = s.newJob()
 		}
 		if err := codec.readRequest(j); err != nil {
 			break // client closed, protocol error, or shutdown deadline
@@ -783,22 +758,15 @@ func (s *Server) handle(conn net.Conn) {
 // the least-recently-used replica and the next request for it re-clones.
 const maxWorkerReplicas = 16
 
-// workerReplica is one worker's private replica of one model epoch, with
-// one inference scratch per body: the scratch is as private as the replica
-// (one goroutine computes on it at a time) and holds every activation
-// buffer a body pass needs, so steady-state requests allocate nothing.
+// workerReplica is one worker's private replica of one model epoch: run is
+// a *bodySet[T] at the serving precision, over the cloned float64 networks
+// themselves or over their float32 compilation (which keeps what it needs of
+// its source alive — AdditiveNoise resample mode draws through the source
+// layer's worker-private RNG state).
 type workerReplica struct {
-	seq       uint64
-	bodies    []*nn.Network
-	scratches []*nn.Scratch
-	lastUsed  uint64 // worker-local request counter for LRU eviction
-
-	// Float32 compilation of the same replica, populated on a PrecisionF32
-	// server: each cloned body narrowed once to an nn.Net32 with its own f32
-	// scratch. The f64 bodies stay alive as the compile source (AdditiveNoise
-	// resample mode draws through their worker-private RNG state).
-	bodies32    []*nn.Net32
-	scratches32 []*nn.Scratch32
+	seq      uint64
+	run      any
+	lastUsed uint64 // worker-local request counter for LRU eviction
 }
 
 // epochKey identifies one model epoch in a worker's replica cache. A struct
@@ -836,22 +804,21 @@ func (rc *replicaCache) replicaFor(m ServedModel) (*workerReplica, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratches := make([]*nn.Scratch, len(bodies))
-	for i := range scratches {
-		scratches[i] = nn.NewScratch()
-	}
-	wr := &workerReplica{seq: m.Seq(), bodies: bodies, scratches: scratches, lastUsed: rc.tick}
+	wr := &workerReplica{seq: m.Seq(), lastUsed: rc.tick}
 	if rc.precision == PrecisionF32 {
-		wr.bodies32 = make([]*nn.Net32, len(bodies))
-		wr.scratches32 = make([]*nn.Scratch32, len(bodies))
+		nets := make([]inferer[float32], len(bodies))
 		for i, b := range bodies {
-			n32, err := nn.CompileF32(b)
-			if err != nil {
+			if nets[i], err = nn.CompileF32(b); err != nil {
 				return nil, err
 			}
-			wr.bodies32[i] = n32
-			wr.scratches32[i] = nn.NewScratch32()
 		}
+		wr.run = newBodySet(nets)
+	} else {
+		nets := make([]inferer[float64], len(bodies))
+		for i, b := range bodies {
+			nets[i] = b
+		}
+		wr.run = newBodySet(nets)
 	}
 	rc.entries[key] = wr
 	for len(rc.entries) > maxWorkerReplicas {
@@ -926,7 +893,7 @@ func (s *Server) serveResolved(j *job, replicas *replicaCache) *Response {
 		return &Response{Err: err.Error()}
 	}
 	if s.opts.observer != nil {
-		observeJob(s.opts.observer, m.Name(), m.Version(), j)
+		j.pay.observe(s.opts.observer, m.Name(), m.Version())
 	}
 	wr, err := replicas.replicaFor(m)
 	if err != nil {
@@ -935,7 +902,7 @@ func (s *Server) serveResolved(j *job, replicas *replicaCache) *Response {
 	resp := s.processWith(j, wr)
 	resp.Model, resp.Version = m.Name(), m.Version()
 	if j.noiseSigma > 0 && resp.Err == "" {
-		noiseResponse(j, resp)
+		noiseResponse(j)
 	}
 	return resp
 }
@@ -961,13 +928,19 @@ func cloneReplica(m ServedModel) (bodies []*nn.Network, err error) {
 // keeps its own replica cache (shared by all process callers, guarded by a
 // mutex), so it must not be mixed with concurrent Serve traffic on a
 // single-model server without replicas. Each call uses a fresh job, so the
-// returned response (unlike a pooled worker's) stays valid indefinitely.
+// returned response (unlike a pooled worker's) stays valid indefinitely. The
+// request is float64-typed, so it enters and leaves like a gob request:
+// ingested into the job's payload, computed at the server's precision, and
+// exported back into the Response.
 func (s *Server) process(req *Request) *Response {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	j := newJob()
+	j := s.newJob()
 	j.req = *req
-	return s.serve(j, s.syncReplicas)
+	j.pay.ingest(&j.req)
+	resp := s.serve(j, s.syncReplicas)
+	j.pay.export(resp)
+	return resp
 }
 
 // processWith validates a request and runs it over one worker replica. A
@@ -980,164 +953,5 @@ func (s *Server) processWith(j *job, wr *workerReplica) (resp *Response) {
 			resp = &Response{Err: fmt.Sprintf("comm: request failed: %v", r)}
 		}
 	}()
-	if s.opts.precision == PrecisionF32 {
-		return s.processUnguarded32(j, wr)
-	}
-	return s.processUnguarded(j, wr)
-}
-
-func (s *Server) processUnguarded(j *job, wr *workerReplica) *Response {
-	req := &j.req
-	switch {
-	case req.Inputs != nil:
-		if len(req.Inputs) == 0 {
-			return &Response{Err: "comm: batched request carries no inputs"}
-		}
-		if len(req.Inputs) > s.opts.maxBatch {
-			return &Response{Err: fmt.Sprintf("comm: batch of %d exceeds server cap %d", len(req.Inputs), s.opts.maxBatch)}
-		}
-		stacked, err := j.stackInputs()
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		perBody := s.forwardBodies(&j.outs, wr, stacked)
-		// Transpose [body][input] into the wire layout [input][body],
-		// copying each part out of its body's scratch into the job arena.
-		nb := len(wr.bodies)
-		if cap(j.outputs) < len(j.rows) {
-			j.outputs = make([][]*tensor.Tensor, len(j.rows))
-		}
-		j.outputs = j.outputs[:len(j.rows)]
-		for i := range j.outputs {
-			if cap(j.outputs[i]) < nb {
-				j.outputs[i] = make([]*tensor.Tensor, nb)
-			}
-			j.outputs[i] = j.outputs[i][:nb]
-		}
-		for b, out := range perBody {
-			per := out.Size() / out.Shape[0]
-			off := 0
-			for i, r := range j.rows {
-				shape := append(j.shape[:0], r)
-				shape = append(shape, out.Shape[1:]...)
-				part := j.arena.NewTensor(shape...)
-				copy(part.Data, out.Data[off:off+r*per])
-				j.outputs[i][b] = part
-				off += r * per
-			}
-		}
-		j.resp = Response{Outputs: j.outputs}
-		return &j.resp
-	default:
-		if err := validateFeatures(req.Features); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		perBody := s.forwardBodies(&j.outs, wr, req.Features)
-		feats := j.feats[:0]
-		for _, out := range perBody {
-			feats = append(feats, j.arena.Clone(out))
-		}
-		j.feats = feats
-		j.resp = Response{Features: feats}
-		return &j.resp
-	}
-}
-
-// stackInputs concatenates the request's inputs along the batch axis into
-// the job arena, recording per-input row counts in j.rows — the
-// allocation-free form of the package-level stackInputs.
-func (j *job) stackInputs() (*tensor.Tensor, error) {
-	inputs := j.req.Inputs
-	rows := j.rows[:0]
-	total := 0
-	for i, in := range inputs {
-		if err := validateFeatures(in); err != nil {
-			return nil, err
-		}
-		if i > 0 {
-			a, b := inputs[0].Shape, in.Shape
-			if a[1] != b[1] || a[2] != b[2] || a[3] != b[3] {
-				return nil, fmt.Errorf("comm: batched inputs disagree on feature shape: %v vs %v", a[1:], b[1:])
-			}
-		}
-		rows = append(rows, in.Shape[0])
-		total += in.Shape[0]
-	}
-	j.rows = rows
-	s := inputs[0].Shape
-	out := j.arena.NewTensor(total, s[1], s[2], s[3])
-	off := 0
-	for _, in := range inputs {
-		off += copy(out.Data[off:], in.Data)
-	}
-	return out, nil
-}
-
-// forwardBodies runs every body of the replica over x in inference mode,
-// each over its private scratch, returning outputs in body order. Each
-// scratch is Reset at the START of its body's pass, never after: the
-// results stay valid until the same replica's next request, and a pass
-// that panics mid-network (hostile shapes that clear validateFeatures but
-// break deeper in) cannot leave un-reset arenas accumulating demand across
-// malformed requests — the next request's reset reclaims them.
-//
-// With a multi-worker pool the bodies run serially — the pool is the one
-// level of parallelism, and N workers × serial bodies keeps every core on
-// dedicated cache-resident work instead of oversubscribing N×bodies
-// goroutines. A single-worker server keeps the historical per-body fan-out
-// (it is the only parallelism available), with a panic in any body's
-// goroutine re-raised on the calling goroutine for processWith to absorb.
-//
-// slot supplies (and receives back) the reusable output slice — a job's
-// j.outs or a dispatchBatch's b.outs — keeping both callers on the
-// zero-allocation steady state.
-func (s *Server) forwardBodies(slot *[]*tensor.Tensor, wr *workerReplica, x *tensor.Tensor) []*tensor.Tensor {
-	// The serial path must not share a local with the goroutine-spawning
-	// branch: a closure-captured slice header is heap-moved on every call,
-	// which is exactly the allocation this loop exists to avoid.
-	if s.opts.workers > 1 || len(wr.bodies) == 1 {
-		outs := (*slot)[:0]
-		for i, b := range wr.bodies {
-			sc := wr.scratches[i]
-			sc.Reset()
-			outs = append(outs, b.ForwardInfer(x, sc))
-		}
-		*slot = outs
-		return outs
-	}
-	return forwardBodiesParallel(slot, wr, x)
-}
-
-// forwardBodiesParallel is the single-worker server's per-body fan-out. A
-// panic in any body's goroutine is re-raised on the calling goroutine for
-// processWith to absorb.
-func forwardBodiesParallel(slot *[]*tensor.Tensor, wr *workerReplica, x *tensor.Tensor) []*tensor.Tensor {
-	outs := (*slot)[:0]
-	for range wr.bodies {
-		outs = append(outs, nil)
-	}
-	*slot = outs
-	panics := make(chan any, len(wr.bodies))
-	var wg sync.WaitGroup
-	for i, b := range wr.bodies {
-		wg.Add(1)
-		go func(i int, b *nn.Network) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics <- r
-				}
-			}()
-			sc := wr.scratches[i]
-			sc.Reset()
-			outs[i] = b.ForwardInfer(x, sc)
-		}(i, b)
-	}
-	wg.Wait()
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
-	}
-	return outs
+	return j.pay.process(s, j, wr)
 }

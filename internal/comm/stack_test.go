@@ -7,9 +7,10 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// TestStackSplitRoundTrip pins the batch stacking on the serving job: the
-// inputs concatenate along the batch axis into the job arena, row counts
-// land in j.rows, and mismatched trailing shapes are rejected.
+// TestStackSplitRoundTrip pins the batch stacking on the serving job's
+// payload: the inputs concatenate along the batch axis into the job arena,
+// row counts land in the payload's rows, and mismatched trailing shapes are
+// rejected.
 func TestStackSplitRoundTrip(t *testing.T) {
 	mk := func(seed int64, rows int) *tensor.Tensor {
 		x := tensor.New(rows, 4, 8, 8)
@@ -17,17 +18,17 @@ func TestStackSplitRoundTrip(t *testing.T) {
 		return x
 	}
 	a, b := mk(56, 2), mk(57, 3)
-	j := newJob()
-	j.req = Request{Inputs: []*tensor.Tensor{a, b}}
-	stacked, err := j.stackInputs()
+	j := jobFor(Request{Inputs: []*tensor.Tensor{a, b}})
+	p := payloadOf[float64](j)
+	stacked, err := p.stackInputs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stacked.Shape[0] != 5 {
 		t.Fatalf("stacked rows = %d, want 5", stacked.Shape[0])
 	}
-	if len(j.rows) != 2 || j.rows[0] != 2 || j.rows[1] != 3 {
-		t.Fatalf("row counts %v, want [2 3]", j.rows)
+	if len(p.rows) != 2 || p.rows[0] != 2 || p.rows[1] != 3 {
+		t.Fatalf("row counts %v, want [2 3]", p.rows)
 	}
 	per := 4 * 8 * 8
 	for i, in := range []*tensor.Tensor{a, b} {
@@ -48,7 +49,8 @@ func TestStackSplitRoundTrip(t *testing.T) {
 	c.Data = c.Data[:1*4*4*8]
 	j.reset()
 	j.req = Request{Inputs: []*tensor.Tensor{a, c}}
-	if _, err := j.stackInputs(); err == nil {
+	j.pay.ingest(&j.req)
+	if _, err := p.stackInputs(); err == nil {
 		t.Error("shape-mismatched batch must be rejected")
 	}
 }

@@ -326,14 +326,14 @@ func benchTracedLoop(b *testing.B, tr *trace.Tracer) {
 	}
 	jobs := make([]*job, K)
 	for i := range jobs {
-		jobs[i] = newJob()
+		jobs[i] = newJob[float64]()
 	}
 	batch := &dispatchBatch{}
 	replicas := newReplicaCache(PrecisionF64)
 	encBuf := make([]byte, 0, 1<<20)
 	cycle := func() {
 		for _, j := range jobs {
-			if err := parseRequestInto(body, &j.req, (*arenaAlloc)(&j.arena), j, &j.wireTrace); err != nil {
+			if err := j.pay.parse(body, &j.req, &j.wireTrace); err != nil {
 				b.Fatal(err)
 			}
 			// What the reader goroutine does when a tracer is attached.
@@ -349,7 +349,7 @@ func benchTracedLoop(b *testing.B, tr *trace.Tracer) {
 			}
 			var e error
 			encStart := time.Now()
-			encBuf, e = appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, j.wireTrace.ID)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, j.wireTrace.ID)
 			if e != nil {
 				b.Fatal(e)
 			}

@@ -332,14 +332,14 @@ func (e *Ensembler) ServerCompute(features *tensor.Tensor) []*tensor.Tensor {
 // steady-state callers hold one and reuse it across calls, so repeated
 // server-side passes stop allocating per layer.
 type BodyScratch struct {
-	per []*nn.Scratch
+	per []*nn.Scratch[float64]
 	out []*tensor.Tensor
 }
 
 // NewBodyScratch builds an empty scratch set for the ensemble's N bodies;
 // the first ServerComputeWith pass sizes it.
 func (e *Ensembler) NewBodyScratch() *BodyScratch {
-	bs := &BodyScratch{per: make([]*nn.Scratch, len(e.Members)), out: make([]*tensor.Tensor, len(e.Members))}
+	bs := &BodyScratch{per: make([]*nn.Scratch[float64], len(e.Members)), out: make([]*tensor.Tensor, len(e.Members))}
 	for i := range bs.per {
 		bs.per[i] = nn.NewScratch()
 	}

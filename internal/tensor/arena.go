@@ -1,5 +1,7 @@
 package tensor
 
+import "unsafe"
+
 // Arena is a bump allocator for the inference hot path: tensors carved out
 // of one reusable backing buffer instead of individual heap allocations.
 // Alloc hands out slices sequentially; Reset reclaims everything at once and
@@ -17,8 +19,8 @@ package tensor
 //     remain). Kernels writing into arena tensors must fully overwrite or
 //     zero their output; NewTensorZeroed does the memset for callers that
 //     accumulate.
-type Arena struct {
-	data []float64
+type Arena[T Float] struct {
+	data []T
 	off  int
 	need int
 
@@ -26,21 +28,22 @@ type Arena struct {
 	ioff  int
 	ineed int
 
-	hdrs  []Tensor
+	hdrs  []Dense[T]
 	hoff  int
 	hneed int
 }
 
-// NewArena returns an empty arena; the first cycle sizes it.
-func NewArena() *Arena { return &Arena{} }
+// NewArena returns an empty float64 arena; the first cycle sizes it. (The
+// zero Arena[T] of any element type is equally usable.)
+func NewArena() *Arena[float64] { return &Arena[float64]{} }
 
 // Alloc returns an n-element float slice from the arena, falling back to a
 // fresh heap allocation when capacity is exhausted (Reset then grows the
 // buffer so the next cycle stays in-arena). Contents are unspecified.
-func (a *Arena) Alloc(n int) []float64 {
+func (a *Arena[T]) Alloc(n int) []T {
 	a.need += n
 	if a.off+n > len(a.data) {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s := a.data[a.off : a.off+n : a.off+n]
 	a.off += n
@@ -48,7 +51,7 @@ func (a *Arena) Alloc(n int) []float64 {
 }
 
 // allocInts is Alloc for the int storage backing tensor shapes.
-func (a *Arena) allocInts(n int) []int {
+func (a *Arena[T]) allocInts(n int) []int {
 	a.ineed += n
 	if a.ioff+n > len(a.ints) {
 		return make([]int, n)
@@ -59,10 +62,10 @@ func (a *Arena) allocInts(n int) []int {
 }
 
 // header returns a reusable Tensor header.
-func (a *Arena) header() *Tensor {
+func (a *Arena[T]) header() *Dense[T] {
 	a.hneed++
 	if a.hoff >= len(a.hdrs) {
-		return &Tensor{}
+		return &Dense[T]{}
 	}
 	t := &a.hdrs[a.hoff]
 	a.hoff++
@@ -88,7 +91,7 @@ func prodDims(shape []int) int {
 
 // NewTensor returns a tensor of the given shape backed by the arena. Data is
 // NOT zeroed; see the ownership rules above.
-func (a *Arena) NewTensor(shape ...int) *Tensor {
+func (a *Arena[T]) NewTensor(shape ...int) *Dense[T] {
 	t := a.header()
 	t.Shape = a.allocInts(len(shape))
 	copy(t.Shape, shape)
@@ -97,7 +100,7 @@ func (a *Arena) NewTensor(shape ...int) *Tensor {
 }
 
 // NewTensorZeroed returns a zero-filled arena tensor.
-func (a *Arena) NewTensorZeroed(shape ...int) *Tensor {
+func (a *Arena[T]) NewTensorZeroed(shape ...int) *Dense[T] {
 	t := a.NewTensor(shape...)
 	for i := range t.Data {
 		t.Data[i] = 0
@@ -108,7 +111,7 @@ func (a *Arena) NewTensorZeroed(shape ...int) *Tensor {
 // View returns a tensor sharing t's backing array under a new shape of equal
 // size, with the header and shape storage coming from the arena — the
 // allocation-free counterpart of Reshape for the inference path.
-func (a *Arena) View(t *Tensor, shape ...int) *Tensor {
+func (a *Arena[T]) View(t *Dense[T], shape ...int) *Dense[T] {
 	if prodDims(shape) != len(t.Data) {
 		panic("tensor: Arena.View size mismatch")
 	}
@@ -120,7 +123,7 @@ func (a *Arena) View(t *Tensor, shape ...int) *Tensor {
 }
 
 // Clone copies t into the arena.
-func (a *Arena) Clone(t *Tensor) *Tensor {
+func (a *Arena[T]) Clone(t *Dense[T]) *Dense[T] {
 	out := a.NewTensor(t.Shape...)
 	copy(out.Data, t.Data)
 	return out
@@ -129,15 +132,15 @@ func (a *Arena) Clone(t *Tensor) *Tensor {
 // Reset reclaims every allocation at once, invalidating all tensors handed
 // out since the previous Reset, and grows the backing buffers to the
 // finished cycle's demand so the next identical cycle allocates nothing.
-func (a *Arena) Reset() {
+func (a *Arena[T]) Reset() {
 	if a.need > len(a.data) {
-		a.data = make([]float64, a.need)
+		a.data = make([]T, a.need)
 	}
 	if a.ineed > len(a.ints) {
 		a.ints = make([]int, a.ineed)
 	}
 	if a.hneed > len(a.hdrs) {
-		a.hdrs = make([]Tensor, a.hneed)
+		a.hdrs = make([]Dense[T], a.hneed)
 	}
 	a.off, a.need = 0, 0
 	a.ioff, a.ineed = 0, 0
@@ -145,7 +148,10 @@ func (a *Arena) Reset() {
 }
 
 // Footprint reports the arena's current backing capacity in bytes — what one
-// warmed worker scratch costs at steady state.
-func (a *Arena) Footprint() int {
-	return 8*len(a.data) + 8*len(a.ints) + len(a.hdrs)*48
+// warmed worker scratch costs at steady state (a float32 arena's data costs
+// half a float64 arena's at the same shape load).
+func (a *Arena[T]) Footprint() int {
+	var elem T
+	var hdr Dense[T]
+	return len(a.data)*int(unsafe.Sizeof(elem)) + len(a.ints)*int(unsafe.Sizeof(int(0))) + len(a.hdrs)*int(unsafe.Sizeof(hdr))
 }

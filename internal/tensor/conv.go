@@ -25,30 +25,7 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	cols := New(c*kh*kw, oh*ow)
-	colStride := oh * ow
-	for ci := 0; ci < c; ci++ {
-		chanBase := ci * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				rowBase := ((ci*kh+ky)*kw + kx) * colStride
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					srcRow := chanBase + iy*w
-					dstRow := rowBase + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						cols.Data[dstRow+ox] = x.Data[srcRow+ix]
-					}
-				}
-			}
-		}
-	}
+	im2colFill(cols.Data, x.Data, c, h, w, kh, kw, stride, pad, oh, ow)
 	return cols
 }
 
@@ -92,12 +69,12 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
 
 // SampleView returns sample n of a batched [N, ...] tensor as a tensor that
 // shares t's backing array (writes are visible in both).
-func (t *Tensor) SampleView(n int) *Tensor {
+func (t *Dense[T]) SampleView(n int) *Dense[T] {
 	if len(t.Shape) < 2 {
 		panic("tensor: SampleView on rank < 2")
 	}
 	per := len(t.Data) / t.Shape[0]
-	return &Tensor{Shape: append([]int(nil), t.Shape[1:]...), Data: t.Data[n*per : (n+1)*per]}
+	return &Dense[T]{Shape: append([]int(nil), t.Shape[1:]...), Data: t.Data[n*per : (n+1)*per]}
 }
 
 // ConvForward computes a batched 2-D convolution.
@@ -124,14 +101,7 @@ func ConvForward(x, weight, bias *Tensor, kh, kw, stride, pad int) (*Tensor, []*
 		dst := y.Data[i*oc*oh*ow : (i+1)*oc*oh*ow]
 		copy(dst, yi.Data)
 		if bias != nil {
-			hw := oh * ow
-			for o := 0; o < oc; o++ {
-				b := bias.Data[o]
-				row := dst[o*hw : (o+1)*hw]
-				for j := range row {
-					row[j] += b
-				}
-			}
+			addBias(dst, bias.Data[:oc], oh*ow)
 		}
 	})
 	return y, cols

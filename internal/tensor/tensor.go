@@ -1,9 +1,14 @@
 // Package tensor implements the dense numeric arrays that the rest of the
-// Ensembler reproduction is built on: contiguous, row-major float64 tensors
-// with the elementwise arithmetic, matrix multiplication and im2col/col2im
-// transforms needed to train and invert split convolutional networks on the
-// CPU. All operations are deterministic; parallel kernels split work in fixed
-// chunk order so results do not depend on scheduling.
+// Ensembler reproduction is built on: contiguous, row-major tensors with the
+// elementwise arithmetic, matrix multiplication and im2col/col2im transforms
+// needed to train and invert split convolutional networks on the CPU. All
+// operations are deterministic; parallel kernels split work in fixed chunk
+// order so results do not depend on scheduling.
+//
+// The package is written once over the element type (Float): Tensor, the
+// float64 instantiation, is what training, the attacks and serialization use
+// and the oracle every other precision is tested against; Tensor32 is the
+// float32 instantiation the f32 serving backend computes in (DESIGN.md §2i).
 package tensor
 
 import (
@@ -13,13 +18,32 @@ import (
 	"sync"
 )
 
-// Tensor is a dense row-major array of float64 values. Shape holds the
-// extent of each dimension; Data holds len = product(Shape) values. Both
-// fields are exported so tensors serialize directly with encoding/gob.
-type Tensor struct {
+// Float is the element-type constraint of the compute stack. float32 and
+// float64 have distinct GC shapes, so every generic function compiles to one
+// monomorphic body per precision.
+type Float interface{ ~float32 | ~float64 }
+
+// Dense is a dense row-major array. Shape holds the extent of each
+// dimension; Data holds len = product(Shape) values. Both fields are
+// exported so tensors serialize directly with encoding/gob (gob matches
+// struct fields by name, so artifacts written when Tensor was a plain struct
+// still load).
+type Dense[T Float] struct {
 	Shape []int
-	Data  []float64
+	Data  []T
 }
+
+// Tensor is the float64 tensor: the precision of training, the attacks,
+// serialization, and the reference oracle of every drift test.
+type Tensor = Dense[float64]
+
+// Tensor32 is the float32 tensor of the f32 serving backend. Precision
+// contract (DESIGN.md §2i): a Tensor32 holds values rounded once from their
+// float64 origins (weights at compile time, features at the wire boundary);
+// kernels accumulate in float32, and the end-to-end forward drift against the
+// f64 oracle is bounded at 1e-5 relative by the property tests in internal/nn
+// and the seed-network test in internal/audit.
+type Tensor32 = Dense[float32]
 
 // numElems returns the number of elements implied by shape, validating that
 // every dimension is positive.
@@ -37,10 +61,37 @@ func numElems(shape []int) int {
 	return n
 }
 
-// New returns a zero-filled tensor with the given shape.
-func New(shape ...int) *Tensor {
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, numElems(shape))}
+// NewOf returns a zero-filled tensor of element type T with the given shape.
+func NewOf[T Float](shape ...int) *Dense[T] {
+	return &Dense[T]{Shape: append([]int(nil), shape...), Data: make([]T, numElems(shape))}
 }
+
+// New returns a zero-filled float64 tensor with the given shape.
+func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
+
+// New32 returns a zero-filled float32 tensor with the given shape.
+func New32(shape ...int) *Tensor32 { return NewOf[float32](shape...) }
+
+// ConvertInto writes src into the caller-owned dst (sizes must match),
+// converting each element exactly once: float64→float32 rounds to nearest,
+// float32→float64 is exact.
+func ConvertInto[D, S Float](dst *Dense[D], src *Dense[S]) *Dense[D] {
+	if len(dst.Data) != len(src.Data) {
+		panic(fmt.Sprintf("tensor: ConvertInto size %d vs %d", len(dst.Data), len(src.Data)))
+	}
+	for i, v := range src.Data {
+		dst.Data[i] = D(v)
+	}
+	return dst
+}
+
+// Narrow32 rounds a float64 tensor to a freshly allocated float32 tensor —
+// weight compilation and the f32 wire boundary.
+func Narrow32(t *Tensor) *Tensor32 { return ConvertInto(NewOf[float32](t.Shape...), t) }
+
+// Widen64 converts a float32 tensor to a freshly allocated float64 tensor,
+// exactly (every float32 is representable in float64).
+func Widen64(t *Tensor32) *Tensor { return ConvertInto(NewOf[float64](t.Shape...), t) }
 
 // Full returns a tensor with every element set to v.
 func Full(v float64, shape ...int) *Tensor {
@@ -53,26 +104,26 @@ func Full(v float64, shape ...int) *Tensor {
 
 // FromSlice wraps data (copied) in a tensor of the given shape. It panics if
 // len(data) does not match the shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[T Float](data []T, shape ...int) *Dense[T] {
 	if len(data) != numElems(shape) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: append([]float64(nil), data...)}
+	return &Dense[T]{Shape: append([]int(nil), shape...), Data: append([]T(nil), data...)}
 }
 
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	return &Tensor{Shape: append([]int(nil), t.Shape...), Data: append([]float64(nil), t.Data...)}
+func (t *Dense[T]) Clone() *Dense[T] {
+	return &Dense[T]{Shape: append([]int(nil), t.Shape...), Data: append([]T(nil), t.Data...)}
 }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int { return len(t.Data) }
+func (t *Dense[T]) Size() int { return len(t.Data) }
 
 // Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
+func (t *Dense[T]) Dim(i int) int { return t.Shape[i] }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -85,7 +136,7 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 }
 
 // offset converts a multi-index to a flat offset.
-func (t *Tensor) offset(idx []int) int {
+func (t *Dense[T]) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index rank %d vs shape rank %d", len(idx), len(t.Shape)))
 	}
@@ -100,10 +151,10 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // At returns the element at the given multi-index.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
+func (t *Dense[T]) At(idx ...int) T { return t.Data[t.offset(idx)] }
 
 // Set stores v at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
+func (t *Dense[T]) Set(v T, idx ...int) { t.Data[t.offset(idx)] = v }
 
 // Reshape returns a view of t with a new shape of equal size. The returned
 // tensor ALIASES t: both share one backing Data array, so a write through
@@ -111,16 +162,16 @@ func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
 // Callers that need an independent copy must Clone first; the layers that
 // deliberately rely on the aliasing (nn.Flatten, nn.Reshape2D4D — a reshape
 // in a forward pass must not copy activations) annotate it at the call site.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Dense[T]) Reshape(shape ...int) *Dense[T] {
 	if numElems(shape) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return &Dense[T]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // String renders a short description (shape plus a few leading values), keeping
 // logs readable for large tensors.
-func (t *Tensor) String() string {
+func (t *Dense[T]) String() string {
 	n := len(t.Data)
 	if n > 8 {
 		n = 8
@@ -129,14 +180,14 @@ func (t *Tensor) String() string {
 }
 
 // checkSame panics unless t and o share a shape; op names the caller.
-func (t *Tensor) checkSame(o *Tensor, op string) {
+func (t *Dense[T]) checkSame(o *Dense[T], op string) {
 	if !t.SameShape(o) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.Shape, o.Shape))
 	}
 }
 
 // AddInPlace adds o into t elementwise and returns t.
-func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
+func (t *Dense[T]) AddInPlace(o *Dense[T]) *Dense[T] {
 	t.checkSame(o, "Add")
 	for i, v := range o.Data {
 		t.Data[i] += v
@@ -145,7 +196,7 @@ func (t *Tensor) AddInPlace(o *Tensor) *Tensor {
 }
 
 // SubInPlace subtracts o from t elementwise and returns t.
-func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
+func (t *Dense[T]) SubInPlace(o *Dense[T]) *Dense[T] {
 	t.checkSame(o, "Sub")
 	for i, v := range o.Data {
 		t.Data[i] -= v
@@ -154,7 +205,7 @@ func (t *Tensor) SubInPlace(o *Tensor) *Tensor {
 }
 
 // MulInPlace multiplies t by o elementwise and returns t.
-func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
+func (t *Dense[T]) MulInPlace(o *Dense[T]) *Dense[T] {
 	t.checkSame(o, "Mul")
 	for i, v := range o.Data {
 		t.Data[i] *= v
@@ -163,16 +214,16 @@ func (t *Tensor) MulInPlace(o *Tensor) *Tensor {
 }
 
 // Add returns t + o elementwise.
-func (t *Tensor) Add(o *Tensor) *Tensor { return t.Clone().AddInPlace(o) }
+func (t *Dense[T]) Add(o *Dense[T]) *Dense[T] { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o elementwise.
-func (t *Tensor) Sub(o *Tensor) *Tensor { return t.Clone().SubInPlace(o) }
+func (t *Dense[T]) Sub(o *Dense[T]) *Dense[T] { return t.Clone().SubInPlace(o) }
 
 // Mul returns t * o elementwise.
-func (t *Tensor) Mul(o *Tensor) *Tensor { return t.Clone().MulInPlace(o) }
+func (t *Dense[T]) Mul(o *Dense[T]) *Dense[T] { return t.Clone().MulInPlace(o) }
 
 // ScaleInPlace multiplies every element by s and returns t.
-func (t *Tensor) ScaleInPlace(s float64) *Tensor {
+func (t *Dense[T]) ScaleInPlace(s T) *Dense[T] {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
@@ -180,10 +231,10 @@ func (t *Tensor) ScaleInPlace(s float64) *Tensor {
 }
 
 // Scale returns s * t.
-func (t *Tensor) Scale(s float64) *Tensor { return t.Clone().ScaleInPlace(s) }
+func (t *Dense[T]) Scale(s T) *Dense[T] { return t.Clone().ScaleInPlace(s) }
 
 // AddScalarInPlace adds s to every element and returns t.
-func (t *Tensor) AddScalarInPlace(s float64) *Tensor {
+func (t *Dense[T]) AddScalarInPlace(s T) *Dense[T] {
 	for i := range t.Data {
 		t.Data[i] += s
 	}
@@ -192,7 +243,7 @@ func (t *Tensor) AddScalarInPlace(s float64) *Tensor {
 
 // AddScaledInPlace performs t += s*o elementwise and returns t. This is the
 // axpy primitive used by the optimizers.
-func (t *Tensor) AddScaledInPlace(o *Tensor, s float64) *Tensor {
+func (t *Dense[T]) AddScaledInPlace(o *Dense[T], s T) *Dense[T] {
 	t.checkSame(o, "AddScaled")
 	for i, v := range o.Data {
 		t.Data[i] += s * v
@@ -201,7 +252,7 @@ func (t *Tensor) AddScaledInPlace(o *Tensor, s float64) *Tensor {
 }
 
 // Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
+func (t *Dense[T]) Apply(f func(T) T) *Dense[T] {
 	out := t.Clone()
 	for i, v := range out.Data {
 		out.Data[i] = f(v)
@@ -210,15 +261,15 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 }
 
 // Zero resets all elements to 0.
-func (t *Tensor) Zero() {
+func (t *Dense[T]) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
+func (t *Dense[T]) Sum() T {
+	var s T
 	for _, v := range t.Data {
 		s += v
 	}
@@ -226,11 +277,11 @@ func (t *Tensor) Sum() float64 {
 }
 
 // Mean returns the mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.Data)) }
+func (t *Dense[T]) Mean() T { return t.Sum() / T(len(t.Data)) }
 
 // Min returns the smallest element.
-func (t *Tensor) Min() float64 {
-	m := math.Inf(1)
+func (t *Dense[T]) Min() T {
+	m := T(math.Inf(1))
 	for _, v := range t.Data {
 		if v < m {
 			m = v
@@ -240,8 +291,8 @@ func (t *Tensor) Min() float64 {
 }
 
 // Max returns the largest element.
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
+func (t *Dense[T]) Max() T {
+	m := T(math.Inf(-1))
 	for _, v := range t.Data {
 		if v > m {
 			m = v
@@ -251,8 +302,8 @@ func (t *Tensor) Max() float64 {
 }
 
 // ArgMax returns the flat index of the largest element (first on ties).
-func (t *Tensor) ArgMax() int {
-	best, bi := math.Inf(-1), 0
+func (t *Dense[T]) ArgMax() int {
+	best, bi := T(math.Inf(-1)), 0
 	for i, v := range t.Data {
 		if v > best {
 			best, bi = v, i
@@ -262,9 +313,9 @@ func (t *Tensor) ArgMax() int {
 }
 
 // Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
+func (t *Dense[T]) Dot(o *Dense[T]) T {
 	t.checkSame(o, "Dot")
-	s := 0.0
+	var s T
 	for i, v := range t.Data {
 		s += v * o.Data[i]
 	}
@@ -272,15 +323,15 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 }
 
 // L2Norm returns the Euclidean norm of t viewed as a flat vector.
-func (t *Tensor) L2Norm() float64 { return math.Sqrt(t.Dot(t)) }
+func (t *Dense[T]) L2Norm() T { return T(math.Sqrt(float64(t.Dot(t)))) }
 
 // AllClose reports whether every element of t is within tol of o.
-func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
+func (t *Dense[T]) AllClose(o *Dense[T], tol float64) bool {
 	if !t.SameShape(o) {
 		return false
 	}
 	for i, v := range t.Data {
-		if math.Abs(v-o.Data[i]) > tol {
+		if math.Abs(float64(v-o.Data[i])) > tol {
 			return false
 		}
 	}
@@ -288,7 +339,7 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 }
 
 // Row returns row i of a 2-D tensor as a copied 1-D tensor.
-func (t *Tensor) Row(i int) *Tensor {
+func (t *Dense[T]) Row(i int) *Dense[T] {
 	if len(t.Shape) != 2 {
 		panic("tensor: Row on non-matrix")
 	}
@@ -351,14 +402,7 @@ func parallelForChunks(n int, body func(lo, hi int)) {
 // kernel (see matmulRows); results are bit-identical to the serial
 // MatMulInto because accumulation order per output element is fixed.
 func MatMul(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMul requires 2-D tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
-	}
+	m, k, n := matMulDims("MatMul", nil, a.Shape, b.Shape, false, false)
 	out := New(m, n)
 	parallelForChunks(m, func(lo, hi int) {
 		matmulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
@@ -369,40 +413,17 @@ func MatMul(a, b *Tensor) *Tensor {
 // MatMulTransB returns a × bᵀ for a:[m,k], b:[n,k] → [m,n]. Using the
 // transposed layout directly avoids materializing bᵀ in conv backward passes.
 func MatMulTransB(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMulTransB requires 2-D tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, k2))
-	}
+	m, k, n := matMulDims("MatMulTransB", nil, a.Shape, b.Shape, false, true)
 	out := New(m, n)
 	parallelFor(m, func(i int) {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			orow[j] = s
-		}
+		matmulTransBRow(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k)
 	})
 	return out
 }
 
 // MatMulTransA returns aᵀ × b for a:[k,m], b:[k,n] → [m,n].
 func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		panic("tensor: MatMulTransA requires 2-D tensors")
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, k2))
-	}
+	m, k, n := matMulDims("MatMulTransA", nil, a.Shape, b.Shape, true, false)
 	out := New(m, n)
 	parallelFor(m, func(i int) {
 		orow := out.Data[i*n : (i+1)*n]
@@ -421,12 +442,12 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 }
 
 // Transpose2D returns the transpose of a 2-D tensor.
-func (t *Tensor) Transpose2D() *Tensor {
+func (t *Dense[T]) Transpose2D() *Dense[T] {
 	if len(t.Shape) != 2 {
 		panic("tensor: Transpose2D on non-matrix")
 	}
 	m, n := t.Shape[0], t.Shape[1]
-	out := New(n, m)
+	out := NewOf[T](n, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			out.Data[j*m+i] = t.Data[i*n+j]
