@@ -376,7 +376,9 @@ type runtimeVictim struct {
 	features func(x *tensor.Tensor) *tensor.Tensor
 }
 
-func (v runtimeVictim) ClientFeatures(x *tensor.Tensor) *tensor.Tensor { return v.features(x) }
+// ClientFeatures clones: the attack keeps the features it observes, and a
+// runtime's result only lives until its next Features call.
+func (v runtimeVictim) ClientFeatures(x *tensor.Tensor) *tensor.Tensor { return v.features(x).Clone() }
 
 // attackScore is the production scorer: replay the decoder attack against
 // the epoch and score reconstructions on the calibration eval set.

@@ -42,10 +42,22 @@ func WithClientID(id string) DialOption {
 // Client performs remote ensemble inference: local head+noise, remote
 // bodies, local secret selection and tail. A Client is bound to one
 // connection and is safe for one goroutine at a time (the head and tail
-// networks cache forward state); use a Pool for concurrent callers.
+// networks cache forward state, and the client decodes and runs the tail over
+// storage it reuses); use a Pool for concurrent callers.
+//
+// Result lifetimes: logits returned by Infer and InferBatch are fresh
+// tensors the caller owns. What Exchange returns lives in the client and is
+// valid only until the client's next request.
 type Client struct {
 	conn  *countingConn
 	codec clientCodec
+	// req and ex are the request being sent and the response being decoded —
+	// kept here so an exchange allocates neither — inputs the storage behind a
+	// batched request's list, and tail the scratch the tail pass runs over.
+	req    Request
+	ex     Exchanged
+	inputs []*tensor.Tensor
+	tail   nn.Scratch[float64]
 	// broken is set after any transport failure: the wire stream may hold a
 	// partial or stale message, so reusing the connection could silently
 	// return the previous request's response. A broken client fails fast
@@ -225,7 +237,9 @@ type gobClientCodec struct {
 // client and server exchange — the byte-compatibility the trace extension
 // is designed never to touch.
 func (c *gobClientCodec) writeRequest(req *Request, _ trace.Context) error { return c.enc.Encode(req) }
-func (c *gobClientCodec) readResponse(resp *Response) (uint64, error) {
+
+// readResponse ignores the arena: gob allocates what it decodes.
+func (c *gobClientCodec) readResponse(resp *Response, _ *tensor.Arena[float64]) (uint64, error) {
 	*resp = Response{}
 	return 0, c.dec.Decode(resp)
 }
@@ -233,16 +247,17 @@ func (c *gobClientCodec) readResponse(resp *Response) (uint64, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip performs one encode/decode exchange under ctx: a context
+// roundTrip performs one encode/decode exchange under ctx, sending c.req and
+// decoding the response into ex (see Exchanged for who owns it): a context
 // deadline maps onto the connection deadline and cancellation aborts the
 // blocked I/O. Any transport failure — including a context-induced abort —
 // leaves the wire stream in an unknown state, so it breaks the client.
-func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) roundTrip(ctx context.Context, ex *Exchanged) error {
 	if c.broken {
-		return nil, fmt.Errorf("comm: connection broken by an earlier failed request; redial")
+		return fmt.Errorf("comm: connection broken by an earlier failed request; redial")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("comm: %w", err)
+		return fmt.Errorf("comm: %w", err)
 	}
 	// The watcher is only needed when the context can actually fire; the
 	// common context.Background() path skips the goroutine entirely.
@@ -270,13 +285,13 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 			c.conn.SetDeadline(time.Time{})
 		}()
 	}
-	if err := c.codec.writeRequest(req, c.Trace); err != nil {
-		return nil, c.fail(ctx, fmt.Errorf("comm: sending features: %w", err))
+	if err := c.codec.writeRequest(&c.req, c.Trace); err != nil {
+		return c.fail(ctx, fmt.Errorf("comm: sending features: %w", err))
 	}
-	var resp Response
-	echo, err := c.codec.readResponse(&resp)
+	resp := &ex.resp
+	echo, err := c.codec.readResponse(resp, &ex.arena)
 	if err != nil {
-		return nil, c.fail(ctx, fmt.Errorf("comm: receiving features: %w", err))
+		return c.fail(ctx, fmt.Errorf("comm: receiving features: %w", err))
 	}
 	c.lastTraceID = echo
 	// A server-reported error leaves the stream synchronized; the
@@ -288,14 +303,14 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, error)
 	if resp.Err != "" {
 		switch resp.Code {
 		case CodeOverloaded:
-			return nil, fmt.Errorf("comm: %w: %s", ErrOverloaded, resp.Err)
+			return fmt.Errorf("comm: %w: %s", ErrOverloaded, resp.Err)
 		case CodeBudgetExhausted:
-			return nil, fmt.Errorf("comm: %w: %s", ErrBudgetExhausted, resp.Err)
+			return fmt.Errorf("comm: %w: %s", ErrBudgetExhausted, resp.Err)
 		}
-		return nil, fmt.Errorf("comm: server error: %s", resp.Err)
+		return fmt.Errorf("comm: server error: %s", resp.Err)
 	}
 	c.servedModel, c.servedVersion = resp.Model, resp.Version
-	return &resp, nil
+	return nil
 }
 
 // fail marks the connection unusable after a transport error — the stream
@@ -311,52 +326,64 @@ func (c *Client) fail(ctx context.Context, err error) error {
 	return err
 }
 
+// send runs one round trip of c.req into ex and accounts for it in t. The
+// byte counters are set whatever the outcome: bytes a response cost are spent
+// even when the response is then refused.
+func (c *Client) send(ctx context.Context, ex *Exchanged, t *Timing) error {
+	up, down := c.conn.up, c.conn.down
+	start := time.Now()
+	err := c.roundTrip(ctx, ex)
+	t.RoundTrip = time.Since(start)
+	t.BytesUp, t.BytesDown = c.conn.up-up, c.conn.down-down
+	return err
+}
+
 // Infer runs the full collaborative pipeline for an image batch and returns
 // logits plus the measured timing breakdown.
 func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, Timing, error) {
 	var t Timing
-	upBefore, downBefore := c.conn.up, c.conn.down
-
 	start := time.Now()
-	features := c.ComputeFeatures(x)
+	c.ex.arena.Reset()
+	c.req = Request{Model: c.Model, Version: c.Version, Features: c.ComputeFeatures(x)}
 	t.Client += time.Since(start)
 
-	netStart := time.Now()
-	resp, err := c.roundTrip(ctx, &Request{Model: c.Model, Version: c.Version, Features: features})
-	t.RoundTrip = time.Since(netStart)
-	if err != nil {
+	if err := c.send(ctx, &c.ex, &t); err != nil {
 		return nil, t, err
 	}
 
 	start = time.Now()
-	logits, err := c.finish(resp.Features)
+	logits, err := c.finish(c.ex.resp.Features)
 	t.Client += time.Since(start)
-	if err != nil {
-		return nil, t, err
-	}
-	t.BytesUp = c.conn.up - upBefore
-	t.BytesDown = c.conn.down - downBefore
-	return logits, t, nil
+	return logits, t, err
 }
 
 // finish runs the client-side selection and tail over one response's
-// feature list. The server is the adversary of the threat model, so its
-// response is as untrusted as a request is to the server: tensors are
-// structurally validated, and a panic in Select/Tail (e.g. a response
-// carrying the wrong number of bodies for the selector) becomes an error
-// instead of crashing the client application.
+// feature list and returns the logits as a fresh tensor. The server is the
+// adversary of the threat model, so its response is as untrusted as a request
+// is to the server: tensors are structurally validated, and a panic in
+// Select/Tail (e.g. a response carrying the wrong number of bodies for the
+// selector) becomes an error instead of crashing the client application.
 func (c *Client) finish(features []*tensor.Tensor) (logits *tensor.Tensor, err error) {
-	for i, f := range features {
-		if err := validateTensor(f); err != nil {
-			return nil, fmt.Errorf("comm: server response tensor %d: %w", i, err)
-		}
+	if err := validateTensors(features); err != nil {
+		return nil, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			logits, err = nil, fmt.Errorf("comm: server response rejected: %v", r)
 		}
 	}()
-	return c.Tail.Forward(c.Select(features), false), nil
+	c.tail.Reset()
+	return c.Tail.ForwardInfer(c.Select(features), &c.tail).Clone(), nil
+}
+
+// validateTensors applies validateTensor to a response's feature list.
+func validateTensors(features []*tensor.Tensor) error {
+	for i, f := range features {
+		if err := validateTensor(f); err != nil {
+			return fmt.Errorf("comm: server response tensor %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Exchanged is one raw feature round trip's result: the per-body feature
@@ -364,10 +391,19 @@ func (c *Client) finish(features []*tensor.Tensor) (logits *tensor.Tensor, err e
 // sharded callers: a scatter-gather across K servers must reject a gather
 // whose shards answered from different versions (a fleet mid-reload), or
 // it would silently mix body weights from two pipelines into one result.
+//
+// An Exchanged is also the storage its features are decoded into, reused by
+// every exchange into the same value — so the features belong to whoever
+// owns the Exchanged, until its next exchange. The one inside a Client makes
+// that the connection; a caller that must outlive the connection's release
+// (Pool.Exchange, a sharded request's gather) decodes into one of its own.
 type Exchanged struct {
 	Features []*tensor.Tensor
 	Model    string
 	Version  int
+
+	resp  Response              // decode target; its lists keep their storage
+	arena tensor.Arena[float64] // backs every decoded tensor
 }
 
 // Exchange performs the raw feature round trip beneath Infer: it transmits
@@ -377,23 +413,30 @@ type Exchanged struct {
 // computes the head output once, Exchanges it with every shard, and applies
 // the secret selector over the reassembled body order itself, so no single
 // connection ever carries enough context to see the selection.
+//
+// The result lives in the client: it is valid until the client's next
+// request, and a caller that keeps it longer clones the tensors.
 func (c *Client) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchanged, Timing, error) {
-	var t Timing
-	upBefore, downBefore := c.conn.up, c.conn.down
-	netStart := time.Now()
-	resp, err := c.roundTrip(ctx, &Request{Model: c.Model, Version: c.Version, Features: features})
-	t.RoundTrip = time.Since(netStart)
+	t, err := c.exchangeInto(ctx, features, &c.ex)
 	if err != nil {
 		return nil, t, err
 	}
-	for i, f := range resp.Features {
-		if err := validateTensor(f); err != nil {
-			return nil, t, fmt.Errorf("comm: server response tensor %d: %w", i, err)
-		}
+	return &c.ex, t, nil
+}
+
+// exchangeInto is Exchange decoding into the caller's ex.
+func (c *Client) exchangeInto(ctx context.Context, features *tensor.Tensor, ex *Exchanged) (Timing, error) {
+	var t Timing
+	ex.arena.Reset()
+	c.req = Request{Model: c.Model, Version: c.Version, Features: features}
+	if err := c.send(ctx, ex, &t); err != nil {
+		return t, err
 	}
-	t.BytesUp = c.conn.up - upBefore
-	t.BytesDown = c.conn.down - downBefore
-	return &Exchanged{Features: resp.Features, Model: resp.Model, Version: resp.Version}, t, nil
+	if err := validateTensors(ex.resp.Features); err != nil {
+		return t, err
+	}
+	ex.Features, ex.Model, ex.Version = ex.resp.Features, ex.resp.Model, ex.resp.Version
+	return t, nil
 }
 
 // InferBatch runs the collaborative pipeline for B image batches in a single
@@ -406,28 +449,30 @@ func (c *Client) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor
 	if len(xs) == 0 {
 		return nil, t, fmt.Errorf("comm: empty inference batch")
 	}
-	upBefore, downBefore := c.conn.up, c.conn.down
 
 	start := time.Now()
-	inputs := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		inputs[i] = c.ComputeFeatures(x)
+	// Each input's features are copied as they are computed: the hook may
+	// hand back storage its next call overwrites.
+	c.ex.arena.Reset()
+	inputs := c.inputs[:0]
+	for _, x := range xs {
+		inputs = append(inputs, c.ex.arena.Clone(c.ComputeFeatures(x)))
 	}
+	c.inputs = inputs
+	c.req = Request{Model: c.Model, Version: c.Version, Inputs: inputs}
 	t.Client += time.Since(start)
 
-	netStart := time.Now()
-	resp, err := c.roundTrip(ctx, &Request{Model: c.Model, Version: c.Version, Inputs: inputs})
-	t.RoundTrip = time.Since(netStart)
-	if err != nil {
+	if err := c.send(ctx, &c.ex, &t); err != nil {
 		return nil, t, err
 	}
-	if len(resp.Outputs) != len(xs) {
-		return nil, t, fmt.Errorf("comm: server returned %d outputs for %d inputs", len(resp.Outputs), len(xs))
+	outputs := c.ex.resp.Outputs
+	if len(outputs) != len(xs) {
+		return nil, t, fmt.Errorf("comm: server returned %d outputs for %d inputs", len(outputs), len(xs))
 	}
 
 	start = time.Now()
 	logits := make([]*tensor.Tensor, len(xs))
-	for i, features := range resp.Outputs {
+	for i, features := range outputs {
 		out, err := c.finish(features)
 		if err != nil {
 			t.Client += time.Since(start)
@@ -436,7 +481,5 @@ func (c *Client) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor
 		logits[i] = out
 	}
 	t.Client += time.Since(start)
-	t.BytesUp = c.conn.up - upBefore
-	t.BytesDown = c.conn.down - downBefore
 	return logits, t, nil
 }

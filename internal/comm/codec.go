@@ -362,7 +362,7 @@ func parseClientID(body []byte) (string, error) {
 	if n == 0 || int(n) > maxWireClientID {
 		return "", fmt.Errorf("comm: client ID of %d bytes outside [1,%d]", n, maxWireClientID)
 	}
-	id, err := r.str(int(n))
+	id, err := r.str(int(n), "")
 	if err != nil {
 		return "", err
 	}
@@ -441,13 +441,19 @@ func (r *wireReader) u64() (uint64, error) {
 	return v, nil
 }
 
-func (r *wireReader) str(n int) (string, error) {
+// str reads an n-byte string, returning old itself when the bytes spell it:
+// a connection's model name repeats on every frame, and re-reading it this
+// way allocates nothing.
+func (r *wireReader) str(n int, old string) (string, error) {
 	if r.remaining() < n {
 		return "", fmt.Errorf("comm: truncated frame")
 	}
-	s := string(r.b[r.off : r.off+n])
+	b := r.b[r.off : r.off+n]
 	r.off += n
-	return s, nil
+	if string(b) == old {
+		return old, nil
+	}
+	return string(b), nil
 }
 
 // readTensor decodes one tensor of either wire dtype into element type T
@@ -456,8 +462,8 @@ func (r *wireReader) str(n int) (string, error) {
 // 20-byte message into a multi-gigabyte allocation. A payload whose dtype
 // matches T copies raw bits; f32 into float64 widens exactly; f64 into
 // float32 is the one sanctioned narrowing of a float64 client's features on
-// an f32 server. A zero Arena is the heap: the client and wiretap decode
-// into one they never Reset.
+// an f32 server. A zero Arena is the heap: the wiretap, and any caller that
+// must own what it decodes, hands in one it never Resets.
 func readTensor[T tensor.Float](r *wireReader, a *tensor.Arena[T], shapeBuf []int) (*tensor.Dense[T], error) {
 	rank, err := r.u8()
 	if err != nil {
@@ -555,7 +561,7 @@ func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], 
 	if mlen > maxWireModel {
 		return fmt.Errorf("comm: model name of %d bytes exceeds wire limit", mlen)
 	}
-	if req.Model, err = r.str(mlen); err != nil {
+	if req.Model, err = r.str(mlen, req.Model); err != nil {
 		return err
 	}
 	ver, err := r.u32()
@@ -622,12 +628,18 @@ func parseRequest(body []byte, tc *trace.Context) (*Request, error) {
 	return req, nil
 }
 
-// parseResponseInto decodes a response frame body into resp, allocating from
-// the heap (the client hands decoded tensors to its caller). hasCode selects
+// parseResponseInto decodes a response frame body into resp: the tensors into
+// a, the lists into resp's own Features/Outputs storage, which is reused (as
+// is an unchanged Model string), so a steady connection decodes without
+// allocating. What resp then holds is valid until resp's next parse or a's
+// next Reset, whichever the owner of the two does first; a caller that must
+// keep the result hands in a fresh Response and a zero arena. hasCode selects
 // the version-2 layout, which carries the response code after the error
 // text. echo (optional) receives the trace ID when the frame uses the v3
 // traced layout.
-func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) error {
+func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64, a *tensor.Arena[float64]) error {
+	resp.Features, resp.Outputs = resp.Features[:0], resp.Outputs[:0]
+	resp.Version, resp.Err, resp.Code = 0, "", 0
 	r := wireReader{b: body}
 	msg, err := r.u8()
 	if err != nil {
@@ -656,7 +668,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	if mlen > maxWireModel {
 		return fmt.Errorf("comm: model name of %d bytes exceeds wire limit", mlen)
 	}
-	if resp.Model, err = r.str(mlen); err != nil {
+	if resp.Model, err = r.str(mlen, resp.Model); err != nil {
 		return err
 	}
 	ver, err := r.u32()
@@ -671,7 +683,7 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	if err != nil {
 		return err
 	}
-	if resp.Err, err = r.str(elen); err != nil {
+	if resp.Err, err = r.str(elen, ""); err != nil {
 		return err
 	}
 	if hasCode {
@@ -683,7 +695,6 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 	if err != nil {
 		return err
 	}
-	var heap tensor.Arena[float64]
 	var shapeBuf [maxWireRank]int
 	switch kind {
 	case wireKindFeatures:
@@ -691,13 +702,12 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		if err != nil {
 			return err
 		}
-		if count > 0 {
-			resp.Features = make([]*tensor.Tensor, count)
-			for i := range resp.Features {
-				if resp.Features[i], err = readTensor(&r, &heap, shapeBuf[:0]); err != nil {
-					return err
-				}
+		for i := 0; i < count; i++ {
+			t, err := readTensor(&r, a, shapeBuf[:0])
+			if err != nil {
+				return err
 			}
+			resp.Features = append(resp.Features, t)
 		}
 	case wireKindBatched:
 		outer, err := r.u16()
@@ -713,14 +723,21 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64) 
 		if outer*inner > r.remaining()/2+1 {
 			return fmt.Errorf("comm: response grid %d×%d exceeds frame size", outer, inner)
 		}
-		resp.Outputs = make([][]*tensor.Tensor, outer)
+		grid := resp.Outputs[:cap(resp.Outputs)] // rows keep their storage too
+		for len(grid) < outer {
+			grid = append(grid, nil)
+		}
+		resp.Outputs = grid[:outer]
 		for i := range resp.Outputs {
-			resp.Outputs[i] = make([]*tensor.Tensor, inner)
-			for b := range resp.Outputs[i] {
-				if resp.Outputs[i][b], err = readTensor(&r, &heap, shapeBuf[:0]); err != nil {
+			row := resp.Outputs[i][:0]
+			for b := 0; b < inner; b++ {
+				t, err := readTensor(&r, a, shapeBuf[:0])
+				if err != nil {
 					return err
 				}
+				row = append(row, t)
 			}
+			resp.Outputs[i] = row
 		}
 	default:
 		return fmt.Errorf("comm: unknown response kind %d", kind)
@@ -749,13 +766,17 @@ func writeFrame(w io.Writer, buf []byte) error {
 }
 
 // readFrame reads one length-prefixed frame into buf (growing it as needed)
-// and returns the body.
+// and returns the body. The length prefix passes through buf too: a local
+// array would escape through the io.Reader, one allocation per frame.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxWireFrame {
 		return buf, nil, fmt.Errorf("comm: frame of %d bytes exceeds limit %d", n, maxWireFrame)
 	}
@@ -774,11 +795,12 @@ func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 // clientCodec is one connection's wire protocol from the client side. The
 // trace context rides alongside the request (not inside it) so the Request
 // struct — and with it the legacy gob type descriptor — never changes;
-// readResponse returns the server's echoed trace ID (0 when untraced or on
-// codecs that predate tracing).
+// readResponse decodes into resp over a (see parseResponseInto for who owns
+// the result) and returns the server's echoed trace ID (0 when untraced or
+// on codecs that predate tracing).
 type clientCodec interface {
 	writeRequest(*Request, trace.Context) error
-	readResponse(*Response) (uint64, error)
+	readResponse(*Response, *tensor.Arena[float64]) (uint64, error)
 }
 
 // binFramer is the framing state both ends of the binary codec share: the
@@ -827,14 +849,13 @@ func (c *binClientCodec) writeRequest(req *Request, tc trace.Context) error {
 	return writeFrame(c.w, buf)
 }
 
-func (c *binClientCodec) readResponse(resp *Response) (uint64, error) {
+func (c *binClientCodec) readResponse(resp *Response, a *tensor.Arena[float64]) (uint64, error) {
 	body, err := c.readBody()
 	if err != nil {
 		return 0, err
 	}
-	*resp = Response{}
 	var echo uint64
-	if err := parseResponseInto(body, resp, c.code, &echo); err != nil {
+	if err := parseResponseInto(body, resp, c.code, &echo, a); err != nil {
 		return 0, err
 	}
 	return echo, nil

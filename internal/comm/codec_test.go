@@ -107,7 +107,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 			t.Fatalf("response %d: %v", i, err)
 		}
 		var got Response
-		if err := parseResponseInto(body, &got, false, nil); err != nil {
+		if err := parseResponse(body, &got, false, nil); err != nil {
 			t.Fatalf("response %d decode: %v", i, err)
 		}
 		if got.Model != resp.Model || got.Version != resp.Version || got.Err != resp.Err {
@@ -186,7 +186,7 @@ func TestHostileFramesRejected(t *testing.T) {
 			t.Errorf("%s: hostile request frame accepted", name)
 		}
 		var resp Response
-		if err := parseResponseInto(body, &resp, false, nil); err == nil {
+		if err := parseResponse(body, &resp, false, nil); err == nil {
 			t.Errorf("%s: hostile response frame accepted", name)
 		}
 	}

@@ -240,7 +240,7 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 				return
 			}
 			var resp Response
-			if err := parseResponseInto(body, &resp, true, nil); err != nil {
+			if err := parseResponse(body, &resp, true, nil); err != nil {
 				fireDone <- fmt.Errorf("response %d: %w", i, err)
 				return
 			}

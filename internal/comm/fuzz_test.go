@@ -3,6 +3,7 @@ package comm
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 
 	"ensembler/internal/tensor"
@@ -138,6 +139,11 @@ func narrowAll(ts []*tensor.Tensor) []*tensor.Tensor32 {
 // float32 server would hold them: on the f32 wire the two frames must be the
 // same bytes (one rounding either way), and on the f64 wire the float32
 // writer's frame must decode to exactly the widened float32 values.
+//
+// Every input is also parsed the way a connection does it — twice into one
+// Response over one reused arena left dirty by an unrelated earlier response
+// — and must give the heap parse's error, or its exact header, shapes and
+// bits (sameAsHeapParse).
 func FuzzWireResponseFrame(f *testing.F) {
 	seed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
 		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, false, 0)
@@ -166,11 +172,22 @@ func FuzzWireResponseFrame(f *testing.F) {
 	}
 	f.Add(echoed)
 	f.Add([]byte{wireMsgResponseTraced, 0xEF, 0xBE})
+	// The batched grid on the f32 wire, which is also what dirties the reused
+	// decode target before each input.
+	stale, err := encodeResponse(nil, &Response{Model: "stale", Version: 9, Outputs: [][]*tensor.Tensor{
+		{wireTensor(45, 1, 6), wireTensor(46, 1, 6), wireTensor(47, 1, 6)},
+		{wireTensor(48, 3, 6), wireTensor(49, 3, 6), wireTensor(50, 3, 6)}}}, true, true, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stale)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var v1 Response
-		_ = parseResponseInto(body, &v1, false, nil)
+		_ = parseResponse(body, &v1, false, nil)
 		var resp Response
-		if err := parseResponseInto(body, &resp, true, nil); err != nil {
+		err := parseResponse(body, &resp, true, nil)
+		sameAsHeapParse(t, body, stale, &resp, err)
+		if err != nil {
 			return
 		}
 		re, err := encodeResponse(nil, &resp, false, true, 0)
@@ -178,7 +195,7 @@ func FuzzWireResponseFrame(f *testing.F) {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
 		var resp2 Response
-		if err := parseResponseInto(re, &resp2, true, nil); err != nil {
+		if err := parseResponse(re, &resp2, true, nil); err != nil {
 			t.Fatalf("re-encoded response does not parse: %v", err)
 		}
 		if resp2.Code != resp.Code || resp2.Err != resp.Err {
@@ -207,7 +224,7 @@ func FuzzWireResponseFrame(f *testing.F) {
 			return // ragged grids are rejected identically at either precision
 		}
 		var widened Response
-		if err := parseResponseInto(wide, &widened, true, nil); err != nil {
+		if err := parseResponse(wide, &widened, true, nil); err != nil {
 			t.Fatalf("float32 writer's f64-wire frame does not parse: %v", err)
 		}
 		for i, t32 := range feats32 {
@@ -219,6 +236,67 @@ func FuzzWireResponseFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameAsHeapParse decodes body twice into one Response over one arena, both
+// warm from decoding stale and with everything the previous parse produced
+// scribbled over first (arena data is unzeroed by contract, and a tensor of
+// an earlier parse still reachable afterwards would show its scribble), and
+// holds each result to want/wantErr, the heap parse of the same bytes.
+func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr error) {
+	t.Helper()
+	var got Response
+	var arena tensor.Arena[float64]
+	scribble := func() {
+		for _, row := range append(got.Outputs[:len(got.Outputs):len(got.Outputs)], got.Features) {
+			for _, ts := range row {
+				for i := range ts.Data {
+					ts.Data[i] = math.NaN()
+				}
+				for i := range ts.Shape {
+					ts.Shape[i] = 0
+				}
+			}
+		}
+		arena.Reset()
+	}
+	for pass := 0; pass < 2; pass++ { // the first sizes the arena, the second decodes inside it
+		scribble()
+		if err := parseResponseInto(stale, &got, true, nil, &arena); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameList := func(what string, got, want []*tensor.Tensor) {
+		if len(got) != len(want) {
+			t.Fatalf("arena parse yields %d %s, heap parse %d", len(got), what, len(want))
+		}
+		for i, g := range got {
+			if err := bitsDiffer(g, want[i]); err != nil {
+				t.Fatalf("arena parse against heap parse, %s %d: %v", what, i, err)
+			}
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		scribble()
+		err := parseResponseInto(body, &got, true, nil, &arena)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("arena parse %d fails with %v, heap parse with %v", pass, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Model != want.Model || got.Version != want.Version || got.Err != want.Err || got.Code != want.Code {
+			t.Fatalf("arena parse %d header (%q v%d, %q/%d), heap parse (%q v%d, %q/%d)", pass,
+				got.Model, got.Version, got.Err, got.Code, want.Model, want.Version, want.Err, want.Code)
+		}
+		sameList("features", got.Features, want.Features)
+		if len(got.Outputs) != len(want.Outputs) {
+			t.Fatalf("arena parse yields %d output rows, heap parse %d", len(got.Outputs), len(want.Outputs))
+		}
+		for i, row := range got.Outputs {
+			sameList("outputs", row, want.Outputs[i])
+		}
+	}
 }
 
 // FuzzWireStream covers the wiretap/stream parser over both protocols,

@@ -209,34 +209,34 @@ func (p *Pool) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.T
 
 // Exchange runs one raw feature round trip on a pooled connection (see
 // Client.Exchange), with the same benign-vs-transport release policy and
-// overload retries as Infer.
+// overload retries as Infer. The result is freshly allocated and the
+// caller's to keep: nothing a released connection owns is handed out.
 func (p *Pool) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchanged, Timing, error) {
-	var ex *Exchanged
-	var t Timing
-	err := p.retryOverload(ctx, func(c *Client) error {
-		var opErr error
-		ex, t, opErr = c.Exchange(ctx, features)
-		return opErr
-	})
-	return ex, t, err
+	ex := new(Exchanged)
+	t, err := p.ExchangeTraced(ctx, features, trace.Context{}, ex)
+	if err != nil {
+		return nil, t, err
+	}
+	return ex, t, nil
 }
 
-// ExchangeTraced is Exchange with a trace context attached to the round
-// trip, so the server's leg of the request joins the caller's trace (wire
-// v3+; silently untraced on older servers). The context is cleared from the
-// pooled client before release — a recycled connection must never tag a
+// ExchangeTraced is Exchange decoding into the caller's ex — which thereby
+// owns the features past the connection's release, and whose storage a caller
+// holding it across requests reuses — with a trace context attached to the
+// round trip, so the server's leg of the request joins the caller's trace
+// (wire v3+; silently untraced on older servers). The context is cleared from
+// the pooled client before release — a recycled connection must never tag a
 // stranger's request with a stale trace ID.
-func (p *Pool) ExchangeTraced(ctx context.Context, features *tensor.Tensor, tc trace.Context) (*Exchanged, Timing, error) {
-	var ex *Exchanged
+func (p *Pool) ExchangeTraced(ctx context.Context, features *tensor.Tensor, tc trace.Context, ex *Exchanged) (Timing, error) {
 	var t Timing
 	err := p.retryOverload(ctx, func(c *Client) error {
 		c.Trace = tc
 		var opErr error
-		ex, t, opErr = c.Exchange(ctx, features)
+		t, opErr = c.exchangeInto(ctx, features, ex)
 		c.Trace = trace.Context{}
 		return opErr
 	})
-	return ex, t, err
+	return t, err
 }
 
 // Close tears down every idle connection and marks the pool closed; in-use

@@ -61,7 +61,7 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Features) != nBodies {
@@ -113,7 +113,7 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkWidenedExact(t, "binary-f64", &got, want)
@@ -176,7 +176,7 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponseInto(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Outputs) != 2 {

@@ -1,11 +1,9 @@
 package comm
 
 import (
-	"bufio"
 	"context"
 	"encoding/gob"
 	"errors"
-	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -236,63 +234,17 @@ func TestPoolRetryHonorsContext(t *testing.T) {
 	}
 }
 
-// shedOnceBinary runs a hand-rolled binary-wire server: it acks the hello at
-// version 2 advertising the given window, sheds the first request with the
-// overload code, and serves a real feature response afterwards.
+// shedOnceBinary runs a hand-rolled binary-wire server (see scriptedBinary)
+// advertising the given window: it sheds the first request with the overload
+// code and serves a real feature response afterwards.
 func shedOnceBinary(t *testing.T, windowMs uint16) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
 	feature := wireTensor(410, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				var hello [8]byte
-				if _, err := io.ReadFull(br, hello[:]); err != nil {
-					return
-				}
-				ack := helloAckBytes(2, 0, windowMs)
-				if _, err := conn.Write(ack[:]); err != nil {
-					return
-				}
-				shed := false
-				var decBuf []byte
-				for {
-					var body []byte
-					var err error
-					decBuf, body, err = readFrame(br, decBuf)
-					if err != nil {
-						return
-					}
-					if _, err := parseRequest(body, nil); err != nil {
-						return
-					}
-					resp := &Response{Features: []*tensor.Tensor{feature}}
-					if !shed {
-						shed = true
-						resp = &Response{Err: overloadedMsg, Code: CodeOverloaded}
-					}
-					buf, err := encodeResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
-					if err != nil {
-						return
-					}
-					if err := writeFrame(conn, buf); err != nil {
-						return
-					}
-				}
-			}()
+	return scriptedBinary(t, windowMs, func(i int, _ *Request) *Response {
+		if i == 0 {
+			return &Response{Err: overloadedMsg, Code: CodeOverloaded}
 		}
-	}()
-	return ln.Addr().String()
+		return &Response{Features: []*tensor.Tensor{feature}}
+	})
 }
 
 // TestBinaryClientSurfacesOverload pins the v2 binary wire's half of the

@@ -190,7 +190,7 @@ func TestPreV3ConnectionDropsTracedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	echo, err := codec.readResponse(&resp)
+	echo, err := codec.readResponse(&resp, new(tensor.Arena[float64]))
 	if err != nil {
 		t.Fatalf("v2 connection failed to serve a stray traced frame: %v", err)
 	}

@@ -47,11 +47,20 @@ func (e *Ensembler) CloneBodyRange(lo, hi int) []*nn.Network {
 // pipeline — final head, fixed noise, secret selector, and tail — safe for
 // exclusive use by one goroutine. The selector is shared (it is read-only at
 // inference time); the networks are cloned.
+//
+// The runtime owns its inference storage, sized by the first pass: Features
+// and Select each return a tensor living in the runtime, valid until the next
+// call of the SAME method — neither resets the other's storage, so each may
+// be called on its own in any order. A caller that keeps a result longer
+// clones it.
 type ClientRuntime struct {
 	Head     *nn.Network
 	Noise    *nn.AdditiveNoise
 	Selector *Selector
 	Tail     *nn.Network
+
+	head nn.Scratch[float64]   // Features: head and noise activations
+	sel  tensor.Arena[float64] // Select: the tail input
 }
 
 // NewClientRuntime clones the client-side networks of a trained pipeline.
@@ -77,24 +86,28 @@ func (e *Ensembler) NewClientRuntime() *ClientRuntime {
 }
 
 // Features computes the transmitted intermediate representation
-// Mc,h(x)+noise, mirroring Ensembler.ClientFeatures on the cloned networks.
+// Mc,h(x)+noise in inference mode — bit-identical to
+// Ensembler.ClientFeatures, which stays on the training entry as the oracle.
+// The result lives in the runtime until the next Features call.
 func (rt *ClientRuntime) Features(x *tensor.Tensor) *tensor.Tensor {
-	f := rt.Head.Forward(x, false)
+	rt.head.Reset()
+	f := rt.Head.ForwardInfer(x, &rt.head)
 	if rt.Noise != nil {
-		f = rt.Noise.Forward(f, false)
+		f = rt.Noise.ForwardInfer(f, &rt.head)
 	}
 	return f
 }
 
 // Select applies the secret selection (Eq. 1) to the N server feature
-// matrices.
+// matrices. The result lives in the runtime until the next Select call.
 func (rt *ClientRuntime) Select(features []*tensor.Tensor) *tensor.Tensor {
-	return rt.Selector.Apply(features)
+	rt.sel.Reset()
+	return rt.Selector.ApplyInto(&rt.sel, features)
 }
 
 // Predict runs the full pipeline locally through the cloned networks —
 // the runtime analogue of Ensembler.Predict, used to cross-check remote
-// results.
+// results. The logits are a fresh tensor the caller owns.
 func (rt *ClientRuntime) Predict(x *tensor.Tensor, bodies []*nn.Network) *tensor.Tensor {
 	feats := make([]*tensor.Tensor, len(bodies))
 	f := rt.Features(x)

@@ -51,16 +51,21 @@ func FixedSelector(n int, indices []int) *Selector {
 }
 
 // Apply implements Eq. 1 on the full list of N server feature matrices
-// [B,D]: Concat[S_i ⊙ f for f in selected], with S_i = 1/P.
+// [B,D]: Concat[S_i ⊙ f for f in selected], with S_i = 1/P. The result is a
+// fresh heap tensor.
 func (s *Selector) Apply(features []*tensor.Tensor) *tensor.Tensor {
+	var heap tensor.Arena[float64]
+	return s.ApplyInto(&heap, features)
+}
+
+// ApplyInto is Apply with the result carved out of a, the inference path's
+// form: over a warmed arena it allocates nothing. Only the selected entries
+// of features are read, so unselected ones may be nil.
+func (s *Selector) ApplyInto(a *tensor.Arena[float64], features []*tensor.Tensor) *tensor.Tensor {
 	if len(features) != s.N {
 		panic(fmt.Sprintf("ensemble: selector got %d feature maps, want N=%d", len(features), s.N))
 	}
-	parts := make([]*tensor.Tensor, s.P)
-	for j, i := range s.Indices {
-		parts[j] = features[i].Scale(1 / float64(s.P))
-	}
-	return nn.ConcatFeatures(parts)
+	return s.scaleConcat(a, features, s.Indices)
 }
 
 // ApplySelected is Apply for callers that already computed only the P
@@ -70,11 +75,39 @@ func (s *Selector) ApplySelected(features []*tensor.Tensor) *tensor.Tensor {
 	if len(features) != s.P {
 		panic(fmt.Sprintf("ensemble: got %d selected feature maps, want P=%d", len(features), s.P))
 	}
-	parts := make([]*tensor.Tensor, s.P)
-	for j, f := range features {
-		parts[j] = f.Scale(1 / float64(s.P))
+	var heap tensor.Arena[float64]
+	return s.scaleConcat(&heap, features, nil)
+}
+
+// scaleConcat is Eq. 1's one kernel: part j — features[pick[j]], or
+// features[j] when pick is nil — is scaled by 1/P while it is copied into
+// columns [j·D,(j+1)·D) of the [B,P·D] result. Each value is v * (1/P), the
+// product a Scale followed by nn.ConcatFeatures computes, so the result is
+// bit-identical to that composition (TestSelectorKernelBits).
+func (s *Selector) scaleConcat(a *tensor.Arena[float64], features []*tensor.Tensor, pick []int) *tensor.Tensor {
+	var out *tensor.Tensor
+	var rows, d int
+	scale := 1 / float64(s.P)
+	for j := 0; j < s.P; j++ {
+		p := features[j]
+		if pick != nil {
+			p = features[pick[j]]
+		}
+		if j == 0 && len(p.Shape) == 2 {
+			rows, d = p.Shape[0], p.Shape[1]
+			out = a.NewTensor(rows, s.P*d)
+		}
+		if len(p.Shape) != 2 || p.Shape[0] != rows || p.Shape[1] != d || len(p.Data) != rows*d {
+			panic(fmt.Sprintf("ensemble: selector part %d has shape %v (%d values), want [%d,%d]", j, p.Shape, len(p.Data), rows, d))
+		}
+		for i := 0; i < rows; i++ {
+			dst := out.Data[(i*s.P+j)*d:][:d]
+			for k, v := range p.Data[i*d:][:d] {
+				dst[k] = v * scale
+			}
+		}
 	}
-	return nn.ConcatFeatures(parts)
+	return out
 }
 
 // SplitGrad routes the gradient of the concatenated tail input back to the

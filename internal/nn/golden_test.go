@@ -62,6 +62,46 @@ func TestGoldenBodyBits(t *testing.T) {
 	}
 }
 
+// TestScratchHeadTailBits holds the client half's inference path — head and
+// tail through ForwardInfer over one reused, dirty scratch — to the training
+// entry Forward(x, false), bit for bit, on TestGoldenBodyBits' architecture,
+// seeds and row counts. The edge client serves from the first; every oracle
+// computes the second.
+func TestScratchHeadTailBits(t *testing.T) {
+	arch := split.Arch{InC: 3, H: 16, W: 16, HeadC: 8, BlockWidths: []int{16, 32}, Classes: 10, UseMaxPool: true}
+	const p = 4
+	head := arch.NewHead("golden.head", rng.New(1301))
+	for name, tail := range map[string]*nn.Network{
+		"plain":   arch.NewTail("golden.tail", p, 0, rng.New(1301)),
+		"dropout": arch.NewTail("golden.tail", p, 0.3, rng.New(1301)),
+	} {
+		s := nn.NewScratch()
+		for _, rows := range []int{1, 8, 1} {
+			x := tensor.New(rows, arch.InC, arch.H, arch.W)
+			rng.New(1303+int64(rows)).FillNormal(x.Data, 0, 1)
+			sel := tensor.New(rows, p*arch.FeatureDim())
+			rng.New(1303+int64(rows)).FillNormal(sel.Data, 0, 1)
+			for _, c := range []struct {
+				net *nn.Network
+				in  *tensor.Tensor
+			}{{head, x}, {tail, sel}} {
+				want := c.net.Forward(c.in, false)
+				s.Reset()
+				got := c.net.ForwardInfer(c.in, s)
+				if !got.SameShape(want) {
+					t.Fatalf("%s tail, %s at %d rows: shape %v, want %v", name, c.net.Name, rows, got.Shape, want.Shape)
+				}
+				for i, v := range got.Data {
+					if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+						t.Fatalf("%s tail, %s at %d rows: element %d is %v, want %v", name, c.net.Name, rows, i, v, want.Data[i])
+					}
+					got.Data[i] = math.NaN() // leave the scratch dirty for the next pass
+				}
+			}
+		}
+	}
+}
+
 // TestLegacyTensorGobDecodes pins on-disk compatibility: model artifacts
 // published while tensor.Tensor was a plain struct named Tensor carry that
 // name in their gob type descriptor, and must keep decoding into the generic

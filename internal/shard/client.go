@@ -22,11 +22,14 @@ import (
 // concurrency demands.
 type Runtime struct {
 	// Features computes the transmitted representation for an image batch.
+	// The result may live in the runtime until the next Features call (the
+	// pipeline runtime's does).
 	Features func(x *tensor.Tensor) *tensor.Tensor
 	// Select applies the secret selector to the N reassembled feature
 	// matrices. Entries for bodies hosted by failed-but-unselected shards
 	// are nil; Select must only touch the selected indices (the ensemble
-	// selector does by construction).
+	// selector does by construction). The result may likewise live in the
+	// runtime until the next Select call.
 	Select func(features []*tensor.Tensor) *tensor.Tensor
 	// Tail maps the selected features to logits.
 	Tail *nn.Network
@@ -179,10 +182,28 @@ func (h *shardHealth) shortCircuit() {
 }
 
 // taggedRuntime ties a runtime to the configuration epoch that built it, so
-// Reconfigure can retire stale runtimes as they are released.
+// Reconfigure can retire stale runtimes as they are released. It is checked
+// out by one request at a time, which makes it the owner of that request's
+// gather: what the shards answered is decoded into it, not into the pooled
+// connections (released, and possibly answering someone else, before the
+// gather is read), and it is retired together with its runtime.
 type taggedRuntime struct {
 	rt    *Runtime
 	epoch uint64
+
+	legs     []gathered          // one per shard
+	features []*tensor.Tensor    // the N bodies' features in body order
+	tail     nn.Scratch[float64] // the tail pass
+	wg       sync.WaitGroup      // joins the scatter
+}
+
+// gathered is one shard's share of a request.
+type gathered struct {
+	slot   comm.Exchanged  // what an un-hedged exchange decodes into
+	res    *comm.Exchanged // the answer: slot, or a hedged leg's own
+	timing comm.Timing
+	stats  exchangeStats
+	err    error
 }
 
 // Client is the scatter-gather runtime over a sharded fleet: one connection
@@ -354,7 +375,8 @@ func (c *Client) acquireRuntime() (*taggedRuntime, error) {
 	if rt == nil || rt.Features == nil || rt.Select == nil || rt.Tail == nil {
 		return nil, fmt.Errorf("shard: runtime factory returned an incompletely wired runtime")
 	}
-	return &taggedRuntime{rt: rt, epoch: epoch}, nil
+	return &taggedRuntime{rt: rt, epoch: epoch,
+		legs: make([]gathered, len(c.pools)), features: make([]*tensor.Tensor, c.cfg.N)}, nil
 }
 
 func (c *Client) releaseRuntime(rt *taggedRuntime) {
@@ -398,39 +420,40 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 
 	start := time.Now()
 	feats := rt.Features(x)
+	if c.cfg.HedgeAfter > 0 {
+		// A hedged exchange returns with its losing leg un-joined, possibly
+		// still encoding: that leg must not be reading runtime storage the
+		// next request overwrites.
+		feats = feats.Clone()
+	}
 	t.Client = time.Since(start)
 	tr.SpanArg(act, trace.StageClient, 0, start, t.Client)
 
 	netStart := time.Now()
-	results := make([]*comm.Exchanged, len(c.pools))
-	timings := make([]comm.Timing, len(c.pools))
-	stats := make([]exchangeStats, len(c.pools))
-	errs := make([]error, len(c.pools))
-	var wg sync.WaitGroup
-	for k := range c.pools {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			results[k], timings[k], stats[k], errs[k] = c.exchange(ctx, k, feats, tc)
-		}(k)
+	legs := tagged.legs
+	tagged.wg.Add(len(legs))
+	for k := range legs {
+		// A method call, not a closure: captured, feats and tc would each
+		// move to the heap.
+		go c.scatter(ctx, tagged, k, feats, tc)
 	}
-	wg.Wait()
+	tagged.wg.Wait()
 	t.RoundTrip = time.Since(netStart)
-	for _, st := range timings {
-		t.BytesUp += st.BytesUp
-		t.BytesDown += st.BytesDown
+	for k := range legs {
+		t.BytesUp += legs[k].timing.BytesUp
+		t.BytesDown += legs[k].timing.BytesDown
 	}
 	if tr != nil {
 		// One scatter span per shard (Arg = shard index; duration is that
 		// shard's cumulative round-trip time, retries included), plus
 		// zero-length marker spans for every retry and hedge — visible in
 		// the timeline exactly where the straggler insurance fired.
-		for k := range c.pools {
-			tr.SpanArg(act, trace.StageScatter, int32(k), netStart, timings[k].RoundTrip)
-			for r := 0; r < stats[k].retries; r++ {
+		for k := range legs {
+			tr.SpanArg(act, trace.StageScatter, int32(k), netStart, legs[k].timing.RoundTrip)
+			for r := 0; r < legs[k].stats.retries; r++ {
 				tr.SpanArg(act, trace.StageRetry, int32(k), netStart, 0)
 			}
-			if stats[k].hedged {
+			if legs[k].stats.hedged {
 				tr.SpanArg(act, trace.StageHedge, int32(k), netStart, 0)
 			}
 		}
@@ -447,42 +470,51 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 	// exempting them is what keeps a rolling reload zero-downtime for
 	// clients whose selection sits on the already-consistent shards.
 	epochK := -1
-	for k, res := range results {
-		if errs[k] != nil || !selectionNeeds(rt.Selected, c.cfg.Ranges[k]) {
+	for k := range legs {
+		if legs[k].err != nil || !selectionNeeds(rt.Selected, c.cfg.Ranges[k]) {
 			continue
 		}
 		if epochK < 0 {
 			epochK = k
 			continue
 		}
-		first := results[epochK]
+		first, res := legs[epochK].res, legs[k].res
 		if res.Model != first.Model || res.Version != first.Version {
 			return nil, t, fmt.Errorf("shard: selected bodies answered from mixed epochs (%s v%d at shard %d vs %s v%d at shard %d) — mid-reload, retry",
 				first.Model, first.Version, epochK, res.Model, res.Version, k)
 		}
 	}
 
-	features := make([]*tensor.Tensor, c.cfg.N)
+	features := tagged.features
 	for k, r := range c.cfg.Ranges {
-		if errs[k] != nil {
+		if err := legs[k].err; err != nil {
 			// Graceful degradation: the loss only matters if the secret
 			// selection reads one of this shard's bodies. Unselected
-			// entries stay nil; Select never touches them.
+			// entries are nil; Select never touches them.
 			if selectionNeeds(rt.Selected, r) {
 				return nil, t, fmt.Errorf("shard: shard %d (%s, bodies %s) hosts selected bodies and failed: %w",
-					k, c.cfg.Addrs[k], r, errs[k])
+					k, c.cfg.Addrs[k], r, err)
 			}
+			clear(features[r.Lo:r.Hi])
 			continue
 		}
-		copy(features[r.Lo:r.Hi], results[k].Features)
+		copy(features[r.Lo:r.Hi], legs[k].res.Features)
 	}
 
 	start = time.Now()
-	logits, err = finish(rt, features)
+	logits, err = tagged.finish(features)
 	tail := time.Since(start)
 	t.Client += tail
 	tr.SpanArg(act, trace.StageClient, 1, start, tail)
 	return logits, t, err
+}
+
+// scatter is one shard's goroutine of a request's fan-out: it fills the
+// shard's slot of the gather and reports to the join.
+func (c *Client) scatter(ctx context.Context, tg *taggedRuntime, k int, feats *tensor.Tensor, tc trace.Context) {
+	defer tg.wg.Done()
+	leg := &tg.legs[k]
+	leg.res, leg.timing, leg.stats, leg.err = c.exchange(ctx, k, feats, tc, &leg.slot)
 }
 
 // selectionNeeds reports whether any selected body index falls in the
@@ -499,16 +531,18 @@ func selectionNeeds(selected []int, r Range) bool {
 	return false
 }
 
-// finish applies selection and tail, converting a panic (a malformed
-// response that slipped past per-tensor validation, or a Select touching a
-// nil slot) into an error — shard servers are as untrusted as the monolith.
-func finish(rt *Runtime, features []*tensor.Tensor) (logits *tensor.Tensor, err error) {
+// finish applies selection and tail and returns the logits as a fresh
+// tensor the caller owns, converting a panic (a malformed response that
+// slipped past per-tensor validation, or a Select touching a nil slot) into
+// an error — shard servers are as untrusted as the monolith.
+func (tg *taggedRuntime) finish(features []*tensor.Tensor) (logits *tensor.Tensor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			logits, err = nil, fmt.Errorf("shard: assembling response rejected: %v", r)
 		}
 	}()
-	return rt.Tail.Forward(rt.Select(features), false), nil
+	tg.tail.Reset()
+	return tg.rt.Tail.ForwardInfer(tg.rt.Select(features), &tg.tail).Clone(), nil
 }
 
 // exchangeStats reports what straggler insurance an exchange consumed, so
@@ -524,8 +558,9 @@ type exchangeStats struct {
 // breaker. An open circuit short-circuits without touching the wire; a
 // half-open one admits this request as the single recovery probe. The trace
 // context (if any) rides every attempt, stitching the shard server's leg
-// into the caller's trace.
-func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context) (*comm.Exchanged, comm.Timing, exchangeStats, error) {
+// into the caller's trace. slot is the request's own decode target for this
+// shard (see exchangeOnce for when it is used).
+func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context, slot *comm.Exchanged) (*comm.Exchanged, comm.Timing, exchangeStats, error) {
 	h := c.health[k]
 	var total comm.Timing
 	var st exchangeStats
@@ -563,7 +598,7 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 			attemptCtx, cancel = context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 			defer cancel()
 		}
-		res, t, hedged, err := c.exchangeOnce(attemptCtx, k, feats, probe, tc)
+		res, t, hedged, err := c.exchangeOnce(attemptCtx, k, feats, probe, tc, slot)
 		st.hedged = st.hedged || hedged
 		total.BytesUp += t.BytesUp
 		total.BytesDown += t.BytesDown
@@ -598,14 +633,17 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 // exchangeOnce performs a single (possibly hedged) exchange with shard k,
 // reporting whether a hedge request was launched. Each attempt leg —
 // primary and hedge alike — passes the shard's exchange fault site first.
-func (c *Client) exchangeOnce(ctx context.Context, k int, feats *tensor.Tensor, probe bool, tc trace.Context) (*comm.Exchanged, comm.Timing, bool, error) {
+// An un-hedged exchange has returned from the wire when this returns, so it
+// decodes into the request's slot; a hedged one leaves its losing leg behind,
+// perhaps still parsing, so every hedged leg decodes into storage of its own.
+func (c *Client) exchangeOnce(ctx context.Context, k int, feats *tensor.Tensor, probe bool, tc trace.Context, slot *comm.Exchanged) (*comm.Exchanged, comm.Timing, bool, error) {
 	pool := c.pools[k]
 	if c.cfg.HedgeAfter <= 0 || probe {
 		if err := c.fps[k].Inject(); err != nil {
 			return nil, comm.Timing{}, false, err
 		}
-		ex, t, err := pool.ExchangeTraced(ctx, feats, tc)
-		return ex, t, false, err
+		t, err := pool.ExchangeTraced(ctx, feats, tc, slot)
+		return slot, t, false, err
 	}
 	type result struct {
 		feats *comm.Exchanged
@@ -620,8 +658,9 @@ func (c *Client) exchangeOnce(ctx context.Context, k int, feats *tensor.Tensor, 
 			ch <- result{nil, comm.Timing{}, err}
 			return
 		}
-		f, t, err := pool.ExchangeTraced(hctx, feats, tc)
-		ch <- result{f, t, err}
+		ex := new(comm.Exchanged)
+		t, err := pool.ExchangeTraced(hctx, feats, tc, ex)
+		ch <- result{ex, t, err}
 	}
 	go launch()
 	timer := time.NewTimer(c.cfg.HedgeAfter)
