@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	reqBatch := fs.Int("req-batch", 1, "images per request for -serving")
 	duration := fs.Duration("duration", 2*time.Second, "measurement window per -serving regime")
 	jsonPath := fs.String("json", "", "write machine-readable -serving results to this path (the BENCH_*.json perf trajectory)")
-	wireName := fs.String("wire", "binary", "client wire protocol for -serving: binary, f32 (half the bytes, ~1e-7 relative feature rounding), or gob (legacy)")
+	wireName := fs.String("wire", "binary", "client wire payload for -serving: binary (float64) or f32 (half the bytes, ~1e-7 relative feature rounding)")
 	precisionName := fs.String("precision", "f64", "server compute precision for -serving: f64 (reference kernels) or f32 (vectorized backend)")
 	comparePath := fs.String("compare", "", "compare the -serving run against this baseline BENCH_*.json and fail on regression")
 	tolerance := fs.Float64("tolerance", 0.2, "relative regression band for -compare and the queueing-model p99 gate (0.2 = fail beyond 20%)")
@@ -88,10 +88,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			wire = comm.WireBinary
 		case "f32":
 			wire = comm.WireBinaryF32
-		case "gob":
-			wire = comm.WireGob
 		default:
-			return fmt.Errorf("unknown -wire %q (want binary, f32, or gob)", *wireName)
+			return fmt.Errorf("unknown -wire %q (want binary or f32)", *wireName)
 		}
 		precision, err := comm.ParsePrecision(*precisionName)
 		if err != nil {
@@ -271,11 +269,8 @@ func runServingBench(stdout, stderr io.Writer, n, clients, workers, reqBatch int
 	}
 
 	wireFactor := latency.WireFactorBinary
-	switch wire {
-	case comm.WireBinaryF32:
+	if wire == comm.WireBinaryF32 {
 		wireFactor = latency.WireFactorBinaryF32
-	case comm.WireGob:
-		wireFactor = latency.WireFactorGob
 	}
 	computeFactor := latency.ComputeFactorF64
 	if precision == comm.PrecisionF32 {
@@ -317,8 +312,7 @@ func runServingBench(stdout, stderr io.Writer, n, clients, workers, reqBatch int
 	}
 
 	// Per-stage latency attribution: where server-side time actually went,
-	// from the tracer's histograms (every request observes; the gob regime
-	// lacks decode/encode stages because its codec predates the timing hooks).
+	// from the tracer's histograms (every request observes).
 	stageStats := tracer.StageStats()
 	if len(stageStats) > 0 {
 		fmt.Fprintf(stdout, "\nstage attribution (all regimes):\n")

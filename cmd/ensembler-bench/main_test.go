@@ -125,22 +125,20 @@ func TestWireAndCompareFlagValidation(t *testing.T) {
 	}
 }
 
-// TestServingBenchGobAndF32Wires drives the serving bench over both
-// non-default wires end to end.
-func TestServingBenchGobAndF32Wires(t *testing.T) {
+// TestServingBenchF32Wire drives the serving bench over the non-default
+// wire end to end.
+func TestServingBenchF32Wire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving bench smoke test")
 	}
-	for _, wire := range []string{"gob", "f32"} {
-		var out bytes.Buffer
-		err := run([]string{"-serving", "-n", "2", "-clients", "2", "-workers", "2",
-			"-duration", "100ms", "-wire", wire}, &out, io.Discard)
-		if err != nil {
-			t.Fatalf("-wire %s: %v", wire, err)
-		}
-		if !strings.Contains(out.String(), "allocs/req") {
-			t.Errorf("-wire %s output missing allocation accounting:\n%s", wire, out.String())
-		}
+	var out bytes.Buffer
+	err := run([]string{"-serving", "-n", "2", "-clients", "2", "-workers", "2",
+		"-duration", "100ms", "-wire", "f32"}, &out, io.Discard)
+	if err != nil {
+		t.Fatalf("-wire f32: %v", err)
+	}
+	if !strings.Contains(out.String(), "allocs/req") {
+		t.Errorf("-wire f32 output missing allocation accounting:\n%s", out.String())
 	}
 }
 

@@ -4,7 +4,7 @@ package main
 // operational surface of a serving process — health, Prometheus metrics,
 // live leakage state, and a manual rotation trigger. It is deliberately a
 // separate listener from the inference socket: the inference port faces
-// untrusted clients and speaks the gob protocol only, while the admin port
+// untrusted clients and speaks the wire protocol only, while the admin port
 // is for operators and scrapers and should be firewalled accordingly.
 //
 // Nothing served here reveals the secret selection: health and metrics

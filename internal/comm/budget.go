@@ -2,10 +2,10 @@ package comm
 
 // Privacy-budget enforcement on the serving path. A server constructed with
 // WithBudget charges every request's row count to the connection's client
-// account (the wire-declared v4 identity, or an address bucket for legacy
-// peers) and applies the guard's verdict: serve clean, serve with Gaussian
-// noise on the response features as the budget drains, or refuse outright
-// with CodeBudgetExhausted once it is spent. The charge is O(1) atomics and
+// account (the wire-declared identity, or an address bucket for peers that
+// declared none) and applies the guard's verdict: serve clean, serve with
+// Gaussian noise on the response features as the budget drains, or refuse
+// outright with CodeBudgetExhausted once it is spent. The charge is O(1) atomics and
 // the noise is in-place arithmetic over arena tensors, so a guarded server
 // keeps the zero-allocation steady state (BenchmarkServeRequestLoopLedger
 // pins this).
@@ -33,9 +33,8 @@ func WithBudget(g *privacy.Guard) ServerOption {
 }
 
 // addrBucket derives the ledger identity of a peer that declared no client
-// ID (pre-v4 binary clients and all gob clients): the host portion of its
-// remote address, so every connection from one machine shares one account.
-// The prefix keeps address buckets disjoint from declared IDs, which are
+// ID: the host portion of its remote address, so every connection from one
+// machine shares one account. The prefix keeps address buckets disjoint from declared IDs, which are
 // printable-ASCII and never contain "addr:" by way of the colon being legal
 // — so the prefix namespace is enforced, not assumed: a declared ID equal to
 // an address bucket string still maps to a different account only if it

@@ -176,8 +176,8 @@ func TestBudgetEscalationLadderE2E(t *testing.T) {
 }
 
 // TestBudgetAccountIdentities pins how the ledger keys tenants across the
-// three ways a peer can arrive: a v4 client with a declared ID gets its own
-// account; an ID-less v4 client and a legacy gob client from the same host
+// two ways a peer can arrive: a client with a declared ID gets its own
+// account; ID-less clients from the same host, whatever their connection,
 // share one address-bucket account.
 func TestBudgetAccountIdentities(t *testing.T) {
 	const nBodies = 2
@@ -205,8 +205,8 @@ func TestBudgetAccountIdentities(t *testing.T) {
 		}
 	}
 	infer(comm.WithClientID("did:ex:alice"))
-	infer()                            // v4, no declared ID
-	infer(comm.WithWire(comm.WireGob)) // legacy gob, no handshake at all
+	infer()                                  // no declared ID
+	infer(comm.WithWire(comm.WireBinaryF32)) // nor here, on a second connection
 
 	snap := ledger.Snapshot()
 	if len(snap) != 2 {

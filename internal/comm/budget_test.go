@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"math"
@@ -26,153 +25,27 @@ import (
 // internal/privacy; the end-to-end escalation run lives in
 // budget_e2e_test.go.
 
-// refuseThenServeGob runs a hand-rolled legacy-gob server that refuses each
-// connection's first `refuseFirst` requests with the budget-exhausted
-// verdict, then serves a fixed feature response — the deterministic harness
-// proving the gob codec carries CodeBudgetExhausted natively.
-func refuseThenServeGob(t *testing.T, refuseFirst int, attempts *atomic.Uint64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	feature := wireTensor(430, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				refused := 0
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					attempts.Add(1)
-					var resp Response
-					if refused < refuseFirst {
-						refused++
-						resp = Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
-					} else {
-						resp = Response{Features: []*tensor.Tensor{feature}}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// refuseOnceBinary runs a hand-rolled binary-wire server that refuses each
-// connection's first request with the budget code and serves afterwards —
-// the binary twin of refuseThenServeGob.
+// refuseOnceBinary runs a hand-rolled server (see scriptedBinary) that
+// refuses each connection's first request with the budget code and serves
+// afterwards, counting every request it sees.
 func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
 	feature := wireTensor(431, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				var hello [8]byte
-				if _, err := io.ReadFull(br, hello[:]); err != nil {
-					return
-				}
-				ack := helloAckBytes(2, 0, 0)
-				if _, err := conn.Write(ack[:]); err != nil {
-					return
-				}
-				refused := false
-				var decBuf []byte
-				for {
-					var body []byte
-					var err error
-					decBuf, body, err = readFrame(br, decBuf)
-					if err != nil {
-						return
-					}
-					if _, err := parseRequest(body, nil); err != nil {
-						return
-					}
-					attempts.Add(1)
-					resp := &Response{Features: []*tensor.Tensor{feature}}
-					if !refused {
-						refused = true
-						resp = &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
-					}
-					buf, err := encodeResponse([]byte{0, 0, 0, 0}, resp, false, true, 0)
-					if err != nil {
-						return
-					}
-					if err := writeFrame(conn, buf); err != nil {
-						return
-					}
-				}
-			}()
+	return scriptedBinary(t, 0, func(i int, _ *Request) *Response {
+		attempts.Add(1)
+		if i == 0 {
+			return &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
 		}
-	}()
-	return ln.Addr().String()
+		return &Response{Features: []*tensor.Tensor{feature}}
+	})
 }
 
-// TestPoolBudgetExhaustedTerminalGob pins retry terminality on the legacy
-// gob wire: a budget refusal must surface immediately as ErrBudgetExhausted
-// after exactly one attempt, even under a generous retry policy — unlike an
-// overload shed, a drained budget does not recover on the retry timescale,
-// and hammering the server only burns the refusal counters. The contrast
-// case (ErrOverloaded retried transparently) is TestPoolRetriesOverloadedServer.
-func TestPoolBudgetExhaustedTerminalGob(t *testing.T) {
-	var attempts atomic.Uint64
-	addr := refuseThenServeGob(t, 1, &attempts)
-
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	pool.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 0.5}
-
-	x := wireTensor(432, 1, 4, 8, 8)
-	_, _, err = pool.Exchange(context.Background(), x)
-	// The server would have served a second attempt — the retry budget of 4
-	// must still not spend it.
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("budget refusal surfaced as %v, want ErrBudgetExhausted", err)
-	}
-	if errors.Is(err, ErrOverloaded) {
-		t.Fatal("budget refusal also matches ErrOverloaded — retry loops would treat it as transient")
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
-	}
-
-	// The refusal is benign for the connection: the same pooled stream serves
-	// the next request.
-	if _, _, err := pool.Exchange(context.Background(), x); err != nil {
-		t.Fatalf("connection unusable after a budget refusal: %v", err)
-	}
-}
-
-// TestPoolBudgetExhaustedTerminalBinary pins the same terminality contract
-// on the binary wire, where the refusal travels as the Code field of a v2+
-// response frame.
+// TestPoolBudgetExhaustedTerminalBinary pins retry terminality: a budget
+// refusal — the Code field of the response frame — must surface immediately
+// as ErrBudgetExhausted after exactly one attempt, even under a generous
+// retry policy. Unlike an overload shed, a drained budget does not recover on
+// the retry timescale, and hammering the server only burns the refusal
+// counters. The contrast case (ErrOverloaded retried transparently) is
+// TestPoolRetriesOverloadedServer.
 func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	var attempts atomic.Uint64
 	addr := refuseOnceBinary(t, &attempts)
@@ -186,8 +59,13 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 
 	x := wireTensor(433, 1, 4, 8, 8)
 	_, _, err = pool.Exchange(context.Background(), x)
+	// The server would have served a second attempt — the retry budget of 4
+	// must still not spend it.
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("binary budget refusal surfaced as %v, want ErrBudgetExhausted", err)
+	}
+	if errors.Is(err, ErrOverloaded) {
+		t.Fatal("budget refusal also matches ErrOverloaded — retry loops would treat it as transient")
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
@@ -197,15 +75,9 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	}
 }
 
-// TestWireHelloBytesPinned pins the handshake bytes across versions: the v4
-// client-ID extension must not move a single byte of the v3 hello, so a v3
-// capture replayed today still negotiates identically, and a v4 hello
-// without an ID differs from v3 in exactly the version byte. These literals
-// are the wire contract — if this test needs editing, the protocol broke.
+// TestWireHelloBytesPinned pins the handshake bytes. These literals are the
+// wire contract — if this test needs editing, the protocol broke.
 func TestWireHelloBytesPinned(t *testing.T) {
-	if got, want := helloBytes(3, 0), [8]byte{0xE5, 'N', 'S', 'B', 3, 0, 0, 0}; got != want {
-		t.Errorf("v3 hello bytes = %v, want %v", got, want)
-	}
 	if got, want := helloBytes(wireVersion, 0), [8]byte{0xE5, 'N', 'S', 'B', 4, 0, 0, 0}; got != want {
 		t.Errorf("v4 ID-less hello bytes = %v, want %v", got, want)
 	}
@@ -219,10 +91,10 @@ func TestWireHelloBytesPinned(t *testing.T) {
 	}
 }
 
-// TestNegotiateClientIDHandshake pins the server half of the v4 extension
-// at the negotiate boundary: a v4 hello with the flag yields the declared
-// identity; a v3 hello forging the flag is served at v3 with the flag
-// cleared and no extra read; a hostile ID frame drops the connection.
+// TestNegotiateClientIDHandshake pins the server half of the identity
+// declaration at the negotiate boundary: a hello with the flag yields the
+// declared identity; a v3 hello forging the flag is refused like any v3 hello,
+// with no extra read; a hostile ID frame drops the connection.
 func TestNegotiateClientIDHandshake(t *testing.T) {
 	srv := NewServer(codecBodies(1))
 
@@ -267,19 +139,18 @@ func TestNegotiateClientIDHandshake(t *testing.T) {
 	})
 
 	t.Run("v3 flag forgery ignored", func(t *testing.T) {
-		// A v3 client cannot speak the extension; a forged flag must not make
-		// the server wait for a frame v3 will never send (net.Pipe would
-		// deadlock the test if it did).
+		// The refusal must not echo the flag or wait for the frame it would
+		// promise (net.Pipe would deadlock the test if it did).
 		r := run(t, func(c net.Conn, ack []byte) {
 			hello := helloBytes(3, wireFlagClientID)
 			c.Write(hello[:])
 			io.ReadFull(c, ack)
-			if ack[4] != 3 || ack[5]&wireFlagClientID != 0 {
-				t.Errorf("ack ver %d flags %#x: forged v3 flag echoed", ack[4], ack[5])
+			if want := helloAckBytes(0, 0, 0); [8]byte(ack) != want {
+				t.Errorf("ack % x: a v3 hello must get the version-0 refusal % x", ack, want)
 			}
 		})
-		if r.err != nil || r.id != "" {
-			t.Fatalf("negotiate = (%q, %v), want anonymous v3 success", r.id, r.err)
+		if r.err == nil {
+			t.Fatalf("negotiate accepted a v3 hello as %q", r.id)
 		}
 	})
 
@@ -434,7 +305,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 				t.Fatal("drained account served without an escalation-noise verdict")
 			}
 			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -512,7 +383,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}
@@ -539,7 +410,7 @@ func TestPrecisionAndWireStrings(t *testing.T) {
 		t.Error("Precision.String round-trip broken")
 	}
 	for f, want := range map[WireFormat]string{
-		WireBinary: "binary", WireBinaryF32: "binary+f32", WireGob: "gob", WireFormat(99): "WireFormat(99)",
+		WireBinary: "binary", WireBinaryF32: "binary+f32", WireFormat(99): "WireFormat(99)",
 	} {
 		if f.String() != want {
 			t.Errorf("WireFormat(%d).String() = %q, want %q", int(f), f.String(), want)

@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"time"
@@ -23,18 +22,17 @@ type dialOptions struct {
 	faultSite *faultpoint.Site // nil: only the global comm/dial site applies
 }
 
-// WithWire selects the client's wire protocol: WireBinary (default),
-// WireBinaryF32 for float32 payloads (half the bytes, ~1e-7 relative
-// feature rounding), or WireGob for servers predating the binary codec.
+// WithWire selects the payload width the client puts on the wire: WireBinary
+// (float64, the default) or WireBinaryF32 (half the bytes, ~1e-7 relative
+// feature rounding).
 func WithWire(f WireFormat) DialOption {
 	return func(o *dialOptions) { o.wire = f }
 }
 
 // WithClientID declares the connection's client identity (1-64 printable
-// ASCII bytes) during the v4 wire handshake, so a budget-guarded server
-// charges this connection's privacy spend to a stable per-client account
-// instead of an address bucket. Silently ignored by pre-v4 servers and on
-// the gob protocol; the dial fails if the ID is not wire-valid.
+// ASCII bytes) during the wire handshake, so a budget-guarded server charges
+// this connection's privacy spend to a stable per-client account instead of
+// an address bucket. The dial fails if the ID is not wire-valid.
 func WithClientID(id string) DialOption {
 	return func(o *dialOptions) { o.clientID = id }
 }
@@ -50,7 +48,7 @@ func WithClientID(id string) DialOption {
 // valid only until the client's next request.
 type Client struct {
 	conn  *countingConn
-	codec clientCodec
+	codec binClientCodec
 	// req and ex are the request being sent and the response being decoded —
 	// kept here so an exchange allocates neither — inputs the storage behind a
 	// batched request's list, and tail the scratch the tail pass runs over.
@@ -71,28 +69,25 @@ type Client struct {
 	servedModel   string
 	servedVersion int
 	// serverWindow is the continuous-batching window the server advertised
-	// in its hello ack (zero on v1 servers, gob connections, and servers
-	// without a dispatcher). Retry loops use it to floor their backoff: a
-	// retry sooner than the window lands in the same congested batch cycle.
+	// in its hello ack (zero on servers without a dispatcher). Retry loops
+	// use it to floor their backoff: a retry sooner than the window lands in
+	// the same congested batch cycle.
 	serverWindow time.Duration
 
 	// lastTraceID is the trace ID the server echoed on the last successful
-	// round trip (0 when the request was untraced or the connection predates
-	// wire v3).
+	// round trip (0 when the request was untraced).
 	lastTraceID uint64
 
 	// Model and Version route requests on a multi-model server. The zero
-	// values ("", 0) mean the server's default model at its current version
-	// — byte-identical on the wire to a pre-registry client's request — and
-	// a positive Version pins one published version.
+	// values ("", 0) mean the server's default model at its current version,
+	// and a positive Version pins one published version.
 	Model   string
 	Version int
 
-	// Trace, when nonzero, rides each request as its wire trace context
-	// (v3+ connections only; dropped silently on older and gob connections,
-	// so it is always safe to set). The server stitches its leg of the
-	// request under the same trace ID — see internal/trace. Like Model and
-	// Version, it tags every subsequent request until changed.
+	// Trace, when nonzero, rides each request as its wire trace context. The
+	// server stitches its leg of the request under the same trace ID — see
+	// internal/trace. Like Model and Version, it tags every subsequent request
+	// until changed.
 	Trace trace.Context
 
 	// ComputeFeatures produces the transmitted features for an image batch
@@ -112,9 +107,8 @@ func (c *Client) Served() (model string, version int) {
 	return c.servedModel, c.servedVersion
 }
 
-// Dial connects a client to a comm.Server, negotiating the binary wire
-// codec by default; pass WithWire to select float32 payloads or the legacy
-// gob protocol.
+// Dial connects a client to a comm.Server and performs the wire handshake;
+// pass WithWire to select float32 payloads.
 func Dial(addr string, opts ...DialOption) (*Client, error) {
 	return DialContext(context.Background(), addr, opts...)
 }
@@ -155,12 +149,9 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 const helloTimeout = 10 * time.Second
 
 // newClientConn wraps conn in a client speaking the requested wire format,
-// performing the binary hello under the context's deadline (or a default
-// handshake timeout when the context has none).
+// performing the hello under the context's deadline (or a default handshake
+// timeout when the context has none).
 func newClientConn(ctx context.Context, conn net.Conn, wire WireFormat, clientID string) (*Client, error) {
-	if wire == WireGob {
-		return NewLocalClient(conn), nil
-	}
 	cc := &countingConn{Conn: conn}
 	deadline := time.Now().Add(helloTimeout)
 	if d, ok := ctx.Deadline(); ok {
@@ -189,7 +180,7 @@ func newClientConn(ctx context.Context, conn net.Conn, wire WireFormat, clientID
 		defer cc.SetDeadline(time.Time{})
 	}
 	br := bufio.NewReaderSize(cc, 1<<16)
-	ver, f32OK, window, err := negotiateClient(cc, br, wire == WireBinaryF32, clientID)
+	f32OK, window, err := negotiateClient(cc, br, wire == WireBinaryF32, clientID)
 	if err != nil {
 		return nil, err
 	}
@@ -199,50 +190,19 @@ func newClientConn(ctx context.Context, conn net.Conn, wire WireFormat, clientID
 	if window > maxBatchWindow {
 		window = maxBatchWindow
 	}
-	codec := &binClientCodec{
-		binFramer: binFramer{w: cc, r: br, f32: wire == WireBinaryF32 && f32OK, code: ver >= 2},
-		traceOK:   ver >= 3,
-	}
-	return &Client{conn: cc, codec: codec, serverWindow: window}, nil
+	framer := binFramer{w: cc, r: br, f32: wire == WireBinaryF32 && f32OK}
+	return &Client{conn: cc, codec: binClientCodec{framer}, serverWindow: window}, nil
 }
 
 // LastTraceID reports the trace ID the server echoed on the client's last
 // successful round trip — the caller's proof that the server joined its leg
-// to the trace. Zero when the request was untraced or the connection
-// predates wire version 3.
+// to the trace. Zero when the request was untraced.
 func (c *Client) LastTraceID() uint64 { return c.lastTraceID }
 
 // ServerBatchWindow reports the continuous-batching window the server
 // advertised during the wire handshake — zero when the server runs no
-// dispatcher or the connection predates version 2 of the binary protocol.
-// Pool retry backoff is floored by this value.
+// dispatcher. Pool retry backoff is floored by this value.
 func (c *Client) ServerBatchWindow() time.Duration { return c.serverWindow }
-
-// NewLocalClient wraps an existing connection in a gob-protocol client —
-// the legacy wire format, kept for tests over net.Pipe and for hand-rolled
-// server loops. Dialed clients default to the binary codec instead.
-func NewLocalClient(conn net.Conn) *Client {
-	cc := &countingConn{Conn: conn}
-	return &Client{conn: cc, codec: &gobClientCodec{enc: gob.NewEncoder(cc), dec: gob.NewDecoder(cc)}}
-}
-
-// gobClientCodec speaks the legacy gob protocol.
-type gobClientCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-// writeRequest ignores the trace context: gob has no place to carry it, and
-// adding a Request field would change the type descriptor every legacy
-// client and server exchange — the byte-compatibility the trace extension
-// is designed never to touch.
-func (c *gobClientCodec) writeRequest(req *Request, _ trace.Context) error { return c.enc.Encode(req) }
-
-// readResponse ignores the arena: gob allocates what it decodes.
-func (c *gobClientCodec) readResponse(resp *Response, _ *tensor.Arena[float64]) (uint64, error) {
-	*resp = Response{}
-	return 0, c.dec.Decode(resp)
-}
 
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -12,9 +12,9 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// scriptedBinary runs a hand-rolled binary-wire server that acks the hello at
-// version 2, advertising the given window, and answers each connection's i-th
-// request with respond(i, request) — the untrusted peer of the client tests.
+// scriptedBinary runs a hand-rolled server that acks the hello, advertising
+// the given window, and answers each connection's i-th request with
+// respond(i, request) — the untrusted peer of the client tests.
 func scriptedBinary(t *testing.T, windowMs uint16, respond func(i int, req *Request) *Response) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -35,7 +35,7 @@ func scriptedBinary(t *testing.T, windowMs uint16, respond func(i int, req *Requ
 				if _, err := io.ReadFull(br, hello[:]); err != nil {
 					return
 				}
-				ack := helloAckBytes(2, 0, windowMs)
+				ack := helloAckBytes(wireVersion, 0, windowMs)
 				if _, err := conn.Write(ack[:]); err != nil {
 					return
 				}
@@ -51,7 +51,7 @@ func scriptedBinary(t *testing.T, windowMs uint16, respond func(i int, req *Requ
 					if err != nil {
 						return
 					}
-					buf, err := encodeResponse([]byte{0, 0, 0, 0}, respond(i, req), false, true, 0)
+					buf, err := encodeResponse([]byte{0, 0, 0, 0}, respond(i, req), false, 0)
 					if err != nil {
 						return
 					}
@@ -268,11 +268,11 @@ func TestClientInferLoopAllocs(t *testing.T) {
 	}
 
 	served := e.ServerCompute(e.ClientFeatures(x))
-	frame, err := encodeResponse(nil, &Response{Model: "m", Version: 3, Features: served}, false, true, 0)
+	frame, err := encodeResponse(nil, &Response{Model: "m", Version: 3, Features: served}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := encodeResponse(nil, &Response{Model: "m", Outputs: [][]*tensor.Tensor{served, served}}, true, true, 0)
+	grid, err := encodeResponse(nil, &Response{Model: "m", Outputs: [][]*tensor.Tensor{served, served}}, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestClientInferLoopAllocs(t *testing.T) {
 	parse := func(body []byte) func() {
 		return func() {
 			arena.Reset()
-			if err := parseResponseInto(body, &resp, true, nil, &arena); err != nil {
+			if err := parseResponseInto(body, &resp, nil, &arena); err != nil {
 				t.Fatal(err)
 			}
 		}

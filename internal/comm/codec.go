@@ -1,69 +1,60 @@
 package comm
 
-// The binary wire codec: a length-prefixed, version-negotiated frame format
-// replacing gob on the feature hot path. Gob spends the bulk of a request's
-// wire time re-describing types and boxing float64s one reflect call at a
-// time; the binary codec writes one header and the raw payload, reuses its
-// encode/decode buffers across requests, and optionally ships float32 on
-// the wire (half the bytes, ~1e-7 relative feature error — see README).
+// The wire protocol: one length-prefixed binary frame format, spoken by every
+// connection. A frame is one header and the raw payload; both ends reuse their
+// encode/decode buffers across requests, and a client may ship float32 on the
+// wire (half the bytes, ~1e-7 relative feature error — see README).
 //
 // Framing (all integers little-endian):
 //
 //	hello     = magic[4] version(u8) flags(u8) reserved(u16)   client→server
 //	hello-ack = magic[4] version(u8) flags(u8) windowMs(u16)   server→client
 //	frame     = length(u32) body
+//	clientID  = 0x05 idLen(u8) idBytes
 //	request   = 0x01 modelLen(u16) model version(u32) kind(u8) count(u16) tensor*
-//	          | 0x03 traceID(u64) tflags(u8) modelLen(u16) model ...   (v3+)
-//	response  = 0x02 modelLen(u16) model version(u32) errLen(u16) err
-//	            [v2+: code(u16)] kind(u8)
+//	          | 0x03 traceID(u64) tflags(u8) modelLen(u16) model ...
+//	response  = 0x02 modelLen(u16) model version(u32) errLen(u16) err code(u16)
+//	            kind(u8)
 //	            features: count(u16) tensor*
 //	            outputs:  outer(u16) inner(u16) tensor*(outer×inner, row-major)
-//	          | 0x04 traceID(u64) modelLen(u16) model ...              (v3+)
+//	          | 0x04 traceID(u64) modelLen(u16) model ...
 //	tensor    = rank(u8) dtype(u8) dims(u32)*rank payload(f64|f32 ×n)
 //
-// Version negotiation: the client's hello names the highest version it
-// speaks; the server acks the version the connection will use —
-// min(client, server), so a v2 client interoperates with a v1 server and
-// vice versa — and echoes the subset of requested flags it accepts.
-// Version 2 adds the response code field (the 429-style ErrOverloaded
-// admission-control verdict) and puts the server's continuous-batching
-// window, in milliseconds, in the ack's formerly-reserved u16 — advice a
-// client's overload backoff can key off (0 = no batching window; v1 acks
-// carry 0 there by construction). Version 3 adds the traced frame types
-// 0x03/0x04: identical to 0x01/0x02 except that a trace context (u64 trace
-// ID; on requests also a flags byte whose bit0 forces tail-sampling
-// retention downstream) rides between the message byte and the model name,
-// which is how one logical request's legs stitch into a single trace across
-// connections and shards (see internal/trace). Traced frames are
-// self-describing: a v3 client only sends 0x03 when it has a trace context,
-// a v3 server only echoes 0x04 on a request that arrived as 0x03, and a
-// connection negotiated below v3 never sees either type — legacy-gob and
-// v1/v2 binary clients are byte-for-byte unaffected. Version 4 adds the
-// client-identity extension for the per-client privacy-budget ledger: a
-// client with an identity sets the 0x02 hello flag, and only when the ack
-// names version ≥ 4 AND echoes the flag does it send one client-ID frame
-// (0x05 idLen(u8) idBytes, 1–64 printable-ASCII bytes) before any request.
-// The handshake-gating keeps v4 clients byte-compatible with v3 servers
-// (the flag is ignored, the ID frame never sent), and a server clears the
-// flag when the client's hello names a version below 4, so a hostile v3
-// client cannot elicit an ID read. Peers that never send an ID — and all
-// legacy gob clients — are bucketed by remote address instead. A server
-// that receives bytes that are not the hello magic treats the connection as
-// a legacy gob client — the magic's first byte (0xE5) is not a byte a gob
-// stream can start with, so sniffing is unambiguous.
+// Handshake: the client's hello names wireVersion and the flags it wants
+// (0x01 float32 payloads, 0x02 "I will declare a client identity"); the
+// server acks the same version, echoes the flags it accepts, and puts its
+// continuous-batching window, in milliseconds, in the trailing u16 — advice a
+// client's overload backoff keys off (0 = no batching window). A client whose
+// identity flag was echoed sends exactly one client-ID frame (1–64
+// printable-ASCII bytes, for the per-client privacy-budget ledger) before any
+// request; peers that declare none are bucketed by remote address. There is
+// no negotiation: a peer that opens with anything but the magic is closed
+// unanswered, a hello naming any other version is answered with a version-0
+// ack — which every client of this codec reports as an unsupported wire
+// version — and closed without reading further, and a client accepts only an
+// ack naming wireVersion.
 //
-// Trust boundary: decoders validate every length against the remaining
-// frame before allocating, so a hostile frame claiming 2^30 elements over a
-// short body is rejected, not allocated. The request parser and the tensor
+// The code field carries the verdicts a client reacts to mechanically
+// (CodeOverloaded, CodeBudgetExhausted). The traced frame types 0x03/0x04 are
+// 0x01/0x02 with a trace context (u64 trace ID; on requests also a flags byte
+// whose bit0 forces tail-sampling retention downstream) between the message
+// byte and the model name, which is how one logical request's legs stitch
+// into a single trace across connections and shards (see internal/trace).
+// They are self-describing: a client sends 0x03 only when it has a trace
+// context, and a server echoes 0x04 only on a request that arrived as 0x03.
+//
+// Trust boundary: decoders validate every length against the bytes actually
+// present before allocating, so a hostile frame claiming 2^30 elements over a
+// short body is rejected, not allocated — and readFrame applies the same rule
+// to the frame length itself, growing its buffer with the bytes that arrive
+// rather than the bytes a prefix claims. The request parser and the tensor
 // reader/writer are written once over the element type; FuzzWireRequestFrame
 // and FuzzWireResponseFrame run random bytes through both instantiations
 // and require them to agree, FuzzWireStream through the stream decoder.
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -73,21 +64,17 @@ import (
 	"ensembler/internal/trace"
 )
 
-// WireFormat selects a client's wire protocol.
+// WireFormat selects the payload width a client puts on the wire.
 type WireFormat int
 
 const (
-	// WireBinary is the length-prefixed binary codec with float64 payloads
-	// — bit-identical to gob's values at a fraction of the encode cost. The
-	// default for Dial.
+	// WireBinary ships float64 payloads: what the server computes is what the
+	// client decodes, bit for bit. The default for Dial.
 	WireBinary WireFormat = iota
 	// WireBinaryF32 ships float32 payloads: half the bytes, ~1e-7 relative
 	// rounding on transmitted features (see README for the accuracy
 	// trade-off).
 	WireBinaryF32
-	// WireGob is the legacy gob protocol, for servers predating the binary
-	// codec.
-	WireGob
 )
 
 func (f WireFormat) String() string {
@@ -96,8 +83,6 @@ func (f WireFormat) String() string {
 		return "binary"
 	case WireBinaryF32:
 		return "binary+f32"
-	case WireGob:
-		return "gob"
 	default:
 		return fmt.Sprintf("WireFormat(%d)", int(f))
 	}
@@ -106,19 +91,19 @@ func (f WireFormat) String() string {
 const (
 	wireVersion = 4
 	wireFlagF32 = 0x01
-	// wireFlagClientID in a v4+ hello announces that the client has an
-	// identity to declare; echoed in the ack when the server will read the
-	// client-ID frame (it never echoes it to a sub-v4 hello).
+	// wireFlagClientID in a hello announces that the client has an identity
+	// to declare; echoed in the ack, after which the server reads exactly one
+	// client-ID frame.
 	wireFlagClientID = 0x02
 
 	wireMsgRequest  = 0x01
 	wireMsgResponse = 0x02
-	// Traced variants (v3+): the body carries a trace context between the
-	// message byte and the model name. Self-describing, so untraced requests
-	// on a v3 connection still use the cheaper 0x01/0x02 layouts.
+	// Traced variants: the body carries a trace context between the message
+	// byte and the model name. Self-describing, so untraced requests use the
+	// cheaper 0x01/0x02 layouts.
 	wireMsgRequestTraced  = 0x03
 	wireMsgResponseTraced = 0x04
-	// wireMsgClientID (v4+) declares the connection's client identity for
+	// wireMsgClientID declares the connection's client identity for
 	// privacy-budget accounting. Sent at most once, immediately after an ack
 	// that accepted wireFlagClientID, before any request frame.
 	wireMsgClientID = 0x05
@@ -144,9 +129,7 @@ const (
 	maxWireClientID = 64
 )
 
-// wireMagic opens the hello and hello-ack. 0xE5 sits in the dead zone of
-// gob's unsigned-integer prefix encoding (a gob stream starts with a byte
-// < 0x80 or >= 0xF8), which is what makes server-side sniffing exact.
+// wireMagic opens the hello and hello-ack.
 var wireMagic = [4]byte{0xE5, 'N', 'S', 'B'}
 
 // helloBytes builds the 8-byte hello/ack for a version and flag set.
@@ -206,8 +189,7 @@ func appendTensor[T tensor.Float](buf []byte, t *tensor.Dense[T], f32 bool) []by
 }
 
 // appendRequest encodes a request body (no length prefix). A nonzero trace
-// context selects the v3 traced layout (0x03); callers must only pass one on
-// connections that negotiated version ≥ 3.
+// context selects the traced layout (0x03).
 func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte, error) {
 	if len(req.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(req.Model), maxWireModel)
@@ -252,12 +234,10 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 // resp, the tensors from feats (one per body) or, when outputs is non-nil,
 // from the batched [input][body] grid — the server passes its job payload's
 // parts at the compute precision, anything holding a float64 Response passes
-// resp.Features and resp.Outputs. withCode emits the version-2 code field; a
-// v1 connection omits it and the peer sees only the error text. A nonzero
-// traceID echoes the request's trace context in the v3 traced layout (0x04);
-// callers must only pass one for requests that arrived traced on a version
-// ≥ 3 connection.
-func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.Dense[T], outputs [][]*tensor.Dense[T], f32, withCode bool, traceID uint64) ([]byte, error) {
+// resp.Features and resp.Outputs. A nonzero traceID echoes the request's trace
+// context in the traced layout (0x04); callers must only pass one for requests
+// that arrived traced.
+func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.Dense[T], outputs [][]*tensor.Dense[T], f32 bool, traceID uint64) ([]byte, error) {
 	if len(resp.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(resp.Model), maxWireModel)
 	}
@@ -278,9 +258,7 @@ func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(resp.Version))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Err)))
 	buf = append(buf, resp.Err...)
-	if withCode {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
-	}
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
 	if outputs != nil {
 		outer := len(outputs)
 		inner := 0
@@ -336,7 +314,7 @@ func ValidClientID(id string) bool {
 	return true
 }
 
-// appendClientID encodes the v4 client-ID frame body (no length prefix).
+// appendClientID encodes the client-ID frame body (no length prefix).
 func appendClientID(buf []byte, id string) []byte {
 	buf = append(buf, wireMsgClientID)
 	buf = append(buf, byte(len(id)))
@@ -375,8 +353,8 @@ func parseClientID(body []byte) (string, error) {
 	return id, nil
 }
 
-// readClientIDFrame reads the single client-ID frame an accepting v4
-// handshake promises. The frame length is bounded before any read of the
+// readClientIDFrame reads the single client-ID frame an accepting handshake
+// promises. The frame length is bounded before any read of the
 // body — a hostile length cannot force an allocation — and the body lands in
 // a stack buffer.
 func readClientIDFrame(r io.Reader) (string, error) {
@@ -525,8 +503,8 @@ func readTensor[T tensor.Float](r *wireReader, a *tensor.Arena[T], shapeBuf []in
 // req, the tensors into p (over p's arena and reusable Inputs storage, so
 // the serving path's steady state allocates nothing) — req.Features and
 // req.Inputs stay nil. tc (optional) receives the trace context when the
-// frame uses the v3 traced layout; a traced frame with a nil tc is decoded
-// and its trace header discarded (the wiretap path).
+// frame uses the traced layout; a traced frame with a nil tc is decoded and
+// its trace header discarded (the wiretap path).
 func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], tc *trace.Context) error {
 	r := wireReader{b: body}
 	msg, err := r.u8()
@@ -633,11 +611,9 @@ func parseRequest(body []byte, tc *trace.Context) (*Request, error) {
 // is an unchanged Model string), so a steady connection decodes without
 // allocating. What resp then holds is valid until resp's next parse or a's
 // next Reset, whichever the owner of the two does first; a caller that must
-// keep the result hands in a fresh Response and a zero arena. hasCode selects
-// the version-2 layout, which carries the response code after the error
-// text. echo (optional) receives the trace ID when the frame uses the v3
-// traced layout.
-func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64, a *tensor.Arena[float64]) error {
+// keep the result hands in a fresh Response and a zero arena. echo (optional)
+// receives the trace ID when the frame uses the traced layout.
+func parseResponseInto(body []byte, resp *Response, echo *uint64, a *tensor.Arena[float64]) error {
 	resp.Features, resp.Outputs = resp.Features[:0], resp.Outputs[:0]
 	resp.Version, resp.Err, resp.Code = 0, "", 0
 	r := wireReader{b: body}
@@ -686,10 +662,8 @@ func parseResponseInto(body []byte, resp *Response, hasCode bool, echo *uint64, 
 	if resp.Err, err = r.str(elen, ""); err != nil {
 		return err
 	}
-	if hasCode {
-		if resp.Code, err = r.u16(); err != nil {
-			return err
-		}
+	if resp.Code, err = r.u16(); err != nil {
+		return err
 	}
 	kind, err := r.u8()
 	if err != nil {
@@ -765,9 +739,19 @@ func writeFrame(w io.Writer, buf []byte) error {
 	return err
 }
 
+// frameGrowth is the most readFrame allocates ahead of the bytes a peer has
+// actually delivered, and its first step: every frame of real traffic fits in
+// one step and is allocated once, at its exact size.
+const frameGrowth = 1 << 20
+
 // readFrame reads one length-prefixed frame into buf (growing it as needed)
 // and returns the body. The length prefix passes through buf too: a local
 // array would escape through the io.Reader, one allocation per frame.
+//
+// The prefix is a claim, not a fact: a frame larger than buf is read in steps
+// that double from frameGrowth, each allocated only once the previous one has
+// arrived in full, so a peer that claims maxWireFrame and sends 3 bytes costs
+// one step, not 256 MiB.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 4)
@@ -776,45 +760,36 @@ func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > maxWireFrame {
 		return buf, nil, fmt.Errorf("comm: frame of %d bytes exceeds limit %d", n, maxWireFrame)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	for have := 0; have < n; {
+		next := n
+		if next > cap(buf) {
+			next = min(n, max(2*have, frameGrowth))
+			grown := make([]byte, next)
+			copy(grown, buf[:have])
+			buf = grown
+		}
+		if _, err := io.ReadFull(r, buf[have:next]); err != nil {
+			return buf, nil, err
+		}
+		have = next
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, nil, err
-	}
-	return buf, buf, nil
+	return buf, buf[:n], nil
 }
 
-// --- client codec ---
+// --- the two ends of a connection ---
 
-// clientCodec is one connection's wire protocol from the client side. The
-// trace context rides alongside the request (not inside it) so the Request
-// struct — and with it the legacy gob type descriptor — never changes;
-// readResponse decodes into resp over a (see parseResponseInto for who owns
-// the result) and returns the server's echoed trace ID (0 when untraced or
-// on codecs that predate tracing).
-type clientCodec interface {
-	writeRequest(*Request, trace.Context) error
-	readResponse(*Response, *tensor.Arena[float64]) (uint64, error)
-}
-
-// binFramer is the framing state both ends of the binary codec share: the
-// write/read halves of one connection plus their reusable buffers. The
-// encode side reserves 4 bytes for the length prefix via frameStart; method
-// bodies stay direct calls (no encode closures) so the server's per-request
-// path performs no allocations.
+// binFramer is the framing state both ends of a connection share: the
+// write/read halves plus their reusable buffers. The encode side reserves 4
+// bytes for the length prefix via frameStart; method bodies stay direct calls
+// (no encode closures) so the per-request path performs no allocations.
 type binFramer struct {
-	w   io.Writer
-	r   *bufio.Reader
-	f32 bool
-	// code marks a version-2 connection: response frames carry the code
-	// field (ErrOverloaded et al). A v1 peer negotiated it away.
-	code   bool
+	w      io.Writer
+	r      *bufio.Reader
+	f32    bool
 	encBuf []byte
 	decBuf []byte
 }
@@ -829,18 +804,14 @@ func (c *binFramer) readBody() ([]byte, error) {
 	return body, err
 }
 
+// binClientCodec is one connection's wire protocol from the client side.
 type binClientCodec struct {
 	binFramer
-	// traceOK marks a version-3 connection: traced frames may be sent. On
-	// older connections the context is dropped here, so callers can set a
-	// trace context unconditionally.
-	traceOK bool
 }
 
+// writeRequest sends req. The trace context rides alongside the request, not
+// inside it, so callers can set one unconditionally.
 func (c *binClientCodec) writeRequest(req *Request, tc trace.Context) error {
-	if !c.traceOK {
-		tc = trace.Context{}
-	}
 	buf, err := appendRequest(c.frameStart(), req, c.f32, tc)
 	c.encBuf = buf
 	if err != nil {
@@ -849,123 +820,104 @@ func (c *binClientCodec) writeRequest(req *Request, tc trace.Context) error {
 	return writeFrame(c.w, buf)
 }
 
+// readResponse decodes the next response into resp over a (see
+// parseResponseInto for who owns the result) and returns the server's echoed
+// trace ID (0 when the request was untraced).
 func (c *binClientCodec) readResponse(resp *Response, a *tensor.Arena[float64]) (uint64, error) {
 	body, err := c.readBody()
 	if err != nil {
 		return 0, err
 	}
 	var echo uint64
-	if err := parseResponseInto(body, resp, c.code, &echo, a); err != nil {
+	if err := parseResponseInto(body, resp, &echo, a); err != nil {
 		return 0, err
 	}
 	return echo, nil
 }
 
 // negotiateClient performs the hello exchange on a fresh connection,
-// returning the negotiated wire version, whether the server accepted the
-// float32 payload flag, and the server's advertised continuous-batching
-// window (0 when the server does not batch across connections, and on v1
-// servers, whose acks carry zero in those bytes by construction). A
-// non-empty clientID is offered via the v4 hello flag and declared in a
-// client-ID frame only when the ack proves the server will read it, so the
-// same client works unchanged against pre-v4 servers (which simply bucket
-// it by address).
-func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (version byte, f32OK bool, window time.Duration, err error) {
+// returning whether the server accepted the float32 payload flag and the
+// server's advertised continuous-batching window (0 when the server does not
+// batch across connections). A non-empty clientID is offered via the hello
+// flag and declared in a client-ID frame only when the ack echoes the flag —
+// the server's promise to read it.
+func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (f32OK bool, window time.Duration, err error) {
 	var flags byte
 	if f32 {
 		flags |= wireFlagF32
 	}
 	if clientID != "" {
 		if !ValidClientID(clientID) {
-			return 0, false, 0, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
+			return false, 0, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
 		}
 		flags |= wireFlagClientID
 	}
 	hello := helloBytes(wireVersion, flags)
 	if _, err := conn.Write(hello[:]); err != nil {
-		return 0, false, 0, fmt.Errorf("comm: sending wire hello: %w", err)
+		return false, 0, fmt.Errorf("comm: sending wire hello: %w", err)
 	}
 	var ack [8]byte
 	if _, err := io.ReadFull(r, ack[:]); err != nil {
-		return 0, false, 0, fmt.Errorf("comm: reading wire hello ack (a server predating the binary codec closes here; dial with WithWire(WireGob)): %w", err)
+		return false, 0, fmt.Errorf("comm: reading wire hello ack: %w", err)
 	}
-	if [4]byte{ack[0], ack[1], ack[2], ack[3]} != wireMagic {
-		return 0, false, 0, fmt.Errorf("comm: server is not speaking the binary wire protocol; dial with WithWire(WireGob)")
+	if [4]byte(ack[:4]) != wireMagic {
+		return false, 0, fmt.Errorf("comm: server is not speaking the ensembler wire protocol")
 	}
-	// The connection speaks min(client, server): a hostile or buggy ack
-	// naming a version above what we offered is a protocol violation, and
-	// version 0 predates the codec entirely.
-	if ack[4] < 1 || ack[4] > wireVersion {
-		return 0, false, 0, fmt.Errorf("comm: server negotiated unsupported wire version %d", ack[4])
+	// The server is untrusted: an ack naming any version but the one offered
+	// (0 is its refusal of our hello) ends the dial.
+	if ack[4] != wireVersion {
+		return false, 0, fmt.Errorf("comm: server answered with unsupported wire version %d (this client speaks %d)", ack[4], wireVersion)
 	}
 	window = time.Duration(binary.LittleEndian.Uint16(ack[6:8])) * time.Millisecond
-	if clientID != "" && ack[4] >= 4 && ack[5]&wireFlagClientID != 0 {
+	if clientID != "" && ack[5]&wireFlagClientID != 0 {
 		frame := appendClientID([]byte{0, 0, 0, 0}, clientID)
 		if err := writeFrame(conn, frame); err != nil {
-			return 0, false, 0, fmt.Errorf("comm: sending client ID: %w", err)
+			return false, 0, fmt.Errorf("comm: sending client ID: %w", err)
 		}
 	}
-	return ack[4], ack[5]&wireFlagF32 != 0, window, nil
-}
-
-// decodeGobStream decodes a captured legacy gob request stream.
-func decodeGobStream(stream []byte) ([]*Request, error) {
-	dec := gob.NewDecoder(bytes.NewReader(stream))
-	var out []*Request
-	for {
-		req := &Request{}
-		if err := dec.Decode(req); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, fmt.Errorf("comm: decoding gob stream: %w", err)
-		}
-		out = append(out, req)
-	}
+	return ack[5]&wireFlagF32 != 0, window, nil
 }
 
 // DecodeWireStream parses a captured client→server byte stream — the
 // adversary's observational power over one connection — and returns every
-// decoded request, whichever protocol the client spoke. A stream opening
-// with the binary hello parses as binary frames; anything else decodes as a
-// gob stream. The framing is public by design (Kerckhoffs: only the
+// decoded request. The framing is public by design (Kerckhoffs: only the
 // client's selection is secret); the shard privacy tests invert exactly
 // what this function recovers from a wiretap.
 func DecodeWireStream(stream []byte) ([]*Request, error) {
-	if len(stream) >= 4 && [4]byte{stream[0], stream[1], stream[2], stream[3]} == wireMagic {
-		if len(stream) < 8 {
-			return nil, fmt.Errorf("comm: truncated wire hello")
+	if len(stream) < 4 || [4]byte(stream[:4]) != wireMagic {
+		return nil, fmt.Errorf("comm: stream does not open with the wire hello")
+	}
+	if len(stream) < 8 {
+		return nil, fmt.Errorf("comm: truncated wire hello")
+	}
+	rest := stream[8:]
+	var out []*Request
+	for len(rest) > 0 {
+		if len(rest) < 4 {
+			return out, fmt.Errorf("comm: truncated frame header")
 		}
-		rest := stream[8:]
-		var out []*Request
-		for len(rest) > 0 {
-			if len(rest) < 4 {
-				return out, fmt.Errorf("comm: truncated frame header")
-			}
-			n := binary.LittleEndian.Uint32(rest)
-			if n > maxWireFrame {
-				return out, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
-			}
-			if len(rest) < 4+int(n) {
-				return out, fmt.Errorf("comm: truncated frame body")
-			}
-			body := rest[4 : 4+int(n)]
-			rest = rest[4+int(n):]
-			// A v4 capture may open with the client-ID frame; the wiretap's
-			// request recovery skips (but still validates) it.
-			if len(body) > 0 && body[0] == wireMsgClientID {
-				if _, err := parseClientID(body); err != nil {
-					return out, err
-				}
-				continue
-			}
-			req, err := parseRequest(body, nil)
-			if err != nil {
+		n := binary.LittleEndian.Uint32(rest)
+		if n > maxWireFrame {
+			return out, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
+		}
+		if len(rest) < 4+int(n) {
+			return out, fmt.Errorf("comm: truncated frame body")
+		}
+		body := rest[4 : 4+int(n)]
+		rest = rest[4+int(n):]
+		// A capture may open with the client-ID frame; the wiretap's request
+		// recovery skips (but still validates) it.
+		if len(body) > 0 && body[0] == wireMsgClientID {
+			if _, err := parseClientID(body); err != nil {
 				return out, err
 			}
-			out = append(out, req)
+			continue
 		}
-		return out, nil
+		req, err := parseRequest(body, nil)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, req)
 	}
-	return decodeGobStream(stream)
+	return out, nil
 }

@@ -3,10 +3,12 @@ package comm
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 
 	"ensembler/internal/nn"
@@ -102,12 +104,12 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 		}},
 	}
 	for i, resp := range resps {
-		body, err := encodeResponse(nil, resp, false, false, 0)
+		body, err := encodeResponse(nil, resp, false, 0)
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
 		var got Response
-		if err := parseResponse(body, &got, false, nil); err != nil {
+		if err := parseResponse(body, &got, nil); err != nil {
 			t.Fatalf("response %d decode: %v", i, err)
 		}
 		if got.Model != resp.Model || got.Version != resp.Version || got.Err != resp.Err {
@@ -186,7 +188,7 @@ func TestHostileFramesRejected(t *testing.T) {
 			t.Errorf("%s: hostile request frame accepted", name)
 		}
 		var resp Response
-		if err := parseResponse(body, &resp, false, nil); err == nil {
+		if err := parseResponse(body, &resp, nil); err == nil {
 			t.Errorf("%s: hostile response frame accepted", name)
 		}
 	}
@@ -209,7 +211,7 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.reset()
-	if encBuf, err = encodeResponse(encBuf[:0], resp, false, false, 0); err != nil {
+	if encBuf, err = encodeResponse(encBuf[:0], resp, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if cap(encBuf) < len(encBuf) {
@@ -222,7 +224,7 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 		}
 		j.reset()
 		var e error
-		encBuf, e = encodeResponse(encBuf[:0], resp, false, false, 0)
+		encBuf, e = encodeResponse(encBuf[:0], resp, false, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -232,34 +234,48 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBinaryAndGobClientsAgree runs the same request through both protocols
-// against one live server: the decoded feature values must agree exactly
-// (the binary f64 wire is bit-transparent, like gob).
-func TestBinaryAndGobClientsAgree(t *testing.T) {
-	const nBodies = 2
-	addr := startCodecServer(t, nBodies)
-	x := wireTensor(16, 2, 4, 8, 8)
+// TestReadFrameAllocatesWhatArrives pins the frame reader's half of the trust
+// boundary: a length prefix is a claim, so a 7-byte stream claiming the
+// largest frame fails at the bytes it lacks having cost one growth step, not
+// 256 MiB; a legitimate frame of several growth steps still round-trips bit
+// for bit; and reading into a buffer that already fits allocates nothing.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader([]byte{0x00, 0x00, 0x00, 0x10, 1, 2, 3}), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("7-byte stream claiming %d bytes failed with %v, want unexpected EOF", maxWireFrame, err)
+	}
+	if cost := after.TotalAlloc - before.TotalAlloc; cost >= 2<<20 {
+		t.Errorf("7-byte stream claiming %d bytes cost %d bytes of allocation", maxWireFrame, cost)
+	}
 
-	responses := make([]*Exchanged, 0, 2)
-	for _, wire := range []WireFormat{WireBinary, WireGob} {
-		client, err := Dial(addr, WithWire(wire))
-		if err != nil {
-			t.Fatalf("%v dial: %v", wire, err)
+	req := &Request{Model: "m", Features: wireTensor(19, 3, 5, 200, 200)} // 4.8 MB of payload
+	var stream bytes.Buffer
+	c := &binClientCodec{binFramer{w: &stream}}
+	for i := 0; i < 3; i++ { // one read cold, then AllocsPerRun's warm-up and its run
+		if err := c.writeRequest(req, trace.Context{}); err != nil {
+			t.Fatal(err)
 		}
-		ex, _, err := client.Exchange(context.Background(), x)
-		client.Close()
-		if err != nil {
-			t.Fatalf("%v exchange: %v", wire, err)
-		}
-		responses = append(responses, ex)
 	}
-	if len(responses[0].Features) != nBodies || len(responses[1].Features) != nBodies {
-		t.Fatalf("feature counts %d/%d, want %d", len(responses[0].Features), len(responses[1].Features), nBodies)
+	r := bytes.NewReader(stream.Bytes())
+	buf, body, err := readFrame(r, nil)
+	if err != nil {
+		t.Fatalf("multi-step frame: %v", err)
 	}
-	for i := range responses[0].Features {
-		if !responses[0].Features[i].AllClose(responses[1].Features[i], 0) {
-			t.Errorf("binary and gob clients received different features for body %d", i)
-		}
+	got, err := parseRequest(body, nil)
+	if err != nil {
+		t.Fatalf("multi-step frame: %v", err)
+	}
+	if err := bitsDiffer(got.Features, req.Features); err != nil {
+		t.Errorf("multi-step frame: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { _, body, err = readFrame(r, buf) }); allocs != 0 || err != nil {
+		t.Errorf("frame into a buffer that fits it: %v allocations, err %v", allocs, err)
+	}
+	if !bytes.Equal(body, stream.Bytes()[4:4+len(body)]) {
+		t.Error("frame into a buffer that fits it: body differs from what was sent")
 	}
 }
 
@@ -306,12 +322,12 @@ func TestFloat32ClientEndToEnd(t *testing.T) {
 }
 
 // TestDecodeWireStreamBothProtocols pins the wiretap parser used by the
-// shard privacy tests: a captured binary stream and a captured gob stream
-// both yield the transmitted requests.
+// shard privacy tests: a captured stream yields the transmitted requests, and
+// a capture of the retired gob protocol is refused, not guessed at.
 func TestDecodeWireStreamBothProtocols(t *testing.T) {
 	req := &Request{Model: "m", Features: wireTensor(18, 1, 2, 4, 4)}
 
-	// Binary capture: hello + two frames.
+	// A capture: hello + two frames.
 	var bin bytes.Buffer
 	hello := helloBytes(wireVersion, 0)
 	bin.Write(hello[:])
@@ -330,17 +346,7 @@ func TestDecodeWireStreamBothProtocols(t *testing.T) {
 		t.Errorf("binary stream decoded %d requests", len(got))
 	}
 
-	// Gob capture.
-	var g bytes.Buffer
-	enc := gob.NewEncoder(&g)
-	if err := enc.Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	got, err = DecodeWireStream(g.Bytes())
-	if err != nil {
-		t.Fatalf("gob stream: %v", err)
-	}
-	if len(got) != 1 || !got[0].Features.AllClose(req.Features, 0) {
+	if got, err := DecodeWireStream([]byte(GobStreamOpener)); err == nil {
 		t.Errorf("gob stream decoded %d requests", len(got))
 	}
 
@@ -377,7 +383,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -440,7 +446,7 @@ func BenchmarkServeRequestLoop(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}
@@ -479,8 +485,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	bad := &Request{Features: wireTensor(24, 1, 4, 4, 4)}
 
 	serve := func(req *Request) *Response {
-		j.req = *req
-		j.pay.ingest(&j.req)
+		setRequest(j, *req)
 		resp := srv.serve(j, replicas)
 		j.reset()
 		return resp

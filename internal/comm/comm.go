@@ -1,6 +1,6 @@
 // Package comm implements collaborative inference over a real network: a
-// server that hosts the N ensemble bodies behind a gob-encoded TCP protocol,
-// and a client that transmits its head's output, receives all N feature
+// server that hosts the N ensemble bodies behind a length-prefixed binary TCP
+// protocol (see codec.go), and a client that transmits its head's output, receives all N feature
 // vectors, and applies its secret Selector and tail locally. This is the
 // deployment form of Fig. 1/Fig. 2: the selection indices never appear on
 // the wire, which is precisely what the defense relies on.
@@ -30,9 +30,8 @@
 // The server no longer owns its bodies: every request resolves a
 // (model, version) pair through a ModelProvider — a registry of published
 // model epochs, or the built-in single-model provider NewServer wraps around
-// a fixed body slice. An empty model name and version 0 (what a pre-registry
-// client's request decodes to) fall back to the provider's default, so old
-// clients keep working; a provider whose current epoch changes between
+// a fixed body slice. An empty model name and version 0 fall back to the
+// provider's default; a provider whose current epoch changes between
 // requests gives zero-downtime hot swaps, with each worker lazily re-cloning
 // its body replicas when it first sees the new epoch.
 package comm
@@ -54,8 +53,7 @@ import (
 var ErrOverloaded = errors.New("server overloaded")
 
 // CodeOverloaded is Response.Code for a load-shed request — 429 by analogy,
-// carried natively by the gob codec and as the code field of a version-2
-// binary response frame (a v1 binary peer sees only the error text).
+// carried in the code field of the response frame.
 const CodeOverloaded = 429
 
 // ErrBudgetExhausted is the privacy-budget refusal: the client's per-client
@@ -65,10 +63,7 @@ const CodeOverloaded = 429
 // does), so Pool.Retry treats it as terminal. Detect with errors.Is.
 var ErrBudgetExhausted = errors.New("privacy budget exhausted")
 
-// CodeBudgetExhausted is Response.Code for a budget-refused request. It is
-// carried natively by the gob codec and on any code-capable (v2+) binary
-// connection, so legacy peers receive the same honest refusal the moment
-// their budget drains.
+// CodeBudgetExhausted is Response.Code for a budget-refused request.
 const CodeBudgetExhausted = 430
 
 // Request is the client→server message. Exactly one of the two payload
@@ -78,9 +73,7 @@ const CodeBudgetExhausted = 430
 //
 // Model and Version route the request on a multi-model server: Model ""
 // falls back to the server's default model and Version 0 to its current
-// version, which is also exactly what a pre-registry client's request
-// decodes to (gob omits zero-valued fields, so the old and new wire forms
-// of a header-less request are identical bytes).
+// version.
 type Request struct {
 	Model    string
 	Version  int
@@ -93,7 +86,7 @@ type Request struct {
 // which the client will use); Outputs holds that per-body list for each of
 // the B batched inputs. Model and Version echo what actually served the
 // request — how a client observes a hot swap; a single-model server leaves
-// them zero, which old clients ignore.
+// them zero.
 type Response struct {
 	Model    string
 	Version  int
@@ -102,8 +95,8 @@ type Response struct {
 	Err      string
 	// Code classifies a non-empty Err so clients can react mechanically:
 	// 0 is an ordinary request failure (terminal for that request),
-	// CodeOverloaded marks a load-shed request that is safe to retry.
-	// Legacy gob decoders predating the field simply ignore it.
+	// CodeOverloaded marks a load-shed request that is safe to retry,
+	// CodeBudgetExhausted a budget refusal that is not.
 	Code int
 }
 

@@ -93,7 +93,7 @@ func TestRemoteInferenceMatchesLocal(t *testing.T) {
 		t.Errorf("byte accounting missing: %+v", timing)
 	}
 	// The server returns N bodies' features; downstream bytes must exceed
-	// the per-body feature payload at least N-fold (gob overhead aside).
+	// the per-body feature payload at least N-fold (framing aside).
 	minDown := 4 * e.Cfg.Arch.FeatureDim() * e.Cfg.N // 4 images ≈ even more
 	if timing.BytesDown < minDown {
 		t.Errorf("down bytes %d suspiciously small (< %d)", timing.BytesDown, minDown)
@@ -163,12 +163,12 @@ func TestServerRejectsBadRequest(t *testing.T) {
 	r := rng.New(1)
 	body := tinyArch().NewBody("b", r)
 	s := NewServer([]*nn.Network{body})
-	resp := s.process(&Request{Features: nil})
+	resp := serveOne(s, Request{Features: nil})
 	if resp.Err == "" {
 		t.Error("nil features must be rejected")
 	}
 	bad := tensor.New(2, 2) // wrong rank
-	resp = s.process(&Request{Features: bad})
+	resp = serveOne(s, Request{Features: bad})
 	if resp.Err == "" {
 		t.Error("non-NCHW features must be rejected")
 	}

@@ -2,7 +2,6 @@ package comm_test
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -250,20 +249,16 @@ func TestShutdownWithNonDrainingClient(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	addr, errCh := startConcurrentServer(t, ctx, nBodies, 2, comm.WithDrainTimeout(300*time.Millisecond))
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := rawDial(t, addr)
+	conn.SetDeadline(time.Time{})
 	// Flood from a goroutine: once the server stops reading, our own writes
 	// block too, so the flood must be bounded by the connection failing.
 	flooding := make(chan struct{})
 	go func() {
 		defer close(flooding)
-		enc := gob.NewEncoder(conn)
-		x := commtest.Input(tiny, 60, 8)
+		frame := rawFrame(rawRequestHead(0, 1), rawHonestTensor(commtest.Input(tiny, 60, 8)))
 		for i := 0; i < 10000; i++ {
-			if err := enc.Encode(&comm.Request{Features: x}); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 		}
@@ -396,9 +391,9 @@ func TestMuteDispatcherServerBreaksClient(t *testing.T) {
 				if _, err := io.ReadFull(conn, hello); err != nil {
 					return
 				}
-				// A v2 ack claiming windowMs = 0xFFFF: "just wait, the batch
-				// is coming" — then mute.
-				ack := []byte{0xE5, 'N', 'S', 'B', 2, 0, 0xFF, 0xFF}
+				// An ack claiming windowMs = 0xFFFF: "just wait, the batch is
+				// coming" — then mute.
+				ack := []byte{0xE5, 'N', 'S', 'B', 4, 0, 0xFF, 0xFF}
 				if _, err := conn.Write(ack); err != nil {
 					return
 				}
@@ -438,46 +433,48 @@ func TestMuteDispatcherServerBreaksClient(t *testing.T) {
 }
 
 // TestMalformedTensorsDoNotKillServer sends hostile payloads straight over
-// the wire: lying shapes must produce error responses, not a server crash,
-// and a healthy client must still be served afterwards.
+// the wire. A tensor that lies about its own structure never leaves the frame
+// parser — the connection is dropped, nothing is allocated for it — while one
+// that is honest about a shape the bodies cannot take gets an error response
+// on a connection that stays usable; either way the server keeps serving.
 func TestMalformedTensorsDoNotKillServer(t *testing.T) {
 	const nBodies = 2
 	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 1)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-
-	hostile := []*tensor.Tensor{
-		{Shape: []int{0, 3, 8, 8}},                              // zero dimension
-		{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 5)},    // shape/data lie
-		{Shape: []int{1, 7, 8, 8}, Data: make([]float64, 7*64)}, // wrong channels: panics inside the body
-	}
-	for i, f := range hostile {
-		if err := enc.Encode(&comm.Request{Features: f}); err != nil {
-			t.Fatalf("payload %d: send: %v", i, err)
+	for _, c := range []struct {
+		name     string
+		frame    []byte
+		answered bool
+	}{
+		{"zero dimension", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{0, 3, 8, 8}, nil)), false},
+		{"dims claim more than the payload holds", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 5))), false},
+		{"payload holds more than the dims claim", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 1, 2, 2}, make([]float64, 5))), false},
+		{"batched zero dimension", rawFrame(rawRequestHead(1, 1), rawTensor([]uint32{0, 4, 8, 8}, nil)), false},
+		{"batch announcing more inputs than it carries", rawFrame(rawRequestHead(1, 2), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 256))), false},
+		{"wrong rank", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{4, 64}, make([]float64, 256))), true},
+		// Wrong channels: structurally honest, panics inside the body.
+		{"wrong channels", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 7, 8, 8}, make([]float64, 7*64))), true},
+	} {
+		conn := rawDial(t, addr)
+		for round := 0; round < 2; round++ { // an answered connection takes the next request too
+			if _, err := conn.Write(c.frame); err != nil {
+				t.Fatalf("%s: send: %v", c.name, err)
+			}
+			body, err := rawReadFrame(conn)
+			if !c.answered {
+				if err == nil {
+					t.Errorf("%s: structural lie answered (%q) instead of dropped", c.name, rawResponseErr(t, body))
+				}
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: server dropped the connection instead of answering: %v", c.name, err)
+			}
+			if rawResponseErr(t, body) == "" {
+				t.Errorf("%s: hostile tensor accepted", c.name)
+			}
 		}
-		var resp comm.Response
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("payload %d: server dropped the connection instead of answering: %v", i, err)
-		}
-		if resp.Err == "" {
-			t.Errorf("payload %d: hostile tensor accepted", i)
-		}
-	}
-	// Batched variant of the same lies.
-	if err := enc.Encode(&comm.Request{Inputs: []*tensor.Tensor{{Shape: []int{0, 4, 8, 8}}}}); err != nil {
-		t.Fatal(err)
-	}
-	var resp comm.Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" {
-		t.Error("hostile batched tensor accepted")
+		conn.Close()
 	}
 
 	// The server must still be alive for well-formed clients.
@@ -541,7 +538,7 @@ func TestPoolRecoversFromBrokenConnections(t *testing.T) {
 }
 
 // TestPoolKeepsConnectionAfterBenignError checks that server-side
-// rejections (which leave the gob stream synchronized) do not cost the pool
+// rejections (which leave the stream synchronized) do not cost the pool
 // its connection.
 func TestPoolKeepsConnectionAfterBenignError(t *testing.T) {
 	const nBodies = 2
@@ -572,63 +569,41 @@ func TestPoolKeepsConnectionAfterBenignError(t *testing.T) {
 }
 
 // TestClientRejectsHostileResponses plays a malicious server: responses
-// whose tensors lie about their shape, carry nils, or mismatch the
-// selector's expected body count must produce errors, not client panics.
+// whose tensors lie about their shape, go missing, or mismatch what the
+// selector and tail expect must produce errors, not client panics — the
+// structural lies at the frame parser, the rest in the client's validation of
+// what it decoded.
 func TestClientRejectsHostileResponses(t *testing.T) {
-	responses := []comm.Response{
-		{Features: []*tensor.Tensor{nil}},
-		{Features: []*tensor.Tensor{{Shape: []int{0, 16}}}},
-		{Features: []*tensor.Tensor{{Shape: []int{1, 16}, Data: make([]float64, 3)}}},
-		// Wrong body count for the concat-all selector's tail (wired for 1).
-		{Features: []*tensor.Tensor{
-			{Shape: []int{1, 16}, Data: make([]float64, 16)},
-			{Shape: []int{1, 16}, Data: make([]float64, 16)},
-		}},
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-				for i := 0; ; i++ {
-					var req comm.Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if err := enc.Encode(&responses[i%len(responses)]); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
+	honest := rawTensor([]uint32{1, 16}, make([]float64, 16))
 	x := commtest.Input(tiny, 63, 1)
-	for i := range responses {
-		// The hand-rolled hostile server speaks gob; the validation under
-		// test is codec-agnostic (the binary decoder rejects the structural
-		// lies even earlier, at frame parse time).
-		client, err := comm.Dial(ln.Addr().String(), comm.WithWire(comm.WireGob))
+	infer := func(frame []byte) error {
+		addr := rawServer(t, rawHello(4, 0), func(int) []byte { return frame })
+		client, err := comm.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer client.Close()
 		commtest.Wire(client, tiny, 1)
-		for j := 0; j <= i; j++ { // walk the rotating server to response i
-			_, _, err = client.Infer(context.Background(), x)
+		_, _, err = client.Infer(context.Background(), x)
+		return err
+	}
+	// The harness itself is sound: the response the client is wired for passes.
+	if err := infer(rawFrame(rawResponseHead(1), honest)); err != nil {
+		t.Fatalf("honest response refused: %v", err)
+	}
+	for name, frame := range map[string][]byte{
+		"announced tensor missing":  rawFrame(rawResponseHead(1)),
+		"zero dimension":            rawFrame(rawResponseHead(1), rawTensor([]uint32{0, 16}, nil)),
+		"dims claim more than sent": rawFrame(rawResponseHead(1), rawTensor([]uint32{1, 16}, make([]float64, 3))),
+		"unannounced second tensor": rawFrame(rawResponseHead(1), honest, honest),
+		// Structurally honest, wrong for the concat-all selector's tail (wired for 1 body of 16).
+		"one body too many": rawFrame(rawResponseHead(2), honest, honest),
+		"no bodies":         rawFrame(rawResponseHead(0)),
+		"wrong width":       rawFrame(rawResponseHead(1), rawTensor([]uint32{1, 8}, make([]float64, 8))),
+	} {
+		if err := infer(frame); err == nil {
+			t.Errorf("%s: hostile response accepted", name)
 		}
-		if err == nil {
-			t.Errorf("hostile response %d accepted", i)
-		}
-		client.Close()
 	}
 }
 

@@ -240,7 +240,7 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 				return
 			}
 			var resp Response
-			if err := parseResponse(body, &resp, true, nil); err != nil {
+			if err := parseResponse(body, &resp, nil); err != nil {
 				fireDone <- fmt.Errorf("response %d: %w", i, err)
 				return
 			}
@@ -338,7 +338,7 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 				t.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -371,21 +371,20 @@ func TestCoalescedBatchErrorIsolation(t *testing.T) {
 	srv.serveBatch(b, replicas)
 
 	resp := <-good.reply
-	good.pay.export(resp)
-	if resp.Err != "" || len(resp.Features) != nBodies {
-		t.Errorf("valid member 0 not served: err=%q features=%d", resp.Err, len(resp.Features))
+	if feats := payloadOf[float64](good).feats; resp.Err != "" || len(feats) != nBodies {
+		t.Errorf("valid member 0 not served: err=%q features=%d", resp.Err, len(feats))
 	}
 	if resp := <-bad.reply; resp.Err == "" {
 		t.Error("lying member accepted into the stacked pass")
 	}
 	resp = <-good2.reply
-	good2.pay.export(resp)
-	if resp.Err != "" || len(resp.Features) != nBodies {
+	p2 := payloadOf[float64](good2)
+	if resp.Err != "" || len(p2.feats) != nBodies {
 		t.Fatalf("valid member 2 not served: err=%q", resp.Err)
 	}
-	want := referenceBodies(nBodies, good2.req.Features)
+	want := referenceBodies(nBodies, p2.feat)
 	for i := range want {
-		if !resp.Features[i].AllClose(want[i], 0) {
+		if !p2.feats[i].AllClose(want[i], 0) {
 			t.Errorf("member 2 body %d features diverge after mixed-batch split", i)
 		}
 	}
@@ -449,7 +448,7 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) {
 				b.Fatal(resp.Err)
 			}
 			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 			if e != nil {
 				b.Fatal(e)
 			}

@@ -18,10 +18,10 @@ import (
 // error, not a retryable shed), the pool discards the desynced connection,
 // and the next exchange succeeds bit-exactly over a fresh dial — never by
 // reusing the poisoned stream.
-func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind, opts ...DialOption) {
+func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	defer faultpoint.DisableAll()
 	addr := startServer(t, codecBodies(2))
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, opts...)
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,6 @@ func TestPoolReconnectsAfterMidFramePartialWriteBinary(t *testing.T) {
 
 func TestPoolReconnectsAfterMidFrameConnResetBinary(t *testing.T) {
 	testMidFrameFaultReconnects(t, faultpoint.ConnReset)
-}
-
-func TestPoolReconnectsAfterMidFramePartialWriteGob(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.PartialWrite, WithWire(WireGob))
-}
-
-func TestPoolReconnectsAfterMidFrameConnResetGob(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.ConnReset, WithWire(WireGob))
 }
 
 // TestDispatchIntakeFaultShedsHonestly: a forced admission-control fault
@@ -154,7 +146,7 @@ func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

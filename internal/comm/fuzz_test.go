@@ -31,7 +31,7 @@ func FuzzWireRequestFrame(f *testing.F) {
 	}
 	f.Add(batched)
 	f.Add([]byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 1, wireDtypeF64, 1, 0, 0, 0})
-	// The v3 traced frame: same payload behind the trace header. A corrupted
+	// The traced frame: same payload behind the trace header. A corrupted
 	// variant (trace ID zeroed, which the parser must reject) seeds the
 	// invalid branch.
 	traced, err := appendRequest(nil, &Request{Model: "m", Version: 2, Features: wireTensor(41, 1, 2, 4, 4)},
@@ -130,10 +130,9 @@ func narrowAll(ts []*tensor.Tensor) []*tensor.Tensor32 {
 
 // FuzzWireResponseFrame covers the client's half of the trust boundary: the
 // server is the adversary of the threat model, so its frames deserve the
-// same hostility testing as requests. Both frame layouts run — the v1 form
-// and the v2 form carrying the response code — and a frame that decodes in
-// v2 must round-trip its code (the overload verdict must survive the wire
-// exactly, or a shed would be mistaken for a terminal failure). Whatever
+// same hostility testing as requests. A frame that decodes must round-trip
+// its code (the overload verdict must survive the wire exactly, or a shed
+// would be mistaken for a terminal failure). Whatever
 // decodes is then re-encoded by both instantiations of the response writer —
 // from the float64 parts and from their float32 narrowing, as a float64 and a
 // float32 server would hold them: on the f32 wire the two frames must be the
@@ -146,27 +145,26 @@ func narrowAll(ts []*tensor.Tensor) []*tensor.Tensor32 {
 // bits (sameAsHeapParse).
 func FuzzWireResponseFrame(f *testing.F) {
 	seed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
-		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, false, 0)
+		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	errFrame, err := encodeResponse(nil, &Response{Err: "x"}, false, false, 0)
+	errFrame, err := encodeResponse(nil, &Response{Err: "x"}, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(errFrame)
-	// The admission-control shed frame, exactly as the dispatcher emits it
-	// on a v2 connection.
-	shed, err := encodeResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, true, 0)
+	// The admission-control shed frame, exactly as the dispatcher emits it.
+	shed, err := encodeResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(shed)
-	// The v3 traced response: trace-ID echo ahead of the v2 payload, plus a
+	// The traced response: trace-ID echo ahead of the payload, plus a
 	// truncated-echo corruption.
 	echoed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
-		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, true, 0xFEEDFACECAFEBEEF)
+		Features: []*tensor.Tensor{wireTensor(43, 2, 8)}}, false, 0xFEEDFACECAFEBEEF)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -176,26 +174,24 @@ func FuzzWireResponseFrame(f *testing.F) {
 	// decode target before each input.
 	stale, err := encodeResponse(nil, &Response{Model: "stale", Version: 9, Outputs: [][]*tensor.Tensor{
 		{wireTensor(45, 1, 6), wireTensor(46, 1, 6), wireTensor(47, 1, 6)},
-		{wireTensor(48, 3, 6), wireTensor(49, 3, 6), wireTensor(50, 3, 6)}}}, true, true, 0)
+		{wireTensor(48, 3, 6), wireTensor(49, 3, 6), wireTensor(50, 3, 6)}}}, true, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(stale)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var v1 Response
-		_ = parseResponse(body, &v1, false, nil)
 		var resp Response
-		err := parseResponse(body, &resp, true, nil)
+		err := parseResponse(body, &resp, nil)
 		sameAsHeapParse(t, body, stale, &resp, err)
 		if err != nil {
 			return
 		}
-		re, err := encodeResponse(nil, &resp, false, true, 0)
+		re, err := encodeResponse(nil, &resp, false, 0)
 		if err != nil {
 			t.Fatalf("decoded response does not re-encode: %v", err)
 		}
 		var resp2 Response
-		if err := parseResponse(re, &resp2, true, nil); err != nil {
+		if err := parseResponse(re, &resp2, nil); err != nil {
 			t.Fatalf("re-encoded response does not parse: %v", err)
 		}
 		if resp2.Code != resp.Code || resp2.Err != resp.Err {
@@ -211,20 +207,20 @@ func FuzzWireResponseFrame(f *testing.F) {
 				outs32[i] = narrowAll(row)
 			}
 		}
-		from64, err64 := encodeResponse(nil, &resp, true, true, 0)
-		from32, err32 := appendResponse(nil, &resp, feats32, outs32, true, true, 0)
+		from64, err64 := encodeResponse(nil, &resp, true, 0)
+		from32, err32 := appendResponse(nil, &resp, feats32, outs32, true, 0)
 		if (err64 == nil) != (err32 == nil) {
 			t.Fatalf("writer instantiations disagree: f64 %v, f32 %v", err64, err32)
 		}
 		if err64 == nil && !bytes.Equal(from64, from32) {
 			t.Fatal("f32-wire frames differ between the float64 and float32 writers")
 		}
-		wide, err := appendResponse(nil, &resp, feats32, outs32, false, true, 0)
+		wide, err := appendResponse(nil, &resp, feats32, outs32, false, 0)
 		if err != nil {
 			return // ragged grids are rejected identically at either precision
 		}
 		var widened Response
-		if err := parseResponse(wide, &widened, true, nil); err != nil {
+		if err := parseResponse(wide, &widened, nil); err != nil {
 			t.Fatalf("float32 writer's f64-wire frame does not parse: %v", err)
 		}
 		for i, t32 := range feats32 {
@@ -262,7 +258,7 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 	}
 	for pass := 0; pass < 2; pass++ { // the first sizes the arena, the second decodes inside it
 		scribble()
-		if err := parseResponseInto(stale, &got, true, nil, &arena); err != nil {
+		if err := parseResponseInto(stale, &got, nil, &arena); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +274,7 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 	}
 	for pass := 0; pass < 2; pass++ {
 		scribble()
-		err := parseResponseInto(body, &got, true, nil, &arena)
+		err := parseResponseInto(body, &got, nil, &arena)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("arena parse %d fails with %v, heap parse with %v", pass, err, wantErr)
 		}
@@ -299,22 +295,23 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 	}
 }
 
-// FuzzWireStream covers the wiretap/stream parser over both protocols,
-// hello negotiation included — seeds now cover the v2 hello with the
-// window-advice bytes set, which the request-stream parser must skip like
-// any other hello.
+// FuzzWireStream covers the two readers of a whole byte stream: the wiretap's
+// parser, and the live connection's readFrame, which sees a frame's length
+// prefix before its bytes and must never size its buffer by the prefix alone —
+// its buffer stays within one growth step, or twice, of the bytes the stream
+// really holds.
 func FuzzWireStream(f *testing.F) {
 	var bin bytes.Buffer
 	hello := helloBytes(wireVersion, 0)
 	bin.Write(hello[:])
-	c := &binClientCodec{binFramer: binFramer{w: &bin}}
+	c := &binClientCodec{binFramer{w: &bin}}
 	if err := c.writeRequest(&Request{Features: wireTensor(44, 1, 1, 2, 2)}, trace.Context{}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(bin.Bytes())
-	// A v2-negotiated stream: hello-ack bytes carrying a 25ms batch-window
-	// advice followed by a frame (what a wiretap of the server→client
-	// direction of a batching server opens with).
+	// Hello-ack bytes carrying a 25ms batch-window advice followed by a frame
+	// (what a wiretap of the server→client direction of a batching server
+	// opens with).
 	var ackStream bytes.Buffer
 	ack := helloAckBytes(wireVersion, wireFlagF32, 25)
 	ackStream.Write(ack[:])
@@ -323,11 +320,12 @@ func FuzzWireStream(f *testing.F) {
 	f.Add([]byte{0xE5, 'N', 'S', 'B'})
 	f.Add([]byte{0xE5, 'N', 'S', 'B', 2, 0, 0xFF, 0xFF})
 	f.Add([]byte{3, 0xFF})
-	// A v3 stream whose request frame carries the trace header.
+	// A hello followed by a frame claiming maxWireFrame over 3 bytes.
+	f.Add(append(hello[:], 0x00, 0x00, 0x00, 0x10, 1, 2, 3))
+	// A stream whose request frame carries the trace header.
 	var tracedStream bytes.Buffer
-	h3 := helloBytes(wireVersion, 0)
-	tracedStream.Write(h3[:])
-	c3 := &binClientCodec{binFramer: binFramer{w: &tracedStream}, traceOK: true}
+	tracedStream.Write(hello[:])
+	c3 := &binClientCodec{binFramer{w: &tracedStream}}
 	if err := c3.writeRequest(&Request{Features: wireTensor(44, 1, 1, 2, 2)},
 		trace.Context{ID: 7, Sampled: true}); err != nil {
 		f.Fatal(err)
@@ -335,6 +333,18 @@ func FuzzWireStream(f *testing.F) {
 	f.Add(tracedStream.Bytes())
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		_, _ = DecodeWireStream(stream)
+		r := bytes.NewReader(stream)
+		var buf []byte
+		for {
+			var err error
+			buf, _, err = readFrame(r, buf)
+			if cap(buf) > max(2*len(stream), frameGrowth) {
+				t.Fatalf("readFrame holds %d bytes over a %d-byte stream", cap(buf), len(stream))
+			}
+			if err != nil {
+				break
+			}
+		}
 	})
 }
 
@@ -383,15 +393,15 @@ func FuzzWireTracedFrames(f *testing.F) {
 }
 
 // FuzzWireHelloAck runs arbitrary bytes through the client's half of the
-// hello exchange — the window-negotiation surface a hostile server controls.
-// The client must never panic, never accept a version above what it offered,
-// and any window it does accept must be what the ack's u16 encodes.
+// hello exchange — the surface a hostile server controls. The client must
+// never panic, never accept an ack naming any version but its own, and any
+// window it does accept must be what the ack's u16 encodes.
 func FuzzWireHelloAck(f *testing.F) {
 	good := helloAckBytes(wireVersion, 0, 0)
 	f.Add(good[:])
 	v1 := helloAckBytes(1, wireFlagF32, 0)
 	f.Add(v1[:])
-	windowed := helloAckBytes(2, 0, 25)
+	windowed := helloAckBytes(wireVersion, wireFlagClientID, 25)
 	f.Add(windowed[:])
 	tooNew := helloAckBytes(99, 0, 0)
 	f.Add(tooNew[:])
@@ -399,28 +409,28 @@ func FuzzWireHelloAck(f *testing.F) {
 	f.Add([]byte{0xE5, 'N', 'S', 'B', 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ack []byte) {
 		var sink bytes.Buffer
-		ver, _, window, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
+		_, window, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
 		if err != nil {
 			return
 		}
-		if ver < 1 || ver > wireVersion {
-			t.Fatalf("accepted wire version %d outside [1,%d]", ver, wireVersion)
+		if ack[4] != wireVersion {
+			t.Fatalf("accepted an ack naming wire version %d, not %d", ack[4], wireVersion)
 		}
 		if window < 0 || window > 65535*1_000_000 {
 			t.Fatalf("accepted window %v outside the u16-milliseconds range", window)
 		}
-		// The client declares its identity only to an ack that both names v4
-		// and echoes the flag; everything else must keep the post-hello wire
-		// silent (a v3 server would parse the ID frame as its first request).
-		if sent := sink.Len() > 8; sent != (ver >= 4 && len(ack) >= 6 && ack[5]&wireFlagClientID != 0) {
-			t.Fatalf("client-ID frame presence wrong: wrote %d bytes after an ack with version %d flags %#x",
-				sink.Len()-8, ver, ack[5])
+		// The client declares its identity only to an ack that echoes the
+		// flag; otherwise the post-hello wire stays silent (a server that did
+		// not promise to read the ID frame would parse it as a request).
+		if sent := sink.Len() > 8; sent != (ack[5]&wireFlagClientID != 0) {
+			t.Fatalf("client-ID frame presence wrong: wrote %d bytes after an ack with flags %#x",
+				sink.Len()-8, ack[5])
 		}
 	})
 }
 
-// FuzzWireHelloClientID is the server's trust boundary for the v4 identity
-// extension: arbitrary bytes through the client-ID frame parser must never
+// FuzzWireHelloClientID is the server's trust boundary for the identity
+// frame: arbitrary bytes through the client-ID frame parser must never
 // panic, anything accepted must satisfy the declared identity discipline
 // (1-64 printable ASCII bytes, nothing trailing), and valid IDs must
 // round-trip through the encoder exactly.

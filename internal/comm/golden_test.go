@@ -57,7 +57,7 @@ func TestGoldenServeFrames(t *testing.T) {
 			if resp.Err != "" {
 				t.Fatal(resp.Err)
 			}
-			enc, err := j.pay.appendResponse(nil, resp, f32, true, 0)
+			enc, err := j.pay.appendResponse(nil, resp, f32, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

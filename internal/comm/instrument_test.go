@@ -132,7 +132,7 @@ func TestServerMetricsAndObserver(t *testing.T) {
 // nil and the request path only nil-checks them).
 func TestUninstrumentedServeUnchanged(t *testing.T) {
 	srv := NewServer(instrumentBodies(2))
-	resp := srv.process(&Request{Features: instrumentInput(1)})
+	resp := serveOne(srv, Request{Features: instrumentInput(1)})
 	if resp.Err != "" {
 		t.Fatalf("uninstrumented serve failed: %s", resp.Err)
 	}
@@ -151,11 +151,11 @@ func TestObserverRejectsMaliciousShapes(t *testing.T) {
 	srv := NewServer(instrumentBodies(2), WithObserver(obs))
 
 	bomb := &tensor.Tensor{Shape: []int{1 << 30, 1 << 30, 2, 2}} // 2^62 claimed elements, no data
-	for _, req := range []*Request{
+	for _, req := range []Request{
 		{Features: bomb},
 		{Inputs: []*tensor.Tensor{bomb, instrumentInput(1)}},
 	} {
-		resp := srv.process(req)
+		resp := serveOne(srv, req)
 		if resp.Err == "" {
 			t.Errorf("request %+v must be rejected", req)
 		}
@@ -169,7 +169,7 @@ func TestObserverRejectsMaliciousShapes(t *testing.T) {
 		t.Errorf("observer saw %d tensors, want only the valid one", calls)
 	}
 	// The server still serves.
-	if resp := srv.process(&Request{Features: instrumentInput(1)}); resp.Err != "" {
+	if resp := serveOne(srv, Request{Features: instrumentInput(1)}); resp.Err != "" {
 		t.Errorf("server dead after malicious request: %s", resp.Err)
 	}
 }

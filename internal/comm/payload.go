@@ -6,19 +6,16 @@ package comm
 // arena its tensors live in, the decoded features, the response parts, the
 // stacked pass over the bodies — is payload[T] and bodySet[T], written once
 // over the element type. The rest of the server (job recycling, dispatcher,
-// codecs' framing, metrics, tracing, budget) never names an element type: it
+// codec's framing, metrics, tracing, budget) never names an element type: it
 // reaches the tensors through the tensors interface, and the server's
 // Precision picks the instantiation in exactly two places, newJob and
 // replicaFor.
 //
 // On a float32 server whose connection negotiated the f32 wire, decode →
 // forward → encode performs no float64 conversion at all: the payload bits
-// feed the kernels directly. Requests that are float64-typed by construction
-// — legacy gob connections and the sync process entry, which carry
-// *tensor.Tensor in Request/Response — narrow once at ingress (ingest), run
-// the one generic path, and widen exactly at egress (export); an f64-wire
-// binary frame narrows in the wire reader itself. Either way one server
-// precision serves every client dialect with one rounding step.
+// feed the kernels directly. An f64-wire frame narrows once, in the wire
+// reader itself, and its response widens exactly in the wire writer — so one
+// server precision serves either payload width with one rounding step.
 
 import (
 	"fmt"
@@ -76,16 +73,12 @@ type tensors interface {
 	// reset reclaims the payload for the next request, invalidating every
 	// arena tensor. Must only run after the response has been fully encoded.
 	reset()
-	// parse decodes a binary request frame body (routing header into req,
-	// tensors into the payload).
+	// parse decodes a request frame body (routing header into req, tensors
+	// into the payload).
 	parse(body []byte, req *Request, tc *trace.Context) error
-	// ingest takes over a float64-typed request's tensors (gob, sync entry).
-	ingest(req *Request)
-	// export hands a served response's tensors to a float64-typed Response.
-	export(resp *Response)
 	// appendResponse encodes resp's header and, if served, the payload's
-	// response tensors as a binary response frame body.
-	appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error)
+	// response tensors as a response frame body.
+	appendResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error)
 	// size reports the request's input tensor and total row counts.
 	size() (inputs, rows int)
 	// featureShape is the shape of a single-tensor request's features (nil
@@ -144,67 +137,7 @@ func (p *payload[T]) parse(body []byte, req *Request, tc *trace.Context) error {
 
 func (p *payload[T]) answered() bool { return p.served }
 
-// convertIn carries one float64-typed request tensor to the serving
-// precision: itself at float64, one rounding per element at float32. Nothing
-// about src is trusted yet — it is validated downstream like any wire tensor
-// — so its shape and element count are kept verbatim and nothing is ever
-// allocated from the shape it claims.
-func convertIn[T tensor.Float](a *tensor.Arena[T], src *tensor.Tensor) *tensor.Dense[T] {
-	if src == nil {
-		return nil
-	}
-	if same, ok := any(src).(*tensor.Dense[T]); ok {
-		return same
-	}
-	dst := &tensor.Dense[T]{Shape: src.Shape, Data: a.Alloc(len(src.Data))}
-	for i, v := range src.Data {
-		dst.Data[i] = T(v)
-	}
-	return dst
-}
-
-// convertOut widens response parts to float64 — exactly (every float32 is a
-// float64), so a float64 client sees precisely what the compute produced; at
-// float64 the parts are returned as they are.
-func convertOut[T tensor.Float](ts []*tensor.Dense[T]) []*tensor.Tensor {
-	if same, ok := any(ts).([]*tensor.Tensor); ok {
-		return same
-	}
-	out := make([]*tensor.Tensor, len(ts))
-	for i, t := range ts {
-		out[i] = tensor.ConvertInto(tensor.New(t.Shape...), t)
-	}
-	return out
-}
-
-func (p *payload[T]) ingest(req *Request) {
-	if req.Inputs != nil {
-		p.batched = true
-		inputs := p.inputs[:0]
-		for _, in := range req.Inputs {
-			inputs = append(inputs, convertIn(&p.arena, in))
-		}
-		p.inputs = inputs
-		return
-	}
-	p.feat = convertIn(&p.arena, req.Features)
-}
-
-func (p *payload[T]) export(resp *Response) {
-	if !p.served {
-		return
-	}
-	if !p.batched {
-		resp.Features = convertOut(p.feats)
-		return
-	}
-	resp.Outputs = make([][]*tensor.Tensor, len(p.outputs))
-	for i, row := range p.outputs {
-		resp.Outputs[i] = convertOut(row)
-	}
-}
-
-func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32, withCode bool, traceID uint64) ([]byte, error) {
+func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error) {
 	var feats []*tensor.Dense[T]
 	var outputs [][]*tensor.Dense[T]
 	if p.served {
@@ -214,7 +147,7 @@ func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32, withCode bo
 			feats = p.feats
 		}
 	}
-	return appendResponse(buf, resp, feats, outputs, f32, withCode, traceID)
+	return appendResponse(buf, resp, feats, outputs, f32, traceID)
 }
 
 // size tolerates malformed wire data (shapes are validated later, on the

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
 	"testing"
 
@@ -11,9 +10,9 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// TestLocalClientOverPipe exercises the client protocol over an in-memory
-// net.Pipe with a hand-rolled server loop — no TCP, no training, pure
-// protocol mechanics.
+// TestLocalClientOverPipe runs the real handshake and one request over an
+// in-memory net.Pipe — no TCP, no listener, no training: the server's
+// connection handler and one pool worker on one end, the client on the other.
 func TestLocalClientOverPipe(t *testing.T) {
 	clientEnd, serverEnd := net.Pipe()
 	defer clientEnd.Close()
@@ -21,18 +20,27 @@ func TestLocalClientOverPipe(t *testing.T) {
 	arch := tinyArch()
 	body := arch.NewBody("b", rng.New(1))
 	srv := NewServer([]*nn.Network{body})
+	stop := make(chan struct{})
+	workerDone, handlerDone := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer serverEnd.Close()
-		dec := gob.NewDecoder(serverEnd)
-		enc := gob.NewEncoder(serverEnd)
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		_ = enc.Encode(srv.process(&req))
+		defer close(workerDone)
+		srv.worker(stop)
+	}()
+	go func() {
+		defer close(handlerDone)
+		srv.handle(serverEnd)
+	}()
+	defer func() {
+		clientEnd.Close()
+		<-handlerDone // the pool outlives every handler, as in Serve
+		close(stop)
+		<-workerDone
 	}()
 
-	client := NewLocalClient(clientEnd)
+	client, err := newClientConn(context.Background(), clientEnd, WireBinary, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	client.ComputeFeatures = func(x *tensor.Tensor) *tensor.Tensor {
 		// Identity "head": the protocol doesn't care what computes features.
 		return x

@@ -223,9 +223,8 @@ func (p *Pool) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchange
 // ExchangeTraced is Exchange decoding into the caller's ex — which thereby
 // owns the features past the connection's release, and whose storage a caller
 // holding it across requests reuses — with a trace context attached to the
-// round trip, so the server's leg of the request joins the caller's trace
-// (wire v3+; silently untraced on older servers). The context is cleared from
-// the pooled client before release — a recycled connection must never tag a
+// round trip, so the server's leg of the request joins the caller's trace.
+// The context is cleared from the pooled client before release — a recycled connection must never tag a
 // stranger's request with a stale trace ID.
 func (p *Pool) ExchangeTraced(ctx context.Context, features *tensor.Tensor, tc trace.Context, ex *Exchanged) (Timing, error) {
 	var t Timing

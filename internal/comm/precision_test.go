@@ -56,12 +56,12 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := j.pay.appendResponse(nil, resp, true, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponse(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Features) != nBodies {
@@ -84,17 +84,17 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 }
 
 // TestF32ServerF64IngressExact pins the one-rounding-step contract for the
-// float64 dialects of a PrecisionF32 server: the input narrows exactly once
-// (to the same bits the f32 wire would carry) and every result widens
-// exactly, so an f64-wire or sync client sees precisely the direct float32
-// computation — rounded nowhere further.
+// f64 wire of a PrecisionF32 server: the input narrows exactly once (to the
+// same bits the f32 wire would carry) and every result widens exactly, so an
+// f64-wire client sees precisely the direct float32 computation — rounded
+// nowhere further.
 func TestF32ServerF64IngressExact(t *testing.T) {
 	const nBodies = 3
 	srv := newF32Server(nBodies)
 	x := wireTensor(33, 2, 4, 8, 8)
 	want := directF32(t, nBodies, tensor.Narrow32(x))
 
-	// Binary f64 wire: the codec narrows at decode time.
+	// The codec narrows at decode time.
 	body, err := appendRequest(nil, &Request{Features: x}, false, trace.Context{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,23 +108,15 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := j.pay.appendResponse(nil, resp, false, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponse(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkWidenedExact(t, "binary-f64", &got, want)
-
-	// Sync/gob ingress: float64 tensors narrow when the payload ingests them
-	// instead of at decode time — same bits, same results.
-	resp2 := srv.process(&Request{Features: x})
-	if resp2.Err != "" {
-		t.Fatal(resp2.Err)
-	}
-	checkWidenedExact(t, "sync", resp2, want)
 }
 
 func checkWidenedExact(t *testing.T, path string, got *Response, want []*tensor.Tensor32) {
@@ -171,12 +163,12 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
-	enc, err := j.pay.appendResponse(nil, resp, true, true, 0)
+	enc, err := j.pay.appendResponse(nil, resp, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Response
-	if err := parseResponse(enc, &got, true, nil); err != nil {
+	if err := parseResponse(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Outputs) != 2 {
@@ -229,7 +221,7 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, 0)
 		if e != nil {
 			t.Fatal(e)
 		}
@@ -288,7 +280,7 @@ func BenchmarkServeRequestLoopF32(b *testing.B) {
 			b.Fatal(resp.Err)
 		}
 		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, true, 0)
+		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, 0)
 		if e != nil {
 			b.Fatal(e)
 		}

@@ -2,9 +2,7 @@ package comm
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,62 +112,31 @@ func TestPoolRetryAtZeroWindow(t *testing.T) {
 	}
 }
 
-// shedThenServeGob runs a hand-rolled legacy-gob server that sheds each
-// connection's first `shedFirst` requests with the overload verdict, then
-// serves a fixed feature response — the deterministic harness for the Pool
-// retry loop. It also proves the gob codec carries Response.Code natively.
-func shedThenServeGob(t *testing.T, shedFirst int, served *atomic.Uint64) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
+// shedThenServe runs a hand-rolled server (see scriptedBinary) advertising
+// the given window that sheds each connection's first `shedFirst` requests
+// with the overload verdict, then serves a fixed feature response — the
+// deterministic harness for the Pool retry loop.
+func shedThenServe(t *testing.T, windowMs uint16, shedFirst int, served *atomic.Uint64) string {
 	feature := wireTensor(400, 1, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				shed := 0
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					var resp Response
-					if shed < shedFirst {
-						shed++
-						resp = Response{Err: overloadedMsg, Code: CodeOverloaded}
-					} else {
-						served.Add(1)
-						resp = Response{Features: []*tensor.Tensor{feature}}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}()
+	return scriptedBinary(t, windowMs, func(i int, _ *Request) *Response {
+		if i < shedFirst {
+			return &Response{Err: overloadedMsg, Code: CodeOverloaded}
 		}
-	}()
-	return ln.Addr().String()
+		served.Add(1)
+		return &Response{Features: []*tensor.Tensor{feature}}
+	})
 }
 
-// TestPoolRetriesOverloadedServer drives the retry loop end to end over the
-// legacy gob codec: a server shedding each connection's first two requests
+// TestPoolRetriesOverloadedServer drives the retry loop end to end: a server
+// shedding each connection's first two requests
 // must cost a pooled Exchange two transparent retries, not an error — and
 // the same shed must surface as ErrOverloaded (with the connection still
 // usable) when retries are disabled.
 func TestPoolRetriesOverloadedServer(t *testing.T) {
 	var served atomic.Uint64
-	addr := shedThenServeGob(t, 2, &served)
+	addr := shedThenServe(t, 0, 2, &served)
 
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +155,8 @@ func TestPoolRetriesOverloadedServer(t *testing.T) {
 	// With retries disabled the shed is the caller's problem — and it must
 	// be recognizably ErrOverloaded, benign for the connection.
 	var servedNone atomic.Uint64
-	addr2 := shedThenServeGob(t, 1, &servedNone)
-	pool2, err := NewPool(addr2, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	addr2 := shedThenServe(t, 0, 1, &servedNone)
+	pool2, err := NewPool(addr2, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +178,8 @@ func TestPoolRetriesOverloadedServer(t *testing.T) {
 // the context expires mid-backoff.
 func TestPoolRetryHonorsContext(t *testing.T) {
 	var served atomic.Uint64
-	addr := shedThenServeGob(t, 1<<30, &served)
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil }, WithWire(WireGob))
+	addr := shedThenServe(t, 0, 1<<30, &served)
+	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,21 +201,13 @@ func TestPoolRetryHonorsContext(t *testing.T) {
 	}
 }
 
-// shedOnceBinary runs a hand-rolled binary-wire server (see scriptedBinary)
-// advertising the given window: it sheds the first request with the overload
-// code and serves a real feature response afterwards.
+// shedOnceBinary is shedThenServe shedding only the first request.
 func shedOnceBinary(t *testing.T, windowMs uint16) string {
-	feature := wireTensor(410, 1, 8)
-	return scriptedBinary(t, windowMs, func(i int, _ *Request) *Response {
-		if i == 0 {
-			return &Response{Err: overloadedMsg, Code: CodeOverloaded}
-		}
-		return &Response{Features: []*tensor.Tensor{feature}}
-	})
+	return shedThenServe(t, windowMs, 1, new(atomic.Uint64))
 }
 
-// TestBinaryClientSurfacesOverload pins the v2 binary wire's half of the
-// shed contract: the code field decodes into ErrOverloaded, the connection
+// TestBinaryClientSurfacesOverload pins the client's half of the shed
+// contract: the code field decodes into ErrOverloaded, the connection
 // survives, and the hello ack's window advice lands in ServerBatchWindow.
 func TestBinaryClientSurfacesOverload(t *testing.T) {
 	addr := shedOnceBinary(t, 25)

@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -41,9 +40,9 @@ type ServedModel interface {
 
 // ModelProvider resolves the (model, version) pair a request carries to a
 // live model. model "" asks for the provider's default and version 0 for the
-// current version — the fallback that keeps header-less (pre-registry)
-// clients working. Resolve sits on the hot path: it runs once per request
-// and must not block on locks held across slow work.
+// current version — what a client that sets neither sends. Resolve sits on the
+// hot path: it runs once per request and must not block on locks held across
+// slow work.
 type ModelProvider interface {
 	Resolve(model string, version int) (ServedModel, error)
 }
@@ -193,12 +192,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-
-	// syncMu guards syncReplicas, the replica cache of the synchronous
-	// process entry point (tests and embedding callers); pool workers each
-	// own a private cache instead.
-	syncMu       sync.Mutex
-	syncReplicas *replicaCache
 }
 
 // job is one request's full serving context: the decoded request, the reply
@@ -213,9 +206,7 @@ type job struct {
 	reply chan *Response
 
 	// pay holds the request's and response's tensors at the server's compute
-	// precision (see payload.go). On the binary wire req carries only the
-	// routing header; a float64-typed request (gob, the sync entry) also
-	// arrives with its tensors in req, which the codec ingests into pay.
+	// precision (see payload.go); req carries only the routing header.
 	pay tensors
 
 	// Privacy-budget context, populated only when the server has a budget
@@ -345,11 +336,10 @@ func NewModelServer(p ModelProvider, opts ...ServerOption) *Server {
 
 func newServer(p ModelProvider, o serverOptions) *Server {
 	s := &Server{
-		provider:     p,
-		opts:         o,
-		jobs:         make(chan *job),
-		conns:        map[net.Conn]struct{}{},
-		syncReplicas: newReplicaCache(o.precision),
+		provider: p,
+		opts:     o,
+		jobs:     make(chan *job),
+		conns:    map[net.Conn]struct{}{},
 	}
 	if o.dispatch {
 		if s.opts.maxQueue <= 0 {
@@ -490,52 +480,16 @@ func (s *Server) forceCloseConns() {
 	}
 }
 
-// serverCodec is one connection's wire protocol from the server side,
-// chosen by negotiate: the binary codec for clients that open with the
-// hello magic, gob for everything else (the legacy fallback).
-type serverCodec interface {
-	// readRequest decodes the next request into j (arena-backed on the
-	// binary path), recording the job's wire trace context and decode
-	// timing where the protocol carries them.
-	readRequest(j *job) error
-	// writeResponse encodes one response (echoing j's trace context where
-	// the protocol carries one); it must not retain resp or its tensors
-	// past the call (the writer recycles them immediately after).
-	writeResponse(j *job, resp *Response) error
-}
-
-type gobServerCodec struct {
-	dec *gob.Decoder
-	enc *gob.Encoder
-}
-
-func (c *gobServerCodec) readRequest(j *job) error {
-	if err := fpFrameRead.Inject(); err != nil {
-		return err
-	}
-	j.req = Request{} // gob leaves absent fields untouched; never inherit the previous request's
-	if err := c.dec.Decode(&j.req); err != nil {
-		return err
-	}
-	j.pay.ingest(&j.req)
-	return nil
-}
-
-func (c *gobServerCodec) writeResponse(j *job, resp *Response) error {
-	j.pay.export(resp)
-	return c.enc.Encode(resp)
-}
-
+// binServerCodec is one connection's wire protocol from the server side.
 type binServerCodec struct {
 	binFramer
 	// timing is on when the server has a tracer: readRequest records the
 	// parse timestamps the handler turns into decode spans.
 	timing bool
-	// traceOK marks a version ≥3 connection, the only kind whose responses
-	// may carry traced frames.
-	traceOK bool
 }
 
+// readRequest decodes the next request into j (arena-backed), recording the
+// job's wire trace context and, with timing on, its decode timing.
 func (c *binServerCodec) readRequest(j *job) error {
 	if err := fpFrameRead.Inject(); err != nil {
 		return err
@@ -556,22 +510,19 @@ func (c *binServerCodec) readRequest(j *job) error {
 		j.decodeAt = t0
 		j.decodeDur = time.Since(t0)
 	}
-	if !c.traceOK {
-		// A traced frame on a connection that never negotiated v3 is
-		// tolerated but its context is dropped, so the response stays in the
-		// negotiated dialect.
-		j.wireTrace = trace.Context{}
-	}
 	j.traced = j.wireTrace.ID != 0
 	return nil
 }
 
+// writeResponse encodes one response, echoing j's trace context when the
+// request arrived traced; it does not retain resp or its tensors past the call
+// (the writer recycles them immediately after).
 func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 	var echo uint64
 	if j.traced {
 		echo = j.wireTrace.ID
 	}
-	buf, err := j.pay.appendResponse(c.frameStart(), resp, c.f32, c.code, echo)
+	buf, err := j.pay.appendResponse(c.frameStart(), resp, c.f32, echo)
 	c.encBuf = buf
 	if err != nil {
 		return err
@@ -584,57 +535,50 @@ func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 	return writeFrame(c.w, buf)
 }
 
-// negotiate sniffs the first bytes of a fresh connection: the binary hello
-// magic selects the binary codec (and acks min(client, server) version,
-// accepted flags, and the continuous-batching window advice); anything else
-// is a legacy gob client, served by the gob codec over byte-identical
-// framing. The returned clientID is the v4-declared identity ("" for every
-// pre-v4 and gob peer, which the budget guard buckets by address instead).
-func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (serverCodec, string, error) {
+// negotiate runs the server's half of the handshake on a fresh connection
+// (see codec.go): it reads the 8-byte hello, acks the flags it accepts and the
+// continuous-batching window advice, and reads the client-ID frame an accepted
+// identity flag promises. The returned clientID is "" for a peer that declared
+// none, which the budget guard buckets by address instead. Any other opening
+// is refused before a byte past the hello is read: no magic, no answer; the
+// magic with another version, a version-0 ack the peer can report.
+func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (*binServerCodec, string, error) {
 	if err := fpHello.Inject(); err != nil {
 		return nil, "", err
 	}
-	peek, err := br.Peek(4)
-	if err != nil {
-		return nil, "", err
-	}
-	if [4]byte(peek) != wireMagic {
-		// The gob encoder writes through the frame-write fault site so torn
-		// responses are injectable on the legacy path too.
-		return &gobServerCodec{dec: gob.NewDecoder(br), enc: gob.NewEncoder(faultWriter{w: conn})}, "", nil
-	}
 	var hello [8]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
+	if _, err := io.ReadFull(br, hello[:4]); err != nil {
 		return nil, "", err
 	}
-	if hello[4] < 1 {
+	if [4]byte(hello[:4]) != wireMagic {
+		return nil, "", fmt.Errorf("comm: peer did not open with the wire hello")
+	}
+	if _, err := io.ReadFull(br, hello[4:]); err != nil {
+		return nil, "", err
+	}
+	if hello[4] != wireVersion {
+		refusal := helloAckBytes(0, 0, 0)
+		_, _ = conn.Write(refusal[:]) // best effort: the connection closes either way
 		return nil, "", fmt.Errorf("comm: client hello names unsupported wire version %d", hello[4])
 	}
-	version := min(hello[4], byte(wireVersion))
-	flags := hello[5] & wireFlagF32
-	// The client-ID flag is honored only from a hello that itself speaks v4:
-	// echoing it to an older (or flag-forging) client would promise to read
-	// an ID frame the peer will never send.
-	wantID := version >= 4 && hello[5]&wireFlagClientID != 0
-	if wantID {
-		flags |= wireFlagClientID
-	}
-	ack := helloAckBytes(version, flags, windowAdviceMs(s.opts.window))
+	flags := hello[5] & (wireFlagF32 | wireFlagClientID)
+	ack := helloAckBytes(wireVersion, flags, windowAdviceMs(s.opts.window))
 	if _, err := conn.Write(ack[:]); err != nil {
 		return nil, "", err
 	}
 	var clientID string
-	if wantID {
+	if flags&wireFlagClientID != 0 {
 		// The accepted flag obliges the client to send exactly one client-ID
 		// frame before any request; a malformed one drops the connection.
-		if clientID, err = readClientIDFrame(br); err != nil {
+		id, err := readClientIDFrame(br)
+		if err != nil {
 			return nil, "", err
 		}
+		clientID = id
 	}
 	return &binServerCodec{
-		binFramer: binFramer{w: conn, r: br, f32: flags&wireFlagF32 != 0, code: version >= 2},
+		binFramer: binFramer{w: conn, r: br, f32: flags&wireFlagF32 != 0},
 		timing:    s.opts.tracer != nil,
-		traceOK:   version >= 3,
 	}, clientID, nil
 }
 
@@ -643,7 +587,7 @@ func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (serverCodec, string
 // pool while a writer flushes responses in request order. Jobs (request
 // context, arena, reply channel) recycle through the free list, so a
 // connection's steady state decodes, computes, and encodes without heap
-// allocation on the binary wire.
+// allocation.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -652,9 +596,9 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 
-	// Budget identity resolves once per connection: the declared v4 client
-	// ID, or the peer's address bucket. Every request on this connection
-	// charges the same account.
+	// Budget identity resolves once per connection: the declared client ID,
+	// or the peer's address bucket. Every request on this connection charges
+	// the same account.
 	var acct *privacy.Account
 	if g := s.opts.guard; g != nil {
 		id := clientID
@@ -727,8 +671,7 @@ func (s *Server) handle(conn net.Conn) {
 		j.account = acct
 		if tr != nil {
 			// The leg starts when the request's bytes were in hand: decode
-			// counts against it, the blocking read before it does not. Gob
-			// requests have no parse timing and simply start now.
+			// counts against it, the blocking read before it does not.
 			tr.BeginAt(&j.tr, j.wireTrace, j.decodeAt)
 			if j.decodeDur > 0 {
 				tr.Span(&j.tr, trace.StageDecode, j.decodeAt, j.decodeDur)
@@ -921,26 +864,6 @@ func cloneReplica(m ServedModel) (bodies []*nn.Network, err error) {
 		return nil, fmt.Errorf("comm: model %q v%d has no bodies", m.Name(), m.Version())
 	}
 	return bodies, nil
-}
-
-// process runs a request synchronously outside the worker pool — the entry
-// point used by tests and by callers that manage their own concurrency. It
-// keeps its own replica cache (shared by all process callers, guarded by a
-// mutex), so it must not be mixed with concurrent Serve traffic on a
-// single-model server without replicas. Each call uses a fresh job, so the
-// returned response (unlike a pooled worker's) stays valid indefinitely. The
-// request is float64-typed, so it enters and leaves like a gob request:
-// ingested into the job's payload, computed at the server's precision, and
-// exported back into the Response.
-func (s *Server) process(req *Request) *Response {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	j := s.newJob()
-	j.req = *req
-	j.pay.ingest(&j.req)
-	resp := s.serve(j, s.syncReplicas)
-	j.pay.export(resp)
-	return resp
 }
 
 // processWith validates a request and runs it over one worker replica. A

@@ -48,8 +48,7 @@ func TestStackSplitRoundTrip(t *testing.T) {
 	c.Shape[2] = 4
 	c.Data = c.Data[:1*4*4*8]
 	j.reset()
-	j.req = Request{Inputs: []*tensor.Tensor{a, c}}
-	j.pay.ingest(&j.req)
+	setRequest(j, Request{Inputs: []*tensor.Tensor{a, c}})
 	if _, err := p.stackInputs(); err == nil {
 		t.Error("shape-mismatched batch must be rejected")
 	}

@@ -28,7 +28,7 @@ func TestSubsetProviderServesBodyRange(t *testing.T) {
 
 	x := tensor.New(2, 4, 8, 8)
 	rng.New(9).FillNormal(x.Data, 0, 1)
-	resp := srv.process(&Request{Features: x})
+	resp := serveOne(srv, Request{Features: x})
 	if resp.Err != "" {
 		t.Fatalf("subset request failed: %s", resp.Err)
 	}
@@ -53,7 +53,7 @@ func TestSubsetProviderRejectsOutOfRangeShard(t *testing.T) {
 	}
 	srv := NewModelServer(provider)
 	x := tensor.New(1, 4, 8, 8)
-	resp := srv.process(&Request{Features: x})
+	resp := serveOne(srv, Request{Features: x})
 	if resp.Err == "" {
 		t.Fatal("out-of-range shard must fail to resolve")
 	}

@@ -214,6 +214,15 @@ func TestVersionPinning(t *testing.T) {
 	if _, v := client.Served(); v != 2 {
 		t.Errorf("served version = %d, want 2", v)
 	}
+	batch, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range batch {
+		if !got.AllClose(ref2, 1e-12) {
+			t.Errorf("default routing did not serve batched input %d from the current version", i)
+		}
+	}
 
 	// Pinned: the superseded version, on the same connection.
 	client.Model, client.Version = "m", 1

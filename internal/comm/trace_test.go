@@ -1,10 +1,7 @@
 package comm
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"sync"
@@ -133,90 +130,6 @@ func TestTracedRoundTripEchoesIDAndRetainsLeg(t *testing.T) {
 	if !failedLegs[0].Err {
 		t.Fatal("failed request's leg not marked as error")
 	}
-}
-
-// TestGobWireBytesUnchangedByTraceContext pins the legacy-compat guarantee:
-// the trace context travels outside the Request struct, so a gob client's
-// byte stream is identical whether or not a context is set — the gob type
-// descriptor never changed.
-func TestGobWireBytesUnchangedByTraceContext(t *testing.T) {
-	encode := func(tc trace.Context) []byte {
-		var buf bytes.Buffer
-		codec := &gobClientCodec{enc: gob.NewEncoder(&buf), dec: gob.NewDecoder(&buf)}
-		req := &Request{Model: "m", Version: 3, Features: wireTensor(77, 1, 2, 4, 4)}
-		if err := codec.writeRequest(req, tc); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	plain := encode(trace.Context{})
-	traced := encode(trace.Context{ID: 0xDEADBEEF, Sampled: true})
-	if !bytes.Equal(plain, traced) {
-		t.Fatalf("gob wire bytes changed when a trace context was set:\nplain:  %x\ntraced: %x", plain, traced)
-	}
-}
-
-// TestPreV3ConnectionDropsTracedFrames pins tolerate-and-drop: a peer that
-// negotiated v2 but sends a 0x03 traced frame anyway (hostile or buggy) is
-// served normally, with an untraced 0x02 response — the negotiated dialect
-// never widens retroactively.
-func TestPreV3ConnectionDropsTracedFrames(t *testing.T) {
-	tr := trace.New(trace.Config{SampleRate: -1, SlowestN: -1})
-	addr, shutdown := startTracedServer(t, tr)
-	defer shutdown()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := helloBytes(2, 0) // deliberately negotiate v2
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	var ack [8]byte
-	if _, err := readFull(br, ack[:]); err != nil {
-		t.Fatal(err)
-	}
-	if ack[4] != 2 {
-		t.Fatalf("server acked version %d for a v2 hello", ack[4])
-	}
-
-	// A codec wired as if v3 had been negotiated: it will emit 0x03 frames.
-	codec := &binClientCodec{binFramer: binFramer{w: conn, r: br, code: true}, traceOK: true}
-	req := &Request{Features: instrumentInput(1)}
-	if err := codec.writeRequest(req, trace.Context{ID: 0xFEED, Sampled: true}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	echo, err := codec.readResponse(&resp, new(tensor.Arena[float64]))
-	if err != nil {
-		t.Fatalf("v2 connection failed to serve a stray traced frame: %v", err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("response error: %s", resp.Err)
-	}
-	if echo != 0 {
-		t.Fatalf("v2 connection echoed trace ID %016x; the context must be dropped", echo)
-	}
-	// The dropped context must not have forced retention either.
-	if legs := tr.TraceByID(0xFEED); len(legs) != 0 {
-		t.Fatalf("dropped context still retained %d legs", len(legs))
-	}
-}
-
-// readFull is io.ReadFull without importing io just for the test.
-func readFull(r *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := r.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // TestShedRequestProducesCompleteTrace floods a one-slot intake queue and
@@ -349,7 +262,7 @@ func benchTracedLoop(b *testing.B, tr *trace.Tracer) {
 			}
 			var e error
 			encStart := time.Now()
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, true, j.wireTrace.ID)
+			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, j.wireTrace.ID)
 			if e != nil {
 				b.Fatal(e)
 			}

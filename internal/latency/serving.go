@@ -27,9 +27,9 @@ type ServingScenario struct {
 	EffectiveParallel int
 
 	// WireFactor scales transferred bytes relative to the float32 payload
-	// the Table III link model assumes: the legacy float64 gob wire is
-	// ≈ WireFactorGob, the binary codec WireFactorBinary (f64) or
-	// WireFactorBinaryF32. 0 means 1 (float32-equivalent bytes).
+	// the Table III link model assumes: WireFactorBinary for float64
+	// payloads, WireFactorBinaryF32 for float32. 0 means 1
+	// (float32-equivalent bytes).
 	WireFactor float64
 
 	// ComputeFactor scales the server-side body-pass time relative to the
@@ -43,14 +43,11 @@ type ServingScenario struct {
 
 // Wire factors for the serving model, relative to raw float32 payloads.
 const (
-	// WireFactorGob: float64 values, gob type headers and per-message
-	// self-description on top.
-	WireFactorGob = 2.2
-	// WireFactorBinary: the length-prefixed binary codec with float64
-	// payloads — twice the float32 bytes, negligible framing.
+	// WireFactorBinary: float64 payloads — twice the float32 bytes,
+	// negligible framing.
 	WireFactorBinary = 2.0
-	// WireFactorBinaryF32: the binary codec shipping float32 — the link
-	// model's native operating point.
+	// WireFactorBinaryF32: float32 payloads — the link model's native
+	// operating point.
 	WireFactorBinaryF32 = 1.0
 )
 

@@ -73,15 +73,15 @@ func TestEffectiveParallelismClampsPredictions(t *testing.T) {
 
 func TestWireFactorScalesCommunication(t *testing.T) {
 	slim := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorBinaryF32})
-	fat := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorGob})
+	fat := EstimateServing(ServingScenario{Base: servingBase(), Workers: 4, Clients: 1, Batch: 1, WireFactor: WireFactorBinary})
 	if fat.RequestSeconds <= slim.RequestSeconds {
-		t.Errorf("gob wire round trip %.4fs not slower than f32 wire %.4fs", fat.RequestSeconds, slim.RequestSeconds)
+		t.Errorf("f64 wire round trip %.4fs not slower than f32 wire %.4fs", fat.RequestSeconds, slim.RequestSeconds)
 	}
 	// The delta is exactly the extra communication time.
 	base := servingBase()
 	base.Batch = 1
 	comm := Run(base).Communication
-	want := (WireFactorGob - WireFactorBinaryF32) * comm
+	want := (WireFactorBinary - WireFactorBinaryF32) * comm
 	if got := fat.RequestSeconds - slim.RequestSeconds; math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("wire factor delta %.6fs, want %.6fs", got, want)
 	}
