@@ -40,13 +40,4 @@ func main() {
 		b := latency.Run(sc)
 		fmt.Printf("N=%-3d total %.2fs (comm %.2fs)\n", n, b.Total(), b.Communication)
 	}
-	fmt.Println()
-
-	// How often can the registry rotate the secret selector before the
-	// hot-swap overhead (each worker lazily re-cloning its body replicas)
-	// bites into saturated throughput? Priced at a pessimistic 1 s clone.
-	fmt.Println("selector-rotation cadence vs saturated throughput (64 clients, 4 workers, 1s clone):")
-	for _, row := range latency.RotationSweep(latency.Ensembler(10), 4, 64, 1, 1.0, []float64{5, 30, 60, 600, 3600}) {
-		fmt.Println(row)
-	}
 }

@@ -87,8 +87,8 @@ func WithWorkers(n int) ServerOption {
 // process about to run a worker pool of the given size: a multi-worker pool
 // is the one level of parallelism, so kernel-level goroutines are disabled
 // (tensor.SetKernelParallelism(1)) — nesting them under the pool only
-// oversubscribes the cores the pool already saturates, the regression
-// behind BENCH_2026-07-30's 0.94× concurrent "speedup". A single-worker
+// oversubscribes the cores the pool already saturates (8 connections once
+// measured 0.94× of one that way). A single-worker
 // pool leaves the kernels free to parallelize, since they are then the only
 // parallelism available. The knob is process-global: serving binaries call
 // this once at startup; harnesses that later run training in the same

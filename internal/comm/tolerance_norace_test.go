@@ -3,6 +3,5 @@
 package comm_test
 
 // p99Tolerance is the relative band the predicted-vs-measured p99 gate of
-// the end-to-end serving test allows — the same ±20% the ensembler-bench
-// -serving gate uses for its throughput prediction.
+// the end-to-end serving test allows.
 const p99Tolerance = 0.20

@@ -1,6 +1,6 @@
 // Package commtest provides the deterministic untrained serving harness
-// shared by the comm concurrency tests, the root serving benchmarks, and
-// the ensembler-bench CLI: seeded bodies that rebuild bit-identically
+// shared by the comm concurrency tests and the serving benchmark
+// (bench/): seeded bodies that rebuild bit-identically
 // (standing in for a trained server's worker replicas), a raw-protocol
 // client wiring (identity head, concat-all selection, linear tail), and a
 // local reference computation to check remote results against. Untrained

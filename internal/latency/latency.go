@@ -158,15 +158,15 @@ func Ensembler(n int) Scenario {
 	return sc
 }
 
-// LoopbackBench builds the scenario the ensembler-bench serving harness
+// LoopbackBench builds the scenario the serving benchmark (bench/run.sh)
 // actually measures, as opposed to the paper's Pi+LAN deployment: both ends
 // on one host over loopback (microseconds of RTT, gigabytes per second),
 // an identity client head (the harness transmits raw features), and serial
 // per-request body execution (the serving pool is the one level of
 // parallelism). Predictions from this scenario are the ones comparable to a
-// BENCH_*.json measurement; the original BENCH_2026-07-30 compared a
-// loopback measurement against a Pi+LAN prediction and concluded 0.94×
-// against 4.5× — two different experiments, not a regression.
+// loopback measurement: comparing one against a Pi+LAN prediction once read
+// as 0.94× measured against 4.5× predicted — two different experiments, not
+// a regression.
 func LoopbackBench(n int) Scenario {
 	return Scenario{
 		Name:  "loopback-bench",

@@ -15,8 +15,9 @@ import "fmt"
 //	F(x) = (1 − 1/B) · x/W   for x < W,  F(W) = 1
 //
 // whose quantiles, plus the stacked service time B·S and a light M/D/1-style
-// congestion term, yield the predicted p50/p99 that ensembler-bench gates
-// against a measured loopback run.
+// congestion term, yield the predicted p50/p99 that
+// TestServingEndToEndContinuousBatching (internal/comm) gates against a
+// measured loopback run.
 
 // QueueingScenario describes one operating point of the batching dispatcher.
 type QueueingScenario struct {
@@ -48,7 +49,7 @@ type QueueingScenario struct {
 	MaxBatch int
 
 	// ServiceSeconds, when > 0, overrides the modeled per-request server
-	// service time with a measured one — the calibration hook the bench
+	// service time with a measured one — the calibration hook the e2e
 	// gate uses: measure an unbatched loopback run, feed its per-request
 	// time here, and the prediction shares the measurement's hardware
 	// reality instead of the Table III device model. 0 derives the service
@@ -186,21 +187,4 @@ func EstimateContinuousBatching(sc QueueingScenario) QueueingEstimate {
 		ThroughputRPS:  thr,
 		Saturated:      saturated,
 	}
-}
-
-// QueueingSweep evaluates the model over an arrival-rate × batch-window grid
-// — the planning table behind the -batch-window flag: for each offered load,
-// how much window buys how much batch occupancy at what p99 cost. Rows are
-// ordered rate-major (all windows for the first rate, then the next).
-func QueueingSweep(sc QueueingScenario, rates, windows []float64) []QueueingEstimate {
-	out := make([]QueueingEstimate, 0, len(rates)*len(windows))
-	for _, r := range rates {
-		for _, w := range windows {
-			pt := sc
-			pt.ArrivalRPS = r
-			pt.WindowSeconds = w
-			out = append(out, EstimateContinuousBatching(pt))
-		}
-	}
-	return out
 }

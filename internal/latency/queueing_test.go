@@ -133,30 +133,24 @@ func TestQueueingMaxBatchClamp(t *testing.T) {
 	}
 }
 
-// TestQueueingSweepGrid pins the sweep's shape and ordering: a full
-// rate-major grid with distinct labels.
+// TestQueueingSweepGrid pins how a rate × window planning grid reads: every
+// point labels itself distinctly and a zero window never batches.
 func TestQueueingSweepGrid(t *testing.T) {
-	rates := []float64{50, 200}
-	windows := []float64{0, 0.010, 0.025}
-	rows := QueueingSweep(QueueingScenario{Workers: 1, ServiceSeconds: 0.001}, rates, windows)
-	if len(rows) != len(rates)*len(windows) {
-		t.Fatalf("sweep produced %d rows, want %d", len(rows), len(rates)*len(windows))
-	}
 	seen := map[string]bool{}
-	for _, r := range rows {
-		if seen[r.Name] {
-			t.Errorf("duplicate sweep row %q", r.Name)
+	for _, r := range []float64{50, 200} {
+		for _, w := range []float64{0, 0.010, 0.025} {
+			e := EstimateContinuousBatching(QueueingScenario{Workers: 1, ServiceSeconds: 0.001,
+				ArrivalRPS: r, WindowSeconds: w})
+			if seen[e.Name] {
+				t.Errorf("duplicate row label %q", e.Name)
+			}
+			seen[e.Name] = true
+			if e.String() == "" {
+				t.Error("empty formatted row")
+			}
+			if w == 0 && e.MeanBatch != 1 {
+				t.Errorf("λ=%v window 0: mean batch = %v, want 1", r, e.MeanBatch)
+			}
 		}
-		seen[r.Name] = true
-		if r.String() == "" {
-			t.Error("empty formatted row")
-		}
-	}
-	// Rate-major: the first len(windows) rows share the first rate.
-	if rows[0].MeanBatch != 1 {
-		t.Errorf("first row (window 0) mean batch = %v, want 1", rows[0].MeanBatch)
-	}
-	if rows[len(windows)].MeanBatch != 1 {
-		t.Errorf("first row of second rate (window 0) mean batch = %v, want 1", rows[len(windows)].MeanBatch)
 	}
 }

@@ -5,11 +5,12 @@ import "fmt"
 // This file models the serving regimes of the comm subsystem: many client
 // connections, a bounded pool of server-side workers (each holding a private
 // replica of the N bodies), and batched requests that amortize protocol
-// overhead. It is the analytic counterpart of the throughput benchmark in
-// bench_test.go, built as a closed queueing system: each of C clients keeps
-// exactly one request in flight, the server completes at most one request
-// per worker every S seconds, and the round-trip time seen by an unloaded
-// client is client compute + transfer + server compute.
+// overhead. It is the analytic counterpart of the closed-loop workloads
+// bench/run.sh measures (which report its error as
+// latency.loopback_pred_err_pct), built as a closed queueing system: each of
+// C clients keeps exactly one request in flight, the server completes at most
+// one request per worker every S seconds, and the round-trip time seen by an
+// unloaded client is client compute + transfer + server compute.
 
 // ServingScenario describes one operating point of the concurrent server.
 type ServingScenario struct {
@@ -20,10 +21,9 @@ type ServingScenario struct {
 
 	// EffectiveParallel caps how many workers actually compute
 	// concurrently — the host's usable cores (GOMAXPROCS on the bench
-	// host). A pool of 8 workers on 1 core serves like 1 worker; the
-	// measured-vs-modeled gap of BENCH_2026-07-30 (0.94× measured against
-	// 4.5× predicted) was exactly this clamp going unmodeled. 0 means
-	// Workers (the historical, unclamped behavior).
+	// host). A pool of 8 workers on 1 core serves like 1 worker: a
+	// GOMAXPROCS=1 run once measured 0.94× from 8 connections against an
+	// unclamped prediction of 4.5×. 0 means Workers (unclamped).
 	EffectiveParallel int
 
 	// WireFactor scales transferred bytes relative to the float32 payload
@@ -124,109 +124,25 @@ func servingTimes(sc *ServingScenario) (request, service float64) {
 // both by the clients' request-issue rate (Clients / round-trip) and by the
 // server pool's service rate (Workers / server-time-per-request).
 func EstimateServing(sc ServingScenario) ServingEstimate {
-	return EstimateServingRotated(sc, Rotation{})
-}
-
-// Rotation models the hot-swap cadence of the registry subsystem: every
-// PeriodSeconds a new epoch is published (a selector rotation or a model
-// publish), and each serving worker lazily rebuilds its private body
-// replicas once per epoch, costing CloneSeconds of that worker's capacity.
-type Rotation struct {
-	// PeriodSeconds is the time between epoch swaps; <= 0 means never.
-	PeriodSeconds float64
-	// CloneSeconds is the time one worker spends re-cloning its N-body
-	// replica set when it first sees a new epoch.
-	CloneSeconds float64
-}
-
-// OverheadFraction returns the fraction of each worker's capacity spent
-// re-cloning: CloneSeconds out of every PeriodSeconds, clamped to [0,1].
-// The cost is per worker but does not grow with the pool — every worker
-// pays one clone per epoch, concurrently, as requests arrive.
-func (r Rotation) OverheadFraction() float64 {
-	if r.PeriodSeconds <= 0 || r.CloneSeconds <= 0 {
-		return 0
+	request, service := servingTimes(&sc)
+	// A pool larger than the host's usable cores serves at the cores' rate:
+	// the extra workers only queue (see ServingScenario.EffectiveParallel).
+	workers := sc.effectiveWorkers()
+	x := float64(sc.Clients) / request
+	if service > 0 {
+		if serverBound := float64(workers) / service; serverBound < x {
+			x = serverBound
+		}
 	}
-	f := r.CloneSeconds / r.PeriodSeconds
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
-// EstimateServingRotated evaluates the closed-system model under a rotation
-// cadence: the server pool's effective capacity shrinks by the overhead
-// fraction while the unloaded round-trip time is unchanged (a request never
-// waits on a clone already paid for by its worker). A zero Rotation is
-// exactly EstimateServing. This is the analytic counterpart of
-// BenchmarkHotSwap: rotation bounds what a curious server accumulates
-// against one selector, and this term prices that privacy. It is the
-// zero-audit slice of the general estimator (see EstimateServingAudited).
-func EstimateServingRotated(sc ServingScenario, rot Rotation) ServingEstimate {
-	return EstimateServingAudited(sc, rot, Audit{})
-}
-
-// servingName labels one serving estimate row.
-func servingName(sc ServingScenario, rot Rotation) string {
 	name := fmt.Sprintf("c=%d w=%d b=%d", sc.Clients, sc.Workers, sc.Batch)
-	if sc.effectiveWorkers() < sc.Workers {
-		name += fmt.Sprintf(" par=%d", sc.effectiveWorkers())
+	if workers < sc.Workers {
+		name += fmt.Sprintf(" par=%d", workers)
 	}
-	if rot.OverheadFraction() > 0 {
-		name += fmt.Sprintf(" rot=%.0fs", rot.PeriodSeconds)
+	return ServingEstimate{
+		Name:           name,
+		RequestSeconds: request,
+		ThroughputRPS:  x,
+		ThroughputIPS:  x * float64(sc.Batch),
+		Utilization:    x * service / float64(workers),
 	}
-	return name
-}
-
-// RotationSweep evaluates a serving scenario across rotation periods — the
-// planning question the registry's -rotate-every flag asks: how often can
-// the selector rotate before the hot-swap overhead bites into throughput?
-func RotationSweep(base Scenario, workers, clients, batch int, cloneSeconds float64, periods []float64) []ServingEstimate {
-	out := make([]ServingEstimate, len(periods))
-	for i, p := range periods {
-		out[i] = EstimateServingRotated(
-			ServingScenario{Base: base, Workers: workers, Clients: clients, Batch: batch},
-			Rotation{PeriodSeconds: p, CloneSeconds: cloneSeconds})
-	}
-	return out
-}
-
-// ConcurrencySweep evaluates the scenario across client counts — the model
-// behind the ">2× throughput under concurrency" serving claim: a single
-// connection is round-trip-bound, so adding clients raises throughput until
-// the worker pool saturates. maxParallel clamps the pool to the host's
-// usable cores (pass the measured GOMAXPROCS; 0 leaves the pool unclamped):
-// predictions are only comparable to a measurement when both ran at the
-// same effective parallelism.
-func ConcurrencySweep(base Scenario, workers, maxParallel, batch int, clients []int) []ServingEstimate {
-	out := make([]ServingEstimate, len(clients))
-	for i, c := range clients {
-		out[i] = EstimateServing(ServingScenario{
-			Base: base, Workers: workers, Clients: c, Batch: batch, EffectiveParallel: maxParallel})
-	}
-	return out
-}
-
-// BatchingSweep evaluates the scenario across request batch sizes: batching
-// amortizes the per-round-trip RTT over more images, raising image
-// throughput even at fixed concurrency.
-func BatchingSweep(base Scenario, workers, clients int, batches []int) []ServingEstimate {
-	out := make([]ServingEstimate, len(batches))
-	for i, b := range batches {
-		out[i] = EstimateServing(ServingScenario{Base: base, Workers: workers, Clients: clients, Batch: b})
-	}
-	return out
-}
-
-// ConcurrencySpeedup returns the predicted throughput ratio between clients
-// concurrent connections and a single connection at the same batch size,
-// with the pool clamped to maxParallel usable cores (0 = unclamped). At
-// maxParallel=1 the prediction collapses toward 1× — the regime the
-// GOMAXPROCS=1 bench of BENCH_2026-07-30 actually measured.
-func ConcurrencySpeedup(base Scenario, workers, maxParallel, batch, clients int) float64 {
-	one := EstimateServing(ServingScenario{
-		Base: base, Workers: workers, Clients: 1, Batch: batch, EffectiveParallel: maxParallel})
-	many := EstimateServing(ServingScenario{
-		Base: base, Workers: workers, Clients: clients, Batch: batch, EffectiveParallel: maxParallel})
-	return many.ThroughputRPS / one.ThroughputRPS
 }

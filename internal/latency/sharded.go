@@ -105,25 +105,3 @@ func EstimateShardedServing(sc ShardedScenario) ServingEstimate {
 		Utilization:    x * maxServer / float64(sc.Workers),
 	}
 }
-
-// ShardSweep evaluates the scenario across fleet sizes — the capacity-
-// planning question the -shard flag asks: how many shards before the
-// gather is client- or uplink-bound rather than server-bound?
-func ShardSweep(base Scenario, workers, clients, batch int, shards []int) []ServingEstimate {
-	out := make([]ServingEstimate, len(shards))
-	for i, k := range shards {
-		out[i] = EstimateShardedServing(ShardedScenario{
-			Base: base, Shards: k, Workers: workers, Clients: clients, Batch: batch,
-		})
-	}
-	return out
-}
-
-// ShardedSpeedup returns the predicted throughput ratio of a K-shard fleet
-// over the monolithic single-server deployment at the same per-process
-// worker count, client count, and batch size.
-func ShardedSpeedup(base Scenario, workers, clients, batch, k int) float64 {
-	mono := EstimateServing(ServingScenario{Base: base, Workers: workers, Clients: clients, Batch: batch})
-	fleet := EstimateShardedServing(ShardedScenario{Base: base, Shards: k, Workers: workers, Clients: clients, Batch: batch})
-	return fleet.ThroughputRPS / mono.ThroughputRPS
-}

@@ -72,8 +72,9 @@ func TestShardedThroughputGatedBySlowestShard(t *testing.T) {
 		t.Errorf("server-bound fleet throughput must grow with K: K=5 %.3f vs K=2 %.3f",
 			est5.ThroughputRPS, est2.ThroughputRPS)
 	}
-	if s := ShardedSpeedup(base, 1, 64, 1, 5); s <= 1 {
-		t.Errorf("K=5 speedup over the monolith should exceed 1, got %.3f", s)
+	mono := EstimateServing(ServingScenario{Base: base, Workers: 1, Clients: 64, Batch: 1})
+	if est5.ThroughputRPS <= mono.ThroughputRPS {
+		t.Errorf("K=5 fleet should out-serve the monolith: %.3f vs %.3f", est5.ThroughputRPS, mono.ThroughputRPS)
 	}
 	if est2.Utilization <= 0 || est2.Utilization > 1+1e-9 {
 		t.Errorf("utilization out of range: %v", est2.Utilization)
@@ -81,11 +82,8 @@ func TestShardedThroughputGatedBySlowestShard(t *testing.T) {
 }
 
 func TestShardSweepShapes(t *testing.T) {
-	ests := ShardSweep(shardedBase(), 2, 16, 4, []int{1, 2, 10})
-	if len(ests) != 3 {
-		t.Fatalf("sweep returned %d estimates", len(ests))
-	}
-	for _, e := range ests {
+	for _, k := range []int{1, 2, 10} {
+		e := EstimateShardedServing(ShardedScenario{Base: shardedBase(), Shards: k, Workers: 2, Clients: 16, Batch: 4})
 		if e.RequestSeconds <= 0 || e.ThroughputRPS <= 0 || e.ThroughputIPS != 4*e.ThroughputRPS {
 			t.Errorf("degenerate estimate %+v", e)
 		}

@@ -30,9 +30,9 @@ var kernelWorkers atomic.Int32
 // ConvForward, …) may fan out across; n <= 0 restores the GOMAXPROCS
 // default. Serving processes whose comm worker pool already saturates the
 // cores set this to 1 so kernels never nest a second level of parallelism
-// under the pool — the oversubscription behind the measured 0.94× concurrent
-// "speedup" of BENCH_2026-07-30. The *Into kernels are always serial and
-// ignore this knob.
+// under the pool — the oversubscription behind a once-measured 0.94×
+// concurrent "speedup". The *Into kernels are always serial and ignore this
+// knob.
 func SetKernelParallelism(n int) {
 	if n < 0 {
 		n = 0

@@ -574,7 +574,7 @@ type StageStat struct {
 }
 
 // StageStats summarizes every stage that observed at least one span —
-// what ensembler-bench prints as the stage-attribution table.
+// what the admin plane's /traces endpoint reports per stage.
 func (t *Tracer) StageStats() []StageStat {
 	if t == nil {
 		return nil
