@@ -198,7 +198,6 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Opens         uint64 `json:"breaker_opens,omitempty"`
 			Requests      uint64 `json:"requests"`
 			Failures      uint64 `json:"failures,omitempty"`
-			Hedged        uint64 `json:"hedged,omitempty"`
 			ShortCircuits uint64 `json:"short_circuits,omitempty"`
 			LastErr       string `json:"last_err,omitempty"`
 		}
@@ -213,7 +212,7 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				Shard: i + 1, Addr: h.Addr, Bodies: h.Bodies.String(),
 				Breaker: h.Breaker.String(), ConsecFails: h.ConsecutiveFailures,
 				ReopenInMs: h.ReopenIn.Milliseconds(), Opens: h.BreakerOpens,
-				Requests: h.Requests, Failures: h.Failures, Hedged: h.Hedged,
+				Requests: h.Requests, Failures: h.Failures,
 				ShortCircuits: h.ShortCircuits, LastErr: h.LastErr,
 			})
 		}

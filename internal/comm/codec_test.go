@@ -362,10 +362,18 @@ func TestDecodeWireStreamBothProtocols(t *testing.T) {
 // at steady state. A regression here shows up in CI instead of in a GC
 // profile under load.
 func TestServerComputeLoopZeroAllocs(t *testing.T) {
-	const nBodies = 3
 	// workers > 1 selects the serial per-body loop, the production shape of
-	// a multi-core server.
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
+	// a multi-core server; a single worker fans the bodies out instead.
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testServerComputeLoopZeroAllocs(t, workers)
+		})
+	}
+}
+
+func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
+	const nBodies = 3
+	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
 	body, err := appendRequest(nil, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false, trace.Context{})
 	if err != nil {
@@ -413,9 +421,16 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 // isolation — binary decode, resolve, replica lookup, every body pass,
 // response copy-out, binary encode — and reports its allocation count,
 // which must be 0 at steady state (pinned by TestServerComputeLoopZeroAllocs).
-func BenchmarkServeRequestLoop(b *testing.B) {
+func BenchmarkServeRequestLoop(b *testing.B) { benchServeRequestLoop(b, 2) }
+
+// BenchmarkServeRequestLoopFanout is the same loop on a single-worker
+// server, whose bodies fan out across goroutines: it must hold 0 allocs/op
+// too.
+func BenchmarkServeRequestLoopFanout(b *testing.B) { benchServeRequestLoop(b, 1) }
+
+func benchServeRequestLoop(b *testing.B, workers int) {
 	const nBodies = 4
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
+	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
 	body, err := appendRequest(nil, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false, trace.Context{})
 	if err != nil {

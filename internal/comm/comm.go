@@ -5,14 +5,16 @@
 // deployment form of Fig. 1/Fig. 2: the selection indices never appear on
 // the wire, which is precisely what the defense relies on.
 //
-// The serving path is concurrent end to end. The server accepts many
-// simultaneous connections, pipelines requests per connection, and dispatches
-// them to a bounded worker pool; within one request the N body passes fan out
-// across goroutines and join before the reply. Because every layer caches its
-// forward activations (see package nn), a body network is safe for one
-// goroutine at a time only — each worker therefore owns a private replica of
-// the bodies (WithReplicas), and per-body fan-out is safe because the N
-// bodies of one replica set are distinct networks.
+// The serving path is concurrent end to end, at exactly one level. The server
+// accepts many simultaneous connections, pipelines requests per connection,
+// and dispatches them to a bounded worker pool. A multi-worker pool is the
+// parallelism: each worker runs its request's N body passes serially. A
+// single-worker server fans the N body passes of each request out across
+// goroutines instead, joining them before the reply. Because every layer
+// caches its forward activations (see package nn), a body network is safe
+// for one goroutine at a time only — each worker therefore owns a private
+// replica of the bodies (WithReplicas), and per-body fan-out is safe because
+// the N bodies of one replica set are distinct networks.
 //
 // One round trip can carry a whole batch: a Request either holds a single
 // [B,C,H,W] feature tensor or a list of them (InferBatch), which the server

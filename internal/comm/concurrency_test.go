@@ -485,6 +485,54 @@ func TestMalformedTensorsDoNotKillServer(t *testing.T) {
 	}
 }
 
+// TestFanoutPanicInLaterBodyClearsForNextRequest: on a single-worker server
+// the bodies fan out across goroutines, and a request that panics only in
+// bodies other than body 0 must fail alone — the next, healthy request on
+// the same connection is answered bit-exactly, not with a stale panic.
+func TestFanoutPanicInLaterBodyClearsForNextRequest(t *testing.T) {
+	// Body 0 takes any channel count; bodies 1 and 2 want tiny.HeadC.
+	bodies := func() []*nn.Network {
+		return append([]*nn.Network{nn.NewNetwork("any", nn.NewReLU())}, commtest.Bodies(tiny, 3)[1:]...)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	srv := comm.NewServer(bodies())
+	if srv.Workers() != 1 {
+		t.Fatalf("workers = %d, want the single-worker fan-out", srv.Workers())
+	}
+	go srv.Serve(context.Background(), ln)
+
+	client, err := comm.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	ctx := context.Background()
+	x := commtest.Input(tiny, 67, 1)
+	ref := bodies()
+	for round := 0; round < 2; round++ {
+		wrong := tensor.New(1, tiny.HeadC+3, tiny.H, tiny.W)
+		if _, _, err := client.Exchange(ctx, wrong); err == nil {
+			t.Fatalf("round %d: a request bodies 1 and 2 cannot take was answered", round)
+		}
+		ex, _, err := client.Exchange(ctx, x)
+		if err != nil {
+			t.Fatalf("round %d: healthy request after a body panic failed: %v", round, err)
+		}
+		if len(ex.Features) != len(ref) {
+			t.Fatalf("round %d: %d feature tensors, want %d", round, len(ex.Features), len(ref))
+		}
+		for i, b := range ref {
+			if want := b.Forward(x, false); !ex.Features[i].AllClose(want, 0) {
+				t.Errorf("round %d: body %d features are not bit-exact", round, i)
+			}
+		}
+	}
+}
+
 // TestPoolRecoversFromBrokenConnections pins the waiter-wakeup path: when
 // every connection breaks while other callers are queued at capacity, the
 // queued callers must wake up and redial instead of hanging forever.

@@ -363,12 +363,29 @@ type bodySet[T tensor.Float] struct {
 	scratches []*nn.Scratch[T]
 	outs      []*tensor.Dense[T] // reusable per-body output list, valid until the next forward
 	stack     tensor.Arena[T]    // backs a coalesced pass's stacked input
+
+	// The single-worker fan-out's state (see forwardParallel), built with the
+	// set so a fanned-out pass allocates nothing: x is the pass's input,
+	// tasks[i-1] runs body i ≥ 1 and joins on wg, and panics[i] holds what
+	// body i's pass panicked with.
+	x      *tensor.Dense[T]
+	tasks  []func()
+	panics []any
+	wg     sync.WaitGroup
 }
 
 func newBodySet[T tensor.Float](nets []inferer[T]) *bodySet[T] {
-	bs := &bodySet[T]{nets: nets, scratches: make([]*nn.Scratch[T], len(nets))}
+	n := len(nets)
+	bs := &bodySet[T]{nets: nets, scratches: make([]*nn.Scratch[T], n),
+		outs: make([]*tensor.Dense[T], 0, n), panics: make([]any, n)}
 	for i := range bs.scratches {
 		bs.scratches[i] = &nn.Scratch[T]{}
+		if i > 0 {
+			bs.tasks = append(bs.tasks, func() {
+				defer bs.wg.Done()
+				bs.run(i)
+			})
+		}
 	}
 	return bs
 }
@@ -387,12 +404,9 @@ func bodiesOf[T tensor.Float](wr *workerReplica) *bodySet[T] { return wr.run.(*b
 // With a multi-worker pool the bodies run serially — the pool is the one
 // level of parallelism, and N workers × serial bodies keeps every core on
 // dedicated cache-resident work instead of oversubscribing N×bodies
-// goroutines. A single-worker server keeps the historical per-body fan-out
-// (it is the only parallelism available).
+// goroutines. A single-worker server fans the bodies out instead: its pool
+// has no parallelism to offer, and ForwardInfer's kernels are serial.
 func (bs *bodySet[T]) forward(workers int, x *tensor.Dense[T]) []*tensor.Dense[T] {
-	// The serial path must not share a local with the goroutine-spawning
-	// branch: a closure-captured slice header is heap-moved on every call,
-	// which is exactly the allocation this loop exists to avoid.
 	if workers > 1 || len(bs.nets) == 1 {
 		outs := bs.outs[:0]
 		for i, b := range bs.nets {
@@ -406,36 +420,44 @@ func (bs *bodySet[T]) forward(workers int, x *tensor.Dense[T]) []*tensor.Dense[T
 	return bs.forwardParallel(x)
 }
 
-// forwardParallel is the single-worker server's per-body fan-out. A panic in
-// any body's goroutine is re-raised on the calling goroutine for processWith
-// to absorb.
+// forwardParallel is the single-worker server's per-body fan-out: body 0 runs
+// on the calling goroutine, every other body on a goroutine started from its
+// prebuilt task (a go statement over a stored no-argument func allocates
+// nothing). Once all have joined, every panic slot is cleared — a stale one
+// would fail the next, healthy pass — and the first panic is re-raised on
+// the calling goroutine for processWith to absorb.
 func (bs *bodySet[T]) forwardParallel(x *tensor.Dense[T]) []*tensor.Dense[T] {
-	outs := bs.outs[:0]
-	for range bs.nets {
-		outs = append(outs, nil)
+	bs.x = x
+	bs.outs = bs.outs[:len(bs.nets)]
+	bs.wg.Add(len(bs.tasks))
+	for _, task := range bs.tasks {
+		go task()
 	}
-	bs.outs = outs
-	panics := make(chan any, len(bs.nets))
-	var wg sync.WaitGroup
-	for i, b := range bs.nets {
-		wg.Add(1)
-		go func(i int, b inferer[T]) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics <- r
-				}
-			}()
-			sc := bs.scratches[i]
-			sc.Reset()
-			outs[i] = b.ForwardInfer(x, sc)
-		}(i, b)
+	bs.run(0)
+	bs.wg.Wait()
+	bs.x = nil
+	var first any
+	for i, r := range bs.panics {
+		if first == nil {
+			first = r
+		}
+		bs.panics[i] = nil
 	}
-	wg.Wait()
-	select {
-	case r := <-panics:
-		panic(r)
-	default:
+	if first != nil {
+		panic(first)
 	}
-	return outs
+	return bs.outs
+}
+
+// run is body i's share of a fanned-out pass, recording a panic in its slot
+// so that the pass still joins every body before re-raising it.
+func (bs *bodySet[T]) run(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			bs.panics[i] = r
+		}
+	}()
+	sc := bs.scratches[i]
+	sc.Reset()
+	bs.outs[i] = bs.nets[i].ForwardInfer(bs.x, sc)
 }

@@ -89,9 +89,10 @@ func WithWorkers(n int) ServerOption {
 // (tensor.SetKernelParallelism(1)) — nesting them under the pool only
 // oversubscribes the cores the pool already saturates (8 connections once
 // measured 0.94× of one that way). A single-worker
-// pool leaves the kernels free to parallelize, since they are then the only
-// parallelism available. The knob is process-global: serving binaries call
-// this once at startup; harnesses that later run training in the same
+// pool leaves the knob alone: ForwardInfer runs only the serial *Into
+// kernels, which ignore it, and such a server's parallelism is its per-body
+// fan-out (see bodySet.forward). The knob is process-global: serving binaries
+// call this once at startup; harnesses that later run training in the same
 // process restore with tensor.SetKernelParallelism(0).
 func PinKernelParallelism(workers int) {
 	if workers > 1 {
@@ -301,8 +302,9 @@ func (m *staticModel) NewReplica() []*nn.Network {
 }
 
 // NewServer creates a single-model server over the given bodies. Without
-// options it behaves like a single-worker pool: one request computes at a
-// time, with the per-body passes still fanned out across goroutines.
+// WithReplicas it runs a single worker: one request computes at a time, its
+// per-body passes fanned out across goroutines — that fan-out, not the
+// kernels, is then the server's only parallelism.
 func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
 	if len(bodies) == 0 {
 		panic("comm: server needs at least one body")

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ensembler/internal/nn"
 )
@@ -32,10 +33,15 @@ type BodyCounter interface {
 }
 
 // subsetProvider restricts every model resolved through the inner provider
-// to the body range [lo, hi).
+// to the body range [lo, hi). last caches the most recent restriction, which
+// Resolve hands out again for as long as the inner provider resolves to the
+// same model (compared with ==, so the inner models must be of comparable
+// types — every provider here returns pointers): a shard's steady state (one
+// epoch, resolved per request) then allocates nothing.
 type subsetProvider struct {
 	inner  ModelProvider
 	lo, hi int
+	last   atomic.Pointer[subsetModel]
 }
 
 // NewSubsetProvider wraps a provider so every resolved model serves only
@@ -58,11 +64,16 @@ func (sp *subsetProvider) Resolve(model string, version int) (ServedModel, error
 	if err != nil {
 		return nil, err
 	}
+	if last := sp.last.Load(); last != nil && last.ServedModel == m {
+		return last, nil
+	}
 	if bc, ok := m.(BodyCounter); ok && sp.hi > bc.NumBodies() {
 		return nil, fmt.Errorf("comm: model %q v%d has %d bodies, shard wants [%d,%d) — was the fleet planned for a different N?",
 			m.Name(), m.Version(), bc.NumBodies(), sp.lo, sp.hi)
 	}
-	return &subsetModel{ServedModel: m, lo: sp.lo, hi: sp.hi}, nil
+	sm := &subsetModel{ServedModel: m, lo: sp.lo, hi: sp.hi}
+	sp.last.Store(sm)
+	return sm, nil
 }
 
 // subsetModel narrows one resolved model to the shard's body range. Name,

@@ -344,3 +344,86 @@ func TestPoolReconfigureMidTraffic(t *testing.T) {
 		t.Errorf("reconfigure dropped %d requests, want 0", n)
 	}
 }
+
+// TestSubsetProviderCachesPerEpoch pins the shard server's per-request
+// resolve: within one epoch the subset provider hands out one cached
+// restriction (no allocation per request), and the first resolve after a
+// publish or a selector rotation hands out a fresh one carrying the new
+// epoch's identity — so worker replica caches swap on the same trigger as a
+// monolith's. Concurrent resolves race the swaps under -race.
+func TestSubsetProviderCachesPerEpoch(t *testing.T) {
+	reg := registry.New(nil)
+	if _, err := reg.Publish("m", commtest.Pipeline(tiny, 4, 2, 81)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := comm.NewSubsetProvider(reg, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func() comm.ServedModel {
+		m, err := p.Resolve("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	prev := resolve()
+	if again := resolve(); again != prev {
+		t.Error("two resolves of one epoch built two subset models")
+	}
+
+	swaps := []func() (*registry.Epoch, error){
+		func() (*registry.Epoch, error) { return reg.Publish("m", commtest.Pipeline(tiny, 4, 2, 82)) },
+		func() (*registry.Epoch, error) { return reg.RotateSelector("m", ensemble.RotateOptions{Seed: 83}) },
+	}
+	for i, swap := range swaps {
+		ep, err := swap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := resolve()
+		if m == prev {
+			t.Errorf("swap %d: the subset model of the retired epoch was handed out again", i)
+		}
+		if m.Seq() != ep.Seq() || m.Version() != ep.Version() || m.Name() != ep.Name() {
+			t.Errorf("swap %d: resolved %s v%d seq %d, want %s v%d seq %d",
+				i, m.Name(), m.Version(), m.Seq(), ep.Name(), ep.Version(), ep.Seq())
+		}
+		if again := resolve(); again != m {
+			t.Errorf("swap %d: two resolves of the new epoch built two subset models", i)
+		}
+		prev = m
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				m, err := p.Resolve("", 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := len(m.NewReplica()); i%50 == 0 && got != 2 {
+					t.Errorf("subset replica has %d bodies, want 2", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := reg.RotateSelector("m", ensemble.RotateOptions{Seed: int64(90 + i)}); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	cur, err := reg.Current("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := resolve(); m.Seq() != cur.Seq() {
+		t.Errorf("after the concurrent rotations resolved seq %d, want the current %d", m.Seq(), cur.Seq())
+	}
+}

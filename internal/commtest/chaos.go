@@ -195,8 +195,8 @@ func RunChaos(cfg ChaosConfig, traffic func(worker int) error) ChaosReport {
 // LeakCheck snapshots the goroutine count and registers a cleanup that
 // fails the test if the count has not settled back near the snapshot after
 // the test's own cleanups ran (call it FIRST, before starting servers, so
-// its cleanup runs LAST). Stragglers get a grace period — hedge legs and
-// retry backoffs drain on their own schedule.
+// its cleanup runs LAST). Stragglers get a grace period — connection
+// handlers and retry backoffs drain on their own schedule.
 func LeakCheck(t testing.TB) {
 	t.Helper()
 	before := runtime.NumGoroutine()

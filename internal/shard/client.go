@@ -79,11 +79,6 @@ type Config struct {
 	// disables retries). The pool discards broken connections, so a retry
 	// dials fresh.
 	Retries int
-	// HedgeAfter, when positive, launches a second request on another
-	// pooled connection to the same shard if the first has not answered
-	// within this duration — straggler insurance; first answer wins, the
-	// loser is cancelled.
-	HedgeAfter time.Duration
 	// DownAfter is the circuit-breaker threshold: this many consecutive
 	// failures open a shard's circuit (default 3). An open circuit
 	// short-circuits requests to the shard — no dial, no retry storm — and
@@ -106,7 +101,7 @@ type Config struct {
 	// tests replay exact reopen schedules. 0 means seed 1.
 	BreakerSeed int64
 	// Tracer, when set, makes every Infer a root trace leg: head compute,
-	// per-shard scatter round trips (hedges and retries marked), and
+	// per-shard scatter round trips (retries marked), and
 	// select+tail each become spans, and the minted trace ID rides every
 	// shard exchange on the wire so the shard servers' own legs stitch
 	// under the same trace (see internal/trace).
@@ -122,7 +117,7 @@ type Health struct {
 	Breaker             BreakerState
 	Requests            uint64
 	Failures            uint64
-	Hedged              uint64
+	Hedged              uint64 // always 0: the client does not hedge; kept for existing readers
 	ShortCircuits       uint64 // requests answered by an open circuit, no wire traffic
 	BreakerOpens        uint64 // closed/half-open → open transitions
 	ReopenIn            time.Duration
@@ -140,16 +135,13 @@ type shardHealth struct {
 	mu            sync.Mutex
 	requests      uint64
 	failures      uint64
-	hedged        uint64
 	shortCircuits uint64
 	lastErr       string
 	br            *breaker
 }
 
-// succeed records one successful exchange — regardless of which leg won it:
-// a hedge-leg success closes the circuit and clears the failure streak
-// exactly like a primary-leg success (TestHedgeLegSuccessResetsBreaker pins
-// this).
+// succeed records one successful exchange: it closes the circuit and clears
+// the failure streak.
 func (h *shardHealth) succeed() {
 	h.mu.Lock()
 	h.requests++
@@ -167,12 +159,6 @@ func (h *shardHealth) fail(err error) {
 	}
 	h.mu.Unlock()
 	h.br.recordFailure(time.Now())
-}
-
-func (h *shardHealth) hedge() {
-	h.mu.Lock()
-	h.hedged++
-	h.mu.Unlock()
 }
 
 func (h *shardHealth) shortCircuit() {
@@ -194,16 +180,24 @@ type taggedRuntime struct {
 	legs     []gathered          // one per shard
 	features []*tensor.Tensor    // the N bodies' features in body order
 	tail     nn.Scratch[float64] // the tail pass
-	wg       sync.WaitGroup      // joins the scatter
+
+	// The scatter, built with the runtime so a request's fan-out allocates
+	// nothing: scatter[k-1] runs shard k ≥ 1's leg on a goroutine of its own
+	// (shard 0's runs on the caller's) and joins on wg. The legs read the
+	// request from ctx, feats and tc, which Infer clears after the join.
+	scatter []func()
+	wg      sync.WaitGroup
+	ctx     context.Context
+	feats   *tensor.Tensor
+	tc      trace.Context
 }
 
 // gathered is one shard's share of a request.
 type gathered struct {
-	slot   comm.Exchanged  // what an un-hedged exchange decodes into
-	res    *comm.Exchanged // the answer: slot, or a hedged leg's own
-	timing comm.Timing
-	stats  exchangeStats
-	err    error
+	res     comm.Exchanged // the shard's answer, decoded in place
+	timing  comm.Timing
+	retries int // attempts beyond the first, marked in the trace after the join
+	err     error
 }
 
 // Client is the scatter-gather runtime over a sharded fleet: one connection
@@ -319,7 +313,6 @@ func (c *Client) Health() []Health {
 			Breaker:             state,
 			Requests:            h.requests,
 			Failures:            h.failures,
-			Hedged:              h.hedged,
 			ShortCircuits:       h.shortCircuits,
 			BreakerOpens:        opens,
 			ReopenIn:            reopenIn,
@@ -375,8 +368,15 @@ func (c *Client) acquireRuntime() (*taggedRuntime, error) {
 	if rt == nil || rt.Features == nil || rt.Select == nil || rt.Tail == nil {
 		return nil, fmt.Errorf("shard: runtime factory returned an incompletely wired runtime")
 	}
-	return &taggedRuntime{rt: rt, epoch: epoch,
-		legs: make([]gathered, len(c.pools)), features: make([]*tensor.Tensor, c.cfg.N)}, nil
+	tg := &taggedRuntime{rt: rt, epoch: epoch,
+		legs: make([]gathered, len(c.pools)), features: make([]*tensor.Tensor, c.cfg.N)}
+	for k := 1; k < len(c.pools); k++ {
+		tg.scatter = append(tg.scatter, func() {
+			defer tg.wg.Done()
+			c.leg(tg, k)
+		})
+	}
+	return tg, nil
 }
 
 func (c *Client) releaseRuntime(rt *taggedRuntime) {
@@ -393,19 +393,27 @@ func (c *Client) releaseRuntime(rt *taggedRuntime) {
 // locally. The round-trip component of the returned timing is the
 // wall-clock of the slowest shard (the fan-out is concurrent); byte counts
 // sum over shards.
-func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Tensor, t comm.Timing, err error) {
+func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, comm.Timing, error) {
 	tagged, err := c.acquireRuntime()
 	if err != nil {
-		return nil, t, err
+		return nil, comm.Timing{}, err
 	}
-	defer c.releaseRuntime(tagged)
+	logits, t, err := c.infer(ctx, tagged, x)
+	// Not deferred: a request that panics (an armed panic fault on shard 0's
+	// leg, which runs on this goroutine) must not recycle a runtime whose
+	// other legs may still be in flight.
+	c.releaseRuntime(tagged)
+	return logits, t, err
+}
+
+func (c *Client) infer(ctx context.Context, tagged *taggedRuntime, x *tensor.Tensor) (logits *tensor.Tensor, t comm.Timing, err error) {
 	rt := tagged.rt
 
 	// This is the root leg of the trace: the ID minted here rides every
 	// shard exchange, and the retention coin is flipped once so all legs
 	// retain (or not) together. Only this goroutine touches act — the
-	// per-shard goroutines report through their results/stats slots and the
-	// scatter spans are recorded after the join.
+	// per-shard legs report through their gathered slots and the scatter
+	// spans are recorded after the join.
 	tr := c.cfg.Tracer
 	var act *trace.Active
 	var tc trace.Context
@@ -420,24 +428,22 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 
 	start := time.Now()
 	feats := rt.Features(x)
-	if c.cfg.HedgeAfter > 0 {
-		// A hedged exchange returns with its losing leg un-joined, possibly
-		// still encoding: that leg must not be reading runtime storage the
-		// next request overwrites.
-		feats = feats.Clone()
-	}
 	t.Client = time.Since(start)
 	tr.SpanArg(act, trace.StageClient, 0, start, t.Client)
 
+	// Shard 0's leg runs here, the others on the runtime's scatter closures.
+	// wg.Wait returns only once every leg is off the wire, so no leg outlives
+	// this call reading feats (runtime storage) or writing the gather.
 	netStart := time.Now()
 	legs := tagged.legs
-	tagged.wg.Add(len(legs))
-	for k := range legs {
-		// A method call, not a closure: captured, feats and tc would each
-		// move to the heap.
-		go c.scatter(ctx, tagged, k, feats, tc)
+	tagged.ctx, tagged.feats, tagged.tc = ctx, feats, tc
+	tagged.wg.Add(len(tagged.scatter))
+	for _, leg := range tagged.scatter {
+		go leg()
 	}
+	c.leg(tagged, 0)
 	tagged.wg.Wait()
+	tagged.ctx, tagged.feats, tagged.tc = nil, nil, trace.Context{}
 	t.RoundTrip = time.Since(netStart)
 	for k := range legs {
 		t.BytesUp += legs[k].timing.BytesUp
@@ -445,16 +451,12 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 	}
 	if tr != nil {
 		// One scatter span per shard (Arg = shard index; duration is that
-		// shard's cumulative round-trip time, retries included), plus
-		// zero-length marker spans for every retry and hedge — visible in
-		// the timeline exactly where the straggler insurance fired.
+		// shard's cumulative round-trip time, retries included), plus a
+		// zero-length marker span for every retry.
 		for k := range legs {
 			tr.SpanArg(act, trace.StageScatter, int32(k), netStart, legs[k].timing.RoundTrip)
-			for r := 0; r < legs[k].stats.retries; r++ {
+			for r := 0; r < legs[k].retries; r++ {
 				tr.SpanArg(act, trace.StageRetry, int32(k), netStart, 0)
-			}
-			if legs[k].stats.hedged {
-				tr.SpanArg(act, trace.StageHedge, int32(k), netStart, 0)
 			}
 		}
 	}
@@ -478,7 +480,7 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 			epochK = k
 			continue
 		}
-		first, res := legs[epochK].res, legs[k].res
+		first, res := &legs[epochK].res, &legs[k].res
 		if res.Model != first.Model || res.Version != first.Version {
 			return nil, t, fmt.Errorf("shard: selected bodies answered from mixed epochs (%s v%d at shard %d vs %s v%d at shard %d) — mid-reload, retry",
 				first.Model, first.Version, epochK, res.Model, res.Version, k)
@@ -509,12 +511,11 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (logits *tensor.Te
 	return logits, t, err
 }
 
-// scatter is one shard's goroutine of a request's fan-out: it fills the
-// shard's slot of the gather and reports to the join.
-func (c *Client) scatter(ctx context.Context, tg *taggedRuntime, k int, feats *tensor.Tensor, tc trace.Context) {
-	defer tg.wg.Done()
-	leg := &tg.legs[k]
-	leg.res, leg.timing, leg.stats, leg.err = c.exchange(ctx, k, feats, tc, &leg.slot)
+// leg is shard k's share of tg's in-flight request: it fills the shard's
+// slot of the gather.
+func (c *Client) leg(tg *taggedRuntime, k int) {
+	l := &tg.legs[k]
+	l.timing, l.retries, l.err = c.exchange(tg.ctx, k, tg.feats, tg.tc, &l.res)
 }
 
 // selectionNeeds reports whether any selected body index falls in the
@@ -545,25 +546,18 @@ func (tg *taggedRuntime) finish(features []*tensor.Tensor) (logits *tensor.Tenso
 	return tg.rt.Tail.ForwardInfer(tg.rt.Select(features), &tg.tail).Clone(), nil
 }
 
-// exchangeStats reports what straggler insurance an exchange consumed, so
-// Infer can record retry/hedge marker spans after the scatter-gather joins
-// (the per-shard goroutines must not touch the shared trace.Active).
-type exchangeStats struct {
-	retries int  // attempts beyond the first
-	hedged  bool // a hedge request was launched on some attempt
-}
-
 // exchange runs the feature round trip against one shard with the
-// configured retry and hedging policy, updating the shard's circuit
-// breaker. An open circuit short-circuits without touching the wire; a
-// half-open one admits this request as the single recovery probe. The trace
-// context (if any) rides every attempt, stitching the shard server's leg
-// into the caller's trace. slot is the request's own decode target for this
-// shard (see exchangeOnce for when it is used).
-func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context, slot *comm.Exchanged) (*comm.Exchanged, comm.Timing, exchangeStats, error) {
+// configured retry policy, decoding the answer into res and updating the
+// shard's circuit breaker; it reports the attempts beyond the first, which
+// Infer marks in the trace after the join (the legs must not touch the shared
+// trace.Active). An open circuit short-circuits without touching the wire; a
+// half-open one admits this request as the single recovery probe. Every
+// attempt passes the shard's exchange fault site first, and the trace context
+// (if any) rides it, stitching the shard server's leg into the caller's trace.
+func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context, res *comm.Exchanged) (comm.Timing, int, error) {
 	h := c.health[k]
 	var total comm.Timing
-	var st exchangeStats
+	retries := 0
 	admit, probe := h.br.allow(time.Now())
 	if !admit {
 		// Short-circuit: no dial, no retries, a constant-cost refusal. The
@@ -572,13 +566,12 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 		// independent, and Infer's graceful degradation decides whether the
 		// missing features matter.
 		h.shortCircuit()
-		return nil, total, st, fmt.Errorf("shard: shard %d (%s): %w", k, c.cfg.Addrs[k], ErrBreakerOpen)
+		return total, retries, fmt.Errorf("shard: shard %d (%s): %w", k, c.cfg.Addrs[k], ErrBreakerOpen)
 	}
 	attempts := 1 + c.cfg.Retries
 	if probe {
-		// The half-open probe is a single bounded attempt with no hedging:
-		// its verdict alone decides whether the circuit closes or reopens
-		// with doubled backoff.
+		// The half-open probe is a single bounded attempt: its verdict alone
+		// decides whether the circuit closes or reopens with doubled backoff.
 		attempts = 1
 	}
 	var lastErr error
@@ -588,7 +581,7 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 			break
 		}
 		if a > 0 {
-			st.retries++
+			retries++
 		}
 		attemptCtx := ctx
 		if probe {
@@ -598,8 +591,11 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 			attemptCtx, cancel = context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 			defer cancel()
 		}
-		res, t, hedged, err := c.exchangeOnce(attemptCtx, k, feats, probe, tc, slot)
-		st.hedged = st.hedged || hedged
+		var t comm.Timing
+		err := c.fps[k].Inject()
+		if err == nil {
+			t, err = c.pools[k].ExchangeTraced(attemptCtx, feats, tc, res)
+		}
 		total.BytesUp += t.BytesUp
 		total.BytesDown += t.BytesDown
 		total.RoundTrip += t.RoundTrip
@@ -613,7 +609,7 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 		}
 		if err == nil {
 			h.succeed()
-			return res, total, st, nil
+			return total, retries, nil
 		}
 		lastErr = err
 	}
@@ -627,62 +623,5 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 	} else if probe {
 		h.br.releaseProbe()
 	}
-	return nil, total, st, lastErr
-}
-
-// exchangeOnce performs a single (possibly hedged) exchange with shard k,
-// reporting whether a hedge request was launched. Each attempt leg —
-// primary and hedge alike — passes the shard's exchange fault site first.
-// An un-hedged exchange has returned from the wire when this returns, so it
-// decodes into the request's slot; a hedged one leaves its losing leg behind,
-// perhaps still parsing, so every hedged leg decodes into storage of its own.
-func (c *Client) exchangeOnce(ctx context.Context, k int, feats *tensor.Tensor, probe bool, tc trace.Context, slot *comm.Exchanged) (*comm.Exchanged, comm.Timing, bool, error) {
-	pool := c.pools[k]
-	if c.cfg.HedgeAfter <= 0 || probe {
-		if err := c.fps[k].Inject(); err != nil {
-			return nil, comm.Timing{}, false, err
-		}
-		t, err := pool.ExchangeTraced(ctx, feats, tc, slot)
-		return slot, t, false, err
-	}
-	type result struct {
-		feats *comm.Exchanged
-		t     comm.Timing
-		err   error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel() // aborts the losing request; its broken conn is discarded by the pool
-	ch := make(chan result, 2)
-	launch := func() {
-		if err := c.fps[k].Inject(); err != nil {
-			ch <- result{nil, comm.Timing{}, err}
-			return
-		}
-		ex := new(comm.Exchanged)
-		t, err := pool.ExchangeTraced(hctx, feats, tc, ex)
-		ch <- result{ex, t, err}
-	}
-	go launch()
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil || outstanding == 0 {
-				return r.feats, r.t, hedged, r.err
-			}
-			// The first responder failed but a hedge is still running —
-			// wait for it rather than failing the attempt early.
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				outstanding++
-				c.health[k].hedge()
-				go launch()
-			}
-		}
-	}
+	return total, retries, lastErr
 }

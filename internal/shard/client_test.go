@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
@@ -212,39 +211,6 @@ func TestReconfigurePropagatesRotation(t *testing.T) {
 	}
 	if logits.AllClose(f.Pipeline.Predict(x), 1e-9) {
 		t.Error("rotation changed nothing — selector redraw did not propagate")
-	}
-}
-
-func TestHedgedRequestsFire(t *testing.T) {
-	f := commtest.StartShards(t, 2, 4, 2, 51)
-	cfg := f.ClientConfig()
-	cfg.HedgeAfter = time.Nanosecond // always lapsed: every exchange may hedge
-	c, err := shard.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	x := imageBatch(1, 52)
-	want := f.Pipeline.Predict(x)
-	for i := 0; i < 10; i++ {
-		logits, _, err := c.Infer(ctx, x)
-		if err != nil {
-			t.Fatalf("hedged inference failed: %v", err)
-		}
-		if !logits.AllClose(want, 1e-9) {
-			t.Fatal("hedged inference returned wrong logits")
-		}
-	}
-	hedged := uint64(0)
-	for _, h := range c.Health() {
-		hedged += h.Hedged
-		if h.Failures != 0 {
-			t.Errorf("hedging must not count as failure: %+v", h)
-		}
-	}
-	if hedged == 0 {
-		t.Error("no hedge ever fired with an always-expired hedge timer")
 	}
 }
 

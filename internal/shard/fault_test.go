@@ -12,58 +12,6 @@ import (
 	"ensembler/internal/shard"
 )
 
-// TestHedgeLegSuccessResetsBreaker pins the hedge-leg accounting: when the
-// primary leg stalls and the HEDGE leg wins the exchange, that success must
-// clear the shard's failure streak and close its circuit exactly like a
-// primary-leg success — a shard that only ever answers via hedges is a slow
-// shard, not a dead one.
-func TestHedgeLegSuccessResetsBreaker(t *testing.T) {
-	defer faultpoint.DisableAll()
-	f := commtest.StartShards(t, 2, 4, 2, 61)
-	cfg := f.ClientConfig()
-	cfg.HedgeAfter = 10 * time.Millisecond
-	cfg.Retries = -1 // one attempt per request: the streak accumulates 1:1
-	cfg.DownAfter = 3
-	c, err := shard.NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	x := imageBatch(1, 62)
-	want := f.Pipeline.Predict(x)
-
-	// Prime shard 0 with two consecutive failures — one short of the
-	// breaker threshold.
-	faultpoint.Enable("shard/exchange/0", faultpoint.Policy{Kind: faultpoint.Error, Count: 2})
-	for i := 0; i < 2; i++ {
-		c.Infer(ctx, x) // may fail if shard 0 hosts selected bodies; the streak is the point
-	}
-	if h := c.Health()[0]; h.ConsecutiveFailures != 2 || h.Breaker != shard.BreakerClosed {
-		t.Fatalf("priming: health %+v, want 2 consecutive failures with a closed breaker", h)
-	}
-
-	// Now stall only the primary leg: the delay policy triggers once, so
-	// the hedge leg (second hit on the site) runs clean and wins.
-	faultpoint.Enable("shard/exchange/0", faultpoint.Policy{
-		Kind: faultpoint.Delay, Delay: 300 * time.Millisecond, Count: 1,
-	})
-	logits, _, err := c.Infer(ctx, x)
-	if err != nil {
-		t.Fatalf("hedged inference failed: %v", err)
-	}
-	if !logits.AllClose(want, 1e-9) {
-		t.Fatal("hedged inference returned wrong logits")
-	}
-	h := c.Health()[0]
-	if h.Hedged == 0 {
-		t.Fatalf("hedge never fired: %+v", h)
-	}
-	if h.ConsecutiveFailures != 0 || h.Breaker != shard.BreakerClosed {
-		t.Fatalf("hedge-leg success did not reset the breaker: %+v", h)
-	}
-}
-
 // TestBreakerShortCircuitsAndRecovers drives the circuit end to end over a
 // live fleet: injected exchange faults on an unselected shard open its
 // circuit, further requests short-circuit without wire traffic (and still

@@ -9,8 +9,8 @@ import (
 )
 
 // RegisterMetrics exports the fleet's per-shard health into a telemetry
-// registry: one labelled series per shard for liveness, requests, failures,
-// and hedges. Everything is computed at scrape time from the same counters
+// registry: one labelled series per shard for liveness, breaker state,
+// requests, failures, and short circuits. Everything is computed at scrape time from the same counters
 // Health() snapshots, so the request path pays nothing — a scrape takes each
 // shard's health mutex briefly, which is contended once per request at most.
 //
@@ -67,13 +67,6 @@ func (c *Client) RegisterMetrics(reg *telemetry.Registry) {
 				h.mu.Lock()
 				defer h.mu.Unlock()
 				return float64(h.failures)
-			})
-		reg.CounterFunc("ensembler_shard_hedged_total",
-			"Hedge requests launched against stragglers.",
-			labels, func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				return float64(h.hedged)
 			})
 	}
 }

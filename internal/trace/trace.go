@@ -76,9 +76,6 @@ const (
 	// StageScatter is one shard's exchange round trip as the scatter-gather
 	// client measured it, retries included; Arg is the shard index.
 	StageScatter
-	// StageHedge marks a hedged duplicate launched against a straggling
-	// shard (Arg = shard index); first answer won.
-	StageHedge
 	// StageRetry marks one failed attempt that earned a retry against a
 	// shard (Arg = shard index).
 	StageRetry
@@ -88,7 +85,7 @@ const (
 
 var stageNames = [numStages]string{
 	"decode", "queue", "batch_wait", "forward", "encode",
-	"shed", "client", "scatter", "hedge", "retry",
+	"shed", "client", "scatter", "retry",
 }
 
 func (s Stage) String() string {
@@ -99,7 +96,7 @@ func (s Stage) String() string {
 }
 
 // MaxSpans bounds one leg's span storage. A monolith server leg uses ~5; a
-// scatter-gather client leg uses 2 + K + hedge/retry markers. Overflow
+// scatter-gather client leg uses 2 + K + one marker per retry. Overflow
 // increments Record.Dropped instead of allocating.
 const MaxSpans = 24
 

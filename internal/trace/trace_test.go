@@ -271,8 +271,8 @@ func TestStageString(t *testing.T) {
 	want := map[Stage]string{
 		StageDecode: "decode", StageQueue: "queue", StageBatchWait: "batch_wait",
 		StageForward: "forward", StageEncode: "encode", StageShed: "shed",
-		StageClient: "client", StageScatter: "scatter", StageHedge: "hedge",
-		StageRetry: "retry", numStages: "unknown",
+		StageClient: "client", StageScatter: "scatter", StageRetry: "retry",
+		numStages: "unknown",
 	}
 	for s, name := range want {
 		if s.String() != name {
