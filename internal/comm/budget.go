@@ -99,22 +99,25 @@ func noiseResponse(j *job) {
 // verdict's noise sigma is parked on the job for noiseResponse to apply
 // after the forward pass.
 func (s *Server) chargeJob(j *job) bool {
+	g := s.opts.guard
+	if g == nil {
+		return true
+	}
 	// Fault site: an injected charge failure refuses the request before any
 	// compute, like a ledger that cannot render a verdict — fail closed.
 	if err := fpBudget.Inject(); err != nil {
 		j.resp = Response{Err: err.Error()}
 		return false
 	}
-	g := s.opts.guard
-	if g == nil || j.account == nil {
+	if j.account == nil {
 		return true
 	}
 	_, rows := j.pay.size()
 	v := g.Charge(j.account, rows)
 	if v.Refuse {
-		// Metrics stay honest without special-casing: both serving paths run
-		// their usual record() over the refusal response (Err non-empty, so it
-		// counts as an error).
+		// Metrics stay honest without special-casing: serve records the
+		// refusal like any other answer (Err non-empty, so it counts as an
+		// error).
 		j.resp = Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
 		return false
 	}

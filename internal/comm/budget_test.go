@@ -14,7 +14,6 @@ import (
 	"ensembler/internal/nn"
 	"ensembler/internal/privacy"
 	"ensembler/internal/tensor"
-	"ensembler/internal/trace"
 )
 
 // This file pins the comm half of the privacy-budget contract: the wire
@@ -202,7 +201,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	j.noiseSigma = sigma
 	feat := tensor.New(1, n)
 	p := payloadOf[float64](j)
-	p.feats, p.served = []*tensor.Tensor{feat}, true
+	p.outputs, p.served = [][]*tensor.Tensor{{feat}}, true
 	noiseResponse(j)
 
 	var sum, sumSq float64
@@ -226,7 +225,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 		clean.Data[i] = float64(i)
 	}
 	p2 := payloadOf[float64](j2)
-	p2.feats, p2.served = []*tensor.Tensor{clean}, true
+	p2.outputs, p2.served = [][]*tensor.Tensor{{clean}}, true
 	noiseResponse(j2)
 	for i, v := range clean.Data {
 		if v != float64(i) {
@@ -242,7 +241,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	j3.noiseSigma = sigma
 	f32 := tensor.New32(1, n)
 	p3 := payloadOf[float32](j3)
-	p3.feats, p3.served = []*tensor.Tensor32{f32}, true
+	p3.outputs, p3.served = [][]*tensor.Tensor32{{f32}}, true
 	noiseResponse(j3)
 	var nonzero int
 	for _, v := range f32.Data {
@@ -282,45 +281,23 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 		return NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g),
 			WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
 	}
-	body, err := appendRequest(nil, &Request{Features: wireTensor(23, 2, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(t *testing.T, srv *Server, acct *privacy.Account, wantNoise bool) {
+	run := func(t *testing.T, g *privacy.Guard, acct *privacy.Account, wantNoise bool) {
 		t.Helper()
-		j := newJob[float64]()
-		replicas := newReplicaCache(PrecisionF64)
-		encBuf := make([]byte, 0, 1<<16)
-		cycle := func() {
-			if err := j.pay.parse(body, &j.req, nil); err != nil {
-				t.Fatal(err)
-			}
-			j.account = acct
-			resp := srv.serve(j, replicas)
-			if resp.Err != "" {
-				t.Fatal(resp.Err)
-			}
-			if wantNoise && j.noiseSigma == 0 {
-				t.Fatal("drained account served without an escalation-noise verdict")
-			}
-			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-			if e != nil {
-				t.Fatal(e)
-			}
-			j.reset()
-		}
-		cycle() // warm-up: clone replicas, size arenas and buffers
-		cycle()
-		if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		loop := newServeLoop(t, newSrv(g), 1, &Request{Features: wireTensor(23, 2, 4, 8, 8)}, false)
+		loop.account = acct
+		if allocs := loop.allocs(); allocs != 0 {
 			t.Errorf("guarded serve loop allocates %v times per request, want 0", allocs)
+		}
+		noised := g.Noised()
+		loop.cycle()
+		if wantNoise && g.Noised() != noised+1 {
+			t.Error("drained account served without an escalation-noise verdict")
 		}
 	}
 
 	t.Run("healthy account", func(t *testing.T) {
 		g := benchGuard(t)
-		run(t, newSrv(g), g.AccountFor("healthy"), false)
+		run(t, g, g.AccountFor("healthy"), false)
 	})
 
 	t.Run("noised account", func(t *testing.T) {
@@ -339,7 +316,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 		for g.Charge(acct, 100); acct.SpentEps() < 60; {
 			g.Charge(acct, 100)
 		}
-		run(t, newSrv(g), acct, true)
+		run(t, g, acct, true)
 	})
 }
 
@@ -351,44 +328,11 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	const nBodies = 4
 	guard := benchGuard(b)
-	acct := guard.AccountFor("bench-client")
 	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(guard),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(24, 4, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	j := newJob[float64]()
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<20)
-	for i := 0; i < 2; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		j.account = acct
-		if resp := srv.serve(j, replicas); resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		j.reset()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		j.account = acct
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-		if e != nil {
-			b.Fatal(e)
-		}
-		j.reset()
-	}
+	loop := newServeLoop(b, srv, 1, &Request{Features: wireTensor(24, 4, 4, 8, 8)}, false)
+	loop.account = guard.AccountFor("bench-client")
+	loop.bench(b)
 }
 
 // The stringer/parser helpers the serve banner and registry manifests lean

@@ -563,9 +563,11 @@ func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], 
 		if count != 1 {
 			return fmt.Errorf("comm: feature request carries %d tensors, want 1", count)
 		}
-		if p.feat, err = readTensor(&r, &p.arena, p.shape[:0]); err != nil {
+		t, err := readTensor(&r, &p.arena, p.shape[:0])
+		if err != nil {
 			return err
 		}
+		p.inputs = append(p.inputs[:0], t)
 	case wireKindBatched:
 		if count == 0 {
 			return fmt.Errorf("comm: batched request carries no inputs")
@@ -601,7 +603,7 @@ func parseRequest(body []byte, tc *trace.Context) (*Request, error) {
 	if p.batched {
 		req.Inputs = p.inputs
 	} else {
-		req.Features = p.feat
+		req.Features = p.inputs[0]
 	}
 	return req, nil
 }

@@ -375,44 +375,13 @@ func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 	const nBodies = 3
 	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := newJob[float64]()
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<16)
-	cycle := func() {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			t.Fatal(err)
-		}
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-		if e != nil {
-			t.Fatal(e)
-		}
-		j.reset()
-	}
-	cycle() // warm-up: clone replicas, size arenas and buffers
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	loop := newServeLoop(t, srv, 1, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false)
+	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state server compute loop allocates %v times per request, want 0", allocs)
 	}
-
 	// The batched form reaches steady state too (after its own warm-up).
-	batched, err := appendRequest(nil, &Request{Inputs: []*tensor.Tensor{
-		wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}}, false, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = batched
-	cycle()
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	loop.request(&Request{Inputs: []*tensor.Tensor{wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}})
+	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state batched compute loop allocates %v times per request, want 0", allocs)
 	}
 }
@@ -432,41 +401,25 @@ func benchServeRequestLoop(b *testing.B, workers int) {
 	const nBodies = 4
 	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
+	newServeLoop(b, srv, 1, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false).bench(b)
+}
+
+// flatBodies builds two bodies with a Flatten→Linear boundary: a request
+// whose spatial dims clear validateFeatures (a [N,4,4,4] one, say) still
+// panics at the Linear, AFTER the earlier layers have already drawn
+// activations from the scratch.
+func flatBodies() []*nn.Network {
+	out := make([]*nn.Network, 2)
+	for i := range out {
+		r := rng.New(int64(40 + i))
+		out[i] = nn.NewNetwork(fmt.Sprintf("fb%d", i),
+			nn.NewBatchNorm2D("bn", 4),
+			nn.NewReLU(),
+			nn.NewFlatten(),
+			nn.NewLinear("fc", 4*8*8, 4, r),
+		)
 	}
-	j := newJob[float64]()
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<20)
-	// Warm-up: clone replicas, size arenas and buffers, so the timed loop
-	// is pure steady state.
-	for i := 0; i < 2; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		if resp := srv.serve(j, replicas); resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		j.reset()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-		if e != nil {
-			b.Fatal(e)
-		}
-		j.reset()
-	}
+	return out
 }
 
 // TestMalformedRequestsDoNotGrowScratches pins the panic-path memory fix: a
@@ -475,22 +428,6 @@ func benchServeRequestLoop(b *testing.B, workers int) {
 // or a stream of malformed requests inflates every worker's scratch buffers
 // without bound.
 func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
-	// Bodies with a Flatten→Linear boundary: a request whose spatial dims
-	// clear validateFeatures still panics at the Linear, AFTER the earlier
-	// layers have already drawn activations from the scratch.
-	flatBodies := func() []*nn.Network {
-		out := make([]*nn.Network, 2)
-		for i := range out {
-			r := rng.New(int64(40 + i))
-			out[i] = nn.NewNetwork(fmt.Sprintf("fb%d", i),
-				nn.NewBatchNorm2D("bn", 4),
-				nn.NewReLU(),
-				nn.NewFlatten(),
-				nn.NewLinear("fc", 4*8*8, 4, r),
-			)
-		}
-		return out
-	}
 	srv := NewServer(flatBodies(), WithWorkers(2), WithReplicas(flatBodies))
 	j := newJob[float64]()
 	replicas := newReplicaCache(PrecisionF64)
@@ -499,11 +436,12 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	// Right rank and channels, wrong spatial size: flattens to 64 ≠ 256.
 	bad := &Request{Features: wireTensor(24, 1, 4, 4, 4)}
 
+	serveJob := jobServer(srv, replicas)
 	serve := func(req *Request) *Response {
 		setRequest(j, *req)
-		resp := srv.serve(j, replicas)
+		resp := *serveJob(j)
 		j.reset()
-		return resp
+		return &resp
 	}
 	if resp := serve(good); resp.Err != "" {
 		t.Fatalf("good request failed: %s", resp.Err)

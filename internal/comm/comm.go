@@ -17,10 +17,14 @@
 // the N bodies of one replica set are distinct networks.
 //
 // One round trip can carry a whole batch: a Request either holds a single
-// [B,C,H,W] feature tensor or a list of them (InferBatch), which the server
-// stacks along the batch axis, pushes through each body once, and splits
-// back per input. Context plumbing runs through Serve and Infer for graceful
-// shutdown and per-request deadlines.
+// [B,C,H,W] feature tensor or a list of them (InferBatch). Every request
+// takes the same serve pass — charge → resolve → observe → stack → forward →
+// split → noise, in Server.serve and payload.pass — whether it arrived
+// plain, client-batched, or coalesced with other connections' requests by
+// the dispatcher (dispatch.go): the pass stacks every live input along the
+// batch axis, pushes the stack through each body once, and splits the
+// outputs back per input. Context plumbing runs through Serve and Infer for
+// graceful shutdown and per-request deadlines.
 //
 // The serving path is observable without being slowed: WithMetrics attaches
 // a telemetry bundle (requests, errors, images, per-request serve-time and
@@ -161,8 +165,3 @@ func validateFeatures[T tensor.Float](f *tensor.Dense[T]) error {
 	}
 	return validateTensor(f)
 }
-
-// Batch stacking and splitting live on the serving job's payload (see
-// payload.stackInputs and the split loop in payload.process): both write
-// into the request's recycled arena so the batched path shares the
-// single-feature path's zero-allocation steady state.

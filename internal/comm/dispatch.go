@@ -66,8 +66,8 @@ type coalesceKey struct {
 
 // jobKey classifies a decoded request for coalescing. Only single-tensor
 // feature requests of plausible rank participate; client-batched requests
-// (Inputs) and malformed shapes dispatch as singleton batches and take the
-// ordinary serve path, which owns their validation and error text.
+// (Inputs) and malformed shapes dispatch as batches of one, which the serve
+// pass validates like any other.
 func jobKey(j *job) (coalesceKey, bool) {
 	shape := j.pay.featureShape()
 	if len(shape) != 4 {
@@ -114,13 +114,12 @@ func (q *connQueue) dropNewest() *job {
 	return j
 }
 
-// dispatchBatch is one coalesced unit of work: the jobs it answers and the
-// reusable per-job bookkeeping. The stacked input and the forward outputs
-// live in the worker replica that computes the pass, the per-job copies in
-// each job's arena. Batches recycle through the dispatcher's free list.
+// dispatchBatch is one coalesced unit of work: the jobs one serve pass
+// answers. The stacked input and the forward outputs live in the worker
+// replica that computes the pass, the per-job copies in each job's arena.
+// Batches recycle through the dispatcher's free list.
 type dispatchBatch struct {
 	jobs []*job
-	rows []int // per-job stacked row count; -1 marks a job refused or failed validation
 }
 
 func (b *dispatchBatch) reset() {
@@ -128,7 +127,6 @@ func (b *dispatchBatch) reset() {
 		b.jobs[i] = nil
 	}
 	b.jobs = b.jobs[:0]
-	b.rows = b.rows[:0]
 }
 
 // dispatcher is the continuous-batching intake: per-connection bounded
@@ -473,90 +471,4 @@ func (s *Server) DispatcherStats() DispatcherStats {
 		CoalescedJobs: d.coalesced.Load(),
 		MaxCoalesced:  int(d.maxCoalesced.Load()),
 	}
-}
-
-// serveBatch answers every job of one dispatched batch on the worker's
-// replica cache: singletons take the ordinary serve path untouched;
-// coalesced batches resolve once, stack, forward once, and split. Replies
-// are sent only after metrics record — a replied job belongs to its
-// connection writer, which recycles it.
-func (s *Server) serveBatch(b *dispatchBatch, replicas *replicaCache) {
-	if len(b.jobs) == 1 {
-		j := b.jobs[0]
-		j.reply <- s.serve(j, replicas)
-		return
-	}
-	if m := s.opts.metrics; m != nil {
-		m.CoalescedBatch.Observe(float64(len(b.jobs)))
-	}
-	tr := s.opts.tracer
-	var start time.Time
-	if s.opts.metrics != nil || tr != nil {
-		start = time.Now()
-	}
-	s.serveCoalesced(b, replicas)
-	if s.opts.metrics != nil || tr != nil {
-		dur := time.Since(start)
-		for _, j := range b.jobs {
-			if m := s.opts.metrics; m != nil {
-				m.record(j, &j.resp, dur)
-			}
-			// Every member is attributed the shared pass; Arg records how
-			// many requests bought it together.
-			tr.SpanArg(&j.tr, trace.StageForward, int32(len(b.jobs)), start, dur)
-		}
-	}
-	for _, j := range b.jobs {
-		j.reply <- &j.resp
-	}
-}
-
-// failBatch writes one error onto every job that has no response yet.
-func failBatch(b *dispatchBatch, msg string) {
-	for _, j := range b.jobs {
-		if j.resp.Err == "" && !j.pay.answered() {
-			j.resp = Response{Err: msg}
-		}
-	}
-}
-
-// serveCoalesced computes one stacked forward pass for a multi-job batch,
-// filling each job's resp in place. Invalid members (shapes that clear the
-// coalesce key but fail full validation) get their own error response and
-// are excluded from the stack; a panic mid-pass fails the whole batch with
-// error responses, never the server.
-func (s *Server) serveCoalesced(b *dispatchBatch, replicas *replicaCache) {
-	defer func() {
-		if r := recover(); r != nil {
-			failBatch(b, "comm: request failed: batched pass panicked")
-		}
-	}()
-	// Budget verdicts come before anything else: a refused member carries
-	// its refusal response from here on and is excluded from observation,
-	// the stack, and the split (its rows marker goes to -1 below, exactly
-	// like a validation failure).
-	if s.opts.guard != nil {
-		for _, j := range b.jobs {
-			s.chargeJob(j)
-		}
-	}
-	head := &b.jobs[0].req
-	m, err := s.provider.Resolve(head.Model, head.Version)
-	if err != nil {
-		failBatch(b, err.Error())
-		return
-	}
-	if s.opts.observer != nil {
-		for _, j := range b.jobs {
-			if j.resp.Err == "" {
-				j.pay.observe(s.opts.observer, m.Name(), m.Version())
-			}
-		}
-	}
-	wr, err := replicas.replicaFor(m)
-	if err != nil {
-		failBatch(b, err.Error())
-		return
-	}
-	b.jobs[0].pay.coalesce(s, b, wr, m)
 }

@@ -307,48 +307,11 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 // path: decode K requests from K connections, serve them as one coalesced
 // batch, encode every response — zero heap allocations at steady state.
 func TestDispatchCoalescedZeroAllocs(t *testing.T) {
-	const (
-		nBodies = 3
-		K       = 4
-	)
+	const nBodies = 3
 	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(310, 2, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := make([]*job, K)
-	for i := range jobs {
-		jobs[i] = newJob[float64]()
-	}
-	b := &dispatchBatch{}
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<16)
-	cycle := func() {
-		for _, j := range jobs {
-			if err := j.pay.parse(body, &j.req, nil); err != nil {
-				t.Fatal(err)
-			}
-			b.jobs = append(b.jobs, j)
-		}
-		srv.serveBatch(b, replicas)
-		for _, j := range jobs {
-			resp := <-j.reply
-			if resp.Err != "" {
-				t.Fatal(resp.Err)
-			}
-			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-			if e != nil {
-				t.Fatal(e)
-			}
-			j.reset()
-		}
-		b.reset()
-	}
-	cycle() // warm-up: clone replicas, size arenas and buffers
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	loop := newServeLoop(t, srv, 4, &Request{Features: wireTensor(310, 2, 4, 8, 8)}, false)
+	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state coalesced serve loop allocates %v times per batch, want 0", allocs)
 	}
 }
@@ -368,47 +331,52 @@ func TestCoalescedBatchErrorIsolation(t *testing.T) {
 	good2 := jobFor(Request{Features: wireTensor(321, 2, 4, 8, 8)})
 
 	b := &dispatchBatch{jobs: []*job{good, bad, good2}}
-	srv.serveBatch(b, replicas)
+	srv.serve(b.jobs, replicas)
 
 	resp := <-good.reply
-	if feats := payloadOf[float64](good).feats; resp.Err != "" || len(feats) != nBodies {
-		t.Errorf("valid member 0 not served: err=%q features=%d", resp.Err, len(feats))
+	if p := payloadOf[float64](good); resp.Err != "" || !p.served || len(p.outputs[0]) != nBodies {
+		t.Errorf("valid member 0 not served: err=%q", resp.Err)
 	}
 	if resp := <-bad.reply; resp.Err == "" {
 		t.Error("lying member accepted into the stacked pass")
 	}
 	resp = <-good2.reply
 	p2 := payloadOf[float64](good2)
-	if resp.Err != "" || len(p2.feats) != nBodies {
+	if resp.Err != "" || !p2.served || len(p2.outputs[0]) != nBodies {
 		t.Fatalf("valid member 2 not served: err=%q", resp.Err)
 	}
-	want := referenceBodies(nBodies, p2.feat)
+	want := referenceBodies(nBodies, p2.inputs[0])
 	for i := range want {
-		if !p2.feats[i].AllClose(want[i], 0) {
+		if !p2.outputs[0][i].AllClose(want[i], 0) {
 			t.Errorf("member 2 body %d features diverge after mixed-batch split", i)
 		}
 	}
 }
 
 // TestFailBatchRepliesEveryPendingJob pins the panic-recovery backstop of
-// the coalesced path: failBatch must put the error on every job that has no
-// response yet — and only those, so a member already answered (e.g. rejected
-// during validation) is not overwritten or double-replied.
+// the serve pass: failPending must put the error on every job that has no
+// answer yet — and only those, so a member already answered (rejected during
+// validation, or served before the panic) is not overwritten.
 func TestFailBatchRepliesEveryPendingJob(t *testing.T) {
-	answered := newJob[float64]()
-	answered.resp = Response{Err: "already rejected"}
+	rejected := newJob[float64]()
+	rejected.resp = Response{Err: "already rejected"}
+	served := newJob[float64]()
+	payloadOf[float64](served).served = true
 	pending := newJob[float64]()
 	pending2 := newJob[float64]()
-	b := &dispatchBatch{jobs: []*job{answered, pending, pending2}}
+	jobs := []*job{rejected, pending, served, pending2}
 
-	failBatch(b, "stacked pass panicked")
+	failPending(jobs, Response{Model: "m", Version: 2, Err: "stacked pass panicked"})
 	for i, j := range []*job{pending, pending2} {
-		if j.resp.Err != "stacked pass panicked" {
-			t.Errorf("pending job %d resp = %q, want the batch failure", i, j.resp.Err)
+		if j.resp.Err != "stacked pass panicked" || j.resp.Model != "m" || j.resp.Version != 2 {
+			t.Errorf("pending job %d resp = %+v, want the batch failure naming m v2", i, j.resp)
 		}
 	}
-	if answered.resp.Err != "already rejected" {
-		t.Errorf("already-answered job overwritten with %q", answered.resp.Err)
+	if rejected.resp.Err != "already rejected" {
+		t.Errorf("already-rejected job overwritten with %q", rejected.resp.Err)
+	}
+	if served.resp.Err != "" {
+		t.Errorf("served job overwritten with %q", served.resp.Err)
 	}
 }
 
@@ -416,51 +384,15 @@ func TestFailBatchRepliesEveryPendingJob(t *testing.T) {
 // K cross-connection requests decoded, stacked, forwarded once, split, and
 // encoded — and reports its allocation count, which CI pins at 0 allocs/op
 // alongside BenchmarkServeRequestLoop.
-func BenchmarkServeRequestLoopBatched(b *testing.B) {
-	const (
-		nBodies = 4
-		K       = 4
-	)
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
+func BenchmarkServeRequestLoopBatched(b *testing.B) { benchBatchedLoop(b, nil) }
+
+// benchBatchedLoop runs BenchmarkServeRequestLoopBatched's loop — four bodies,
+// K=4 one-row jobs per pass — with tr, when non-nil, tracing every leg.
+func benchBatchedLoop(b *testing.B, tr *trace.Tracer) {
+	const nBodies = 4
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithTracer(tr),
 		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(330, 1, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := make([]*job, K)
-	for i := range jobs {
-		jobs[i] = newJob[float64]()
-	}
-	batch := &dispatchBatch{}
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<20)
-	cycle := func() {
-		for _, j := range jobs {
-			if err := j.pay.parse(body, &j.req, nil); err != nil {
-				b.Fatal(err)
-			}
-			batch.jobs = append(batch.jobs, j)
-		}
-		srv.serveBatch(batch, replicas)
-		for _, j := range jobs {
-			resp := <-j.reply
-			if resp.Err != "" {
-				b.Fatal(resp.Err)
-			}
-			var e error
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-			if e != nil {
-				b.Fatal(e)
-			}
-			j.reset()
-		}
-		batch.reset()
-	}
-	cycle()
-	cycle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
+	loop := newServeLoop(b, srv, 4, &Request{Features: wireTensor(330, 1, 4, 8, 8)}, false)
+	loop.tracer = tr
+	loop.bench(b)
 }

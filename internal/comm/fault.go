@@ -17,8 +17,8 @@ package comm
 //	                     partial-write (torn frame then close), conn-reset
 //	                     (torn frame then abrupt close), delay
 //	comm/dispatch-intake forced admission-control shed: the honest 429 path
-//	comm/budget-charge   budget verdict failure: the request is refused with
-//	                     a server error before compute
+//	comm/budget-charge   budget verdict failure on a guarded server: the
+//	                     request is refused with a server error before compute
 //	comm/dial            client-side dial failure before the socket opens
 import (
 	"io"

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"ensembler/internal/faultpoint"
-	"ensembler/internal/nn"
-	"ensembler/internal/trace"
 )
 
 // testMidFrameFaultReconnects drives a pooled client through a server whose
@@ -116,40 +114,5 @@ func TestDialFaultSurfaces(t *testing.T) {
 // nothing — one atomic load per site, no allocations, no branches taken.
 func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	faultpoint.DisableAll()
-	const nBodies = 4
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	j := newJob[float64]()
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<20)
-	for i := 0; i < 2; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		if resp := srv.serve(j, replicas); resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		j.reset()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, 0)
-		if e != nil {
-			b.Fatal(e)
-		}
-		j.reset()
-	}
+	benchServeRequestLoop(b, 2)
 }

@@ -64,7 +64,7 @@ func FuzzWireRequestFrame(f *testing.F) {
 		if req64.Model != req32.Model || req64.Version != req32.Version || tc64 != tc32 || p64.batched != p32.batched {
 			t.Fatal("instantiations decode different headers")
 		}
-		in64, in32 := append(p64.inputs, p64.feat), append(p32.inputs, p32.feat)
+		in64, in32 := p64.inputs, p32.inputs
 		if len(in64) != len(in32) {
 			t.Fatalf("instantiations decode %d vs %d tensors", len(in64), len(in32))
 		}

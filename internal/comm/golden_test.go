@@ -41,6 +41,7 @@ func TestGoldenServeFrames(t *testing.T) {
 		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBatchWindow(0), WithPrecision(tc.precision),
 			WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
 		replicas := newReplicaCache(tc.precision)
+		serve := jobServer(srv, replicas)
 		parse := func(req *Request) *job {
 			body, err := appendRequest(nil, req, f32, trace.Context{})
 			if err != nil {
@@ -67,14 +68,14 @@ func TestGoldenServeFrames(t *testing.T) {
 		for _, r := range reqs {
 			b.jobs = append(b.jobs, parse(r))
 		}
-		srv.serveBatch(b, replicas)
+		srv.serve(b.jobs, replicas)
 		for _, j := range b.jobs {
 			frame(j, <-j.reply)
 		}
 		j := parse(reqs[1])
-		frame(j, srv.serve(j, replicas))
+		frame(j, serve(j))
 		j = parse(batched)
-		frame(j, srv.serve(j, replicas))
+		frame(j, serve(j))
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%s serving frames changed: digest %s, want %s", tc.precision, got, tc.want)
 		}

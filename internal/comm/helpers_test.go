@@ -3,8 +3,12 @@ package comm
 import (
 	"fmt"
 	"math"
+	"testing"
+	"time"
 
+	"ensembler/internal/privacy"
 	"ensembler/internal/tensor"
+	"ensembler/internal/trace"
 )
 
 // encodeResponse encodes a float64 Response — a literal, or one a fake
@@ -47,12 +51,12 @@ func bitsDiffer(got, want *tensor.Tensor) error {
 func setRequest(j *job, req Request) {
 	j.req = Request{Model: req.Model, Version: req.Version}
 	p := payloadOf[float64](j)
-	if req.Inputs != nil {
-		p.batched = true
+	p.batched = req.Inputs != nil
+	if p.batched {
 		p.inputs = append(p.inputs[:0], req.Inputs...)
-		return
+	} else {
+		p.inputs = append(p.inputs[:0], req.Features)
 	}
-	p.feat = req.Features
 }
 
 // jobFor returns a fresh float64 job carrying req (see setRequest).
@@ -62,17 +66,30 @@ func jobFor(req Request) *job {
 	return j
 }
 
+// jobServer returns a func that serves one job at a time through s the way a
+// worker serves a direct job — as a batch of one, through a reusable one-slot
+// slice, over rc — and returns its reply, so a steady-state loop allocates
+// nothing.
+func jobServer(s *Server, rc *replicaCache) func(*job) *Response {
+	one := make([]*job, 1)
+	return func(j *job) *Response {
+		one[0] = j
+		s.serve(one, rc)
+		return <-j.reply
+	}
+}
+
 // serveOne runs req through a float64 server's serve path on the calling
 // goroutine, over a replica cache of its own, and returns the response with
 // the served tensors attached.
 func serveOne(s *Server, req Request) *Response {
 	j := jobFor(req)
-	resp := *s.serve(j, newReplicaCache(PrecisionF64))
+	resp := *jobServer(s, newReplicaCache(PrecisionF64))(j)
 	if p := payloadOf[float64](j); p.served {
 		if p.batched {
 			resp.Outputs = p.outputs
 		} else {
-			resp.Features = p.feats
+			resp.Features = p.outputs[0]
 		}
 	}
 	return &resp
@@ -82,5 +99,105 @@ func serveOne(s *Server, req Request) *Response {
 // routing header from j.req, tensors from the payload.
 func jobRequest(j *job) *Request {
 	p := payloadOf[float64](j)
-	return &Request{Model: j.req.Model, Version: j.req.Version, Features: p.feat, Inputs: p.inputs}
+	req := &Request{Model: j.req.Model, Version: j.req.Version}
+	if p.batched {
+		req.Inputs = p.inputs
+	} else {
+		req.Features = p.inputs[0]
+	}
+	return req
+}
+
+// serveLoop drives the server loop the way connections and a worker do,
+// minus the sockets: each cycle decodes one request frame into every job,
+// serves the jobs as one pass (a lone job as a batch of one, like a direct
+// job), encodes every reply and recycles the jobs. Its steady state is what
+// the zero-allocation pins and the BenchmarkServeRequestLoop* rows measure.
+type serveLoop struct {
+	tb       testing.TB
+	srv      *Server
+	replicas *replicaCache
+	jobs     []*job
+	body     []byte
+	f32      bool             // the connection's wire: f32 payloads both ways
+	account  *privacy.Account // charged per request when the server has a guard
+	tracer   *trace.Tracer    // when set, each job's leg is traced as a connection would
+	encBuf   []byte
+}
+
+// newServeLoop returns a loop of k jobs over srv, each decoding req.
+func newServeLoop(tb testing.TB, srv *Server, k int, req *Request, f32 bool) *serveLoop {
+	l := &serveLoop{tb: tb, srv: srv, replicas: newReplicaCache(srv.opts.precision),
+		jobs: make([]*job, k), f32: f32, encBuf: make([]byte, 0, 1<<20)}
+	for i := range l.jobs {
+		l.jobs[i] = srv.newJob()
+	}
+	l.request(req)
+	return l
+}
+
+// request sets the frame every later cycle decodes.
+func (l *serveLoop) request(req *Request) {
+	body, err := appendRequest(nil, req, l.f32, trace.Context{})
+	if err != nil {
+		l.tb.Fatal(err)
+	}
+	l.body = body
+}
+
+func (l *serveLoop) cycle() {
+	tr := l.tracer
+	for _, j := range l.jobs {
+		if err := j.pay.parse(l.body, &j.req, &j.wireTrace); err != nil {
+			l.tb.Fatal(err)
+		}
+		j.account = l.account
+		if tr != nil { // what the connection's reader does
+			tr.Begin(&j.tr, j.wireTrace)
+			j.queuedAt = time.Now()
+		}
+	}
+	l.srv.serve(l.jobs, l.replicas)
+	for _, j := range l.jobs {
+		resp := <-j.reply
+		if resp.Err != "" {
+			l.tb.Fatal(resp.Err)
+		}
+		var encStart time.Time
+		if tr != nil {
+			encStart = time.Now()
+		}
+		var err error
+		if l.encBuf, err = j.pay.appendResponse(append(l.encBuf[:0], 0, 0, 0, 0), resp, l.f32, j.wireTrace.ID); err != nil {
+			l.tb.Fatal(err)
+		}
+		if tr != nil { // what the connection's writer does
+			tr.Span(&j.tr, trace.StageEncode, encStart, time.Since(encStart))
+			tr.Finish(&j.tr, false)
+		}
+		j.reset()
+	}
+}
+
+// warm runs two cycles: the first clones the replicas and sizes every arena
+// and buffer, the second settles them.
+func (l *serveLoop) warm() {
+	l.cycle()
+	l.cycle()
+}
+
+// allocs warms the loop up and reports its steady-state allocations per cycle.
+func (l *serveLoop) allocs() float64 {
+	l.warm()
+	return testing.AllocsPerRun(20, l.cycle)
+}
+
+// bench warms the loop up and times b.N cycles.
+func (l *serveLoop) bench(b *testing.B) {
+	l.warm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.cycle()
+	}
 }

@@ -118,9 +118,9 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 }
 
 // record tallies one finished request.
-func (m *ServerMetrics) record(j *job, resp *Response, dur time.Duration) {
+func (m *ServerMetrics) record(j *job, dur time.Duration) {
 	m.Requests.Inc()
-	if resp.Err != "" {
+	if j.resp.Err != "" {
 		m.Errors.Inc()
 	}
 	inputs, rows := j.pay.size()

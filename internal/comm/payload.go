@@ -3,13 +3,15 @@ package comm
 // The element-typed half of the serving path. A server computes in one
 // precision (WithPrecision: float64, the reference oracle and default, or
 // float32), and everything about a request that depends on that choice — the
-// arena its tensors live in, the decoded features, the response parts, the
-// stacked pass over the bodies — is payload[T] and bodySet[T], written once
-// over the element type. The rest of the server (job recycling, dispatcher,
-// codec's framing, metrics, tracing, budget) never names an element type: it
-// reaches the tensors through the tensors interface, and the server's
-// Precision picks the instantiation in exactly two places, newJob and
-// replicaFor.
+// arena its tensors live in, the decoded inputs, the response parts, the
+// validate → stack → forward → split → noise pass over the bodies — is
+// payload[T] and bodySet[T], written once over the element type and once
+// for every request form: a plain request is one input, a client-batched
+// request several, a coalesced batch several jobs, and all of them take the
+// same pass. The rest of the server (job recycling, dispatcher, codec's
+// framing, metrics, tracing, budget) never names an element type: it reaches
+// the tensors through the tensors interface, and the server's Precision
+// picks the instantiation in exactly two places, newJob and replicaFor.
 //
 // On a float32 server whose connection negotiated the f32 wire, decode →
 // forward → encode performs no float64 conversion at all: the payload bits
@@ -18,6 +20,7 @@ package comm
 // server precision serves either payload width with one rounding step.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -90,11 +93,10 @@ type tensors interface {
 	noise(rng *uint64, sigma float64)
 	// answered reports whether the payload holds a complete response.
 	answered() bool
-	// process validates and computes one request over wr, filling j.resp.
-	process(s *Server, j *job, wr *workerReplica) *Response
-	// coalesce computes one stacked pass for b, whose first job this payload
-	// belongs to, filling every member's resp.
-	coalesce(s *Server, b *dispatchBatch, wr *workerReplica, m ServedModel)
+	// pass runs one forward pass over wr for jobs — the job this payload
+	// belongs to, first, and any the dispatcher coalesced with it — answering
+	// every job the budget charge left unanswered in the epoch's name.
+	pass(s *Server, jobs []*job, wr *workerReplica, epoch Response)
 }
 
 // payload is one job's tensors at the serving precision: the decoded
@@ -105,26 +107,20 @@ type payload[T tensor.Float] struct {
 	// reset by the connection writer once the response is encoded.
 	arena tensor.Arena[T]
 
-	feat    *tensor.Dense[T]   // a single-tensor request's features
-	inputs  []*tensor.Dense[T] // a client-batched request's inputs (reusable storage)
-	batched bool               // which of the two this request carries
+	inputs  []*tensor.Dense[T] // the request's tensors: one, or one per client-batched input
+	batched bool               // the request was client-batched, which fixes its response's wire form
 
-	feats   []*tensor.Dense[T]   // response to a single-tensor request: one part per body
-	outputs [][]*tensor.Dense[T] // response to a batched request: [input][body]
-	served  bool                 // feats/outputs hold a complete response
+	outputs [][]*tensor.Dense[T] // the response, [input][body]; a plain response is outputs[0]
+	served  bool                 // outputs hold a complete response
 
-	rows  []int            // per-input row counts of a batched request
 	shape [maxWireRank]int // scratch for composing output shapes
 }
 
 func (p *payload[T]) reset() {
-	p.feat = nil
 	p.inputs = p.inputs[:0]
 	p.batched = false
-	p.feats = p.feats[:0]
 	p.outputs = p.outputs[:0]
 	p.served = false
-	p.rows = p.rows[:0]
 	p.arena.Reset()
 }
 
@@ -144,7 +140,7 @@ func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32 bool, traceI
 		if p.batched {
 			outputs = p.outputs
 		} else {
-			feats = p.feats
+			feats = p.outputs[0]
 		}
 	}
 	return appendResponse(buf, resp, feats, outputs, f32, traceID)
@@ -153,12 +149,6 @@ func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32 bool, traceI
 // size tolerates malformed wire data (shapes are validated later, on the
 // compute path).
 func (p *payload[T]) size() (inputs, rows int) {
-	if !p.batched {
-		if f := p.feat; f != nil && len(f.Shape) > 0 && f.Shape[0] > 0 {
-			rows = f.Shape[0]
-		}
-		return 1, rows
-	}
 	for _, in := range p.inputs {
 		if in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
 			rows += in.Shape[0]
@@ -168,10 +158,10 @@ func (p *payload[T]) size() (inputs, rows int) {
 }
 
 func (p *payload[T]) featureShape() []int {
-	if p.batched || p.feat == nil {
+	if p.batched {
 		return nil
 	}
-	return p.feat.Shape
+	return p.inputs[0].Shape
 }
 
 // observe validates each tensor fully first — the same structural-honesty
@@ -180,21 +170,14 @@ func (p *payload[T]) featureShape() []int {
 // Data slice must be rejected here, not allocated by the sampler (the
 // compute path re-validates later; that redundancy is the trust boundary).
 func (p *payload[T]) observe(o FeatureObserver, model string, version int) {
-	if p.batched {
-		for _, in := range p.inputs {
-			observeTensor(o, model, version, in)
-		}
-		return
+	for _, in := range p.inputs {
+		observeTensor(o, model, version, in)
 	}
-	observeTensor(o, model, version, p.feat)
 }
 
 func (p *payload[T]) noise(rng *uint64, sigma float64) {
 	if !p.served {
 		return
-	}
-	for _, t := range p.feats {
-		noiseData(rng, t.Data, sigma)
 	}
 	for _, row := range p.outputs {
 		for _, t := range row {
@@ -214,137 +197,93 @@ func (p *payload[T]) part(out *tensor.Dense[T], row, r int) *tensor.Dense[T] {
 	return part
 }
 
-func (p *payload[T]) process(s *Server, j *job, wr *workerReplica) *Response {
-	bodies := bodiesOf[T](wr)
-	if p.batched {
-		if len(p.inputs) == 0 {
-			return &Response{Err: "comm: batched request carries no inputs"}
-		}
-		if len(p.inputs) > s.opts.maxBatch {
-			return &Response{Err: fmt.Sprintf("comm: batch of %d exceeds server cap %d", len(p.inputs), s.opts.maxBatch)}
-		}
-		stacked, err := p.stackInputs()
-		if err != nil {
-			return &Response{Err: err.Error()}
-		}
-		perBody := bodies.forward(s.opts.workers, stacked)
-		// Transpose [body][input] into the wire layout [input][body].
-		if cap(p.outputs) < len(p.rows) {
-			p.outputs = make([][]*tensor.Dense[T], len(p.rows))
-		}
-		p.outputs = p.outputs[:len(p.rows)]
-		for i := range p.outputs {
-			if cap(p.outputs[i]) < len(perBody) {
-				p.outputs[i] = make([]*tensor.Dense[T], len(perBody))
-			}
-			p.outputs[i] = p.outputs[i][:len(perBody)]
-		}
-		for b, out := range perBody {
-			row := 0
-			for i, r := range p.rows {
-				p.outputs[i][b] = p.part(out, row, r)
-				row += r
-			}
-		}
-	} else {
-		if err := validateFeatures(p.feat); err != nil {
-			return &Response{Err: err.Error()}
-		}
-		feats := p.feats[:0]
-		for _, out := range bodies.forward(s.opts.workers, p.feat) {
-			feats = append(feats, p.arena.Clone(out))
-		}
-		p.feats = feats
+// validate checks a request's tensors before they join a pass: within the
+// server's cap, each a structurally honest [N,C,H,W], and one [C,H,W] across
+// a client-batched request's inputs, since stacking concatenates rows only.
+func (p *payload[T]) validate(maxBatch int) error {
+	if len(p.inputs) == 0 {
+		return errors.New("comm: batched request carries no inputs")
 	}
-	p.served = true
-	j.resp = Response{}
-	return &j.resp
-}
-
-// stackInputs concatenates the batched request's inputs along the batch axis
-// into the job arena, recording per-input row counts in p.rows.
-func (p *payload[T]) stackInputs() (*tensor.Dense[T], error) {
-	rows := p.rows[:0]
-	total := 0
-	for i, in := range p.inputs {
-		if err := validateFeatures(in); err != nil {
-			return nil, err
-		}
-		if i > 0 {
-			a, b := p.inputs[0].Shape, in.Shape
-			if a[1] != b[1] || a[2] != b[2] || a[3] != b[3] {
-				return nil, fmt.Errorf("comm: batched inputs disagree on feature shape: %v vs %v", a[1:], b[1:])
-			}
-		}
-		rows = append(rows, in.Shape[0])
-		total += in.Shape[0]
+	if len(p.inputs) > maxBatch {
+		return fmt.Errorf("comm: batch of %d exceeds server cap %d", len(p.inputs), maxBatch)
 	}
-	p.rows = rows
-	s := p.inputs[0].Shape
-	out := p.arena.NewTensor(total, s[1], s[2], s[3])
-	off := 0
 	for _, in := range p.inputs {
-		off += copy(out.Data[off:], in.Data)
+		if err := validateFeatures(in); err != nil {
+			return err
+		}
+		if a, b := p.inputs[0].Shape, in.Shape; a[1] != b[1] || a[2] != b[2] || a[3] != b[3] {
+			return fmt.Errorf("comm: batched inputs disagree on feature shape: %v vs %v", a[1:], b[1:])
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// coalesce is serveCoalesced's stack→forward→split core. The coalesce key
-// fixed [C,H,W] across members; rows vary per job. Invalid members get their
-// own error response and are excluded from the stack.
-func (p *payload[T]) coalesce(s *Server, b *dispatchBatch, wr *workerReplica, m ServedModel) {
+// pass is the serve path's stack → forward → split → noise, one for every
+// request form. A job still unanswered is validated, and an invalid one is
+// answered with its error and left out. A lone valid input is forwarded where
+// it was decoded; several — one client-batched request's, or the coalesced
+// jobs', whose coalesce key fixed one [C,H,W] — stack along the batch axis
+// into the replica's stack, as private to the pass as the scratches its
+// outputs land in. Each job then copies its rows of every body's output into
+// its own arena and is noised per its budget verdict.
+func (p *payload[T]) pass(s *Server, jobs []*job, wr *workerReplica, epoch Response) {
 	bodies := bodiesOf[T](wr)
-	total := 0
-	rows := b.rows[:0]
-	for _, j := range b.jobs {
-		if j.resp.Err != "" { // refused by the budget guard in serveCoalesced
-			rows = append(rows, -1)
-			continue
-		}
-		f := payloadOf[T](j).feat
-		if err := validateFeatures(f); err != nil {
-			j.resp = Response{Err: err.Error()}
-			rows = append(rows, -1)
-			continue
-		}
-		rows = append(rows, f.Shape[0])
-		total += f.Shape[0]
-	}
-	b.rows = rows
-	if total == 0 {
-		return // every member was refused or failed validation; each carries its own error
-	}
-	// The stacked input lives in the replica, like the scratches its outputs
-	// land in: one pass at a time computes on a replica, and the per-job
-	// copies below leave nothing tying a job to it.
-	bodies.stack.Reset()
-	hs := p.feat.Shape
-	stacked := bodies.stack.NewTensor(total, hs[1], hs[2], hs[3])
-	off := 0
-	for i, j := range b.jobs {
-		if b.rows[i] >= 0 {
-			off += copy(stacked.Data[off:], payloadOf[T](j).feat.Data)
-		}
-	}
-	outs := bodies.forward(s.opts.workers, stacked)
-	row := 0
-	for i, j := range b.jobs {
-		r := b.rows[i]
-		if r < 0 {
+	var x *tensor.Dense[T]
+	n, total := 0, 0
+	for _, j := range jobs {
+		if j.resp.Err != "" {
 			continue
 		}
 		jp := payloadOf[T](j)
-		feats := jp.feats[:0]
-		for _, out := range outs {
-			feats = append(feats, jp.part(out, row, r))
+		if err := jp.validate(s.opts.maxBatch); err != nil {
+			j.resp = epoch
+			j.resp.Err = err.Error()
+			continue
 		}
-		jp.feats = feats
+		for _, in := range jp.inputs {
+			x = in
+			n++
+			total += in.Shape[0]
+		}
+	}
+	if n == 0 {
+		return
+	}
+	if n > 1 {
+		bodies.stack.Reset()
+		x = bodies.stack.NewTensor(total, x.Shape[1], x.Shape[2], x.Shape[3])
+		off := 0
+		for _, j := range jobs {
+			if j.resp.Err == "" {
+				for _, in := range payloadOf[T](j).inputs {
+					off += copy(x.Data[off:], in.Data)
+				}
+			}
+		}
+	}
+	outs := bodies.forward(s.opts.workers, x)
+	row := 0
+	for _, j := range jobs {
+		if j.resp.Err != "" {
+			continue
+		}
+		jp := payloadOf[T](j)
+		if cap(jp.outputs) < len(jp.inputs) {
+			jp.outputs = make([][]*tensor.Dense[T], len(jp.inputs))
+		}
+		jp.outputs = jp.outputs[:len(jp.inputs)]
+		for i, in := range jp.inputs {
+			r := in.Shape[0]
+			parts := jp.outputs[i][:0]
+			for _, out := range outs {
+				parts = append(parts, jp.part(out, row, r))
+			}
+			jp.outputs[i] = parts
+			row += r
+		}
 		jp.served = true
-		j.resp = Response{Model: m.Name(), Version: m.Version()}
-		if j.noiseSigma > 0 {
-			noiseResponse(j)
-		}
-		row += r
+		j.resp = epoch
+		noiseResponse(j)
 	}
 }
 
@@ -362,7 +301,7 @@ type bodySet[T tensor.Float] struct {
 	nets      []inferer[T]
 	scratches []*nn.Scratch[T]
 	outs      []*tensor.Dense[T] // reusable per-body output list, valid until the next forward
-	stack     tensor.Arena[T]    // backs a coalesced pass's stacked input
+	stack     tensor.Arena[T]    // backs a pass's stacked input when it has several
 
 	// The single-worker fan-out's state (see forwardParallel), built with the
 	// set so a fanned-out pass allocates nothing: x is the pass's input,
@@ -425,7 +364,7 @@ func (bs *bodySet[T]) forward(workers int, x *tensor.Dense[T]) []*tensor.Dense[T
 // prebuilt task (a go statement over a stored no-argument func allocates
 // nothing). Once all have joined, every panic slot is cleared — a stale one
 // would fail the next, healthy pass — and the first panic is re-raised on
-// the calling goroutine for processWith to absorb.
+// the calling goroutine for compute's recover to absorb.
 func (bs *bodySet[T]) forwardParallel(x *tensor.Dense[T]) []*tensor.Dense[T] {
 	bs.x = x
 	bs.outs = bs.outs[:len(bs.nets)]

@@ -48,11 +48,11 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJob[float32]()
-	replicas := newReplicaCache(PrecisionF32)
+	serve := jobServer(srv, newReplicaCache(PrecisionF32))
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp := srv.serve(j, replicas)
+	resp := serve(j)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -100,11 +100,11 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJob[float32]()
-	replicas := newReplicaCache(PrecisionF32)
+	serve := jobServer(srv, newReplicaCache(PrecisionF32))
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp := srv.serve(j, replicas)
+	resp := serve(j)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -159,7 +159,7 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp := srv.serve(j, newReplicaCache(PrecisionF32))
+	resp := jobServer(srv, newReplicaCache(PrecisionF32))(j)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -203,46 +203,13 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 // pass, response copy-out, f32 encode — performs zero heap allocations at
 // steady state, exactly like the float64 instantiation.
 func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
-	const nBodies = 3
-	srv := newF32Server(nBodies)
-	body, err := appendRequest(nil, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, true, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := newJob[float32]()
-	replicas := newReplicaCache(PrecisionF32)
-	encBuf := make([]byte, 0, 1<<16)
-	cycle := func() {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			t.Fatal(err)
-		}
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, 0)
-		if e != nil {
-			t.Fatal(e)
-		}
-		j.reset()
-	}
-	cycle() // warm-up: compile replicas, size arenas and buffers
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	loop := newServeLoop(t, newF32Server(3), 1, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, true)
+	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state f32 server compute loop allocates %v times per request, want 0", allocs)
 	}
-
 	// The batched form reaches steady state too (after its own warm-up).
-	batched, err := appendRequest(nil, &Request{Inputs: []*tensor.Tensor{
-		wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}}, true, trace.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = batched
-	cycle()
-	cycle()
-	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+	loop.request(&Request{Inputs: []*tensor.Tensor{wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}})
+	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state batched f32 compute loop allocates %v times per request, want 0", allocs)
 	}
 }
@@ -251,39 +218,5 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 // backend — same request shape, same loop, f32 decode/compute/encode. CI runs
 // both and gates the f32 loop at ≥1.2× the f64 requests/sec.
 func BenchmarkServeRequestLoopF32(b *testing.B) {
-	const nBodies = 4
-	srv := newF32Server(nBodies)
-	body, err := appendRequest(nil, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, true, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	j := newJob[float32]()
-	replicas := newReplicaCache(PrecisionF32)
-	encBuf := make([]byte, 0, 1<<20)
-	for i := 0; i < 2; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		if resp := srv.serve(j, replicas); resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		j.reset()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := j.pay.parse(body, &j.req, nil); err != nil {
-			b.Fatal(err)
-		}
-		resp := srv.serve(j, replicas)
-		if resp.Err != "" {
-			b.Fatal(resp.Err)
-		}
-		var e error
-		encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, true, 0)
-		if e != nil {
-			b.Fatal(e)
-		}
-		j.reset()
-	}
+	newServeLoop(b, newF32Server(4), 1, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, true).bench(b)
 }

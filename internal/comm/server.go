@@ -786,12 +786,16 @@ func (rc *replicaCache) replicaFor(m ServedModel) (*workerReplica, error) {
 // pool as requests arrive — never a lock shared between workers.
 func (s *Server) worker(stop <-chan struct{}) {
 	replicas := newReplicaCache(s.opts.precision)
+	// A direct job is served as a batch of one through this slot: a
+	// per-request []*job{j} would escape through the tensors interface.
+	one := make([]*job, 1)
 	for {
 		select {
 		case j := <-s.jobs:
-			j.reply <- s.serve(j, replicas)
+			one[0] = j
+			s.serve(one, replicas)
 		case b := <-s.batches: // nil channel (never ready) without a dispatcher
-			s.serveBatch(b, replicas)
+			s.serve(b.jobs, replicas)
 			s.dispatcher.putBatch(b)
 		case <-stop:
 			return
@@ -799,57 +803,106 @@ func (s *Server) worker(stop <-chan struct{}) {
 	}
 }
 
-// serve resolves one request against the provider and runs it over the
-// caller's replica cache, feeding the optional telemetry and audit hooks.
-// Both hooks cost one nil check when disabled — the serving benchmarks hold
-// this path to within measurement noise of the uninstrumented server.
-func (s *Server) serve(j *job, replicas *replicaCache) *Response {
-	tr := s.opts.tracer
+// serve answers jobs — a direct job, or a batch the dispatcher coalesced —
+// with one compute over the caller's replica cache, feeding the optional
+// telemetry and tracing hooks, each one nil check when disabled. Replies go
+// out only after those recorded: a replied job belongs to its connection
+// writer, which recycles it.
+func (s *Server) serve(jobs []*job, replicas *replicaCache) {
+	tr, sm := s.opts.tracer, s.opts.metrics
 	var start time.Time
-	if s.opts.metrics != nil || tr != nil {
+	if sm != nil || tr != nil {
 		start = time.Now()
 	}
-	if tr != nil && !j.queuedAt.IsZero() {
-		// Intake wait for jobs that reached a worker directly; dispatcher
-		// jobs had their queue/batch-window split recorded at pop time.
-		tr.Span(&j.tr, trace.StageQueue, j.queuedAt, start.Sub(j.queuedAt))
-		j.queuedAt = time.Time{}
-	}
-	resp := s.serveResolved(j, replicas)
-	if s.opts.metrics != nil || tr != nil {
-		d := time.Since(start)
-		if s.opts.metrics != nil {
-			s.opts.metrics.record(j, resp, d)
+	if tr != nil {
+		for _, j := range jobs {
+			// Intake wait for jobs that reached a worker directly; dispatcher
+			// jobs had their queue/batch-window split recorded at pop time.
+			if !j.queuedAt.IsZero() {
+				tr.Span(&j.tr, trace.StageQueue, j.queuedAt, start.Sub(j.queuedAt))
+				j.queuedAt = time.Time{}
+			}
 		}
-		tr.Span(&j.tr, trace.StageForward, start, d)
 	}
-	return resp
+	if sm != nil && len(jobs) > 1 {
+		sm.CoalescedBatch.Observe(float64(len(jobs)))
+	}
+	s.compute(jobs, replicas)
+	if sm != nil || tr != nil {
+		d := time.Since(start)
+		// Every member is attributed a shared pass; Arg records how many
+		// requests bought it together.
+		var shared int32
+		if len(jobs) > 1 {
+			shared = int32(len(jobs))
+		}
+		for _, j := range jobs {
+			if sm != nil {
+				sm.record(j, d)
+			}
+			tr.SpanArg(&j.tr, trace.StageForward, shared, start, d)
+		}
+	}
+	for _, j := range jobs {
+		j.reply <- &j.resp
+	}
 }
 
-func (s *Server) serveResolved(j *job, replicas *replicaCache) *Response {
-	// The budget verdict comes first: a refused request must not resolve,
-	// be observed, or compute — it serves (and therefore leaks) nothing,
-	// which is also why the refused charge was rolled back.
-	if !s.chargeJob(j) {
-		return &j.resp
+// compute answers every job in j.resp. The budget verdicts come first: a
+// refused job must not resolve, be observed, or compute — it serves (and
+// therefore leaks) nothing, which is also why its charge was rolled back.
+// The live jobs resolve once, from the first job's header (the coalesce key
+// gives a batch one header), and run as one pass on this worker's replica of
+// the epoch. A panic anywhere (validation cannot anticipate every shape the
+// hosted bodies reject) answers every job still unanswered instead of
+// killing the server, and every answer given after the resolve names the
+// epoch.
+func (s *Server) compute(jobs []*job, replicas *replicaCache) {
+	var epoch Response
+	defer func() {
+		if r := recover(); r != nil {
+			epoch.Err = fmt.Sprintf("comm: request failed: %v", r)
+			failPending(jobs, epoch)
+		}
+	}()
+	live := false
+	for _, j := range jobs {
+		if s.chargeJob(j) {
+			live = true
+		}
 	}
-	m, err := s.provider.Resolve(j.req.Model, j.req.Version)
+	if !live {
+		return
+	}
+	m, err := s.provider.Resolve(jobs[0].req.Model, jobs[0].req.Version)
 	if err != nil {
-		return &Response{Err: err.Error()}
+		failPending(jobs, Response{Err: err.Error()})
+		return
 	}
-	if s.opts.observer != nil {
-		j.pay.observe(s.opts.observer, m.Name(), m.Version())
+	epoch.Model, epoch.Version = m.Name(), m.Version()
+	if o := s.opts.observer; o != nil {
+		for _, j := range jobs {
+			if j.resp.Err == "" {
+				j.pay.observe(o, epoch.Model, epoch.Version)
+			}
+		}
 	}
 	wr, err := replicas.replicaFor(m)
 	if err != nil {
-		return &Response{Err: err.Error()}
+		epoch.Err = err.Error()
+		failPending(jobs, epoch)
+		return
 	}
-	resp := s.processWith(j, wr)
-	resp.Model, resp.Version = m.Name(), m.Version()
-	if j.noiseSigma > 0 && resp.Err == "" {
-		noiseResponse(j)
+	jobs[0].pay.pass(s, jobs, wr, epoch)
+}
+
+// failPending answers every job that has no answer yet with resp.
+func failPending(jobs []*job, resp Response) {
+	for _, j := range jobs {
+		if j.resp.Err == "" && !j.pay.answered() {
+			j.resp = resp
+		}
 	}
-	return resp
 }
 
 // cloneReplica builds a worker's private replica, converting a panicking
@@ -866,17 +919,4 @@ func cloneReplica(m ServedModel) (bodies []*nn.Network, err error) {
 		return nil, fmt.Errorf("comm: model %q v%d has no bodies", m.Name(), m.Version())
 	}
 	return bodies, nil
-}
-
-// processWith validates a request and runs it over one worker replica. A
-// panic anywhere in the pass (validation can't anticipate every shape the
-// hosted bodies reject) becomes an error response instead of killing the
-// server.
-func (s *Server) processWith(j *job, wr *workerReplica) (resp *Response) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp = &Response{Err: fmt.Sprintf("comm: request failed: %v", r)}
-		}
-	}()
-	return j.pay.process(s, j, wr)
 }

@@ -215,69 +215,12 @@ func TestShedRequestProducesCompleteTrace(t *testing.T) {
 // allocations to the batched serving loop even in this worst case (CI greps
 // for 0 allocs/op).
 func BenchmarkServeRequestLoopTraced(b *testing.B) {
-	benchTracedLoop(b, trace.New(trace.Config{SampleRate: 1, SlowestN: 4, Capacity: 256}))
+	benchBatchedLoop(b, trace.New(trace.Config{SampleRate: 1, SlowestN: 4, Capacity: 256}))
 }
 
 // BenchmarkServeRequestLoopTracedDefault is the same loop at the default 1%
 // sample rate — the production configuration. CI holds its ns/op to within
 // 5% of the untraced BenchmarkServeRequestLoopBatched.
 func BenchmarkServeRequestLoopTracedDefault(b *testing.B) {
-	benchTracedLoop(b, trace.New(trace.Config{Capacity: 256}))
-}
-
-func benchTracedLoop(b *testing.B, tr *trace.Tracer) {
-	const (
-		nBodies = 4
-		K       = 4
-	)
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }),
-		WithTracer(tr))
-	body, err := appendRequest(nil, &Request{Features: wireTensor(330, 1, 4, 8, 8)}, false, trace.Context{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	jobs := make([]*job, K)
-	for i := range jobs {
-		jobs[i] = newJob[float64]()
-	}
-	batch := &dispatchBatch{}
-	replicas := newReplicaCache(PrecisionF64)
-	encBuf := make([]byte, 0, 1<<20)
-	cycle := func() {
-		for _, j := range jobs {
-			if err := j.pay.parse(body, &j.req, &j.wireTrace); err != nil {
-				b.Fatal(err)
-			}
-			// What the reader goroutine does when a tracer is attached.
-			tr.Begin(&j.tr, j.wireTrace)
-			j.queuedAt = time.Now()
-			batch.jobs = append(batch.jobs, j)
-		}
-		srv.serveBatch(batch, replicas)
-		for _, j := range jobs {
-			resp := <-j.reply
-			if resp.Err != "" {
-				b.Fatal(resp.Err)
-			}
-			var e error
-			encStart := time.Now()
-			encBuf, e = j.pay.appendResponse(append(encBuf[:0], 0, 0, 0, 0), resp, false, j.wireTrace.ID)
-			if e != nil {
-				b.Fatal(e)
-			}
-			// What the writer goroutine does: encode span, then Finish.
-			tr.Span(&j.tr, trace.StageEncode, encStart, time.Since(encStart))
-			tr.Finish(&j.tr, false)
-			j.reset()
-		}
-		batch.reset()
-	}
-	cycle()
-	cycle()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
-	}
+	benchBatchedLoop(b, trace.New(trace.Config{Capacity: 256}))
 }
