@@ -24,10 +24,10 @@
 //
 // Requests from concurrent connections are served by a bounded worker pool;
 // each worker owns private replicas of the bodies it has served, lazily
-// re-cloned when a swap publishes a new epoch, and within one request the
-// hosted body passes run in parallel. SIGINT/SIGTERM triggers a graceful
-// shutdown: in-flight requests finish, their responses flush, and Serve
-// returns.
+// re-cloned when a publish or reload swaps in new bodies (a selector rotation
+// keeps them), and within one request the hosted body passes run in
+// parallel. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
+// finish, their responses flush, and Serve returns.
 //
 // -batch-window turns on cross-connection continuous batching: single-tensor
 // requests arriving within the window are coalesced into one stacked forward
@@ -660,8 +660,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	// Selector rotation cadence: each tick re-draws the default model's
 	// secret subset and publishes it as a new version (persisted when a
-	// registry directory is attached). The swap is a pointer flip; workers
-	// lazily re-clone between requests, so traffic never stalls.
+	// registry directory is attached). The swap is a pointer flip and the
+	// rotated version shares the served bodies, so workers keep their
+	// replicas and traffic never stalls.
 	if *rotateEvery > 0 {
 		go func() {
 			ticker := time.NewTicker(*rotateEvery)

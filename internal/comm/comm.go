@@ -39,7 +39,7 @@
 // a fixed body slice. An empty model name and version 0 fall back to the
 // provider's default; a provider whose current epoch changes between
 // requests gives zero-downtime hot swaps, with each worker lazily re-cloning
-// its body replicas when it first sees the new epoch.
+// its body replicas when it first sees new bodies (ServedModel.Seq).
 package comm
 
 import (

@@ -44,6 +44,9 @@ func bitsDiffer(got, want *tensor.Tensor) error {
 	return nil
 }
 
+// BitsDiffer is bitsDiffer, exported to the package's external tests.
+var BitsDiffer = bitsDiffer
+
 // setRequest loads req into a float64 job the way the codec delivers one:
 // routing header in j.req, tensors in the payload. Unlike the codec it takes
 // any tensor, including ones no frame could carry — the lies the compute
@@ -137,12 +140,33 @@ func newServeLoop(tb testing.TB, srv *Server, k int, req *Request, f32 bool) *se
 }
 
 // request sets the frame every later cycle decodes.
-func (l *serveLoop) request(req *Request) {
-	body, err := appendRequest(nil, req, l.f32, trace.Context{})
+func (l *serveLoop) request(req *Request) { l.body = RequestFrame(l.tb, req, l.f32) }
+
+// RequestFrame encodes req as a request frame body on the f64 or f32 wire
+// (exported to the package's external tests).
+func RequestFrame(tb testing.TB, req *Request, f32 bool) []byte {
+	body, err := appendRequest(nil, req, f32, trace.Context{})
 	if err != nil {
-		l.tb.Fatal(err)
+		tb.Fatal(err)
 	}
-	l.body = body
+	return body
+}
+
+// FrameServer exposes one worker's serve path to the package's external
+// tests: each call of the returned func decodes a request frame body into
+// one job, serves it through the replica cache every call shares, and
+// returns the reply, valid until the next call. Its steady state allocates
+// nothing.
+func FrameServer(tb testing.TB, srv *Server) func(body []byte) *Response {
+	j := srv.newJob()
+	serve := jobServer(srv, newReplicaCache(srv.opts.precision))
+	return func(body []byte) *Response {
+		j.reset()
+		if err := j.pay.parse(body, &j.req, &j.wireTrace); err != nil {
+			tb.Fatal(err)
+		}
+		return serve(j)
+	}
 }
 
 func (l *serveLoop) cycle() {

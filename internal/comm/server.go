@@ -26,11 +26,13 @@ const DefaultMaxBatch = 64
 const DefaultDrainTimeout = 5 * time.Second
 
 // ServedModel is one immutable published version of a model, as the server
-// sees it. Seq must change whenever the underlying weights or identity
-// change (a publish, rotation, or reload): it is the workers' replica cache
-// key, so a stale Seq means a worker keeps serving old weights. NewReplica
-// must be safe to call concurrently and return bodies no other goroutine
-// touches.
+// sees it. Seq is the server-body generation: it must change whenever the
+// body weights change (a publish or reload), and may stay put across a
+// version change that keeps them (a selector rotation). It is the workers'
+// replica cache key, together with Name: a stale Seq means a worker keeps
+// serving old weights, an unchanged one lets every worker keep its replica.
+// NewReplica must be safe to call concurrently and return bodies no other
+// goroutine touches.
 type ServedModel interface {
 	Name() string
 	Version() int
@@ -324,7 +326,8 @@ func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
 // registry.Registry. Publishing a new version or rotating a selector in the
 // provider swaps what subsequent requests compute against with zero
 // downtime: in-flight requests finish on the epoch they resolved, and each
-// worker re-clones its replicas the first time it sees a new epoch.
+// worker re-clones its replicas the first time it sees a new Seq (a
+// rotation that keeps the bodies keeps the Seq, and so the replicas).
 func NewModelServer(p ModelProvider, opts ...ServerOption) *Server {
 	if p == nil {
 		panic("comm: server needs a model provider")
@@ -697,35 +700,37 @@ func (s *Server) handle(conn net.Conn) {
 	writer.Wait()
 }
 
-// maxWorkerReplicas bounds one worker's replica cache. Each live epoch a
-// worker serves costs one entry, so the bound is hit only when many models
-// (or pinned versions) rotate through a single worker; eviction then retires
-// the least-recently-used replica and the next request for it re-clones.
+// maxWorkerReplicas bounds one worker's replica cache. Each live body
+// generation a worker serves costs one entry — selector rotations share
+// their parent's — so the bound is hit only when many models (or pinned
+// versions of distinct publishes) pass through a single worker; eviction then
+// retires the least-recently-used replica and the next request for it
+// re-clones.
 const maxWorkerReplicas = 16
 
-// workerReplica is one worker's private replica of one model epoch: run is
-// a *bodySet[T] at the serving precision, over the cloned float64 networks
-// themselves or over their float32 compilation (which keeps what it needs of
-// its source alive — AdditiveNoise resample mode draws through the source
-// layer's worker-private RNG state).
+// workerReplica is one worker's private replica of one body generation: run
+// is a *bodySet[T] at the serving precision, over the cloned float64
+// networks themselves or over their float32 compilation (which keeps what it
+// needs of its source alive — AdditiveNoise resample mode draws through the
+// source layer's worker-private RNG state).
 type workerReplica struct {
-	seq      uint64
 	run      any
 	lastUsed uint64 // worker-local request counter for LRU eviction
 }
 
-// epochKey identifies one model epoch in a worker's replica cache. A struct
-// key keeps the per-request lookup allocation-free (the old formatted-string
-// key cost one heap allocation per request).
+// epochKey identifies one body generation (ServedModel.Seq) of one model in
+// a worker's replica cache. A struct key keeps the per-request lookup
+// allocation-free (the old formatted-string key cost one heap allocation per
+// request).
 type epochKey struct {
 	name string
 	seq  uint64
 }
 
-// replicaCache is one worker's private replicas, keyed by epoch (name, seq)
-// so mixed pinned-version and current-version traffic on one model each
-// keep their own replica instead of thrashing a shared slot with full
-// re-clones per request.
+// replicaCache is one worker's private replicas, keyed by (name, seq) so
+// mixed pinned-version and current-version traffic on one model each keep
+// their own replica instead of thrashing a shared slot with full re-clones
+// per request — and versions that share bodies share one.
 type replicaCache struct {
 	entries   map[epochKey]*workerReplica
 	tick      uint64
@@ -749,7 +754,7 @@ func (rc *replicaCache) replicaFor(m ServedModel) (*workerReplica, error) {
 	if err != nil {
 		return nil, err
 	}
-	wr := &workerReplica{seq: m.Seq(), lastUsed: rc.tick}
+	wr := &workerReplica{lastUsed: rc.tick}
 	if rc.precision == PrecisionF32 {
 		nets := make([]inferer[float32], len(bodies))
 		for i, b := range bodies {
@@ -780,10 +785,11 @@ func (rc *replicaCache) replicaFor(m ServedModel) (*workerReplica, error) {
 }
 
 // worker serves pool jobs. Each worker owns a private replica cache keyed by
-// model epoch: resolving a request whose epoch is not yet cached (a publish,
-// rotation, or reload happened) lazily re-clones the bodies. The swap
-// therefore costs each worker one clone per epoch change, spread across the
-// pool as requests arrive — never a lock shared between workers.
+// body generation: resolving a request whose bodies are not yet cached (a
+// publish or reload happened) lazily re-clones them. The swap therefore
+// costs each worker one clone per body change, spread across the pool as
+// requests arrive — never a lock shared between workers — and a selector
+// rotation, which keeps the bodies, costs nothing.
 func (s *Server) worker(stop <-chan struct{}) {
 	replicas := newReplicaCache(s.opts.precision)
 	// A direct job is served as a batch of one through this slot: a

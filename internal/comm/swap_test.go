@@ -14,6 +14,7 @@ import (
 	"ensembler/internal/ensemble"
 	"ensembler/internal/nn"
 	"ensembler/internal/registry"
+	"ensembler/internal/rng"
 	"ensembler/internal/tensor"
 )
 
@@ -425,5 +426,199 @@ func TestSubsetProviderCachesPerEpoch(t *testing.T) {
 	}
 	if m := resolve(); m.Seq() != cur.Seq() {
 		t.Errorf("after the concurrent rotations resolved seq %d, want the current %d", m.Seq(), cur.Seq())
+	}
+}
+
+// countingProvider counts the body replicas servers build through it.
+type countingProvider struct {
+	comm.ModelProvider
+	replicas atomic.Int64
+}
+
+func (p *countingProvider) Resolve(model string, version int) (comm.ServedModel, error) {
+	m, err := p.ModelProvider.Resolve(model, version)
+	if err != nil {
+		return nil, err
+	}
+	return countingModel{m, &p.replicas}, nil
+}
+
+type countingModel struct {
+	comm.ServedModel
+	replicas *atomic.Int64
+}
+
+func (m countingModel) NewReplica() []*nn.Network {
+	m.replicas.Add(1)
+	return m.ServedModel.NewReplica()
+}
+
+// servedBy computes what a server hosting bodies [lo, hi) of e answers for
+// features f: each body's output, at f32 through the body's float32
+// compilation on the narrowed input, widened back exactly.
+func servedBy(t *testing.T, e *ensemble.Ensembler, f *tensor.Tensor, lo, hi int, f32 bool) []*tensor.Tensor {
+	t.Helper()
+	out := make([]*tensor.Tensor, 0, hi-lo)
+	for _, b := range e.CloneBodyRange(lo, hi) {
+		if !f32 {
+			out = append(out, b.Forward(f, false))
+			continue
+		}
+		n32, err := nn.CompileF32(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tensor.Widen64(n32.ForwardInfer(tensor.Narrow32(f), nn.NewScratch32())))
+	}
+	return out
+}
+
+// TestReplicasSurviveRotation pins what a rotation sharing its parent's
+// bodies buys the server: the rotated epoch keeps the parent's body
+// generation (Seq), so no worker re-clones — a monolith at f64 or f32, or a
+// shard behind a subset provider. Every response names the rotated version
+// and is bit-exact against the rotated pipeline, each worker builds one
+// replica however often the selector rotates, and the first server compute
+// on a rotated version allocates nothing.
+func TestReplicasSurviveRotation(t *testing.T) {
+	const n, workers, rotations = 4, 2, 3
+	for _, tc := range []struct {
+		name   string
+		f32    bool
+		lo, hi int // the shard's body range; 0, 0 hosts all n
+	}{
+		{name: "f64"},
+		{name: "f32", f32: true},
+		{name: "shard", lo: 1, hi: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := registry.New(nil)
+			if _, err := reg.Publish("m", commtest.Pipeline(tiny, n, 2, 131)); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := 0, n
+			var inner comm.ModelProvider = reg
+			if tc.hi > 0 {
+				lo, hi = tc.lo, tc.hi
+				var err error
+				if inner, err = comm.NewSubsetProvider(reg, lo, hi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := []comm.ServerOption{comm.WithWorkers(workers)}
+			if tc.f32 {
+				opts = append(opts, comm.WithPrecision(comm.PrecisionF32))
+			}
+			counted := &countingProvider{ModelProvider: inner}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			ctx, cancel := context.WithCancel(context.Background())
+			served := make(chan error, 1)
+			go func() { served <- comm.NewModelServer(counted, opts...).Serve(ctx, ln) }()
+			t.Cleanup(func() {
+				cancel()
+				if err := <-served; err != nil {
+					t.Errorf("serve: %v", err)
+				}
+			})
+			client, err := comm.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+
+			x := tensor.New(2, tiny.InC, tiny.H, tiny.W)
+			rng.New(132).FillNormal(x.Data, 0, 1)
+			check := func(ep *registry.Epoch) {
+				t.Helper()
+				e := ep.Pipeline()
+				rt := e.NewClientRuntime()
+				f := rt.Features(x).Clone()
+				want := servedBy(t, e, f, lo, hi, tc.f32)
+				ex, _, err := client.Exchange(ctx, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.Model != "m" || ex.Version != ep.Version() {
+					t.Errorf("response names %s v%d, want m v%d", ex.Model, ex.Version, ep.Version())
+				}
+				if len(ex.Features) != len(want) {
+					t.Fatalf("v%d: %d feature maps, want %d", ep.Version(), len(ex.Features), len(want))
+				}
+				for i := range want {
+					if err := comm.BitsDiffer(ex.Features[i], want[i]); err != nil {
+						t.Errorf("v%d body %d features: %v", ep.Version(), lo+i, err)
+					}
+				}
+				if hi-lo < n {
+					return // a shard's features cannot make logits on their own
+				}
+				client.ComputeFeatures, client.Select, client.Tail = rt.Features, rt.Select, rt.Tail
+				got, _, err := client.Infer(ctx, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLogits := e.Predict(x)
+				if tc.f32 {
+					wantLogits = rt.Tail.Forward(rt.Select(want), false)
+				}
+				if _, v := client.Served(); v != ep.Version() {
+					t.Errorf("logits served by v%d, want v%d", v, ep.Version())
+				}
+				if err := comm.BitsDiffer(got, wantLogits); err != nil {
+					t.Errorf("v%d logits: %v", ep.Version(), err)
+				}
+			}
+
+			cur, err := reg.Current("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(cur)
+			for i := 0; i < rotations; i++ {
+				if cur, err = reg.RotateSelector("m", ensemble.RotateOptions{Seed: int64(133 + i)}); err != nil {
+					t.Fatal(err)
+				}
+				check(cur)
+			}
+			if got := counted.replicas.Load(); got < 1 || got > workers {
+				t.Errorf("%d replicas built across %d rotations, want one per worker (at most %d)", got, rotations, workers)
+			}
+			if hi-lo < n {
+				return // a new epoch costs a shard's subset provider one restriction
+			}
+
+			// AllocsPerRun's warm-up run would absorb a lone post-rotation
+			// request, so the rotations come first and every measured run
+			// serves the first request pinned to the next rotated version.
+			f := cur.Pipeline().NewClientRuntime().Features(x).Clone()
+			frame := func(version int) []byte {
+				return comm.RequestFrame(t, &comm.Request{Model: "m", Version: version, Features: f}, false)
+			}
+			serve := comm.FrameServer(t, comm.NewModelServer(reg, opts...))
+			serve(frame(cur.Version()))
+			serve(frame(cur.Version()))
+			frames := make([][]byte, rotations+1)
+			for i := range frames {
+				if _, err := reg.RotateSelector("m", ensemble.RotateOptions{Seed: int64(140 + i)}); err != nil {
+					t.Fatal(err)
+				}
+				frames[i] = frame(cur.Version() + 1 + i)
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(rotations, func() {
+				resp := serve(frames[next])
+				next++
+				if resp.Err != "" || resp.Version != cur.Version()+next {
+					t.Errorf("served v%d (%q), want v%d", resp.Version, resp.Err, cur.Version()+next)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("first compute on a rotated version allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

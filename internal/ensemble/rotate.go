@@ -14,13 +14,14 @@ import (
 // same secret subset leaks more to an honest-but-curious server with every
 // round trip (and a static ensemble is eventually invertible — see
 // PAPERS.md on switching ensembles). Rotate bounds that exposure by
-// re-drawing the secret P-subset on a fresh pipeline copy, leaving the
+// re-drawing the secret P-subset into a new pipeline value, leaving the
 // original untouched so a server can keep answering in-flight requests on
 // the old epoch while the new one is published. The N server bodies are
 // deliberately NOT retrained: rotation must be invisible on the wire, and a
 // body-weight change would be observable (and expensive). Only the
 // client-side secret — selector, and optionally the stage-3 head/noise/tail
-// tuned to the new subset — changes.
+// tuned to the new subset — changes, so the rotated pipeline shares the
+// parent's member networks instead of copying them.
 
 // RotateOptions configures one selector rotation.
 type RotateOptions struct {
@@ -40,8 +41,9 @@ type RotateOptions struct {
 
 // Clone returns a deep copy of the pipeline — independent networks, noise
 // tensors, and selector — by round-tripping through the persistence format.
-// The copy is what rotation mutates, so the original stays safe for
-// concurrent readers throughout.
+// A tuned rotation fine-tunes on one, because stage 3 writes layer caches
+// and gradients on the selected bodies: the original, and every rotation
+// sharing its bodies, stays safe for concurrent readers throughout.
 func (e *Ensembler) Clone() (*Ensembler, error) {
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
@@ -54,15 +56,17 @@ func (e *Ensembler) Clone() (*Ensembler, error) {
 	return c, nil
 }
 
-// Rotate returns a copy of the pipeline with a freshly drawn secret selector
-// (guaranteed to differ from the current one whenever N and P allow more
-// than one subset) and, if opts.Tune is set, stage-3 head/noise/tail
-// fine-tuned to the new subset. The receiver is not modified.
+// Rotate returns a pipeline with a freshly drawn secret selector (guaranteed
+// to differ from the current one whenever N and P allow more than one
+// subset) and, if opts.Tune is set, stage-3 head/noise/tail fine-tuned to
+// the new subset. The result shares the receiver's Members — and, untuned,
+// its Head, Noise and Tail — so a rotation costs no body memory; a tuned
+// rotation trains on a private Clone and keeps only that copy's head, noise
+// and tail. The receiver is not modified. Shared networks share their
+// forward caches, so the receiver and the result must not run Predict or
+// ServerCompute concurrently; concurrent passes use CloneBodies replicas.
 func (e *Ensembler) Rotate(opts RotateOptions) (*Ensembler, error) {
-	c, err := e.Clone()
-	if err != nil {
-		return nil, err
-	}
+	c := *e
 	r := rng.New(opts.Seed)
 	c.Selector = NewSelector(c.Cfg.N, c.Cfg.P, r)
 	// A rotation that lands on the same subset rotates nothing; redraw until
@@ -76,12 +80,18 @@ func (e *Ensembler) Rotate(opts RotateOptions) (*Ensembler, error) {
 		fmt.Fprintf(opts.Log, "rotate: selection %v -> %v\n", e.Selector.Indices, c.Selector.Indices)
 	}
 	if opts.Tune != nil {
-		if anyTrainOption(opts.TuneOpts) {
-			c.Cfg.Stage3 = opts.TuneOpts
+		t, err := e.Clone()
+		if err != nil {
+			return nil, err
 		}
-		c.trainStage3(opts.Tune, opts.Log)
+		t.Selector = c.Selector
+		if anyTrainOption(opts.TuneOpts) {
+			t.Cfg.Stage3 = opts.TuneOpts
+		}
+		t.trainStage3(opts.Tune, opts.Log)
+		c.Cfg, c.Head, c.Noise, c.Tail = t.Cfg, t.Head, t.Noise, t.Tail
 	}
-	return c, nil
+	return &c, nil
 }
 
 // sameIndices reports whether two ascending index lists are identical.

@@ -1,8 +1,14 @@
 package ensemble
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
 	"testing"
 
+	"ensembler/internal/nn"
 	"ensembler/internal/rng"
 	"ensembler/internal/split"
 	"ensembler/internal/tensor"
@@ -22,6 +28,65 @@ func untrainedPipeline(seed int64) *Ensembler {
 	cfg := tinyConfig(seed)
 	cfg.N, cfg.P = 4, 2
 	return New(cfg)
+}
+
+// digest hashes every network's parameters and batch-norm running
+// statistics, then the noise tensors, bit for bit in a fixed order.
+func digest(nets []*nn.Network, noises ...*nn.AdditiveNoise) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(t *tensor.Tensor) {
+		for _, v := range t.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	for _, n := range nets {
+		for _, p := range n.Params() {
+			put(p.Value)
+		}
+		for _, bn := range batchNorms(n.Layers) {
+			put(bn.RunMean)
+			put(bn.RunVar)
+		}
+	}
+	for _, a := range noises {
+		if a != nil {
+			put(a.Noise.Value)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// batchNorms lists a layer tree's batch norms in the order nn saves them.
+func batchNorms(layers []nn.Layer) []*nn.BatchNorm2D {
+	var out []*nn.BatchNorm2D
+	for _, l := range layers {
+		switch v := l.(type) {
+		case *nn.BatchNorm2D:
+			out = append(out, v)
+		case *nn.BasicBlock:
+			out = append(out, v.BN1, v.BN2)
+			if v.ShortBN != nil {
+				out = append(out, v.ShortBN)
+			}
+		case *nn.Network:
+			out = append(out, batchNorms(v.Layers)...)
+		}
+	}
+	return out
+}
+
+// pipelineDigest covers every network and noise tensor of a pipeline: the N
+// members' heads, bodies and tails, and the final head, noise and tail.
+func pipelineDigest(e *Ensembler) string {
+	var nets []*nn.Network
+	var noises []*nn.AdditiveNoise
+	for _, m := range e.Members {
+		nets = append(nets, m.Head, m.Body, m.Tail)
+		noises = append(noises, m.Noise)
+	}
+	return digest(append(nets, e.Head, e.Tail), append(noises, e.Noise)...)
 }
 
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
@@ -59,21 +124,19 @@ func TestRotateRedrawsSelectorKeepsBodies(t *testing.T) {
 	if !sameIndices(e.Selector.Indices, before) {
 		t.Error("rotation mutated the original's selector")
 	}
-	// The server bodies must be bit-identical: rotation is invisible on the
-	// wire by design.
+	// The server bodies are the parent's own networks: rotation is invisible
+	// on the wire by design, and costs no body memory.
+	if len(rot.Members) != len(e.Members) {
+		t.Fatalf("rotation has %d members, parent %d", len(rot.Members), len(e.Members))
+	}
 	for i := range e.Members {
-		a, b := e.Members[i].Body.Params(), rot.Members[i].Body.Params()
-		for j := range a {
-			for k := range a[j].Value.Data {
-				if a[j].Value.Data[k] != b[j].Value.Data[k] {
-					t.Fatalf("rotation changed body %d weights", i)
-				}
-			}
+		if rot.Members[i] != e.Members[i] {
+			t.Errorf("rotation copied member %d instead of sharing it", i)
 		}
 	}
-	// Without tuning, the stage-3 head is also untouched.
-	if rot.Head.Params()[0].Value.Data[0] != e.Head.Params()[0].Value.Data[0] {
-		t.Error("untuned rotation changed the head")
+	// Without tuning, the stage-3 networks are shared too.
+	if rot.Head != e.Head || rot.Noise != e.Noise || rot.Tail != e.Tail {
+		t.Error("untuned rotation copied the head, noise or tail")
 	}
 }
 
@@ -105,13 +168,22 @@ func TestRotateSingleSubsetIsIdentity(t *testing.T) {
 	}
 }
 
+// TestRotateWithTuneAdaptsHeadTail checks a tuned rotation: it fine-tunes
+// the stage-3 networks to the new subset on a private copy, so the parent —
+// whose bodies the rotation shares — keeps every parameter and batch-norm
+// running statistic bit for bit, and the tuned head/noise/tail come out
+// exactly as they did when rotation fine-tuned a whole-pipeline copy.
 func TestRotateWithTuneAdaptsHeadTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training smoke test")
 	}
+	// Recorded when Rotate still deep-copied the whole pipeline and tuned
+	// the copy in place (amd64; see nn.TestGoldenBodyBits).
+	const wantTuned = "773b9726bba2dcdacf4d23adfa77b4b02fb6d2c726de554d45bc27fa2d0863b0"
 	train := tinyData(76)
 	cfg := tinyConfig(77)
 	e := Train(cfg, train, nil)
+	parent := pipelineDigest(e)
 
 	rot, err := e.Rotate(RotateOptions{
 		Seed: 5,
@@ -135,15 +207,18 @@ func TestRotateWithTuneAdaptsHeadTail(t *testing.T) {
 	if !moved {
 		t.Error("tuned rotation left the tail untouched")
 	}
-	// Bodies still frozen through the tune.
 	for i := range e.Members {
-		ap, bp := e.Members[i].Body.Params(), rot.Members[i].Body.Params()
-		for j := range ap {
-			for k := range ap[j].Value.Data {
-				if ap[j].Value.Data[k] != bp[j].Value.Data[k] {
-					t.Fatalf("tuned rotation changed body %d", i)
-				}
-			}
+		if rot.Members[i] != e.Members[i] {
+			t.Errorf("tuned rotation copied member %d instead of sharing it", i)
 		}
+	}
+	if rot.Head == e.Head || rot.Tail == e.Tail {
+		t.Error("tuned rotation shares the parent's head or tail, which it trained")
+	}
+	if got := pipelineDigest(e); got != parent {
+		t.Errorf("tuned rotation wrote to the parent: state digest %s, was %s", got, parent)
+	}
+	if got := digest([]*nn.Network{rot.Head, rot.Tail}, rot.Noise); runtime.GOARCH == "amd64" && got != wantTuned {
+		t.Errorf("tuned head/noise/tail digest %s, want %s", got, wantTuned)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // Immutability is the whole concurrency story: nothing ever mutates an
 // epoch's pipeline after Publish, so any number of serving workers may clone
 // replicas from it while a new epoch is being prepared, and in-flight
-// requests simply finish on whichever epoch they resolved.
+// requests simply finish on whichever epoch they resolved. A selector
+// rotation's epoch shares its parent's server bodies (and its Seq).
 type Epoch struct {
 	name     string
 	version  int
@@ -30,9 +31,12 @@ func (ep *Epoch) Name() string { return ep.name }
 // Version returns the store-assigned (or in-memory sequential) version.
 func (ep *Epoch) Version() int { return ep.version }
 
-// Seq returns a registry-unique epoch number. Serving workers use it as
-// their replica cache key: a changed Seq (publish, rotation, or reload)
-// tells the worker its body replicas are stale and must be re-cloned.
+// Seq returns the epoch's server-body generation. Publish, LoadStore and a
+// lazy store load each mint a new one; a selector rotation keeps its
+// parent's, because it changes only the client-side secret and shares the
+// parent's bodies. Serving workers use it as their replica cache key: a
+// changed Seq tells the worker its body replicas are stale and must be
+// re-cloned, and an unchanged one lets it keep them across a rotation.
 func (ep *Epoch) Seq() uint64 { return ep.seq }
 
 // Pipeline returns the published pipeline. Treat it as read-only.
@@ -173,9 +177,13 @@ func (r *Registry) state(name string) *modelState {
 }
 
 // install registers a pipeline as the given version and makes it current if
-// it is newer than what is live. It does not touch the store.
-func (r *Registry) install(name string, version int, e *ensemble.Ensembler) *Epoch {
-	ep := &Epoch{name: name, version: version, seq: r.seq.Add(1), pipeline: e}
+// it is newer than what is live. seq is the body generation of e: 0 mints a
+// new one. It does not touch the store.
+func (r *Registry) install(name string, version int, e *ensemble.Ensembler, seq uint64) *Epoch {
+	if seq == 0 {
+		seq = r.seq.Add(1)
+	}
+	ep := &Epoch{name: name, version: version, seq: seq, pipeline: e}
 	ms := r.state(name)
 	ms.mu.Lock()
 	if cur := ms.current.Load(); cur == nil || cur.version <= version {
@@ -195,11 +203,11 @@ func (r *Registry) install(name string, version int, e *ensemble.Ensembler) *Epo
 func (r *Registry) Publish(name string, e *ensemble.Ensembler) (*Epoch, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.publishLocked(name, e)
+	return r.publishLocked(name, e, 0)
 }
 
-// publishLocked is Publish with r.mu already held.
-func (r *Registry) publishLocked(name string, e *ensemble.Ensembler) (*Epoch, error) {
+// publishLocked is Publish with r.mu already held; seq is passed to install.
+func (r *Registry) publishLocked(name string, e *ensemble.Ensembler, seq uint64) (*Epoch, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
@@ -219,13 +227,14 @@ func (r *Registry) publishLocked(name string, e *ensemble.Ensembler) (*Epoch, er
 		ms.mu.Unlock()
 		version++
 	}
-	return r.install(name, version, e), nil
+	return r.install(name, version, e, seq), nil
 }
 
 // RotateSelector re-draws the secret P-of-N subset of the named model (""
-// for the default) on a copy of its current pipeline and publishes the
-// result as a new version — the switching-ensembles defense cadence. The
-// server bodies are unchanged, so the swap is invisible on the wire; only
+// for the default) and publishes the result as a new version — the
+// switching-ensembles defense cadence. The server bodies are unchanged and
+// shared with the parent epoch, whose Seq the new epoch keeps, so the swap
+// is invisible on the wire and serving workers keep their replicas; only
 // the client-side secret (and, with opts.Tune, the stage-3 head/noise/tail)
 // moves. The rotation is recorded with cause "manual"; callers that rotate
 // on a schedule or on audit evidence should use RotateSelectorCause so the
@@ -238,10 +247,12 @@ func (r *Registry) RotateSelector(name string, opts ensemble.RotateOptions) (*Ep
 // the model's rotation history — the audit trail the control plane reads
 // back through RotationHistory and exports as the rotation counter.
 // Rotation runs outside the publish lock (a fine-tune can take seconds), so
-// a Publish or LoadStore may land mid-rotation; publishing the rotation of a
-// stale pipeline would silently revert the newer model. The rotation
-// therefore re-checks the current epoch under the lock before publishing and
-// starts over on the fresh pipeline when it moved.
+// a Publish, LoadStore or another rotation may land mid-rotation; publishing
+// the rotation of a stale pipeline would silently revert the newer model.
+// The rotation therefore re-checks the current epoch under the lock before
+// publishing and starts over on the fresh pipeline when it moved. The check
+// compares epochs, not Seq: a racing rotation keeps the Seq it would be
+// compared against.
 func (r *Registry) RotateSelectorCause(name, cause string, opts ensemble.RotateOptions) (*Epoch, error) {
 	const maxAttempts = 3
 	for attempt := 0; ; attempt++ {
@@ -254,14 +265,14 @@ func (r *Registry) RotateSelectorCause(name, cause string, opts ensemble.RotateO
 			return nil, fmt.Errorf("registry: rotating %q: %w", cur.name, err)
 		}
 		r.mu.Lock()
-		if latest := r.state(cur.name).current.Load(); latest != nil && latest.seq != cur.seq {
+		if latest := r.state(cur.name).current.Load(); latest != cur {
 			r.mu.Unlock()
 			if attempt+1 >= maxAttempts {
-				return nil, fmt.Errorf("registry: rotating %q: current version kept moving (%d publishes raced the rotation)", cur.name, maxAttempts)
+				return nil, fmt.Errorf("registry: rotating %q: current version kept moving (%d publishes or rotations raced the rotation)", cur.name, maxAttempts)
 			}
-			continue // a publish landed mid-rotation; rotate the newer pipeline
+			continue // the current epoch moved mid-rotation; rotate the newer one
 		}
-		ep, err := r.publishLocked(cur.name, rotated)
+		ep, err := r.publishLocked(cur.name, rotated, cur.seq)
 		r.mu.Unlock()
 		if err == nil {
 			r.state(ep.name).recordRotation(RotationRecord{Version: ep.version, At: time.Now(), Cause: cause})
@@ -433,7 +444,7 @@ func (r *Registry) LoadStore() (int, error) {
 			return updated, err
 		}
 		r.mu.Lock()
-		r.install(name, v, e)
+		r.install(name, v, e, 0)
 		r.mu.Unlock()
 		updated++
 	}

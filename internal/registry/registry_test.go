@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -222,44 +223,118 @@ func TestRegistryLoadStorePicksUpOutOfProcessPublish(t *testing.T) {
 	}
 }
 
-func TestRotateSelectorRefusesToRevertRacingPublish(t *testing.T) {
-	// A publish that lands while a rotation is in flight must not be
-	// overwritten by the rotation of the stale pipeline. The rotation retries
-	// on the fresh current instead.
-	r := registry.New(nil)
-	if _, err := r.Publish("m", pipeline(90)); err != nil {
-		t.Fatal(err)
-	}
-	fresh := pipeline(91)
-	x := commtest.Input(tiny, 92, 1)
-	wantBody := fresh.Bodies()[0].Forward(x, false)
+// raceOnFirstWrite is a RotateOptions.Log writer that runs race on the
+// rotation's first progress line — after the rotation resolved the current
+// epoch and before it publishes — and never again, so a racer lands inside
+// the rotation's window on every run.
+type raceOnFirstWrite struct {
+	race func()
+	done bool
+}
 
-	// Simulate the race deterministically: Rotate reads current v1, then v2
-	// lands before it publishes. The retry path rotates v2's pipeline, so the
-	// final current must carry v2's bodies, not v1's.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(10 * time.Millisecond)
-		if _, err := r.Publish("m", fresh); err != nil {
-			t.Error(err)
-		}
-	}()
-	// Tune=nil rotation is fast; loop a few to overlap with the publish.
-	for i := 0; i < 20; i++ {
-		if _, err := r.RotateSelector("m", ensemble.RotateOptions{Seed: int64(93 + i)}); err != nil {
+func (w *raceOnFirstWrite) Write(p []byte) (int, error) {
+	if !w.done {
+		w.done = true
+		w.race()
+	}
+	return len(p), nil
+}
+
+// TestRotateSelectorRefusesToRevertRacingPublish: a publish or a rotation
+// that lands while a rotation is in flight must not be overwritten by the
+// rotation of the stale pipeline. The rotation starts over on the fresh
+// current instead, so the final epoch derives from the racer.
+func TestRotateSelectorRefusesToRevertRacingPublish(t *testing.T) {
+	t.Run("publish", func(t *testing.T) {
+		r := registry.New(nil)
+		if _, err := r.Publish("m", pipeline(90)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	<-done
-	cur, err := r.Current("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cur.Pipeline().Bodies()[0].Forward(x, false)
-	if !got.AllClose(wantBody, 1e-12) {
-		t.Error("rotation reverted the current pipeline to pre-publish bodies")
-	}
+		fresh := pipeline(91)
+		var racer *registry.Epoch
+		log := &raceOnFirstWrite{race: func() {
+			var err error
+			if racer, err = r.Publish("m", fresh); err != nil {
+				t.Error(err)
+			}
+		}}
+		ep, err := r.RotateSelector("m", ensemble.RotateOptions{Seed: 93, Log: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if racer == nil {
+			t.Fatal("the racing publish never ran")
+		}
+		if cur, err := r.Current("m"); err != nil || cur != ep || ep.Version() != 3 {
+			t.Fatalf("rotation published v%d, not the current v3 (%v)", ep.Version(), err)
+		}
+		for i, m := range ep.Pipeline().Members {
+			if m != fresh.Members[i] {
+				t.Fatalf("rotation reverted member %d to the pre-publish pipeline", i)
+			}
+		}
+		if ep.Seq() != racer.Seq() {
+			t.Errorf("rotation seq %d, want the rotated epoch's body generation %d", ep.Seq(), racer.Seq())
+		}
+	})
+
+	t.Run("rotation", func(t *testing.T) {
+		r := registry.New(nil)
+		v1, err := r.Publish("m", pipeline(94))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Seeds where the stale rotation of v1 draws exactly the racer's
+		// subset: a race check comparing Seq, which a rotation keeps, misses
+		// the racer and publishes that subset again.
+		const seed = 95
+		stale, err := v1.Pipeline().Rotate(ensemble.RotateOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		racerSeed := int64(-1)
+		for s := int64(0); s < 64 && racerSeed < 0; s++ {
+			d, err := v1.Pipeline().Rotate(ensemble.RotateOptions{Seed: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s != seed && slices.Equal(d.Selector.Indices, stale.Selector.Indices) {
+				racerSeed = s
+			}
+		}
+		if racerSeed < 0 {
+			t.Fatalf("no racer seed draws the stale subset %v", stale.Selector.Indices)
+		}
+
+		var racer *registry.Epoch
+		log := &raceOnFirstWrite{race: func() {
+			var err error
+			if racer, err = r.RotateSelector("m", ensemble.RotateOptions{Seed: racerSeed}); err != nil {
+				t.Error(err)
+			}
+		}}
+		ep, err := r.RotateSelector("m", ensemble.RotateOptions{Seed: seed, Log: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if racer == nil {
+			t.Fatal("the racing rotation never ran")
+		}
+		if cur, err := r.Current("m"); err != nil || cur != ep || ep.Version() != 3 {
+			t.Fatalf("rotation published v%d, not the current v3 (%v)", ep.Version(), err)
+		}
+		want, err := racer.Pipeline().Rotate(ensemble.RotateOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ep.Pipeline().Selector.Indices; !slices.Equal(got, want.Selector.Indices) {
+			t.Errorf("final subset %v does not derive from the racer's %v (want %v)",
+				got, racer.Pipeline().Selector.Indices, want.Selector.Indices)
+		}
+		if ep.Seq() != v1.Seq() || racer.Seq() != v1.Seq() {
+			t.Errorf("rotations minted body generations: v1 %d, racer %d, final %d", v1.Seq(), racer.Seq(), ep.Seq())
+		}
+	})
 }
 
 func TestRegistryBoundsRetainedEpochs(t *testing.T) {

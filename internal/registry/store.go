@@ -7,7 +7,8 @@
 // pointers so a comm server can resolve (model, version) per request and a
 // Publish or RotateSelector swaps the live epoch between requests with zero
 // downtime — in-flight requests finish on the old epoch, and each serving
-// worker lazily re-clones its body replicas when it first sees the new one.
+// worker lazily re-clones its body replicas when it first sees new bodies
+// (a rotation shares its parent's).
 package registry
 
 import (
