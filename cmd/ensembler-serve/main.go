@@ -22,11 +22,11 @@
 // then observes only its own bodies' traffic. Selector rotation is a
 // client-side affair in a fleet, so -rotate-every is rejected with -shard.
 //
-// Requests from concurrent connections are served by a bounded worker pool;
-// each worker owns private replicas of the bodies it has served, lazily
-// re-cloned when a publish or reload swaps in new bodies (a selector rotation
-// keeps them), and within one request the hosted body passes run in
-// parallel. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
+// Requests from concurrent connections are served by a bounded worker pool
+// over one compiled copy of the bodies, shared by every worker and compiled
+// again only when a publish or reload swaps in new bodies (a selector
+// rotation keeps it); a single-worker server runs one request's body passes
+// in parallel instead. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
 // finish, their responses flush, and Serve returns.
 //
 // -batch-window turns on cross-connection continuous batching: single-tensor
@@ -108,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	modelDir := fs.String("model-dir", "", "versioned model registry directory (multi-model, hot-swappable)")
 	modelName := fs.String("model-name", "", "default model name (registry mode; defaults to the first model found)")
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address (use :0 to pick a free port)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "compute worker pool size (each worker holds body replicas)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "compute worker pool size (workers share the bodies; each holds its own activation scratch)")
 	maxBatch := fs.Int("max-batch", comm.DefaultMaxBatch, "max inputs per batched request")
 	batchWindow := fs.Duration("batch-window", 0, "continuous-batching window: hold the first request this long to coalesce co-arrivals from other connections (0 disables unless -max-queue is set)")
 	maxQueue := fs.Int("max-queue", 0, "bound on the continuous-batching intake queue before admission control sheds (0 = default when batching is on)")
@@ -661,8 +661,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// Selector rotation cadence: each tick re-draws the default model's
 	// secret subset and publishes it as a new version (persisted when a
 	// registry directory is attached). The swap is a pointer flip and the
-	// rotated version shares the served bodies, so workers keep their
-	// replicas and traffic never stalls.
+	// rotated version shares the served bodies, so nothing recompiles and
+	// traffic never stalls.
 	if *rotateEvery > 0 {
 		go func() {
 			ticker := time.NewTicker(*rotateEvery)

@@ -1,5 +1,5 @@
 // Remote inference: the deployed form of the system. A TCP server hosts the
-// N ensemble bodies (the cloud) behind a replicated worker pool, reading
+// N ensemble bodies (the cloud) behind a worker pool, reading
 // them through a model registry; the client keeps its head, fixed noise,
 // secret selector, and tail, and performs classification over the wire. The
 // example verifies the remote result matches local inference bit-for-bit,
@@ -80,8 +80,8 @@ func main() {
 
 	// Cloud side: the trained pipeline is published into a registry, and the
 	// server resolves (model, version) per request through it — that is what
-	// makes the mid-traffic swap below possible. Each worker clones private
-	// body replicas from the current epoch.
+	// makes the mid-traffic swap below possible. The server compiles the
+	// current epoch's bodies once, and every worker shares them.
 	reg := registry.New(nil)
 	ep, err := reg.Publish("cifar", e)
 	if err != nil {

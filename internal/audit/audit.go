@@ -380,6 +380,10 @@ type runtimeVictim struct {
 // runtime's result only lives until its next Features call.
 func (v runtimeVictim) ClientFeatures(x *tensor.Tensor) *tensor.Tensor { return v.features(x).Clone() }
 
+// decoderAttack is the shadow replay attackScore runs; tests substitute one
+// that inspects what it is handed.
+var decoderAttack = attack.RunDecoderAttack
+
 // attackScore is the production scorer: replay the decoder attack against
 // the epoch and score reconstructions on the calibration eval set.
 func (a *Auditor) attackScore(ep *registry.Epoch, observed *tensor.Tensor) (float64, float64, error) {
@@ -395,9 +399,10 @@ func (a *Auditor) attackScore(ep *registry.Epoch, observed *tensor.Tensor) (floa
 			cfg.AlignWeight = 1
 		}
 		cfg.Observed = observed
-		// NewReplica clones the bodies: the shadow attack runs forward
-		// passes over them, and the epoch's primary bodies are shared.
-		out = attack.RunDecoderAttack(cfg, "audit", ep.NewReplica(), false, victim, a.cfg.Aux, a.cfg.Eval, a.cfg.EvalSamples)
+		// The replay gets private clones: the shadow attack runs the caching
+		// Forward over the bodies, and the epoch's own bodies are the ones
+		// every server worker is reading.
+		out = decoderAttack(cfg, "audit", pipe.CloneBodies(), false, victim, a.cfg.Aux, a.cfg.Eval, a.cfg.EvalSamples)
 	}
 	return out.SSIM, out.PSNR, nil
 }

@@ -9,6 +9,7 @@ import (
 	"ensembler/internal/attack"
 	"ensembler/internal/commtest"
 	"ensembler/internal/data"
+	"ensembler/internal/nn"
 	"ensembler/internal/privacy"
 	"ensembler/internal/registry"
 	"ensembler/internal/rng"
@@ -499,5 +500,46 @@ func TestAuditorReportsWorstDrainedClient(t *testing.T) {
 	plain, _ := auditFixture(t, Config{Threshold: 0.3}, &scores)
 	if st := plain.State(); st.WorstClient != "" || st.BudgetClients != 0 {
 		t.Errorf("ledger-less state carries budget fields: %+v", st)
+	}
+}
+
+// TestShadowReplayGetsPrivateBodies pins why the replay clones: the shadow
+// attack runs the caching Forward over the bodies it is handed, while the
+// epoch's own bodies are the ones every server worker reads. attackScore must
+// hand it copies with the epoch's weights, never the epoch's networks.
+func TestShadowReplayGetsPrivateBodies(t *testing.T) {
+	reg := registry.New(nil)
+	ep, err := reg.Publish("m", commtest.Pipeline(commtest.TinyArch(), 3, 1, 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, H: 8, Train: 8, Aux: 8, Test: 8, Seed: 42})
+	a, err := New(Config{Registry: reg, Model: "m", Aux: sp.Aux, Eval: sp.Test, Attack: attackConfigTiny(), Threshold: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*nn.Network
+	defer func(orig func(attack.Config, string, []*nn.Network, bool, attack.Victim, *data.Dataset, *data.Dataset, int) attack.Outcome) {
+		decoderAttack = orig
+	}(decoderAttack)
+	decoderAttack = func(_ attack.Config, _ string, bodies []*nn.Network, _ bool, _ attack.Victim, _, _ *data.Dataset, _ int) attack.Outcome {
+		got = bodies
+		return attack.Outcome{}
+	}
+	if _, _, err := a.attackScore(ep, nil); err != nil {
+		t.Fatal(err)
+	}
+	own := ep.Bodies()
+	if len(got) != len(own) {
+		t.Fatalf("replay got %d bodies, want %d", len(got), len(own))
+	}
+	x := feat(2, 43)
+	for i, b := range got {
+		if b == own[i] {
+			t.Fatalf("replay body %d is the epoch's own network", i)
+		}
+		if !b.Forward(x, false).AllClose(own[i].Forward(x, false), 0) {
+			t.Errorf("replay body %d does not carry the epoch's weights", i)
+		}
 	}
 }

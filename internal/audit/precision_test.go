@@ -25,7 +25,7 @@ func TestPrecisionDriftSeedNetwork(t *testing.T) {
 	bodies := pipe.Bodies()
 	tail := commtest.Tail(commtest.TinyArch(), len(bodies))
 
-	bodies32 := make([]*nn.Net32, len(bodies))
+	bodies32 := make([]*nn.Compiled[float32], len(bodies))
 	for i, b := range bodies {
 		n32, err := nn.CompileF32(b)
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
-	"ensembler/internal/nn"
 	"ensembler/internal/privacy"
 )
 
@@ -33,8 +32,7 @@ func startBudgetServer(t *testing.T, nBodies int, g *privacy.Guard) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	srv := comm.NewServer(commtest.Bodies(tiny, nBodies), comm.WithWorkers(2), comm.WithBudget(g),
-		comm.WithReplicas(func() []*nn.Network { return commtest.Bodies(tiny, nBodies) }))
+	srv := comm.NewServer(commtest.Bodies(tiny, nBodies), comm.WithWorkers(2), comm.WithBudget(g))
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"ensembler/internal/nn"
 	"ensembler/internal/privacy"
 	"ensembler/internal/tensor"
 )
@@ -278,8 +277,7 @@ func benchGuard(tb testing.TB) *privacy.Guard {
 func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 	const nBodies = 3
 	newSrv := func(g *privacy.Guard) *Server {
-		return NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g),
-			WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+		return NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g))
 	}
 	run := func(t *testing.T, g *privacy.Guard, acct *privacy.Account, wantNoise bool) {
 		t.Helper()
@@ -328,8 +326,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	const nBodies = 4
 	guard := benchGuard(b)
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(guard),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(guard))
 	loop := newServeLoop(b, srv, 1, &Request{Features: wireTensor(24, 4, 4, 8, 8)}, false)
 	loop.account = guard.AccountFor("bench-client")
 	loop.bench(b)

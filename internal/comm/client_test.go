@@ -225,7 +225,7 @@ func loopbackClient(t testing.TB, e *ensemble.Ensembler) (*Client, *ensemble.Cli
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(e.CloneBodies(), WithWorkers(2), WithReplicas(e.CloneBodies))
+	srv := NewServer(e.CloneBodies(), WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()

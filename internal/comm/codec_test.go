@@ -32,15 +32,14 @@ func codecBodies(n int) []*nn.Network {
 	return out
 }
 
-// startCodecServer boots a replicated multi-worker server on loopback.
+// startCodecServer boots a multi-worker server on loopback.
 func startCodecServer(t *testing.T, n int) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(codecBodies(n), WithWorkers(2),
-		WithReplicas(func() []*nn.Network { return codecBodies(n) }))
+	srv := NewServer(codecBodies(n), WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, ln) }()
@@ -357,7 +356,7 @@ func TestDecodeWireStreamBothProtocols(t *testing.T) {
 }
 
 // TestServerComputeLoopZeroAllocs pins the tentpole acceptance criterion at
-// the server-loop level: decode → resolve → replica lookup → every body's
+// the server-loop level: decode → resolve → body-set lookup → every body's
 // inference pass → response copy-out → encode, with zero heap allocations
 // at steady state. A regression here shows up in CI instead of in a GC
 // profile under load.
@@ -373,8 +372,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 
 func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 	const nBodies = 3
-	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+	srv := NewServer(codecBodies(nBodies), WithWorkers(workers))
 	loop := newServeLoop(t, srv, 1, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false)
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state server compute loop allocates %v times per request, want 0", allocs)
@@ -387,7 +385,7 @@ func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 }
 
 // BenchmarkServeRequestLoop measures the per-request server loop in
-// isolation — binary decode, resolve, replica lookup, every body pass,
+// isolation — binary decode, resolve, body-set lookup, every body pass,
 // response copy-out, binary encode — and reports its allocation count,
 // which must be 0 at steady state (pinned by TestServerComputeLoopZeroAllocs).
 func BenchmarkServeRequestLoop(b *testing.B) { benchServeRequestLoop(b, 2) }
@@ -399,8 +397,7 @@ func BenchmarkServeRequestLoopFanout(b *testing.B) { benchServeRequestLoop(b, 1)
 
 func benchServeRequestLoop(b *testing.B, workers int) {
 	const nBodies = 4
-	srv := NewServer(codecBodies(nBodies), WithWorkers(workers),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+	srv := NewServer(codecBodies(nBodies), WithWorkers(workers))
 	newServeLoop(b, srv, 1, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false).bench(b)
 }
 
@@ -428,15 +425,15 @@ func flatBodies() []*nn.Network {
 // or a stream of malformed requests inflates every worker's scratch buffers
 // without bound.
 func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
-	srv := NewServer(flatBodies(), WithWorkers(2), WithReplicas(flatBodies))
+	srv := NewServer(flatBodies(), WithWorkers(2))
 	j := newJob[float64]()
-	replicas := newReplicaCache(PrecisionF64)
+	cache := srv.newBodyCache()
 
 	good := &Request{Features: wireTensor(23, 1, 4, 8, 8)}
 	// Right rank and channels, wrong spatial size: flattens to 64 ≠ 256.
 	bad := &Request{Features: wireTensor(24, 1, 4, 4, 4)}
 
-	serveJob := jobServer(srv, replicas)
+	serveJob := jobServer(srv, cache)
 	serve := func(req *Request) *Response {
 		setRequest(j, *req)
 		resp := *serveJob(j)
@@ -453,7 +450,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := replicas.replicaFor(m)
+	run, err := cache.bodiesFor(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +459,7 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	serve(bad)
 	footprint := func() int {
 		total := 0
-		for _, sc := range bodiesOf[float64](wr).scratches {
+		for _, sc := range run.(*bodySet[float64]).scratches {
 			total += sc.Footprint()
 		}
 		return total
@@ -473,6 +470,6 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	}
 	serve(good)
 	if after := footprint(); after > before {
-		t.Errorf("50 malformed requests grew the replica scratches from %d to %d bytes", before, after)
+		t.Errorf("50 malformed requests grew the worker's scratches from %d to %d bytes", before, after)
 	}
 }

@@ -10,11 +10,10 @@
 // and dispatches them to a bounded worker pool. A multi-worker pool is the
 // parallelism: each worker runs its request's N body passes serially. A
 // single-worker server fans the N body passes of each request out across
-// goroutines instead, joining them before the reply. Because every layer
-// caches its forward activations (see package nn), a body network is safe
-// for one goroutine at a time only — each worker therefore owns a private
-// replica of the bodies (WithReplicas), and per-body fan-out is safe because
-// the N bodies of one replica set are distinct networks.
+// goroutines instead, joining them before the reply. Every worker runs the
+// same bodies: the server compiles each body generation once (nn.Compile)
+// into a read-only inference form, and a worker owns only the scratches its
+// passes write — so body memory is paid once per server, not per worker.
 //
 // One round trip can carry a whole batch: a Request either holds a single
 // [B,C,H,W] feature tensor or a list of them (InferBatch). Every request
@@ -38,8 +37,8 @@
 // model epochs, or the built-in single-model provider NewServer wraps around
 // a fixed body slice. An empty model name and version 0 fall back to the
 // provider's default; a provider whose current epoch changes between
-// requests gives zero-downtime hot swaps, with each worker lazily re-cloning
-// its body replicas when it first sees new bodies (ServedModel.Seq).
+// requests gives zero-downtime hot swaps, with the server compiling new
+// bodies once, on the first request that meets them (ServedModel.Seq).
 package comm
 
 import (

@@ -22,8 +22,8 @@ import (
 
 var tiny = commtest.TinyArch()
 
-// startConcurrentServer runs a replicated worker-pool server and returns its
-// address plus the channel Serve's result lands on.
+// startConcurrentServer runs a worker-pool server and returns its address
+// plus the channel Serve's result lands on.
 func startConcurrentServer(t *testing.T, ctx context.Context, n, workers int, opts ...comm.ServerOption) (string, chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -33,7 +33,6 @@ func startConcurrentServer(t *testing.T, ctx context.Context, n, workers int, op
 	t.Cleanup(func() { ln.Close() })
 	opts = append([]comm.ServerOption{
 		comm.WithWorkers(workers),
-		comm.WithReplicas(func() []*nn.Network { return commtest.Bodies(tiny, n) }),
 	}, opts...)
 	srv := comm.NewServer(commtest.Bodies(tiny, n), opts...)
 	if srv.Workers() != workers {
@@ -56,7 +55,7 @@ func dialWired(t *testing.T, addr string, n int) *comm.Client {
 	return client
 }
 
-// TestConcurrentMixedClients hammers a replicated worker-pool server with
+// TestConcurrentMixedClients hammers a worker-pool server with
 // simultaneous clients issuing a mix of single and batched requests, every
 // one of which must match the locally computed reference bit-for-bit.
 func TestConcurrentMixedClients(t *testing.T) {
@@ -499,7 +498,7 @@ func TestFanoutPanicInLaterBodyClearsForNextRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	srv := comm.NewServer(bodies())
+	srv := comm.NewServer(bodies(), comm.WithWorkers(1))
 	if srv.Workers() != 1 {
 		t.Fatalf("workers = %d, want the single-worker fan-out", srv.Workers())
 	}

@@ -23,7 +23,7 @@ package comm
 //     is at least as long is the newcomer itself shed.
 //  3. The zero-allocation steady state of the PR 5 request loop. Batches
 //     recycle through a free list; the stacked input lives in the computing
-//     worker's replica, per-job outputs in each job's arena (reset by its
+//     worker's body set, per-job outputs in each job's arena (reset by its
 //     connection writer, exactly as in the un-coalesced path).
 //
 // The batch window (WithBatchWindow) trades latency for occupancy: the
@@ -115,8 +115,8 @@ func (q *connQueue) dropNewest() *job {
 }
 
 // dispatchBatch is one coalesced unit of work: the jobs one serve pass
-// answers. The stacked input and the forward outputs live in the worker
-// replica that computes the pass, the per-job copies in each job's arena.
+// answers. The stacked input and the forward outputs live in the body set
+// of the worker that computes the pass, the per-job copies in each job's arena.
 // Batches recycle through the dispatcher's free list.
 type dispatchBatch struct {
 	jobs []*job

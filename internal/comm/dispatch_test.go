@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"ensembler/internal/nn"
 	"ensembler/internal/telemetry"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -308,8 +307,7 @@ func TestDispatcherFairnessAndShedding(t *testing.T) {
 // batch, encode every response — zero heap allocations at steady state.
 func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 	const nBodies = 3
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2))
 	loop := newServeLoop(t, srv, 4, &Request{Features: wireTensor(310, 2, 4, 8, 8)}, false)
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state coalesced serve loop allocates %v times per batch, want 0", allocs)
@@ -322,16 +320,15 @@ func TestDispatchCoalescedZeroAllocs(t *testing.T) {
 // correctly.
 func TestCoalescedBatchErrorIsolation(t *testing.T) {
 	const nBodies = 2
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	replicas := newReplicaCache(PrecisionF64)
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2))
+	cache := srv.newBodyCache()
 
 	good := jobFor(Request{Features: wireTensor(320, 1, 4, 8, 8)})
 	bad := jobFor(Request{Features: &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}})
 	good2 := jobFor(Request{Features: wireTensor(321, 2, 4, 8, 8)})
 
 	b := &dispatchBatch{jobs: []*job{good, bad, good2}}
-	srv.serve(b.jobs, replicas)
+	srv.serve(b.jobs, cache)
 
 	resp := <-good.reply
 	if p := payloadOf[float64](good); resp.Err != "" || !p.served || len(p.outputs[0]) != nBodies {
@@ -390,8 +387,7 @@ func BenchmarkServeRequestLoopBatched(b *testing.B) { benchBatchedLoop(b, nil) }
 // K=4 one-row jobs per pass — with tr, when non-nil, tracing every leg.
 func benchBatchedLoop(b *testing.B, tr *trace.Tracer) {
 	const nBodies = 4
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithTracer(tr),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithTracer(tr))
 	loop := newServeLoop(b, srv, 4, &Request{Features: wireTensor(330, 1, 4, 8, 8)}, false)
 	loop.tracer = tr
 	loop.bench(b)

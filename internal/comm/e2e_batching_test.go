@@ -13,7 +13,6 @@ import (
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
 	"ensembler/internal/latency"
-	"ensembler/internal/nn"
 )
 
 // This file is the acceptance test for the continuous-batching dispatcher:
@@ -35,7 +34,6 @@ func startDispatchServer(t *testing.T, ctx context.Context, nBodies int, opts ..
 	t.Cleanup(func() { ln.Close() })
 	opts = append([]comm.ServerOption{
 		comm.WithWorkers(1),
-		comm.WithReplicas(func() []*nn.Network { return commtest.Bodies(tiny, nBodies) }),
 	}, opts...)
 	srv := comm.NewServer(commtest.Bodies(tiny, nBodies), opts...)
 	errCh := make(chan error, 1)

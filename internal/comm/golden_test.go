@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
 )
@@ -38,10 +37,9 @@ func TestGoldenServeFrames(t *testing.T) {
 		{PrecisionF32, "0338d1d0571f3a94bd6475983a98b6dd261f913247601b5b63edc9ec18e8c7f3"},
 	} {
 		f32 := tc.precision == PrecisionF32
-		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBatchWindow(0), WithPrecision(tc.precision),
-			WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-		replicas := newReplicaCache(tc.precision)
-		serve := jobServer(srv, replicas)
+		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBatchWindow(0), WithPrecision(tc.precision))
+		cache := srv.newBodyCache()
+		serve := jobServer(srv, cache)
 		parse := func(req *Request) *job {
 			body, err := appendRequest(nil, req, f32, trace.Context{})
 			if err != nil {
@@ -68,7 +66,7 @@ func TestGoldenServeFrames(t *testing.T) {
 		for _, r := range reqs {
 			b.jobs = append(b.jobs, parse(r))
 		}
-		srv.serve(b.jobs, replicas)
+		srv.serve(b.jobs, cache)
 		for _, j := range b.jobs {
 			frame(j, <-j.reply)
 		}

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,6 +48,19 @@ func bitsDiffer(got, want *tensor.Tensor) error {
 // BitsDiffer is bitsDiffer, exported to the package's external tests.
 var BitsDiffer = bitsDiffer
 
+// CompiledSeqs reports, in order, the Seqs of the body generations srv holds
+// compiled (exported to the package's external tests).
+func CompiledSeqs(srv *Server) []uint64 {
+	srv.gens.mu.Lock()
+	defer srv.gens.mu.Unlock()
+	var seqs []uint64
+	for k := range srv.gens.m {
+		seqs = append(seqs, k.seq)
+	}
+	slices.Sort(seqs)
+	return seqs
+}
+
 // setRequest loads req into a float64 job the way the codec delivers one:
 // routing header in j.req, tensors in the payload. Unlike the codec it takes
 // any tensor, including ones no frame could carry — the lies the compute
@@ -71,23 +85,23 @@ func jobFor(req Request) *job {
 
 // jobServer returns a func that serves one job at a time through s the way a
 // worker serves a direct job — as a batch of one, through a reusable one-slot
-// slice, over rc — and returns its reply, so a steady-state loop allocates
-// nothing.
-func jobServer(s *Server, rc *replicaCache) func(*job) *Response {
+// slice, over the worker body cache bc — and returns its reply, so a
+// steady-state loop allocates nothing.
+func jobServer(s *Server, bc *bodyCache) func(*job) *Response {
 	one := make([]*job, 1)
 	return func(j *job) *Response {
 		one[0] = j
-		s.serve(one, rc)
+		s.serve(one, bc)
 		return <-j.reply
 	}
 }
 
 // serveOne runs req through a float64 server's serve path on the calling
-// goroutine, over a replica cache of its own, and returns the response with
+// goroutine, over a body cache of its own, and returns the response with
 // the served tensors attached.
 func serveOne(s *Server, req Request) *Response {
 	j := jobFor(req)
-	resp := *jobServer(s, newReplicaCache(PrecisionF64))(j)
+	resp := *jobServer(s, s.newBodyCache())(j)
 	if p := payloadOf[float64](j); p.served {
 		if p.batched {
 			resp.Outputs = p.outputs
@@ -117,20 +131,20 @@ func jobRequest(j *job) *Request {
 // job), encodes every reply and recycles the jobs. Its steady state is what
 // the zero-allocation pins and the BenchmarkServeRequestLoop* rows measure.
 type serveLoop struct {
-	tb       testing.TB
-	srv      *Server
-	replicas *replicaCache
-	jobs     []*job
-	body     []byte
-	f32      bool             // the connection's wire: f32 payloads both ways
-	account  *privacy.Account // charged per request when the server has a guard
-	tracer   *trace.Tracer    // when set, each job's leg is traced as a connection would
-	encBuf   []byte
+	tb      testing.TB
+	srv     *Server
+	bodies  *bodyCache
+	jobs    []*job
+	body    []byte
+	f32     bool             // the connection's wire: f32 payloads both ways
+	account *privacy.Account // charged per request when the server has a guard
+	tracer  *trace.Tracer    // when set, each job's leg is traced as a connection would
+	encBuf  []byte
 }
 
 // newServeLoop returns a loop of k jobs over srv, each decoding req.
 func newServeLoop(tb testing.TB, srv *Server, k int, req *Request, f32 bool) *serveLoop {
-	l := &serveLoop{tb: tb, srv: srv, replicas: newReplicaCache(srv.opts.precision),
+	l := &serveLoop{tb: tb, srv: srv, bodies: srv.newBodyCache(),
 		jobs: make([]*job, k), f32: f32, encBuf: make([]byte, 0, 1<<20)}
 	for i := range l.jobs {
 		l.jobs[i] = srv.newJob()
@@ -154,12 +168,12 @@ func RequestFrame(tb testing.TB, req *Request, f32 bool) []byte {
 
 // FrameServer exposes one worker's serve path to the package's external
 // tests: each call of the returned func decodes a request frame body into
-// one job, serves it through the replica cache every call shares, and
+// one job, serves it through the body cache every call shares, and
 // returns the reply, valid until the next call. Its steady state allocates
 // nothing.
 func FrameServer(tb testing.TB, srv *Server) func(body []byte) *Response {
 	j := srv.newJob()
-	serve := jobServer(srv, newReplicaCache(srv.opts.precision))
+	serve := jobServer(srv, srv.newBodyCache())
 	return func(body []byte) *Response {
 		j.reset()
 		if err := j.pay.parse(body, &j.req, &j.wireTrace); err != nil {
@@ -181,7 +195,7 @@ func (l *serveLoop) cycle() {
 			j.queuedAt = time.Now()
 		}
 	}
-	l.srv.serve(l.jobs, l.replicas)
+	l.srv.serve(l.jobs, l.bodies)
 	for _, j := range l.jobs {
 		resp := <-j.reply
 		if resp.Err != "" {
@@ -203,7 +217,7 @@ func (l *serveLoop) cycle() {
 	}
 }
 
-// warm runs two cycles: the first clones the replicas and sizes every arena
+// warm runs two cycles: the first compiles the bodies and sizes every arena
 // and buffer, the second settles them.
 func (l *serveLoop) warm() {
 	l.cycle()

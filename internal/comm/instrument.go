@@ -74,8 +74,8 @@ type ServerMetrics struct {
 	Errors *telemetry.Counter
 	// Images counts input rows served (batch rows × inputs per request).
 	Images *telemetry.Counter
-	// ServeSeconds observes per-request server-side time: resolve + replica
-	// lookup (or clone) + all hosted body passes. Its Sum divided by
+	// ServeSeconds observes per-request server-side time: resolve + body-set
+	// lookup (or compile) + all hosted body passes. Its Sum divided by
 	// workers × uptime is the pool utilization.
 	ServeSeconds *telemetry.Histogram
 	// BatchInputs observes the number of feature tensors per request (1 for
@@ -104,7 +104,7 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 		Images: r.Counter("ensembler_server_images_total",
 			"Input rows pushed through the hosted bodies.", nil),
 		ServeSeconds: r.Histogram("ensembler_server_serve_seconds",
-			"Server-side time per request: resolve, replica lookup, body passes.",
+			"Server-side time per request: resolve, body-set lookup, body passes.",
 			telemetry.DefaultLatencyBuckets, nil),
 		BatchInputs: r.Histogram("ensembler_server_batch_inputs",
 			"Feature tensors per request (batched requests carry several).",

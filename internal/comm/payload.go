@@ -11,7 +11,7 @@ package comm
 // same pass. The rest of the server (job recycling, dispatcher, codec's
 // framing, metrics, tracing, budget) never names an element type: it reaches
 // the tensors through the tensors interface, and the server's Precision
-// picks the instantiation in exactly two places, newJob and replicaFor.
+// picks the instantiation in exactly two places, newJob and generations.get.
 //
 // On a float32 server whose connection negotiated the f32 wire, decode →
 // forward → encode performs no float64 conversion at all: the payload bits
@@ -36,7 +36,7 @@ const (
 	// PrecisionF64 computes in float64 — the reference oracle, bit-identical
 	// to every release before precision dispatch existed. The default.
 	PrecisionF64 Precision = iota
-	// PrecisionF32 compiles worker replicas to float32 and serves on the f32
+	// PrecisionF32 compiles the bodies to float32 and serves on the f32
 	// kernels: half the memory traffic, forward drift bounded at 1e-5
 	// relative by the nn and audit property tests.
 	PrecisionF32
@@ -63,9 +63,9 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // WithPrecision selects the compute element type for every model the server
-// hosts. PrecisionF32 requires every hosted layer to have an f32 compile
-// path (all built-in nn layers do); a model that does not compile fails its
-// requests with the compile error rather than silently falling back to f64.
+// hosts. Either precision serves a compiled form of the bodies (nn.Compile),
+// which every built-in layer has; a model that does not compile fails its
+// requests with the compile error rather than falling back to another path.
 func WithPrecision(p Precision) ServerOption {
 	return func(o *serverOptions) { o.precision = p }
 }
@@ -93,10 +93,11 @@ type tensors interface {
 	noise(rng *uint64, sigma float64)
 	// answered reports whether the payload holds a complete response.
 	answered() bool
-	// pass runs one forward pass over wr for jobs — the job this payload
-	// belongs to, first, and any the dispatcher coalesced with it — answering
-	// every job the budget charge left unanswered in the epoch's name.
-	pass(s *Server, jobs []*job, wr *workerReplica, epoch Response)
+	// pass runs one forward pass over run, a worker's *bodySet[T], for jobs
+	// — the job this payload belongs to, first, and any the dispatcher
+	// coalesced with it — answering every job the budget charge left
+	// unanswered in the epoch's name.
+	pass(s *Server, jobs []*job, run any, epoch Response)
 }
 
 // payload is one job's tensors at the serving precision: the decoded
@@ -223,11 +224,11 @@ func (p *payload[T]) validate(maxBatch int) error {
 // answered with its error and left out. A lone valid input is forwarded where
 // it was decoded; several — one client-batched request's, or the coalesced
 // jobs', whose coalesce key fixed one [C,H,W] — stack along the batch axis
-// into the replica's stack, as private to the pass as the scratches its
+// into the body set's stack, as private to the pass as the scratches its
 // outputs land in. Each job then copies its rows of every body's output into
 // its own arena and is noised per its budget verdict.
-func (p *payload[T]) pass(s *Server, jobs []*job, wr *workerReplica, epoch Response) {
-	bodies := bodiesOf[T](wr)
+func (p *payload[T]) pass(s *Server, jobs []*job, run any, epoch Response) {
+	bodies := run.(*bodySet[T])
 	var x *tensor.Dense[T]
 	n, total := 0, 0
 	for _, j := range jobs {
@@ -287,18 +288,13 @@ func (p *payload[T]) pass(s *Server, jobs []*job, wr *workerReplica, epoch Respo
 	}
 }
 
-// inferer is a body ready to run at element type T: a live *nn.Network at
-// float64, a compiled *nn.Net32 at float32.
-type inferer[T tensor.Float] interface {
-	ForwardInfer(x *tensor.Dense[T], s *nn.Scratch[T]) *tensor.Dense[T]
-}
-
-// bodySet is one worker replica's bodies at the serving precision, with one
-// inference scratch per body: the scratch is as private as the replica (one
-// goroutine computes on it at a time) and holds every activation buffer a
-// body pass needs, so steady-state requests allocate nothing.
+// bodySet is one worker's bodies of one generation at the serving precision:
+// the compiled nets, shared read-only with every other worker, and one
+// inference scratch per body, private to the worker (one goroutine computes
+// on it at a time) and holding every activation buffer a body pass needs, so
+// steady-state requests allocate nothing.
 type bodySet[T tensor.Float] struct {
-	nets      []inferer[T]
+	nets      []*nn.Compiled[T]
 	scratches []*nn.Scratch[T]
 	outs      []*tensor.Dense[T] // reusable per-body output list, valid until the next forward
 	stack     tensor.Arena[T]    // backs a pass's stacked input when it has several
@@ -313,7 +309,7 @@ type bodySet[T tensor.Float] struct {
 	wg     sync.WaitGroup
 }
 
-func newBodySet[T tensor.Float](nets []inferer[T]) *bodySet[T] {
+func newBodySet[T tensor.Float](nets []*nn.Compiled[T]) *bodySet[T] {
 	n := len(nets)
 	bs := &bodySet[T]{nets: nets, scratches: make([]*nn.Scratch[T], n),
 		outs: make([]*tensor.Dense[T], 0, n), panics: make([]any, n)}
@@ -329,13 +325,10 @@ func newBodySet[T tensor.Float](nets []inferer[T]) *bodySet[T] {
 	return bs
 }
 
-// bodiesOf returns wr's bodies at the serving element type.
-func bodiesOf[T tensor.Float](wr *workerReplica) *bodySet[T] { return wr.run.(*bodySet[T]) }
-
-// forward runs every body of the replica over x in inference mode, each over
-// its private scratch, returning outputs in body order. Each scratch is
-// Reset at the START of its body's pass, never after: the results stay valid
-// until the same replica's next request, and a pass that panics mid-network
+// forward runs every body of the set over x in inference mode, each over its
+// private scratch, returning outputs in body order. Each scratch is Reset at
+// the START of its body's pass, never after: the results stay valid until
+// the same set's next request, and a pass that panics mid-network
 // (hostile shapes that clear validateFeatures but break deeper in) cannot
 // leave un-reset arenas accumulating demand across malformed requests — the
 // next request's reset reclaims them.

@@ -10,8 +10,8 @@ import (
 )
 
 // directF32 computes what the f32 backend must produce for x32: every codec
-// body compiled to Net32 and run on the exact same float32 input bits. The
-// serving path — decode, arena staging, replica cloning, response copy-out —
+// body compiled to float32 and run on the exact same float32 input bits. The
+// serving path — decode, arena staging, body compilation, response copy-out —
 // must reproduce these values bit for bit.
 func directF32(t testing.TB, n int, x32 *tensor.Tensor32) []*tensor.Tensor32 {
 	t.Helper()
@@ -27,8 +27,7 @@ func directF32(t testing.TB, n int, x32 *tensor.Tensor32) []*tensor.Tensor32 {
 }
 
 func newF32Server(n int) *Server {
-	return NewServer(codecBodies(n), WithWorkers(2), WithPrecision(PrecisionF32),
-		WithReplicas(func() []*nn.Network { return codecBodies(n) }))
+	return NewServer(codecBodies(n), WithWorkers(2), WithPrecision(PrecisionF32))
 }
 
 // TestF32WireF32ComputeBitExact is the double-rounding regression test: a
@@ -48,7 +47,7 @@ func TestF32WireF32ComputeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJob[float32]()
-	serve := jobServer(srv, newReplicaCache(PrecisionF32))
+	serve := jobServer(srv, srv.newBodyCache())
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestF32ServerF64IngressExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJob[float32]()
-	serve := jobServer(srv, newReplicaCache(PrecisionF32))
+	serve := jobServer(srv, srv.newBodyCache())
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	if err := j.pay.parse(body, &j.req, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp := jobServer(srv, newReplicaCache(PrecisionF32))(j)
+	resp := jobServer(srv, srv.newBodyCache())(j)
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
@@ -199,7 +198,7 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 
 // TestServerComputeLoopZeroAllocsF32 pins the zero-allocation criterion at
 // the float32 instantiation: the full server loop — binary decode into the
-// f32 arena, resolve, replica lookup (compiled Net32 bodies), every body
+// f32 arena, resolve, body-set lookup (compiled float32 bodies), every body
 // pass, response copy-out, f32 encode — performs zero heap allocations at
 // steady state, exactly like the float64 instantiation.
 func TestServerComputeLoopZeroAllocsF32(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ensembler/internal/faultpoint"
-	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
 )
@@ -27,9 +26,8 @@ func TestCrossFormDifferential(t *testing.T) {
 	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
 		t.Run(prec.String(), func(t *testing.T) {
 			f32 := prec == PrecisionF32
-			srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(prec),
-				WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-			replicas := newReplicaCache(prec)
+			srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(prec))
+			cache := srv.newBodyCache()
 			// answer serves reqs as one pass, one job each, and decodes every
 			// response off the wire (the f32 wire widens exactly).
 			answer := func(reqs ...*Request) []*Response {
@@ -44,7 +42,7 @@ func TestCrossFormDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				srv.serve(jobs, replicas)
+				srv.serve(jobs, cache)
 				out := make([]*Response, len(jobs))
 				for i, j := range jobs {
 					resp := <-j.reply
@@ -100,14 +98,13 @@ func TestBudgetChargeFaultSite(t *testing.T) {
 	g := benchGuard(t)
 	acct := g.AccountFor("fault")
 	obs := &recordingObserver{}
-	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g), WithObserver(obs),
-		WithReplicas(func() []*nn.Network { return codecBodies(nBodies) }))
-	replicas := newReplicaCache(PrecisionF64)
+	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g), WithObserver(obs))
+	cache := srv.newBodyCache()
 	serve := func(jobs ...*job) {
 		for _, j := range jobs {
 			j.account = acct
 		}
-		srv.serve(jobs, replicas)
+		srv.serve(jobs, cache)
 		for _, j := range jobs {
 			<-j.reply
 		}
@@ -166,7 +163,7 @@ func TestBudgetChargeFaultSite(t *testing.T) {
 	faultpoint.Enable(site, faultpoint.Policy{Err: ledgerDown})
 	bare := NewServer(codecBodies(nBodies))
 	j := jobFor(Request{Features: wireTensor(704, 1, 4, 8, 8)})
-	jobServer(bare, newReplicaCache(PrecisionF64))(j)
+	jobServer(bare, bare.newBodyCache())(j)
 	exact("unguarded request", j)
 	for _, st := range faultpoint.SiteStats() {
 		if st.Name == site && st.Hits != 0 {
@@ -191,7 +188,7 @@ func (m *namedModel) Version() int                             { return 7 }
 // stacked shape, so the plain request carries the coalesced batch's rows.
 func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	srv := NewModelServer(&namedModel{staticModel{bodies: flatBodies()}}, WithWorkers(2))
-	replicas := newReplicaCache(PrecisionF64)
+	cache := srv.newBodyCache()
 	frame := func(j *job) []byte {
 		t.Helper()
 		resp := <-j.reply
@@ -207,10 +204,10 @@ func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	lying := &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}
 
 	alone := jobFor(Request{Features: lying})
-	srv.serve([]*job{alone}, replicas)
+	srv.serve([]*job{alone}, cache)
 	good, bad, good2 := jobFor(Request{Features: wireTensor(710, 1, 4, 8, 8)}),
 		jobFor(Request{Features: lying}), jobFor(Request{Features: wireTensor(711, 2, 4, 8, 8)})
-	srv.serve([]*job{good, bad, good2}, replicas)
+	srv.serve([]*job{good, bad, good2}, cache)
 	if plain, member := frame(alone), frame(bad); !bytes.Equal(plain, member) {
 		t.Errorf("validation failure answered differently:\nplain     %q\ncoalesced %q", plain, member)
 	}
@@ -222,9 +219,9 @@ func TestErrorAnswersNameTheEpoch(t *testing.T) {
 
 	// [.,4,4,4] clears validation and panics at the bodies' Linear.
 	alone = jobFor(Request{Features: wireTensor(712, 2, 4, 4, 4)})
-	srv.serve([]*job{alone}, replicas)
+	srv.serve([]*job{alone}, cache)
 	m1, m2 := jobFor(Request{Features: wireTensor(713, 1, 4, 4, 4)}), jobFor(Request{Features: wireTensor(714, 1, 4, 4, 4)})
-	srv.serve([]*job{m1, m2}, replicas)
+	srv.serve([]*job{m1, m2}, cache)
 	plain := frame(alone)
 	for i, j := range []*job{m1, m2} {
 		if member := frame(j); !bytes.Equal(plain, member) {

@@ -8,7 +8,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ensembler/internal/nn"
@@ -28,16 +27,18 @@ const DefaultDrainTimeout = 5 * time.Second
 // ServedModel is one immutable published version of a model, as the server
 // sees it. Seq is the server-body generation: it must change whenever the
 // body weights change (a publish or reload), and may stay put across a
-// version change that keeps them (a selector rotation). It is the workers'
-// replica cache key, together with Name: a stale Seq means a worker keeps
-// serving old weights, an unchanged one lets every worker keep its replica.
-// NewReplica must be safe to call concurrently and return bodies no other
-// goroutine touches.
+// version change that keeps them (a selector rotation). Together with Name it
+// keys the server's compiled bodies: a stale Seq means the server keeps
+// serving old weights, an unchanged one lets every worker keep its bodies.
+// Bodies returns the generation's own body networks, read-only: the server
+// compiles them once per (Name, Seq) and reads their weights for as long as
+// it serves that generation, so nothing may train them meanwhile. It must be
+// safe to call concurrently.
 type ServedModel interface {
 	Name() string
 	Version() int
 	Seq() uint64
-	NewReplica() []*nn.Network
+	Bodies() []*nn.Network
 }
 
 // ModelProvider resolves the (model, version) pair a request carries to a
@@ -56,7 +57,6 @@ type serverOptions struct {
 	workers   int
 	maxBatch  int
 	drain     time.Duration
-	replicate func() []*nn.Network
 	metrics   *ServerMetrics  // nil: no telemetry, zero hot-path cost
 	observer  FeatureObserver // nil: no feature mirroring, zero hot-path cost
 	tracer    *trace.Tracer   // nil: no tracing, zero hot-path cost
@@ -71,12 +71,9 @@ type serverOptions struct {
 	maxCoalesce int
 }
 
-// WithWorkers bounds the compute worker pool. For a single-model server
-// (NewServer) values above 1 only take effect together with WithReplicas:
-// without independent body replicas the layer caches make concurrent passes
-// over one body unsafe, so the pool is clamped to a single worker. A
-// provider-backed server (NewModelServer) replicates through the provider
-// and takes the value as given.
+// WithWorkers bounds the compute worker pool (default GOMAXPROCS). Every
+// worker runs the server's one compiled copy of the bodies over scratches of
+// its own, so a worker costs activation memory, not body memory.
 func WithWorkers(n int) ServerOption {
 	return func(o *serverOptions) {
 		if n > 0 {
@@ -168,15 +165,6 @@ func WithMaxCoalesce(n int) ServerOption {
 	}
 }
 
-// WithReplicas supplies a factory producing an independent replica of the N
-// hosted bodies (identical weights, private forward caches) for a
-// single-model server. Each worker beyond the first owns one replica set,
-// which is what lets requests from different connections run truly in
-// parallel. Ignored by NewModelServer, whose provider replicates per model.
-func WithReplicas(f func() []*nn.Network) ServerOption {
-	return func(o *serverOptions) { o.replicate = f }
-}
-
 // Server hosts ensemble bodies for remote clients behind a bounded worker
 // pool, resolving every request through a ModelProvider. Construct with
 // NewServer (fixed bodies) or NewModelServer (registry-backed, hot-swap
@@ -186,6 +174,9 @@ type Server struct {
 	opts     serverOptions
 
 	jobs chan *job
+
+	// gens holds every body generation compiled once for all workers.
+	gens generations
 
 	// Continuous batching (nil / nil channel when not enabled): handlers
 	// submit decoded jobs to the dispatcher instead of s.jobs, and workers
@@ -265,14 +256,9 @@ func (j *job) reset() {
 }
 
 // staticModel adapts a fixed body slice to the ModelProvider contract: one
-// unnamed model, version 0, epoch never changing. The first replica claim
-// hands out the primary bodies (matching the pre-provider behavior where
-// worker zero served the bodies the server was constructed with); later
-// claims go through the replicate factory.
+// unnamed model, version 0, epoch never changing.
 type staticModel struct {
-	bodies    []*nn.Network
-	replicate func() []*nn.Network
-	claimed   atomic.Bool
+	bodies []*nn.Network
 }
 
 func (m *staticModel) Resolve(model string, version int) (ServedModel, error) {
@@ -285,28 +271,15 @@ func (m *staticModel) Resolve(model string, version int) (ServedModel, error) {
 	return m, nil
 }
 
-func (m *staticModel) Name() string   { return "" }
-func (m *staticModel) Version() int   { return 0 }
-func (m *staticModel) Seq() uint64    { return 0 }
-func (m *staticModel) NumBodies() int { return len(m.bodies) }
+func (m *staticModel) Name() string          { return "" }
+func (m *staticModel) Version() int          { return 0 }
+func (m *staticModel) Seq() uint64           { return 0 }
+func (m *staticModel) Bodies() []*nn.Network { return m.bodies }
 
-func (m *staticModel) NewReplica() []*nn.Network {
-	if m.replicate == nil || m.claimed.CompareAndSwap(false, true) {
-		// Single-worker servers (replicate == nil clamps the pool to one
-		// worker) and the first claimer share the primary bodies.
-		return m.bodies
-	}
-	bodies := m.replicate()
-	if len(bodies) != len(m.bodies) {
-		panic(fmt.Sprintf("comm: replica factory returned %d bodies, want %d", len(bodies), len(m.bodies)))
-	}
-	return bodies
-}
-
-// NewServer creates a single-model server over the given bodies. Without
-// WithReplicas it runs a single worker: one request computes at a time, its
-// per-body passes fanned out across goroutines — that fan-out, not the
-// kernels, is then the server's only parallelism.
+// NewServer creates a single-model server over the given bodies, which it
+// compiles once and only reads (see ServedModel). A single-worker server
+// (WithWorkers(1)) fans each request's per-body passes out across goroutines
+// instead — that fan-out, not the kernels, is then its only parallelism.
 func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
 	if len(bodies) == 0 {
 		panic("comm: server needs at least one body")
@@ -315,19 +288,16 @@ func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.replicate == nil {
-		o.workers = 1
-	}
-	return newServer(&staticModel{bodies: bodies, replicate: o.replicate}, o)
+	return newServer(&staticModel{bodies: bodies}, o)
 }
 
 // NewModelServer creates a server that resolves every request's
 // (model, version) header through the provider — typically a
 // registry.Registry. Publishing a new version or rotating a selector in the
 // provider swaps what subsequent requests compute against with zero
-// downtime: in-flight requests finish on the epoch they resolved, and each
-// worker re-clones its replicas the first time it sees a new Seq (a
-// rotation that keeps the bodies keeps the Seq, and so the replicas).
+// downtime: in-flight requests finish on the epoch they resolved, and the
+// first request to meet a new Seq compiles its bodies once for every worker
+// (a rotation that keeps the bodies keeps the Seq, and so the compiled form).
 func NewModelServer(p ModelProvider, opts ...ServerOption) *Server {
 	if p == nil {
 		panic("comm: server needs a model provider")
@@ -346,6 +316,7 @@ func newServer(p ModelProvider, o serverOptions) *Server {
 		jobs:     make(chan *job),
 		conns:    map[net.Conn]struct{}{},
 	}
+	s.gens.precision, s.gens.m = o.precision, map[epochKey]*generation{}
 	if o.dispatch {
 		if s.opts.maxQueue <= 0 {
 			s.opts.maxQueue = DefaultMaxQueue
@@ -700,98 +671,128 @@ func (s *Server) handle(conn net.Conn) {
 	writer.Wait()
 }
 
-// maxWorkerReplicas bounds one worker's replica cache. Each live body
-// generation a worker serves costs one entry — selector rotations share
-// their parent's — so the bound is hit only when many models (or pinned
-// versions of distinct publishes) pass through a single worker; eviction then
-// retires the least-recently-used replica and the next request for it
-// re-clones.
-const maxWorkerReplicas = 16
+// maxGenerations bounds how many body generations the server keeps compiled,
+// and each worker keeps scratches for. A newer Seq of a model retires the
+// model's older ones (see retire), so the bound is reached only when many
+// models, or pinned versions of distinct publishes, are live at once.
+const maxGenerations = 16
 
-// workerReplica is one worker's private replica of one body generation: run
-// is a *bodySet[T] at the serving precision, over the cloned float64
-// networks themselves or over their float32 compilation (which keeps what it
-// needs of its source alive — AdditiveNoise resample mode draws through the
-// source layer's worker-private RNG state).
-type workerReplica struct {
-	run      any
-	lastUsed uint64 // worker-local request counter for LRU eviction
-}
-
-// epochKey identifies one body generation (ServedModel.Seq) of one model in
-// a worker's replica cache. A struct key keeps the per-request lookup
-// allocation-free (the old formatted-string key cost one heap allocation per
-// request).
+// epochKey identifies one body generation (ServedModel.Seq) of one model. A
+// struct key keeps the per-request lookup allocation-free.
 type epochKey struct {
 	name string
 	seq  uint64
 }
 
-// replicaCache is one worker's private replicas, keyed by (name, seq) so
-// mixed pinned-version and current-version traffic on one model each keep
-// their own replica instead of thrashing a shared slot with full re-clones
-// per request — and versions that share bodies share one.
-type replicaCache struct {
-	entries   map[epochKey]*workerReplica
-	tick      uint64
+// generation is one body generation compiled once for the whole server:
+// newSet builds one worker's *bodySet[T] over the compiled nets, which every
+// worker shares read-only. A non-nil err answers the generation's requests
+// instead: a model that cannot compile is never computed.
+type generation struct {
+	once   sync.Once
+	newSet func() any
+	err    error
+}
+
+// generations is the server's compiled body generations, found under mu;
+// the first worker to meet one compiles it, and every later one waits for
+// that compile and reuses it.
+type generations struct {
 	precision Precision
+	mu        sync.Mutex
+	m         map[epochKey]*generation
 }
 
-func newReplicaCache(p Precision) *replicaCache {
-	return &replicaCache{entries: map[epochKey]*workerReplica{}, precision: p}
+// get returns m's generation, compiling it on first sight.
+func (g *generations) get(key epochKey, m ServedModel) *generation {
+	g.mu.Lock()
+	gen := g.m[key]
+	if gen == nil {
+		gen = &generation{}
+		g.m[key] = gen
+		retire(g.m, key)
+	}
+	g.mu.Unlock()
+	gen.once.Do(func() {
+		switch bodies := m.Bodies(); {
+		case len(bodies) == 0:
+			gen.err = fmt.Errorf("comm: model %q v%d has no bodies", m.Name(), m.Version())
+		case g.precision == PrecisionF32:
+			gen.newSet, gen.err = compileBodies[float32](bodies)
+		default:
+			gen.newSet, gen.err = compileBodies[float64](bodies)
+		}
+	})
+	return gen
 }
 
-// replicaFor returns the cached replica for the epoch, cloning (and evicting
-// the least recently used entry past the cap) on first sight.
-func (rc *replicaCache) replicaFor(m ServedModel) (*workerReplica, error) {
-	rc.tick++
+// compileBodies compiles every body at element type T.
+func compileBodies[T tensor.Float](bodies []*nn.Network) (func() any, error) {
+	nets := make([]*nn.Compiled[T], len(bodies))
+	for i, b := range bodies {
+		var err error
+		if nets[i], err = nn.Compile[T](b); err != nil {
+			return nil, err
+		}
+	}
+	return func() any { return newBodySet(nets) }, nil
+}
+
+// retire drops what caching key supersedes — older Seqs of the same model —
+// and then the lowest Seqs past maxGenerations. A request pinned to a retired
+// generation just caches it again.
+func retire[V any](m map[epochKey]V, key epochKey) {
+	for k := range m {
+		if k.name == key.name && k.seq < key.seq {
+			delete(m, k)
+		}
+	}
+	for len(m) > maxGenerations {
+		oldest := key
+		for k := range m {
+			if k != key && (oldest == key || k.seq < oldest.seq) {
+				oldest = k
+			}
+		}
+		delete(m, oldest)
+	}
+}
+
+// bodyCache is one worker's view of the server's generations: a bodySet of
+// its own — scratches, stack arena, fan-out tasks — over each generation's
+// shared nets, found without a lock once built.
+type bodyCache struct {
+	gens *generations
+	sets map[epochKey]any // *bodySet[T] at the serving precision
+}
+
+func (s *Server) newBodyCache() *bodyCache {
+	return &bodyCache{gens: &s.gens, sets: map[epochKey]any{}}
+}
+
+// bodiesFor returns this worker's body set for m's generation.
+func (c *bodyCache) bodiesFor(m ServedModel) (any, error) {
 	key := epochKey{name: m.Name(), seq: m.Seq()}
-	if wr := rc.entries[key]; wr != nil {
-		wr.lastUsed = rc.tick
-		return wr, nil
+	if bs := c.sets[key]; bs != nil {
+		return bs, nil
 	}
-	bodies, err := cloneReplica(m)
-	if err != nil {
-		return nil, err
+	gen := c.gens.get(key, m)
+	if gen.err != nil {
+		return nil, gen.err
 	}
-	wr := &workerReplica{lastUsed: rc.tick}
-	if rc.precision == PrecisionF32 {
-		nets := make([]inferer[float32], len(bodies))
-		for i, b := range bodies {
-			if nets[i], err = nn.CompileF32(b); err != nil {
-				return nil, err
-			}
-		}
-		wr.run = newBodySet(nets)
-	} else {
-		nets := make([]inferer[float64], len(bodies))
-		for i, b := range bodies {
-			nets[i] = b
-		}
-		wr.run = newBodySet(nets)
-	}
-	rc.entries[key] = wr
-	for len(rc.entries) > maxWorkerReplicas {
-		var lruKey epochKey
-		found, lru := false, uint64(0)
-		for k, e := range rc.entries {
-			if k != key && (!found || e.lastUsed < lru) {
-				lruKey, lru, found = k, e.lastUsed, true
-			}
-		}
-		delete(rc.entries, lruKey)
-	}
-	return wr, nil
+	bs := gen.newSet()
+	c.sets[key] = bs
+	retire(c.sets, key)
+	return bs, nil
 }
 
-// worker serves pool jobs. Each worker owns a private replica cache keyed by
-// body generation: resolving a request whose bodies are not yet cached (a
-// publish or reload happened) lazily re-clones them. The swap therefore
-// costs each worker one clone per body change, spread across the pool as
-// requests arrive — never a lock shared between workers — and a selector
-// rotation, which keeps the bodies, costs nothing.
+// worker serves pool jobs over its body cache: a request whose generation
+// the worker has not met (a publish or reload happened) takes the shared
+// lock once — to compile it, or to find it compiled by another worker — and
+// sizes the worker's scratches; every later one finds its bodies without a
+// lock. A selector rotation, which keeps the bodies, costs nothing.
 func (s *Server) worker(stop <-chan struct{}) {
-	replicas := newReplicaCache(s.opts.precision)
+	bodies := s.newBodyCache()
 	// A direct job is served as a batch of one through this slot: a
 	// per-request []*job{j} would escape through the tensors interface.
 	one := make([]*job, 1)
@@ -799,9 +800,9 @@ func (s *Server) worker(stop <-chan struct{}) {
 		select {
 		case j := <-s.jobs:
 			one[0] = j
-			s.serve(one, replicas)
+			s.serve(one, bodies)
 		case b := <-s.batches: // nil channel (never ready) without a dispatcher
-			s.serve(b.jobs, replicas)
+			s.serve(b.jobs, bodies)
 			s.dispatcher.putBatch(b)
 		case <-stop:
 			return
@@ -810,11 +811,11 @@ func (s *Server) worker(stop <-chan struct{}) {
 }
 
 // serve answers jobs — a direct job, or a batch the dispatcher coalesced —
-// with one compute over the caller's replica cache, feeding the optional
+// with one compute over the caller's body cache, feeding the optional
 // telemetry and tracing hooks, each one nil check when disabled. Replies go
 // out only after those recorded: a replied job belongs to its connection
 // writer, which recycles it.
-func (s *Server) serve(jobs []*job, replicas *replicaCache) {
+func (s *Server) serve(jobs []*job, bodies *bodyCache) {
 	tr, sm := s.opts.tracer, s.opts.metrics
 	var start time.Time
 	if sm != nil || tr != nil {
@@ -833,7 +834,7 @@ func (s *Server) serve(jobs []*job, replicas *replicaCache) {
 	if sm != nil && len(jobs) > 1 {
 		sm.CoalescedBatch.Observe(float64(len(jobs)))
 	}
-	s.compute(jobs, replicas)
+	s.compute(jobs, bodies)
 	if sm != nil || tr != nil {
 		d := time.Since(start)
 		// Every member is attributed a shared pass; Arg records how many
@@ -858,12 +859,12 @@ func (s *Server) serve(jobs []*job, replicas *replicaCache) {
 // refused job must not resolve, be observed, or compute — it serves (and
 // therefore leaks) nothing, which is also why its charge was rolled back.
 // The live jobs resolve once, from the first job's header (the coalesce key
-// gives a batch one header), and run as one pass on this worker's replica of
-// the epoch. A panic anywhere (validation cannot anticipate every shape the
+// gives a batch one header), and run as one pass over this worker's body set
+// for the epoch. A panic anywhere (validation cannot anticipate every shape the
 // hosted bodies reject) answers every job still unanswered instead of
 // killing the server, and every answer given after the resolve names the
 // epoch.
-func (s *Server) compute(jobs []*job, replicas *replicaCache) {
+func (s *Server) compute(jobs []*job, bodies *bodyCache) {
 	var epoch Response
 	defer func() {
 		if r := recover(); r != nil {
@@ -893,13 +894,13 @@ func (s *Server) compute(jobs []*job, replicas *replicaCache) {
 			}
 		}
 	}
-	wr, err := replicas.replicaFor(m)
+	run, err := bodies.bodiesFor(m)
 	if err != nil {
 		epoch.Err = err.Error()
 		failPending(jobs, epoch)
 		return
 	}
-	jobs[0].pay.pass(s, jobs, wr, epoch)
+	jobs[0].pay.pass(s, jobs, run, epoch)
 }
 
 // failPending answers every job that has no answer yet with resp.
@@ -909,20 +910,4 @@ func failPending(jobs []*job, resp Response) {
 			j.resp = resp
 		}
 	}
-}
-
-// cloneReplica builds a worker's private replica, converting a panicking
-// factory (the historical contract of WithReplicas) into an error response
-// so a bad publish degrades to failed requests instead of a dead server.
-func cloneReplica(m ServedModel) (bodies []*nn.Network, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			bodies, err = nil, fmt.Errorf("comm: building model replica: %v", r)
-		}
-	}()
-	bodies = m.NewReplica()
-	if len(bodies) == 0 {
-		return nil, fmt.Errorf("comm: model %q v%d has no bodies", m.Name(), m.Version())
-	}
-	return bodies, nil
 }

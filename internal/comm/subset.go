@@ -16,22 +16,6 @@ import (
 // applies the secret selector locally, so a compromised shard host observes
 // only its own bodies' traffic and, as ever, no selection indices.
 
-// RangeReplicator is an optional ServedModel refinement: models that can
-// clone just a body subrange directly (registry epochs do, via
-// ensemble.CloneBodyRange) avoid cloning all N bodies only to discard most
-// of them. Models without it are sliced after a full replica build.
-type RangeReplicator interface {
-	NewReplicaRange(lo, hi int) []*nn.Network
-}
-
-// BodyCounter is an optional ServedModel refinement reporting how many
-// bodies the model has, letting a subset provider reject an out-of-range
-// restriction at resolve time (a shard launched with the wrong -shard k/K
-// against a smaller model) instead of serving garbage.
-type BodyCounter interface {
-	NumBodies() int
-}
-
 // subsetProvider restricts every model resolved through the inner provider
 // to the body range [lo, hi). last caches the most recent restriction, which
 // Resolve hands out again for as long as the inner provider resolves to the
@@ -67,9 +51,12 @@ func (sp *subsetProvider) Resolve(model string, version int) (ServedModel, error
 	if last := sp.last.Load(); last != nil && last.ServedModel == m {
 		return last, nil
 	}
-	if bc, ok := m.(BodyCounter); ok && sp.hi > bc.NumBodies() {
+	// A shard launched with the wrong -shard k/K against a smaller model is
+	// refused here instead of serving garbage; an epoch that fits is cached,
+	// so the check runs once per epoch.
+	if n := len(m.Bodies()); sp.hi > n {
 		return nil, fmt.Errorf("comm: model %q v%d has %d bodies, shard wants [%d,%d) — was the fleet planned for a different N?",
-			m.Name(), m.Version(), bc.NumBodies(), sp.lo, sp.hi)
+			m.Name(), m.Version(), n, sp.lo, sp.hi)
 	}
 	sm := &subsetModel{ServedModel: m, lo: sp.lo, hi: sp.hi}
 	sp.last.Store(sm)
@@ -77,22 +64,14 @@ func (sp *subsetProvider) Resolve(model string, version int) (ServedModel, error
 }
 
 // subsetModel narrows one resolved model to the shard's body range. Name,
-// Version, and Seq pass through unchanged: a shard server's replica cache
-// keys on the same epoch identity as a monolith's, so a registry publish
-// invalidates shard replicas on exactly the same trigger.
+// Version, and Seq pass through unchanged: a shard server's compiled bodies
+// key on the same epoch identity as a monolith's, so a registry publish
+// swaps a shard's bodies on exactly the same trigger.
 type subsetModel struct {
 	ServedModel
 	lo, hi int
 }
 
-func (m *subsetModel) NewReplica() []*nn.Network {
-	if rr, ok := m.ServedModel.(RangeReplicator); ok {
-		return rr.NewReplicaRange(m.lo, m.hi)
-	}
-	full := m.ServedModel.NewReplica()
-	if m.hi > len(full) {
-		panic(fmt.Sprintf("comm: model %q v%d replica has %d bodies, shard wants [%d,%d)",
-			m.Name(), m.Version(), len(full), m.lo, m.hi))
-	}
-	return full[m.lo:m.hi]
-}
+// Bodies slices the model's bodies to the shard's range, which Resolve
+// checked; the shard compiles only those.
+func (m *subsetModel) Bodies() []*nn.Network { return m.ServedModel.Bodies()[m.lo:m.hi] }

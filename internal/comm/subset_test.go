@@ -87,8 +87,9 @@ func TestSubsetModelPassesThroughEpochIdentity(t *testing.T) {
 	if m.Name() != sm.Name() || m.Version() != sm.Version() || m.Seq() != sm.Seq() {
 		t.Error("subset model must keep the inner model's epoch identity")
 	}
-	if got := m.NewReplica(); len(got) != 1 {
-		t.Errorf("subset replica has %d bodies, want 1", len(got))
+	// The subset serves the inner model's own bodies, sliced — never copies.
+	if got := m.Bodies(); len(got) != 1 || got[0] != sm.bodies[0] {
+		t.Errorf("subset bodies %v, want the inner model's body 0 itself", got)
 	}
 	// Unknown-model resolution errors pass through the wrapper.
 	if _, err := provider.Resolve("nope", 0); err == nil {

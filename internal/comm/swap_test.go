@@ -350,8 +350,8 @@ func TestPoolReconfigureMidTraffic(t *testing.T) {
 // resolve: within one epoch the subset provider hands out one cached
 // restriction (no allocation per request), and the first resolve after a
 // publish or a selector rotation hands out a fresh one carrying the new
-// epoch's identity — so worker replica caches swap on the same trigger as a
-// monolith's. Concurrent resolves race the swaps under -race.
+// epoch's identity — so a shard's compiled bodies swap on the same trigger as
+// a monolith's. Concurrent resolves race the swaps under -race.
 func TestSubsetProviderCachesPerEpoch(t *testing.T) {
 	reg := registry.New(nil)
 	if _, err := reg.Publish("m", commtest.Pipeline(tiny, 4, 2, 81)); err != nil {
@@ -407,8 +407,8 @@ func TestSubsetProviderCachesPerEpoch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := len(m.NewReplica()); i%50 == 0 && got != 2 {
-					t.Errorf("subset replica has %d bodies, want 2", got)
+				if got := len(m.Bodies()); i%50 == 0 && got != 2 {
+					t.Errorf("subset serves %d bodies, want 2", got)
 					return
 				}
 			}
@@ -429,10 +429,11 @@ func TestSubsetProviderCachesPerEpoch(t *testing.T) {
 	}
 }
 
-// countingProvider counts the body replicas servers build through it.
+// countingProvider counts the Bodies calls servers make through it: one per
+// body generation compiled.
 type countingProvider struct {
 	comm.ModelProvider
-	replicas atomic.Int64
+	compiles atomic.Int64
 }
 
 func (p *countingProvider) Resolve(model string, version int) (comm.ServedModel, error) {
@@ -440,17 +441,17 @@ func (p *countingProvider) Resolve(model string, version int) (comm.ServedModel,
 	if err != nil {
 		return nil, err
 	}
-	return countingModel{m, &p.replicas}, nil
+	return countingModel{m, &p.compiles}, nil
 }
 
 type countingModel struct {
 	comm.ServedModel
-	replicas *atomic.Int64
+	compiles *atomic.Int64
 }
 
-func (m countingModel) NewReplica() []*nn.Network {
-	m.replicas.Add(1)
-	return m.ServedModel.NewReplica()
+func (m countingModel) Bodies() []*nn.Network {
+	m.compiles.Add(1)
+	return m.ServedModel.Bodies()
 }
 
 // servedBy computes what a server hosting bodies [lo, hi) of e answers for
@@ -459,7 +460,7 @@ func (m countingModel) NewReplica() []*nn.Network {
 func servedBy(t *testing.T, e *ensemble.Ensembler, f *tensor.Tensor, lo, hi int, f32 bool) []*tensor.Tensor {
 	t.Helper()
 	out := make([]*tensor.Tensor, 0, hi-lo)
-	for _, b := range e.CloneBodyRange(lo, hi) {
+	for _, b := range e.CloneBodies()[lo:hi] {
 		if !f32 {
 			out = append(out, b.Forward(f, false))
 			continue
@@ -475,11 +476,12 @@ func servedBy(t *testing.T, e *ensemble.Ensembler, f *tensor.Tensor, lo, hi int,
 
 // TestReplicasSurviveRotation pins what a rotation sharing its parent's
 // bodies buys the server: the rotated epoch keeps the parent's body
-// generation (Seq), so no worker re-clones — a monolith at f64 or f32, or a
+// generation (Seq), so nothing recompiles — a monolith at f64 or f32, or a
 // shard behind a subset provider. Every response names the rotated version
-// and is bit-exact against the rotated pipeline, each worker builds one
-// replica however often the selector rotates, and the first server compute
-// on a rotated version allocates nothing.
+// and is bit-exact against the rotated pipeline, the server compiles the
+// bodies once however many workers it has and however often the selector
+// rotates, and the first server compute on a rotated version allocates
+// nothing.
 func TestReplicasSurviveRotation(t *testing.T) {
 	const n, workers, rotations = 4, 2, 3
 	for _, tc := range []struct {
@@ -584,8 +586,8 @@ func TestReplicasSurviveRotation(t *testing.T) {
 				}
 				check(cur)
 			}
-			if got := counted.replicas.Load(); got < 1 || got > workers {
-				t.Errorf("%d replicas built across %d rotations, want one per worker (at most %d)", got, rotations, workers)
+			if got := counted.compiles.Load(); got != 1 {
+				t.Errorf("%d workers compiled the bodies %d times across %d rotations, want once", workers, got, rotations)
 			}
 			if hi-lo < n {
 				return // a new epoch costs a shard's subset provider one restriction

@@ -1,7 +1,7 @@
 // Package commtest provides the deterministic untrained serving harness
 // shared by the comm concurrency tests and the serving benchmark
 // (bench/): seeded bodies that rebuild bit-identically
-// (standing in for a trained server's worker replicas), a raw-protocol
+// (standing in for a trained server's bodies), a raw-protocol
 // client wiring (identity head, concat-all selection, linear tail), and a
 // local reference computation to check remote results against. Untrained
 // networks cost exactly as much to run as trained ones, which is all a
@@ -32,7 +32,7 @@ func TinyArch() split.Arch {
 
 // Bodies deterministically builds n server bodies for arch; every call
 // returns networks with identical weights and private caches, so it doubles
-// as the server's replica factory.
+// as a private copy of the server's bodies for reference computations.
 func Bodies(arch split.Arch, n int) []*nn.Network {
 	out := make([]*nn.Network, n)
 	for i := range out {

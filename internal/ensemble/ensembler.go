@@ -297,8 +297,9 @@ func (e *Ensembler) ClientFeatures(x *tensor.Tensor) *tensor.Tensor {
 // Bodies returns all N live server networks — the weights the adversarial
 // server holds and can attack with. The N networks are distinct, so running
 // them concurrently with each other is safe, but each individual body caches
-// forward state and must be used by one goroutine at a time; serving stacks
-// that need several independent copies should use CloneBodies.
+// forward state and must run Forward on one goroutine at a time; callers that
+// need several independent copies use CloneBodies. A server shares them
+// without copies, through their read-only compiled form (nn.Compile).
 func (e *Ensembler) Bodies() []*nn.Network {
 	out := make([]*nn.Network, len(e.Members))
 	for i, m := range e.Members {

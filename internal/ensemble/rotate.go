@@ -64,7 +64,8 @@ func (e *Ensembler) Clone() (*Ensembler, error) {
 // rotation trains on a private Clone and keeps only that copy's head, noise
 // and tail. The receiver is not modified. Shared networks share their
 // forward caches, so the receiver and the result must not run Predict or
-// ServerCompute concurrently; concurrent passes use CloneBodies replicas.
+// ServerCompute concurrently; concurrent passes use CloneBodies copies (or,
+// to serve, a compiled form, which only reads the shared weights).
 func (e *Ensembler) Rotate(opts RotateOptions) (*Ensembler, error) {
 	c := *e
 	r := rng.New(opts.Seed)

@@ -8,37 +8,27 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// The serving-side cloning support in this file exists because the nn
-// substrate caches forward activations inside each layer: a network is safe
-// for one goroutine at a time, so concurrent serving needs independent
-// copies with identical weights but private caches. CloneBodies feeds the
-// comm server's per-worker replicas; NewClientRuntime feeds one pooled
-// client connection.
+// The nn substrate caches forward activations inside each layer, so a live
+// network is safe for one goroutine at a time. Serving does not need copies
+// for that — a comm server compiles the bodies once into a read-only form
+// (nn.Compile) that every worker shares — but the client half does:
+// NewClientRuntime clones the client networks for one pooled connection.
+// CloneBodies serves the callers that run the caching Forward over the
+// bodies while others may be using them: oracles and the audit's attack
+// replay.
 
-// CloneBodies builds a fresh replica of the N server bodies: identical
-// weights and batch-norm running statistics, but brand-new layer objects
-// with private forward caches. Each call returns an independent set, so a
-// serving worker pool calls it once per worker.
+// CloneBodies builds a fresh copy of the N server bodies: identical weights
+// and batch-norm running statistics, but brand-new layer objects with
+// private forward caches. Each call returns an independent set.
 func (e *Ensembler) CloneBodies() []*nn.Network {
-	return e.CloneBodyRange(0, len(e.Members))
-}
-
-// CloneBodyRange clones only the bodies in [lo, hi) — what a shard server
-// hosting a disjoint subset of the ensemble replicates per worker. Cloning
-// exactly the hosted subset is what keeps a K-shard deployment's total
-// replica memory equal to one monolithic server's, instead of K times it.
-func (e *Ensembler) CloneBodyRange(lo, hi int) []*nn.Network {
-	if lo < 0 || hi > len(e.Members) || lo >= hi {
-		panic(fmt.Sprintf("ensemble: body range [%d,%d) out of bounds for N=%d", lo, hi, len(e.Members)))
-	}
-	out := make([]*nn.Network, hi-lo)
+	out := make([]*nn.Network, len(e.Members))
 	r := rng.New(0) // initialization is immediately overwritten
-	for i := lo; i < hi; i++ {
+	for i, m := range e.Members {
 		clone := e.Cfg.Arch.NewBody(fmt.Sprintf("replica%d.body", i), r)
-		if err := clone.CopyStateFrom(e.Members[i].Body); err != nil {
+		if err := clone.CopyStateFrom(m.Body); err != nil {
 			panic(fmt.Sprintf("ensemble: cloning body %d: %v", i, err))
 		}
-		out[i-lo] = clone
+		out[i] = clone
 	}
 	return out
 }

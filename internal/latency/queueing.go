@@ -22,7 +22,7 @@ import "fmt"
 // QueueingScenario describes one operating point of the batching dispatcher.
 type QueueingScenario struct {
 	Base    Scenario // device/link/model parameters; Base.Batch is ignored
-	Workers int      // server worker replicas computing in parallel
+	Workers int      // server workers computing in parallel
 
 	// EffectiveParallel caps how many workers actually compute concurrently
 	// (the host's usable cores); 0 means Workers. Same clamp as

@@ -3,8 +3,8 @@ package latency
 import "fmt"
 
 // This file models the serving regimes of the comm subsystem: many client
-// connections, a bounded pool of server-side workers (each holding a private
-// replica of the N bodies), and batched requests that amortize protocol
+// connections, a bounded pool of server-side workers (all running one shared
+// compiled copy of the N bodies), and batched requests that amortize protocol
 // overhead. It is the analytic counterpart of the closed-loop workloads
 // bench/run.sh measures (which report its error as
 // latency.loopback_pred_err_pct), built as a closed queueing system: each of
@@ -15,7 +15,7 @@ import "fmt"
 // ServingScenario describes one operating point of the concurrent server.
 type ServingScenario struct {
 	Base    Scenario // device/link/model parameters; Base.Batch is ignored
-	Workers int      // server worker replicas computing in parallel
+	Workers int      // server workers computing in parallel
 	Clients int      // concurrent client connections, one request in flight each
 	Batch   int      // images per request (InferBatch size × client batch)
 

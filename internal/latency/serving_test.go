@@ -78,7 +78,7 @@ func TestConcurrencyRaisesThroughputUntilSaturation(t *testing.T) {
 
 func TestConcurrencySpeedupExceedsTwo(t *testing.T) {
 	// The acceptance regime of the serving subsystem: 8 concurrent clients
-	// against a 4-worker replicated pool must be predicted at >2× a single
+	// against a 4-worker pool must be predicted at >2× a single
 	// connection.
 	s := concurrencySpeedup(4, 0, 8)
 	if s <= 2 {

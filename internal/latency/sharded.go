@@ -17,7 +17,7 @@ import "fmt"
 type ShardedScenario struct {
 	Base    Scenario // device/link/model parameters; Base.N is the ensemble size
 	Shards  int      // K server processes, disjoint body subsets (shard.Plan)
-	Workers int      // worker replicas per shard
+	Workers int      // workers per shard
 	Clients int      // concurrent client connections, one request in flight each
 	Batch   int      // images per request
 }

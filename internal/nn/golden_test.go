@@ -17,8 +17,8 @@ import (
 )
 
 // TestGoldenBodyBits pins the output bits of one seeded split body at both
-// precisions — ForwardInfer at float64 and CompileF32 at float32, 1 and 8
-// rows — to digests recorded at the commit before the compute stack became
+// precisions — ForwardInfer and Compile[float64] at float64 (one digest),
+// Compile[float32] at float32, 1 and 8 rows — to digests recorded at the commit before the compute stack became
 // generic. A change here means an accumulation order, a rounding point or a
 // kernel selection moved: the f64 oracle and the f32 backend must both stay
 // bit-identical across refactors. (amd64 only: architectures that fuse
@@ -36,11 +36,15 @@ func TestGoldenBodyBits(t *testing.T) {
 	warm := tensor.New(4, 8, 16, 16)
 	rng.New(1302).FillNormal(warm.Data, 0, 1)
 	body.Forward(warm, true) // move the batch-norm running statistics off their defaults
-	n32, err := nn.CompileF32(body)
+	n64, err := nn.Compile[float64](body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h64, h32 := sha256.New(), sha256.New()
+	n32, err := nn.Compile[float32](body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h64, c64, h32 := sha256.New(), sha256.New(), sha256.New()
 	var buf [8]byte
 	for _, rows := range []int{1, 8} {
 		x := tensor.New(rows, 8, 16, 16)
@@ -48,6 +52,10 @@ func TestGoldenBodyBits(t *testing.T) {
 		for _, v := range body.ForwardInfer(x, nn.NewScratch()).Data {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			h64.Write(buf[:])
+		}
+		for _, v := range n64.ForwardInfer(x, nn.NewScratch()).Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			c64.Write(buf[:])
 		}
 		for _, v := range n32.ForwardInfer(tensor.Narrow32(x), nn.NewScratch32()).Data {
 			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(v))
@@ -57,8 +65,11 @@ func TestGoldenBodyBits(t *testing.T) {
 	if got := hex.EncodeToString(h64.Sum(nil)); got != wantF64 {
 		t.Errorf("float64 ForwardInfer bits changed: digest %s, want %s", got, wantF64)
 	}
+	if got := hex.EncodeToString(c64.Sum(nil)); got != wantF64 {
+		t.Errorf("float64 Compile bits changed: digest %s, want %s", got, wantF64)
+	}
 	if got := hex.EncodeToString(h32.Sum(nil)); got != wantF32 {
-		t.Errorf("float32 CompileF32 bits changed: digest %s, want %s", got, wantF32)
+		t.Errorf("float32 Compile bits changed: digest %s, want %s", got, wantF32)
 	}
 }
 

@@ -18,26 +18,27 @@ import (
 //     computing exactly what Forward(x, false) computes, with a
 //     Forward(x, false) fallback for custom Layer implementations. This is
 //     the reference oracle: bit-identical to every prior release.
-//   - CompileF32 narrows a closed world of built-in layers to float32 once
-//     and returns a Net32 that runs the same arithmetic at float32 — the
-//     precision the serving path selects with -precision f32. Drift policy
-//     (DESIGN.md §2i): weights and features are each rounded to float32
-//     exactly once, kernels accumulate in float32 (global average pooling,
-//     the one reduction long enough to eat the budget, accumulates in
-//     float64 at every precision), and the end-to-end divergence from the
-//     f64 oracle is held under 1e-5 relative by TestCompileF32Drift and the
-//     seed-network property test in internal/audit.
+//   - Compile[T] turns a closed world of built-in layers into a Compiled[T]
+//     once: at float64 it views the live weights in place (bit-identical to
+//     the oracle), at float32 it narrows them — the precision the serving
+//     path selects with -precision f32. f32 drift policy (DESIGN.md §2i):
+//     weights and features are each rounded to float32 exactly once, kernels
+//     accumulate in float32 (global average pooling, the one reduction long
+//     enough to eat the budget, accumulates in float64 at every precision),
+//     and the end-to-end divergence from the f64 oracle is held under 1e-5
+//     relative by TestCompileDrift and the seed-network property test in
+//     internal/audit.
 //
 // After one warm-up pass either entry point is allocation-free (asserted by
-// TestForwardInferAllocs, TestForwardInfer32Allocs and the comm serving
-// benchmarks).
+// TestForwardInferAllocs, TestCompileF64IsTheOracle, TestForwardInfer32Allocs
+// and the comm serving benchmarks).
 //
 // Memory model: all tensors returned by an inference pass — including the
 // final output — live in the Scratch and are invalidated by Scratch.Reset. A
 // caller that retains the output (e.g. to encode it on the wire) must copy
-// it out before resetting. A Scratch belongs to one goroutine; concurrent
-// passes need one Scratch (and one network replica) each, mirroring the
-// existing one-goroutine-per-network rule.
+// it out before resetting. A Scratch belongs to one goroutine. A Compiled
+// network is read-only, so any number of goroutines may run one at once,
+// each over its own Scratch; a live Network runs one pass at a time.
 
 // Scratch is the reusable activation storage for inference-mode forward
 // passes at element type T. The zero value is usable; the first pass sizes
@@ -50,7 +51,7 @@ type Scratch[T tensor.Float] struct {
 // it.
 func NewScratch() *Scratch[float64] { return &Scratch[float64]{} }
 
-// NewScratch32 returns an empty float32 scratch for a Net32.
+// NewScratch32 returns an empty float32 scratch.
 func NewScratch32() *Scratch[float32] { return &Scratch[float32]{} }
 
 // Reset reclaims the scratch for the next pass, invalidating every tensor
@@ -83,7 +84,7 @@ func (n *Network) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Te
 }
 
 // InferScratch returns a Scratch pre-sized for inputs of the given shape by
-// running one throwaway warm-up pass — the "sizing done once per replica"
+// running one throwaway warm-up pass — the "sizing done once per scratch"
 // step of the serving memory model. Passes over inputs of this shape (or
 // smaller) then allocate nothing; a larger input grows the scratch once.
 func (n *Network) InferScratch(inputShape ...int) *Scratch[float64] {
@@ -96,126 +97,156 @@ func (n *Network) InferScratch(inputShape ...int) *Scratch[float64] {
 // inferFunc is one compiled inference step at element type T.
 type inferFunc[T tensor.Float] func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T]
 
-// Net32 is a Network compiled for float32 inference: weights pre-narrowed,
-// every step the same generic arithmetic the f64 path runs. Like a Network
-// replica it is safe for one goroutine at a time. It holds no references to
-// the source network's parameter tensors except through AdditiveNoise
-// resample mode (which mutates the source layer exactly as the f64 path
-// does).
-type Net32 struct {
+// Compiled is a Network compiled for inference at element type T: every step
+// the same generic arithmetic (*Network).ForwardInfer runs, with every
+// per-pass constant (batch norm's reciprocal deviations) computed once. It
+// is read-only after Compile, so one Compiled serves any number of
+// goroutines at once, each over its own Scratch. At float64 it views the
+// source network's weights and statistics in place — the source must not
+// change while the Compiled is in use — and at float32 it holds narrowed
+// copies of them.
+type Compiled[T tensor.Float] struct {
 	Name  string
-	steps []inferFunc[float32]
+	steps []inferFunc[T]
 }
 
-// CompileF32 narrows a network's weights to float32 and returns its f32
-// inference form. Every built-in layer type compiles; a custom Layer
-// implementation (which the f64 path would run via its Forward fallback)
-// has no f32 counterpart and returns an error — precision dispatch must not
-// silently change which code serves a model.
-func CompileF32(n *Network) (*Net32, error) {
-	out := &Net32{Name: n.Name, steps: make([]inferFunc[float32], 0, len(n.Layers))}
+// Compile returns a network's inference form at element type T. Compilation
+// is closed-world: every built-in layer type compiles, while a custom Layer
+// implementation (which ForwardInfer runs via its caching Forward fallback)
+// and an AdditiveNoise in resample mode (which redraws its noise in place on
+// every pass) return an error — neither is safe to share between goroutines,
+// and precision dispatch must not silently change which code serves a model.
+func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
+	out := &Compiled[T]{Name: n.Name, steps: make([]inferFunc[T], 0, len(n.Layers))}
 	for i, l := range n.Layers {
-		step, err := compileLayer32(l)
+		step, err := compileLayer[T](l)
 		if err != nil {
-			return nil, fmt.Errorf("nn: CompileF32 %s layer %d: %w", n.Name, i, err)
+			return nil, fmt.Errorf("nn: compiling %s layer %d: %w", n.Name, i, err)
 		}
 		out.steps = append(out.steps, step)
 	}
 	return out, nil
 }
 
-// compileLayer32 narrows one layer. The type switch is the closed-world
-// mirror of the InferenceLayer conformance list at the bottom of this file.
-func compileLayer32(l Layer) (inferFunc[float32], error) {
+// CompileF32 is Compile[float32], the float32 serving backend.
+func CompileF32(n *Network) (*Compiled[float32], error) { return Compile[float32](n) }
+
+// compileLayer compiles one layer. The type switch is the closed-world mirror
+// of the InferenceLayer conformance list at the bottom of this file.
+func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 	switch v := l.(type) {
 	case *Network:
-		n32, err := CompileF32(v)
+		c, err := Compile[T](v)
 		if err != nil {
 			return nil, err
 		}
-		return n32.ForwardInfer, nil
+		return c.ForwardInfer, nil
 	case *Conv2D:
-		return narrowConv(v.inferOp()).infer, nil
+		return castConv[T](v.inferOp()).infer, nil
 	case *Linear:
-		return linearOp[float32]{name: v.W.Name, in: v.In, out: v.Out,
-			w: tensor.Narrow32(v.W.Value), b: tensor.Narrow32(v.B.Value)}.infer, nil
+		return linearOp[T]{name: v.W.Name, in: v.In, out: v.Out,
+			w: castTensor[T](v.W.Value), b: castTensor[T](v.B.Value)}.infer, nil
 	case *BatchNorm2D:
-		return narrowBN(v.inferOp(make([]float64, v.C))).infer, nil
+		return compileBN[T](v).infer, nil
 	case *ReLU:
-		return reluInfer[float32], nil
+		return reluInfer[T], nil
 	case *LeakyReLU:
-		alpha := float32(v.Alpha)
-		return func(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
+		alpha := T(v.Alpha)
+		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return leakyReLUInfer(x, alpha, s)
 		}, nil
 	case *Sigmoid:
-		return sigmoidInfer[float32], nil
+		return sigmoidInfer[T], nil
 	case *Tanh:
-		return tanhInfer[float32], nil
+		return tanhInfer[T], nil
 	case *MaxPool2D:
 		k, stride := v.K, v.Stride
-		return func(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
+		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return maxPoolInfer(x, k, stride, s)
 		}, nil
 	case *GlobalAvgPool:
-		return globalAvgPoolInfer[float32], nil
+		return globalAvgPoolInfer[T], nil
 	case *Upsample2D:
 		factor := v.Factor
-		return func(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
+		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return upsampleInfer(x, factor, s)
 		}, nil
 	case *Flatten:
-		return flattenInfer[float32], nil
+		return flattenInfer[T], nil
 	case *Reshape2D4D:
 		c, h, w := v.C, v.H, v.W
-		return func(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
+		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return s.arena.View(x, x.Shape[0], c, h, w)
 		}, nil
 	case *AdditiveNoise:
-		// A pre-narrowed copy of the noise tensor. Resample mode redraws
-		// through the source layer's RNG (f64, identical stream to the oracle
-		// path) and re-narrows into the retained buffer — no allocation.
-		noise := tensor.Narrow32(v.Noise.Value)
-		return func(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
-			if v.resample() {
-				tensor.ConvertInto(noise, v.Noise.Value)
-			}
-			return addNoiseInfer(x, noise.Data, s)
+		if v.Mode == NoiseResample {
+			return nil, fmt.Errorf("AdditiveNoise %s redraws its noise on every pass (resample mode), so no compiled form of it can be shared", v.Noise.Name)
+		}
+		noise := castTensor[T](v.Noise.Value).Data
+		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+			return addNoiseInfer(x, noise, s)
 		}, nil
 	case *Dropout:
-		return identityInfer[float32], nil
+		return identityInfer[T], nil
 	case *BasicBlock:
-		// A throwaway scratch hosts the f64 reciprocal deviations until they
-		// are narrowed.
-		return narrowBlock(v.inferOp(NewScratch())).infer, nil
+		op := blockOp[T]{
+			conv1: castConv[T](v.Conv1.inferOp()), bn1: compileBN[T](v.BN1),
+			conv2: castConv[T](v.Conv2.inferOp()), bn2: compileBN[T](v.BN2),
+		}
+		if v.ShortConv != nil {
+			op.short = true
+			op.shortConv, op.shortBN = castConv[T](v.ShortConv.inferOp()), compileBN[T](v.ShortBN)
+		}
+		return op.infer, nil
 	default:
-		return nil, fmt.Errorf("no float32 inference path for layer type %T", l)
+		return nil, fmt.Errorf("no compiled inference path for layer type %T", l)
 	}
 }
 
 // ForwardInfer runs the compiled stack over the scratch. The result lives in
-// the scratch and is invalidated by Scratch.Reset, like the f64 path.
-func (n *Net32) ForwardInfer(x *tensor.Tensor32, s *Scratch[float32]) *tensor.Tensor32 {
-	for _, step := range n.steps {
+// the scratch and is invalidated by Scratch.Reset, like the live path.
+func (c *Compiled[T]) ForwardInfer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+	for _, step := range c.steps {
 		x = step(x, s)
 	}
 	return x
 }
 
-// InferScratch returns a float32 Scratch pre-sized for inputs of the given
-// shape by one throwaway warm-up pass, mirroring Network.InferScratch.
-func (n *Net32) InferScratch(inputShape ...int) *Scratch[float32] {
-	s := NewScratch32()
-	n.ForwardInfer(tensor.New32(inputShape...), s)
+// InferScratch returns a Scratch pre-sized for inputs of the given shape by
+// one throwaway warm-up pass, mirroring Network.InferScratch.
+func (c *Compiled[T]) InferScratch(inputShape ...int) *Scratch[T] {
+	s := &Scratch[T]{}
+	c.ForwardInfer(tensor.NewOf[T](inputShape...), s)
 	s.Reset()
 	return s
+}
+
+// castTensor returns t at element type T: t itself at float64 (the live
+// values, viewed in place), a rounded copy otherwise.
+func castTensor[T tensor.Float](t *tensor.Tensor) *tensor.Dense[T] {
+	if same, ok := any(t).(*tensor.Dense[T]); ok {
+		return same
+	}
+	return tensor.ConvertInto(tensor.NewOf[T](t.Shape...), t)
+}
+
+// castSlice is castTensor for a bare slice.
+func castSlice[T tensor.Float](src []float64) []T {
+	if same, ok := any(src).([]T); ok {
+		return same
+	}
+	out := make([]T, len(src))
+	for i, v := range src {
+		out[i] = T(v)
+	}
+	return out
 }
 
 // --- convolution ---
 
 // convOp is a convolution's inference-time state at element type T: the
 // live float64 parameters viewed in place (Conv2D.inferOp), or their
-// float32 narrowing held by a Net32.
+// float32 narrowing held by a Compiled[float32].
 type convOp[T tensor.Float] struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
@@ -231,11 +262,11 @@ func (c *Conv2D) inferOp() convOp[float64] {
 	return op
 }
 
-func narrowConv(c convOp[float64]) convOp[float32] {
-	op := convOp[float32]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
-		stride: c.stride, pad: c.pad, w: tensor.Narrow32(c.w)}
+func castConv[T tensor.Float](c convOp[float64]) convOp[T] {
+	op := convOp[T]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
+		stride: c.stride, pad: c.pad, w: castTensor[T](c.w)}
 	if c.b != nil {
-		op.b = tensor.Narrow32(c.b)
+		op.b = castTensor[T](c.b)
 	}
 	return op
 }
@@ -307,20 +338,13 @@ func (b *BatchNorm2D) inferOp(inv []float64) bnOp[float64] {
 		gamma: b.Gamma.Value.Data, beta: b.Beta.Value.Data}
 }
 
-// narrowBN narrows each per-channel constant once. The reciprocal square
-// root was computed in f64 — the same rounding structure as the f64 path.
-func narrowBN(b bnOp[float64]) bnOp[float32] {
-	return bnOp[float32]{name: b.name, mean: narrowSlice(b.mean), inv: narrowSlice(b.inv),
-		gamma: narrowSlice(b.gamma), beta: narrowSlice(b.beta)}
-}
-
-// narrowSlice rounds a float64 slice to a fresh float32 slice.
-func narrowSlice(src []float64) []float32 {
-	out := make([]float32, len(src))
-	for i, v := range src {
-		out[i] = float32(v)
-	}
-	return out
+// compileBN computes the reciprocal deviations once, in f64 — the expression
+// ForwardInfer evaluates per pass, so the float64 form keeps its bits — and
+// casts each per-channel constant to T.
+func compileBN[T tensor.Float](b *BatchNorm2D) bnOp[T] {
+	op := b.inferOp(make([]float64, b.C))
+	return bnOp[T]{name: op.name, mean: castSlice[T](op.mean), inv: castSlice[T](op.inv),
+		gamma: castSlice[T](op.gamma), beta: castSlice[T](op.beta)}
 }
 
 // infer normalizes with the running statistics, folding the affine
@@ -621,18 +645,6 @@ func (b *BasicBlock) inferOp(s *Scratch[float64]) blockOp[float64] {
 		op.short = true
 		op.shortConv = b.ShortConv.inferOp()
 		op.shortBN = b.ShortBN.inferOp(s.arena.Alloc(b.ShortBN.C))
-	}
-	return op
-}
-
-func narrowBlock(b blockOp[float64]) blockOp[float32] {
-	op := blockOp[float32]{
-		conv1: narrowConv(b.conv1), bn1: narrowBN(b.bn1),
-		conv2: narrowConv(b.conv2), bn2: narrowBN(b.bn2),
-		short: b.short,
-	}
-	if b.short {
-		op.shortConv, op.shortBN = narrowConv(b.shortConv), narrowBN(b.shortBN)
 	}
 	return op
 }

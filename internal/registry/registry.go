@@ -14,10 +14,10 @@ import (
 
 // Epoch is one immutable published version of a model held live in memory.
 // Immutability is the whole concurrency story: nothing ever mutates an
-// epoch's pipeline after Publish, so any number of serving workers may clone
-// replicas from it while a new epoch is being prepared, and in-flight
-// requests simply finish on whichever epoch they resolved. A selector
-// rotation's epoch shares its parent's server bodies (and its Seq).
+// epoch's pipeline after Publish, so any number of serving workers may read
+// its bodies while a new epoch is being prepared, and in-flight requests
+// simply finish on whichever epoch they resolved. A selector rotation's epoch
+// shares its parent's server bodies (and its Seq).
 type Epoch struct {
 	name     string
 	version  int
@@ -34,29 +34,20 @@ func (ep *Epoch) Version() int { return ep.version }
 // Seq returns the epoch's server-body generation. Publish, LoadStore and a
 // lazy store load each mint a new one; a selector rotation keeps its
 // parent's, because it changes only the client-side secret and shares the
-// parent's bodies. Serving workers use it as their replica cache key: a
-// changed Seq tells the worker its body replicas are stale and must be
-// re-cloned, and an unchanged one lets it keep them across a rotation.
+// parent's bodies. A server keys its compiled bodies on it: a changed Seq
+// tells the server to compile the new bodies once, and an unchanged one lets
+// every worker keep them across a rotation.
 func (ep *Epoch) Seq() uint64 { return ep.seq }
 
 // Pipeline returns the published pipeline. Treat it as read-only.
 func (ep *Epoch) Pipeline() *ensemble.Ensembler { return ep.pipeline }
 
-// NewReplica builds an independent replica of the epoch's server bodies
-// (identical weights, private forward caches) for one serving worker. Safe
-// to call from any number of goroutines: the source is immutable and the
-// clone is freshly allocated.
-func (ep *Epoch) NewReplica() []*nn.Network { return ep.pipeline.CloneBodies() }
-
-// NewReplicaRange builds a replica of only the bodies in [lo, hi) — the
-// comm.RangeReplicator refinement a shard server's subset provider uses so
-// each shard clones exactly the bodies it hosts.
-func (ep *Epoch) NewReplicaRange(lo, hi int) []*nn.Network { return ep.pipeline.CloneBodyRange(lo, hi) }
-
-// NumBodies reports the ensemble size N of the published pipeline — the
-// comm.BodyCounter refinement that lets a subset provider reject a shard
-// range planned for a different N.
-func (ep *Epoch) NumBodies() int { return ep.pipeline.Cfg.N }
+// Bodies returns the epoch's own server bodies — the comm.ServedModel
+// contract: a server compiles them once and only reads them, so every worker
+// and every shard serves the one copy the registry holds. Callers that run
+// the caching Forward over them (an attack replay) take CloneBodies of the
+// pipeline instead.
+func (ep *Epoch) Bodies() []*nn.Network { return ep.pipeline.Bodies() }
 
 // maxRetainedEpochs bounds how many epochs of one model stay in memory.
 // Under a rotation cadence (-rotate-every) versions accumulate indefinitely;
@@ -198,8 +189,8 @@ func (r *Registry) install(name string, version int, e *ensemble.Ensembler, seq 
 // Publish makes the pipeline the next version of the named model: persisted
 // to the store (when one is attached), installed in memory, and swapped in
 // as the current epoch. Serving continues across the swap — workers finish
-// in-flight requests on the old epoch and lazily re-clone replicas on their
-// next request against this model.
+// in-flight requests on the old epoch, and the first request against this
+// model compiles the new bodies once for every worker.
 func (r *Registry) Publish(name string, e *ensemble.Ensembler) (*Epoch, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -234,7 +225,7 @@ func (r *Registry) publishLocked(name string, e *ensemble.Ensembler, seq uint64)
 // for the default) and publishes the result as a new version — the
 // switching-ensembles defense cadence. The server bodies are unchanged and
 // shared with the parent epoch, whose Seq the new epoch keeps, so the swap
-// is invisible on the wire and serving workers keep their replicas; only
+// is invisible on the wire and serving workers keep their bodies; only
 // the client-side secret (and, with opts.Tune, the stage-3 head/noise/tail)
 // moves. The rotation is recorded with cause "manual"; callers that rotate
 // on a schedule or on audit evidence should use RotateSelectorCause so the

@@ -387,27 +387,31 @@ func TestRegistryBoundsRetainedEpochs(t *testing.T) {
 	}
 }
 
-func TestEpochReplicasAreIndependent(t *testing.T) {
+// TestEpochBodiesAreThePipelines pins the comm.ServedModel contract: an
+// epoch serves its pipeline's own bodies — every call the same networks, so a
+// server compiles the one copy the registry holds — while CloneBodies, for
+// callers that run the caching Forward, hands out private networks with the
+// same weights.
+func TestEpochBodiesAreThePipelines(t *testing.T) {
 	r := registry.New(nil)
 	ep, err := r.Publish("m", pipeline(23))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := ep.NewReplica(), ep.NewReplica()
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("replica sizes %d, %d", len(a), len(b))
+	own, again, clones := ep.Bodies(), ep.Bodies(), ep.Pipeline().CloneBodies()
+	if len(own) != 3 || len(again) != 3 || len(clones) != 3 {
+		t.Fatalf("body counts %d, %d, %d, want 3", len(own), len(again), len(clones))
 	}
 	x := commtest.Input(tiny, 24, 2) // body-shaped features, not images
-	// Same weights...
-	for i := range a {
-		if !a[i].Forward(x, false).AllClose(b[i].Forward(x, false), 1e-12) {
-			t.Fatalf("replica body %d diverges", i)
+	for i, b := range own {
+		if b != ep.Pipeline().Members[i].Body || again[i] != b {
+			t.Fatalf("body %d is not the pipeline's own network", i)
 		}
-	}
-	// ...but distinct objects (private forward caches).
-	for i := range a {
-		if a[i] == b[i] {
-			t.Fatalf("replica body %d shared between calls", i)
+		if clones[i] == b {
+			t.Fatalf("CloneBodies handed out body %d itself", i)
+		}
+		if !clones[i].Forward(x, false).AllClose(b.Forward(x, false), 0) {
+			t.Fatalf("clone of body %d diverges", i)
 		}
 	}
 }

@@ -6,9 +6,9 @@
 // checksum. The Registry holds the published epochs in memory behind atomic
 // pointers so a comm server can resolve (model, version) per request and a
 // Publish or RotateSelector swaps the live epoch between requests with zero
-// downtime — in-flight requests finish on the old epoch, and each serving
-// worker lazily re-clones its body replicas when it first sees new bodies
-// (a rotation shares its parent's).
+// downtime — in-flight requests finish on the old epoch, and a server
+// compiles new bodies once, on the first request that meets them (a rotation
+// shares its parent's).
 package registry
 
 import (

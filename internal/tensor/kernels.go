@@ -107,7 +107,7 @@ func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
 // total in turn. The results differ in the last bits, which is why this
 // panel stays per-type (the f64 oracle must not reassociate) and why what
 // holds it to the oracle is the 1e-5 relative drift tests
-// (TestMatMulInto32MatchesF64, nn.TestCompileF32Drift, audit/precision_test),
+// (TestMatMulInto32MatchesF64, nn.TestCompileDrift, audit/precision_test),
 // not order equality. The zero-skip applies only to the k-tail rows.
 func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {

@@ -62,7 +62,7 @@ const (
 	// StageBatchWait is the deliberate coalescing delay the dispatcher's
 	// batch window imposes — the latency spent buying occupancy.
 	StageBatchWait
-	// StageForward is resolve + replica lookup + the stacked body passes.
+	// StageForward is resolve + body-set lookup + the stacked body passes.
 	StageForward
 	// StageEncode is response encode + write on the connection writer.
 	StageEncode
