@@ -1,42 +1,27 @@
 package nn
 
-import (
-	"math"
-
-	"ensembler/internal/tensor"
-)
+import "ensembler/internal/tensor"
 
 // ReLU is the rectified linear activation max(0, x).
 type ReLU struct {
-	mask []bool
+	y *tensor.Tensor
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward clamps negatives to zero, caching the pass-through mask.
+// Forward clamps negatives to zero, caching the output: y > 0 exactly where
+// x > 0, so the output is the pass-through mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	if cap(r.mask) < len(out.Data) {
-		r.mask = make([]bool, len(out.Data))
-	}
-	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			out.Data[i] = 0
-		}
-	}
-	return out
+	r.y = reluInfer(x, heapScratch())
+	return r.y
 }
 
 // Backward zeroes gradients where the forward input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
+	for i, y := range r.y.Data {
+		if y <= 0 {
 			out.Data[i] = 0
 		}
 	}
@@ -56,15 +41,10 @@ type LeakyReLU struct {
 // NewLeakyReLU returns a LeakyReLU with the given negative slope.
 func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
-// Forward applies the leaky rectifier.
+// Forward applies the leaky rectifier, caching x for Backward.
 func (l *LeakyReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
-	return x.Apply(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return l.Alpha * v
-	})
+	return leakyReLUInfer(x, l.Alpha, heapScratch())
 }
 
 // Backward scales negative-side gradients by Alpha.
@@ -90,9 +70,9 @@ type Sigmoid struct {
 // NewSigmoid returns a sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
-// Forward computes 1/(1+e^-x).
+// Forward computes 1/(1+e^-x), caching the output for Backward.
 func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	s.y = x.Apply(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
+	s.y = sigmoidInfer(x, heapScratch())
 	return s.y
 }
 
@@ -116,9 +96,9 @@ type Tanh struct {
 // NewTanh returns a tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward computes tanh(x).
+// Forward computes tanh(x), caching the output for Backward.
 func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.y = x.Apply(math.Tanh)
+	t.y = tanhInfer(x, heapScratch())
 	return t.y
 }
 

@@ -18,10 +18,12 @@ import (
 // in-place "optimization" added later cannot silently break the views.
 
 // TestLayersDoNotMutateInput walks both test stacks layer by layer, in eval
-// Forward and in ForwardInfer, snapshotting each layer's input and requiring
-// it bit-identical after the layer ran. Because reshaped views share their
-// backing array, a layer mutating a view fails the check on the view itself —
-// the pass covers the aliased case by construction.
+// Forward, training Forward and ForwardInfer, snapshotting each layer's input
+// and requiring it bit-identical after the layer ran. Because reshaped views
+// share their backing array, a layer mutating a view fails the check on the
+// view itself — the pass covers the aliased case by construction. Training
+// mode matters twice over: ReLU's Backward reads its pass-through mask off
+// the cached output, and batch norm's and max pooling's off the cached input.
 func TestLayersDoNotMutateInput(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -37,33 +39,32 @@ func TestLayersDoNotMutateInput(t *testing.T) {
 
 		x := tensor.New(tc.shape...)
 		rng.New(42).FillNormal(x.Data, 0, 1)
-		cur := x
-		for i, l := range tc.net.Layers {
-			before := append([]float64(nil), cur.Data...)
-			next := l.Forward(cur, false)
-			for k, v := range cur.Data {
-				if math.Float64bits(v) != math.Float64bits(before[k]) {
-					t.Fatalf("%s: layer %d (%T) mutated its input at %d in eval Forward", tc.name, i, l, k)
-				}
-			}
-			cur = next
-		}
-
 		s := nn.NewScratch()
-		cur = x
-		for i, l := range tc.net.Layers {
-			il, ok := l.(nn.InferenceLayer)
-			if !ok {
-				t.Fatalf("%s: layer %d (%T) has no inference path", tc.name, i, l)
-			}
-			before := append([]float64(nil), cur.Data...)
-			next := il.ForwardInfer(cur, s)
-			for k, v := range cur.Data {
-				if math.Float64bits(v) != math.Float64bits(before[k]) {
-					t.Fatalf("%s: layer %d (%T) mutated its input at %d in ForwardInfer", tc.name, i, l, k)
+		for _, mode := range []struct {
+			name string
+			run  func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor
+		}{
+			{"eval Forward", func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor { return l.Forward(x, false) }},
+			{"training Forward", func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor { return l.Forward(x, true) }},
+			{"ForwardInfer", func(l nn.Layer, x *tensor.Tensor) *tensor.Tensor {
+				il, ok := l.(nn.InferenceLayer)
+				if !ok {
+					t.Fatalf("%s: %T has no inference path", tc.name, l)
 				}
+				return il.ForwardInfer(x, s)
+			}},
+		} {
+			cur := x
+			for i, l := range tc.net.Layers {
+				before := append([]float64(nil), cur.Data...)
+				next := mode.run(l, cur)
+				for k, v := range cur.Data {
+					if math.Float64bits(v) != math.Float64bits(before[k]) {
+						t.Fatalf("%s: layer %d (%T) mutated its input at %d in %s", tc.name, i, l, k, mode.name)
+					}
+				}
+				cur = next
 			}
-			cur = next
 		}
 	}
 }

@@ -23,10 +23,12 @@ type BatchNorm2D struct {
 	RunMean  *tensor.Tensor
 	RunVar   *tensor.Tensor
 
-	// caches for Backward
-	trainMode bool
-	xhat      *tensor.Tensor
-	invStd    []float64
+	// caches for Backward: the input and the per-channel mean and inverse
+	// deviation it was normalized with (batch statistics in training mode,
+	// running statistics in eval mode)
+	trainMode    bool
+	x            *tensor.Tensor
+	mean, invStd []float64
 }
 
 // NewBatchNorm2D creates a batch-norm layer for c channels with gamma=1,
@@ -41,130 +43,95 @@ func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	}
 }
 
-// Forward normalizes x; in training mode it also updates running statistics.
+// Forward normalizes x through the batch-norm inference op. In training mode
+// the op normalizes with the batch's own statistics, which also move the
+// running statistics; in eval mode it uses the running statistics.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != b.C {
 		panic(fmt.Sprintf("nn: BatchNorm2D %s expects [N,%d,H,W], got %v", b.Gamma.Name, b.C, x.Shape))
 	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	hw := h * w
-	m := float64(n * hw)
-	out := tensor.New(x.Shape...)
-	b.trainMode = train
-	if cap(b.invStd) < c {
-		b.invStd = make([]float64, c)
+	b.x, b.trainMode = x, train
+	if len(b.invStd) != b.C {
+		b.mean, b.invStd = make([]float64, b.C), make([]float64, b.C)
 	}
-	b.invStd = b.invStd[:c]
-
+	// The op normalizes with the cached statistics: the running ones, which
+	// training mode then overwrites with the batch's.
+	op := b.inferOp(b.invStd)
+	copy(b.mean, op.mean)
+	op.mean = b.mean
 	if train {
-		b.xhat = tensor.New(x.Shape...)
-		for ci := 0; ci < c; ci++ {
-			sum := 0.0
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * hw
-				for j := 0; j < hw; j++ {
-					sum += x.Data[base+j]
-				}
-			}
-			mean := sum / m
-			vsum := 0.0
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * hw
-				for j := 0; j < hw; j++ {
-					d := x.Data[base+j] - mean
-					vsum += d * d
-				}
-			}
-			variance := vsum / m
-			inv := 1 / math.Sqrt(variance+b.Eps)
-			b.invStd[ci] = inv
-			g, bt := b.Gamma.Value.Data[ci], b.Beta.Value.Data[ci]
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * hw
-				for j := 0; j < hw; j++ {
-					xh := (x.Data[base+j] - mean) * inv
-					b.xhat.Data[base+j] = xh
-					out.Data[base+j] = g*xh + bt
-				}
-			}
-			b.RunMean.Data[ci] = b.Momentum*b.RunMean.Data[ci] + (1-b.Momentum)*mean
-			b.RunVar.Data[ci] = b.Momentum*b.RunVar.Data[ci] + (1-b.Momentum)*variance
-		}
-		return out
+		b.batchStats(x)
 	}
-
-	// Eval mode: normalize with running statistics. xhat is still cached so
-	// Backward can produce gamma/beta gradients (needed when an attacker
-	// fine-tunes a network that stays in eval mode).
-	b.xhat = tensor.New(x.Shape...)
-	for ci := 0; ci < c; ci++ {
-		inv := 1 / math.Sqrt(b.RunVar.Data[ci]+b.Eps)
-		b.invStd[ci] = inv
-		mean := b.RunMean.Data[ci]
-		g, bt := b.Gamma.Value.Data[ci], b.Beta.Value.Data[ci]
-		for ni := 0; ni < n; ni++ {
-			base := (ni*c + ci) * hw
-			for j := 0; j < hw; j++ {
-				xh := (x.Data[base+j] - mean) * inv
-				b.xhat.Data[base+j] = xh
-				out.Data[base+j] = g*xh + bt
-			}
-		}
-	}
-	return out
+	return op.infer(x, heapScratch())
 }
 
-// Backward returns dL/dx and accumulates gamma/beta gradients.
+// batchStats overwrites the cached mean and inverse deviation with the
+// batch's per-channel statistics and folds them into the running ones.
+func (b *BatchNorm2D) batchStats(x *tensor.Tensor) {
+	n, c, hw := x.Shape[0], x.Shape[1], x.Shape[2]*x.Shape[3]
+	m := float64(n * hw)
+	for ci := 0; ci < c; ci++ {
+		sum := 0.0
+		for ni := 0; ni < n; ni++ {
+			for _, v := range x.Data[(ni*c+ci)*hw : (ni*c+ci+1)*hw] {
+				sum += v
+			}
+		}
+		mean := sum / m
+		vsum := 0.0
+		for ni := 0; ni < n; ni++ {
+			for _, v := range x.Data[(ni*c+ci)*hw : (ni*c+ci+1)*hw] {
+				d := v - mean
+				vsum += d * d
+			}
+		}
+		variance := vsum / m
+		b.mean[ci], b.invStd[ci] = mean, 1/math.Sqrt(variance+b.Eps)
+		b.RunMean.Data[ci] = b.Momentum*b.RunMean.Data[ci] + (1-b.Momentum)*mean
+		b.RunVar.Data[ci] = b.Momentum*b.RunVar.Data[ci] + (1-b.Momentum)*variance
+	}
+}
+
+// Backward returns dL/dx and accumulates gamma/beta gradients. The
+// normalized input x̂ is recomputed from the cached input with the forward's
+// own expression, (x-mean)*inv.
 func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if b.x == nil {
+		panic("nn: BatchNorm2D Backward before Forward")
+	}
 	n, c := grad.Shape[0], grad.Shape[1]
 	hw := grad.Shape[2] * grad.Shape[3]
 	m := float64(n * hw)
 	out := tensor.New(grad.Shape...)
-
-	if !b.trainMode {
-		// Running stats are constants: dx = dy * gamma * invStd, and the
-		// affine parameters still receive their usual gradients.
-		for ci := 0; ci < c; ci++ {
-			k := b.Gamma.Value.Data[ci] * b.invStd[ci]
-			sumDy, sumDyXhat := 0.0, 0.0
-			for ni := 0; ni < n; ni++ {
-				base := (ni*c + ci) * hw
-				for j := 0; j < hw; j++ {
-					dy := grad.Data[base+j]
-					sumDy += dy
-					sumDyXhat += dy * b.xhat.Data[base+j]
-					out.Data[base+j] = dy * k
-				}
-			}
-			b.Beta.Grad.Data[ci] += sumDy
-			b.Gamma.Grad.Data[ci] += sumDyXhat
-		}
-		return out
-	}
-
-	if b.xhat == nil {
-		panic("nn: BatchNorm2D Backward before Forward")
-	}
 	for ci := 0; ci < c; ci++ {
+		g, mean, inv := b.Gamma.Value.Data[ci], b.mean[ci], b.invStd[ci]
 		sumDy, sumDyXhat := 0.0, 0.0
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * hw
 			for j := 0; j < hw; j++ {
 				dy := grad.Data[base+j]
 				sumDy += dy
-				sumDyXhat += dy * b.xhat.Data[base+j]
+				sumDyXhat += dy * ((b.x.Data[base+j] - mean) * inv)
 			}
 		}
 		b.Beta.Grad.Data[ci] += sumDy
 		b.Gamma.Grad.Data[ci] += sumDyXhat
-		g := b.Gamma.Value.Data[ci]
-		inv := b.invStd[ci]
+		if !b.trainMode {
+			// Running stats are constants: dx = dy * gamma * invStd.
+			k := g * inv
+			for ni := 0; ni < n; ni++ {
+				base := (ni*c + ci) * hw
+				for j := 0; j < hw; j++ {
+					out.Data[base+j] = grad.Data[base+j] * k
+				}
+			}
+			continue
+		}
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * hw
 			for j := 0; j < hw; j++ {
-				dy := grad.Data[base+j]
-				xh := b.xhat.Data[base+j]
-				out.Data[base+j] = g * inv / m * (m*dy - sumDy - xh*sumDyXhat)
+				xh := (b.x.Data[base+j] - mean) * inv
+				out.Data[base+j] = g * inv / m * (m*grad.Data[base+j] - sumDy - xh*sumDyXhat)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"ensembler/internal/rng"
@@ -12,13 +11,13 @@ import (
 // kernel size, stride and symmetric zero padding. Weights are stored
 // flattened as [OutC, InC*KH*KW] to feed the im2col matrix kernels directly.
 type Conv2D struct {
-	InC, OutC     int
-	KH, KW        int
-	Stride, Pad   int
-	W             *Param
-	B             *Param // nil when bias is disabled (e.g. before batch norm)
-	cols          []*tensor.Tensor
-	inH, inW, inN int
+	InC, OutC   int
+	KH, KW      int
+	Stride, Pad int
+	W           *Param
+	B           *Param // nil when bias is disabled (e.g. before batch norm)
+	cols        []*tensor.Tensor
+	inH, inW    int
 }
 
 // NewConv2D creates a convolution with He-normal initialized weights drawn
@@ -39,16 +38,13 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, withBias bool, r *rng
 }
 
 // Forward computes the convolution, caching im2col matrices for Backward.
+// Samples fan out across goroutines, each running the serving kernel of the
+// convolution's inference op.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 || x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D %s expects [N,%d,H,W], got %v", c.W.Name, c.InC, x.Shape))
-	}
-	c.inN, c.inH, c.inW = x.Shape[0], x.Shape[2], x.Shape[3]
-	var bias *tensor.Tensor
-	if c.B != nil {
-		bias = c.B.Value
-	}
-	y, cols := tensor.ConvForward(x, c.W.Value, bias, c.KH, c.KW, c.Stride, c.Pad)
+	op := c.inferOp()
+	op.outSize(x) // validates x with the op's message
+	c.inH, c.inW = x.Shape[2], x.Shape[3]
+	y, cols := tensor.ConvForward(x, op.w, op.b, op.kh, op.kw, op.stride, op.pad)
 	c.cols = cols
 	return y
 }
@@ -90,20 +86,11 @@ func NewLinear(name string, in, out int, r *rng.RNG) *Linear {
 	return &Linear{In: in, Out: out, W: NewParam(name+".w", w), B: NewParam(name+".b", tensor.New(out))}
 }
 
-// Forward computes xW^T + b, caching x for Backward.
+// Forward computes xW^T + b through the linear inference op, caching x for
+// Backward.
 func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 2 || x.Shape[1] != l.In {
-		panic(fmt.Sprintf("nn: Linear %s expects [N,%d], got %v", l.W.Name, l.In, x.Shape))
-	}
+	y := l.inferOp().infer(x, heapScratch())
 	l.x = x
-	y := tensor.MatMulTransB(x, l.W.Value) // [N, Out]
-	n := x.Shape[0]
-	for i := 0; i < n; i++ {
-		row := y.Data[i*l.Out : (i+1)*l.Out]
-		for j := range row {
-			row[j] += l.B.Value.Data[j]
-		}
-	}
 	return y
 }
 
@@ -113,7 +100,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear Backward before Forward")
 	}
 	// dW = grad^T × x : [Out, In]
-	l.W.Grad.AddInPlace(tensor.MatMulTransA(grad, l.x))
+	l.W.Grad.AddInPlace(tensor.MatMulTransAInto(tensor.New(l.Out, l.In), grad, l.x))
 	n := grad.Shape[0]
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*l.Out : (i+1)*l.Out]
@@ -122,7 +109,7 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dx = grad × W : [N, In]
-	return tensor.MatMul(grad, l.W.Value)
+	return tensor.MatMulInto(tensor.New(n, l.In), grad, l.W.Value)
 }
 
 // Params returns the layer's trainable parameters.

@@ -7,17 +7,26 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// This file is the inference-mode forward path. Every layer's inference
-// arithmetic is written once, generically over the element type, as an
-// infer function or method over tensor.Dense[T] and Scratch[T]: every
-// activation lands in the caller-owned Scratch instead of a per-layer
-// allocation, nothing is cached for a backward pass, and no kernel spawns
-// goroutines. Two thin entry points call it:
+// This file is the forward arithmetic of every built-in layer, written once,
+// generically over the element type, as an op over tensor.Dense[T] and
+// Scratch[T]: every activation lands in a Scratch instead of a per-layer
+// allocation, and nothing is cached for a backward pass. Three entry points
+// run it:
 //
-//   - (*Network).ForwardInfer runs it at float64 over the LIVE weights,
-//     computing exactly what Forward(x, false) computes, with a
-//     Forward(x, false) fallback for custom Layer implementations. This is
-//     the reference oracle: bit-identical to every prior release.
+//   - Forward(x, train), the training entry, runs it at float64 over the live
+//     weights with a Scratch that is never Reset (heapScratch), so its
+//     results are fresh heap tensors the caller owns, and caches beside it
+//     only what the layer's Backward needs. Three steps are training-only
+//     because training computes something else there: batch norm's batch
+//     statistics (which it then normalizes with through the same op),
+//     dropout's mask, and resample-mode noise's redraw. The convolution fans
+//     its samples out across goroutines (tensor.ConvForward), each running
+//     the op's serial kernel, ConvForwardInto.
+//   - (*Network).ForwardInfer runs it at float64 over the live weights with
+//     a caller-owned Scratch, with a Forward(x, false) fallback for custom
+//     Layer implementations. No kernel spawns goroutines. This is the
+//     reference oracle: bit-identical to Forward(x, false) and to every prior
+//     release.
 //   - Compile[T] turns a closed world of built-in layers into a Compiled[T]
 //     once: at float64 it views the live weights in place (bit-identical to
 //     the oracle), at float32 it narrows them — the precision the serving
@@ -29,9 +38,9 @@ import (
 //     relative by TestCompileDrift and the seed-network property test in
 //     internal/audit.
 //
-// After one warm-up pass either entry point is allocation-free (asserted by
-// TestForwardInferAllocs, TestCompileF64IsTheOracle, TestForwardInfer32Allocs
-// and the comm serving benchmarks).
+// After one warm-up pass either inference entry point is allocation-free
+// (asserted by TestForwardInferAllocs, TestCompileF64IsTheOracle,
+// TestForwardInfer32Allocs and the comm serving benchmarks).
 //
 // Memory model: all tensors returned by an inference pass — including the
 // final output — live in the Scratch and are invalidated by Scratch.Reset. A
@@ -46,6 +55,12 @@ import (
 type Scratch[T tensor.Float] struct {
 	arena tensor.Arena[T]
 }
+
+// heapScratch returns a Scratch that is never Reset, so every tensor it
+// hands out is a fresh heap allocation (see tensor.Arena.Alloc) owned by the
+// caller: the memory model of the training Forward, which runs the same
+// inference ops as ForwardInfer and Compile.
+func heapScratch() *Scratch[float64] { return &Scratch[float64]{} }
 
 // NewScratch returns an empty float64 scratch; the first ForwardInfer sizes
 // it.
@@ -271,16 +286,20 @@ func castConv[T tensor.Float](c convOp[float64]) convOp[T] {
 	return op
 }
 
-// infer computes the convolution serially per sample with the blocked
-// matmul kernel, retaining no im2col matrices.
-func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+// outSize validates x against the convolution and returns the output's
+// spatial extent.
+func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 	if len(x.Shape) != 4 || x.Shape[1] != c.inC {
 		panic(fmt.Sprintf("nn: Conv2D %s expects [N,%d,H,W], got %v", c.name, c.inC, x.Shape))
 	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOutSize(h, c.kh, c.stride, c.pad)
-	ow := tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
-	y := s.arena.NewTensor(n, c.outC, oh, ow)
+	return tensor.ConvOutSize(x.Shape[2], c.kh, c.stride, c.pad), tensor.ConvOutSize(x.Shape[3], c.kw, c.stride, c.pad)
+}
+
+// infer computes the convolution serially per sample with the blocked
+// matmul kernel, retaining no im2col matrices.
+func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+	oh, ow := c.outSize(x)
+	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)
 	cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
 	return tensor.ConvForwardInto(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)
 }
@@ -296,6 +315,11 @@ type linearOp[T tensor.Float] struct {
 	name    string
 	in, out int
 	w, b    *tensor.Dense[T]
+}
+
+// inferOp views the live weights in place.
+func (l *Linear) inferOp() linearOp[float64] {
+	return linearOp[float64]{name: l.W.Name, in: l.In, out: l.Out, w: l.W.Value, b: l.B.Value}
 }
 
 // infer computes xW^T + b into the scratch.
@@ -316,7 +340,7 @@ func (l linearOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 
 // ForwardInfer computes xW^T + b over the live weights.
 func (l *Linear) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	return linearOp[float64]{name: l.W.Name, in: l.In, out: l.Out, w: l.W.Value, b: l.B.Value}.infer(x, s)
+	return l.inferOp().infer(x, s)
 }
 
 // --- batch normalization ---
@@ -364,8 +388,8 @@ func (b bnOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			src := x.Data[base : base+hw]
 			dst := out.Data[base : base+hw]
 			for j, v := range src {
-				// Matches Forward's eval mode bit for bit at float64: the
-				// same (x-mean)*inv rounding, then the affine.
+				// BatchNorm2D.Backward recomputes x̂ as this same
+				// (x-mean)*inv; the two expressions must stay identical.
 				dst[j] = g*((v-mean)*inv) + bt
 			}
 		}
@@ -458,7 +482,9 @@ func (t *Tanh) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tenso
 // --- pooling and resampling ---
 
 // maxPoolInfer pools each window to its maximum without caching argmax
-// indices.
+// indices. MaxPool2D.Backward finds each argmax again with this loop's rule,
+// the first strictly greater value in row-major window order; the two must
+// stay in step.
 func maxPoolInfer[T tensor.Float](x *tensor.Dense[T], k, stride int, s *Scratch[T]) *tensor.Dense[T] {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects NCHW, got %v", x.Shape))

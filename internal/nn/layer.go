@@ -6,6 +6,11 @@
 // and returns the gradient with respect to its input. Returning input
 // gradients all the way to the image is what lets the attack package run
 // optimization-based model inversion.
+//
+// Each layer's forward arithmetic exists once, as the generic op in
+// infer.go: training Forward, (*Network).ForwardInfer and Compile[T] all run
+// it (see the top of infer.go for the three entry points and their memory
+// models).
 package nn
 
 import (

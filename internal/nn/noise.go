@@ -43,27 +43,12 @@ func NewAdditiveNoise(name string, mode NoiseMode, c, h, w int, sigma float64, r
 	return &AdditiveNoise{Mode: mode, Sigma: sigma, Noise: NewParam(name+".noise", noise), r: r}
 }
 
-// Forward adds the noise tensor to every sample in the batch.
+// Forward adds the noise tensor (redrawn first in resample mode) to every
+// sample in the batch.
 func (a *AdditiveNoise) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: AdditiveNoise expects NCHW, got %v", x.Shape))
-	}
-	per := a.Noise.Value.Size()
-	if x.Size()/x.Shape[0] != per {
-		panic(fmt.Sprintf("nn: AdditiveNoise shape %v incompatible with input %v", a.Noise.Value.Shape, x.Shape))
-	}
-	if a.Mode == NoiseResample {
-		a.r.FillNormal(a.Noise.Value.Data, 0, a.Sigma)
-	}
+	y := a.ForwardInfer(x, heapScratch())
 	a.batch = x.Shape[0]
-	out := x.Clone()
-	for n := 0; n < a.batch; n++ {
-		base := n * per
-		for j := 0; j < per; j++ {
-			out.Data[base+j] += a.Noise.Value.Data[j]
-		}
-	}
-	return out
+	return y
 }
 
 // Backward passes the gradient through; in trainable mode it also sums the

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"ensembler/internal/tensor"
@@ -12,63 +11,44 @@ import (
 // the split-model builders honor that switch.
 type MaxPool2D struct {
 	K, Stride int
-	argmax    []int
-	inShape   []int
+	x         *tensor.Tensor
 }
 
 // NewMaxPool2D creates a max-pooling layer with window k and the given stride.
 func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: stride} }
 
-// Forward pools each window to its maximum, caching argmax indices.
+// Forward pools each window to its maximum, caching x for Backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: MaxPool2D expects NCHW, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
-	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	out := tensor.New(n, c, oh, ow)
-	p.inShape = append([]int(nil), x.Shape...)
-	p.argmax = make([]int, n*c*oh*ow)
-	oi := 0
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for ky := 0; ky < p.K; ky++ {
-						iy := oy*p.Stride + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.K; kx++ {
-							ix := ox*p.Stride + kx
-							if ix >= w {
-								continue
-							}
-							idx := base + iy*w + ix
-							if v := x.Data[idx]; v > best {
-								best, bestIdx = v, idx
-							}
-						}
-					}
-					out.Data[oi] = best
-					p.argmax[oi] = bestIdx
-					oi++
-				}
-			}
-		}
-	}
-	return out
+	y := maxPoolInfer(x, p.K, p.Stride, heapScratch())
+	p.x = x
+	return y
 }
 
-// Backward routes each output gradient to the input position that won the max.
+// Backward routes each output gradient to the input position that won the
+// max, found again from the cached input with the forward's rule: the first
+// strictly greater value in row-major window order.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(p.inShape...)
-	for i, idx := range p.argmax {
-		out.Data[idx] += grad.Data[i]
+	x := p.x
+	h, w := x.Shape[2], x.Shape[3]
+	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
+	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
+	out := tensor.New(x.Shape...)
+	oi := 0
+	for base := 0; base < len(x.Data); base += h * w {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best, bestIdx := math.Inf(-1), -1
+				for iy := oy * p.Stride; iy < min(oy*p.Stride+p.K, h); iy++ {
+					for ix := ox * p.Stride; ix < min(ox*p.Stride+p.K, w); ix++ {
+						if v := x.Data[base+iy*w+ix]; v > best {
+							best, bestIdx = v, base+iy*w+ix
+						}
+					}
+				}
+				out.Data[bestIdx] += grad.Data[oi]
+				oi++
+			}
+		}
 	}
 	return out
 }
@@ -88,24 +68,9 @@ func NewGlobalAvgPool() *GlobalAvgPool { return &GlobalAvgPool{} }
 
 // Forward averages over the spatial dimensions.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: GlobalAvgPool expects NCHW, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	y := globalAvgPoolInfer(x, heapScratch())
 	g.inShape = append([]int(nil), x.Shape...)
-	hw := float64(h * w)
-	out := tensor.New(n, c)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * h * w
-			s := 0.0
-			for j := 0; j < h*w; j++ {
-				s += x.Data[base+j]
-			}
-			out.Data[ni*c+ci] = s / hw
-		}
-	}
-	return out
+	return y
 }
 
 // Backward spreads each channel gradient uniformly over its spatial extent.
@@ -141,27 +106,9 @@ func NewUpsample2D(factor int) *Upsample2D { return &Upsample2D{Factor: factor} 
 
 // Forward repeats each pixel factor×factor times.
 func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: Upsample2D expects NCHW, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	y := upsampleInfer(x, u.Factor, heapScratch())
 	u.inShape = append([]int(nil), x.Shape...)
-	f := u.Factor
-	out := tensor.New(n, c, h*f, w*f)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			inBase := (ni*c + ci) * h * w
-			outBase := (ni*c + ci) * h * f * w * f
-			for iy := 0; iy < h*f; iy++ {
-				srcRow := inBase + (iy/f)*w
-				dstRow := outBase + iy*w*f
-				for ix := 0; ix < w*f; ix++ {
-					out.Data[dstRow+ix] = x.Data[srcRow+ix/f]
-				}
-			}
-		}
-	}
-	return out
+	return y
 }
 
 // Backward sums gradients over each factor×factor block.
@@ -197,13 +144,12 @@ type Flatten struct {
 func NewFlatten() *Flatten { return &Flatten{} }
 
 // Forward flattens all trailing dimensions. The output deliberately ALIASES
-// x via Reshape (shared backing array): a reshape must not copy activations,
-// and downstream layers only read their input. A consumer that mutated its
-// input in place would corrupt x — none of the built-in layers do.
+// x (shared backing array): a reshape must not copy activations, and
+// downstream layers only read their input. A consumer that mutated its input
+// in place would corrupt x — none of the built-in layers do.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append([]int(nil), x.Shape...)
-	n := x.Shape[0]
-	return x.Reshape(n, x.Size()/n)
+	return flattenInfer(x, heapScratch())
 }
 
 // Backward restores the cached input shape (aliasing grad, same contract as
@@ -227,8 +173,7 @@ func NewReshape2D4D(c, h, w int) *Reshape2D4D { return &Reshape2D4D{C: c, H: h, 
 // Forward reshapes to NCHW, aliasing x's backing array (see Flatten.Forward
 // for the contract that makes the aliasing safe).
 func (r *Reshape2D4D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Shape[0]
-	return x.Reshape(n, r.C, r.H, r.W)
+	return r.ForwardInfer(x, heapScratch())
 }
 
 // Backward flattens the gradient back to [N, D], aliasing grad.

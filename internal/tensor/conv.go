@@ -40,6 +40,13 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
 		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with c=%d h=%d w=%d kh=%d kw=%d", cols.Shape, c, h, w, kh, kw))
 	}
 	img := New(c, h, w)
+	col2imAdd(img.Data, cols.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+	return img
+}
+
+// col2imAdd is the raw-slice Col2Im: it scatter-adds the patch matrix src
+// into the [C,H,W] image dst, accumulating onto what dst already holds.
+func col2imAdd(dst, src []float64, c, h, w, kh, kw, stride, pad, oh, ow int) {
 	colStride := oh * ow
 	for ci := 0; ci < c; ci++ {
 		chanBase := ci * h * w
@@ -58,13 +65,12 @@ func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
 						if ix < 0 || ix >= w {
 							continue
 						}
-						img.Data[dstRow+ix] += cols.Data[srcRow+ox]
+						dst[dstRow+ix] += src[srcRow+ox]
 					}
 				}
 			}
 		}
 	}
-	return img
 }
 
 // SampleView returns sample n of a batched [N, ...] tensor as a tensor that
@@ -77,13 +83,16 @@ func (t *Dense[T]) SampleView(n int) *Dense[T] {
 	return &Dense[T]{Shape: append([]int(nil), t.Shape[1:]...), Data: t.Data[n*per : (n+1)*per]}
 }
 
-// ConvForward computes a batched 2-D convolution.
+// ConvForward computes a batched 2-D convolution for training.
 //
 //	x: [N, C, H, W], weight: [OC, C*KH*KW], bias: [OC] (may be nil)
 //	returns y: [N, OC, OH, OW] and the per-sample im2col matrices (cached for
-//	the backward pass; callers not training may discard them).
+//	the backward pass).
 //
-// Samples are processed in parallel.
+// Samples are processed in parallel; each one runs the serial serving kernel
+// ConvForwardInto over its own slice of y and its own retained im2col
+// matrix, so training and serving compute every sample with the same
+// arithmetic.
 func ConvForward(x, weight, bias *Tensor, kh, kw, stride, pad int) (*Tensor, []*Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oc := weight.Shape[0]
@@ -94,15 +103,12 @@ func ConvForward(x, weight, bias *Tensor, kh, kw, stride, pad int) (*Tensor, []*
 	ow := ConvOutSize(w, kw, stride, pad)
 	y := New(n, oc, oh, ow)
 	cols := make([]*Tensor, n)
+	per, perY := c*h*w, oc*oh*ow
 	parallelFor(n, func(i int) {
-		ci := Im2Col(x.SampleView(i), kh, kw, stride, pad)
-		cols[i] = ci
-		yi := MatMul(weight, ci) // [OC, OH*OW]
-		dst := y.Data[i*oc*oh*ow : (i+1)*oc*oh*ow]
-		copy(dst, yi.Data)
-		if bias != nil {
-			addBias(dst, bias.Data[:oc], oh*ow)
-		}
+		cols[i] = New(c*kh*kw, oh*ow)
+		xi := &Tensor{Shape: []int{1, c, h, w}, Data: x.Data[i*per : (i+1)*per]}
+		yi := &Tensor{Shape: []int{1, oc, oh, ow}, Data: y.Data[i*perY : (i+1)*perY]}
+		ConvForwardInto(yi, xi, weight, bias, cols[i], kh, kw, stride, pad)
 	})
 	return y, cols
 }
@@ -112,28 +118,29 @@ func ConvForward(x, weight, bias *Tensor, kh, kw, stride, pad int) (*Tensor, []*
 //
 //	gradY: [N, OC, OH, OW]
 //	returns gradX: [N, C, H, W], gradW: [OC, C*KH*KW], gradB: [OC].
+//
+// Samples are processed in parallel, each with the serial *Into matmuls;
+// the per-sample weight gradients are summed in sample order afterwards so
+// the result does not depend on scheduling.
 func ConvBackward(gradY, weight *Tensor, cols []*Tensor, c, h, w, kh, kw, stride, pad int) (gradX, gradW, gradB *Tensor) {
 	n, oc := gradY.Shape[0], gradY.Shape[1]
 	oh, ow := gradY.Shape[2], gradY.Shape[3]
+	hw, ckk := oh*ow, c*kh*kw
 	gradX = New(n, c, h, w)
 	gradB = New(oc)
-	// Per-sample weight gradients accumulate into per-worker buffers to stay
-	// deterministic; with modest N it is simplest to serialize the reduction.
 	gws := make([]*Tensor, n)
 	parallelFor(n, func(i int) {
-		gy := &Tensor{Shape: []int{oc, oh * ow}, Data: gradY.Data[i*oc*oh*ow : (i+1)*oc*oh*ow]}
+		gy := &Tensor{Shape: []int{oc, hw}, Data: gradY.Data[i*oc*hw : (i+1)*oc*hw]}
 		// gradW_i = gy × cols_iᵀ : [OC, C*KH*KW]
-		gws[i] = MatMulTransB(gy, cols[i])
-		// grad cols = Wᵀ × gy : [C*KH*KW, OH*OW]
-		gc := MatMulTransA(weight, gy)
-		gx := Col2Im(gc, c, h, w, kh, kw, stride, pad)
-		copy(gradX.Data[i*c*h*w:(i+1)*c*h*w], gx.Data)
+		gws[i] = MatMulTransBInto(New(oc, ckk), gy, cols[i])
+		// grad cols = Wᵀ × gy : [C*KH*KW, OH*OW], scattered onto sample i
+		gc := MatMulTransAInto(New(ckk, hw), weight, gy)
+		col2imAdd(gradX.Data[i*c*h*w:(i+1)*c*h*w], gc.Data, c, h, w, kh, kw, stride, pad, oh, ow)
 	})
-	gradW = New(oc, c*kh*kw)
+	gradW = New(oc, ckk)
 	for i := 0; i < n; i++ {
 		gradW.AddInPlace(gws[i])
 	}
-	hw := oh * ow
 	for i := 0; i < n; i++ {
 		base := i * oc * hw
 		for o := 0; o < oc; o++ {

@@ -5,14 +5,17 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the allocation-free serving kernels: cache-blocked matrix
+// This file holds the allocation-free kernels: cache-blocked matrix
 // multiplication writing into caller-owned buffers, the *Into variants of
 // the elementwise and im2col transforms, and the process-wide kernel
-// parallelism knob. The legacy allocating kernels (MatMul, Im2Col, …) remain
-// for the training and attack paths; the *Into family is what the inference
-// hot path (nn.ForwardInfer, comm serving workers) runs on. All *Into
-// kernels are strictly serial — a serving process parallelizes at exactly
-// one level, its worker pool, never inside a kernel.
+// parallelism knob. The *Into family is the one set of kernels both paths
+// compute with: the inference hot path (nn.ForwardInfer, comm serving
+// workers) calls it directly, and training's ConvForward/ConvBackward fan
+// its per-sample calls out across goroutines. All *Into kernels are strictly
+// serial — a serving process parallelizes at exactly one level, its worker
+// pool, never inside a kernel. The allocating MatMul, MatMulTransB, Im2Col
+// and Col2Im have no caller outside this package's tests, which use them as
+// independent references.
 //
 // Every kernel is written once over the element type. Exactly two pieces of
 // arithmetic are per-type, both selected inside the generic function by the
@@ -273,15 +276,6 @@ func AddInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
 	dst.checkSame(b, "AddInto")
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
-}
-
-// ScaleInto computes dst = s*a elementwise into the caller-owned dst.
-func ScaleInto[T Float](dst, a *Dense[T], s T) *Dense[T] {
-	dst.checkSame(a, "ScaleInto")
-	for i, v := range a.Data {
-		dst.Data[i] = s * v
 	}
 	return dst
 }

