@@ -85,8 +85,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *claims {
 			rep := experiments.ComputeClaims(rows, sc.N)
 			fmt.Fprintf(stdout, "\n§IV claims (paper → measured):\n")
-			fmt.Fprintf(stdout, "  SSIM decrease vs Single:  43.5%% → %.1f%% (strongest attack: %s)\n", rep.SSIMDropVsSingle, rep.SSIMRow)
-			fmt.Fprintf(stdout, "  PSNR decrease vs Single:  40.5%% → %.1f%% (strongest attack: %s)\n", rep.PSNRDropVsSingle, rep.PSNRRow)
+			if rep.AttackFailed {
+				fmt.Fprintf(stdout, "  SSIM decrease vs Single:  43.5%% → attack failed — no claim\n")
+				fmt.Fprintf(stdout, "  PSNR decrease vs Single:  40.5%% → attack failed — no claim\n")
+			} else {
+				fmt.Fprintf(stdout, "  SSIM decrease vs Single:  43.5%% → %.1f%% (strongest attack: %s)\n", rep.SSIMDropVsSingle, rep.SSIMRow)
+				fmt.Fprintf(stdout, "  PSNR decrease vs Single:  40.5%% → %.1f%% (strongest attack: %s)\n", rep.PSNRDropVsSingle, rep.PSNRRow)
+			}
 			fmt.Fprintf(stdout, "  latency overhead:          4.8%% → %.1f%%\n", rep.LatencyOverhead)
 		}
 	}

@@ -237,10 +237,10 @@ func (a *adminPlane) handleLeakage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.auditor.State())
 }
 
-// handleBudget reports the privacy-budget ledger: aggregate accounting
-// configuration and counters, the top spenders, and every tracked client
-// account's spent/remaining budget — the operator's view of who is drinking
-// the ε and what the policy has done about it.
+// handleBudget reports the privacy-budget ledger: its row budget and
+// counters, the top spenders, and every tracked client account's
+// spent/remaining rows — the operator's view of who is pulling the most
+// rows and what the policy has done about it.
 func (a *adminPlane) handleBudget(w http.ResponseWriter, r *http.Request) {
 	if a.guard == nil {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})

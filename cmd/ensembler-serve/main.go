@@ -131,8 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	auditBreaches := fs.Int("audit-breaches", 2, "consecutive breaching audits required to rotate")
 	auditCalib := fs.Int("audit-calib", 64, "synthetic calibration images for the audit's attack replay")
 	rotateMinInterval := fs.Duration("rotate-min-interval", 10*time.Minute, "floor between leakage-triggered rotations")
-	privacyBudget := fs.Float64("privacy-budget", 0, "per-client Rényi privacy budget ε(α); as a client drains it responses are noised, the selector rotates, and finally requests are refused (0 disables the ledger)")
-	privacyAlpha := fs.Int("privacy-alpha", 2, "Rényi order α the per-client budget is accounted at (integer ≥ 2)")
+	privacyBudget := fs.Int64("privacy-budget-rows", 0, "rows each client identity may be served; as a client drains its budget responses are noised, the selector rotates, and finally requests are refused (0 disables the ledger)")
 	privacyPolicy := fs.String("privacy-policy", "enforce", `privacy-budget policy: "enforce" (noise, rotation, refusal as budgets drain) or "observe" (account and report only)`)
 	allowFaultpoints := fs.Bool("allow-faultpoints", false, "permit fault injection via "+faultpoint.EnvVar+" (chaos testing only — never set in production)")
 	if err := fs.Parse(args); err != nil {
@@ -169,10 +168,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-trace-slowest and -trace-capacity must be >= 0")
 	}
 	if *privacyBudget < 0 {
-		return fmt.Errorf("-privacy-budget must be >= 0 (0 disables), got %v", *privacyBudget)
-	}
-	if *privacyBudget > 0 && *privacyAlpha < 2 {
-		return fmt.Errorf("-privacy-alpha must be an integer >= 2, got %d", *privacyAlpha)
+		return fmt.Errorf("-privacy-budget-rows must be >= 0 (0 disables), got %d", *privacyBudget)
 	}
 	if *privacyPolicy != "enforce" && *privacyPolicy != "observe" {
 		return fmt.Errorf(`-privacy-policy must be "enforce" or "observe", got %q`, *privacyPolicy)
@@ -346,23 +342,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// rotations ride the same plumbing as the audit and the admin endpoint.
 	var rotateNow func(cause string) (*registry.Epoch, error)
 
-	// The per-client privacy-budget ledger. The subsampling amplification
-	// uses the served pipeline's own secret fraction p = P/N: each served row
-	// is charged the amplified Rényi loss at order α, and the guard escalates
-	// (noise → rotation → refusal) as an account drains.
+	// The per-client row budget: each served row is debited from the
+	// client's account, and the guard escalates (noise → rotation →
+	// refusal) as an account drains.
 	var privacyLedger *privacy.Ledger
 	var privacyGuard *privacy.Guard
 	if *privacyBudget > 0 {
-		cfg := cur.Pipeline().Cfg
-		secretFrac := 0.0
-		if cfg.N > 0 {
-			secretFrac = float64(cfg.P) / float64(cfg.N)
-		}
-		privacyLedger, err = privacy.NewLedger(privacy.LedgerConfig{
-			BudgetEps:      *privacyBudget,
-			Alpha:          *privacyAlpha,
-			SecretFraction: secretFrac,
-		})
+		privacyLedger, err = privacy.NewLedger(privacy.LedgerConfig{BudgetRows: *privacyBudget})
 		if err != nil {
 			return err
 		}
@@ -514,8 +500,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			nil, func() float64 { return float64(srv.DispatcherStats().CoalescedJobs) })
 	}
 	if privacyGuard != nil {
-		treg.GaugeFunc("ensembler_privacy_budget_eps", "Per-client Rényi budget ε(α) the ledger enforces.",
-			nil, func() float64 { return privacyLedger.Stats().BudgetEps })
+		treg.GaugeFunc("ensembler_privacy_budget_rows", "Rows each client identity may be served.",
+			nil, func() float64 { return float64(privacyLedger.Stats().BudgetRows) })
 		treg.GaugeFunc("ensembler_privacy_clients", "Client accounts currently tracked by the ledger.",
 			nil, func() float64 { return float64(privacyLedger.Stats().Clients) })
 		treg.GaugeFunc("ensembler_privacy_observe", "1 when the budget policy only observes (no noise, rotations, or refusals).",
@@ -590,7 +576,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if privacyGuard.Observing() {
 			mode = "observe-only"
 		}
-		privacyBanner = fmt.Sprintf("; privacy budget ε=%g at α=%d per client (%s)", *privacyBudget, *privacyAlpha, mode)
+		privacyBanner = fmt.Sprintf("; privacy budget %d rows per client (%s)", *privacyBudget, mode)
 	}
 	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s%s%s\n",
 		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, auditBanner, dispatchBanner, privacyBanner)

@@ -20,8 +20,10 @@ func TestPrivacyFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-privacy-budget", "-1"}, "-privacy-budget"},
-		{[]string{"-privacy-budget", "1", "-privacy-alpha", "1"}, "-privacy-alpha"},
+		{[]string{"-privacy-budget-rows", "-1"}, "-privacy-budget-rows"},
+		// A fractional budget is an old ε invocation: refused at parse.
+		{[]string{"-privacy-budget-rows", "1.5"}, "-privacy-budget-rows"},
+		{[]string{"-privacy-budget", "1"}, "-privacy-budget"},
 		{[]string{"-privacy-policy", "frobnicate"}, "-privacy-policy"},
 	}
 	for _, c := range cases {
@@ -49,7 +51,7 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 	defer cancel()
 	sc, done := runAsync(ctx, t, []string{
 		"-model-dir", dir, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
-		"-privacy-budget", "2", "-privacy-alpha", "3",
+		"-privacy-budget-rows", "64",
 	})
 	addr := scrapeAddr(t, sc, done)
 	admin := "http://" + scrapeAdminAddr(t, sc, done)
@@ -89,8 +91,8 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 
 	select {
 	case line := <-banner:
-		if !strings.Contains(line, "ε=2 at α=3") || !strings.Contains(line, "enforced") {
-			t.Errorf("privacy banner %q missing budget/order/mode", line)
+		if !strings.Contains(line, "64 rows per client") || !strings.Contains(line, "enforced") {
+			t.Errorf("privacy banner %q missing budget/mode", line)
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("no privacy-budget banner line")
@@ -104,14 +106,14 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 		Enabled bool `json:"enabled"`
 		Observe bool `json:"observe"`
 		Stats   struct {
-			Clients   int     `json:"clients"`
-			Rows      uint64  `json:"rows_charged"`
-			BudgetEps float64 `json:"budget_eps"`
-			Alpha     int     `json:"alpha"`
+			Clients    int    `json:"clients"`
+			Rows       uint64 `json:"rows_charged"`
+			BudgetRows int64  `json:"budget_rows"`
 		} `json:"stats"`
 		Clients []struct {
-			Client string `json:"client"`
-			Rows   uint64 `json:"rows"`
+			Client    string `json:"client"`
+			Spent     int64  `json:"spent_rows"`
+			Remaining int64  `json:"remaining_rows"`
 		} `json:"clients"`
 	}
 	if err := json.Unmarshal([]byte(body), &budget); err != nil {
@@ -120,18 +122,19 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 	if !budget.Enabled || budget.Observe {
 		t.Errorf("/budget enabled=%v observe=%v, want enforcing ledger", budget.Enabled, budget.Observe)
 	}
-	if budget.Stats.BudgetEps != 2 || budget.Stats.Alpha != 3 {
-		t.Errorf("/budget stats = %+v, want ε=2 α=3", budget.Stats)
+	if budget.Stats.BudgetRows != 64 {
+		t.Errorf("/budget stats = %+v, want a 64-row budget", budget.Stats)
 	}
 	if budget.Stats.Clients != 1 || budget.Stats.Rows != 1 {
 		t.Errorf("/budget stats = %+v, want 1 client and 1 charged row", budget.Stats)
 	}
-	if len(budget.Clients) != 1 || budget.Clients[0].Client != "did:ex:probe" || budget.Clients[0].Rows != 1 {
-		t.Errorf("/budget clients = %+v, want the declared-ID account with 1 row", budget.Clients)
+	if len(budget.Clients) != 1 || budget.Clients[0].Client != "did:ex:probe" ||
+		budget.Clients[0].Spent != 1 || budget.Clients[0].Remaining != 63 {
+		t.Errorf("/budget clients = %+v, want the declared-ID account with 1 row spent, 63 left", budget.Clients)
 	}
 
 	if code, body := adminGet(t, admin+"/metrics"); code != 200 ||
-		!strings.Contains(body, "ensembler_privacy_budget_eps 2") ||
+		!strings.Contains(body, "ensembler_privacy_budget_rows 64") ||
 		!strings.Contains(body, "ensembler_privacy_clients 1") ||
 		!strings.Contains(body, "ensembler_privacy_rows_charged_total 1") ||
 		!strings.Contains(body, "ensembler_privacy_observe 0") ||
@@ -149,7 +152,7 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 	}
 }
 
-// Without -privacy-budget the endpoint must report a disabled ledger.
+// Without -privacy-budget-rows the endpoint must report a disabled ledger.
 func TestBudgetEndpointDisabledByDefault(t *testing.T) {
 	dir, _ := publishTiny(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())

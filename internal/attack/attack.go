@@ -17,6 +17,11 @@ type Victim interface {
 	ClientFeatures(x *tensor.Tensor) *tensor.Tensor
 }
 
+// SSIMFloor is the reconstruction SSIM below which an attack on an
+// undefended pipeline counts as failed: an attack that cannot invert
+// unprotected features says nothing about what a defense adds.
+const SSIMFloor = 0.2
+
 // Outcome reports reconstruction quality of one attack run. Higher SSIM and
 // PSNR mean better reconstruction, i.e. worse defense.
 type Outcome struct {

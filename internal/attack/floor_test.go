@@ -36,7 +36,7 @@ func TestDecoderTransferFloor(t *testing.T) {
 	if same <= cross {
 		t.Errorf("matched-head inversion (%.3f) must beat cross-head transfer (%.3f)", same, cross)
 	}
-	if same < 0.2 {
+	if same < SSIMFloor {
 		t.Errorf("matched-head SSIM %.3f suspiciously low — decoder broken?", same)
 	}
 }

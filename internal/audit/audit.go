@@ -94,9 +94,8 @@ type Config struct {
 	// Ledger, when non-nil, is the serving layer's per-client privacy-budget
 	// ledger. Each State snapshot then reports the most drained client
 	// account, so /leakage shows the worst-case adversary (the replayed
-	// attack's reconstruction quality) next to the worst-drained tenant (the
-	// Rényi accounting view) — the two bounds the paper's defense reasons
-	// about.
+	// attack's reconstruction quality) next to the worst-drained tenant (how
+	// many rows one identity has pulled).
 	Ledger *privacy.Ledger
 
 	// Scorer overrides the attack replay (tests). nil uses the real one.
@@ -138,10 +137,10 @@ type State struct {
 	// Privacy-budget view, populated only when a ledger is attached: the
 	// most drained client account at snapshot time. The attack replay above
 	// bounds what any adversary could reconstruct; this bounds what the
-	// thirstiest identified client has actually been allowed to consume.
+	// thirstiest identified client has actually been served, in rows.
 	BudgetClients      int     `json:"budget_clients,omitempty"`
 	WorstClient        string  `json:"worst_client,omitempty"`
-	WorstClientSpent   float64 `json:"worst_client_spent_eps,omitempty"`
+	WorstClientSpent   int64   `json:"worst_client_spent_rows,omitempty"`
 	WorstClientDrained float64 `json:"worst_client_drained,omitempty"`
 	WorstClientLevel   int     `json:"worst_client_level,omitempty"`
 }
@@ -218,7 +217,7 @@ func (a *Auditor) State() State {
 		st.BudgetClients = l.Stats().Clients
 		if top := l.TopSpenders(1); len(top) == 1 {
 			st.WorstClient = top[0].Client
-			st.WorstClientSpent = top[0].SpentEps
+			st.WorstClientSpent = top[0].Spent
 			st.WorstClientDrained = top[0].Drained
 			st.WorstClientLevel = top[0].Level
 		}

@@ -455,7 +455,7 @@ func attackConfigTiny() attack.Config {
 // /leakage snapshot reports the most drained client account next to the
 // attack-replay bound, and RegisterMetrics exports the drained fraction.
 func TestAuditorReportsWorstDrainedClient(t *testing.T) {
-	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 1, QueryEps: 0.1})
+	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,8 +475,8 @@ func TestAuditorReportsWorstDrainedClient(t *testing.T) {
 	if st.BudgetClients != 2 {
 		t.Errorf("budget clients = %d, want 2", st.BudgetClients)
 	}
-	if st.WorstClient != "did:ex:heavy" {
-		t.Errorf("worst client = %q, want the heavy account", st.WorstClient)
+	if st.WorstClient != "did:ex:heavy" || st.WorstClientSpent != 7 {
+		t.Errorf("worst client = %q at %d rows, want the heavy account at 7", st.WorstClient, st.WorstClientSpent)
 	}
 	if st.WorstClientDrained < 0.69 || st.WorstClientDrained > 0.71 {
 		t.Errorf("worst drained = %v, want 0.7", st.WorstClientDrained)

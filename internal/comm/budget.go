@@ -25,7 +25,7 @@ import (
 const budgetExhaustedMsg = "privacy budget exhausted"
 
 // WithBudget attaches a privacy-budget guard: every served row debits the
-// requesting client's Rényi-loss account and the guard's escalation policy
+// requesting client's row budget and the guard's escalation ladder
 // (noise → rotation → refusal) shapes the response. nil disables budgeting
 // at zero hot-path cost.
 func WithBudget(g *privacy.Guard) ServerOption {

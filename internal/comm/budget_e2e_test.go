@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the acceptance test for the privacy-budget subsystem end to
-// end: real server, real wire, one heavy client burning its Rényi budget
+// end: real server, real wire, one heavy client burning its row budget
 // against light clients pacing theirs, and the full escalation ladder —
 // clean service, then Gaussian response noise, then a selector-rotation
 // request, then CodeBudgetExhausted refusals — while the light clients never
@@ -46,8 +46,8 @@ func startBudgetServer(t *testing.T, nBodies int, g *privacy.Guard) string {
 }
 
 // TestBudgetEscalationLadderE2E drives the whole defense ladder over the
-// wire. The heavy client's budget covers exactly 20 single-row requests
-// (ε=1, 0.05/row): requests 1-9 are served bit-exact, 10-20 arrive noised
+// wire. The heavy client's budget covers exactly 20 single-row requests:
+// requests 1-9 are served bit-exact, 10-20 arrive noised
 // (with the rotation request firing as the drain crosses 80%), and 21+ are
 // refused with a terminal ErrBudgetExhausted. Two light clients run
 // concurrently on their own accounts and must finish with every response
@@ -57,7 +57,7 @@ func TestBudgetEscalationLadderE2E(t *testing.T) {
 	const nBodies = 2
 	var rotations atomic.Uint64
 	var rotateCause atomic.Value
-	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 1, QueryEps: 0.05})
+	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestBudgetEscalationLadderE2E(t *testing.T) {
 	}
 	addr := startBudgetServer(t, nBodies, guard)
 
-	x := commtest.Input(tiny, 77, 1) // one row: one 0.05ε charge per request
+	x := commtest.Input(tiny, 77, 1) // one row charged per request
 	want := commtest.Reference(tiny, nBodies, x)
 
-	// Light clients pace themselves: 5 requests each (0.25ε spent) stays far
-	// above the 0.5 noise threshold. They run concurrently with the heavy
+	// Light clients pace themselves: 5 requests each (5 of 20 rows) stays far
+	// from the 10-rows-left noise threshold. They run concurrently with the heavy
 	// client's burn — the race detector watches the whole composition.
 	var wg sync.WaitGroup
 	lightErrs := make(chan error, 2)
@@ -179,7 +179,7 @@ func TestBudgetEscalationLadderE2E(t *testing.T) {
 // share one address-bucket account.
 func TestBudgetAccountIdentities(t *testing.T) {
 	const nBodies = 2
-	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 100})
+	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +215,11 @@ func TestBudgetAccountIdentities(t *testing.T) {
 		byClient[c.Client] = c
 	}
 	alice, ok := byClient["did:ex:alice"]
-	if !ok || alice.Rows != 2 {
+	if !ok || alice.Spent != 2 {
 		t.Errorf("declared-ID account = %+v, want 2 rows charged", alice)
 	}
 	bucket, ok := byClient["addr:127.0.0.1"]
-	if !ok || bucket.Rows != 4 {
+	if !ok || bucket.Spent != 4 {
 		t.Errorf("addr-bucket account = %+v, want the 4 rows of both anonymous peers", bucket)
-	}
-	if alice.SpentEps <= 0 || bucket.SpentEps <= alice.SpentEps {
-		t.Errorf("spend ordering wrong: alice %v, bucket %v", alice.SpentEps, bucket.SpentEps)
 	}
 }

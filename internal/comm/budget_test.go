@@ -253,12 +253,12 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	}
 }
 
-// benchGuard builds a guard whose per-row charge is one nano-ε against an
-// enormous budget: the hot path runs the full charge arithmetic while the
-// account stays healthy for any realistic iteration count.
+// benchGuard builds a guard over an enormous row budget: the hot path runs
+// the full charge arithmetic while the account stays healthy for any
+// realistic iteration count.
 func benchGuard(tb testing.TB) *privacy.Guard {
 	tb.Helper()
-	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 1e6, QueryEps: 1e-9})
+	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 1e15})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 	})
 
 	t.Run("noised account", func(t *testing.T) {
-		// Budget sized so the warm-up drains past NoiseAt (0.5) while the
-		// whole test stays far from refusal: 2 rows/request, ~0.1ε/row.
-		ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetEps: 100, QueryEps: 0.1})
+		// Budget sized so the warm-up drains past NoiseAt while the whole
+		// test stays far from refusal: 2 rows/request.
+		ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 		}
 		acct := g.AccountFor("drained")
 		// Drain to 60% spent with direct charges before serving.
-		for g.Charge(acct, 100); acct.SpentEps() < 60; {
+		for g.Charge(acct, 100); acct.Spent() < 600; {
 			g.Charge(acct, 100)
 		}
 		run(t, g, acct, true)

@@ -61,11 +61,11 @@ var ErrOverloaded = errors.New("server overloaded")
 // carried in the code field of the response frame.
 const CodeOverloaded = 429
 
-// ErrBudgetExhausted is the privacy-budget refusal: the client's per-client
-// Rényi budget (see internal/privacy) is spent and the budget-aware policy
-// refused the request rather than leak more. Unlike ErrOverloaded this is
-// NOT transient — retrying cannot help until the budget refills (if it ever
-// does), so Pool.Retry treats it as terminal. Detect with errors.Is.
+// ErrBudgetExhausted is the privacy-budget refusal: the request's rows do
+// not fit what is left of the client's row budget (see internal/privacy),
+// so the guard refused it rather than serve more. Unlike ErrOverloaded this
+// is NOT transient — budgets never refill, so retrying the same request
+// cannot help and Pool.Retry treats it as terminal. Detect with errors.Is.
 var ErrBudgetExhausted = errors.New("privacy budget exhausted")
 
 // CodeBudgetExhausted is Response.Code for a budget-refused request.

@@ -242,17 +242,24 @@ type ClaimReport struct {
 	LatencyOverhead  float64 // paper: 4.8%
 	// SSIMRow and PSNRRow name the Ours row each drop was scored against.
 	SSIMRow, PSNRRow string
+	// AttackFailed withholds both drops: the None row is missing or its
+	// SSIM is below attack.SSIMFloor, so the attack never worked.
+	AttackFailed bool
 }
 
 // ComputeClaims derives the headline percentages from a table's Single and
 // Ours rows and the latency model. A defence is scored by the strongest attack
 // it faces: the SSIM drop against Single uses the Ours row with the highest
-// SSIM, and the PSNR drop the Ours row with the highest PSNR.
+// SSIM, and the PSNR drop the Ours row with the highest PSNR. A drop
+// against an attack that fails on the undefended None row is noise, so then
+// none is claimed.
 func ComputeClaims(rows []Row, n int) ClaimReport {
-	var single, bySSIM, byPSNR *Row
+	var none, single, bySSIM, byPSNR *Row
 	for i := range rows {
 		r := &rows[i]
 		switch {
+		case r.Name == "None":
+			none = r
 		case r.Name == "Single":
 			single = r
 		case strings.HasPrefix(r.Name, "Ours"):
@@ -265,6 +272,10 @@ func ComputeClaims(rows []Row, n int) ClaimReport {
 		}
 	}
 	rep := ClaimReport{LatencyOverhead: latency.OverheadPercent(n)}
+	if none == nil || none.SSIM < attack.SSIMFloor {
+		rep.AttackFailed = true
+		return rep
+	}
 	if single != nil && bySSIM != nil {
 		rep.SSIMRow, rep.PSNRRow = bySSIM.Name, byPSNR.Name
 		if single.SSIM > 0 {

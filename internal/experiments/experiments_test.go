@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ensembler/internal/attack"
 	"ensembler/internal/data"
 )
 
@@ -54,8 +55,9 @@ func TestTableIIIRows(t *testing.T) {
 func TestComputeClaims(t *testing.T) {
 	// Each drop is scored against the strongest attack on Ours: the highest
 	// SSIM (Ours - SSIM, 0.2 → 50%) and the highest PSNR (Ours - SSIM, 8 →
-	// 20%), not the weakest.
+	// 20%), not the weakest. The None row shows the attack works.
 	rows := []Row{
+		{Name: "None", SSIM: 0.6, PSNR: 14},
 		{Name: "Single", SSIM: 0.4, PSNR: 10},
 		{Name: "Ours - Adaptive", SSIM: 0.1, PSNR: 6},
 		{Name: "Ours - SSIM", SSIM: 0.2, PSNR: 8},
@@ -73,9 +75,13 @@ func TestComputeClaims(t *testing.T) {
 	if rep.LatencyOverhead <= 0 {
 		t.Error("latency overhead must be positive")
 	}
+	if rep.AttackFailed {
+		t.Error("a working attack was reported as failed")
+	}
 
 	// Adaptive is the strongest attack by SSIM, a single-body attack by PSNR.
 	rows = []Row{
+		{Name: "None", SSIM: 0.6, PSNR: 14},
 		{Name: "Single", SSIM: 0.4, PSNR: 10},
 		{Name: "Ours - Adaptive", SSIM: 0.3, PSNR: 7},
 		{Name: "Ours - SSIM", SSIM: 0.2, PSNR: 6},
@@ -87,6 +93,20 @@ func TestComputeClaims(t *testing.T) {
 	}
 	if rep.PSNRRow != "Ours - PSNR" || rep.PSNRDropVsSingle < 9 || rep.PSNRDropVsSingle > 11 {
 		t.Errorf("PSNR drop = %.1f against %q, want 10 against Ours - PSNR", rep.PSNRDropVsSingle, rep.PSNRRow)
+	}
+
+	// An attack that cannot invert the undefended pipeline (None below
+	// attack.SSIMFloor) supports no drop, however large the arithmetic
+	// says it is; a missing None row is the same.
+	failed := append([]Row{{Name: "None", SSIM: attack.SSIMFloor / 2, PSNR: 14}}, rows[1:]...)
+	for _, rs := range [][]Row{failed, rows[1:]} {
+		rep = ComputeClaims(rs, 10)
+		if !rep.AttackFailed || rep.SSIMDropVsSingle != 0 || rep.PSNRDropVsSingle != 0 || rep.SSIMRow != "" {
+			t.Errorf("claims over a failed attack = %+v, want withheld", rep)
+		}
+		if rep.LatencyOverhead <= 0 {
+			t.Error("the latency claim does not depend on the attack")
+		}
 	}
 }
 

@@ -1,3 +1,17 @@
+// Package privacy limits how many rows one client identity can pull from
+// the serving stack. The paper's adversary is the honest-but-curious server;
+// this package meters the other side — a querying client that extracts the
+// server bodies, or their training membership, by asking many questions.
+// For that threat a per-identity row budget is the whole mechanism; it is
+// rate limiting, not differential privacy. The pieces:
+//
+//   - a sharded per-client Ledger (this file): one atomic row counter per
+//     identity, checked against a fixed row budget, keyed by the
+//     wire-negotiated client identity;
+//   - a Guard (policy.go) that escalates as an account drains: noise the
+//     responses, request a selector rotation, then refuse.
+//
+// The package is tensor-free and imports nothing from the serving stack.
 package privacy
 
 import (
@@ -9,42 +23,20 @@ import (
 )
 
 const (
-	// DefaultQueryBudget is the pMixed default split of a client's total
-	// budget into per-query losses: QueryEps defaults to BudgetEps/1024.
-	DefaultQueryBudget = 1024
 	// DefaultMaxClients bounds how many client accounts the ledger tracks
 	// before evicting the least recently connected.
 	DefaultMaxClients = 4096
 	// DefaultShards is the ledger's default shard count (rounded up to a
 	// power of two).
 	DefaultShards = 64
-
-	// epsScale is the fixed-point resolution of the spent counters: one
-	// nano-ε per unit, so a per-row charge is one atomic integer add.
-	epsScale = 1e9
 )
 
-// LedgerConfig configures a Ledger. BudgetEps is required; everything else
+// LedgerConfig configures a Ledger. BudgetRows is required; everything else
 // has serviceable defaults.
 type LedgerConfig struct {
-	// BudgetEps is the total Rényi loss ε(α) one client may spend at order
-	// Alpha before requests are refused.
-	BudgetEps float64
-	// Alpha is the Rényi order the budget is denominated in (integer ≥ 2,
-	// the domain of the subsampling bound). Defaults to 2, the pMixed order.
-	Alpha int
-	// QueryEps is the unamplified per-row loss ε(α) one served row costs
-	// before subsampling amplification. Defaults to BudgetEps/1024 (the
-	// pMixed q_budget split).
-	QueryEps float64
-	// SecretFraction is p = P/N, the fraction of the ensemble the secret
-	// selection actually answers through; the per-row charge is
-	// SubsampleEps(QueryEps, p, Alpha). 0 or ≥ 1 disables amplification.
-	SecretFraction float64
-	// RefillPerSec recovers budget over time (ε(α) per second per client),
-	// so a client that backs off re-earns service. 0 (the default) makes
-	// budgets drain-only — and keeps the charge path free of clock reads.
-	RefillPerSec float64
+	// BudgetRows is how many rows one identity may be served before its
+	// requests are refused.
+	BudgetRows int64
 	// MaxClients bounds tracked accounts; the least recently connected
 	// account is evicted past the bound. Defaults to DefaultMaxClients.
 	MaxClients int
@@ -53,44 +45,48 @@ type LedgerConfig struct {
 	Shards int
 	// Now is the clock (tests); nil uses time.Now.
 	Now func() time.Time
+
+	// BudgetEps, QueryEps and SecretFraction are a shim kept only because
+	// the frozen benchmark module still builds its ledgers from them: when
+	// BudgetRows is 0, NewLedger budgets BudgetEps/QueryEps rows and ignores
+	// SecretFraction. Delete with the next benchmark change.
+	BudgetEps, QueryEps, SecretFraction float64
 }
 
-// Account is one client's budget state. The charge path touches only the
+// Account is one client's row counter. The charge path touches only the
 // atomic fields, so concurrent requests from one client never take a lock.
 type Account struct {
 	id string
 
-	spent    atomic.Int64  // nano-ε spent at the ledger's order
-	rows     atomic.Uint64 // rows charged
+	spent    atomic.Int64  // rows served
 	refusals atomic.Uint64 // requests refused for this account
-	level    atomic.Int32  // policy escalation level (see policy.go)
-	lastSeen atomic.Int64  // unix nanos at last acquire/refill — eviction & refill clock
+	lastSeen atomic.Int64  // unix nanos at last AccountFor — the eviction clock
 }
 
 // ID returns the client identity the account is keyed by.
 func (a *Account) ID() string { return a.id }
 
-// SpentEps returns the account's accumulated Rényi loss at the ledger's
-// order.
-func (a *Account) SpentEps() float64 { return float64(a.spent.Load()) / epsScale }
+// Spent returns the rows the account has been served.
+func (a *Account) Spent() int64 { return a.spent.Load() }
 
 type ledgerShard struct {
 	mu       sync.RWMutex
 	accounts map[string]*Account
 }
 
-// Ledger is the sharded per-client budget store. AccountFor resolves a
-// client identity to its Account once per connection; the per-request charge
-// then runs entirely on that account's atomics — the discipline that keeps
-// the serving loop at zero allocations per request (asserted by the comm
+// Ledger is the sharded per-client row store. AccountFor resolves a client
+// identity to its Account once per connection; the per-request charge then
+// runs entirely on that account's atomics — the discipline that keeps the
+// serving loop at zero allocations per request (asserted by the comm
 // benchmarks with the ledger enabled).
 type Ledger struct {
-	cfg       LedgerConfig
-	budget    int64 // nano-ε
-	rowCharge int64 // nano-ε per served row, amplification applied
-	maxShard  int   // per-shard account bound (MaxClients / shards)
-	mask      uint64
-	shards    []ledgerShard
+	budget   int64 // rows per account
+	noiseAt  int64 // remaining-row thresholds of the ladder (policy.go)
+	rotateAt int64
+	maxShard int // per-shard account bound (MaxClients / shards)
+	mask     uint64
+	shards   []ledgerShard
+	now      func() time.Time
 
 	clients   atomic.Int64
 	evictions atomic.Uint64
@@ -99,26 +95,11 @@ type Ledger struct {
 
 // NewLedger validates cfg and builds the ledger.
 func NewLedger(cfg LedgerConfig) (*Ledger, error) {
-	if cfg.BudgetEps <= 0 {
-		return nil, fmt.Errorf("privacy: ledger needs a positive budget, got %v", cfg.BudgetEps)
+	if cfg.BudgetRows == 0 && cfg.BudgetEps > 0 && cfg.QueryEps > 0 {
+		cfg.BudgetRows = int64(cfg.BudgetEps / cfg.QueryEps)
 	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = 2
-	}
-	if cfg.Alpha < 2 {
-		return nil, fmt.Errorf("privacy: ledger order %d below 2", cfg.Alpha)
-	}
-	if cfg.QueryEps < 0 {
-		return nil, fmt.Errorf("privacy: negative per-query loss %v", cfg.QueryEps)
-	}
-	if cfg.QueryEps == 0 {
-		cfg.QueryEps = cfg.BudgetEps / DefaultQueryBudget
-	}
-	if cfg.SecretFraction < 0 || cfg.SecretFraction > 1 {
-		return nil, fmt.Errorf("privacy: secret fraction %v outside [0,1]", cfg.SecretFraction)
-	}
-	if cfg.RefillPerSec < 0 {
-		return nil, fmt.Errorf("privacy: negative refill rate %v", cfg.RefillPerSec)
+	if cfg.BudgetRows <= 0 {
+		return nil, fmt.Errorf("privacy: ledger needs a positive row budget, got %d", cfg.BudgetRows)
 	}
 	if cfg.MaxClients <= 0 {
 		cfg.MaxClients = DefaultMaxClients
@@ -133,36 +114,20 @@ func NewLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	perRow := cfg.QueryEps
-	if cfg.SecretFraction > 0 && cfg.SecretFraction < 1 {
-		perRow = SubsampleEps(cfg.QueryEps, cfg.SecretFraction, cfg.Alpha)
-	}
 	maxShard := cfg.MaxClients / shards
 	if maxShard < 1 {
 		maxShard = 1
 	}
-	l := &Ledger{
-		cfg:       cfg,
-		budget:    int64(cfg.BudgetEps * epsScale),
-		rowCharge: int64(perRow * epsScale),
-		maxShard:  maxShard,
-		mask:      uint64(shards - 1),
-		shards:    make([]ledgerShard, shards),
-	}
-	if l.rowCharge < 1 {
-		l.rowCharge = 1 // a served row is never free at fixed-point resolution
-	}
-	return l, nil
+	return &Ledger{
+		budget:   cfg.BudgetRows,
+		noiseAt:  int64(NoiseAt * float64(cfg.BudgetRows)),
+		rotateAt: int64(RotateAt * float64(cfg.BudgetRows)),
+		maxShard: maxShard,
+		mask:     uint64(shards - 1),
+		shards:   make([]ledgerShard, shards),
+		now:      cfg.Now,
+	}, nil
 }
-
-// RowChargeEps reports the amplified Rényi loss one served row costs.
-func (l *Ledger) RowChargeEps() float64 { return float64(l.rowCharge) / epsScale }
-
-// BudgetEps reports the per-client budget.
-func (l *Ledger) BudgetEps() float64 { return l.cfg.BudgetEps }
-
-// Alpha reports the Rényi order the budget is denominated in.
-func (l *Ledger) Alpha() int { return l.cfg.Alpha }
 
 // fnv1a hashes a client identity to its shard (inline FNV-1a, no
 // allocation).
@@ -180,7 +145,7 @@ func fnv1a(s string) uint64 {
 // shard's least recently connected account past the capacity bound.
 func (l *Ledger) AccountFor(id string) *Account {
 	sh := &l.shards[fnv1a(id)&l.mask]
-	now := l.cfg.Now().UnixNano()
+	now := l.now().UnixNano()
 
 	sh.mu.RLock()
 	a := sh.accounts[id]
@@ -218,66 +183,56 @@ func (l *Ledger) AccountFor(id string) *Account {
 	return a
 }
 
-// debit charges nano-ε to the account, applying the refill credit first when
-// the ledger refills. It returns the new spent value and whether the charge
-// fit the budget; a charge that does not fit is rolled back (the refused
-// request serves nothing, so it costs nothing).
-func (l *Ledger) debit(a *Account, charge int64) (spent int64, ok bool) {
-	if l.cfg.RefillPerSec > 0 {
-		now := l.cfg.Now().UnixNano()
-		last := a.lastSeen.Swap(now)
-		if dt := now - last; dt > 0 {
-			credit := int64(l.cfg.RefillPerSec * epsScale * float64(dt) / float64(time.Second))
-			for credit > 0 {
-				s := a.spent.Load()
-				ns := s - credit
-				if ns < 0 {
-					ns = 0
-				}
-				if a.spent.CompareAndSwap(s, ns) {
-					break
-				}
-			}
+// debit takes n rows from the account if they fit what remains and returns
+// the account's spent rows after the charge. A debit that does not fit
+// changes nothing, so a refused request costs nothing and a smaller one
+// after it can still be served.
+func (l *Ledger) debit(a *Account, n int64) (spent int64, ok bool) {
+	for {
+		s := a.spent.Load()
+		if s+n > l.budget {
+			return s, false
+		}
+		if a.spent.CompareAndSwap(s, s+n) {
+			l.rowsTotal.Add(uint64(n))
+			return s + n, true
 		}
 	}
-	spent = a.spent.Add(charge)
-	if spent > l.budget {
-		a.spent.Add(-charge)
-		return spent - charge, false
+}
+
+// level reports the ladder rung of an account that has spent rows.
+func (l *Ledger) level(spent int64) int32 {
+	switch remaining := l.budget - spent; {
+	case remaining <= 0:
+		return LevelRefused
+	case remaining <= l.rotateAt:
+		return LevelRotate
+	case remaining <= l.noiseAt:
+		return LevelNoise
 	}
-	return spent, true
+	return LevelOK
 }
 
 // ClientBudget is one account's externally visible state — the /budget admin
 // payload and the auditor's worst-drained-client input.
 type ClientBudget struct {
-	Client       string  `json:"client"`
-	SpentEps     float64 `json:"spent_eps"`
-	RemainingEps float64 `json:"remaining_eps"`
-	Drained      float64 `json:"drained"` // SpentEps / budget, clamped to [0,1]
-	Level        int     `json:"level"`
-	Rows         uint64  `json:"rows"`
-	Refusals     uint64  `json:"refusals"`
+	Client    string  `json:"client"`
+	Spent     int64   `json:"spent_rows"`
+	Remaining int64   `json:"remaining_rows"`
+	Drained   float64 `json:"drained"` // Spent / budget, clamped to [0,1]
+	Level     int     `json:"level"`
+	Refusals  uint64  `json:"refusals"`
 }
 
 func (l *Ledger) clientBudget(a *Account) ClientBudget {
-	spent := float64(a.spent.Load()) / epsScale
-	remaining := l.cfg.BudgetEps - spent
-	if remaining < 0 {
-		remaining = 0
-	}
-	drained := spent / l.cfg.BudgetEps
-	if drained > 1 {
-		drained = 1
-	}
+	spent := a.spent.Load()
 	return ClientBudget{
-		Client:       a.id,
-		SpentEps:     spent,
-		RemainingEps: remaining,
-		Drained:      drained,
-		Level:        int(a.level.Load()),
-		Rows:         a.rows.Load(),
-		Refusals:     a.refusals.Load(),
+		Client:    a.id,
+		Spent:     spent,
+		Remaining: max(l.budget-spent, 0),
+		Drained:   min(float64(spent)/float64(l.budget), 1),
+		Level:     int(l.level(spent)),
+		Refusals:  a.refusals.Load(),
 	}
 }
 
@@ -293,8 +248,8 @@ func (l *Ledger) Snapshot() []ClientBudget {
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].SpentEps != out[j].SpentEps {
-			return out[i].SpentEps > out[j].SpentEps
+		if out[i].Spent != out[j].Spent {
+			return out[i].Spent > out[j].Spent
 		}
 		return out[i].Client < out[j].Client
 	})
@@ -312,15 +267,11 @@ func (l *Ledger) TopSpenders(n int) []ClientBudget {
 
 // LedgerStats is the ledger's aggregate telemetry snapshot.
 type LedgerStats struct {
-	Clients    int     `json:"clients"`
-	Evictions  uint64  `json:"evictions"`
-	Rows       uint64  `json:"rows_charged"`
-	BudgetEps  float64 `json:"budget_eps"`
-	QueryEps   float64 `json:"query_eps"`
-	RowEps     float64 `json:"row_eps"`
-	Alpha      int     `json:"alpha"`
-	SecretFrac float64 `json:"secret_fraction"`
-	MaxClients int     `json:"max_clients"`
+	Clients    int    `json:"clients"`
+	Evictions  uint64 `json:"evictions"`
+	Rows       uint64 `json:"rows_charged"`
+	BudgetRows int64  `json:"budget_rows"`
+	MaxClients int    `json:"max_clients"`
 }
 
 // Stats reports the ledger's aggregate counters and configuration.
@@ -329,11 +280,7 @@ func (l *Ledger) Stats() LedgerStats {
 		Clients:    int(l.clients.Load()),
 		Evictions:  l.evictions.Load(),
 		Rows:       l.rowsTotal.Load(),
-		BudgetEps:  l.cfg.BudgetEps,
-		QueryEps:   l.cfg.QueryEps,
-		RowEps:     l.RowChargeEps(),
-		Alpha:      l.cfg.Alpha,
-		SecretFrac: l.cfg.SecretFraction,
+		BudgetRows: l.budget,
 		MaxClients: l.maxShard * len(l.shards),
 	}
 }

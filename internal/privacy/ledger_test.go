@@ -29,13 +29,9 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestLedgerConfigValidation(t *testing.T) {
 	bad := []LedgerConfig{
-		{},                                    // no budget
-		{BudgetEps: -1},                       // negative budget
-		{BudgetEps: 1, Alpha: 1},              // order below 2
-		{BudgetEps: 1, QueryEps: -0.1},        // negative query loss
-		{BudgetEps: 1, SecretFraction: 1.5},   // fraction outside [0,1]
-		{BudgetEps: 1, SecretFraction: -0.5},  // fraction outside [0,1]
-		{BudgetEps: 1, RefillPerSec: -0.0001}, // negative refill
+		{},               // no budget
+		{BudgetRows: -1}, // negative budget
+		{BudgetEps: 1},   // shim budget without a per-row charge
 	}
 	for i, cfg := range bad {
 		if _, err := NewLedger(cfg); err == nil {
@@ -45,20 +41,13 @@ func TestLedgerConfigValidation(t *testing.T) {
 }
 
 func TestLedgerDefaultsAndCharge(t *testing.T) {
-	l, err := NewLedger(LedgerConfig{BudgetEps: 2, SecretFraction: 0.25})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Alpha() != 2 {
-		t.Fatalf("default alpha = %d, want 2", l.Alpha())
+	if st := l.Stats(); st.BudgetRows != 20 || st.MaxClients != DefaultMaxClients {
+		t.Fatalf("stats %+v, want a 20-row budget and the default capacity %d", st, DefaultMaxClients)
 	}
-	if l.BudgetEps() != 2 {
-		t.Fatalf("BudgetEps = %v", l.BudgetEps())
-	}
-	// The per-row charge is the amplified per-query loss at the pMixed
-	// q_budget split.
-	want := SubsampleEps(2.0/DefaultQueryBudget, 0.25, 2)
-	near(t, l.RowChargeEps(), want, 1e-9, "RowChargeEps")
 
 	a := l.AccountFor("client-a")
 	if a != l.AccountFor("client-a") {
@@ -70,38 +59,57 @@ func TestLedgerDefaultsAndCharge(t *testing.T) {
 	if a.ID() != "client-a" {
 		t.Fatalf("account ID = %q", a.ID())
 	}
-	spent, ok := l.debit(a, 3*l.rowCharge)
-	if !ok || spent != 3*l.rowCharge {
-		t.Fatalf("debit = (%d, %v), want (%d, true)", spent, ok, 3*l.rowCharge)
+	if spent, ok := l.debit(a, 3); !ok || spent != 3 || a.Spent() != 3 {
+		t.Fatalf("debit = (%d, %v), Spent %d; want (3, true), 3", spent, ok, a.Spent())
 	}
-	near(t, a.SpentEps(), 3*l.RowChargeEps(), 1e-9, "SpentEps after 3 rows")
+
+	// The benchmark shim budgets BudgetEps/QueryEps rows and ignores the
+	// secret fraction.
+	for _, c := range []struct {
+		cfg  LedgerConfig
+		want int64
+	}{
+		{LedgerConfig{BudgetEps: 1e6, QueryEps: 1e-3, SecretFraction: 0.4}, 1e9},
+		{LedgerConfig{BudgetEps: 1e6, QueryEps: 1e-9}, 1e15},
+	} {
+		l, err := NewLedger(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Stats().BudgetRows; got != c.want {
+			t.Errorf("shim %+v budgets %d rows, want %d", c.cfg, got, c.want)
+		}
+	}
 }
 
 func TestLedgerDebitRollsBackPastBudget(t *testing.T) {
-	l, err := NewLedger(LedgerConfig{BudgetEps: 1, QueryEps: 0.4, SecretFraction: 0})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := l.AccountFor("c")
-	if _, ok := l.debit(a, 2*l.rowCharge); !ok {
-		t.Fatal("first debit of 0.8 against budget 1 must fit")
+	if _, ok := l.debit(a, 8); !ok {
+		t.Fatal("first debit of 8 against budget 10 must fit")
 	}
-	spent, ok := l.debit(a, l.rowCharge)
-	if ok {
-		t.Fatal("debit past the budget must refuse")
+	if spent, ok := l.debit(a, 4); ok || spent != 8 || a.Spent() != 8 {
+		t.Fatalf("debit past the budget = (%d, %v), Spent %d; want (8, false), 8", spent, ok, a.Spent())
 	}
-	// The refused charge is rolled back: the account still holds 0.8.
-	near(t, float64(spent)/epsScale, 0.8, 1e-9, "spent after rollback")
-	near(t, a.SpentEps(), 0.8, 1e-9, "SpentEps after rollback")
+	// The refused debit changed nothing: what still fits is served.
+	if spent, ok := l.debit(a, 2); !ok || spent != 10 {
+		t.Fatalf("debit of the last 2 rows = (%d, %v), want (10, true)", spent, ok)
+	}
+	if st := l.Stats(); st.Rows != 10 {
+		t.Fatalf("rows charged = %d, want 10", st.Rows)
+	}
 }
 
 func TestLedgerEvictsLeastRecentlyConnected(t *testing.T) {
 	clk := newFakeClock()
-	l, err := NewLedger(LedgerConfig{BudgetEps: 1, Shards: 1, MaxClients: 2, Now: clk.Now})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 10, Shards: 1, MaxClients: 2, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.AccountFor("old")
+	l.debit(l.AccountFor("old"), 5) // the most spent, yet evicted first
 	clk.Advance(time.Second)
 	l.AccountFor("mid")
 	clk.Advance(time.Second)
@@ -117,37 +125,18 @@ func TestLedgerEvictsLeastRecentlyConnected(t *testing.T) {
 	}
 	// Reconnecting the evicted client gets a fresh (empty) account — the
 	// documented capacity/patient-adversary trade-off.
-	if got := l.AccountFor("old").SpentEps(); got != 0 {
-		t.Fatalf("re-admitted account starts at %v, want 0", got)
+	if got := l.AccountFor("old").Spent(); got != 0 {
+		t.Fatalf("re-admitted account starts at %d rows, want 0", got)
 	}
-}
-
-func TestLedgerRefillRecoversBudget(t *testing.T) {
-	clk := newFakeClock()
-	l, err := NewLedger(LedgerConfig{BudgetEps: 1, QueryEps: 0.1, SecretFraction: 0, RefillPerSec: 0.1, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := l.AccountFor("c")
-	l.debit(a, 5*l.rowCharge) // spent 0.5
-	clk.Advance(2 * time.Second)
-	l.debit(a, l.rowCharge) // refills 0.2, charges 0.1
-	near(t, a.SpentEps(), 0.4, 1e-6, "spent after refill")
-	// Refill never credits below zero.
-	clk.Advance(time.Hour)
-	l.debit(a, l.rowCharge)
-	near(t, a.SpentEps(), 0.1, 1e-6, "spent floored at the fresh charge")
 }
 
 func TestLedgerSnapshotAndTopSpenders(t *testing.T) {
-	l, err := NewLedger(LedgerConfig{BudgetEps: 1, QueryEps: 0.01, SecretFraction: 0})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rows := range []int64{1, 5, 3} {
-		a := l.AccountFor(fmt.Sprintf("client-%d", i))
-		l.debit(a, rows*l.rowCharge)
-		a.rows.Add(uint64(rows))
+		l.debit(l.AccountFor(fmt.Sprintf("client-%d", i)), rows)
 	}
 	snap := l.Snapshot()
 	if len(snap) != 3 {
@@ -156,11 +145,8 @@ func TestLedgerSnapshotAndTopSpenders(t *testing.T) {
 	if snap[0].Client != "client-1" || snap[1].Client != "client-2" || snap[2].Client != "client-0" {
 		t.Fatalf("snapshot not sorted by drain: %+v", snap)
 	}
-	near(t, snap[0].SpentEps, 0.05, 1e-9, "top spender spent")
-	near(t, snap[0].Drained, 0.05, 1e-9, "top spender drained fraction")
-	near(t, snap[0].RemainingEps, 0.95, 1e-9, "top spender remaining")
-	if snap[0].Rows != 5 {
-		t.Fatalf("top spender rows = %d, want 5", snap[0].Rows)
+	if top := snap[0]; top.Spent != 5 || top.Remaining != 95 || top.Drained != 0.05 || top.Level != LevelOK {
+		t.Fatalf("top spender = %+v, want 5 spent, 95 remaining, 0.05 drained, LevelOK", top)
 	}
 	top := l.TopSpenders(1)
 	if len(top) != 1 || top[0].Client != "client-1" {
@@ -172,12 +158,12 @@ func TestLedgerSnapshotAndTopSpenders(t *testing.T) {
 }
 
 func TestLedgerStatsReflectConfig(t *testing.T) {
-	l, err := NewLedger(LedgerConfig{BudgetEps: 4, Alpha: 8, QueryEps: 0.001, SecretFraction: 0.5, MaxClients: 128, Shards: 3})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 4000, MaxClients: 128, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
-	if st.Alpha != 8 || st.BudgetEps != 4 || st.QueryEps != 0.001 || st.SecretFrac != 0.5 {
+	if st.BudgetRows != 4000 {
 		t.Fatalf("stats do not reflect config: %+v", st)
 	}
 	// Shards round up to a power of two; capacity divides across them.
@@ -187,14 +173,12 @@ func TestLedgerStatsReflectConfig(t *testing.T) {
 	if st.MaxClients != 128 {
 		t.Fatalf("effective capacity = %d, want 128", st.MaxClients)
 	}
-	// Fixed-point rounds the charge to nano-ε resolution.
-	near(t, st.RowEps, SubsampleEps(0.001, 0.5, 8), 1e-9, "row charge in stats")
 }
 
 // TestLedgerConcurrentChargesRace hammers one account and the account map
 // from many goroutines — the -race witness for the sharded design.
 func TestLedgerConcurrentChargesRace(t *testing.T) {
-	l, err := NewLedger(LedgerConfig{BudgetEps: 1e9, QueryEps: 1, SecretFraction: 0, MaxClients: 64, Shards: 4})
+	l, err := NewLedger(LedgerConfig{BudgetRows: 1e9, MaxClients: 64, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +189,8 @@ func TestLedgerConcurrentChargesRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				l.debit(shared, l.rowCharge)
-				a := l.AccountFor(fmt.Sprintf("client-%d-%d", g, i%32))
-				l.debit(a, l.rowCharge)
+				l.debit(shared, 1)
+				l.debit(l.AccountFor(fmt.Sprintf("client-%d-%d", g, i%32)), 1)
 				if i%100 == 0 {
 					l.Snapshot()
 					l.Stats()
@@ -216,5 +199,7 @@ func TestLedgerConcurrentChargesRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	near(t, shared.SpentEps(), 8*500, 1e-6, "shared account total")
+	if got := shared.Spent(); got != 8*500 {
+		t.Fatalf("shared account spent %d rows, want %d", got, 8*500)
+	}
 }

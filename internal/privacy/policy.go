@@ -6,44 +6,42 @@ import (
 	"time"
 )
 
-// Escalation levels a draining account climbs. Levels latch: de-escalation
-// requires the remaining budget to rise past the entry threshold plus the
-// hysteresis band, so a client sitting exactly on a boundary does not flap
-// between treatments (meaningful when RefillPerSec recovers budget; with a
-// drain-only ledger levels only ever climb).
+// The escalation ladder. An account's rung is a function of the rows it has
+// left: the ledger only drains, so an account only ever climbs.
+const (
+	// NoiseSigma is the standard deviation of the Gaussian noise added to
+	// response features at LevelNoise (doubled at LevelRotate) — the same
+	// order as the training-time feature noise.
+	NoiseSigma = 0.05
+	// NoiseAt is the remaining-budget fraction at or below which noise
+	// starts.
+	NoiseAt = 0.5
+	// RotateAt is the remaining-budget fraction at or below which a selector
+	// rotation is requested.
+	RotateAt = 0.2
+)
+
+// Escalation levels, as ClientBudget.Level reports them.
 const (
 	// LevelOK serves normally.
 	LevelOK = iota
-	// LevelNoise adds Gaussian noise of the policy's base sigma to response
-	// features.
+	// LevelNoise adds Gaussian noise of NoiseSigma to response features.
 	LevelNoise
 	// LevelRotate doubles the noise and requests a selector rotation via the
 	// RotateFunc plumbing — the drained client has seen enough of this epoch.
 	LevelRotate
-	// LevelRefused marks an account whose last request was refused outright.
+	// LevelRefused marks an exhausted account: any further request is
+	// refused.
 	LevelRefused
 )
 
-// PolicyConfig tunes the escalation ladder. The zero value of every field is
-// replaced by the documented default.
+// PolicyConfig configures a Guard. The zero value enforces the ladder with
+// no rotation hook.
 type PolicyConfig struct {
 	// Observe runs the ledger in accounting-only mode: budgets drain and the
 	// admin plane reports them, but no request is ever noised, rotated on, or
 	// refused. The flag form is -privacy-policy observe.
 	Observe bool
-	// NoiseSigma is the base standard deviation of the Gaussian noise added
-	// to response features at LevelNoise (doubled at LevelRotate). Default
-	// 0.05 — the same order as the training-time feature noise.
-	NoiseSigma float64
-	// NoiseAt is the remaining-budget fraction at or below which noise
-	// starts. Default 0.5.
-	NoiseAt float64
-	// RotateAt is the remaining-budget fraction at or below which a selector
-	// rotation is requested. Default 0.2. Must be below NoiseAt.
-	RotateAt float64
-	// Hysteresis is the extra remaining-budget fraction required to
-	// de-escalate a latched level. Default 0.05.
-	Hysteresis float64
 	// Rotate, when non-nil, is invoked (on its own goroutine, single-flight,
 	// rate-limited by MinRotateInterval) when any account first crosses
 	// RotateAt — the audit subsystem's RotateFunc plumbing.
@@ -61,17 +59,13 @@ type Verdict struct {
 	Sigma  float64
 }
 
-// Guard binds a Ledger to an escalation policy. It is what the comm server
-// consults on the hot path: Charge is O(1) atomics on the account (the
-// policy arithmetic is a handful of integer compares), so a guard-enabled
-// server keeps the zero-allocation serving loop.
+// Guard binds a Ledger to the escalation ladder. It is what the comm server
+// consults on the hot path: Charge is O(1) atomics on the account and a few
+// integer compares, so a guard-enabled server keeps the zero-allocation
+// serving loop.
 type Guard struct {
 	ledger *Ledger
 	cfg    PolicyConfig
-
-	noiseAt  int64 // remaining nano-ε thresholds, precomputed
-	rotateAt int64
-	hystEps  int64
 
 	lastRotate atomic.Int64
 	refused    atomic.Uint64
@@ -79,35 +73,10 @@ type Guard struct {
 	rotations  atomic.Uint64
 }
 
-// NewGuard validates cfg, fills defaults, and binds the policy to the
-// ledger.
+// NewGuard fills cfg's defaults and binds the ladder to the ledger.
 func NewGuard(l *Ledger, cfg PolicyConfig) (*Guard, error) {
 	if l == nil {
 		return nil, fmt.Errorf("privacy: guard needs a ledger")
-	}
-	if cfg.NoiseSigma == 0 {
-		cfg.NoiseSigma = 0.05
-	}
-	if cfg.NoiseSigma < 0 {
-		return nil, fmt.Errorf("privacy: negative noise sigma %v", cfg.NoiseSigma)
-	}
-	if cfg.NoiseAt == 0 {
-		cfg.NoiseAt = 0.5
-	}
-	if cfg.RotateAt == 0 {
-		cfg.RotateAt = 0.2
-	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = 0.05
-	}
-	if cfg.NoiseAt <= 0 || cfg.NoiseAt >= 1 || cfg.RotateAt <= 0 || cfg.RotateAt >= 1 {
-		return nil, fmt.Errorf("privacy: escalation thresholds must sit in (0,1): noise %v, rotate %v", cfg.NoiseAt, cfg.RotateAt)
-	}
-	if cfg.RotateAt >= cfg.NoiseAt {
-		return nil, fmt.Errorf("privacy: rotate threshold %v must fall below noise threshold %v", cfg.RotateAt, cfg.NoiseAt)
-	}
-	if cfg.Hysteresis < 0 || cfg.Hysteresis >= 1 {
-		return nil, fmt.Errorf("privacy: hysteresis %v outside [0,1)", cfg.Hysteresis)
 	}
 	if cfg.MinRotateInterval == 0 {
 		cfg.MinRotateInterval = time.Minute
@@ -115,13 +84,7 @@ func NewGuard(l *Ledger, cfg PolicyConfig) (*Guard, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Guard{
-		ledger:   l,
-		cfg:      cfg,
-		noiseAt:  int64(cfg.NoiseAt * float64(l.budget)),
-		rotateAt: int64(cfg.RotateAt * float64(l.budget)),
-		hystEps:  int64(cfg.Hysteresis * float64(l.budget)),
-	}, nil
+	return &Guard{ledger: l, cfg: cfg}, nil
 }
 
 // Ledger returns the guard's budget store (the admin plane and auditor read
@@ -134,108 +97,38 @@ func (g *Guard) Ledger() *Ledger { return g.ledger }
 func (g *Guard) AccountFor(id string) *Account { return g.ledger.AccountFor(id) }
 
 // Charge records rows served rows against the account and returns the
-// policy verdict. The hot path is atomics and integer compares only; the
-// clock is read only when refill is configured, and allocation happens only
-// on the cold rotation edge.
+// ladder's verdict. A request is refused exactly when its rows do not fit
+// what the account has left; the refusal costs nothing. The hot path is
+// atomics and integer compares only; allocation happens only on the cold
+// rotation edge.
 func (g *Guard) Charge(a *Account, rows int) Verdict {
-	if rows < 1 {
-		rows = 1
-	}
-	charge := int64(rows) * g.ledger.rowCharge
+	n := int64(max(rows, 1))
+	l := g.ledger
 	if g.cfg.Observe {
-		// Accounting-only: debit (rolling back past the budget keeps the
-		// drained fraction honest at 1.0, not unbounded) but never act.
-		spent, ok := g.ledger.debit(a, charge)
-		if !ok {
-			a.spent.Store(g.ledger.budget)
-			spent = g.ledger.budget
-		}
-		a.rows.Add(uint64(rows))
-		g.ledger.rowsTotal.Add(uint64(rows))
-		g.escalate(a, g.ledger.budget-spent)
+		a.spent.Add(n)
+		l.rowsTotal.Add(uint64(n))
 		return Verdict{}
 	}
-	spent, ok := g.ledger.debit(a, charge)
-	remaining := g.ledger.budget - spent
-	if !ok || !g.deRefuse(a, remaining, charge) {
-		a.level.Store(LevelRefused)
+	spent, ok := l.debit(a, n)
+	if !ok {
 		a.refusals.Add(1)
 		g.refused.Add(1)
 		return Verdict{Refuse: true}
 	}
-	a.rows.Add(uint64(rows))
-	g.ledger.rowsTotal.Add(uint64(rows))
-	switch g.escalate(a, remaining) {
-	case LevelNoise:
+	switch lvl := l.level(spent); {
+	case lvl >= LevelRotate: // the request that spends the last row is still served
+		// Debits are serialized by the CAS, so exactly one charge per
+		// account crosses into the rotate rung.
+		if l.level(spent-n) < LevelRotate {
+			g.requestRotate(a)
+		}
 		g.noised.Add(1)
-		return Verdict{Sigma: g.cfg.NoiseSigma}
-	case LevelRotate:
+		return Verdict{Sigma: 2 * NoiseSigma}
+	case lvl == LevelNoise:
 		g.noised.Add(1)
-		return Verdict{Sigma: 2 * g.cfg.NoiseSigma}
+		return Verdict{Sigma: NoiseSigma}
 	}
 	return Verdict{}
-}
-
-// deRefuse reports whether an account latched at LevelRefused may serve
-// again: the refusal level holds until the remaining budget (after this
-// request's charge) clears the hysteresis band — without refill that never
-// happens once exhausted, which is the honest terminal state.
-func (g *Guard) deRefuse(a *Account, remaining, charge int64) bool {
-	if a.level.Load() != LevelRefused {
-		return true
-	}
-	if remaining < g.hystEps {
-		a.spent.Add(-charge) // roll the tentative debit back; still refused
-		return false
-	}
-	a.level.Store(levelFor(remaining, g.noiseAt, g.rotateAt))
-	return true
-}
-
-func levelFor(remaining, noiseAt, rotateAt int64) int32 {
-	switch {
-	case remaining <= rotateAt:
-		return LevelRotate
-	case remaining <= noiseAt:
-		return LevelNoise
-	default:
-		return LevelOK
-	}
-}
-
-// escalate moves the account's latched level toward the target for its
-// remaining budget: upward immediately (firing the rotation hook on the
-// LevelRotate edge), downward only past the hysteresis band.
-func (g *Guard) escalate(a *Account, remaining int64) int32 {
-	for {
-		cur := a.level.Load()
-		target := levelFor(remaining, g.noiseAt, g.rotateAt)
-		switch {
-		case target > cur:
-			if !a.level.CompareAndSwap(cur, target) {
-				continue
-			}
-			if target == LevelRotate && cur < LevelRotate {
-				g.requestRotate(a)
-			}
-			return target
-		case target < cur:
-			// De-escalate one level at a time, each step gated by clearing
-			// its entry threshold plus hysteresis.
-			gate := g.rotateAt
-			if cur == LevelNoise {
-				gate = g.noiseAt
-			}
-			if remaining <= gate+g.hystEps {
-				return cur
-			}
-			if !a.level.CompareAndSwap(cur, cur-1) {
-				continue
-			}
-		default:
-			return cur
-		}
-	}
 }
 
 // requestRotate fires the policy's rotation hook once per
@@ -269,6 +162,3 @@ func (g *Guard) Rotations() uint64 { return g.rotations.Load() }
 
 // Observing reports whether the guard runs in accounting-only mode.
 func (g *Guard) Observing() bool { return g.cfg.Observe }
-
-// NoiseSigma reports the policy's base escalation noise scale.
-func (g *Guard) NoiseSigma() float64 { return g.cfg.NoiseSigma }
