@@ -2,7 +2,8 @@ package main
 
 // The admin plane: a second HTTP listener (-admin-addr) carrying the
 // operational surface of a serving process — health, Prometheus metrics,
-// live leakage state, and a manual rotation trigger. It is deliberately a
+// live leakage state, the privacy-budget ledger, and traces. Every endpoint
+// only reads: nothing here writes the model store. It is deliberately a
 // separate listener from the inference socket: the inference port faces
 // untrusted clients and speaks the wire protocol only, while the admin port
 // is for operators and scrapers and should be firewalled accordingly.
@@ -38,12 +39,11 @@ type adminPlane struct {
 	reg     *registry.Registry
 	model   string // default model name
 	treg    *telemetry.Registry
-	auditor *audit.Auditor                              // nil: audit disabled
-	rotate  func(cause string) (*registry.Epoch, error) // nil: rotation not possible here (shard mode)
-	tracer  *trace.Tracer                               // nil: tracing disabled
-	guard   *privacy.Guard                              // nil: privacy-budget ledger disabled
-	fleet   func() []shard.Health                       // nil: no fleet client in this process
-	pprof   bool                                        // expose net/http/pprof under /debug/pprof/
+	auditor *audit.Auditor        // nil: audit disabled
+	tracer  *trace.Tracer         // nil: tracing disabled
+	guard   *privacy.Guard        // nil: privacy-budget ledger disabled
+	fleet   func() []shard.Health // nil: no fleet client in this process
+	pprof   bool                  // expose net/http/pprof under /debug/pprof/
 	workers int
 	shard   string // "k/K" in fleet mode, "" otherwise
 	start   time.Time
@@ -56,7 +56,6 @@ func (a *adminPlane) mux() *http.ServeMux {
 	m.Handle("/metrics", a.treg.Handler())
 	m.HandleFunc("/leakage", a.handleLeakage)
 	m.HandleFunc("/budget", a.handleBudget)
-	m.HandleFunc("/rotate", a.handleRotate)
 	m.HandleFunc("/traces", a.handleTraces)
 	m.HandleFunc("/traces/", a.handleTraceByID)
 	if a.pprof {
@@ -177,7 +176,6 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"models":         a.reg.Models(),
 		"workers":        a.workers,
 		"uptime_seconds": time.Since(a.start).Seconds(),
-		"rotations":      a.reg.RotationCount(a.model),
 		"audit_enabled":  a.auditor != nil,
 		"budget_enabled": a.guard != nil,
 	}
@@ -253,35 +251,8 @@ func (a *adminPlane) handleBudget(w http.ResponseWriter, r *http.Request) {
 		"stats":        ledger.Stats(),
 		"noised":       a.guard.Noised(),
 		"refusals":     a.guard.Refusals(),
-		"rotations":    a.guard.Rotations(),
 		"top_spenders": ledger.TopSpenders(10),
 		"clients":      ledger.Snapshot(),
-	})
-}
-
-// handleRotate triggers one selector rotation — the operator's "rotate now"
-// button, recorded in the registry history with cause "admin request".
-func (a *adminPlane) handleRotate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]any{
-			"error": "rotation is a POST",
-		})
-		return
-	}
-	if a.rotate == nil {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error": "this process cannot rotate: in a sharded fleet the selector is client-side — publish a rotated pipeline and SIGHUP the shards",
-		})
-		return
-	}
-	ep, err := a.rotate("admin request")
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"model": ep.Name(), "version": ep.Version(),
 	})
 }
 

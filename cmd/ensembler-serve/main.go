@@ -10,23 +10,23 @@
 // hot-swappable with zero downtime: requests carry an optional
 // (model, version) header resolved per request, SIGHUP re-scans the
 // directory and swaps newly published versions in while in-flight requests
-// finish on their old epoch, and -rotate-every re-draws the secret selector
-// on a cadence (the switching-ensembles defense; the served bodies are
-// unchanged, so rotation is invisible on the wire).
+// finish on their old epoch. The server only reads its store: a new secret
+// selection is the secret holder's move (registry.RotateSelector, then
+// SIGHUP), never this process's — the honest-but-curious server must not
+// mint the secret it is not supposed to know.
 //
 // -shard k/K turns the process into one member of a sharded fleet: it hosts
 // only shard k's contiguous body subset of the ensemble (shard.Plan over
 // the model's N), serving the identical wire protocol with fewer feature
 // vectors per response. K such processes behind a shard.Client scatter-
 // gather runtime replace one monolithic server; a compromised shard host
-// then observes only its own bodies' traffic. Selector rotation is a
-// client-side affair in a fleet, so -rotate-every is rejected with -shard.
+// then observes only its own bodies' traffic.
 //
 // Requests from concurrent connections are served by a bounded worker pool
 // over one compiled copy of the bodies, shared by every worker and compiled
-// again only when a publish or reload swaps in new bodies (a selector
-// rotation keeps it); a single-worker server runs one request's body passes
-// in parallel instead. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
+// again only when a reload swaps in new bodies (a selector rotation keeps
+// it); a single-worker server runs one request's body passes in parallel
+// instead. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
 // finish, their responses flush, and Serve returns.
 //
 // -batch-window turns on cross-connection continuous batching: single-tensor
@@ -41,23 +41,21 @@
 //
 // -admin-addr opens the operational control plane on a second listener:
 // /healthz (liveness + live epoch), /metrics (Prometheus exposition of QPS,
-// latency, batch sizes, epoch version, rotations, worker utilization, and
-// audit leakage), /leakage (the audit engine's state as JSON), and /rotate
-// (POST: rotate the selector now, recorded with cause "admin request").
+// latency, batch sizes, epoch version, worker utilization, and audit
+// leakage), /leakage (the audit engine's state as JSON), /budget and
+// /traces.
 //
 // -audit-sample N turns on the online privacy audit: every Nth request's
 // transmitted features are mirrored into a bounded reservoir, and on the
 // -audit-every cadence the process replays the repo's model-inversion attack
 // (oracle-grade — the conservative upper bound only the model owner can
 // mount) against the live pipeline, scoring reconstructions on a synthetic
-// calibration set. When the rolling SSIM stays above -audit-threshold for
-// -audit-breaches consecutive audits, the selector rotates automatically
-// (cause recorded with the evidence), rate-limited by -rotate-min-interval
-// and re-armed only after leakage dips below threshold−hysteresis. In a
-// sharded fleet the audit is report-only: rotation is the client's move.
+// calibration set. The audit is a gauge: /leakage and /metrics report the
+// rolling SSIM against -audit-threshold, and acting on a breach is the
+// secret holder's move.
 //
 //	ensembler-serve -model ensembler.gob -addr :7946 -workers 4 -max-batch 64
-//	ensembler-serve -model-dir models/ -model-name cifar -rotate-every 10m
+//	ensembler-serve -model-dir models/ -model-name cifar
 //	ensembler-serve -model-dir models/ -shard 2/3 -addr :7948
 //	ensembler-serve -model-dir models/ -admin-addr 127.0.0.1:9100 -audit-sample 100
 package main
@@ -72,7 +70,6 @@ import (
 	"os/signal"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -87,6 +84,13 @@ import (
 	"ensembler/internal/shard"
 	"ensembler/internal/telemetry"
 	"ensembler/internal/trace"
+)
+
+// The audit's sampler and attack seeds. They are fixed: the serving process
+// holds no seed stream of its own.
+const (
+	auditSamplerSeed = 1
+	auditAttackSeed  = 1 + 7919
 )
 
 func main() {
@@ -112,12 +116,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	maxBatch := fs.Int("max-batch", comm.DefaultMaxBatch, "max inputs per batched request")
 	batchWindow := fs.Duration("batch-window", 0, "continuous-batching window: hold the first request this long to coalesce co-arrivals from other connections (0 disables unless -max-queue is set)")
 	maxQueue := fs.Int("max-queue", 0, "bound on the continuous-batching intake queue before admission control sheds (0 = default when batching is on)")
-	rotateEvery := fs.Duration("rotate-every", 0, "selector rotation cadence (registry mode; 0 disables)")
-	rotateSeed := fs.Int64("rotate-seed", 1, "seed stream for selector rotations")
-	keepVersions := fs.Int("keep-versions", 64, "on-disk versions kept per model when rotating (0 keeps everything)")
 	shardSpec := fs.String("shard", "", `host shard k of a K-shard fleet ("k/K"): only that shard's body subset`)
 	precisionName := fs.String("precision", "", `compute precision for the hosted body passes: "f64" (reference kernels) or "f32" (vectorized backend, ~1e-7 relative drift); empty defaults to the manifest's commitment, else f64`)
-	adminAddr := fs.String("admin-addr", "", "admin plane listen address (/healthz, /metrics, /leakage, /rotate, /traces); empty disables")
+	adminAddr := fs.String("admin-addr", "", "admin plane listen address (/healthz, /metrics, /leakage, /budget, /traces); empty disables")
 	traceSample := fs.Float64("trace-sample", trace.DefaultSampleRate, "probability a healthy request's full span timeline is retained (errors, sheds, and the slowest are always kept); negative disables tail sampling")
 	traceSlowest := fs.Int("trace-slowest", 0, "always retain this many slowest requests seen (0 = default)")
 	traceCapacity := fs.Int("trace-capacity", 0, "retained-trace ring capacity, rounded up to a power of two (0 = default)")
@@ -126,13 +127,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	auditReservoir := fs.Int("audit-reservoir", 64, "bound on mirrored feature tensors held for the audit")
 	auditEvery := fs.Duration("audit-every", time.Minute, "leakage audit cadence")
 	auditMinSamples := fs.Int("audit-min-samples", 8, "mirrored tensors required before an audit runs")
-	auditThreshold := fs.Float64("audit-threshold", 0.35, "rolling reconstruction SSIM that arms a selector rotation")
-	auditHysteresis := fs.Float64("audit-hysteresis", 0.05, "leakage must dip this far below the threshold to re-arm the trigger")
-	auditBreaches := fs.Int("audit-breaches", 2, "consecutive breaching audits required to rotate")
+	auditThreshold := fs.Float64("audit-threshold", 0.35, "rolling reconstruction SSIM reported as the leakage alert level")
 	auditCalib := fs.Int("audit-calib", 64, "synthetic calibration images for the audit's attack replay")
-	rotateMinInterval := fs.Duration("rotate-min-interval", 10*time.Minute, "floor between leakage-triggered rotations")
-	privacyBudget := fs.Int64("privacy-budget-rows", 0, "rows each client identity may be served; as a client drains its budget responses are noised, the selector rotates, and finally requests are refused (0 disables the ledger)")
-	privacyPolicy := fs.String("privacy-policy", "enforce", `privacy-budget policy: "enforce" (noise, rotation, refusal as budgets drain) or "observe" (account and report only)`)
+	privacyBudget := fs.Int64("privacy-budget-rows", 0, "rows each client identity may be served; as a client drains its budget responses are noised, then noised harder, and finally refused (0 disables the ledger)")
+	privacyPolicy := fs.String("privacy-policy", "enforce", `privacy-budget policy: "enforce" (noise, then refusal as budgets drain) or "observe" (account and report only)`)
 	allowFaultpoints := fs.Bool("allow-faultpoints", false, "permit fault injection via "+faultpoint.EnvVar+" (chaos testing only — never set in production)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -148,9 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *maxQueue < 0 {
 		return fmt.Errorf("-max-queue must be >= 0 (0 = default when batching is on), got %d", *maxQueue)
-	}
-	if *shardSpec != "" && *rotateEvery > 0 {
-		return fmt.Errorf("-rotate-every and -shard are mutually exclusive: in a fleet the selector is rotated client-side (publish the rotated pipeline and SIGHUP the shards)")
 	}
 	if *auditSample < 0 {
 		return fmt.Errorf("-audit-sample must be >= 0 (every Nth request; 0 disables), got %d", *auditSample)
@@ -333,17 +328,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	var sampler *audit.Sampler
 	if *auditSample > 0 {
-		sampler = audit.NewSampler(*auditSample, *auditReservoir, *rotateSeed)
+		sampler = audit.NewSampler(*auditSample, *auditReservoir, auditSamplerSeed)
 		serverOpts = append(serverOpts, comm.WithObserver(sampler))
 	}
 
-	// rotateNow is assigned below (it needs the server context); the privacy
-	// guard's rotation hook closes over the variable so budget-triggered
-	// rotations ride the same plumbing as the audit and the admin endpoint.
-	var rotateNow func(cause string) (*registry.Epoch, error)
-
 	// The per-client row budget: each served row is debited from the
-	// client's account, and the guard escalates (noise → rotation →
+	// client's account, and the guard escalates (noise → doubled noise →
 	// refusal) as an account drains.
 	var privacyLedger *privacy.Ledger
 	var privacyGuard *privacy.Guard
@@ -352,19 +342,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		privacyGuard, err = privacy.NewGuard(privacyLedger, privacy.PolicyConfig{
-			Observe: *privacyPolicy == "observe",
-			Rotate: func(cause string) {
-				if rotateNow == nil {
-					fmt.Fprintf(stderr, "privacy: rotation requested (%s) but this process cannot rotate — in a fleet the selector is client-side\n", cause)
-					return
-				}
-				if _, err := rotateNow(cause); err != nil {
-					fmt.Fprintf(stderr, "privacy: rotate: %v\n", err)
-				}
-			},
-			MinRotateInterval: *rotateMinInterval,
-		})
+		privacyGuard, err = privacy.NewGuard(privacyLedger, privacy.PolicyConfig{Observe: *privacyPolicy == "observe"})
 		if err != nil {
 			return err
 		}
@@ -388,43 +366,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	serveCtx, stopServe := context.WithCancel(ctx)
 	defer stopServe()
 
-	// rotateNow is the one selector-rotation path every trigger shares —
-	// the -rotate-every timer (cause "schedule"), the leakage audit (cause
-	// carries the evidence), and the admin /rotate endpoint (cause "admin
-	// request") — so the registry's rotation history attributes each swap.
-	// A sharded fleet member cannot rotate (the selector is client-side).
-	if *shardSpec == "" {
-		var rotateSeq atomic.Int64
-		var rotateMu sync.Mutex
-		rotateNow = func(cause string) (*registry.Epoch, error) {
-			rotateMu.Lock() // concurrent triggers serialize; each still publishes
-			defer rotateMu.Unlock()
-			seed := *rotateSeed + rotateSeq.Add(1)
-			start := time.Now()
-			ep, err := reg.RotateSelectorCause(defaultModel, cause, ensemble.RotateOptions{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(stdout, "rotate[%s]: %s now v%d (selection re-drawn in %v; bodies unchanged)\n",
-				cause, ep.Name(), ep.Version(), time.Since(start).Round(time.Millisecond))
-			// Every rotation writes a full pipeline: prune the store so disk
-			// (and the checksum-verifying Open on restart) stays bounded.
-			if store := reg.Store(); store != nil && *keepVersions > 0 {
-				if pruned, err := store.Prune(ep.Name(), *keepVersions); err != nil {
-					fmt.Fprintf(stderr, "prune: %v\n", err)
-				} else if pruned > 0 {
-					fmt.Fprintf(stdout, "prune: removed %d old version(s) of %s\n", pruned, ep.Name())
-				}
-			}
-			return ep, nil
-		}
-	}
-
 	// The leakage audit: mirror sampled live features, replay the decoder
 	// attack against the published pipeline on a synthetic calibration set
-	// shaped like the model's inputs, and rotate on evidence. In a fleet the
-	// auditor is report-only (leakage is measured and exported; rotation is
-	// the client's move).
+	// shaped like the model's inputs, and report the leakage.
 	var auditor *audit.Auditor
 	if sampler != nil {
 		arch := cur.Pipeline().Cfg.Arch
@@ -439,28 +383,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Kind: data.CIFAR10Like, H: arch.H, W: arch.W,
 			Train: 8, Aux: calibN, Test: max(8, calibN/2), Seed: 424242,
 		})
-		var rotateFn audit.RotateFunc
-		if rotateNow != nil {
-			rotateFn = func(cause string) error { _, err := rotateNow(cause); return err }
-		}
 		auditor, err = audit.New(audit.Config{
-			Registry:          reg,
-			Model:             defaultModel,
-			Sampler:           sampler,
-			MinSamples:        *auditMinSamples,
-			Interval:          *auditEvery,
-			Attack:            attack.Config{DecoderEpochs: 2, BatchSize: 16, Seed: *rotateSeed + 7919},
-			Aux:               calib.Aux,
-			Eval:              calib.Test,
-			EvalSamples:       16,
-			Oracle:            true, // audit against the strongest (oracle) inversion: conservative by construction
-			Threshold:         *auditThreshold,
-			Hysteresis:        *auditHysteresis,
-			Breaches:          *auditBreaches,
-			MinRotateInterval: *rotateMinInterval,
-			Rotate:            rotateFn,
-			Ledger:            privacyLedger,
-			Log:               stderr,
+			Registry:    reg,
+			Model:       defaultModel,
+			Sampler:     sampler,
+			MinSamples:  *auditMinSamples,
+			Interval:    *auditEvery,
+			Attack:      attack.Config{DecoderEpochs: 2, BatchSize: 16, Seed: auditAttackSeed},
+			Aux:         calib.Aux,
+			Eval:        calib.Test,
+			EvalSamples: 16,
+			Oracle:      true, // audit against the strongest (oracle) inversion: conservative by construction
+			Threshold:   *auditThreshold,
+			Ledger:      privacyLedger,
+			Log:         stderr,
 		})
 		if err != nil {
 			return err
@@ -469,7 +405,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		go auditor.Run(serveCtx)
 	}
 
-	// Process-level gauges: uptime, live epoch, rotation count, and — when
+	// Process-level gauges: uptime, live epoch, and — when
 	// request metrics are on — worker-pool utilization derived from the
 	// serve-time histogram.
 	treg.GaugeFunc("ensembler_uptime_seconds", "Seconds since this process started serving.",
@@ -481,8 +417,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 			return 0
 		})
-	treg.CounterFunc("ensembler_rotations_total", "Selector rotations of the default model (any cause).",
-		nil, func() float64 { return float64(reg.RotationCount(defaultModel)) })
 	treg.GaugeFunc("ensembler_workers", "Size of the compute worker pool.",
 		nil, func() float64 { return float64(srv.Workers()) })
 	if srv.DispatcherStats().Enabled {
@@ -504,7 +438,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			nil, func() float64 { return float64(privacyLedger.Stats().BudgetRows) })
 		treg.GaugeFunc("ensembler_privacy_clients", "Client accounts currently tracked by the ledger.",
 			nil, func() float64 { return float64(privacyLedger.Stats().Clients) })
-		treg.GaugeFunc("ensembler_privacy_observe", "1 when the budget policy only observes (no noise, rotations, or refusals).",
+		treg.GaugeFunc("ensembler_privacy_observe", "1 when the budget policy only observes (no noise or refusals).",
 			nil, func() float64 {
 				if privacyGuard.Observing() {
 					return 1
@@ -526,8 +460,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			nil, func() float64 { return float64(privacyGuard.Noised()) })
 		treg.CounterFunc("ensembler_privacy_refusals_total", "Requests refused because the client's budget was exhausted.",
 			nil, func() float64 { return float64(privacyGuard.Refusals()) })
-		treg.CounterFunc("ensembler_privacy_rotations_total", "Selector rotations requested by the budget policy.",
-			nil, func() float64 { return float64(privacyGuard.Rotations()) })
 	}
 	if sm != nil {
 		treg.GaugeFunc("ensembler_worker_utilization", "Fraction of worker-pool capacity spent serving since start.",
@@ -548,7 +480,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *adminAddr != "" {
 		plane := &adminPlane{
 			reg: reg, model: defaultModel, treg: treg, auditor: auditor,
-			rotate: rotateNow, tracer: tracer, guard: privacyGuard, pprof: *pprofFlag,
+			tracer: tracer, guard: privacyGuard, pprof: *pprofFlag,
 			workers: srv.Workers(), shard: *shardSpec, start: startTime,
 		}
 		adminWait, err = serveAdmin(serveCtx, *adminAddr, plane, func(format string, args ...any) {
@@ -560,11 +492,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	auditBanner := ""
 	if auditor != nil {
-		mode := "rotating on evidence"
-		if *shardSpec != "" {
-			mode = "report-only in a fleet"
-		}
-		auditBanner = fmt.Sprintf("; audit mirrors 1/%d of requests (threshold SSIM %.2f, %s)", *auditSample, *auditThreshold, mode)
+		auditBanner = fmt.Sprintf("; audit mirrors 1/%d of requests (threshold SSIM %.2f, report-only)", *auditSample, *auditThreshold)
 	}
 	dispatchBanner := ""
 	if ds := srv.DispatcherStats(); ds.Enabled {
@@ -643,28 +571,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "reload: %d model(s) swapped in\n", updated)
 		}
 	}()
-
-	// Selector rotation cadence: each tick re-draws the default model's
-	// secret subset and publishes it as a new version (persisted when a
-	// registry directory is attached). The swap is a pointer flip and the
-	// rotated version shares the served bodies, so nothing recompiles and
-	// traffic never stalls.
-	if *rotateEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(*rotateEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if _, err := rotateNow("schedule"); err != nil {
-						fmt.Fprintf(stderr, "rotate: %v\n", err)
-					}
-				}
-			}
-		}()
-	}
 
 	if err := srv.Serve(serveCtx, ln); err != nil {
 		return fmt.Errorf("serve: %w", err)

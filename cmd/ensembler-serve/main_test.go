@@ -3,13 +3,16 @@ package main
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,9 +90,12 @@ func TestRunFlagValidation(t *testing.T) {
 		want string
 	}{
 		{[]string{"-model", "a.gob", "-model-dir", "d"}, "mutually exclusive"},
-		{[]string{"-shard", "1/2", "-rotate-every", "1m", "-model-dir", "d"}, "mutually exclusive"},
 		{[]string{"stray"}, "unexpected arguments"},
 		{[]string{"-no-such-flag"}, "flag provided but not defined"},
+		// The server never rotates the selector itself, so it has no
+		// rotation or breach-policy flags.
+		{[]string{"-rotate-every", "1m"}, "flag provided but not defined: -rotate-every"},
+		{[]string{"-audit-breaches", "1"}, "flag provided but not defined: -audit-breaches"},
 	}
 	for _, c := range cases {
 		err := run(ctx, c.args, io.Discard, io.Discard)
@@ -240,6 +246,17 @@ func scrapeAdminAddr(t *testing.T, sc *bufio.Scanner, done <-chan error) string 
 	return ""
 }
 
+// adminPost posts an empty body to an admin endpoint and returns the status.
+func adminPost(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Post(url, "", nil)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // adminGet fetches an admin endpoint body.
 func adminGet(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -283,23 +300,9 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("/leakage without audit = %d %q", code, body)
 	}
 
-	// Rotation is a POST; a GET must be refused.
-	if code, _ := adminGet(t, admin+"/rotate"); code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /rotate = %d, want 405", code)
-	}
-	resp, err := http.Post(admin+"/rotate", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(body), `"version": 2`) {
-		t.Errorf("POST /rotate = %d %q", resp.StatusCode, body)
-	}
-	if code, b := adminGet(t, admin+"/metrics"); code != 200 ||
-		!strings.Contains(b, "ensembler_rotations_total 1") ||
-		!strings.Contains(b, "ensembler_epoch_version 2") {
-		t.Errorf("metrics after rotation = %d %q", code, b)
+	// The admin plane only reads: there is no rotation endpoint.
+	if code := adminPost(t, admin+"/rotate"); code != http.StatusNotFound {
+		t.Errorf("POST /rotate = %d, want 404", code)
 	}
 
 	cancel()
@@ -462,34 +465,6 @@ func TestAdminPprofAbsentByDefault(t *testing.T) {
 	}
 }
 
-func TestAdminRotateRefusedInShardMode(t *testing.T) {
-	dir, _ := publishTiny(t, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sc, done := runAsync(ctx, t, []string{
-		"-model-dir", dir, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0", "-shard", "1/2",
-	})
-	scrapeAddr(t, sc, done)
-	admin := "http://" + scrapeAdminAddr(t, sc, done)
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-	resp, err := http.Post(admin+"/rotate", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "client-side") {
-		t.Errorf("POST /rotate in shard mode = %d %q, want 409", resp.StatusCode, body)
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Errorf("graceful shutdown: %v", err)
-	}
-}
-
 func TestAuditFlagValidation(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -507,19 +482,42 @@ func TestAuditFlagValidation(t *testing.T) {
 	}
 }
 
-// TestLeakageTriggeredRotationEndToEnd is the control plane's acceptance
-// test: serve → live traffic mirrored by the sampler → the audit replays the
-// oracle inversion, scores above the (deliberately low) threshold → the
-// policy rotates the selector automatically — observed through /metrics as a
-// rotation count and a new epoch version — while the client load sees zero
-// failed requests across the swap.
-func TestLeakageTriggeredRotationEndToEnd(t *testing.T) {
+// storeDigests maps every file under dir to its SHA-256.
+func storeDigests(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	sums := map[string][sha256.Size]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		sums[path] = sha256.Sum256(b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// TestServerNeverWritesStore pins that the serving process only reads its
+// model store: with the leakage audit scoring above a deliberately low
+// threshold and one client drained through every rung of the privacy ladder
+// to refusal — the evidence a rotation policy would act on — no file under
+// -model-dir changes, the live epoch stays v1, a fresh client is still
+// served bit-exact, and there is no rotation endpoint. A new selection is
+// the secret holder's move.
+func TestServerNeverWritesStore(t *testing.T) {
 	dir, reg := publishTiny(t, 0)
 	e, err := reg.Current("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipeline := e.Pipeline()
+	before := storeDigests(t, dir)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -532,8 +530,7 @@ func TestLeakageTriggeredRotationEndToEnd(t *testing.T) {
 		"-audit-min-samples", "2",
 		"-audit-calib", "16",
 		"-audit-threshold", "0.05", // any successful reconstruction on smooth calib images clears this
-		"-audit-breaches", "1",
-		"-rotate-min-interval", "1ms",
+		"-privacy-budget-rows", "8",
 	})
 	addr := scrapeAddr(t, sc, done)
 	admin := "http://" + scrapeAdminAddr(t, sc, done)
@@ -542,75 +539,95 @@ func TestLeakageTriggeredRotationEndToEnd(t *testing.T) {
 		}
 	}()
 
-	// Client load: keeps requests flowing through the audit and any
-	// rotation. The selector rotation must be invisible — zero failures.
-	client, err := comm.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	rt := pipeline.NewClientRuntime()
-	client.ComputeFeatures = rt.Features
-	client.Select = rt.Select
-	client.Tail = rt.Tail
 	arch := commtest.TinyArch()
 	x := tensor.New(1, arch.InC, arch.H, arch.W)
 	rng.New(17).FillNormal(x.Data, 0, 1)
-
-	var failures atomic.Int64
-	var requests atomic.Int64
-	stopLoad := make(chan struct{})
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		for {
-			select {
-			case <-stopLoad:
-				return
-			default:
-			}
-			if _, _, err := client.Infer(ctx, x); err != nil {
-				failures.Add(1)
-				return
-			}
-			requests.Add(1)
+	want := pipeline.Predict(x)
+	dial := func(id string) *comm.Client {
+		t.Helper()
+		c, err := comm.Dial(addr, comm.WithClientID(id))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
+		rt := pipeline.NewClientRuntime()
+		c.ComputeFeatures = rt.Features
+		c.Select = rt.Select
+		c.Tail = rt.Tail
+		return c
+	}
 
-	// Watch /metrics until the automatic rotation lands: the rotation
-	// counter advances and the live epoch moves past v1.
+	// Drain one identity through the whole 8-row ladder: clean while more
+	// than 4 rows are left, noised (doubled from 1 left) down to 0, then
+	// refused at no cost.
+	drained := dial("drained")
+	defer drained.Close()
+	var ladder []string
+	for r := 0; r < 10; r++ {
+		got, _, err := drained.Infer(ctx, x)
+		switch {
+		case errors.Is(err, comm.ErrBudgetExhausted):
+			ladder = append(ladder, "refused")
+		case err != nil:
+			t.Fatalf("drained request %d: %v", r+1, err)
+		case got.AllClose(want, 1e-9):
+			ladder = append(ladder, "clean")
+		default:
+			ladder = append(ladder, "noised")
+		}
+	}
+	wantLadder := "clean clean clean noised noised noised noised noised refused refused"
+	if got := strings.Join(ladder, " "); got != wantLadder {
+		t.Errorf("drained ladder = %s, want %s", got, wantLadder)
+	}
+
+	// Keep fresh identities flowing until an audit has scored the live
+	// epoch; every one of them is served bit-exact.
+	var leak struct {
+		Audits    uint64  `json:"audits"`
+		Leakage   float64 `json:"leakage"`
+		Threshold float64 `json:"threshold"`
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	rotated := false
-	for time.Now().Before(deadline) {
-		_, body := adminGet(t, admin+"/metrics")
-		if strings.Contains(body, "ensembler_audit_rotations_total 1") &&
-			!strings.Contains(body, "ensembler_epoch_version 1\n") {
-			rotated = true
-			break
+	for i := 0; leak.Audits == 0; i++ {
+		if time.Now().After(deadline) {
+			_, body := adminGet(t, admin+"/leakage")
+			t.Fatalf("no audit within 30s; /leakage: %s", body)
 		}
-		time.Sleep(50 * time.Millisecond)
+		fresh := dial(fmt.Sprintf("fresh-%d", i))
+		got, _, err := fresh.Infer(ctx, x)
+		fresh.Close()
+		if err != nil || !got.AllClose(want, 1e-9) {
+			t.Fatalf("fresh client %d: err %v, bit-exact %v", i, err, err == nil && got.AllClose(want, 1e-9))
+		}
+		_, body := adminGet(t, admin+"/leakage")
+		if err := json.Unmarshal([]byte(body), &leak); err != nil {
+			t.Fatalf("/leakage is not JSON: %v\n%s", err, body)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	close(stopLoad)
-	<-loadDone
-	if !rotated {
-		_, leak := adminGet(t, admin+"/leakage")
-		t.Fatalf("no leakage-triggered rotation within 30s; /leakage: %s", leak)
+	if leak.Leakage <= leak.Threshold {
+		t.Errorf("/leakage reports %.3f at threshold %.3f, want above", leak.Leakage, leak.Threshold)
 	}
-	if n := failures.Load(); n != 0 {
-		t.Errorf("%d client requests failed across the audit-triggered rotation, want 0", n)
+
+	if _, body := adminGet(t, admin+"/metrics"); !strings.Contains(body, "ensembler_epoch_version 1\n") {
+		t.Errorf("/metrics does not read ensembler_epoch_version 1:\n%s", body)
 	}
-	if requests.Load() == 0 {
-		t.Error("load loop never completed a request")
-	}
-	// The leakage state names the evidence as the rotation cause.
-	if _, body := adminGet(t, admin+"/leakage"); !strings.Contains(body, "leakage") ||
-		!strings.Contains(body, `"rotations": 1`) {
-		t.Errorf("/leakage after rotation = %q", body)
+	if code := adminPost(t, admin+"/rotate"); code != http.StatusNotFound {
+		t.Errorf("POST /rotate = %d, want 404", code)
 	}
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Errorf("graceful shutdown: %v", err)
+	}
+	after := storeDigests(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("store holds %d files after serving, %d before", len(after), len(before))
+	}
+	for path, sum := range before {
+		if after[path] != sum {
+			t.Errorf("%s changed while serving", path)
+		}
 	}
 }
 

@@ -37,6 +37,6 @@ func main() {
 	fmt.Println("\n== stronger-than-paper attacker: traffic-statistics alignment ==")
 	plain, aligned := experiments.AlignedAttackStudy(sc, 44)
 	fmt.Printf("  %s\n  %s\n", plain, aligned)
-	fmt.Println("  (see EXPERIMENTS.md — alignment partially defeats the defense when the")
-	fmt.Println("   attacked body is one of the secretly selected ones)")
+	fmt.Println("  (alignment partially defeats the defense when the attacked body is one")
+	fmt.Println("   of the secretly selected ones: compare the two SSIMs above)")
 }

@@ -271,19 +271,18 @@ func main() {
 		fmt.Printf("routed a pinned request to %s v%d on the same socket ✓\n", model, version)
 	}
 
-	// --- Online privacy audit: leakage-triggered rotation ---
+	// --- Online privacy audit: the server reports, the secret holder acts ---
 	//
-	// So far every rotation was commanded. The audit engine closes the loop:
-	// the sampler has been mirroring live transmitted features all along;
+	// The sampler has been mirroring live transmitted features all along;
 	// now an auditor replays the repo's inversion attack against the live
 	// epoch — oracle-grade, with the attacker's aux set drawn from the same
-	// distribution as the victim data — scores reconstructions against the
-	// calibration floor, and rotates the selector on evidence.
+	// distribution as the victim data — and scores reconstructions against
+	// the calibration floor. The auditor is a gauge: it reports leakage
+	// against a threshold and never touches the selection.
 	fmt.Println("\nonline privacy audit: attack replay against the live epoch")
 	auditAttack := attack.Config{DecoderEpochs: 4, BatchSize: 16, Seed: 123}
 
-	// First, measure: a report-only auditor (threshold at the ceiling, no
-	// Rotate hook) establishes what the oracle attack extracts right now.
+	// First, measure what the oracle attack extracts right now.
 	probe, err := audit.New(audit.Config{
 		Registry: reg, Model: "cifar", Sampler: sampler, MinSamples: 4,
 		Aux: sp.Aux, Eval: sp.Test, EvalSamples: 8,
@@ -307,67 +306,61 @@ func main() {
 		fmt.Println("the defense holds: even the oracle attacker reconstructs below the input-independent floor")
 	}
 
-	// Then, govern: an operator would set the threshold where leakage
-	// becomes unacceptable; to watch the closed loop trip, set it just
-	// below what we measured, with two consecutive breaches required.
+	// Then, alert: an operator would set the threshold where leakage
+	// becomes unacceptable; to watch the alert fire, set it just below what
+	// we measured.
 	threshold := max(measured.LastSSIM-0.02, 0.01)
-	live := rotated // the pipeline clients must run after each swap
 	auditor, err := audit.New(audit.Config{
 		Registry: reg, Model: "cifar", Sampler: sampler, MinSamples: 4,
 		Aux: sp.Aux, Eval: sp.Test, EvalSamples: 8,
-		Oracle: true, Attack: auditAttack,
-		Threshold: threshold, Hysteresis: 0.05, Breaches: 2, Alpha: 1,
-		MinRotateInterval: time.Millisecond,
-		Rotate: func(cause string) error {
-			ep, err := reg.RotateSelectorCause("cifar", cause, ensemble.RotateOptions{Seed: 777})
-			if err != nil {
-				return err
-			}
-			live = ep.Pipeline()
-			// Client half of the fan-out, exactly as in the manual swap.
-			pool.Reconfigure(func(c *comm.Client) error {
-				rt := live.NewClientRuntime()
-				c.ComputeFeatures = rt.Features
-				c.Select = rt.Select
-				c.Tail = rt.Tail
-				return nil
-			})
-			return nil
-		},
+		Oracle: true, Attack: auditAttack, Threshold: threshold, Alpha: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	auditor.RegisterMetrics(treg)
-
+	var st audit.State
 	for audits := 0; audits < 2; audits++ {
 		for i := 0; i < 8; i++ { // each audit consumes the reservoir; refill it
 			if _, _, err := pool.Infer(ctx, x); err != nil {
 				log.Fatal(err)
 			}
 		}
-		st := auditor.RunOnce()
-		fmt.Printf("audit %d: leakage %.3f vs threshold %.3f (breaches %d, armed %v)\n",
-			audits+1, st.Leakage, threshold, st.Breaches, st.Armed)
+		st = auditor.RunOnce()
+		fmt.Printf("audit %d: leakage %.3f vs threshold %.3f\n", audits+1, st.Leakage, threshold)
 	}
-	final := auditor.State()
-	if final.Rotations != 1 {
-		log.Fatalf("expected exactly one leakage-triggered rotation, got %d", final.Rotations)
+
+	// Acting on the alert is the secret holder's move, never the server's:
+	// this process holds the pipeline, so it re-draws the selection itself,
+	// publishes it, and re-wires its own clients. A separate server would
+	// pick the new version up on SIGHUP.
+	live := rotated // the pipeline clients must run after each swap
+	if st.Leakage > threshold {
+		ep, err := reg.RotateSelector("cifar", ensemble.RotateOptions{Seed: 777})
+		if err != nil {
+			log.Fatal(err)
+		}
+		live = ep.Pipeline()
+		pool.Reconfigure(func(c *comm.Client) error {
+			rt := live.NewClientRuntime()
+			c.ComputeFeatures = rt.Features
+			c.Select = rt.Select
+			c.Tail = rt.Tail
+			return nil
+		})
+		fmt.Printf("leakage above threshold: the secret holder published v%d with a re-drawn selection\n", ep.Version())
 	}
-	hist := reg.RotationHistory("cifar")
-	last := hist[len(hist)-1]
-	fmt.Printf("automatic rotation: v%d published, cause %q\n", last.Version, last.Cause)
 	if post, _, err := pool.Infer(ctx, x); err != nil {
 		log.Fatal(err)
 	} else if post.AllClose(live.Predict(x), 1e-9) {
-		fmt.Printf("post-audit traffic matches the rotated pipeline exactly ✓ (selection now %v)\n",
+		fmt.Printf("post-audit traffic matches the live pipeline exactly ✓ (selection %v)\n",
 			live.Selector.Indices)
 	}
 	fmt.Println("the control plane's /metrics view of the same story:")
 	printMetrics(treg,
 		"ensembler_server_requests_total",
 		"ensembler_audit_leakage",
-		"ensembler_audit_rotations_total",
+		"ensembler_audit_threshold",
 		"ensembler_audit_features_sampled_total")
 
 	cancel()
@@ -438,11 +431,12 @@ func main() {
 			ft.RoundTrip.Seconds()*1e3, float64(ft.BytesUp)/1024, shards)
 	}
 
-	// Rotation fan-out in a fleet: the registry re-draws the secret, and the
-	// only propagation needed is the scatter-gather client re-wiring — the
-	// shard servers never learn anything happened (their bodies, and even
-	// their responses, are byte-identical across the rotation).
-	fleetEp, err := reg.RotateSelectorCause("cifar", "schedule", ensemble.RotateOptions{Seed: 888})
+	// Rotation fan-out in a fleet: the secret holder re-draws the selection
+	// in its registry, and the only propagation needed is the scatter-gather
+	// client re-wiring — the shard servers never learn anything happened
+	// (their bodies, and even their responses, are byte-identical across the
+	// rotation).
+	fleetEp, err := reg.RotateSelector("cifar", ensemble.RotateOptions{Seed: 888})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -453,8 +447,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if fanned.AllClose(live.Predict(x), 1e-9) {
-		fmt.Printf("rotation fanned out to the fleet ✓ (selection now %v; cause %q in the registry trail)\n",
-			live.Selector.Indices, "schedule")
+		fmt.Printf("rotation fanned out to the fleet ✓ (selection now %v)\n", live.Selector.Indices)
 	}
 
 	// Kill a shard hosting no selected body while traffic flows. The

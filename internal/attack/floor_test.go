@@ -7,10 +7,9 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// TestDecoderTransferFloor pins the reproduction finding documented in
-// EXPERIMENTS.md ("Fidelity notes" §2): a decoder trained to invert one
-// head transfers to an *independently trained* head at a clearly degraded
-// SSIM. The existence of this floor is why SSIM compresses mid-table
+// TestDecoderTransferFloor pins a reproduction finding that this test is
+// the record of: a decoder trained to invert one head transfers to an
+// *independently trained* head at a clearly degraded SSIM. The existence of this floor is why SSIM compresses mid-table
 // defenses at this scale; the degradation (same-head ≫ cross-head) is what
 // the Ensembler defense exploits.
 func TestDecoderTransferFloor(t *testing.T) {

@@ -316,7 +316,8 @@ func TrainShadow(cfg Config, bodies []*nn.Network, adaptive bool, aux *data.Data
 	s := NewShadow(cfg.Arch, bodies, adaptive, cfg.StructuredShadow, r.Split())
 	// Adam rather than SGD: the attacker fits a small head against a frozen,
 	// co-adapted body, a landscape where SGD stalls far from the victim's
-	// loss level (verified empirically; see EXPERIMENTS.md).
+	// loss level (TestShadowTrainingReducesLoss pins that this optimizer
+	// makes progress).
 	opt := optim.NewAdam(s.Params(), cfg.ShadowLR)
 	sched := optim.StepDecay(cfg.ShadowLR, 0.5, max(1, cfg.ShadowEpochs/2))
 	var obs ChannelStats

@@ -16,13 +16,6 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// RotateFunc performs one selector rotation on the policy's behalf; cause is
-// the human-readable evidence string to record in the registry's rotation
-// history (registry.RotateSelectorCause). It runs on the auditor goroutine
-// and may take seconds (a rotation can fine-tune); the auditor simply skips
-// ticks that arrive while one runs.
-type RotateFunc func(cause string) error
-
 // Scorer measures the leakage of one epoch: it mounts an inversion attack
 // against the published pipeline and returns the reconstruction quality
 // (SSIM, PSNR) on the calibration set. observed carries the mirrored live
@@ -64,32 +57,20 @@ type Config struct {
 	// Oracle selects the worst-case audit: the decoder trains directly on
 	// the pipeline's true transmitted features (attack.OracleDecoderAttack),
 	// an upper bound no query-free attacker reaches but the right
-	// conservative posture for triggering a defense. False replays the
+	// conservative posture for an alert. False replays the
 	// query-free shadow attack, with the mirrored live features feeding its
 	// feature-statistics alignment term — the realistic bound.
 	Oracle bool
 
-	// Threshold is the SSIM above which the rolling leakage counts as a
-	// breach. Pick it above the calibration floor (Floor / CalibrationFloor)
-	// by a margin that reflects how much reconstruction quality the
-	// deployment tolerates.
+	// Threshold is the reported alert level: the SSIM above which the
+	// rolling leakage deserves the secret holder's attention. Pick it above
+	// the calibration floor (Floor / CalibrationFloor) by a margin that
+	// reflects how much reconstruction quality the deployment tolerates.
+	// The auditor only reports; acting on a breach (re-keying and
+	// publishing a new selection) is the secret holder's move.
 	Threshold float64
-	// Hysteresis re-arms the trigger only after the rolling leakage falls
-	// below Threshold-Hysteresis (default 0.05): one rotation per excursion
-	// above the threshold, not one per audit tick spent above it.
-	Hysteresis float64
 	// Alpha is the EWMA weight of the newest score (default 0.5).
 	Alpha float64
-	// Breaches is how many consecutive breaching audits arm a rotation
-	// (default 2) — a single noisy attack run can't thrash the fleet.
-	Breaches int
-	// MinRotateInterval is the floor between automatic rotations
-	// (default 10m). Audits continue in between; only the action is held.
-	MinRotateInterval time.Duration
-
-	// Rotate performs the rotation. nil puts the auditor in report-only
-	// mode: leakage is measured and exported, nothing is ever rotated.
-	Rotate RotateFunc
 
 	// Ledger, when non-nil, is the serving layer's per-client privacy-budget
 	// ledger. Each State snapshot then reports the most drained client
@@ -124,12 +105,6 @@ type State struct {
 	LastSSIM float64 `json:"last_ssim"`
 	LastPSNR float64 `json:"last_psnr"`
 	Leakage  float64 `json:"leakage"` // rolling EWMA of SSIM
-
-	Breaches  int       `json:"breaches"` // consecutive breaching audits
-	Armed     bool      `json:"armed"`
-	Rotations uint64    `json:"rotations"` // auditor-triggered rotations
-	LastCause string    `json:"last_cause,omitempty"`
-	LastRotat time.Time `json:"last_rotation"`
 
 	FeaturesSeen    uint64 `json:"features_seen"`
 	FeaturesSampled uint64 `json:"features_sampled"`
@@ -174,15 +149,6 @@ func New(cfg Config) (*Auditor, error) {
 	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
 		cfg.Alpha = 0.5
 	}
-	if cfg.Hysteresis <= 0 {
-		cfg.Hysteresis = 0.05
-	}
-	if cfg.Breaches <= 0 {
-		cfg.Breaches = 2
-	}
-	if cfg.MinRotateInterval <= 0 {
-		cfg.MinRotateInterval = 10 * time.Minute
-	}
 	if cfg.MaxObserved <= 0 {
 		cfg.MaxObserved = 256
 	}
@@ -202,7 +168,6 @@ func New(cfg Config) (*Auditor, error) {
 		Oracle:    cfg.Oracle,
 		Threshold: cfg.Threshold,
 		Floor:     CalibrationFloor(cfg.Eval, cfg.EvalSamples),
-		Armed:     true,
 	}
 	return a, nil
 }
@@ -242,11 +207,11 @@ func (a *Auditor) Run(ctx context.Context) {
 }
 
 // RunOnce performs one audit: snapshot the mirrored features, replay the
-// attack against the current epoch, fold the score into the rolling leakage
-// gauge, and let the policy act on it. It returns the post-audit state; an
-// audit that was skipped (not enough sampled traffic) or failed (attack
-// error) is reported in the state rather than returned as an error — the
-// loop must keep running either way.
+// attack against the current epoch, and fold the score into the rolling
+// leakage gauge. It returns the post-audit state; an audit that was skipped
+// (not enough sampled traffic) or failed (attack error) is reported in the
+// state rather than returned as an error — the loop must keep running
+// either way.
 func (a *Auditor) RunOnce() State {
 	now := a.now()
 	samples := a.cfg.Sampler.Snapshot()
@@ -280,61 +245,11 @@ func (a *Auditor) RunOnce() State {
 	} else {
 		st.Leakage = a.cfg.Alpha*ssim + (1-a.cfg.Alpha)*st.Leakage
 	}
-
-	// Policy: consecutive breaches arm a rotation; hysteresis re-arms only
-	// after the rolling leakage dips well below the threshold; a minimum
-	// interval spaces automatic rotations out no matter what the audit says.
-	var rotate bool
-	var cause string
-	switch {
-	case st.Leakage > a.cfg.Threshold:
-		if st.Armed {
-			st.Breaches++
-			if st.Breaches >= a.cfg.Breaches &&
-				(st.LastRotat.IsZero() || now.Sub(st.LastRotat) >= a.cfg.MinRotateInterval) &&
-				a.cfg.Rotate != nil {
-				rotate = true
-				cause = fmt.Sprintf("leakage %.3f > %.3f (%d consecutive audits, floor %.3f)",
-					st.Leakage, a.cfg.Threshold, st.Breaches, st.Floor)
-			}
-		}
-	case st.Leakage <= a.cfg.Threshold-a.cfg.Hysteresis:
-		st.Armed = true
-		st.Breaches = 0
-	default:
-		// Inside the hysteresis band: breaches stop accumulating but the
-		// armed state holds, so a brief dip can't reset the evidence.
-		st.Breaches = 0
-	}
-	leak := st.Leakage
+	leak, floor := st.Leakage, st.Floor
 	a.mu.Unlock()
 
 	a.logf("audit: ssim %.3f psnr %.2f leakage %.3f (floor %.3f, threshold %.3f)",
-		ssim, psnr, leak, a.state.Floor, a.cfg.Threshold)
-
-	if rotate {
-		err := a.cfg.Rotate(cause)
-		a.mu.Lock()
-		if err != nil {
-			a.state.LastErr = fmt.Sprintf("rotation failed: %v", err)
-		} else {
-			a.state.Rotations++
-			a.state.LastCause = cause
-			a.state.LastRotat = now
-			a.state.Armed = false
-			a.state.Breaches = 0
-			// The rolling gauge measured the rotated-away selector; restart
-			// the estimate so the next breach needs fresh post-rotation
-			// evidence.
-			a.state.Audits = 0
-		}
-		a.mu.Unlock()
-		if err != nil {
-			a.logf("audit: rotation failed: %v", err)
-		} else {
-			a.logf("audit: rotated — %s", cause)
-		}
-	}
+		ssim, psnr, leak, floor, a.cfg.Threshold)
 	return a.State()
 }
 
@@ -491,25 +406,14 @@ func (a *Auditor) RegisterMetrics(reg *telemetry.Registry) {
 		"Calibration floor: SSIM of the best input-independent reconstruction.",
 		nil, func() float64 { return a.State().Floor })
 	reg.GaugeFunc("ensembler_audit_threshold",
-		"Leakage threshold that arms a selector rotation.",
+		"Reported leakage alert level.",
 		nil, func() float64 { return a.State().Threshold })
-	reg.GaugeFunc("ensembler_audit_armed",
-		"1 while the rotation trigger is armed (hysteresis re-arm pending otherwise).",
-		nil, func() float64 {
-			if a.State().Armed {
-				return 1
-			}
-			return 0
-		})
 	reg.CounterFunc("ensembler_audit_runs_total",
-		"Completed audits since the current leakage estimate started.",
+		"Completed audits.",
 		nil, func() float64 { return float64(a.State().Audits) })
 	reg.CounterFunc("ensembler_audit_failures_total",
 		"Audits that failed (attack error or unresolvable model).",
 		nil, func() float64 { return float64(a.State().Failures) })
-	reg.CounterFunc("ensembler_audit_rotations_total",
-		"Rotations this auditor triggered on leakage evidence.",
-		nil, func() float64 { return float64(a.State().Rotations) })
 	reg.CounterFunc("ensembler_audit_features_seen_total",
 		"Feature tensors observed by the sampler on the serving path.",
 		nil, func() float64 { seen, _ := a.cfg.Sampler.Counts(); return float64(seen) })

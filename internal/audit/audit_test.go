@@ -1,10 +1,10 @@
 package audit
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ensembler/internal/attack"
 	"ensembler/internal/commtest"
@@ -149,28 +149,18 @@ func TestCalibrationFloor(t *testing.T) {
 }
 
 // auditFixture wires an auditor over a published tiny pipeline with a stub
-// scorer the test scripts, returning the auditor and a rotation counter.
-func auditFixture(t *testing.T, cfg Config, scores *[]float64) (*Auditor, *int) {
+// scorer the test scripts, returning the auditor and the registry it reads.
+func auditFixture(t *testing.T, cfg Config, scores *[]float64) (*Auditor, *registry.Registry) {
 	t.Helper()
 	reg := registry.New(nil)
 	if _, err := reg.Publish("m", commtest.Pipeline(commtest.TinyArch(), 4, 2, 21)); err != nil {
 		t.Fatal(err)
 	}
 	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, H: 8, Train: 8, Aux: 16, Test: 16, Seed: 6})
-	rotations := 0
 	cfg.Registry = reg
 	cfg.Model = "m"
 	cfg.Aux, cfg.Eval = sp.Aux, sp.Test
 	cfg.EvalSamples = 8
-	if cfg.Rotate == nil {
-		cfg.Rotate = func(cause string) error {
-			rotations++
-			if !strings.Contains(cause, "leakage") {
-				t.Errorf("cause %q does not cite leakage evidence", cause)
-			}
-			return nil
-		}
-	}
 	if cfg.Scorer == nil {
 		cfg.Scorer = func(*registry.Epoch, *tensor.Tensor) (float64, float64, error) {
 			s := (*scores)[0]
@@ -184,105 +174,36 @@ func auditFixture(t *testing.T, cfg Config, scores *[]float64) (*Auditor, *int) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a, &rotations
+	return a, reg
 }
 
-// TestRotationExactlyOnceUnderHysteresis is the policy's central promise: a
-// leakage excursion above the threshold rotates exactly once, no matter how
-// many audits keep reporting high leakage, until the gauge has dipped below
-// the hysteresis band and breached again.
-func TestRotationExactlyOnceUnderHysteresis(t *testing.T) {
-	scores := []float64{0.9}
-	a, rotations := auditFixture(t, Config{
-		Threshold:         0.3,
-		Hysteresis:        0.1,
-		Breaches:          2,
-		Alpha:             1, // no smoothing: the stub score is the gauge
-		MinRotateInterval: time.Nanosecond,
-	}, &scores)
-
-	// Six consecutive breaching audits: rotation fires on the second breach
-	// and never again while the trigger stays disarmed.
-	for i := 0; i < 6; i++ {
+// TestBreachIsReportedNotActed: the auditor is a gauge. Audits far above
+// the threshold fold into the rolling leakage and are reported, and the
+// audited model stays on the version it was published at — acting on the
+// evidence is the secret holder's move, not the auditor's.
+func TestBreachIsReportedNotActed(t *testing.T) {
+	scores := []float64{0.9, 0.5}
+	a, reg := auditFixture(t, Config{Threshold: 0.3}, &scores)
+	for i := 0; i < 4; i++ {
 		a.RunOnce()
 	}
-	if *rotations != 1 {
-		t.Fatalf("rotations = %d after 6 breaching audits, want exactly 1", *rotations)
-	}
 	st := a.State()
-	if st.Armed {
-		t.Error("trigger must disarm after rotating")
+	// EWMA at the default Alpha 0.5: 0.9, then 0.7, 0.6, 0.55.
+	if st.Audits != 4 || math.Abs(st.Leakage-0.55) > 1e-12 || st.Leakage <= st.Threshold {
+		t.Fatalf("state after 4 breaching audits = %+v, want 4 audits, leakage 0.55 above 0.3", st)
 	}
-
-	// Leakage inside the hysteresis band (0.25 ∈ (0.2, 0.3]) must NOT
-	// re-arm; breaching again afterwards must not rotate.
-	scores = []float64{0.25}
-	a.RunOnce()
-	scores = []float64{0.9}
-	a.RunOnce()
-	a.RunOnce()
-	if *rotations != 1 {
-		t.Fatalf("rotations = %d after an in-band dip, want still 1", *rotations)
-	}
-
-	// A dip below threshold−hysteresis re-arms; two fresh breaches rotate a
-	// second time.
-	scores = []float64{0.1}
-	a.RunOnce()
-	if st := a.State(); !st.Armed {
-		t.Fatal("trigger must re-arm below the hysteresis band")
-	}
-	scores = []float64{0.9}
-	a.RunOnce()
-	a.RunOnce()
-	if *rotations != 2 {
-		t.Fatalf("rotations = %d after re-arm and two breaches, want 2", *rotations)
-	}
-}
-
-// TestMinRotateIntervalHoldsTheFleet: even armed and breaching, rotations
-// are spaced by MinRotateInterval.
-func TestMinRotateIntervalHoldsTheFleet(t *testing.T) {
-	now := time.Unix(1000, 0)
-	scores := []float64{0.9}
-	a, rotations := auditFixture(t, Config{
-		Threshold:         0.3,
-		Breaches:          1,
-		Alpha:             1,
-		Hysteresis:        0.1,
-		MinRotateInterval: time.Hour,
-		Now:               func() time.Time { return now },
-	}, &scores)
-
-	a.RunOnce()
-	if *rotations != 1 {
-		t.Fatalf("first breach must rotate, got %d", *rotations)
-	}
-	// Re-arm, breach again 30 minutes later: held by the interval.
-	scores = []float64{0.1}
-	a.RunOnce()
-	now = now.Add(30 * time.Minute)
-	scores = []float64{0.9}
-	a.RunOnce()
-	if *rotations != 1 {
-		t.Fatalf("rotation inside MinRotateInterval: %d", *rotations)
-	}
-	// Past the interval it fires.
-	now = now.Add(31 * time.Minute)
-	a.RunOnce()
-	if *rotations != 2 {
-		t.Fatalf("rotation past MinRotateInterval must fire, got %d", *rotations)
+	if ep, err := reg.Current("m"); err != nil || ep.Version() != 1 {
+		t.Fatalf("audited model moved to %v (%v), want v1", ep.Version(), err)
 	}
 }
 
 func TestAuditSkipsWithoutTraffic(t *testing.T) {
 	scores := []float64{0.9}
 	s := NewSampler(1, 8, 1)
-	a, rotations := auditFixture(t, Config{
+	a, _ := auditFixture(t, Config{
 		Threshold:  0.3,
 		Sampler:    s,
 		MinSamples: 4,
-		Breaches:   1,
 		Alpha:      1,
 	}, &scores)
 	st := a.RunOnce()
@@ -293,10 +214,8 @@ func TestAuditSkipsWithoutTraffic(t *testing.T) {
 		s.ObserveFeatures("m", 1, feat(1, int64(i)))
 	}
 	st = a.RunOnce()
-	if st.Audits != 0 || *rotations != 1 {
-		// Audits resets to 0 after a rotation; the rotation itself proves
-		// the audit ran.
-		t.Fatalf("audit with traffic must run and rotate: %+v, rotations %d", st, *rotations)
+	if st.Audits != 1 || st.Leakage != 0.9 {
+		t.Fatalf("audit with traffic must run and report: %+v", st)
 	}
 	// The reservoir was consumed: the next tick skips again.
 	if st := a.RunOnce(); st.Skipped != 2 {
@@ -336,7 +255,7 @@ func TestOracleAttackScoreEndToEnd(t *testing.T) {
 		EvalSamples: 8,
 		Oracle:      true,
 		Attack:      attackConfigTiny(),
-		Threshold:   0.99, // never rotate here; this test is about scoring
+		Threshold:   0.99, // this test is about scoring, not the alert
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,8 +340,6 @@ func TestRegisterMetricsExportsLeakage(t *testing.T) {
 	for _, want := range []string{
 		"ensembler_audit_leakage 0.42",
 		"ensembler_audit_runs_total 1",
-		"ensembler_audit_rotations_total 0",
-		"ensembler_audit_armed 1",
 		"ensembler_audit_features_sampled_total 1",
 	} {
 		if !strings.Contains(out, want) {

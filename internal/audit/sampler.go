@@ -2,9 +2,11 @@
 // evaluation and the live serving stack: it mirrors a bounded sample of the
 // intermediate features clients actually transmit, periodically replays the
 // repo's own model-inversion attacks against the currently published
-// pipeline, scores the reconstructions the way Tables I/II do (SSIM/PSNR
-// against a calibration floor), and drives the selector-rotation policy on
-// that evidence instead of a blind timer.
+// pipeline, and scores the reconstructions the way Tables I/II do (SSIM/PSNR
+// against a calibration floor). The auditor is a gauge: it reports leakage
+// against a threshold and never acts on it. Choosing a new selection is the
+// secret holder's move, and the serving process does not hold that secret's
+// authority — it only reloads what the holder publishes.
 //
 // The auditor is the defender auditing itself — it runs on the serving box,
 // holds the full pipeline (head, secret selector, tail) the way the model
@@ -129,8 +131,8 @@ func (s *Sampler) Snapshot() []Sample {
 }
 
 // Reset empties the reservoir — called after an audit consumed it, so the
-// next audit scores fresh traffic (and fresh post-rotation features never
-// mix with pre-rotation ones).
+// next audit scores fresh traffic (and features served after a reload never
+// mix with those served before it).
 func (s *Sampler) Reset() {
 	if s == nil {
 		return

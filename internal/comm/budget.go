@@ -26,7 +26,7 @@ const budgetExhaustedMsg = "privacy budget exhausted"
 
 // WithBudget attaches a privacy-budget guard: every served row debits the
 // requesting client's row budget and the guard's escalation ladder
-// (noise → rotation → refusal) shapes the response. nil disables budgeting
+// (noise → doubled noise → refusal) shapes the response. nil disables budgeting
 // at zero hot-path cost.
 func WithBudget(g *privacy.Guard) ServerOption {
 	return func(o *serverOptions) { o.guard = g }

@@ -300,8 +300,8 @@ func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.
 
 // ValidClientID reports whether id may be declared on the wire: 1 to 64
 // bytes of printable ASCII (no spaces or control bytes), so a hostile
-// identity cannot smuggle log-injection or NUL tricks into the ledger, the
-// admin JSON, or rotation causes.
+// identity cannot smuggle log-injection or NUL tricks into the ledger or
+// the admin JSON.
 func ValidClientID(id string) bool {
 	if len(id) == 0 || len(id) > maxWireClientID {
 		return false

@@ -110,9 +110,11 @@ func LatencySweepN(ns []int) []latency.Breakdown {
 }
 
 // AlignedAttackStudy measures the stronger-than-paper attacker that aligns
-// its shadow head to passively observed traffic statistics (see
-// EXPERIMENTS.md §extensions): it returns the strongest single-body attack
-// without and with alignment against the same trained pipeline.
+// its shadow head to passively observed traffic statistics (the alignment
+// term of attack.Config.AlignWeight, which the audit's shadow replay also
+// uses): it returns the strongest single-body attack without and with
+// alignment against the same trained pipeline. Alignment partially defeats
+// the defense when the attacked body is one of the secretly selected ones.
 func AlignedAttackStudy(sc Scale, seed int64) (plain, aligned attack.Outcome) {
 	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, Train: sc.Train, Aux: sc.Aux, Test: sc.Test, Seed: seed})
 	arch := split.DefaultArch(data.CIFAR10Like)

@@ -9,7 +9,7 @@
 //     identity, checked against a fixed row budget, keyed by the
 //     wire-negotiated client identity;
 //   - a Guard (policy.go) that escalates as an account drains: noise the
-//     responses, request a selector rotation, then refuse.
+//     responses, double the noise, then refuse.
 //
 // The package is tensor-free and imports nothing from the serving stack.
 package privacy
@@ -82,7 +82,7 @@ type ledgerShard struct {
 type Ledger struct {
 	budget   int64 // rows per account
 	noiseAt  int64 // remaining-row thresholds of the ladder (policy.go)
-	rotateAt int64
+	heavyAt  int64
 	maxShard int // per-shard account bound (MaxClients / shards)
 	mask     uint64
 	shards   []ledgerShard
@@ -121,7 +121,7 @@ func NewLedger(cfg LedgerConfig) (*Ledger, error) {
 	return &Ledger{
 		budget:   cfg.BudgetRows,
 		noiseAt:  int64(NoiseAt * float64(cfg.BudgetRows)),
-		rotateAt: int64(RotateAt * float64(cfg.BudgetRows)),
+		heavyAt:  int64(HeavyNoiseAt * float64(cfg.BudgetRows)),
 		maxShard: maxShard,
 		mask:     uint64(shards - 1),
 		shards:   make([]ledgerShard, shards),
@@ -205,8 +205,8 @@ func (l *Ledger) level(spent int64) int32 {
 	switch remaining := l.budget - spent; {
 	case remaining <= 0:
 		return LevelRefused
-	case remaining <= l.rotateAt:
-		return LevelRotate
+	case remaining <= l.heavyAt:
+		return LevelHeavyNoise
 	case remaining <= l.noiseAt:
 		return LevelNoise
 	}

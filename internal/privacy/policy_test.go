@@ -2,15 +2,13 @@ package privacy
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // ladderGuard builds a guard over a ten-row budget: noise from 5 rows left,
-// rotation from 2, refusal at 0.
+// doubled noise from 2, refusal at 0.
 func ladderGuard(t *testing.T, cfg PolicyConfig) *Guard {
 	t.Helper()
 	l, err := NewLedger(LedgerConfig{BudgetRows: 10})
@@ -31,34 +29,24 @@ func TestGuardConfigValidation(t *testing.T) {
 }
 
 // TestEscalationLadder walks one heavy client through the full ladder:
-// clean service, base noise at half budget, doubled noise plus one rotation
-// request at the rotate threshold, then refusals at exhaustion. A request
-// that does not fit what is left is refused without latching: a smaller one
-// after it is still served.
+// clean service, base noise at half budget, doubled noise at the heavy-noise
+// threshold, then refusals at exhaustion. A request that does not fit what
+// is left is refused without latching: a smaller one after it is still
+// served.
 func TestEscalationLadder(t *testing.T) {
-	var mu sync.Mutex
-	var causes []string
-	rotated := make(chan struct{}, 8)
-	g := ladderGuard(t, PolicyConfig{
-		Rotate: func(cause string) {
-			mu.Lock()
-			causes = append(causes, cause)
-			mu.Unlock()
-			rotated <- struct{}{}
-		},
-	})
+	g := ladderGuard(t, PolicyConfig{})
 	a := g.AccountFor("heavy")
 
-	clean, noise, rotate, refuse := Verdict{}, Verdict{Sigma: NoiseSigma}, Verdict{Sigma: 2 * NoiseSigma}, Verdict{Refuse: true}
+	clean, noise, heavy, refuse := Verdict{}, Verdict{Sigma: NoiseSigma}, Verdict{Sigma: 2 * NoiseSigma}, Verdict{Refuse: true}
 	steps := []struct {
 		rows int
 		want Verdict
 	}{
 		{1, clean}, {1, clean}, {1, clean}, {1, clean}, // 9 … 6 left
 		{1, noise}, {1, noise}, {1, noise}, // 5 … 3 left
-		{1, rotate},              // 2 left: the rotation edge
-		{4, refuse},              // does not fit the 2 left, costs nothing
-		{1, rotate}, {1, rotate}, // served after the refusal: 1, 0 left
+		{1, heavy},             // 2 left: the noise doubles
+		{4, refuse},            // does not fit the 2 left, costs nothing
+		{1, heavy}, {1, heavy}, // served after the refusal: 1, 0 left
 		{1, refuse}, {1, refuse}, // exhausted
 	}
 	for i, s := range steps {
@@ -66,18 +54,8 @@ func TestEscalationLadder(t *testing.T) {
 			t.Fatalf("step %d (%d rows): verdict %+v, want %+v", i+1, s.rows, v, s.want)
 		}
 	}
-	select {
-	case <-rotated:
-	case <-time.After(5 * time.Second):
-		t.Fatal("rotation hook never fired")
-	}
-	if g.Refusals() != 3 || g.Rotations() != 1 || g.Noised() != 6 {
-		t.Fatalf("counters: refusals=%d rotations=%d noised=%d, want 3, 1, 6", g.Refusals(), g.Rotations(), g.Noised())
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(causes) != 1 || !strings.Contains(causes[0], "heavy") {
-		t.Fatalf("rotation causes = %q, want one naming the drained client", causes)
+	if g.Refusals() != 3 || g.Noised() != 6 {
+		t.Fatalf("counters: refusals=%d noised=%d, want 3, 6", g.Refusals(), g.Noised())
 	}
 	if cb := g.Ledger().Snapshot()[0]; cb.Level != LevelRefused || cb.Refusals != 3 || cb.Spent != 10 {
 		t.Fatalf("account state %+v, want refused level, 3 refusals, 10 rows spent", cb)
@@ -98,54 +76,10 @@ func TestLightClientsUnaffected(t *testing.T) {
 	}
 }
 
-// TestRotationRateLimited: two accounts crossing the rotate threshold
-// within MinRotateInterval trigger exactly one rotation.
-func TestRotationRateLimited(t *testing.T) {
-	clk := newFakeClock()
-	l, err := NewLedger(LedgerConfig{BudgetRows: 10, Now: clk.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := make(chan string, 8)
-	g, err := NewGuard(l, PolicyConfig{
-		MinRotateInterval: time.Minute,
-		Now:               clk.Now,
-		Rotate:            func(cause string) { fired <- cause },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := g.AccountFor("a"), g.AccountFor("b")
-	g.Charge(a, 9) // straight past the rotate threshold
-	g.Charge(b, 9)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("first rotation never fired")
-	}
-	select {
-	case cause := <-fired:
-		t.Fatalf("second rotation %q fired inside the rate-limit interval", cause)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if g.Rotations() != 1 {
-		t.Fatalf("rotations = %d, want 1", g.Rotations())
-	}
-	// Past the interval, a fresh account's crossing rotates again.
-	clk.Advance(2 * time.Minute)
-	g.Charge(g.AccountFor("c"), 9)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("rotation after the rate-limit interval never fired")
-	}
-}
-
 // TestObserveModeNeverActs: accounting-only mode drains budgets for the
-// admin plane but never noises, rotates, or refuses.
+// admin plane but never noises or refuses.
 func TestObserveModeNeverActs(t *testing.T) {
-	rotations := make(chan string, 1)
-	g := ladderGuard(t, PolicyConfig{Observe: true, Rotate: func(c string) { rotations <- c }})
+	g := ladderGuard(t, PolicyConfig{Observe: true})
 	a := g.AccountFor("heavy")
 	for i := 0; i < 30; i++ {
 		if v := g.Charge(a, 1); v.Refuse || v.Sigma != 0 {
@@ -155,13 +89,8 @@ func TestObserveModeNeverActs(t *testing.T) {
 	if !g.Observing() {
 		t.Fatal("Observing() = false")
 	}
-	if g.Refusals() != 0 || g.Noised() != 0 || g.Rotations() != 0 {
-		t.Fatalf("observe mode acted: refusals=%d noised=%d rotations=%d", g.Refusals(), g.Noised(), g.Rotations())
-	}
-	select {
-	case cause := <-rotations:
-		t.Fatalf("observe mode called Rotate(%q)", cause)
-	case <-time.After(50 * time.Millisecond):
+	if g.Refusals() != 0 || g.Noised() != 0 {
+		t.Fatalf("observe mode acted: refusals=%d noised=%d", g.Refusals(), g.Noised())
 	}
 	// Every served row is counted; the drain is reported clamped at the
 	// full budget.
@@ -209,7 +138,7 @@ func TestGuardConcurrentLadderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGuard(l, PolicyConfig{Rotate: func(string) {}, MinRotateInterval: time.Nanosecond})
+	g, err := NewGuard(l, PolicyConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

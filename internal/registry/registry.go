@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ensembler/internal/comm"
 	"ensembler/internal/ensemble"
@@ -50,50 +49,21 @@ func (ep *Epoch) Pipeline() *ensemble.Ensembler { return ep.pipeline }
 func (ep *Epoch) Bodies() []*nn.Network { return ep.pipeline.Bodies() }
 
 // maxRetainedEpochs bounds how many epochs of one model stay in memory.
-// Under a rotation cadence (-rotate-every) versions accumulate indefinitely;
-// without a bound a long-lived server would hold every superseded pipeline
+// Under a publishing or rotation cadence versions accumulate indefinitely;
+// without a bound a long-lived process would hold every superseded pipeline
 // forever and eventually OOM. Evicted versions remain resolvable for pinned
 // clients through the store (lazily re-loaded); on a storeless registry they
 // become unknown-version errors, which is the honest answer.
 const maxRetainedEpochs = 8
 
-// RotationRecord is one entry of a model's rotation audit trail: which
-// version a selector rotation published, when, and why. The cause is what
-// turns a rotation log into evidence — "schedule" and "leakage 0.41 > 0.30"
-// answer very different operational questions.
-type RotationRecord struct {
-	Version int
-	At      time.Time
-	Cause   string
-}
-
-// maxRotationHistory bounds the per-model rotation trail. Under an
-// aggressive cadence the history would otherwise grow without limit; the
-// most recent records are the operationally interesting ones.
-const maxRotationHistory = 64
-
 // modelState is the live state of one model name: the current epoch behind
 // an atomic pointer (the serving hot path reads only this), the retained
-// map of published versions for pinned resolution, and the rotation trail.
+// map of published versions for pinned resolution, and the rotation count.
 type modelState struct {
-	current atomic.Pointer[Epoch]
-	mu      sync.Mutex
-	epochs  map[int]*Epoch
-
-	rotMu     sync.Mutex
-	rotations []RotationRecord
-	rotCount  atomic.Uint64
-}
-
-// recordRotation appends to the bounded rotation trail.
-func (ms *modelState) recordRotation(rec RotationRecord) {
-	ms.rotMu.Lock()
-	ms.rotations = append(ms.rotations, rec)
-	if len(ms.rotations) > maxRotationHistory {
-		ms.rotations = ms.rotations[len(ms.rotations)-maxRotationHistory:]
-	}
-	ms.rotMu.Unlock()
-	ms.rotCount.Add(1)
+	current  atomic.Pointer[Epoch]
+	mu       sync.Mutex
+	epochs   map[int]*Epoch
+	rotCount atomic.Uint64
 }
 
 // retain inserts an epoch and evicts the oldest retained versions (never the
@@ -222,21 +192,13 @@ func (r *Registry) publishLocked(name string, e *ensemble.Ensembler, seq uint64)
 }
 
 // RotateSelector re-draws the secret P-of-N subset of the named model (""
-// for the default) and publishes the result as a new version — the
-// switching-ensembles defense cadence. The server bodies are unchanged and
-// shared with the parent epoch, whose Seq the new epoch keeps, so the swap
-// is invisible on the wire and serving workers keep their bodies; only
-// the client-side secret (and, with opts.Tune, the stage-3 head/noise/tail)
-// moves. The rotation is recorded with cause "manual"; callers that rotate
-// on a schedule or on audit evidence should use RotateSelectorCause so the
-// trail says why.
-func (r *Registry) RotateSelector(name string, opts ensemble.RotateOptions) (*Epoch, error) {
-	return r.RotateSelectorCause(name, "manual", opts)
-}
-
-// RotateSelectorCause is RotateSelector with an explicit cause recorded in
-// the model's rotation history — the audit trail the control plane reads
-// back through RotationHistory and exports as the rotation counter.
+// for the default) and publishes the result as a new version. It is the
+// secret holder's call — a serving process never makes it; a server picks
+// the new version up by reloading the store. The server bodies are
+// unchanged and shared with the parent epoch, whose Seq the new epoch keeps,
+// so serving workers keep their bodies; only the client-side secret (and,
+// with opts.Tune, the stage-3 head/noise/tail) moves.
+//
 // Rotation runs outside the publish lock (a fine-tune can take seconds), so
 // a Publish, LoadStore or another rotation may land mid-rotation; publishing
 // the rotation of a stale pipeline would silently revert the newer model.
@@ -244,7 +206,7 @@ func (r *Registry) RotateSelector(name string, opts ensemble.RotateOptions) (*Ep
 // publishing and starts over on the fresh pipeline when it moved. The check
 // compares epochs, not Seq: a racing rotation keeps the Seq it would be
 // compared against.
-func (r *Registry) RotateSelectorCause(name, cause string, opts ensemble.RotateOptions) (*Epoch, error) {
+func (r *Registry) RotateSelector(name string, opts ensemble.RotateOptions) (*Epoch, error) {
 	const maxAttempts = 3
 	for attempt := 0; ; attempt++ {
 		cur, err := r.Epoch(name, 0)
@@ -266,28 +228,14 @@ func (r *Registry) RotateSelectorCause(name, cause string, opts ensemble.RotateO
 		ep, err := r.publishLocked(cur.name, rotated, cur.seq)
 		r.mu.Unlock()
 		if err == nil {
-			r.state(ep.name).recordRotation(RotationRecord{Version: ep.version, At: time.Now(), Cause: cause})
+			r.state(ep.name).rotCount.Add(1)
 		}
 		return ep, err
 	}
 }
 
-// RotationHistory returns a copy of the named model's rotation trail ("" for
-// the default model), oldest first, bounded to the most recent
-// maxRotationHistory entries. An unknown model has an empty history.
-func (r *Registry) RotationHistory(name string) []RotationRecord {
-	ms := r.lookupState(name)
-	if ms == nil {
-		return nil
-	}
-	ms.rotMu.Lock()
-	defer ms.rotMu.Unlock()
-	return append([]RotationRecord(nil), ms.rotations...)
-}
-
 // RotationCount reports how many selector rotations the named model has
-// undergone since this registry was opened — the cheap form the telemetry
-// counter scrapes without copying history.
+// undergone through RotateSelector since this registry was opened.
 func (r *Registry) RotationCount(name string) uint64 {
 	ms := r.lookupState(name)
 	if ms == nil {

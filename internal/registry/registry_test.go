@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"ensembler/internal/commtest"
 	"ensembler/internal/ensemble"
@@ -82,6 +81,9 @@ func TestRegistryRotateSelector(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]int(nil), ep1.Pipeline().Selector.Indices...)
+	if got := r.RotationCount("m"); got != 0 {
+		t.Fatalf("fresh model rotation count %d, want 0", got)
+	}
 
 	ep2, err := r.RotateSelector("", ensemble.RotateOptions{Seed: 15})
 	if err != nil {
@@ -111,6 +113,17 @@ func TestRegistryRotateSelector(t *testing.T) {
 		if !a[i].AllClose(b[i], 1e-12) {
 			t.Fatalf("body %d output changed across rotation", i)
 		}
+	}
+	// "" resolves the default model; a publish is not a rotation, and an
+	// unknown model counts none.
+	if _, err := r.Publish("m", pipeline(19)); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.RotationCount("m"); got != 1 {
+		t.Errorf("rotation count %d after one rotation and one publish, want 1", got)
+	}
+	if got := r.RotationCount("nope"); got != 0 {
+		t.Errorf("unknown model rotation count %d, want 0", got)
 	}
 }
 
@@ -413,57 +426,5 @@ func TestEpochBodiesAreThePipelines(t *testing.T) {
 		if !clones[i].Forward(x, false).AllClose(b.Forward(x, false), 0) {
 			t.Fatalf("clone of body %d diverges", i)
 		}
-	}
-}
-
-func TestRotationHistoryRecordsCause(t *testing.T) {
-	r := registry.New(nil)
-	if _, err := r.Publish("m", pipeline(31)); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.RotationHistory("m"); len(got) != 0 {
-		t.Fatalf("fresh model has %d rotation records, want 0", len(got))
-	}
-	if got := r.RotationCount("m"); got != 0 {
-		t.Fatalf("fresh model rotation count %d, want 0", got)
-	}
-
-	before := time.Now()
-	ep2, err := r.RotateSelectorCause("m", "leakage 0.41 > 0.30", ensemble.RotateOptions{Seed: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RotateSelector("", ensemble.RotateOptions{Seed: 33}); err != nil {
-		t.Fatal(err)
-	}
-
-	// "" resolves the default model's history, like every other lookup.
-	hist := r.RotationHistory("")
-	if len(hist) != 2 {
-		t.Fatalf("history has %d records, want 2", len(hist))
-	}
-	if hist[0].Version != ep2.Version() || hist[0].Cause != "leakage 0.41 > 0.30" {
-		t.Errorf("first record = %+v", hist[0])
-	}
-	if hist[1].Cause != "manual" {
-		t.Errorf("RotateSelector must record cause %q, got %q", "manual", hist[1].Cause)
-	}
-	if hist[0].At.Before(before) || hist[0].At.After(time.Now()) {
-		t.Errorf("rotation timestamp %v outside the test window", hist[0].At)
-	}
-	if got := r.RotationCount("m"); got != 2 {
-		t.Errorf("rotation count %d, want 2", got)
-	}
-
-	// Publishes are not rotations: the trail must not grow.
-	if _, err := r.Publish("m", pipeline(34)); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(r.RotationHistory("m")); got != 2 {
-		t.Errorf("publish grew the rotation history to %d records", got)
-	}
-	// Unknown models answer empty, not panic.
-	if got := r.RotationHistory("nope"); got != nil {
-		t.Errorf("unknown model history = %v, want nil", got)
 	}
 }
