@@ -88,7 +88,6 @@ func (a *adminPlane) handleTraces(w http.ResponseWriter, r *http.Request) {
 		Ms    float64 `json:"duration_ms"`
 		Spans int     `json:"spans"`
 		Err   bool    `json:"err,omitempty"`
-		Shed  bool    `json:"shed,omitempty"`
 	}
 	sums := make([]summary, 0, len(recs))
 	for i := len(recs) - 1; i >= 0; i-- {
@@ -99,7 +98,6 @@ func (a *adminPlane) handleTraces(w http.ResponseWriter, r *http.Request) {
 			Ms:    float64(rec.Dur) / 1e6,
 			Spans: rec.N,
 			Err:   rec.Err,
-			Shed:  rec.Shed,
 		})
 	}
 	stages := a.tracer.StageStats()

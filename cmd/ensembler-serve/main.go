@@ -29,16 +29,6 @@
 // instead. SIGINT/SIGTERM triggers a graceful shutdown: in-flight requests
 // finish, their responses flush, and Serve returns.
 //
-// -batch-window turns on cross-connection continuous batching: single-tensor
-// requests arriving within the window are coalesced into one stacked forward
-// pass per body, trading up to one window of added latency for per-request
-// dispatch overhead amortized across connections. -max-queue bounds the
-// intake queue; when it fills, admission control sheds the newest request of
-// the longest per-connection backlog with an honest 429-style overload error
-// (retryable — comm.Pool backs off and retries automatically), so polite
-// clients are never starved by a firehose. Dispatcher depth, sheds, and
-// batch occupancy are exported on /metrics.
-//
 // -admin-addr opens the operational control plane on a second listener:
 // /healthz (liveness + live epoch), /metrics (Prometheus exposition of QPS,
 // latency, batch sizes, epoch version, worker utilization, and audit
@@ -114,12 +104,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address (use :0 to pick a free port)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "compute worker pool size (workers share the bodies; each holds its own activation scratch)")
 	maxBatch := fs.Int("max-batch", comm.DefaultMaxBatch, "max inputs per batched request")
-	batchWindow := fs.Duration("batch-window", 0, "continuous-batching window: hold the first request this long to coalesce co-arrivals from other connections (0 disables unless -max-queue is set)")
-	maxQueue := fs.Int("max-queue", 0, "bound on the continuous-batching intake queue before admission control sheds (0 = default when batching is on)")
 	shardSpec := fs.String("shard", "", `host shard k of a K-shard fleet ("k/K"): only that shard's body subset`)
 	precisionName := fs.String("precision", "", `compute precision for the hosted body passes: "f64" (reference kernels) or "f32" (vectorized backend, ~1e-7 relative drift); empty defaults to the manifest's commitment, else f64`)
 	adminAddr := fs.String("admin-addr", "", "admin plane listen address (/healthz, /metrics, /leakage, /budget, /traces); empty disables")
-	traceSample := fs.Float64("trace-sample", trace.DefaultSampleRate, "probability a healthy request's full span timeline is retained (errors, sheds, and the slowest are always kept); negative disables tail sampling")
+	traceSample := fs.Float64("trace-sample", trace.DefaultSampleRate, "probability a healthy request's full span timeline is retained (errors and the slowest are always kept); negative disables tail sampling")
 	traceSlowest := fs.Int("trace-slowest", 0, "always retain this many slowest requests seen (0 = default)")
 	traceCapacity := fs.Int("trace-capacity", 0, "retained-trace ring capacity, rounded up to a power of two (0 = default)")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin plane (requires -admin-addr)")
@@ -140,12 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *maxBatch <= 0 {
 		*maxBatch = comm.DefaultMaxBatch // mirror the server's clamping in the banner
-	}
-	if *batchWindow < 0 {
-		return fmt.Errorf("-batch-window must be >= 0, got %v", *batchWindow)
-	}
-	if *maxQueue < 0 {
-		return fmt.Errorf("-max-queue must be >= 0 (0 = default when batching is on), got %d", *maxQueue)
 	}
 	if *auditSample < 0 {
 		return fmt.Errorf("-audit-sample must be >= 0 (every Nth request; 0 disables), got %d", *auditSample)
@@ -302,12 +284,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		comm.WithMaxBatch(*maxBatch),
 		comm.WithPrecision(precision),
 	}
-	if *batchWindow > 0 {
-		serverOpts = append(serverOpts, comm.WithBatchWindow(*batchWindow))
-	}
-	if *maxQueue > 0 {
-		serverOpts = append(serverOpts, comm.WithMaxQueue(*maxQueue))
-	}
 	telemetry.RegisterRuntimeMetrics(treg)
 	var sm *comm.ServerMetrics
 	var tracer *trace.Tracer
@@ -419,20 +395,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		})
 	treg.GaugeFunc("ensembler_workers", "Size of the compute worker pool.",
 		nil, func() float64 { return float64(srv.Workers()) })
-	if srv.DispatcherStats().Enabled {
-		treg.GaugeFunc("ensembler_dispatch_queue_depth", "Requests currently held in the continuous-batching intake queue.",
-			nil, func() float64 { return float64(srv.DispatcherStats().Depth) })
-		treg.GaugeFunc("ensembler_dispatch_queue_peak", "High-water mark of the intake queue since start.",
-			nil, func() float64 { return float64(srv.DispatcherStats().PeakDepth) })
-		treg.GaugeFunc("ensembler_dispatch_max_coalesced", "Largest cross-connection batch coalesced since start.",
-			nil, func() float64 { return float64(srv.DispatcherStats().MaxCoalesced) })
-		treg.CounterFunc("ensembler_dispatch_shed_total", "Requests shed by admission control (intake queue full).",
-			nil, func() float64 { return float64(srv.DispatcherStats().Sheds) })
-		treg.CounterFunc("ensembler_dispatch_batches_total", "Batches dispatched to the worker pool.",
-			nil, func() float64 { return float64(srv.DispatcherStats().Batches) })
-		treg.CounterFunc("ensembler_dispatch_coalesced_jobs_total", "Requests that rode a multi-request coalesced batch.",
-			nil, func() float64 { return float64(srv.DispatcherStats().CoalescedJobs) })
-	}
 	if privacyGuard != nil {
 		treg.GaugeFunc("ensembler_privacy_budget_rows", "Rows each client identity may be served.",
 			nil, func() float64 { return float64(privacyLedger.Stats().BudgetRows) })
@@ -494,10 +456,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if auditor != nil {
 		auditBanner = fmt.Sprintf("; audit mirrors 1/%d of requests (threshold SSIM %.2f, report-only)", *auditSample, *auditThreshold)
 	}
-	dispatchBanner := ""
-	if ds := srv.DispatcherStats(); ds.Enabled {
-		dispatchBanner = fmt.Sprintf("; continuous batching window %v, intake queue %d", ds.Window, ds.MaxQueue)
-	}
 	privacyBanner := ""
 	if privacyGuard != nil {
 		mode := "enforced"
@@ -506,8 +464,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		privacyBanner = fmt.Sprintf("; privacy budget %d rows per client (%s)", *privacyBudget, mode)
 	}
-	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s%s%s\n",
-		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, auditBanner, dispatchBanner, privacyBanner)
+	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s%s\n",
+		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, auditBanner, privacyBanner)
 	var fatalMu sync.Mutex
 	var fatalErr error
 	failServe := func(err error) {

@@ -96,6 +96,10 @@ func TestRunFlagValidation(t *testing.T) {
 		// rotation or breach-policy flags.
 		{[]string{"-rotate-every", "1m"}, "flag provided but not defined: -rotate-every"},
 		{[]string{"-audit-breaches", "1"}, "flag provided but not defined: -audit-breaches"},
+		// Requests are not batched across connections, so there is no batch
+		// window or intake queue to size.
+		{[]string{"-batch-window", "1ms"}, "flag provided but not defined: -batch-window"},
+		{[]string{"-max-queue", "8"}, "flag provided but not defined: -max-queue"},
 	}
 	for _, c := range cases {
 		err := run(ctx, c.args, io.Discard, io.Discard)
@@ -293,7 +297,8 @@ func TestAdminEndpoints(t *testing.T) {
 	if code, body := adminGet(t, admin+"/metrics"); code != 200 ||
 		!strings.Contains(body, "ensembler_server_requests_total") ||
 		!strings.Contains(body, "ensembler_epoch_version 1") ||
-		!strings.Contains(body, "ensembler_workers 2") {
+		!strings.Contains(body, "ensembler_workers 2") ||
+		strings.Contains(body, "ensembler_dispatch_") || strings.Contains(body, "ensembler_server_shed_total") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
 	if code, body := adminGet(t, admin+"/leakage"); code != 200 || !strings.Contains(body, `"enabled": false`) {
@@ -628,91 +633,5 @@ func TestServerNeverWritesStore(t *testing.T) {
 		if after[path] != sum {
 			t.Errorf("%s changed while serving", path)
 		}
-	}
-}
-
-// TestServeBatchingFlags covers the continuous-batching runbook surface:
-// negative knobs are rejected, a window-batched server still answers
-// bit-exactly, the banner announces the dispatcher configuration, and the
-// admin plane exports the dispatcher series.
-func TestServeBatchingFlags(t *testing.T) {
-	ctx := context.Background()
-	for _, c := range []struct{ args, want string }{
-		{"-batch-window=-5ms", "-batch-window must be >= 0"},
-		{"-max-queue=-1", "-max-queue must be >= 0"},
-	} {
-		err := run(ctx, []string{c.args}, io.Discard, io.Discard)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("run(%s) = %v, want %q", c.args, err, c.want)
-		}
-	}
-
-	dir, reg := publishTiny(t, 0)
-	e, err := reg.Current("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline := e.Pipeline()
-
-	runCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sc, done := runAsync(runCtx, t, []string{
-		"-model-dir", dir, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
-		"-workers", "1", "-batch-window", "5ms", "-max-queue", "16",
-	})
-	addr := scrapeAddr(t, sc, done)
-	admin := "http://" + scrapeAdminAddr(t, sc, done)
-	banner := make(chan string, 1)
-	go func() {
-		for sc.Scan() {
-			if strings.Contains(sc.Text(), "continuous batching") {
-				select {
-				case banner <- sc.Text():
-				default:
-				}
-			}
-		}
-	}()
-
-	client, err := comm.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	rt := pipeline.NewClientRuntime()
-	client.ComputeFeatures = rt.Features
-	client.Select = rt.Select
-	client.Tail = rt.Tail
-
-	arch := commtest.TinyArch()
-	x := tensor.New(1, arch.InC, arch.H, arch.W)
-	rng.New(17).FillNormal(x.Data, 0, 1)
-	want := pipeline.Predict(x)
-	logits, _, err := client.Infer(runCtx, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !logits.AllClose(want, 1e-9) {
-		t.Error("window-batched inference does not match the published pipeline")
-	}
-
-	select {
-	case line := <-banner:
-		if !strings.Contains(line, "window 5ms") || !strings.Contains(line, "intake queue 16") {
-			t.Errorf("dispatcher banner %q missing window/queue configuration", line)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("no continuous-batching banner line")
-	}
-	if code, body := adminGet(t, admin+"/metrics"); code != 200 ||
-		!strings.Contains(body, "ensembler_dispatch_queue_depth") ||
-		!strings.Contains(body, "ensembler_dispatch_shed_total") ||
-		!strings.Contains(body, "ensembler_dispatch_batches_total") {
-		t.Errorf("/metrics missing dispatcher series: %d %q", code, body)
-	}
-
-	cancel()
-	if err := <-done; err != nil {
-		t.Errorf("graceful shutdown: %v", err)
 	}
 }

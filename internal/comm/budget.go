@@ -19,9 +19,8 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// budgetExhaustedMsg is the constant refusal text, mirroring overloadedMsg:
-// building it per refusal would allocate exactly when a drained client is
-// hammering the server.
+// budgetExhaustedMsg is the constant refusal text: building it per refusal
+// would allocate exactly when a drained client is hammering the server.
 const budgetExhaustedMsg = "privacy budget exhausted"
 
 // WithBudget attaches a privacy-budget guard: every served row debits the
@@ -94,8 +93,8 @@ func noiseResponse(j *job) {
 }
 
 // chargeJob runs the budget verdict for one job before any compute: a
-// refusal fills the job's response (mirroring the dispatcher's shed — fixed
-// text, honest code, no allocation) and reports false; otherwise the
+// refusal fills the job's response (fixed text, honest code, no allocation)
+// and reports false; otherwise the
 // verdict's noise sigma is parked on the job for noiseResponse to apply
 // after the forward pass.
 func (s *Server) chargeJob(j *job) bool {

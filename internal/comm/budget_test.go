@@ -16,8 +16,8 @@ import (
 )
 
 // This file pins the comm half of the privacy-budget contract: the wire
-// codes and handshake bytes, Pool.Retry terminality for budget refusals (a
-// drained budget does not refill on retry, so retrying is pure waste), the
+// codes and handshake bytes, the single attempt a budget refusal costs a
+// Pool (a drained budget does not refill on retry, so retrying is pure waste), the
 // escalation-noise arithmetic, and the zero-allocation discipline of the
 // guarded serving loop. The policy ladder itself is pinned in
 // internal/privacy; the end-to-end escalation run lives in
@@ -28,7 +28,7 @@ import (
 // afterwards, counting every request it sees.
 func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
 	feature := wireTensor(431, 1, 8)
-	return scriptedBinary(t, 0, func(i int, _ *Request) *Response {
+	return scriptedBinary(t, func(i int, _ *Request) *Response {
 		attempts.Add(1)
 		if i == 0 {
 			return &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}
@@ -39,11 +39,9 @@ func refuseOnceBinary(t *testing.T, attempts *atomic.Uint64) string {
 
 // TestPoolBudgetExhaustedTerminalBinary pins retry terminality: a budget
 // refusal — the Code field of the response frame — must surface immediately
-// as ErrBudgetExhausted after exactly one attempt, even under a generous
-// retry policy. Unlike an overload shed, a drained budget does not recover on
-// the retry timescale, and hammering the server only burns the refusal
-// counters. The contrast case (ErrOverloaded retried transparently) is
-// TestPoolRetriesOverloadedServer.
+// as ErrBudgetExhausted after exactly one attempt. A drained budget does not
+// recover on any retry timescale, and hammering the server only burns the
+// refusal counters.
 func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	var attempts atomic.Uint64
 	addr := refuseOnceBinary(t, &attempts)
@@ -53,17 +51,13 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	pool.Retry = RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond, Jitter: 0.5}
 
 	x := wireTensor(433, 1, 4, 8, 8)
 	_, _, err = pool.Exchange(context.Background(), x)
-	// The server would have served a second attempt — the retry budget of 4
-	// must still not spend it.
+	// The server would have served a second attempt: the pool must not
+	// spend it.
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("binary budget refusal surfaced as %v, want ErrBudgetExhausted", err)
-	}
-	if errors.Is(err, ErrOverloaded) {
-		t.Fatal("budget refusal also matches ErrOverloaded — retry loops would treat it as transient")
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
@@ -143,7 +137,7 @@ func TestNegotiateClientIDHandshake(t *testing.T) {
 			hello := helloBytes(3, wireFlagClientID)
 			c.Write(hello[:])
 			io.ReadFull(c, ack)
-			if want := helloAckBytes(0, 0, 0); [8]byte(ack) != want {
+			if want := helloBytes(0, 0); [8]byte(ack) != want {
 				t.Errorf("ack % x: a v3 hello must get the version-0 refusal % x", ack, want)
 			}
 		})
@@ -281,7 +275,7 @@ func TestServeLoopZeroAllocsWithLedger(t *testing.T) {
 	}
 	run := func(t *testing.T, g *privacy.Guard, acct *privacy.Account, wantNoise bool) {
 		t.Helper()
-		loop := newServeLoop(t, newSrv(g), 1, &Request{Features: wireTensor(23, 2, 4, 8, 8)}, false)
+		loop := newServeLoop(t, newSrv(g), &Request{Features: wireTensor(23, 2, 4, 8, 8)}, false)
 		loop.account = acct
 		if allocs := loop.allocs(); allocs != 0 {
 			t.Errorf("guarded serve loop allocates %v times per request, want 0", allocs)
@@ -327,7 +321,7 @@ func BenchmarkServeRequestLoopLedger(b *testing.B) {
 	const nBodies = 4
 	guard := benchGuard(b)
 	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(guard))
-	loop := newServeLoop(b, srv, 1, &Request{Features: wireTensor(24, 4, 4, 8, 8)}, false)
+	loop := newServeLoop(b, srv, &Request{Features: wireTensor(24, 4, 4, 8, 8)}, false)
 	loop.account = guard.AccountFor("bench-client")
 	loop.bench(b)
 }

@@ -68,11 +68,6 @@ type Client struct {
 	// the last successful round trip.
 	servedModel   string
 	servedVersion int
-	// serverWindow is the continuous-batching window the server advertised
-	// in its hello ack (zero on servers without a dispatcher). Retry loops
-	// use it to floor their backoff: a retry sooner than the window lands in
-	// the same congested batch cycle.
-	serverWindow time.Duration
 
 	// lastTraceID is the trace ID the server echoed on the last successful
 	// round trip (0 when the request was untraced).
@@ -180,29 +175,18 @@ func newClientConn(ctx context.Context, conn net.Conn, wire WireFormat, clientID
 		defer cc.SetDeadline(time.Time{})
 	}
 	br := bufio.NewReaderSize(cc, 1<<16)
-	f32OK, window, err := negotiateClient(cc, br, wire == WireBinaryF32, clientID)
+	f32OK, err := negotiateClient(cc, br, wire == WireBinaryF32, clientID)
 	if err != nil {
 		return nil, err
 	}
-	// The server is untrusted: a hostile ack advertising an absurd window
-	// must not stretch retry backoff, so clamp to the ceiling honest
-	// servers are themselves held to.
-	if window > maxBatchWindow {
-		window = maxBatchWindow
-	}
 	framer := binFramer{w: cc, r: br, f32: wire == WireBinaryF32 && f32OK}
-	return &Client{conn: cc, codec: binClientCodec{framer}, serverWindow: window}, nil
+	return &Client{conn: cc, codec: binClientCodec{framer}}, nil
 }
 
 // LastTraceID reports the trace ID the server echoed on the client's last
 // successful round trip — the caller's proof that the server joined its leg
 // to the trace. Zero when the request was untraced.
 func (c *Client) LastTraceID() uint64 { return c.lastTraceID }
-
-// ServerBatchWindow reports the continuous-batching window the server
-// advertised during the wire handshake — zero when the server runs no
-// dispatcher. Pool retry backoff is floored by this value.
-func (c *Client) ServerBatchWindow() time.Duration { return c.serverWindow }
 
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -255,16 +239,11 @@ func (c *Client) roundTrip(ctx context.Context, ex *Exchanged) error {
 	}
 	c.lastTraceID = echo
 	// A server-reported error leaves the stream synchronized; the
-	// connection stays usable. A load-shed verdict surfaces as
-	// ErrOverloaded so callers (and Pool's retry loop) can distinguish
-	// "back off and retry" from a terminal request failure; a privacy-budget
-	// refusal surfaces as ErrBudgetExhausted, which retries must NOT chase —
-	// the budget does not come back by asking again.
+	// connection stays usable. A privacy-budget refusal surfaces as
+	// ErrBudgetExhausted, which retries must NOT chase — the budget does not
+	// come back by asking again.
 	if resp.Err != "" {
-		switch resp.Code {
-		case CodeOverloaded:
-			return fmt.Errorf("comm: %w: %s", ErrOverloaded, resp.Err)
-		case CodeBudgetExhausted:
+		if resp.Code == CodeBudgetExhausted {
 			return fmt.Errorf("comm: %w: %s", ErrBudgetExhausted, resp.Err)
 		}
 		return fmt.Errorf("comm: server error: %s", resp.Err)

@@ -12,10 +12,10 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// scriptedBinary runs a hand-rolled server that acks the hello, advertising
-// the given window, and answers each connection's i-th request with
-// respond(i, request) — the untrusted peer of the client tests.
-func scriptedBinary(t *testing.T, windowMs uint16, respond func(i int, req *Request) *Response) string {
+// scriptedBinary runs a hand-rolled server that acks the hello and answers
+// each connection's i-th request with respond(i, request) — the untrusted
+// peer of the client tests.
+func scriptedBinary(t *testing.T, respond func(i int, req *Request) *Response) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -35,7 +35,7 @@ func scriptedBinary(t *testing.T, windowMs uint16, respond func(i int, req *Requ
 				if _, err := io.ReadFull(br, hello[:]); err != nil {
 					return
 				}
-				ack := helloAckBytes(wireVersion, 0, windowMs)
+				ack := helloBytes(wireVersion, 0)
 				if _, err := conn.Write(ack[:]); err != nil {
 					return
 				}
@@ -98,7 +98,7 @@ func TestRefusedResponseBytesAreCounted(t *testing.T) {
 		}
 		return out
 	}
-	addr := scriptedBinary(t, 0, func(i int, req *Request) *Response {
+	addr := scriptedBinary(t, func(i int, req *Request) *Response {
 		var resp Response
 		if req.Inputs != nil {
 			for _, in := range req.Inputs {

@@ -8,7 +8,7 @@ package comm
 // Framing (all integers little-endian):
 //
 //	hello     = magic[4] version(u8) flags(u8) reserved(u16)   client→server
-//	hello-ack = magic[4] version(u8) flags(u8) windowMs(u16)   server→client
+//	hello-ack = magic[4] version(u8) flags(u8) reserved(u16)   server→client
 //	frame     = length(u32) body
 //	clientID  = 0x05 idLen(u8) idBytes
 //	request   = 0x01 modelLen(u16) model version(u32) kind(u8) count(u16) tensor*
@@ -22,9 +22,9 @@ package comm
 //
 // Handshake: the client's hello names wireVersion and the flags it wants
 // (0x01 float32 payloads, 0x02 "I will declare a client identity"); the
-// server acks the same version, echoes the flags it accepts, and puts its
-// continuous-batching window, in milliseconds, in the trailing u16 — advice a
-// client's overload backoff keys off (0 = no batching window). A client whose
+// server acks the same version and echoes the flags it accepts. The trailing
+// u16 of both is reserved: a peer sends zero and ignores what it reads. A
+// client whose
 // identity flag was echoed sends exactly one client-ID frame (1–64
 // printable-ASCII bytes, for the per-client privacy-budget ledger) before any
 // request; peers that declare none are bucketed by remote address. There is
@@ -34,8 +34,8 @@ package comm
 // version — and closed without reading further, and a client accepts only an
 // ack naming wireVersion.
 //
-// The code field carries the verdicts a client reacts to mechanically
-// (CodeOverloaded, CodeBudgetExhausted). The traced frame types 0x03/0x04 are
+// The code field carries the verdict a client reacts to mechanically
+// (CodeBudgetExhausted). The traced frame types 0x03/0x04 are
 // 0x01/0x02 with a trace context (u64 trace ID; on requests also a flags byte
 // whose bit0 forces tail-sampling retention downstream) between the message
 // byte and the model name, which is how one logical request's legs stitch
@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -135,28 +134,6 @@ var wireMagic = [4]byte{0xE5, 'N', 'S', 'B'}
 // helloBytes builds the 8-byte hello/ack for a version and flag set.
 func helloBytes(version, flags byte) [8]byte {
 	return [8]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], version, flags, 0, 0}
-}
-
-// helloAckBytes builds the server's 8-byte ack, carrying the batching
-// window advice (milliseconds, saturated at u16) in the trailing u16.
-func helloAckBytes(version, flags byte, windowMs uint16) [8]byte {
-	ack := helloBytes(version, flags)
-	binary.LittleEndian.PutUint16(ack[6:8], windowMs)
-	return ack
-}
-
-// windowAdviceMs converts a batch window to its wire form: whole
-// milliseconds, saturated at the u16 ceiling, with sub-millisecond windows
-// rounded up so a nonzero window is never advertised as "no batching".
-func windowAdviceMs(window time.Duration) uint16 {
-	if window <= 0 {
-		return 0
-	}
-	ms := (window + time.Millisecond - 1) / time.Millisecond
-	if ms > math.MaxUint16 {
-		return math.MaxUint16
-	}
-	return uint16(ms)
 }
 
 // --- encoding ---
@@ -838,46 +815,44 @@ func (c *binClientCodec) readResponse(resp *Response, a *tensor.Arena[float64]) 
 }
 
 // negotiateClient performs the hello exchange on a fresh connection,
-// returning whether the server accepted the float32 payload flag and the
-// server's advertised continuous-batching window (0 when the server does not
-// batch across connections). A non-empty clientID is offered via the hello
+// returning whether the server accepted the float32 payload flag. A
+// non-empty clientID is offered via the hello
 // flag and declared in a client-ID frame only when the ack echoes the flag —
 // the server's promise to read it.
-func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (f32OK bool, window time.Duration, err error) {
+func negotiateClient(conn io.Writer, r *bufio.Reader, f32 bool, clientID string) (f32OK bool, err error) {
 	var flags byte
 	if f32 {
 		flags |= wireFlagF32
 	}
 	if clientID != "" {
 		if !ValidClientID(clientID) {
-			return false, 0, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
+			return false, fmt.Errorf("comm: client ID %q is not 1-%d printable ASCII bytes", clientID, maxWireClientID)
 		}
 		flags |= wireFlagClientID
 	}
 	hello := helloBytes(wireVersion, flags)
 	if _, err := conn.Write(hello[:]); err != nil {
-		return false, 0, fmt.Errorf("comm: sending wire hello: %w", err)
+		return false, fmt.Errorf("comm: sending wire hello: %w", err)
 	}
 	var ack [8]byte
 	if _, err := io.ReadFull(r, ack[:]); err != nil {
-		return false, 0, fmt.Errorf("comm: reading wire hello ack: %w", err)
+		return false, fmt.Errorf("comm: reading wire hello ack: %w", err)
 	}
 	if [4]byte(ack[:4]) != wireMagic {
-		return false, 0, fmt.Errorf("comm: server is not speaking the ensembler wire protocol")
+		return false, fmt.Errorf("comm: server is not speaking the ensembler wire protocol")
 	}
 	// The server is untrusted: an ack naming any version but the one offered
 	// (0 is its refusal of our hello) ends the dial.
 	if ack[4] != wireVersion {
-		return false, 0, fmt.Errorf("comm: server answered with unsupported wire version %d (this client speaks %d)", ack[4], wireVersion)
+		return false, fmt.Errorf("comm: server answered with unsupported wire version %d (this client speaks %d)", ack[4], wireVersion)
 	}
-	window = time.Duration(binary.LittleEndian.Uint16(ack[6:8])) * time.Millisecond
 	if clientID != "" && ack[5]&wireFlagClientID != 0 {
 		frame := appendClientID([]byte{0, 0, 0, 0}, clientID)
 		if err := writeFrame(conn, frame); err != nil {
-			return false, 0, fmt.Errorf("comm: sending client ID: %w", err)
+			return false, fmt.Errorf("comm: sending client ID: %w", err)
 		}
 	}
-	return ack[5]&wireFlagF32 != 0, window, nil
+	return ack[5]&wireFlagF32 != 0, nil
 }
 
 // DecodeWireStream parses a captured client→server byte stream — the

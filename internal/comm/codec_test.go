@@ -373,7 +373,7 @@ func TestServerComputeLoopZeroAllocs(t *testing.T) {
 func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 	const nBodies = 3
 	srv := NewServer(codecBodies(nBodies), WithWorkers(workers))
-	loop := newServeLoop(t, srv, 1, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false)
+	loop := newServeLoop(t, srv, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, false)
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state server compute loop allocates %v times per request, want 0", allocs)
 	}
@@ -388,17 +388,22 @@ func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 // isolation — binary decode, resolve, body-set lookup, every body pass,
 // response copy-out, binary encode — and reports its allocation count,
 // which must be 0 at steady state (pinned by TestServerComputeLoopZeroAllocs).
-func BenchmarkServeRequestLoop(b *testing.B) { benchServeRequestLoop(b, 2) }
+func BenchmarkServeRequestLoop(b *testing.B) { benchServeRequestLoop(b, 2, nil) }
 
 // BenchmarkServeRequestLoopFanout is the same loop on a single-worker
 // server, whose bodies fan out across goroutines: it must hold 0 allocs/op
 // too.
-func BenchmarkServeRequestLoopFanout(b *testing.B) { benchServeRequestLoop(b, 1) }
+func BenchmarkServeRequestLoopFanout(b *testing.B) { benchServeRequestLoop(b, 1, nil) }
 
-func benchServeRequestLoop(b *testing.B, workers int) {
+// benchServeRequestLoop runs BenchmarkServeRequestLoop's loop — four bodies,
+// one 4-row request per pass — on a server of the given worker count, with
+// tr, when non-nil, tracing every leg.
+func benchServeRequestLoop(b *testing.B, workers int, tr *trace.Tracer) {
 	const nBodies = 4
-	srv := NewServer(codecBodies(nBodies), WithWorkers(workers))
-	newServeLoop(b, srv, 1, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false).bench(b)
+	srv := NewServer(codecBodies(nBodies), WithWorkers(workers), WithTracer(tr))
+	loop := newServeLoop(b, srv, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false)
+	loop.tracer = tr
+	loop.bench(b)
 }
 
 // flatBodies builds two bodies with a Flatten→Linear boundary: a request

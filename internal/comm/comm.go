@@ -18,9 +18,8 @@
 // One round trip can carry a whole batch: a Request either holds a single
 // [B,C,H,W] feature tensor or a list of them (InferBatch). Every request
 // takes the same serve pass — charge → resolve → observe → stack → forward →
-// split → noise, in Server.serve and payload.pass — whether it arrived
-// plain, client-batched, or coalesced with other connections' requests by
-// the dispatcher (dispatch.go): the pass stacks every live input along the
+// split → noise, in Server.serve and payload.pass — whether it arrived plain
+// or client-batched: the pass stacks a batched request's inputs along the
 // batch axis, pushes the stack through each body once, and splits the
 // outputs back per input. Context plumbing runs through Serve and Infer for
 // graceful shutdown and per-request deadlines.
@@ -50,22 +49,11 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// ErrOverloaded is the 429 of the wire protocol: the server's intake queue
-// was full and the request was shed by admission control instead of queued
-// without bound. The connection stays synchronized — the response frame is
-// well-formed — so the client may retry after backing off (Pool does this
-// automatically; see RetryPolicy). Detect with errors.Is.
-var ErrOverloaded = errors.New("server overloaded")
-
-// CodeOverloaded is Response.Code for a load-shed request — 429 by analogy,
-// carried in the code field of the response frame.
-const CodeOverloaded = 429
-
 // ErrBudgetExhausted is the privacy-budget refusal: the request's rows do
 // not fit what is left of the client's row budget (see internal/privacy),
-// so the guard refused it rather than serve more. Unlike ErrOverloaded this
-// is NOT transient — budgets never refill, so retrying the same request
-// cannot help and Pool.Retry treats it as terminal. Detect with errors.Is.
+// so the guard refused it rather than serve more. It is NOT transient —
+// budgets never refill, so retrying the same request cannot help. Detect
+// with errors.Is.
 var ErrBudgetExhausted = errors.New("privacy budget exhausted")
 
 // CodeBudgetExhausted is Response.Code for a budget-refused request.
@@ -100,8 +88,7 @@ type Response struct {
 	Err      string
 	// Code classifies a non-empty Err so clients can react mechanically:
 	// 0 is an ordinary request failure (terminal for that request),
-	// CodeOverloaded marks a load-shed request that is safe to retry,
-	// CodeBudgetExhausted a budget refusal that is not.
+	// CodeBudgetExhausted a budget refusal.
 	Code int
 }
 

@@ -365,72 +365,6 @@ func TestAbortedRequestBreaksClient(t *testing.T) {
 	}
 }
 
-// TestMuteDispatcherServerBreaksClient is the continuous-batching variant
-// of the mute-server handshake test: a hostile server that completes the
-// version-2 hello — advertising an absurd 65.5-second batch window — and
-// then never dispatches anything. The window advice must not buy the server
-// extra patience: the client's deadline still fires, the connection still
-// breaks, and the advertised window is clamped to the honest ceiling rather
-// than swallowed whole.
-func TestMuteDispatcherServerBreaksClient(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				hello := make([]byte, 8)
-				if _, err := io.ReadFull(conn, hello); err != nil {
-					return
-				}
-				// An ack claiming windowMs = 0xFFFF: "just wait, the batch is
-				// coming" — then mute.
-				ack := []byte{0xE5, 'N', 'S', 'B', 4, 0, 0xFF, 0xFF}
-				if _, err := conn.Write(ack); err != nil {
-					return
-				}
-				buf := make([]byte, 1<<16)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
-	client, err := comm.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if w := client.ServerBatchWindow(); w > time.Second {
-		t.Errorf("client accepted a %v batch window from a hostile ack", w)
-	}
-	commtest.Wire(client, tiny, 1)
-	x := commtest.Input(tiny, 59, 1)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, _, err := client.Infer(ctx, x); err == nil {
-		t.Fatal("request against a mute dispatcher must time out")
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Errorf("client waited %v on a mute dispatcher despite a 100ms deadline", waited)
-	}
-	if _, _, err := client.Infer(context.Background(), x); err == nil {
-		t.Error("client must be broken after a request died waiting on a mute dispatcher")
-	}
-}
-
 // TestMalformedTensorsDoNotKillServer sends hostile payloads straight over
 // the wire. A tensor that lies about its own structure never leaves the frame
 // parser — the connection is dropped, nothing is allocated for it — while one

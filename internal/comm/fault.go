@@ -16,7 +16,6 @@ package comm
 //	comm/frame-write     response write faults — error (response lost),
 //	                     partial-write (torn frame then close), conn-reset
 //	                     (torn frame then abrupt close), delay
-//	comm/dispatch-intake forced admission-control shed: the honest 429 path
 //	comm/budget-charge   budget verdict failure on a guarded server: the
 //	                     request is refused with a server error before compute
 //	comm/dial            client-side dial failure before the socket opens
@@ -33,7 +32,6 @@ var (
 	fpHello      = faultpoint.New("comm/hello")
 	fpFrameRead  = faultpoint.New("comm/frame-read")
 	fpFrameWrite = faultpoint.New("comm/frame-write")
-	fpDispatch   = faultpoint.New("comm/dispatch-intake")
 	fpBudget     = faultpoint.New("comm/budget-charge")
 	fpDial       = faultpoint.New("comm/dial")
 )

@@ -3,9 +3,7 @@ package comm
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
-	"time"
 
 	"ensembler/internal/faultpoint"
 )
@@ -13,7 +11,7 @@ import (
 // testMidFrameFaultReconnects drives a pooled client through a server whose
 // response write is torn mid-frame by the given fault kind, and pins the
 // recovery contract: the faulted exchange fails (a torn frame is a transport
-// error, not a retryable shed), the pool discards the desynced connection,
+// error), the pool discards the desynced connection,
 // and the next exchange succeeds bit-exactly over a fresh dial — never by
 // reusing the poisoned stream.
 func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
@@ -37,8 +35,6 @@ func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	faultpoint.Enable("comm/frame-write", faultpoint.Policy{Kind: kind, Count: 1, Frac: 0.5})
 	if _, _, err := pool.Exchange(context.Background(), x); err == nil {
 		t.Fatal("mid-frame write fault did not surface as an exchange error")
-	} else if errors.Is(err, ErrOverloaded) {
-		t.Fatalf("torn frame misclassified as a benign shed: %v", err)
 	}
 
 	// The pool must have discarded the broken connection; this exchange
@@ -60,36 +56,6 @@ func TestPoolReconnectsAfterMidFramePartialWriteBinary(t *testing.T) {
 
 func TestPoolReconnectsAfterMidFrameConnResetBinary(t *testing.T) {
 	testMidFrameFaultReconnects(t, faultpoint.ConnReset)
-}
-
-// TestDispatchIntakeFaultShedsHonestly: a forced admission-control fault
-// surfaces as the standard overload verdict — the client sees a retryable
-// 429, not a broken stream. The dispatcher intake only exists on a batching
-// server, so this starts one explicitly.
-func TestDispatchIntakeFaultShedsHonestly(t *testing.T) {
-	defer faultpoint.DisableAll()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go NewServer(codecBodies(2), WithBatchWindow(time.Millisecond)).Serve(context.Background(), ln)
-	addr := ln.Addr().String()
-	client, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	x := wireTensor(601, 1, 4, 8, 8)
-
-	faultpoint.Enable("comm/dispatch-intake", faultpoint.Policy{Kind: faultpoint.Error, Count: 1})
-	if _, _, err := client.Exchange(context.Background(), x); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("dispatch-intake fault surfaced as %v, want ErrOverloaded", err)
-	}
-	// The shed was honest: the same connection serves the next request.
-	if _, _, err := client.Exchange(context.Background(), x); err != nil {
-		t.Fatalf("connection unusable after an injected shed: %v", err)
-	}
 }
 
 // TestDialFaultSurfaces: the client-side dial site fails the connection
@@ -114,5 +80,5 @@ func TestDialFaultSurfaces(t *testing.T) {
 // nothing — one atomic load per site, no allocations, no branches taken.
 func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
 	faultpoint.DisableAll()
-	benchServeRequestLoop(b, 2)
+	benchServeRequestLoop(b, 2, nil)
 }

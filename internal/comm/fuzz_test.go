@@ -3,6 +3,7 @@ package comm
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -131,8 +132,8 @@ func narrowAll(ts []*tensor.Tensor) []*tensor.Tensor32 {
 // FuzzWireResponseFrame covers the client's half of the trust boundary: the
 // server is the adversary of the threat model, so its frames deserve the
 // same hostility testing as requests. A frame that decodes must round-trip
-// its code (the overload verdict must survive the wire exactly, or a shed
-// would be mistaken for a terminal failure). Whatever
+// its code (the budget verdict must survive the wire exactly, or a refusal
+// would be mistaken for an ordinary failure). Whatever
 // decodes is then re-encoded by both instantiations of the response writer —
 // from the float64 parts and from their float32 narrowing, as a float64 and a
 // float32 server would hold them: on the f32 wire the two frames must be the
@@ -155,12 +156,12 @@ func FuzzWireResponseFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(errFrame)
-	// The admission-control shed frame, exactly as the dispatcher emits it.
-	shed, err := encodeResponse(nil, &Response{Err: overloadedMsg, Code: CodeOverloaded}, false, 0)
+	// A coded error frame: the budget refusal, exactly as the guard emits it.
+	refusal, err := encodeResponse(nil, &Response{Err: budgetExhaustedMsg, Code: CodeBudgetExhausted}, false, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(shed)
+	f.Add(refusal)
 	// The traced response: trace-ID echo ahead of the payload, plus a
 	// truncated-echo corruption.
 	echoed, err := encodeResponse(nil, &Response{Model: "m", Version: 1,
@@ -309,11 +310,9 @@ func FuzzWireStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bin.Bytes())
-	// Hello-ack bytes carrying a 25ms batch-window advice followed by a frame
-	// (what a wiretap of the server→client direction of a batching server
-	// opens with).
+	// Hello-ack bytes with a nonzero reserved u16 followed by a frame.
 	var ackStream bytes.Buffer
-	ack := helloAckBytes(wireVersion, wireFlagF32, 25)
+	ack := reservedAck(wireVersion, wireFlagF32, 25)
 	ackStream.Write(ack[:])
 	ackStream.Write(bin.Bytes()[8:])
 	f.Add(ackStream.Bytes())
@@ -392,32 +391,36 @@ func FuzzWireTracedFrames(f *testing.F) {
 	})
 }
 
+// reservedAck is an ack whose reserved trailing u16 holds v, which a client
+// reads and ignores.
+func reservedAck(version, flags byte, v uint16) [8]byte {
+	ack := helloBytes(version, flags)
+	binary.LittleEndian.PutUint16(ack[6:], v)
+	return ack
+}
+
 // FuzzWireHelloAck runs arbitrary bytes through the client's half of the
 // hello exchange — the surface a hostile server controls. The client must
-// never panic, never accept an ack naming any version but its own, and any
-// window it does accept must be what the ack's u16 encodes.
+// never panic and never accept an ack naming any version but its own.
 func FuzzWireHelloAck(f *testing.F) {
-	good := helloAckBytes(wireVersion, 0, 0)
+	good := helloBytes(wireVersion, 0)
 	f.Add(good[:])
-	v1 := helloAckBytes(1, wireFlagF32, 0)
+	v1 := helloBytes(1, wireFlagF32)
 	f.Add(v1[:])
-	windowed := helloAckBytes(wireVersion, wireFlagClientID, 25)
-	f.Add(windowed[:])
-	tooNew := helloAckBytes(99, 0, 0)
+	reserved := reservedAck(wireVersion, wireFlagClientID, 25)
+	f.Add(reserved[:])
+	tooNew := helloBytes(99, 0)
 	f.Add(tooNew[:])
 	f.Add([]byte("notmagic"))
 	f.Add([]byte{0xE5, 'N', 'S', 'B', 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ack []byte) {
 		var sink bytes.Buffer
-		_, window, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
+		_, err := negotiateClient(&sink, bufio.NewReader(bytes.NewReader(ack)), true, "fuzz-client")
 		if err != nil {
 			return
 		}
 		if ack[4] != wireVersion {
 			t.Fatalf("accepted an ack naming wire version %d, not %d", ack[4], wireVersion)
-		}
-		if window < 0 || window > 65535*1_000_000 {
-			t.Fatalf("accepted window %v outside the u16-milliseconds range", window)
 		}
 		// The client declares its identity only to an ack that echoes the
 		// flag; otherwise the post-hello wire stays silent (a server that did

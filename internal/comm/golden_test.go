@@ -11,13 +11,14 @@ import (
 )
 
 // TestGoldenServeFrames pins the response frame bytes of a full
-// parse → serve → append cycle — a three-job coalesced batch, a plain
-// request and a client-batched request — on a float64 server over the f64
+// parse → serve → append cycle — three plain requests, a repeat of the
+// second and a client-batched request — on a float64 server over the f64
 // wire and on a float32 server over the f32 wire, to digests recorded at the
-// commit before the serving path became generic over the element type. Any
-// change to the frame layout, the decode/encode conversions, the stacking
-// and splitting, or the kernels' bits shows up here. (amd64 only: see
-// nn.TestGoldenBodyBits.)
+// commit before the serving path became generic over the element type (the
+// first three were then one stacked pass; each row's bits are the same
+// served alone). Any change to the frame layout, the decode/encode
+// conversions, the stacking and splitting, or the kernels' bits shows up
+// here. (amd64 only: see nn.TestGoldenBodyBits.)
 func TestGoldenServeFrames(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are pinned on amd64")
@@ -37,7 +38,7 @@ func TestGoldenServeFrames(t *testing.T) {
 		{PrecisionF32, "0338d1d0571f3a94bd6475983a98b6dd261f913247601b5b63edc9ec18e8c7f3"},
 	} {
 		f32 := tc.precision == PrecisionF32
-		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBatchWindow(0), WithPrecision(tc.precision))
+		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(tc.precision))
 		cache := srv.newBodyCache()
 		serve := jobServer(srv, cache)
 		parse := func(req *Request) *job {
@@ -62,18 +63,10 @@ func TestGoldenServeFrames(t *testing.T) {
 			}
 			h.Write(enc)
 		}
-		b := &dispatchBatch{}
-		for _, r := range reqs {
-			b.jobs = append(b.jobs, parse(r))
+		for _, r := range append(reqs, reqs[1], batched) {
+			j := parse(r)
+			frame(j, serve(j))
 		}
-		srv.serve(b.jobs, cache)
-		for _, j := range b.jobs {
-			frame(j, <-j.reply)
-		}
-		j := parse(reqs[1])
-		frame(j, serve(j))
-		j = parse(batched)
-		frame(j, serve(j))
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
 			t.Errorf("%s serving frames changed: digest %s, want %s", tc.precision, got, tc.want)
 		}

@@ -83,15 +83,23 @@ func jobFor(req Request) *job {
 	return j
 }
 
+// referenceBodies recomputes what the server's bodies produce for x —
+// codecBodies is seeded, so a private rebuild gives the exact expectation.
+func referenceBodies(nBodies int, x *tensor.Tensor) []*tensor.Tensor {
+	bodies := codecBodies(nBodies)
+	out := make([]*tensor.Tensor, nBodies)
+	for i, b := range bodies {
+		out[i] = b.Forward(x, false)
+	}
+	return out
+}
+
 // jobServer returns a func that serves one job at a time through s the way a
-// worker serves a direct job — as a batch of one, through a reusable one-slot
-// slice, over the worker body cache bc — and returns its reply, so a
+// worker does, over the worker body cache bc, and returns its reply, so a
 // steady-state loop allocates nothing.
 func jobServer(s *Server, bc *bodyCache) func(*job) *Response {
-	one := make([]*job, 1)
 	return func(j *job) *Response {
-		one[0] = j
-		s.serve(one, bc)
+		s.serve(j, bc)
 		return <-j.reply
 	}
 }
@@ -125,16 +133,15 @@ func jobRequest(j *job) *Request {
 	return req
 }
 
-// serveLoop drives the server loop the way connections and a worker do,
-// minus the sockets: each cycle decodes one request frame into every job,
-// serves the jobs as one pass (a lone job as a batch of one, like a direct
-// job), encodes every reply and recycles the jobs. Its steady state is what
+// serveLoop drives the server loop the way a connection and a worker do,
+// minus the sockets: each cycle decodes one request frame into the job,
+// serves it, encodes the reply and recycles the job. Its steady state is what
 // the zero-allocation pins and the BenchmarkServeRequestLoop* rows measure.
 type serveLoop struct {
 	tb      testing.TB
 	srv     *Server
 	bodies  *bodyCache
-	jobs    []*job
+	job     *job
 	body    []byte
 	f32     bool             // the connection's wire: f32 payloads both ways
 	account *privacy.Account // charged per request when the server has a guard
@@ -142,13 +149,10 @@ type serveLoop struct {
 	encBuf  []byte
 }
 
-// newServeLoop returns a loop of k jobs over srv, each decoding req.
-func newServeLoop(tb testing.TB, srv *Server, k int, req *Request, f32 bool) *serveLoop {
+// newServeLoop returns a loop over srv decoding req.
+func newServeLoop(tb testing.TB, srv *Server, req *Request, f32 bool) *serveLoop {
 	l := &serveLoop{tb: tb, srv: srv, bodies: srv.newBodyCache(),
-		jobs: make([]*job, k), f32: f32, encBuf: make([]byte, 0, 1<<20)}
-	for i := range l.jobs {
-		l.jobs[i] = srv.newJob()
-	}
+		job: srv.newJob(), f32: f32, encBuf: make([]byte, 0, 1<<20)}
 	l.request(req)
 	return l
 }
@@ -184,37 +188,29 @@ func FrameServer(tb testing.TB, srv *Server) func(body []byte) *Response {
 }
 
 func (l *serveLoop) cycle() {
-	tr := l.tracer
-	for _, j := range l.jobs {
-		if err := j.pay.parse(l.body, &j.req, &j.wireTrace); err != nil {
-			l.tb.Fatal(err)
-		}
-		j.account = l.account
-		if tr != nil { // what the connection's reader does
-			tr.Begin(&j.tr, j.wireTrace)
-			j.queuedAt = time.Now()
-		}
+	tr, j := l.tracer, l.job
+	if err := j.pay.parse(l.body, &j.req, &j.wireTrace); err != nil {
+		l.tb.Fatal(err)
 	}
-	l.srv.serve(l.jobs, l.bodies)
-	for _, j := range l.jobs {
-		resp := <-j.reply
-		if resp.Err != "" {
-			l.tb.Fatal(resp.Err)
-		}
-		var encStart time.Time
-		if tr != nil {
-			encStart = time.Now()
-		}
-		var err error
-		if l.encBuf, err = j.pay.appendResponse(append(l.encBuf[:0], 0, 0, 0, 0), resp, l.f32, j.wireTrace.ID); err != nil {
-			l.tb.Fatal(err)
-		}
-		if tr != nil { // what the connection's writer does
-			tr.Span(&j.tr, trace.StageEncode, encStart, time.Since(encStart))
-			tr.Finish(&j.tr, false)
-		}
-		j.reset()
+	j.account = l.account
+	if tr != nil { // what the connection's reader does
+		tr.Begin(&j.tr, j.wireTrace)
+		j.handedAt = time.Now()
 	}
+	l.srv.serve(j, l.bodies)
+	resp := <-j.reply
+	if resp.Err != "" {
+		l.tb.Fatal(resp.Err)
+	}
+	var err error
+	if l.encBuf, err = j.pay.appendResponse(append(l.encBuf[:0], 0, 0, 0, 0), resp, l.f32, j.wireTrace.ID); err != nil {
+		l.tb.Fatal(err)
+	}
+	if tr != nil { // what the connection's writer does
+		tr.Span(&j.tr, trace.StageEncode, j.handedAt, time.Since(j.handedAt))
+		tr.Finish(&j.tr, false)
+	}
+	j.reset()
 }
 
 // warm runs two cycles: the first compiles the bodies and sizes every arena

@@ -53,8 +53,8 @@ func WithMetrics(m *ServerMetrics) ServerOption {
 }
 
 // WithTracer attaches a request tracer: every request's decode, queue,
-// batch-window, forward, and encode legs feed the tracer's per-stage
-// histograms, and tail-sampled requests (errors, sheds, the slowest seen,
+// forward, and encode legs feed the tracer's per-stage histograms, and
+// tail-sampled requests (errors, the slowest seen,
 // plus a probabilistic sample) retain full span timelines in the tracer's
 // ring — scrapeable via the admin plane's /traces endpoints. A nil tracer
 // (the default) leaves the hot path untouched; with one attached, the span
@@ -81,15 +81,6 @@ type ServerMetrics struct {
 	// BatchInputs observes the number of feature tensors per request (1 for
 	// a plain Infer, len(Inputs) for InferBatch).
 	BatchInputs *telemetry.Histogram
-	// Shed counts requests rejected by the continuous-batching dispatcher's
-	// admission control (answered with ErrOverloaded). Shed requests also
-	// count in Requests and Errors, so error rates stay honest.
-	Shed *telemetry.Counter
-	// CoalescedBatch observes the occupancy of every multi-connection batch
-	// the dispatcher stacked (coalesced batches only; singletons don't
-	// observe). A Count > 0 is the witness that cross-connection batching
-	// actually happened.
-	CoalescedBatch *telemetry.Histogram
 }
 
 // NewServerMetrics registers the serving metric family into r under the
@@ -108,11 +99,6 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 			telemetry.DefaultLatencyBuckets, nil),
 		BatchInputs: r.Histogram("ensembler_server_batch_inputs",
 			"Feature tensors per request (batched requests carry several).",
-			telemetry.DefaultSizeBuckets, nil),
-		Shed: r.Counter("ensembler_server_shed_total",
-			"Requests rejected by dispatcher admission control (ErrOverloaded).", nil),
-		CoalescedBatch: r.Histogram("ensembler_server_coalesced_batch",
-			"Jobs per cross-connection coalesced batch (multi-job batches only).",
 			telemetry.DefaultSizeBuckets, nil),
 	}
 }

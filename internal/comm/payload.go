@@ -6,10 +6,10 @@ package comm
 // arena its tensors live in, the decoded inputs, the response parts, the
 // validate → stack → forward → split → noise pass over the bodies — is
 // payload[T] and bodySet[T], written once over the element type and once
-// for every request form: a plain request is one input, a client-batched
-// request several, a coalesced batch several jobs, and all of them take the
-// same pass. The rest of the server (job recycling, dispatcher, codec's
-// framing, metrics, tracing, budget) never names an element type: it reaches
+// for both request forms: a plain request is one input, a client-batched
+// request several, and both take the same pass. The rest of the server (job
+// recycling, codec's framing, metrics, tracing, budget) never names an
+// element type: it reaches
 // the tensors through the tensors interface, and the server's Precision
 // picks the instantiation in exactly two places, newJob and generations.get.
 //
@@ -84,20 +84,15 @@ type tensors interface {
 	appendResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error)
 	// size reports the request's input tensor and total row counts.
 	size() (inputs, rows int)
-	// featureShape is the shape of a single-tensor request's features (nil
-	// for client-batched requests) — what the dispatcher coalesces on.
-	featureShape() []int
 	// observe mirrors the request's validated tensors into o.
 	observe(o FeatureObserver, model string, version int)
 	// noise perturbs a served response in place.
 	noise(rng *uint64, sigma float64)
 	// answered reports whether the payload holds a complete response.
 	answered() bool
-	// pass runs one forward pass over run, a worker's *bodySet[T], for jobs
-	// — the job this payload belongs to, first, and any the dispatcher
-	// coalesced with it — answering every job the budget charge left
-	// unanswered in the epoch's name.
-	pass(s *Server, jobs []*job, run any, epoch Response)
+	// pass runs one forward pass over run, a worker's *bodySet[T], for j —
+	// the job this payload belongs to — answering it in the epoch's name.
+	pass(s *Server, j *job, run any, epoch Response)
 }
 
 // payload is one job's tensors at the serving precision: the decoded
@@ -158,13 +153,6 @@ func (p *payload[T]) size() (inputs, rows int) {
 	return len(p.inputs), rows
 }
 
-func (p *payload[T]) featureShape() []int {
-	if p.batched {
-		return nil
-	}
-	return p.inputs[0].Shape
-}
-
 // observe validates each tensor fully first — the same structural-honesty
 // check the compute path applies — because the observer may copy what it is
 // handed: an attacker-controlled Shape claiming 2^62 elements over an empty
@@ -219,73 +207,51 @@ func (p *payload[T]) validate(maxBatch int) error {
 	return nil
 }
 
-// pass is the serve path's stack → forward → split → noise, one for every
-// request form. A job still unanswered is validated, and an invalid one is
-// answered with its error and left out. A lone valid input is forwarded where
-// it was decoded; several — one client-batched request's, or the coalesced
-// jobs', whose coalesce key fixed one [C,H,W] — stack along the batch axis
+// pass is the serve path's validate → stack → forward → split → noise, one
+// for both request forms. An invalid request is answered with its error. A
+// lone input is forwarded where it was decoded; a client-batched request's
+// inputs, which validate holds to one [C,H,W], stack along the batch axis
 // into the body set's stack, as private to the pass as the scratches its
-// outputs land in. Each job then copies its rows of every body's output into
+// outputs land in. The job then copies its rows of every body's output into
 // its own arena and is noised per its budget verdict.
-func (p *payload[T]) pass(s *Server, jobs []*job, run any, epoch Response) {
-	bodies := run.(*bodySet[T])
-	var x *tensor.Dense[T]
-	n, total := 0, 0
-	for _, j := range jobs {
-		if j.resp.Err != "" {
-			continue
-		}
-		jp := payloadOf[T](j)
-		if err := jp.validate(s.opts.maxBatch); err != nil {
-			j.resp = epoch
-			j.resp.Err = err.Error()
-			continue
-		}
-		for _, in := range jp.inputs {
-			x = in
-			n++
-			total += in.Shape[0]
-		}
-	}
-	if n == 0 {
+func (p *payload[T]) pass(s *Server, j *job, run any, epoch Response) {
+	if err := p.validate(s.opts.maxBatch); err != nil {
+		j.resp = epoch
+		j.resp.Err = err.Error()
 		return
 	}
-	if n > 1 {
+	bodies := run.(*bodySet[T])
+	x := p.inputs[0]
+	if len(p.inputs) > 1 {
+		total := 0
+		for _, in := range p.inputs {
+			total += in.Shape[0]
+		}
 		bodies.stack.Reset()
 		x = bodies.stack.NewTensor(total, x.Shape[1], x.Shape[2], x.Shape[3])
 		off := 0
-		for _, j := range jobs {
-			if j.resp.Err == "" {
-				for _, in := range payloadOf[T](j).inputs {
-					off += copy(x.Data[off:], in.Data)
-				}
-			}
+		for _, in := range p.inputs {
+			off += copy(x.Data[off:], in.Data)
 		}
 	}
 	outs := bodies.forward(s.opts.workers, x)
-	row := 0
-	for _, j := range jobs {
-		if j.resp.Err != "" {
-			continue
-		}
-		jp := payloadOf[T](j)
-		if cap(jp.outputs) < len(jp.inputs) {
-			jp.outputs = make([][]*tensor.Dense[T], len(jp.inputs))
-		}
-		jp.outputs = jp.outputs[:len(jp.inputs)]
-		for i, in := range jp.inputs {
-			r := in.Shape[0]
-			parts := jp.outputs[i][:0]
-			for _, out := range outs {
-				parts = append(parts, jp.part(out, row, r))
-			}
-			jp.outputs[i] = parts
-			row += r
-		}
-		jp.served = true
-		j.resp = epoch
-		noiseResponse(j)
+	if cap(p.outputs) < len(p.inputs) {
+		p.outputs = make([][]*tensor.Dense[T], len(p.inputs))
 	}
+	p.outputs = p.outputs[:len(p.inputs)]
+	row := 0
+	for i, in := range p.inputs {
+		r := in.Shape[0]
+		parts := p.outputs[i][:0]
+		for _, out := range outs {
+			parts = append(parts, p.part(out, row, r))
+		}
+		p.outputs[i] = parts
+		row += r
+	}
+	p.served = true
+	j.resp = epoch
+	noiseResponse(j)
 }
 
 // bodySet is one worker's bodies of one generation at the serving precision:

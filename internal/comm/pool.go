@@ -19,13 +19,6 @@ type Pool struct {
 	addr     string
 	dialOpts []DialOption
 
-	// Retry governs how Infer/InferBatch/Exchange respond to a load-shed
-	// (ErrOverloaded) response: jittered exponential backoff, bounded
-	// attempts (see RetryPolicy). Set before the pool takes traffic;
-	// NewPool installs DefaultRetryPolicy, and RetryPolicy{} disables
-	// retries entirely.
-	Retry RetryPolicy
-
 	mu        sync.Mutex
 	configure func(*Client) error
 	cfgEpoch  uint64 // bumped by Reconfigure; stale clients are discarded on release
@@ -51,7 +44,6 @@ func NewPool(addr string, size int, configure func(*Client) error, opts ...DialO
 	return &Pool{
 		addr:      addr,
 		dialOpts:  opts,
-		Retry:     DefaultRetryPolicy(),
 		configure: configure,
 		size:      size,
 		idle:      make(chan *Client, size),
@@ -178,15 +170,26 @@ func (p *Pool) Reconfigure(configure func(*Client) error) {
 	}
 }
 
-// Infer runs one single-input round trip on a pooled connection. Benign
-// failures (server-side rejections, pre-flight context errors) leave the
-// stream synchronized, so the connection returns to the pool; only a
-// transport failure discards it. A load-shed response (ErrOverloaded)
-// retries under the pool's RetryPolicy before surfacing.
+// do runs op on one pooled connection and releases it: benign failures
+// (server-side rejections, pre-flight context errors) leave the stream
+// synchronized, so the connection returns to the pool; only a transport
+// failure discards it. One call is one attempt: a caller that wants a retry
+// (the shard client does) makes it itself.
+func (p *Pool) do(ctx context.Context, op func(*Client) error) error {
+	c, err := p.get(ctx)
+	if err != nil {
+		return err
+	}
+	err = op(c)
+	p.put(c)
+	return err
+}
+
+// Infer runs one single-input round trip on a pooled connection.
 func (p *Pool) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, Timing, error) {
 	var logits *tensor.Tensor
 	var t Timing
-	err := p.retryOverload(ctx, func(c *Client) error {
+	err := p.do(ctx, func(c *Client) error {
 		var opErr error
 		logits, t, opErr = c.Infer(ctx, x)
 		return opErr
@@ -194,12 +197,11 @@ func (p *Pool) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, Tim
 	return logits, t, err
 }
 
-// InferBatch runs one batched round trip on a pooled connection, with the
-// same benign-vs-transport release policy and overload retries as Infer.
+// InferBatch runs one batched round trip on a pooled connection.
 func (p *Pool) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.Tensor, Timing, error) {
 	var logits []*tensor.Tensor
 	var t Timing
-	err := p.retryOverload(ctx, func(c *Client) error {
+	err := p.do(ctx, func(c *Client) error {
 		var opErr error
 		logits, t, opErr = c.InferBatch(ctx, xs)
 		return opErr
@@ -208,9 +210,8 @@ func (p *Pool) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.T
 }
 
 // Exchange runs one raw feature round trip on a pooled connection (see
-// Client.Exchange), with the same benign-vs-transport release policy and
-// overload retries as Infer. The result is freshly allocated and the
-// caller's to keep: nothing a released connection owns is handed out.
+// Client.Exchange). The result is freshly allocated and the caller's to
+// keep: nothing a released connection owns is handed out.
 func (p *Pool) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchanged, Timing, error) {
 	ex := new(Exchanged)
 	t, err := p.ExchangeTraced(ctx, features, trace.Context{}, ex)
@@ -228,7 +229,7 @@ func (p *Pool) Exchange(ctx context.Context, features *tensor.Tensor) (*Exchange
 // stranger's request with a stale trace ID.
 func (p *Pool) ExchangeTraced(ctx context.Context, features *tensor.Tensor, tc trace.Context, ex *Exchanged) (Timing, error) {
 	var t Timing
-	err := p.retryOverload(ctx, func(c *Client) error {
+	err := p.do(ctx, func(c *Client) error {
 		c.Trace = tc
 		var opErr error
 		t, opErr = c.exchangeInto(ctx, features, ex)

@@ -202,7 +202,7 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 // pass, response copy-out, f32 encode — performs zero heap allocations at
 // steady state, exactly like the float64 instantiation.
 func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
-	loop := newServeLoop(t, newF32Server(3), 1, &Request{Features: wireTensor(19, 2, 4, 8, 8)}, true)
+	loop := newServeLoop(t, newF32Server(3), &Request{Features: wireTensor(19, 2, 4, 8, 8)}, true)
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state f32 server compute loop allocates %v times per request, want 0", allocs)
 	}
@@ -217,5 +217,5 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 // backend — same request shape, same loop, f32 decode/compute/encode. CI runs
 // both and gates the f32 loop at ≥1.2× the f64 requests/sec.
 func BenchmarkServeRequestLoopF32(b *testing.B) {
-	newServeLoop(b, newF32Server(4), 1, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, true).bench(b)
+	newServeLoop(b, newF32Server(4), &Request{Features: wireTensor(22, 4, 4, 8, 8)}, true).bench(b)
 }

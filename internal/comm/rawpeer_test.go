@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,5 +255,84 @@ func TestDialRefusesOtherAcks(t *testing.T) {
 		} else if strings.Contains(strings.ToLower(err.Error()), "gob") {
 			t.Errorf("%s: error still offers the gob protocol: %v", name, err)
 		}
+	}
+}
+
+// rawErrorFrame is an untraced error response carrying text and code.
+func rawErrorFrame(text string, code uint16) []byte {
+	head := []byte{0x02, 0, 0, 0, 0, 0, 0}
+	head = binary.LittleEndian.AppendUint16(head, uint16(len(text)))
+	head = append(head, text...)
+	head = binary.LittleEndian.AppendUint16(head, code)
+	return rawFrame(head, []byte{0x00, 0, 0})
+}
+
+// TestPoolDoesNotRetryServerErrors pins the pool's one attempt: a server that
+// answers every request with a coded error (429 here) costs a pooled Exchange
+// exactly one request frame and surfaces the server's error, with no backoff.
+// A caller that wants a retry (the shard client does) makes it itself.
+func TestPoolDoesNotRetryServerErrors(t *testing.T) {
+	var frames atomic.Int64
+	addr := rawServer(t, rawHello(4, 0), func(int) []byte {
+		frames.Add(1)
+		return rawErrorFrame("server overloaded", 429)
+	})
+	pool, err := comm.NewPool(addr, 1, func(*comm.Client) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	_, _, err = pool.Exchange(context.Background(), commtest.Input(tiny, 90, 1))
+	if err == nil || !strings.Contains(err.Error(), "server overloaded") {
+		t.Fatalf("exchange against an always-failing server returned %v, want the server's error", err)
+	}
+	if n := frames.Load(); n != 1 {
+		t.Fatalf("one pooled Exchange sent %d request frames, want 1", n)
+	}
+}
+
+// TestHelloAckReservedFieldIgnored pins the ack's trailing u16 as reserved:
+// a server acks with the hello's own bytes (reserved zero) whatever flags it
+// accepts, and a client reads a nonzero value there and ignores it.
+func TestHelloAckReservedFieldIgnored(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	addr, served := startConcurrentServer(t, ctx, 1, 1)
+	t.Cleanup(func() {
+		cancel()
+		<-served
+	})
+	for _, flags := range []byte{0, 0x01, 0x02, 0x03} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(rawHello(4, flags)); err != nil {
+			t.Fatal(err)
+		}
+		ack := make([]byte, 8)
+		if _, err := io.ReadFull(conn, ack); err != nil || !bytes.Equal(ack, rawHello(4, flags)) {
+			t.Errorf("flags %#x: ack % x (%v), want % x", flags, ack, err, rawHello(4, flags))
+		}
+		conn.Close()
+	}
+
+	ack := rawHello(4, 0)
+	binary.LittleEndian.PutUint16(ack[6:], 25)
+	want := commtest.Input(tiny, 91, 1)
+	client, err := comm.Dial(rawServer(t, ack, func(int) []byte {
+		return rawFrame(rawResponseHead(1), rawHonestTensor(want))
+	}))
+	if err != nil {
+		t.Fatalf("dial against an ack with a nonzero reserved field: %v", err)
+	}
+	defer client.Close()
+	ex, _, err := client.Exchange(context.Background(), want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Features) != 1 || !ex.Features[0].AllClose(want, 0) {
+		t.Fatal("exchange after a nonzero reserved ack field did not decode the served tensor")
 	}
 }

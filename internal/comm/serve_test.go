@@ -12,15 +12,14 @@ import (
 )
 
 // This file pins the one serve pass (Server.serve → compute → payload.pass)
-// across the request forms it serves: plain, client-batched and coalesced
-// requests must get the same bits, the same error answers and the same
-// budget-charge rule.
+// across the request forms it serves: plain and client-batched requests must
+// get the same bits, the same error answers and the same budget-charge rule.
 
-// TestCrossFormDifferential serves the same rows three ways — K plain
-// requests, one client-batched request of K inputs, and one K-job coalesced
-// batch — and requires bit-identical per-row features from all three, at
-// both compute precisions: stacking rows into one pass, or forwarding a lone
-// input where it was decoded, must not change a bit of any row's answer.
+// TestCrossFormDifferential serves the same rows two ways — K plain requests
+// and one client-batched request of K inputs — and requires bit-identical
+// per-row features from both, at both compute precisions: stacking rows into
+// one pass, or forwarding a lone input where it was decoded, must not change
+// a bit of any row's answer.
 func TestCrossFormDifferential(t *testing.T) {
 	const nBodies = 3
 	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
@@ -28,35 +27,29 @@ func TestCrossFormDifferential(t *testing.T) {
 			f32 := prec == PrecisionF32
 			srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(prec))
 			cache := srv.newBodyCache()
-			// answer serves reqs as one pass, one job each, and decodes every
-			// response off the wire (the f32 wire widens exactly).
-			answer := func(reqs ...*Request) []*Response {
-				jobs := make([]*job, len(reqs))
-				for i, req := range reqs {
-					body, err := appendRequest(nil, req, f32, trace.Context{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					jobs[i] = srv.newJob()
-					if err := jobs[i].pay.parse(body, &jobs[i].req, nil); err != nil {
-						t.Fatal(err)
-					}
+			// answer serves req and decodes its response off the wire (the
+			// f32 wire widens exactly).
+			serve := jobServer(srv, cache)
+			answer := func(req *Request) *Response {
+				body, err := appendRequest(nil, req, f32, trace.Context{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				srv.serve(jobs, cache)
-				out := make([]*Response, len(jobs))
-				for i, j := range jobs {
-					resp := <-j.reply
-					if resp.Err != "" {
-						t.Fatal(resp.Err)
-					}
-					enc, err := j.pay.appendResponse(nil, resp, f32, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out[i] = &Response{}
-					if err := parseResponse(enc, out[i], nil); err != nil {
-						t.Fatal(err)
-					}
+				j := srv.newJob()
+				if err := j.pay.parse(body, &j.req, nil); err != nil {
+					t.Fatal(err)
+				}
+				resp := serve(j)
+				if resp.Err != "" {
+					t.Fatal(resp.Err)
+				}
+				enc, err := j.pay.appendResponse(nil, resp, f32, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := &Response{}
+				if err := parseResponse(enc, out, nil); err != nil {
+					t.Fatal(err)
 				}
 				return out
 			}
@@ -67,16 +60,11 @@ func TestCrossFormDifferential(t *testing.T) {
 					inputs[i] = wireTensor(int64(1500+10*r+i), r, 4, 8, 8)
 					plain[i] = &Request{Features: inputs[i]}
 				}
-				batched := answer(&Request{Inputs: inputs})[0].Outputs
-				coalesced := answer(plain...)
+				batched := answer(&Request{Inputs: inputs}).Outputs
 				for i, req := range plain {
-					separate := answer(req)[0].Features
-					for b, want := range separate {
+					for b, want := range answer(req).Features {
 						if err := bitsDiffer(batched[i][b], want); err != nil {
 							t.Errorf("rows %v input %d body %d: client-batched %v", rows, i, b, err)
-						}
-						if err := bitsDiffer(coalesced[i].Features[b], want); err != nil {
-							t.Errorf("rows %v input %d body %d: coalesced %v", rows, i, b, err)
 						}
 					}
 				}
@@ -88,7 +76,7 @@ func TestCrossFormDifferential(t *testing.T) {
 // TestBudgetChargeFaultSite pins the one rule for the comm/budget-charge
 // site: a guarded server consults it once per job, and a job it refuses is
 // answered with the fault's error, charged nothing and observed never, while
-// the other members of its pass stay bit-exact. An unguarded server has no
+// the requests around it stay bit-exact. An unguarded server has no
 // verdict to fail, so it never consults the site at all.
 func TestBudgetChargeFaultSite(t *testing.T) {
 	defer faultpoint.DisableAll()
@@ -103,9 +91,7 @@ func TestBudgetChargeFaultSite(t *testing.T) {
 	serve := func(jobs ...*job) {
 		for _, j := range jobs {
 			j.account = acct
-		}
-		srv.serve(jobs, cache)
-		for _, j := range jobs {
+			srv.serve(j, cache)
 			<-j.reply
 		}
 	}
@@ -141,22 +127,22 @@ func TestBudgetChargeFaultSite(t *testing.T) {
 		t.Errorf("refused plain request observed %d times", len(obs.calls))
 	}
 
-	// The middle member of a coalesced batch, refused; its neighbours served.
+	// The middle one of three requests, refused; its neighbours served.
 	faultpoint.Enable(site, faultpoint.Policy{Err: ledgerDown, After: 1, Count: 1})
-	members := []*job{
+	reqs := []*job{
 		jobFor(Request{Features: wireTensor(701, 1, 4, 8, 8)}),
 		jobFor(Request{Features: wireTensor(702, 2, 4, 8, 8)}),
 		jobFor(Request{Features: wireTensor(703, 3, 4, 8, 8)}),
 	}
-	serve(members...)
-	refused("coalesced member 1", members[1])
-	exact("coalesced member 0", members[0])
-	exact("coalesced member 2", members[2])
+	serve(reqs...)
+	refused("request 1", reqs[1])
+	exact("request 0", reqs[0])
+	exact("request 2", reqs[2])
 	if got := rowsCharged(); got != 1+3 {
-		t.Errorf("coalesced batch charged %d rows, want the 4 of its served members", got)
+		t.Errorf("three requests charged %d rows, want the 4 of the served two", got)
 	}
 	if len(obs.calls) != 2 || obs.rows != 1+3 {
-		t.Errorf("observer saw %d tensors of %d rows, want the 2 served members' 4", len(obs.calls), obs.rows)
+		t.Errorf("observer saw %d tensors of %d rows, want the 2 served requests' 4", len(obs.calls), obs.rows)
 	}
 
 	// An unguarded server ignores the armed site.
@@ -182,10 +168,11 @@ func (m *namedModel) Version() int                             { return 7 }
 
 // TestErrorAnswersNameTheEpoch pins the one rule for error answers: every
 // answer given after a successful resolve names the epoch, in the same text
-// whatever form the request took. A malformed request gets byte-identical
-// response frames plain and as a coalesced member; so does a request that
-// passes validation but panics mid-pass — whose panic text names the pass's
-// stacked shape, so the plain request carries the coalesced batch's rows.
+// whatever form the request took. A lying input gets byte-identical response
+// frames plain and inside a client-batched request, and the request served
+// next is untouched; so does a request that passes validation but panics
+// mid-pass — whose panic text names the pass's stacked shape, so the plain
+// request carries the batched request's rows.
 func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	srv := NewModelServer(&namedModel{staticModel{bodies: flatBodies()}}, WithWorkers(2))
 	cache := srv.newBodyCache()
@@ -204,29 +191,34 @@ func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	lying := &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}
 
 	alone := jobFor(Request{Features: lying})
-	srv.serve([]*job{alone}, cache)
-	good, bad, good2 := jobFor(Request{Features: wireTensor(710, 1, 4, 8, 8)}),
-		jobFor(Request{Features: lying}), jobFor(Request{Features: wireTensor(711, 2, 4, 8, 8)})
-	srv.serve([]*job{good, bad, good2}, cache)
-	if plain, member := frame(alone), frame(bad); !bytes.Equal(plain, member) {
-		t.Errorf("validation failure answered differently:\nplain     %q\ncoalesced %q", plain, member)
+	srv.serve(alone, cache)
+	bad := jobFor(Request{Inputs: []*tensor.Tensor{wireTensor(710, 1, 4, 8, 8), lying, wireTensor(711, 2, 4, 8, 8)}})
+	srv.serve(bad, cache)
+	if plain, batched := frame(alone), frame(bad); !bytes.Equal(plain, batched) {
+		t.Errorf("validation failure answered differently:\nplain   %q\nbatched %q", plain, batched)
 	}
-	for _, j := range []*job{good, good2} {
-		if resp := <-j.reply; resp.Err != "" {
-			t.Errorf("valid member failed: %s", resp.Err)
+	// The refusal left the worker's bodies as they were: the next request
+	// is served bit-exactly.
+	next := jobFor(Request{Features: wireTensor(715, 2, 4, 8, 8)})
+	if resp := jobServer(srv, cache)(next); resp.Err != "" {
+		t.Fatalf("request after the refusal failed: %s", resp.Err)
+	}
+	p := payloadOf[float64](next)
+	ref := flatBodies()
+	for b, out := range p.outputs[0] {
+		if err := bitsDiffer(out, ref[b].Forward(p.inputs[0], false)); err != nil {
+			t.Errorf("request after the refusal, body %d: %v", b, err)
 		}
 	}
 
 	// [.,4,4,4] clears validation and panics at the bodies' Linear.
 	alone = jobFor(Request{Features: wireTensor(712, 2, 4, 4, 4)})
-	srv.serve([]*job{alone}, cache)
-	m1, m2 := jobFor(Request{Features: wireTensor(713, 1, 4, 4, 4)}), jobFor(Request{Features: wireTensor(714, 1, 4, 4, 4)})
-	srv.serve([]*job{m1, m2}, cache)
+	srv.serve(alone, cache)
+	pair := jobFor(Request{Inputs: []*tensor.Tensor{wireTensor(713, 1, 4, 4, 4), wireTensor(714, 1, 4, 4, 4)}})
+	srv.serve(pair, cache)
 	plain := frame(alone)
-	for i, j := range []*job{m1, m2} {
-		if member := frame(j); !bytes.Equal(plain, member) {
-			t.Errorf("mid-pass panic answered member %d differently:\nplain     %q\ncoalesced %q", i, plain, member)
-		}
+	if batched := frame(pair); !bytes.Equal(plain, batched) {
+		t.Errorf("mid-pass panic answered differently:\nplain   %q\nbatched %q", plain, batched)
 	}
 	if want := "comm: request failed: nn: Linear"; !strings.Contains(string(plain), want) {
 		t.Errorf("panic answer %q does not read %q", plain, want)

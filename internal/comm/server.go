@@ -62,13 +62,6 @@ type serverOptions struct {
 	tracer    *trace.Tracer   // nil: no tracing, zero hot-path cost
 	guard     *privacy.Guard  // nil: no budget accounting, zero hot-path cost
 	precision Precision       // compute element type; PrecisionF64 is the zero value
-
-	// Continuous batching (see dispatch.go). dispatch gates the whole
-	// subsystem: WithBatchWindow or WithMaxQueue turns it on.
-	dispatch    bool
-	window      time.Duration
-	maxQueue    int
-	maxCoalesce int
 }
 
 // WithWorkers bounds the compute worker pool (default GOMAXPROCS). Every
@@ -119,52 +112,6 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// WithBatchWindow enables the continuous-batching dispatcher with the given
-// batch window: after the dispatcher sees a batch's first request it waits d
-// before closing the batch, so requests arriving on other connections within
-// the window share one stacked forward pass. Zero keeps the dispatcher (and
-// its admission control) but coalesces only what is already queued — no
-// added latency. Windows are clamped to one second; a longer window is a
-// latency bug, and the graceful-shutdown drain must be able to out-wait it.
-func WithBatchWindow(d time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		if d < 0 {
-			d = 0
-		}
-		if d > maxBatchWindow {
-			d = maxBatchWindow
-		}
-		o.dispatch = true
-		o.window = d
-	}
-}
-
-// WithMaxQueue bounds the continuous-batching intake queue (enabling the
-// dispatcher if WithBatchWindow has not): once n requests are queued across
-// all connections, admission control sheds — the newest request of the
-// longest per-connection queue — with an ErrOverloaded response instead of
-// queueing without bound. Defaults to DefaultMaxQueue when the dispatcher is
-// on.
-func WithMaxQueue(n int) ServerOption {
-	return func(o *serverOptions) {
-		if n > 0 {
-			o.dispatch = true
-			o.maxQueue = n
-		}
-	}
-}
-
-// WithMaxCoalesce caps how many queued requests the dispatcher stacks into
-// one forward pass. Defaults to the WithMaxBatch cap, keeping a coalesced
-// batch no larger than what a single client-batched request may carry.
-func WithMaxCoalesce(n int) ServerOption {
-	return func(o *serverOptions) {
-		if n > 0 {
-			o.maxCoalesce = n
-		}
-	}
-}
-
 // Server hosts ensemble bodies for remote clients behind a bounded worker
 // pool, resolving every request through a ModelProvider. Construct with
 // NewServer (fixed bodies) or NewModelServer (registry-backed, hot-swap
@@ -177,12 +124,6 @@ type Server struct {
 
 	// gens holds every body generation compiled once for all workers.
 	gens generations
-
-	// Continuous batching (nil / nil channel when not enabled): handlers
-	// submit decoded jobs to the dispatcher instead of s.jobs, and workers
-	// drain coalesced batches from batches alongside direct jobs.
-	dispatcher *dispatcher
-	batches    chan *dispatchBatch
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -217,13 +158,15 @@ type job struct {
 	// internal/trace). wireTrace is the trace context the request arrived
 	// with; traced marks that it arrived on a traced frame whose response
 	// must echo the ID. decodeAt/decodeDur are the codec's parse timing,
-	// queuedAt the intake hand-off timestamp, and tr the leg's span storage
+	// handedAt the instant the job last changed hands — to the worker pool
+	// (set by the reader), then back to the writer (set by the worker) — where
+	// the receiving side's span starts, and tr the leg's span storage
 	// — fixed-size and recycled with the job, so tracing allocates nothing.
 	wireTrace trace.Context
 	traced    bool
 	decodeAt  time.Time
 	decodeDur time.Duration
-	queuedAt  time.Time
+	handedAt  time.Time
 	tr        trace.Active
 }
 
@@ -250,7 +193,7 @@ func (j *job) reset() {
 	j.noiseSigma = 0
 	j.wireTrace = trace.Context{}
 	j.traced = false
-	j.decodeAt, j.queuedAt = time.Time{}, time.Time{}
+	j.decodeAt, j.handedAt = time.Time{}, time.Time{}
 	j.decodeDur = 0
 	j.tr.Reset()
 }
@@ -317,16 +260,6 @@ func newServer(p ModelProvider, o serverOptions) *Server {
 		conns:    map[net.Conn]struct{}{},
 	}
 	s.gens.precision, s.gens.m = o.precision, map[epochKey]*generation{}
-	if o.dispatch {
-		if s.opts.maxQueue <= 0 {
-			s.opts.maxQueue = DefaultMaxQueue
-		}
-		if s.opts.maxCoalesce <= 0 || s.opts.maxCoalesce > s.opts.maxBatch {
-			s.opts.maxCoalesce = s.opts.maxBatch
-		}
-		s.dispatcher = newDispatcher(s.opts.window, s.opts.maxQueue, s.opts.maxCoalesce, s.opts.metrics, s.opts.tracer)
-		s.batches = make(chan *dispatchBatch)
-	}
 	return s
 }
 
@@ -347,15 +280,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		go func() {
 			defer workers.Done()
 			s.worker(stop)
-		}()
-	}
-	dispatchStop := make(chan struct{})
-	var batcher sync.WaitGroup
-	if s.dispatcher != nil {
-		batcher.Add(1)
-		go func() {
-			defer batcher.Done()
-			s.dispatcher.run(s.batches, dispatchStop)
 		}()
 	}
 
@@ -409,10 +333,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		<-drained
 	}
 	// Handlers have drained: every submitted job was replied, so the
-	// dispatcher intake is provably empty and the batcher can stop before
-	// the workers it feeds.
-	close(dispatchStop)
-	batcher.Wait()
+	// workers can stop.
 	close(stop)
 	workers.Wait()
 
@@ -512,10 +433,10 @@ func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 }
 
 // negotiate runs the server's half of the handshake on a fresh connection
-// (see codec.go): it reads the 8-byte hello, acks the flags it accepts and the
-// continuous-batching window advice, and reads the client-ID frame an accepted
-// identity flag promises. The returned clientID is "" for a peer that declared
-// none, which the budget guard buckets by address instead. Any other opening
+// (see codec.go): it reads the 8-byte hello, acks the flags it accepts, and
+// reads the client-ID frame an accepted identity flag promises. The returned
+// clientID is "" for a peer that declared none, which the budget guard
+// buckets by address instead. Any other opening
 // is refused before a byte past the hello is read: no magic, no answer; the
 // magic with another version, a version-0 ack the peer can report.
 func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (*binServerCodec, string, error) {
@@ -533,12 +454,12 @@ func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (*binServerCodec, st
 		return nil, "", err
 	}
 	if hello[4] != wireVersion {
-		refusal := helloAckBytes(0, 0, 0)
+		refusal := helloBytes(0, 0)
 		_, _ = conn.Write(refusal[:]) // best effort: the connection closes either way
 		return nil, "", fmt.Errorf("comm: client hello names unsupported wire version %d", hello[4])
 	}
 	flags := hello[5] & (wireFlagF32 | wireFlagClientID)
-	ack := helloAckBytes(wireVersion, flags, windowAdviceMs(s.opts.window))
+	ack := helloBytes(wireVersion, flags)
 	if _, err := conn.Write(ack[:]); err != nil {
 		return nil, "", err
 	}
@@ -584,19 +505,12 @@ func (s *Server) handle(conn net.Conn) {
 		acct = g.AccountFor(id)
 	}
 
-	// With continuous batching on, this connection owns one dispatcher
-	// queue. It unregisters only after the writer has drained every reply
-	// (the deferred call runs after writer.Wait()), at which point the queue
-	// is empty by construction.
-	var cq *connQueue
-	if s.dispatcher != nil {
-		cq = s.dispatcher.register()
-		defer s.dispatcher.unregister(cq)
-	}
-
 	// pending preserves request order across the concurrent pool: the writer
 	// awaits each job's reply in FIFO order. free returns fully written jobs
-	// to the reader.
+	// to the reader. With at most cap(pending) jobs waiting on the writer and
+	// one more being handed to the pool, a connection holds at most 33
+	// decoded requests; past that the reader stops reading and TCP
+	// backpressure holds the rest in the client.
 	pending := make(chan *job, 32)
 	free := make(chan *job, 64)
 	tr := s.opts.tracer
@@ -608,23 +522,20 @@ func (s *Server) handle(conn net.Conn) {
 		for j := range pending {
 			resp := <-j.reply
 			if !failed {
-				var encStart time.Time
-				if tr != nil {
-					encStart = time.Now()
-				}
 				if err := codec.writeResponse(j, resp); err != nil {
 					// The client is gone; closing the conn unblocks the
 					// reader, and draining keeps submitted jobs from leaking.
 					failed = true
 					conn.Close()
 				} else if tr != nil {
-					tr.Span(&j.tr, trace.StageEncode, encStart, time.Since(encStart))
+					// Encode runs from the worker's hand-off, so the wait
+					// for this writer is attributed too.
+					tr.Span(&j.tr, trace.StageEncode, j.handedAt, time.Since(j.handedAt))
 				}
 			}
-			// The leg ends when its bytes leave (or the client is gone). A
-			// shed is not an error here — it retains via its own flag.
+			// The leg ends when its bytes leave (or the client is gone).
 			if tr != nil {
-				tr.Finish(&j.tr, failed || (resp.Err != "" && resp.Code != CodeOverloaded))
+				tr.Finish(&j.tr, failed || resp.Err != "")
 			}
 			j.reset()
 			select {
@@ -652,20 +563,15 @@ func (s *Server) handle(conn net.Conn) {
 			if j.decodeDur > 0 {
 				tr.Span(&j.tr, trace.StageDecode, j.decodeAt, j.decodeDur)
 			}
-			j.queuedAt = time.Now()
+			j.handedAt = time.Now()
 		}
 		pending <- j
-		// The pool (and, when batching, the dispatcher) outlives every
-		// handler: Serve joins handlers before stopping either, so an
-		// unconditional hand-off cannot deadlock and a request that was
-		// decoded always gets an answer — computed or honestly shed — even
-		// mid-shutdown, honoring the drain guarantee without racing
-		// ctx.Done against a free worker.
-		if cq != nil {
-			s.dispatcher.submit(cq, j)
-		} else {
-			s.jobs <- j
-		}
+		// The pool outlives every handler: Serve joins handlers before
+		// stopping it, so an unconditional hand-off cannot deadlock and a
+		// request that was decoded always gets an answer, even mid-shutdown,
+		// honoring the drain guarantee without racing ctx.Done against a
+		// free worker.
+		s.jobs <- j
 	}
 	close(pending)
 	writer.Wait()
@@ -793,121 +699,73 @@ func (c *bodyCache) bodiesFor(m ServedModel) (any, error) {
 // lock. A selector rotation, which keeps the bodies, costs nothing.
 func (s *Server) worker(stop <-chan struct{}) {
 	bodies := s.newBodyCache()
-	// A direct job is served as a batch of one through this slot: a
-	// per-request []*job{j} would escape through the tensors interface.
-	one := make([]*job, 1)
 	for {
 		select {
 		case j := <-s.jobs:
-			one[0] = j
-			s.serve(one, bodies)
-		case b := <-s.batches: // nil channel (never ready) without a dispatcher
-			s.serve(b.jobs, bodies)
-			s.dispatcher.putBatch(b)
+			s.serve(j, bodies)
 		case <-stop:
 			return
 		}
 	}
 }
 
-// serve answers jobs — a direct job, or a batch the dispatcher coalesced —
-// with one compute over the caller's body cache, feeding the optional
-// telemetry and tracing hooks, each one nil check when disabled. Replies go
-// out only after those recorded: a replied job belongs to its connection
-// writer, which recycles it.
-func (s *Server) serve(jobs []*job, bodies *bodyCache) {
+// serve answers j with one compute over the caller's body cache, feeding the
+// optional telemetry and tracing hooks, each one nil check when disabled.
+// The reply goes out only after those recorded: a replied job belongs to its
+// connection writer, which recycles it.
+func (s *Server) serve(j *job, bodies *bodyCache) {
 	tr, sm := s.opts.tracer, s.opts.metrics
 	var start time.Time
 	if sm != nil || tr != nil {
 		start = time.Now()
 	}
 	if tr != nil {
-		for _, j := range jobs {
-			// Intake wait for jobs that reached a worker directly; dispatcher
-			// jobs had their queue/batch-window split recorded at pop time.
-			if !j.queuedAt.IsZero() {
-				tr.Span(&j.tr, trace.StageQueue, j.queuedAt, start.Sub(j.queuedAt))
-				j.queuedAt = time.Time{}
-			}
-		}
+		tr.Span(&j.tr, trace.StageQueue, j.handedAt, start.Sub(j.handedAt))
 	}
-	if sm != nil && len(jobs) > 1 {
-		sm.CoalescedBatch.Observe(float64(len(jobs)))
-	}
-	s.compute(jobs, bodies)
+	s.compute(j, bodies)
 	if sm != nil || tr != nil {
 		d := time.Since(start)
-		// Every member is attributed a shared pass; Arg records how many
-		// requests bought it together.
-		var shared int32
-		if len(jobs) > 1 {
-			shared = int32(len(jobs))
+		if sm != nil {
+			sm.record(j, d)
 		}
-		for _, j := range jobs {
-			if sm != nil {
-				sm.record(j, d)
-			}
-			tr.SpanArg(&j.tr, trace.StageForward, shared, start, d)
-		}
+		tr.Span(&j.tr, trace.StageForward, start, d)
+		j.handedAt = start.Add(d)
 	}
-	for _, j := range jobs {
-		j.reply <- &j.resp
-	}
+	j.reply <- &j.resp
 }
 
-// compute answers every job in j.resp. The budget verdicts come first: a
-// refused job must not resolve, be observed, or compute — it serves (and
-// therefore leaks) nothing, which is also why its charge was rolled back.
-// The live jobs resolve once, from the first job's header (the coalesce key
-// gives a batch one header), and run as one pass over this worker's body set
-// for the epoch. A panic anywhere (validation cannot anticipate every shape the
-// hosted bodies reject) answers every job still unanswered instead of
-// killing the server, and every answer given after the resolve names the
-// epoch.
-func (s *Server) compute(jobs []*job, bodies *bodyCache) {
+// compute answers j in j.resp. The budget verdict comes first: a refused job
+// must not resolve, be observed, or compute — it serves (and therefore leaks)
+// nothing, which is also why its charge was rolled back. A live job resolves
+// its header and runs one pass over this worker's body set for the epoch. A
+// panic anywhere (validation cannot anticipate every shape the hosted bodies
+// reject) answers the job instead of killing the server, and every answer
+// given after the resolve names the epoch.
+func (s *Server) compute(j *job, bodies *bodyCache) {
 	var epoch Response
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && j.resp.Err == "" && !j.pay.answered() {
 			epoch.Err = fmt.Sprintf("comm: request failed: %v", r)
-			failPending(jobs, epoch)
+			j.resp = epoch
 		}
 	}()
-	live := false
-	for _, j := range jobs {
-		if s.chargeJob(j) {
-			live = true
-		}
-	}
-	if !live {
+	if !s.chargeJob(j) {
 		return
 	}
-	m, err := s.provider.Resolve(jobs[0].req.Model, jobs[0].req.Version)
+	m, err := s.provider.Resolve(j.req.Model, j.req.Version)
 	if err != nil {
-		failPending(jobs, Response{Err: err.Error()})
+		j.resp = Response{Err: err.Error()}
 		return
 	}
 	epoch.Model, epoch.Version = m.Name(), m.Version()
 	if o := s.opts.observer; o != nil {
-		for _, j := range jobs {
-			if j.resp.Err == "" {
-				j.pay.observe(o, epoch.Model, epoch.Version)
-			}
-		}
+		j.pay.observe(o, epoch.Model, epoch.Version)
 	}
 	run, err := bodies.bodiesFor(m)
 	if err != nil {
 		epoch.Err = err.Error()
-		failPending(jobs, epoch)
+		j.resp = epoch
 		return
 	}
-	jobs[0].pay.pass(s, jobs, run, epoch)
-}
-
-// failPending answers every job that has no answer yet with resp.
-func failPending(jobs []*job, resp Response) {
-	for _, j := range jobs {
-		if j.resp.Err == "" && !j.pay.answered() {
-			j.resp = resp
-		}
-	}
+	j.pay.pass(s, j, run, epoch)
 }

@@ -1,6 +1,6 @@
 // Package faultpoint is a deterministic fault-injection registry: named
 // sites compiled into production code paths at trust boundaries (accept,
-// negotiation, frame I/O, dispatch intake, budget charge, registry publish,
+// negotiation, frame I/O, budget charge, registry publish,
 // shard exchange), armed only by tests, the chaos harness, or an operator
 // who explicitly opted in (ensembler-serve refuses ENSEMBLER_FAULTPOINTS
 // without -allow-faultpoints).

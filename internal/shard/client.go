@@ -75,9 +75,10 @@ type Config struct {
 	Model   string
 	Version int
 	// Retries is how many additional attempts a failed shard exchange gets
-	// before the shard is declared failed for the request (default 1; < 0
-	// disables retries). The pool discards broken connections, so a retry
-	// dials fresh.
+	// before the shard is declared failed for the request (default 1: one
+	// immediate retry on any error, no backoff; < 0 disables retries). It is
+	// the fleet's only retry: comm.Pool makes exactly one attempt. The pool
+	// discards broken connections, so a retry dials fresh.
 	Retries int
 	// DownAfter is the circuit-breaker threshold: this many consecutive
 	// failures open a shard's circuit (default 3). An open circuit

@@ -12,20 +12,17 @@ import (
 )
 
 // TestStitchedTraceAcrossShards is the tracing acceptance run: one logical
-// request fanned out by the scatter-gather client to a 2-shard fleet (every
-// shard running the continuous-batching dispatcher) must yield one stitched
-// trace — the client's root leg plus one server leg per shard, all sharing
+// request fanned out by the scatter-gather client to a 2-shard fleet must
+// yield one stitched trace — the client's root leg plus one server leg per shard, all sharing
 // the root's trace ID — whose stage spans account for the measured
 // end-to-end latency within tolerance.
 func TestStitchedTraceAcrossShards(t *testing.T) {
 	const shards = 2
 	// One tracer shared by the client and both in-process shard servers, as
 	// one admin plane would see it. Rate 1 so the root coin always forces
-	// retention; the batch window engages the dispatcher's queue and
-	// batch-wait stages on every shard.
+	// retention.
 	tr := trace.New(trace.Config{SampleRate: 1, SlowestN: -1, Capacity: 64})
-	f := commtest.StartShards(t, shards, 4, 2, 11,
-		comm.WithTracer(tr), comm.WithBatchWindow(2*time.Millisecond))
+	f := commtest.StartShards(t, shards, 4, 2, 11, comm.WithTracer(tr))
 	cfg := f.ClientConfig()
 	cfg.Tracer = tr
 	c, err := shard.NewClient(cfg)
@@ -120,16 +117,16 @@ func TestStitchedTraceAcrossShards(t *testing.T) {
 		t.Errorf("root leg has scatter spans for %d shards, want %d", len(seen), shards)
 	}
 
-	// Every server leg's stage spans (decode, queue, batch-wait, forward,
-	// encode) must sum to within tolerance of that leg's total: attribution
-	// that misses half the latency, or double-counts past the total, is
-	// exactly the blind spot this subsystem exists to remove. The lower
-	// bound is conservative — hand-off gaps between stages are real but
-	// small next to a 2ms batch window.
+	// Every server leg's stage spans (decode, queue, forward, encode) must
+	// sum to within tolerance of that leg's total: attribution that misses
+	// half the latency, or double-counts past the total, is exactly the
+	// blind spot this subsystem exists to remove. The lower bound is
+	// conservative — hand-off gaps between stages are real but small next
+	// to the forward pass.
 	for _, leg := range servers {
 		var sum time.Duration
 		for _, s := range []trace.Stage{trace.StageDecode, trace.StageQueue,
-			trace.StageBatchWait, trace.StageForward, trace.StageEncode} {
+			trace.StageForward, trace.StageEncode} {
 			sum += leg.StageDur(s)
 		}
 		total := time.Duration(leg.Dur)

@@ -38,10 +38,7 @@ func WriteChrome(w io.Writer, recs []Record) error {
 		r := &recs[i]
 		tid := i + 1
 		legName := fmt.Sprintf("leg %d", tid)
-		switch {
-		case r.Shed:
-			legName += " (shed)"
-		case r.Err:
+		if r.Err {
 			legName += " (err)"
 		}
 		events = append(events, chromeEvent{
@@ -51,9 +48,6 @@ func WriteChrome(w io.Writer, recs []Record) error {
 		args := map[string]any{"trace_id": fmt.Sprintf("%016x", r.ID)}
 		if r.Err {
 			args["err"] = true
-		}
-		if r.Shed {
-			args["shed"] = true
 		}
 		if r.Dropped > 0 {
 			args["dropped_spans"] = r.Dropped

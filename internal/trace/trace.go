@@ -12,28 +12,28 @@
 //     when a Tracer is attached; "sampling" decides retention, not recording.
 //   - The Tracer owns a fixed ring of completed-trace Records. Finishing a
 //     request copies its spans into a ring slot only when the tail-based
-//     retention policy says so: errors and sheds always, the slowest-N seen
-//     recently always, and a configurable probabilistic fraction of the
-//     rest. Tail-based means the decision runs at completion, when the
-//     outcome and total latency are known — a head sampler cannot promise
-//     "every shed is traceable".
+//     retention policy says so: errors always, the slowest-N seen recently
+//     always, and a configurable probabilistic fraction of the rest.
+//     Tail-based means the decision runs at completion, when the outcome
+//     and total latency are known — a head sampler cannot promise "every
+//     error is traceable".
 //   - Every span additionally feeds a per-stage duration histogram
 //     (`ensembler_stage_seconds{stage=...}` when a telemetry registry is
 //     attached), so /metrics carries latency attribution even for the
 //     requests whose spans were not retained.
 //
 // Stitching: a trace Context (u64 ID + the retention decision) propagates on
-// the wire (see internal/comm's version-3 traced frames), so the client leg,
-// the dispatcher leg, and every shard leg of one logical request share one
-// trace ID. Each leg finishes independently and lands as its own Record; a
+// the wire (see internal/comm's traced frames), so the client leg, the
+// server leg, and every shard leg of one logical request share one trace
+// ID. Each leg finishes independently and lands as its own Record; a
 // consumer (the admin plane's /traces/{id}) stitches legs by ID. The Sampled
 // flag exists for cross-leg consistency: the root leg decides the
 // probabilistic coin once and forces retention downstream, so a retained
 // trace is never missing half its legs.
 //
 // Concurrency: one Active belongs to one goroutine at a time (the job
-// hand-off points — reader → dispatcher → worker → writer — are all
-// channel- or mutex-sequenced, which is the same ownership discipline the
+// hand-off points — reader → worker → writer — are all channel- or
+// mutex-sequenced, which is the same ownership discipline the
 // job's arena relies on). The ring write path never blocks: slots are
 // claimed with an atomic cursor and guarded by per-slot try-locks, so a
 // writer racing a slow scrape drops that one record instead of waiting.
@@ -56,20 +56,14 @@ const (
 	// decoded request; the blocking read that precedes it is idle time, not
 	// work, and is deliberately unattributed).
 	StageDecode Stage = iota
-	// StageQueue is intake wait: submit to the worker pool (or dispatcher)
-	// until compute begins, minus any deliberate batch-window wait.
+	// StageQueue is intake wait: hand-off to the worker pool until compute
+	// begins.
 	StageQueue
-	// StageBatchWait is the deliberate coalescing delay the dispatcher's
-	// batch window imposes — the latency spent buying occupancy.
-	StageBatchWait
-	// StageForward is resolve + body-set lookup + the stacked body passes.
+	// StageForward is resolve + body-set lookup + the body passes.
 	StageForward
-	// StageEncode is response encode + write on the connection writer.
+	// StageEncode is the hand-off back to the connection writer, then
+	// response encode + write on it.
 	StageEncode
-	// StageShed marks a request answered by admission control with
-	// ErrOverloaded — the terminal span of a shed trace; its duration is the
-	// time the request sat queued before being chosen as the victim.
-	StageShed
 	// StageClient is client-side compute: head+noise before the round trip
 	// (Arg 0) and selection+tail after it (Arg 1).
 	StageClient
@@ -84,8 +78,8 @@ const (
 )
 
 var stageNames = [numStages]string{
-	"decode", "queue", "batch_wait", "forward", "encode",
-	"shed", "client", "scatter", "retry",
+	"decode", "queue", "forward", "encode",
+	"client", "scatter", "retry",
 }
 
 func (s Stage) String() string {
@@ -95,7 +89,7 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// MaxSpans bounds one leg's span storage. A monolith server leg uses ~5; a
+// MaxSpans bounds one leg's span storage. A monolith server leg uses 4; a
 // scatter-gather client leg uses 2 + K + one marker per retry. Overflow
 // increments Record.Dropped instead of allocating.
 const MaxSpans = 24
@@ -129,7 +123,6 @@ type Active struct {
 	id      uint64
 	forced  bool
 	err     bool
-	shed    bool
 	live    bool
 	start   time.Time
 	dropped uint32
@@ -140,7 +133,7 @@ type Active struct {
 // Reset reclaims the Active for the next request. Only the bookkeeping head
 // is cleared; span slots past n were never valid.
 func (a *Active) Reset() {
-	a.id, a.forced, a.err, a.shed, a.live = 0, false, false, false, false
+	a.id, a.forced, a.err, a.live = 0, false, false, false
 	a.start = time.Time{}
 	a.dropped, a.n = 0, 0
 }
@@ -150,10 +143,6 @@ func (a *Active) Live() bool { return a.live }
 
 // ID returns the leg's trace ID (zero before Begin).
 func (a *Active) ID() uint64 { return a.id }
-
-// MarkShed tags the leg as answered by admission control; tail sampling
-// always retains it.
-func (a *Active) MarkShed() { a.shed = true }
 
 // MarkErr tags the leg as failed; tail sampling always retains it.
 func (a *Active) MarkErr() { a.err = true }
@@ -179,7 +168,6 @@ type Record struct {
 	Start   int64 // wall clock, nanoseconds since the Unix epoch
 	Dur     int64 // nanoseconds, Begin to Finish
 	Err     bool
-	Shed    bool
 	Forced  bool // retention was decided upstream (or by the root coin)
 	Dropped uint32
 	N       int
@@ -207,7 +195,7 @@ type slot struct {
 // Config configures a Tracer. Zero values take the documented defaults.
 type Config struct {
 	// SampleRate is the probabilistic tail-retention rate for requests that
-	// are neither errors, sheds, nor slowest-N (default 0.01; negative
+	// are neither errors nor slowest-N (default 0.01; negative
 	// disables the coin entirely).
 	SampleRate float64
 	// SlowestN is how many slowest-seen requests the slow tracker retains
@@ -395,8 +383,8 @@ func (t *Tracer) SpanArg(a *Active, s Stage, arg int32, start time.Time, dur tim
 	}
 }
 
-// Finish completes a leg and runs the tail-retention policy: errors, sheds,
-// and upstream-forced legs always retain; then the slowest-N tracker; then
+// Finish completes a leg and runs the tail-retention policy: errors and
+// upstream-forced legs always retain; then the slowest-N tracker; then
 // the probabilistic coin. Returns whether the leg was copied into the ring.
 // The Active is dead afterwards (reusable via Begin).
 func (t *Tracer) Finish(a *Active, errFlag bool) bool {
@@ -410,7 +398,7 @@ func (t *Tracer) Finish(a *Active, errFlag bool) bool {
 		t.decaySlow()
 	}
 	failed := a.err || errFlag
-	retain := failed || a.shed || a.forced
+	retain := failed || a.forced
 	if !retain && t.slowRetain(int64(total)) {
 		retain = true
 	}
@@ -496,7 +484,6 @@ func (t *Tracer) store(a *Active, total time.Duration, failed bool) {
 	s.data.Start = a.start.UnixNano()
 	s.data.Dur = int64(total)
 	s.data.Err = failed
-	s.data.Shed = a.shed
 	s.data.Forced = a.forced
 	s.data.Dropped = a.dropped
 	s.data.N = a.n

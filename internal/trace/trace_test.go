@@ -52,7 +52,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
-func TestErrorAndShedAlwaysRetain(t *testing.T) {
+func TestErrorAlwaysRetains(t *testing.T) {
 	tr := newTest(-1, 0, 8) // no coin, no slow tracker
 	var a Active
 
@@ -72,18 +72,14 @@ func TestErrorAndShedAlwaysRetain(t *testing.T) {
 		t.Fatal("errored request (MarkErr) not retained")
 	}
 
-	tr.Begin(&a, Context{})
-	a.MarkShed()
-	if !tr.Finish(&a, false) {
-		t.Fatal("shed request not retained")
-	}
 	recs := tr.Snapshot()
-	if len(recs) != 3 {
-		t.Fatalf("retained %d records, want 3", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("retained %d records, want 2", len(recs))
 	}
-	last := recs[len(recs)-1]
-	if !last.Shed || last.Err {
-		t.Fatalf("shed record flags = err:%v shed:%v", last.Err, last.Shed)
+	for _, r := range recs {
+		if !r.Err {
+			t.Fatal("retained errored record without its error flag")
+		}
 	}
 }
 
@@ -269,10 +265,10 @@ func TestNewIDsAreDistinctAndNonzero(t *testing.T) {
 
 func TestStageString(t *testing.T) {
 	want := map[Stage]string{
-		StageDecode: "decode", StageQueue: "queue", StageBatchWait: "batch_wait",
-		StageForward: "forward", StageEncode: "encode", StageShed: "shed",
-		StageClient: "client", StageScatter: "scatter", StageRetry: "retry",
-		numStages: "unknown",
+		StageDecode: "decode", StageQueue: "queue", StageForward: "forward",
+		StageEncode: "encode", StageClient: "client", StageScatter: "scatter",
+		StageRetry: "retry",
+		numStages:  "unknown",
 	}
 	for s, name := range want {
 		if s.String() != name {
@@ -352,10 +348,9 @@ func TestChromeExportValidates(t *testing.T) {
 	tr.SpanArg(&a, StageScatter, 0, time.Now(), 2*time.Millisecond)
 	tr.Finish(&a, false)
 
-	var shed Active
-	tr.Begin(&shed, Context{ID: ctx.ID})
-	shed.MarkShed()
-	tr.Finish(&shed, false)
+	var failed Active
+	tr.Begin(&failed, Context{ID: ctx.ID})
+	tr.Finish(&failed, true)
 
 	var buf jsonBuffer
 	if err := WriteChrome(&buf, tr.TraceByID(ctx.ID)); err != nil {
@@ -384,7 +379,7 @@ func TestChromeExportValidates(t *testing.T) {
 	if len(doc.TraceEvents) != 2*2+2 {
 		t.Fatalf("got %d events, want 6:\n%s", len(doc.TraceEvents), buf.b)
 	}
-	var sawShedName, sawTraceID bool
+	var sawErrName, sawTraceID bool
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" && ev.Ph != "M" {
 			t.Fatalf("unexpected phase %q", ev.Ph)
@@ -393,8 +388,8 @@ func TestChromeExportValidates(t *testing.T) {
 			t.Fatalf("event ids pid=%d tid=%d", ev.Pid, ev.Tid)
 		}
 		if ev.Ph == "M" {
-			if name, _ := ev.Args["name"].(string); name == "leg 2 (shed)" {
-				sawShedName = true
+			if name, _ := ev.Args["name"].(string); name == "leg 2 (err)" {
+				sawErrName = true
 			}
 		}
 		if ev.Name == "request" {
@@ -403,8 +398,8 @@ func TestChromeExportValidates(t *testing.T) {
 			}
 		}
 	}
-	if !sawShedName {
-		t.Fatal("shed leg not labeled in metadata")
+	if !sawErrName {
+		t.Fatal("errored leg not labeled in metadata")
 	}
 	if !sawTraceID {
 		t.Fatal("request event missing trace_id arg")
