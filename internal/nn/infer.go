@@ -295,8 +295,8 @@ func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 	return tensor.ConvOutSize(x.Shape[2], c.kh, c.stride, c.pad), tensor.ConvOutSize(x.Shape[3], c.kw, c.stride, c.pad)
 }
 
-// infer computes the convolution serially per sample with the blocked
-// matmul kernel, retaining no im2col matrices.
+// infer computes the convolution serially per sample with the
+// register-tiled matmul kernel, retaining no im2col matrices.
 func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	oh, ow := c.outSize(x)
 	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the allocation-free kernels: cache-blocked matrix
+// This file holds the allocation-free kernels: register-tiled matrix
 // multiplication writing into caller-owned buffers, the *Into variants of
 // the elementwise and im2col transforms, and the process-wide kernel
 // parallelism knob. The *Into family is the one set of kernels both paths
@@ -22,8 +22,11 @@ import (
 // element type alone: the inner matmul panel (matmulRows → matmulRowsF32)
 // and the a×bᵀ row of dot products (matmulTransBRow → dot32). They are the
 // only places where the f64 oracle's bit-identity (strictly sequential
-// accumulation) and the f32 backend's speed (a reassociated, unrolled
-// reduction) genuinely conflict; see DESIGN.md §2i.
+// accumulation) and the f32 backend's association (a reassociated, unrolled
+// reduction, pinned by the f32 golden digests) genuinely conflict; see
+// DESIGN.md §2i. The f32 panel's 2×4 tile is the one kernel with a SIMD form
+// (kernels_amd64.s, behind tile2x4F32); its portable form tile2x4F32Go runs
+// on every other GOARCH and is the order the assembly must reproduce.
 
 // kernelWorkers caps how many goroutines parallelFor may use; 0 means
 // GOMAXPROCS (the historical behavior).
@@ -46,110 +49,173 @@ func SetKernelParallelism(n int) {
 // KernelParallelism reports the current cap (0 = GOMAXPROCS).
 func KernelParallelism() int { return int(kernelWorkers.Load()) }
 
-// Blocking factors for the tiled matmul: the [blockK × blockJ] panel of b
-// (64 KiB of float64) stays cache-resident while every output row of the
-// row-block consumes it. The f32 panel is twice as wide — float32 halves the
-// element size, so it occupies the same 64 KiB.
-const (
-	matmulBlockK    = 64
-	matmulBlockJ    = 128
-	matmulBlockJF32 = 2 * matmulBlockJ
-)
-
 // matmulRows computes out[i0:i1) = a[i0:i1)×b for row-major a:[m,k],
-// b:[k,n], out:[m,n], tiled over (k, j). Output rows are zeroed first.
-// float32 takes the unrolled panel below; every other element type —
-// float64, the oracle — accumulates in strictly ascending p order, matching
-// the naive kernel bit for bit, so parallel and serial callers agree exactly.
+// b:[k,n], out:[m,n], overwriting those rows and touching no others. float32
+// takes the panel below; every other element type — float64, the oracle —
+// accumulates in strictly ascending p order from zero, skipping zero
+// weights, matching the naive kernel bit for bit, so parallel and serial
+// callers agree exactly.
+//
+// The output is register-tiled: a 2-row × 4-column tile of out lives in
+// eight local accumulators for the whole k loop and is stored once at the
+// end, so each step of p costs two loads of a, four of b and eight
+// multiply-adds, with no load or store of out. The serving bodies' panels
+// are tiny (n = oh*ow of 16, 4, even 1 after the stride-2 blocks), where an
+// axpy form that re-loads and re-stores out[i][j] for every (i, p) pair
+// spends more on that traffic than on the arithmetic. The n mod 4 columns
+// left over run as 2×1 tiles, and an odd last row runs as a pair with itself
+// (panelRow): both halves compute the same sums and store them to the same
+// place. gc does not auto-vectorize: this panel's win is fewer loads and
+// stores, not SIMD.
 func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
 	if o, ok := any(out).([]float32); ok {
 		matmulRowsF32(o, any(a).([]float32), any(b).([]float32), i0, i1, k, n)
 		return
 	}
-	for i := i0; i < i1; i++ {
-		row := out[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for kb := 0; kb < k; kb += matmulBlockK {
-		kend := min(kb+matmulBlockK, k)
-		for jb := 0; jb < n; jb += matmulBlockJ {
-			jend := min(jb+matmulBlockJ, n)
-			for i := i0; i < i1; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := out[i*n+jb : i*n+jend]
-				for p := kb; p < kend; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n+jb : p*n+jend]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
+	for i := i0; i < i1; i += 2 {
+		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
+		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
+		for j := 0; j+4 <= n; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 T
+			off := j
+			for p, x0 := range a0 {
+				b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
+				off += n
+				if x0 != 0 {
+					c00 += x0 * b0
+					c01 += x0 * b1
+					c02 += x0 * b2
+					c03 += x0 * b3
+				}
+				if x1 := a1[p]; x1 != 0 {
+					c10 += x1 * b0
+					c11 += x1 * b1
+					c12 += x1 * b2
+					c13 += x1 * b3
 				}
 			}
+			*(*[4]T)(o0[j : j+4]) = [4]T{c00, c01, c02, c03}
+			*(*[4]T)(o1[j : j+4]) = [4]T{c10, c11, c12, c13}
+		}
+		for j := n &^ 3; j < n; j++ {
+			var c0, c1 T
+			off := j
+			for p, x0 := range a0 {
+				bv := b[off]
+				off += n
+				if x0 != 0 {
+					c0 += x0 * bv
+				}
+				if x1 := a1[p]; x1 != 0 {
+					c1 += x1 * bv
+				}
+			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
 }
 
-// matmulRowsF32 is matmulRows' float32 panel: same tiling, but the inner
-// kernel folds four k-rows of b into one pass over the output panel. The
-// serving bodies' post-pool convolutions have tiny spatial panels (oh*ow of
-// 16, 4, even 1 after the stride-2 blocks), so one axpy pass per (i, p) pair
-// costs more in loop overhead than in arithmetic; four multiplies per inline
-// j-loop quarter the passes over orow. gc does not auto-vectorize — the win
-// is fewer loads and stores of orow, not SIMD.
+// panelRow returns row i of the row-major [.., w] matrix s, or row i1-1 when
+// i is past the panel's last row: the short last row pair of a panel
+// recomputes that row rather than taking a code path of its own.
+func panelRow[T Float](s []T, i, i1, w int) []T {
+	i = min(i, i1-1)
+	return s[i*w : (i+1)*w]
+}
+
+// matmulRowsF32 is matmulRows' float32 panel: the same 2×4 and 2×1 tiles,
+// but each output sums its products in groups of four k-rows,
+// s += a0·b0 + a1·b1 + a2·b2 + a3·b3, and adds the last k mod 4 terms one at
+// a time, skipping zero weights.
 //
-// This is NOT the sequential summation order. By the Go spec
-// `orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]` evaluates as
-// orow[j] + (((a0*b0[j] + a1*b1[j]) + a2*b2[j]) + a3*b3[j]): the four
-// products are summed among themselves first and the group is then added to
-// the running total, where the sequential loop adds each product to the
-// total in turn. The results differ in the last bits, which is why this
-// panel stays per-type (the f64 oracle must not reassociate) and why what
-// holds it to the oracle is the 1e-5 relative drift tests
+// This is NOT the sequential summation order. By the Go spec the group
+// evaluates as s + (((a0*b0 + a1*b1) + a2*b2) + a3*b3): the four products
+// are summed among themselves first and the group is then added to the
+// running total, where the sequential loop adds each product to the total
+// in turn. The results differ in the last bits, which is why this panel
+// stays per-type (the f64 oracle must not reassociate, and the f32 golden
+// digests pin this association) and why what holds it to the oracle is the
+// 1e-5 relative drift tests
 // (TestMatMulInto32MatchesF64, nn.TestCompileDrift, audit/precision_test),
-// not order equality. The zero-skip applies only to the k-tail rows.
+// not order equality. The zero-skip applies only to the tail.
+//
+// The association is what lets the 2×4 tiles' groups run four columns to a
+// SIMD register (tile2x4F32): one lane per column, each lane computing
+// exactly the scalar expression above.
 func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
-		row := out[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for kb := 0; kb < k; kb += matmulBlockK {
-		kend := min(kb+matmulBlockK, k)
-		for jb := 0; jb < n; jb += matmulBlockJF32 {
-			jend := min(jb+matmulBlockJF32, n)
-			for i := i0; i < i1; i++ {
-				arow := a[i*k : (i+1)*k]
-				orow := out[i*n+jb : i*n+jend]
-				p := kb
-				for ; p+4 <= kend; p += 4 {
-					a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-					b0 := b[p*n+jb : p*n+jend][:len(orow)]
-					b1 := b[(p+1)*n+jb : (p+1)*n+jend][:len(orow)]
-					b2 := b[(p+2)*n+jb : (p+2)*n+jend][:len(orow)]
-					b3 := b[(p+3)*n+jb : (p+3)*n+jend][:len(orow)]
-					for j := range orow {
-						orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-					}
+	k4 := k &^ 3
+	for i := i0; i < i1; i += 2 {
+		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
+		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
+		for j := 0; j+4 <= n; j += 4 {
+			var c [8]float32
+			tile2x4F32(&c, a0, a1, b[j:], n, k4/4)
+			for p := k4; p < k; p++ {
+				q := (*[4]float32)(b[p*n+j : p*n+j+4])
+				if x0 := a0[p]; x0 != 0 {
+					c[0] += x0 * q[0]
+					c[1] += x0 * q[1]
+					c[2] += x0 * q[2]
+					c[3] += x0 * q[3]
 				}
-				for ; p < kend; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n+jb : p*n+jend]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
+				if x1 := a1[p]; x1 != 0 {
+					c[4] += x1 * q[0]
+					c[5] += x1 * q[1]
+					c[6] += x1 * q[2]
+					c[7] += x1 * q[3]
 				}
 			}
+			*(*[4]float32)(o0[j : j+4]) = [4]float32(c[:4])
+			*(*[4]float32)(o1[j : j+4]) = [4]float32(c[4:])
+		}
+		for j := n &^ 3; j < n; j++ {
+			var c0, c1 float32
+			p := 0
+			for off := j; p < k4; p, off = p+4, off+4*n {
+				b0, b1, b2, b3 := b[off], b[off+n], b[off+2*n], b[off+3*n]
+				x := (*[4]float32)(a0[p : p+4])
+				y := (*[4]float32)(a1[p : p+4])
+				c0 += x[0]*b0 + x[1]*b1 + x[2]*b2 + x[3]*b3
+				c1 += y[0]*b0 + y[1]*b1 + y[2]*b2 + y[3]*b3
+			}
+			for ; p < k; p++ {
+				bv := b[p*n+j]
+				if x0 := a0[p]; x0 != 0 {
+					c0 += x0 * bv
+				}
+				if x1 := a1[p]; x1 != 0 {
+					c1 += x1 * bv
+				}
+			}
+			o0[j], o1[j] = c0, c1
 		}
 	}
+}
+
+// tile2x4F32Go adds the first steps groups of four products to a 2×4 tile:
+// c[0:4] += a0[4s:4s+4]·b rows 4s..4s+3, columns 0..3, and c[4:8] likewise
+// from a1, for s in [0, steps), where row p of b starts at b[p*n]. It is the
+// portable form of tile2x4F32 and the order its SIMD form must reproduce bit
+// for bit.
+func tile2x4F32Go(c *[8]float32, a0, a1, b []float32, n, steps int) {
+	c00, c01, c02, c03, c10, c11, c12, c13 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	for p, off := 0, 0; p < 4*steps; p, off = p+4, off+4*n {
+		x := (*[4]float32)(a0[p : p+4])
+		y := (*[4]float32)(a1[p : p+4])
+		// Column by column, both rows: each column's four b values die
+		// after their two uses, which keeps the tile, the eight weights and
+		// the live b values close to the 15 registers gc allocates.
+		r1, r2, r3 := off+n, off+2*n, off+3*n
+		c00 += x[0]*b[off] + x[1]*b[r1] + x[2]*b[r2] + x[3]*b[r3]
+		c10 += y[0]*b[off] + y[1]*b[r1] + y[2]*b[r2] + y[3]*b[r3]
+		c01 += x[0]*b[off+1] + x[1]*b[r1+1] + x[2]*b[r2+1] + x[3]*b[r3+1]
+		c11 += y[0]*b[off+1] + y[1]*b[r1+1] + y[2]*b[r2+1] + y[3]*b[r3+1]
+		c02 += x[0]*b[off+2] + x[1]*b[r1+2] + x[2]*b[r2+2] + x[3]*b[r3+2]
+		c12 += y[0]*b[off+2] + y[1]*b[r1+2] + y[2]*b[r2+2] + y[3]*b[r3+2]
+		c03 += x[0]*b[off+3] + x[1]*b[r1+3] + x[2]*b[r2+3] + x[3]*b[r3+3]
+		c13 += y[0]*b[off+3] + y[1]*b[r1+3] + y[2]*b[r2+3] + y[3]*b[r3+3]
+	}
+	*c = [8]float32{c00, c01, c02, c03, c10, c11, c12, c13}
 }
 
 // matmulTransBRow computes one output row of a×bᵀ: orow[j] = arow·b[j] over
@@ -225,7 +291,7 @@ func matMulDims(op string, dst, a, b []int, transA, transB bool) (m, k, n int) {
 }
 
 // MatMulInto computes dst = a×b for 2-D tensors [m,k]·[k,n] → [m,n] into the
-// caller-owned dst, serially, with the cache-blocked kernel. dst must not
+// caller-owned dst, serially, with the register-tiled kernel. dst must not
 // alias a or b. At float64 the result is bit-identical to MatMul.
 func MatMulInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
 	m, k, n := matMulDims("MatMulInto", dst.Shape, a.Shape, b.Shape, false, false)

@@ -104,3 +104,46 @@ func BenchmarkMatMulIntoTinyPanel(b *testing.B) {
 		MatMulInto(dst, a, x)
 	}
 }
+
+// TestTile2x4F32MatchesGo pins the f32 panel's SIMD tile to its portable
+// form bit for bit: zero, negative-zero, subnormal, huge and infinite
+// operands (so 0·Inf and Inf−Inf make NaNs, and large products overflow)
+// over every step count up to 17, at b row strides of 4, 5 and 9, from a
+// tile that already holds values. Where the tile is the portable form
+// (every GOARCH but amd64) the test compares it with itself.
+func TestTile2x4F32MatchesGo(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-40, -3e-39, 3e38, -2e38, float32(math.Inf(1)), float32(math.Inf(-1))}
+	s := uint64(7)
+	next := func() float32 {
+		s = s*2862933555777941757 + 3037000493
+		if r := s >> 60; r < 4 {
+			return specials[(s>>33)%uint64(len(specials))]
+		}
+		return float32(int32(s>>33))/float32(1<<28) - 4
+	}
+	fill := func(v []float32) []float32 {
+		for i := range v {
+			v[i] = next()
+		}
+		return v
+	}
+	for _, n := range []int{4, 5, 9} {
+		for steps := 0; steps <= 17; steps++ {
+			for trial := 0; trial < 8; trial++ {
+				a0, a1 := fill(make([]float32, 4*steps)), fill(make([]float32, 4*steps))
+				b := fill(make([]float32, max(4*steps*n, 4)))
+				var start [8]float32
+				fill(start[:])
+				got, want := start, start
+				tile2x4F32(&got, a0, a1, b, n, steps)
+				tile2x4F32Go(&want, a0, a1, b, n, steps)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("n=%d steps=%d trial %d: c[%d] = %v (%#x), portable tile %v (%#x)",
+							n, steps, trial, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}

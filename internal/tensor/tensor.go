@@ -326,8 +326,8 @@ func parallelFor(n int, body func(i int)) {
 }
 
 // parallelForChunks runs body(lo, hi) over a fixed-order partition of
-// [0, n) — the chunked form lets blocked kernels keep cache tiles hot across
-// a whole chunk instead of re-entering per index.
+// [0, n) — the chunked form lets a kernel tile a whole chunk of rows
+// instead of re-entering per index.
 func parallelForChunks(n int, body func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if limit := int(kernelWorkers.Load()); limit > 0 && limit < workers {
@@ -363,7 +363,7 @@ func parallelForChunks(n int, body func(lo, hi int)) {
 }
 
 // MatMul returns the matrix product a×b for 2-D tensors [m,k]·[k,n] → [m,n].
-// Row blocks of the output are computed in parallel with the cache-blocked
+// Row blocks of the output are computed in parallel with the register-tiled
 // kernel (see matmulRows); results are bit-identical to the serial
 // MatMulInto because accumulation order per output element is fixed.
 func MatMul(a, b *Tensor) *Tensor {
