@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ensembler/internal/commtest"
+	"ensembler/internal/data"
 	"ensembler/internal/nn"
 	"ensembler/internal/rng"
 	"ensembler/internal/split"
@@ -137,6 +138,7 @@ func TestCompileF64IsTheOracle(t *testing.T) {
 		{"resnet", resnetLikeStack(), []int{3, 3, 16, 16}},
 		{"decoder", decoderLikeStack(), []int{5, 12}},
 		{"seed body", golden.NewBody("golden", rng.New(1301)), []int{4, golden.HeadC, golden.H, golden.W}},
+		{"cifar100 body", split.DefaultArch(data.CIFAR100Like).NewBody("c100", rng.New(1302)), []int{2, golden.HeadC, golden.H, golden.W}},
 	}
 	for i, b := range commtest.Bodies(tiny, 2) {
 		stacks = append(stacks, stack{fmt.Sprintf("tiny body %d", i), b, []int{2, tiny.HeadC, tiny.H, tiny.W}})
@@ -170,6 +172,96 @@ func TestCompileF64IsTheOracle(t *testing.T) {
 			c.ForwardInfer(x, compiled)
 		}); allocs != 0 {
 			t.Errorf("%s: warmed compiled pass allocates %v times, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestReLUFoldsIntoMaxPool holds Compile's fused ReLU→MaxPool2D step to the
+// two layers it replaces, bit for bit at both precisions, over windows of
+// NaN, −0 and +0, ±Inf, all-negative values and mixes of them: at float64
+// against the live ForwardInfer (the oracle, which keeps both layers), at
+// float32 against the ReLU and the pool compiled apart.
+func TestReLUFoldsIntoMaxPool(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	x := tensor.New(2, 3, 6, 6)
+	rng.New(51).FillNormal(x.Data, 0, 1)
+	for i, win := range [][4]float64{
+		{nan, nan, nan, nan},
+		{negZero, negZero, negZero, negZero},
+		{negZero, 0, nan, -1},
+		{0, negZero, -2, -3},
+		{-inf, -inf, -inf, -inf},
+		{-1, -2, -0.5, -3},
+		{inf, nan, 1, 2},
+		{nan, 3, nan, 5},
+		{-inf, nan, 1e-300, negZero},
+	} {
+		// window i of plane 0: rows 2·(i/3) and 2·(i/3)+1, columns 2·(i%3)…
+		base := 2*(i/3)*6 + 2*(i%3)
+		x.Data[base], x.Data[base+1], x.Data[base+6], x.Data[base+7] = win[0], win[1], win[2], win[3]
+	}
+	for i := 36; i < 72; i++ { // plane 1 all negative
+		x.Data[i] = -math.Abs(x.Data[i]) - 1e-3
+	}
+	net := nn.NewNetwork("fold", nn.NewReLU(), nn.NewMaxPool2D(2, 2))
+	c64, err := nn.Compile[float64](net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c32, err := nn.Compile[float32](net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n64, n32 := nn.CompiledSteps(c64), nn.CompiledSteps(c32); n64 != 1 || n32 != 1 {
+		t.Fatalf("ReLU→MaxPool2D compiled to %d (f64) and %d (f32) steps, want 1", n64, n32)
+	}
+
+	want64 := net.ForwardInfer(x, nn.NewScratch())
+	got64 := c64.ForwardInfer(x, nn.NewScratch())
+	for i, v := range got64.Data {
+		if math.Float64bits(v) != math.Float64bits(want64.Data[i]) {
+			t.Errorf("f64 output %d is %v, ReLU then pool %v", i, v, want64.Data[i])
+		}
+		if math.IsNaN(v) || math.Signbit(v) {
+			t.Errorf("f64 output %d is %v: a rectified pool is never NaN or negative", i, v)
+		}
+	}
+
+	relu32, _ := nn.Compile[float32](nn.NewNetwork("relu", nn.NewReLU()))
+	pool32, _ := nn.Compile[float32](nn.NewNetwork("pool", nn.NewMaxPool2D(2, 2)))
+	x32 := tensor.Narrow32(x)
+	want32 := pool32.ForwardInfer(relu32.ForwardInfer(x32, nn.NewScratch32()), nn.NewScratch32())
+	got32 := c32.ForwardInfer(x32, nn.NewScratch32())
+	for i, v := range got32.Data {
+		if math.Float32bits(v) != math.Float32bits(want32.Data[i]) {
+			t.Errorf("f32 output %d is %v, ReLU then pool %v", i, v, want32.Data[i])
+		}
+	}
+}
+
+// TestReLUFoldOnlyBeforeAPool pins where the fold applies: a ReLU directly
+// followed by a MaxPool2D in the same layer list, and nowhere else. The
+// CIFAR-100 body has no pool, so its compile keeps one step per layer; the
+// CIFAR-10 body's BN→ReLU→MaxPool2D loses one.
+func TestReLUFoldOnlyBeforeAPool(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		net   *nn.Network
+		folds int
+	}{
+		{"cifar10 body", split.DefaultArch(data.CIFAR10Like).NewBody("b", rng.New(1)), 1},
+		{"cifar100 body", split.DefaultArch(data.CIFAR100Like).NewBody("b", rng.New(1)), 0},
+		{"pool then relu", nn.NewNetwork("pr", nn.NewMaxPool2D(2, 2), nn.NewReLU()), 0},
+		{"relu last", nn.NewNetwork("r", nn.NewReLU()), 0},
+		{"relu, conv, pool", nn.NewNetwork("rcp", nn.NewReLU(), nn.NewConv2D("c", 2, 2, 1, 1, 0, false, rng.New(2)), nn.NewMaxPool2D(2, 2)), 0},
+		{"relu, relu, pool", nn.NewNetwork("rrp", nn.NewReLU(), nn.NewReLU(), nn.NewMaxPool2D(2, 2)), 1},
+	} {
+		c, err := nn.Compile[float32](tc.net)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := nn.CompiledSteps(c), len(tc.net.Layers)-tc.folds; got != want {
+			t.Errorf("%s: %d compiled steps for %d layers, want %d", tc.name, got, len(tc.net.Layers), want)
 		}
 	}
 }

@@ -133,14 +133,46 @@ type Compiled[T tensor.Float] struct {
 // and precision dispatch must not silently change which code serves a model.
 func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
 	out := &Compiled[T]{Name: n.Name, steps: make([]inferFunc[T], 0, len(n.Layers))}
-	for i, l := range n.Layers {
-		step, err := compileLayer[T](l)
+	for i := 0; i < len(n.Layers); i++ {
+		if pool, ok := foldedPool(n.Layers, i); ok {
+			out.steps = append(out.steps, poolStep[T](pool, 0))
+			i++
+			continue
+		}
+		step, err := compileLayer[T](n.Layers[i])
 		if err != nil {
 			return nil, fmt.Errorf("nn: compiling %s layer %d: %w", n.Name, i, err)
 		}
 		out.steps = append(out.steps, step)
 	}
 	return out, nil
+}
+
+// foldedPool reports whether layers[i] is a ReLU directly followed by a
+// MaxPool2D, which compile to one pool step whose running maximum starts at
+// +0 instead of −Inf. That is the same function bit for bit: the pool takes
+// a tap only when it is strictly greater than the running maximum, so
+// starting at +0 skips exactly the taps ReLU would have turned into +0
+// (negatives, −0, +0 and NaN, none of which is > +0) and keeps every
+// positive tap's own bits, and a window the ReLU would have left all +0
+// pools to the starting +0 (never −0, never NaN). The fold saves one pass
+// over the activation and its scratch buffer; the live ForwardInfer, the
+// oracle, keeps the two layers.
+func foldedPool(layers []Layer, i int) (*MaxPool2D, bool) {
+	if _, ok := layers[i].(*ReLU); !ok || i+1 == len(layers) {
+		return nil, false
+	}
+	pool, ok := layers[i+1].(*MaxPool2D)
+	return pool, ok
+}
+
+// poolStep is the compiled MaxPool2D with its running maximum starting at
+// floor.
+func poolStep[T tensor.Float](p *MaxPool2D, floor T) inferFunc[T] {
+	k, stride := p.K, p.Stride
+	return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+		return maxPoolInfer(x, k, stride, floor, s)
+	}
 }
 
 // CompileF32 is Compile[float32], the float32 serving backend.
@@ -175,10 +207,7 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 	case *Tanh:
 		return tanhInfer[T], nil
 	case *MaxPool2D:
-		k, stride := v.K, v.Stride
-		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-			return maxPoolInfer(x, k, stride, s)
-		}, nil
+		return poolStep[T](v, T(math.Inf(-1))), nil
 	case *GlobalAvgPool:
 		return globalAvgPoolInfer[T], nil
 	case *Upsample2D:
@@ -481,47 +510,16 @@ func (t *Tanh) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tenso
 
 // --- pooling and resampling ---
 
-// maxPoolInfer pools each window to its maximum without caching argmax
-// indices. MaxPool2D.Backward finds each argmax again with this loop's rule,
-// the first strictly greater value in row-major window order; the two must
-// stay in step.
-func maxPoolInfer[T tensor.Float](x *tensor.Dense[T], k, stride int, s *Scratch[T]) *tensor.Dense[T] {
+// maxPoolInfer pools each window to the larger of its maximum and floor
+// (tensor.MaxPoolInto) without caching argmax indices: floor −Inf is the
+// MaxPool2D layer, floor 0 is a ReLU folded into it by Compile.
+func maxPoolInfer[T tensor.Float](x *tensor.Dense[T], k, stride int, floor T, s *Scratch[T]) *tensor.Dense[T] {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("nn: MaxPool2D expects NCHW, got %v", x.Shape))
 	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOutSize(h, k, stride, 0)
-	ow := tensor.ConvOutSize(w, k, stride, 0)
-	out := s.arena.NewTensor(n, c, oh, ow)
-	oi := 0
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			base := (ni*c + ci) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := T(math.Inf(-1))
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= w {
-								continue
-							}
-							if v := x.Data[base+iy*w+ix]; v > best {
-								best = v
-							}
-						}
-					}
-					out.Data[oi] = best
-					oi++
-				}
-			}
-		}
-	}
-	return out
+	oh := tensor.ConvOutSize(x.Shape[2], k, stride, 0)
+	ow := tensor.ConvOutSize(x.Shape[3], k, stride, 0)
+	return tensor.MaxPoolInto(s.arena.NewTensor(x.Shape[0], x.Shape[1], oh, ow), x, k, stride, floor)
 }
 
 // globalAvgPoolInfer averages the spatial dimensions without caching the
@@ -583,7 +581,7 @@ func identityInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.De
 
 // ForwardInfer pools each window to its maximum.
 func (p *MaxPool2D) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	return maxPoolInfer(x, p.K, p.Stride, s)
+	return maxPoolInfer(x, p.K, p.Stride, math.Inf(-1), s)
 }
 
 // ForwardInfer averages the spatial dimensions.

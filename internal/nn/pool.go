@@ -19,7 +19,7 @@ func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: st
 
 // Forward pools each window to its maximum, caching x for Backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := maxPoolInfer(x, p.K, p.Stride, heapScratch())
+	y := maxPoolInfer(x, p.K, p.Stride, math.Inf(-1), heapScratch())
 	p.x = x
 	return y
 }
@@ -28,28 +28,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // max, found again from the cached input with the forward's rule: the first
 // strictly greater value in row-major window order.
 func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	x := p.x
-	h, w := x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOutSize(h, p.K, p.Stride, 0)
-	ow := tensor.ConvOutSize(w, p.K, p.Stride, 0)
-	out := tensor.New(x.Shape...)
-	oi := 0
-	for base := 0; base < len(x.Data); base += h * w {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best, bestIdx := math.Inf(-1), -1
-				for iy := oy * p.Stride; iy < min(oy*p.Stride+p.K, h); iy++ {
-					for ix := ox * p.Stride; ix < min(ox*p.Stride+p.K, w); ix++ {
-						if v := x.Data[base+iy*w+ix]; v > best {
-							best, bestIdx = v, base+iy*w+ix
-						}
-					}
-				}
-				out.Data[bestIdx] += grad.Data[oi]
-				oi++
-			}
-		}
-	}
+	out := tensor.New(p.x.Shape...)
+	tensor.MaxPoolGradAdd(out, p.x, grad, p.K, p.Stride)
 	return out
 }
 

@@ -53,18 +53,24 @@ func TestMatMulTransIntoMatchesAllocating(t *testing.T) {
 	}
 }
 
+// TestIm2ColIntoMatchesIm2Col holds both im2col entry points, which share
+// one gather table, to the replaced border-testing loop (refIm2col) —
+// Im2ColInto over a dirty destination, non-square kernels included.
 func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
 	x := randTensor(1, 3, 9, 7)
 	for _, cfg := range [][4]int{{3, 3, 1, 1}, {2, 2, 2, 0}, {5, 3, 1, 2}} {
 		kh, kw, stride, pad := cfg[0], cfg[1], cfg[2], cfg[3]
-		want := Im2Col(x, kh, kw, stride, pad)
+		want := New(3*kh*kw, ConvOutSize(9, kh, stride, pad)*ConvOutSize(7, kw, stride, pad))
+		refIm2col(want.Data, x.Data, 3, 9, 7, kh, kw, stride, pad)
+		if got := Im2Col(x, kh, kw, stride, pad); !got.AllClose(want, 0) {
+			t.Errorf("Im2Col diverges from the reference at %v", cfg)
+		}
 		dst := New(want.Shape...)
 		for i := range dst.Data {
 			dst.Data[i] = -7
 		}
-		got := Im2ColInto(dst, x, kh, kw, stride, pad)
-		if !got.AllClose(want, 0) {
-			t.Errorf("Im2ColInto diverges at %v", cfg)
+		if got := Im2ColInto(dst, x, kh, kw, stride, pad); !got.AllClose(want, 0) {
+			t.Errorf("Im2ColInto diverges from the reference at %v", cfg)
 		}
 	}
 }

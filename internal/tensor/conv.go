@@ -24,9 +24,7 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
-	cols := New(c*kh*kw, oh*ow)
-	im2colFill(cols.Data, x.Data, c, h, w, kh, kw, stride, pad, oh, ow)
-	return cols
+	return Im2ColInto(New(c*kh*kw, oh*ow), x, kh, kw, stride, pad)
 }
 
 // Col2Im scatter-adds a patch matrix of shape [C*KH*KW, OH*OW] (as produced
@@ -34,43 +32,13 @@ func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
 // accumulate, which is exactly the adjoint of Im2Col and therefore the
 // gradient path of a convolution's input.
 func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != oh*ow {
+	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
+	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != t.oh*t.ow {
 		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with c=%d h=%d w=%d kh=%d kw=%d", cols.Shape, c, h, w, kh, kw))
 	}
 	img := New(c, h, w)
-	col2imAdd(img.Data, cols.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+	col2imAdd(img.Data, cols.Data, c, h*w, t)
 	return img
-}
-
-// col2imAdd is the raw-slice Col2Im: it scatter-adds the patch matrix src
-// into the [C,H,W] image dst, accumulating onto what dst already holds.
-func col2imAdd(dst, src []float64, c, h, w, kh, kw, stride, pad, oh, ow int) {
-	colStride := oh * ow
-	for ci := 0; ci < c; ci++ {
-		chanBase := ci * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				rowBase := ((ci*kh+ky)*kw + kx) * colStride
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					dstRow := chanBase + iy*w
-					srcRow := rowBase + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dst[dstRow+ix] += src[srcRow+ox]
-					}
-				}
-			}
-		}
-	}
 }
 
 // SampleView returns sample n of a batched [N, ...] tensor as a tensor that
@@ -129,13 +97,14 @@ func ConvBackward(gradY, weight *Tensor, cols []*Tensor, c, h, w, kh, kw, stride
 	gradX = New(n, c, h, w)
 	gradB = New(oc)
 	gws := make([]*Tensor, n)
+	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
 	parallelFor(n, func(i int) {
 		gy := &Tensor{Shape: []int{oc, hw}, Data: gradY.Data[i*oc*hw : (i+1)*oc*hw]}
 		// gradW_i = gy × cols_iᵀ : [OC, C*KH*KW]
 		gws[i] = MatMulTransBInto(New(oc, ckk), gy, cols[i])
 		// grad cols = Wᵀ × gy : [C*KH*KW, OH*OW], scattered onto sample i
 		gc := MatMulTransAInto(New(ckk, hw), weight, gy)
-		col2imAdd(gradX.Data[i*c*h*w:(i+1)*c*h*w], gc.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+		col2imAdd(gradX.Data[i*c*h*w:(i+1)*c*h*w], gc.Data, c, h*w, t)
 	})
 	gradW = New(oc, ckk)
 	for i := 0; i < n; i++ {

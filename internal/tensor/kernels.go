@@ -7,15 +7,18 @@ import (
 
 // This file holds the allocation-free kernels: register-tiled matrix
 // multiplication writing into caller-owned buffers, the *Into variants of
-// the elementwise and im2col transforms, and the process-wide kernel
-// parallelism knob. The *Into family is the one set of kernels both paths
-// compute with: the inference hot path (nn.ForwardInfer, comm serving
-// workers) calls it directly, and training's ConvForward/ConvBackward fan
-// its per-sample calls out across goroutines. All *Into kernels are strictly
-// serial — a serving process parallelizes at exactly one level, its worker
-// pool, never inside a kernel. The allocating MatMul, MatMulTransB, Im2Col
-// and Col2Im have no caller outside this package's tests, which use them as
-// independent references.
+// the elementwise and im2col transforms, ConvForwardInto, and the
+// process-wide kernel parallelism knob. (im2col itself, col2im and max
+// pooling live in gather.go, driven by one table per window geometry.) The
+// *Into family is the one set of kernels both paths compute with: the
+// inference hot path (nn.ForwardInfer, comm serving workers) calls it
+// directly, and training's ConvForward/ConvBackward fan its per-sample calls
+// out across goroutines. All *Into kernels are strictly serial — a serving
+// process parallelizes at exactly one level, its worker pool, never inside a
+// kernel. The allocating MatMul, MatMulTransB, Im2Col and Col2Im have no
+// caller outside this package's tests; the first two are independent
+// references for the panels, the last two run through the same gather table
+// as the kernels, which kernels_ref_test.go holds to the loops it replaced.
 //
 // Every kernel is written once over the element type. Exactly two pieces of
 // arithmetic are per-type, both selected inside the generic function by the
@@ -354,51 +357,12 @@ func Im2ColInto[T Float](dst, x *Dense[T], kh, kw, stride, pad int) *Dense[T] {
 		panic("tensor: Im2ColInto expects [C,H,W]")
 	}
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	if len(dst.Shape) != 2 || dst.Shape[0] != c*kh*kw || dst.Shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want [%d %d]", dst.Shape, c*kh*kw, oh*ow))
+	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
+	if len(dst.Shape) != 2 || dst.Shape[0] != c*kh*kw || dst.Shape[1] != t.oh*t.ow {
+		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want [%d %d]", dst.Shape, c*kh*kw, t.oh*t.ow))
 	}
-	im2colSlice(dst.Data, x.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+	im2colSlice(dst.Data, x.Data, c, h*w, t)
 	return dst
-}
-
-// im2colSlice is the raw-slice im2col under Im2ColInto and the serving conv
-// kernel; dst is fully overwritten, zero-padding included.
-func im2colSlice[T Float](dst, src []T, c, h, w, kh, kw, stride, pad, oh, ow int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	im2colFill(dst, src, c, h, w, kh, kw, stride, pad, oh, ow)
-}
-
-// im2colFill writes every in-bounds tap of the patch matrix into dst, which
-// must already be zero where padding reads (Im2Col hands it a fresh tensor).
-func im2colFill[T Float](dst, src []T, c, h, w, kh, kw, stride, pad, oh, ow int) {
-	colStride := oh * ow
-	for ci := 0; ci < c; ci++ {
-		chanBase := ci * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				rowBase := ((ci*kh+ky)*kw + kx) * colStride
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride + ky - pad
-					if iy < 0 || iy >= h {
-						continue
-					}
-					srcRow := chanBase + iy*w
-					dstRow := rowBase + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*stride + kx - pad
-						if ix < 0 || ix >= w {
-							continue
-						}
-						dst[dstRow+ox] = src[srcRow+ix]
-					}
-				}
-			}
-		}
-	}
 }
 
 // addBias adds bias[o] to every element of channel o of one sample's
@@ -424,8 +388,8 @@ func ConvForwardInto[T Float](y, x, weight, bias, cols *Dense[T], kh, kw, stride
 	if weight.Shape[1] != c*kh*kw {
 		panic(fmt.Sprintf("tensor: ConvForwardInto weight %v vs c*kh*kw=%d", weight.Shape, c*kh*kw))
 	}
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
+	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
+	oh, ow := t.oh, t.ow
 	if len(y.Shape) != 4 || y.Shape[0] != n || y.Shape[1] != oc || y.Shape[2] != oh || y.Shape[3] != ow {
 		panic(fmt.Sprintf("tensor: ConvForwardInto y shape %v, want [%d %d %d %d]", y.Shape, n, oc, oh, ow))
 	}
@@ -435,7 +399,7 @@ func ConvForwardInto[T Float](y, x, weight, bias, cols *Dense[T], kh, kw, stride
 	hw := oh * ow
 	per := c * h * w
 	for i := 0; i < n; i++ {
-		im2colSlice(cols.Data, x.Data[i*per:(i+1)*per], c, h, w, kh, kw, stride, pad, oh, ow)
+		im2colSlice(cols.Data, x.Data[i*per:(i+1)*per], c, h*w, t)
 		dst := y.Data[i*oc*hw : (i+1)*oc*hw]
 		matmulRows(dst, weight.Data, cols.Data, 0, oc, c*kh*kw, hw)
 		if bias != nil {

@@ -1,5 +1,9 @@
 package tensor
 
+import "math"
+
+// This file keeps the kernels that faster ones replaced, as references.
+//
 // The matmul panels matmulRows ran before it held its output tiles in
 // registers — cache-blocked over (k, j), one axpy pass over an output row
 // per k-row — kept unchanged as references: the register-tiled panels must
@@ -89,11 +93,157 @@ func refMatmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	}
 }
 
-// Exported for panel_test.go, which enumerates split's architectures and so
-// must live in the external test package (split imports this one).
+// The window loops the gather table replaced (gather.go), kept unchanged as
+// references: im2col, col2im and max pooling through the table must
+// reproduce them bit for bit (gather_test.go). Each re-derives every tap's
+// position from the geometry and tests it against the border.
+
+// refIm2colFill writes every in-bounds tap of the patch matrix into dst,
+// which must already be zero where padding reads.
+func refIm2colFill[T Float](dst, src []T, c, h, w, kh, kw, stride, pad, oh, ow int) {
+	colStride := oh * ow
+	for ci := 0; ci < c; ci++ {
+		chanBase := ci * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				rowBase := ((ci*kh+ky)*kw + kx) * colStride
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*stride + ky - pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					srcRow := chanBase + iy*w
+					dstRow := rowBase + oy*ow
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*stride + kx - pad
+						if ix < 0 || ix >= w {
+							continue
+						}
+						dst[dstRow+ox] = src[srcRow+ix]
+					}
+				}
+			}
+		}
+	}
+}
+
+// refIm2col is the replaced im2colSlice: zero the patch matrix, then fill
+// its in-bounds taps.
+func refIm2col[T Float](dst, src []T, c, h, w, kh, kw, stride, pad int) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	oh, ow := ConvOutSize(h, kh, stride, pad), ConvOutSize(w, kw, stride, pad)
+	refIm2colFill(dst, src, c, h, w, kh, kw, stride, pad, oh, ow)
+}
+
+// refCol2imAdd scatter-adds the patch matrix src into the [C,H,W] image
+// dst, accumulating onto what dst already holds.
+func refCol2imAdd(dst, src []float64, c, h, w, kh, kw, stride, pad int) {
+	oh, ow := ConvOutSize(h, kh, stride, pad), ConvOutSize(w, kw, stride, pad)
+	colStride := oh * ow
+	for ci := 0; ci < c; ci++ {
+		chanBase := ci * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				rowBase := ((ci*kh+ky)*kw + kx) * colStride
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*stride + ky - pad
+					if iy < 0 || iy >= h {
+						continue
+					}
+					dstRow := chanBase + iy*w
+					srcRow := rowBase + oy*ow
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*stride + kx - pad
+						if ix < 0 || ix >= w {
+							continue
+						}
+						dst[dstRow+ix] += src[srcRow+ox]
+					}
+				}
+			}
+		}
+	}
+}
+
+// refMaxPool is the replaced nn.maxPoolInfer loop over the [N,C,H,W] x,
+// its running maximum starting at floor (the loop started at −Inf).
+func refMaxPool[T Float](dst, x []T, n, c, h, w, k, stride int, floor T) {
+	oh, ow := ConvOutSize(h, k, stride, 0), ConvOutSize(w, k, stride, 0)
+	oi := 0
+	for ni := 0; ni < n; ni++ {
+		for ci := 0; ci < c; ci++ {
+			base := (ni*c + ci) * h * w
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					best := floor
+					for ky := 0; ky < k; ky++ {
+						iy := oy*stride + ky
+						if iy >= h {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*stride + kx
+							if ix >= w {
+								continue
+							}
+							if v := x[base+iy*w+ix]; v > best {
+								best = v
+							}
+						}
+					}
+					dst[oi] = best
+					oi++
+				}
+			}
+		}
+	}
+}
+
+// refMaxPoolGrad is the replaced nn.MaxPool2D.Backward loop: each output
+// gradient of dy added to the input position that won its window of x.
+func refMaxPoolGrad(dx, x, dy []float64, n, c, h, w, k, stride int) {
+	oh, ow := ConvOutSize(h, k, stride, 0), ConvOutSize(w, k, stride, 0)
+	oi := 0
+	for base := 0; base < n*c*h*w; base += h * w {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best, bestIdx := math.Inf(-1), -1
+				for iy := oy * stride; iy < min(oy*stride+k, h); iy++ {
+					for ix := ox * stride; ix < min(ox*stride+k, w); ix++ {
+						if v := x[base+iy*w+ix]; v > best {
+							best, bestIdx = v, base+iy*w+ix
+						}
+					}
+				}
+				dx[bestIdx] += dy[oi]
+				oi++
+			}
+		}
+	}
+}
+
+// col2imAddTable is col2imAdd with its table looked up, for the external
+// test package.
+func col2imAddTable(dst, src []float64, c, h, w, kh, kw, stride, pad int) {
+	col2imAdd(dst, src, c, h*w, windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad}))
+}
+
+// Exported for panel_test.go and gather_test.go, which enumerate split's
+// architectures and so must live in the external test package (split
+// imports this one).
 var (
 	MatmulRows64    = matmulRows[float64]
 	MatmulRows32    = matmulRows[float32]
 	RefMatmulRows64 = refMatmulRowsF64
 	RefMatmulRows32 = refMatmulRowsF32
+
+	RefIm2col64    = refIm2col[float64]
+	RefIm2col32    = refIm2col[float32]
+	Col2imAdd      = col2imAddTable
+	RefCol2imAdd   = refCol2imAdd
+	RefMaxPool64   = refMaxPool[float64]
+	RefMaxPool32   = refMaxPool[float32]
+	RefMaxPoolGrad = refMaxPoolGrad
 )

@@ -13,24 +13,28 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// convPanels returns the (m, k, n) shape of every im2col matmul one forward
-// pass of arch's head and body runs: m output channels, k = C·KH·KW, n =
-// OH·OW of one sample.
-func convPanels(arch split.Arch) [][3]int {
+// archWindow is one window one forward pass of an architecture's head and
+// body slides: a convolution of c input and outC output channels, or a
+// max-pool (outC 0, pad 0) over c channels.
+type archWindow struct{ outC, c, h, w, kh, kw, stride, pad int }
+
+// archWindows returns every conv and pool window of arch's head and body, in
+// forward order.
+func archWindows(arch split.Arch) []archWindow {
 	r := rng.New(1)
-	h, w := arch.H, arch.W
-	var panels [][3]int
-	conv := func(c *nn.Conv2D, h, w int) (int, int) {
-		oh := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-		ow := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-		panels = append(panels, [3]int{c.OutC, c.InC * c.KH * c.KW, oh * ow})
-		return oh, ow
+	c, h, w := arch.InC, arch.H, arch.W
+	var ws []archWindow
+	conv := func(l *nn.Conv2D, h, w int) (int, int) {
+		ws = append(ws, archWindow{l.OutC, l.InC, h, w, l.KH, l.KW, l.Stride, l.Pad})
+		return tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad), tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad)
 	}
 	for _, l := range append(arch.NewHead("h", r).Layers, arch.NewBody("b", r).Layers...) {
 		switch l := l.(type) {
 		case *nn.Conv2D:
 			h, w = conv(l, h, w)
+			c = l.OutC
 		case *nn.MaxPool2D:
+			ws = append(ws, archWindow{0, c, h, w, l.K, l.K, l.Stride, 0})
 			h, w = tensor.ConvOutSize(h, l.K, l.Stride, 0), tensor.ConvOutSize(w, l.K, l.Stride, 0)
 		case *nn.BasicBlock:
 			if l.ShortConv != nil {
@@ -38,6 +42,21 @@ func convPanels(arch split.Arch) [][3]int {
 			}
 			h, w = conv(l.Conv1, h, w)
 			h, w = conv(l.Conv2, h, w)
+			c = l.Conv2.OutC
+		}
+	}
+	return ws
+}
+
+// convPanels returns the (m, k, n) shape of every im2col matmul one forward
+// pass of arch's head and body runs: m output channels, k = C·KH·KW, n =
+// OH·OW of one sample.
+func convPanels(arch split.Arch) [][3]int {
+	var panels [][3]int
+	for _, w := range archWindows(arch) {
+		if w.outC > 0 {
+			oh, ow := tensor.ConvOutSize(w.h, w.kh, w.stride, w.pad), tensor.ConvOutSize(w.w, w.kw, w.stride, w.pad)
+			panels = append(panels, [3]int{w.outC, w.c * w.kh * w.kw, oh * ow})
 		}
 	}
 	return panels
