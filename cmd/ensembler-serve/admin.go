@@ -2,16 +2,18 @@ package main
 
 // The admin plane: a second HTTP listener (-admin-addr) carrying the
 // operational surface of a serving process — health, Prometheus metrics,
-// live leakage state, the privacy-budget ledger, and traces. Every endpoint
-// only reads: nothing here writes the model store. It is deliberately a
-// separate listener from the inference socket: the inference port faces
-// untrusted clients and speaks the wire protocol only, while the admin port
-// is for operators and scrapers and should be firewalled accordingly.
+// the live version's recorded leakage score, the privacy-budget ledger, and
+// traces. Every endpoint only reads: nothing here writes the model store or
+// measures anything itself. It is deliberately a separate listener from the
+// inference socket: the inference port faces untrusted clients and speaks
+// the wire protocol only, while the admin port is for operators and
+// scrapers and should be firewalled accordingly.
 //
 // Nothing served here reveals the secret selection: health and metrics
-// describe traffic volume, latency, versions, and leakage scores — all
-// quantities a wire observer or the (adversarial) serving box itself already
-// has. See DESIGN.md §2e on why the on-box auditor widens no attack surface.
+// describe traffic volume, latency, versions, and the leakage score the
+// secret holder published with the version — all quantities a wire observer
+// or the (adversarial) serving box itself already has. See DESIGN.md §2e on
+// why the score is measured at publish time and never on this box.
 
 import (
 	"context"
@@ -25,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"ensembler/internal/audit"
 	"ensembler/internal/faultpoint"
 	"ensembler/internal/privacy"
 	"ensembler/internal/registry"
@@ -36,37 +37,48 @@ import (
 
 // adminPlane bundles what the admin endpoints read and do.
 type adminPlane struct {
-	reg     *registry.Registry
-	model   string // default model name
-	treg    *telemetry.Registry
-	auditor *audit.Auditor        // nil: audit disabled
-	tracer  *trace.Tracer         // nil: tracing disabled
-	guard   *privacy.Guard        // nil: privacy-budget ledger disabled
-	fleet   func() []shard.Health // nil: no fleet client in this process
-	pprof   bool                  // expose net/http/pprof under /debug/pprof/
-	workers int
-	shard   string // "k/K" in fleet mode, "" otherwise
-	start   time.Time
+	reg       *registry.Registry
+	model     string // default model name
+	treg      *telemetry.Registry
+	threshold float64               // -audit-threshold: the level /leakage judges the score against
+	tracer    *trace.Tracer         // nil: tracing disabled
+	guard     *privacy.Guard        // nil: privacy-budget ledger disabled
+	fleet     func() []shard.Health // nil: no fleet client in this process
+	pprof     bool                  // expose net/http/pprof under /debug/pprof/
+	workers   int
+	shard     string // "k/K" in fleet mode, "" otherwise
+	start     time.Time
+}
+
+// routes lists the admin endpoints by mux pattern; README's endpoint table
+// names every one (TestReadmeCataloguesAdminSurface).
+func (a *adminPlane) routes() map[string]http.HandlerFunc {
+	rs := map[string]http.HandlerFunc{
+		"/healthz": a.handleHealthz,
+		"/metrics": a.treg.Handler().ServeHTTP,
+		"/leakage": a.handleLeakage,
+		"/budget":  a.handleBudget,
+		"/traces":  a.handleTraces,
+		"/traces/": a.handleTraceByID,
+	}
+	if a.pprof {
+		// Registered explicitly instead of importing for the DefaultServeMux
+		// side effect: the admin plane never serves DefaultServeMux, and the
+		// profiler should exist only when the operator asked for it.
+		rs["/debug/pprof/"] = pprof.Index
+		rs["/debug/pprof/cmdline"] = pprof.Cmdline
+		rs["/debug/pprof/profile"] = pprof.Profile
+		rs["/debug/pprof/symbol"] = pprof.Symbol
+		rs["/debug/pprof/trace"] = pprof.Trace
+	}
+	return rs
 }
 
 // mux builds the admin endpoint routing.
 func (a *adminPlane) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	m.HandleFunc("/healthz", a.handleHealthz)
-	m.Handle("/metrics", a.treg.Handler())
-	m.HandleFunc("/leakage", a.handleLeakage)
-	m.HandleFunc("/budget", a.handleBudget)
-	m.HandleFunc("/traces", a.handleTraces)
-	m.HandleFunc("/traces/", a.handleTraceByID)
-	if a.pprof {
-		// Registered explicitly instead of importing for the DefaultServeMux
-		// side effect: the admin plane never serves DefaultServeMux, and the
-		// profiler should exist only when the operator asked for it.
-		m.HandleFunc("/debug/pprof/", pprof.Index)
-		m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		m.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		m.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		m.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	for pattern, h := range a.routes() {
+		m.HandleFunc(pattern, h)
 	}
 	return m
 }
@@ -174,7 +186,6 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"models":         a.reg.Models(),
 		"workers":        a.workers,
 		"uptime_seconds": time.Since(a.start).Seconds(),
-		"audit_enabled":  a.auditor != nil,
 		"budget_enabled": a.guard != nil,
 	}
 	if a.shard != "" {
@@ -225,12 +236,31 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleLeakage reports the live version's leakage score as its publisher
+// recorded it, judged against -audit-threshold. A single-file model or a
+// version published without a score reads "not recorded".
 func (a *adminPlane) handleLeakage(w http.ResponseWriter, r *http.Request) {
-	if a.auditor == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
+	cur, err := a.reg.Current(a.model)
+	if err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, a.auditor.State())
+	leak := cur.Leakage()
+	status := "not recorded"
+	switch {
+	case leak == nil:
+	case leak.SSIM > a.threshold:
+		status = "above threshold"
+	default:
+		status = "below threshold"
+	}
+	writeJSON(w, http.StatusOK, struct {
+		Model     string            `json:"model"`
+		Version   int               `json:"version"`
+		Threshold float64           `json:"threshold"`
+		Status    string            `json:"status"`
+		Leakage   *registry.Leakage `json:"leakage,omitempty"`
+	}{cur.Name(), cur.Version(), a.threshold, status, leak})
 }
 
 // handleBudget reports the privacy-budget ledger: its row budget and

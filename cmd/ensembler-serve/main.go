@@ -31,23 +31,20 @@
 //
 // -admin-addr opens the operational control plane on a second listener:
 // /healthz (liveness + live epoch), /metrics (Prometheus exposition of QPS,
-// latency, batch sizes, epoch version, worker utilization, and audit
-// leakage), /leakage (the audit engine's state as JSON), /budget and
-// /traces.
+// latency, batch sizes, epoch version, worker utilization, and the live
+// version's leakage score), /leakage, /budget and /traces.
 //
-// -audit-sample N turns on the online privacy audit: every Nth request's
-// transmitted features are mirrored into a bounded reservoir, and on the
-// -audit-every cadence the process replays the repo's model-inversion attack
-// (oracle-grade — the conservative upper bound only the model owner can
-// mount) against the live pipeline, scoring reconstructions on a synthetic
-// calibration set. The audit is a gauge: /leakage and /metrics report the
-// rolling SSIM against -audit-threshold, and acting on a breach is the
-// secret holder's move.
+// The server runs no attack. A version's leakage score is measured once by
+// the secret holder when it is published (ensembler-train -model-dir
+// records it in the manifest); /leakage and /metrics report the live
+// version's recorded score against -audit-threshold, or "not recorded" for
+// a single-file model or a version published without one. Acting on a
+// score above the threshold is the secret holder's move.
 //
 //	ensembler-serve -model ensembler.gob -addr :7946 -workers 4 -max-batch 64
 //	ensembler-serve -model-dir models/ -model-name cifar
 //	ensembler-serve -model-dir models/ -shard 2/3 -addr :7948
-//	ensembler-serve -model-dir models/ -admin-addr 127.0.0.1:9100 -audit-sample 100
+//	ensembler-serve -model-dir models/ -admin-addr 127.0.0.1:9100 -audit-threshold 0.35
 package main
 
 import (
@@ -55,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -63,10 +61,7 @@ import (
 	"syscall"
 	"time"
 
-	"ensembler/internal/attack"
-	"ensembler/internal/audit"
 	"ensembler/internal/comm"
-	"ensembler/internal/data"
 	"ensembler/internal/ensemble"
 	"ensembler/internal/faultpoint"
 	"ensembler/internal/privacy"
@@ -74,13 +69,6 @@ import (
 	"ensembler/internal/shard"
 	"ensembler/internal/telemetry"
 	"ensembler/internal/trace"
-)
-
-// The audit's sampler and attack seeds. They are fixed: the serving process
-// holds no seed stream of its own.
-const (
-	auditSamplerSeed = 1
-	auditAttackSeed  = 1 + 7919
 )
 
 func main() {
@@ -111,12 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	traceSlowest := fs.Int("trace-slowest", 0, "always retain this many slowest requests seen (0 = default)")
 	traceCapacity := fs.Int("trace-capacity", 0, "retained-trace ring capacity, rounded up to a power of two (0 = default)")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin plane (requires -admin-addr)")
-	auditSample := fs.Int("audit-sample", 0, "mirror every Nth request's features into the privacy audit (0 disables the audit)")
-	auditReservoir := fs.Int("audit-reservoir", 64, "bound on mirrored feature tensors held for the audit")
-	auditEvery := fs.Duration("audit-every", time.Minute, "leakage audit cadence")
-	auditMinSamples := fs.Int("audit-min-samples", 8, "mirrored tensors required before an audit runs")
-	auditThreshold := fs.Float64("audit-threshold", 0.35, "rolling reconstruction SSIM reported as the leakage alert level")
-	auditCalib := fs.Int("audit-calib", 64, "synthetic calibration images for the audit's attack replay")
+	auditThreshold := fs.Float64("audit-threshold", 0.35, "reconstruction SSIM above which /leakage reports the live version's recorded score as a breach")
 	privacyBudget := fs.Int64("privacy-budget-rows", 0, "rows each client identity may be served; as a client drains its budget responses are noised, then noised harder, and finally refused (0 disables the ledger)")
 	privacyPolicy := fs.String("privacy-policy", "enforce", `privacy-budget policy: "enforce" (noise, then refusal as budgets drain) or "observe" (account and report only)`)
 	allowFaultpoints := fs.Bool("allow-faultpoints", false, "permit fault injection via "+faultpoint.EnvVar+" (chaos testing only — never set in production)")
@@ -129,11 +112,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *maxBatch <= 0 {
 		*maxBatch = comm.DefaultMaxBatch // mirror the server's clamping in the banner
 	}
-	if *auditSample < 0 {
-		return fmt.Errorf("-audit-sample must be >= 0 (every Nth request; 0 disables), got %d", *auditSample)
-	}
-	if *auditSample > 0 && *auditThreshold <= 0 {
-		return fmt.Errorf("-audit-threshold must be positive when the audit is enabled, got %v", *auditThreshold)
+	if !(*auditThreshold > 0) {
+		return fmt.Errorf("-audit-threshold must be positive, got %v", *auditThreshold)
 	}
 	if *pprofFlag && *adminAddr == "" {
 		return fmt.Errorf("-pprof serves on the admin plane; set -admin-addr")
@@ -272,11 +252,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		shardBanner = fmt.Sprintf("shard %d/%d hosting bodies %s of %d — ", k, total, r, n)
 	}
 
-	// Observability: the telemetry registry always exists (it is cheap and
-	// the audit engine exports through it); per-request server metrics are
-	// only attached when an admin plane will scrape them, and the feature
-	// sampler only when the audit is on — both hooks cost one nil check on
-	// the hot path when absent.
+	// Observability: the telemetry registry always exists (it is cheap);
+	// per-request server metrics and tracing are only attached when an admin
+	// plane will scrape them — each hook costs one nil check on the hot path
+	// when absent.
 	startTime := time.Now()
 	treg := telemetry.NewRegistry()
 	serverOpts := []comm.ServerOption{
@@ -301,11 +280,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Registry:   treg,
 		})
 		serverOpts = append(serverOpts, comm.WithTracer(tracer))
-	}
-	var sampler *audit.Sampler
-	if *auditSample > 0 {
-		sampler = audit.NewSampler(*auditSample, *auditReservoir, auditSamplerSeed)
-		serverOpts = append(serverOpts, comm.WithObserver(sampler))
 	}
 
 	// The per-client row budget: each served row is debited from the
@@ -342,45 +316,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	serveCtx, stopServe := context.WithCancel(ctx)
 	defer stopServe()
 
-	// The leakage audit: mirror sampled live features, replay the decoder
-	// attack against the published pipeline on a synthetic calibration set
-	// shaped like the model's inputs, and report the leakage.
-	var auditor *audit.Auditor
-	if sampler != nil {
-		arch := cur.Pipeline().Cfg.Arch
-		if arch.InC != 3 {
-			return fmt.Errorf("-audit-sample: the synthetic calibration generator produces 3-channel images; model %s expects %d input channels", defaultModel, arch.InC)
-		}
-		calibN := *auditCalib
-		if calibN < 8 {
-			calibN = 8
-		}
-		calib := data.Generate(data.Config{
-			Kind: data.CIFAR10Like, H: arch.H, W: arch.W,
-			Train: 8, Aux: calibN, Test: max(8, calibN/2), Seed: 424242,
-		})
-		auditor, err = audit.New(audit.Config{
-			Registry:    reg,
-			Model:       defaultModel,
-			Sampler:     sampler,
-			MinSamples:  *auditMinSamples,
-			Interval:    *auditEvery,
-			Attack:      attack.Config{DecoderEpochs: 2, BatchSize: 16, Seed: auditAttackSeed},
-			Aux:         calib.Aux,
-			Eval:        calib.Test,
-			EvalSamples: 16,
-			Oracle:      true, // audit against the strongest (oracle) inversion: conservative by construction
-			Threshold:   *auditThreshold,
-			Ledger:      privacyLedger,
-			Log:         stderr,
-		})
-		if err != nil {
-			return err
-		}
-		auditor.RegisterMetrics(treg)
-		go auditor.Run(serveCtx)
-	}
-
 	// Process-level gauges: uptime, live epoch, and — when
 	// request metrics are on — worker-pool utilization derived from the
 	// serve-time histogram.
@@ -395,6 +330,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		})
 	treg.GaugeFunc("ensembler_workers", "Size of the compute worker pool.",
 		nil, func() float64 { return float64(srv.Workers()) })
+	// The live version's leakage score as its publisher recorded it, beside
+	// the level it is judged against. The server measures nothing itself.
+	treg.GaugeFunc("ensembler_audit_leakage", "Reconstruction SSIM recorded in the live version's manifest (NaN: not recorded).",
+		nil, func() float64 {
+			if ep, err := reg.Current(defaultModel); err == nil && ep.Leakage() != nil {
+				return ep.Leakage().SSIM
+			}
+			return math.NaN()
+		})
+	treg.GaugeFunc("ensembler_audit_threshold", "Reconstruction SSIM above which the recorded leakage is reported as a breach.",
+		nil, func() float64 { return *auditThreshold })
 	if privacyGuard != nil {
 		treg.GaugeFunc("ensembler_privacy_budget_rows", "Rows each client identity may be served.",
 			nil, func() float64 { return float64(privacyLedger.Stats().BudgetRows) })
@@ -441,7 +387,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var adminWait func() error
 	if *adminAddr != "" {
 		plane := &adminPlane{
-			reg: reg, model: defaultModel, treg: treg, auditor: auditor,
+			reg: reg, model: defaultModel, treg: treg, threshold: *auditThreshold,
 			tracer: tracer, guard: privacyGuard, pprof: *pprofFlag,
 			workers: srv.Workers(), shard: *shardSpec, start: startTime,
 		}
@@ -452,10 +398,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	auditBanner := ""
-	if auditor != nil {
-		auditBanner = fmt.Sprintf("; audit mirrors 1/%d of requests (threshold SSIM %.2f, report-only)", *auditSample, *auditThreshold)
-	}
 	privacyBanner := ""
 	if privacyGuard != nil {
 		mode := "enforced"
@@ -464,8 +406,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		privacyBanner = fmt.Sprintf("; privacy budget %d rows per client (%s)", *privacyBudget, mode)
 	}
-	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s%s\n",
-		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, auditBanner, privacyBanner)
+	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s\n",
+		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, privacyBanner)
 	var fatalMu sync.Mutex
 	var fatalErr error
 	failServe := func(err error) {

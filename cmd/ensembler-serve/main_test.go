@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ensembler/internal/audit"
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
 	"ensembler/internal/registry"
@@ -57,10 +58,26 @@ func scrapeAddr(t *testing.T, sc *bufio.Scanner, done <-chan error) string {
 }
 
 // publishTiny publishes an untrained tiny pipeline into a fresh registry
-// directory and returns the directory (the store half of the train→publish→
-// serve→infer round trip; cmd/ensembler-train's tests cover real training
-// into the same layout).
+// directory, with a K-shard layout when shards > 0, and returns the
+// directory (the store half of the train→publish→serve→infer round trip;
+// cmd/ensembler-train's tests cover real training into the same layout).
 func publishTiny(t *testing.T, shards int) (dir string, reg *registry.Registry) {
+	return publishTinyWith(t, registry.PublishOptions{Shards: shards})
+}
+
+// publishScored publishes the tiny pipeline with its leakage score
+// recorded, as ensembler-train -model-dir does, and returns the score.
+func publishScored(t *testing.T) (dir string, reg *registry.Registry, leak registry.Leakage) {
+	t.Helper()
+	leak, err := audit.Score(commtest.Pipeline(commtest.TinyArch(), 4, 2, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, reg = publishTinyWith(t, registry.PublishOptions{Leakage: &leak})
+	return dir, reg, leak
+}
+
+func publishTinyWith(t *testing.T, opts registry.PublishOptions) (dir string, reg *registry.Registry) {
 	t.Helper()
 	dir = filepath.Join(t.TempDir(), "models")
 	store, err := registry.Create(dir)
@@ -68,12 +85,7 @@ func publishTiny(t *testing.T, shards int) (dir string, reg *registry.Registry) 
 		t.Fatal(err)
 	}
 	e := commtest.Pipeline(commtest.TinyArch(), 4, 2, 77)
-	if shards > 0 {
-		_, err = store.PublishSharded("tiny", e, shards)
-	} else {
-		_, err = store.Publish("tiny", e)
-	}
-	if err != nil {
+	if _, err := store.PublishWith("tiny", e, opts); err != nil {
 		t.Fatal(err)
 	}
 	reg = registry.New(nil)
@@ -100,6 +112,13 @@ func TestRunFlagValidation(t *testing.T) {
 		// window or intake queue to size.
 		{[]string{"-batch-window", "1ms"}, "flag provided but not defined: -batch-window"},
 		{[]string{"-max-queue", "8"}, "flag provided but not defined: -max-queue"},
+		// The server runs no leakage attack: the score is recorded at
+		// publish time, so there is nothing to sample, cadence or calibrate.
+		{[]string{"-audit-sample", "4"}, "flag provided but not defined: -audit-sample"},
+		{[]string{"-audit-reservoir", "16"}, "flag provided but not defined: -audit-reservoir"},
+		{[]string{"-audit-every", "1m"}, "flag provided but not defined: -audit-every"},
+		{[]string{"-audit-min-samples", "2"}, "flag provided but not defined: -audit-min-samples"},
+		{[]string{"-audit-calib", "16"}, "flag provided but not defined: -audit-calib"},
 	}
 	for _, c := range cases {
 		err := run(ctx, c.args, io.Discard, io.Discard)
@@ -301,8 +320,12 @@ func TestAdminEndpoints(t *testing.T) {
 		strings.Contains(body, "ensembler_dispatch_") || strings.Contains(body, "ensembler_server_shed_total") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
-	if code, body := adminGet(t, admin+"/leakage"); code != 200 || !strings.Contains(body, `"enabled": false`) {
-		t.Errorf("/leakage without audit = %d %q", code, body)
+	if code, body := adminGet(t, admin+"/leakage"); code != 200 ||
+		!strings.Contains(body, `"status": "not recorded"`) || strings.Contains(body, `"leakage"`) {
+		t.Errorf("/leakage of an unscored version = %d %q, want not recorded", code, body)
+	}
+	if _, body := adminGet(t, admin+"/metrics"); !strings.Contains(body, "ensembler_audit_leakage NaN\n") {
+		t.Errorf("/metrics does not read ensembler_audit_leakage NaN for an unscored version:\n%s", body)
 	}
 
 	// The admin plane only reads: there is no rotation endpoint.
@@ -476,8 +499,9 @@ func TestAuditFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-audit-sample", "-1"}, "-audit-sample"},
-		{[]string{"-audit-sample", "2", "-audit-threshold", "0"}, "-audit-threshold"},
+		{[]string{"-audit-threshold", "0"}, "-audit-threshold must be positive"},
+		{[]string{"-audit-threshold", "-0.5"}, "-audit-threshold must be positive"},
+		{[]string{"-audit-threshold", "NaN"}, "-audit-threshold must be positive"},
 	}
 	for _, c := range cases {
 		err := run(ctx, c.args, io.Discard, io.Discard)
@@ -509,14 +533,14 @@ func storeDigests(t *testing.T, dir string) map[string][sha256.Size]byte {
 }
 
 // TestServerNeverWritesStore pins that the serving process only reads its
-// model store: with the leakage audit scoring above a deliberately low
-// threshold and one client drained through every rung of the privacy ladder
-// to refusal — the evidence a rotation policy would act on — no file under
-// -model-dir changes, the live epoch stays v1, a fresh client is still
-// served bit-exact, and there is no rotation endpoint. A new selection is
-// the secret holder's move.
+// model store: with the version's recorded leakage score above a
+// deliberately low threshold and one client drained through every rung of
+// the privacy ladder to refusal — the evidence a rotation policy would act
+// on — no file under -model-dir changes, the live epoch stays v1, fresh
+// clients are still served bit-exact, and there is no rotation endpoint. A
+// new selection is the secret holder's move.
 func TestServerNeverWritesStore(t *testing.T) {
-	dir, reg := publishTiny(t, 0)
+	dir, reg, recorded := publishScored(t)
 	e, err := reg.Current("tiny")
 	if err != nil {
 		t.Fatal(err)
@@ -529,12 +553,7 @@ func TestServerNeverWritesStore(t *testing.T) {
 	sc, done := runAsync(ctx, t, []string{
 		"-model-dir", dir, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
 		"-workers", "2",
-		"-audit-sample", "1",
-		"-audit-reservoir", "16",
-		"-audit-every", "25ms",
-		"-audit-min-samples", "2",
-		"-audit-calib", "16",
-		"-audit-threshold", "0.05", // any successful reconstruction on smooth calib images clears this
+		"-audit-threshold", "0.05", // below the tiny pipeline's recorded SSIM
 		"-privacy-budget-rows", "8",
 	})
 	addr := scrapeAddr(t, sc, done)
@@ -585,33 +604,31 @@ func TestServerNeverWritesStore(t *testing.T) {
 		t.Errorf("drained ladder = %s, want %s", got, wantLadder)
 	}
 
-	// Keep fresh identities flowing until an audit has scored the live
-	// epoch; every one of them is served bit-exact.
-	var leak struct {
-		Audits    uint64  `json:"audits"`
-		Leakage   float64 `json:"leakage"`
-		Threshold float64 `json:"threshold"`
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; leak.Audits == 0; i++ {
-		if time.Now().After(deadline) {
-			_, body := adminGet(t, admin+"/leakage")
-			t.Fatalf("no audit within 30s; /leakage: %s", body)
-		}
+	// Fresh identities are served bit-exact alongside the drained one.
+	for i := 0; i < 3; i++ {
 		fresh := dial(fmt.Sprintf("fresh-%d", i))
 		got, _, err := fresh.Infer(ctx, x)
 		fresh.Close()
 		if err != nil || !got.AllClose(want, 1e-9) {
 			t.Fatalf("fresh client %d: err %v, bit-exact %v", i, err, err == nil && got.AllClose(want, 1e-9))
 		}
-		_, body := adminGet(t, admin+"/leakage")
-		if err := json.Unmarshal([]byte(body), &leak); err != nil {
-			t.Fatalf("/leakage is not JSON: %v\n%s", err, body)
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	if leak.Leakage <= leak.Threshold {
-		t.Errorf("/leakage reports %.3f at threshold %.3f, want above", leak.Leakage, leak.Threshold)
+
+	// /leakage reports the score the version was published with, above the
+	// threshold, and nothing acts on it.
+	var leak struct {
+		Version   int               `json:"version"`
+		Threshold float64           `json:"threshold"`
+		Status    string            `json:"status"`
+		Leakage   *registry.Leakage `json:"leakage"`
+	}
+	_, body := adminGet(t, admin+"/leakage")
+	if err := json.Unmarshal([]byte(body), &leak); err != nil {
+		t.Fatalf("/leakage is not JSON: %v\n%s", err, body)
+	}
+	if leak.Version != 1 || leak.Threshold != 0.05 || leak.Status != "above threshold" ||
+		leak.Leakage == nil || *leak.Leakage != recorded {
+		t.Errorf("/leakage = %s, want v1's recorded score %+v above threshold 0.05", body, recorded)
 	}
 
 	if _, body := adminGet(t, admin+"/metrics"); !strings.Contains(body, "ensembler_epoch_version 1\n") {

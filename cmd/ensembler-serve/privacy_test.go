@@ -138,6 +138,7 @@ func TestServePrivacyBudgetSurface(t *testing.T) {
 		!strings.Contains(body, "ensembler_privacy_clients 1") ||
 		!strings.Contains(body, "ensembler_privacy_rows_charged_total 1") ||
 		!strings.Contains(body, "ensembler_privacy_observe 0") ||
+		!strings.Contains(body, "ensembler_privacy_worst_drained 0.015625") || // 1 of 64 rows
 		!strings.Contains(body, "ensembler_privacy_refusals_total 0") {
 		t.Errorf("/metrics missing privacy series: %d %q", code, body)
 	}

@@ -4,10 +4,12 @@
 // a file consumable by ensembler-attack and ensembler-serve.
 //
 // With -model-dir the pipeline is published into a versioned registry
-// directory instead; adding -shards K additionally records the intended
-// K-shard fleet layout in the version's manifest, so every
-// ensembler-serve -shard k/K fleet member can validate its slice of the
-// ensemble against what training committed to.
+// directory instead, with its leakage score (audit.Score: the oracle
+// inversion attack's reconstruction SSIM/PSNR against the calibration
+// floor) recorded in the version's manifest for ensembler-serve to report.
+// Adding -shards K additionally records the intended K-shard fleet layout,
+// so every ensembler-serve -shard k/K fleet member can validate its slice
+// of the ensemble against what training committed to.
 //
 //	ensembler-train -kind cifar10 -n 10 -p 4 -out model.gob
 //	ensembler-train -kind cifar10 -n 9 -p 3 -model-dir models/ -shards 3
@@ -19,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"ensembler/internal/audit"
 	"ensembler/internal/data"
 	"ensembler/internal/ensemble"
 	"ensembler/internal/registry"
@@ -96,7 +99,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *modelDir != "" {
 		// Registry mode: the store assigns the next version and writes the
 		// artifact atomically, so a serving ensembler-serve -model-dir picks
-		// it up on its next SIGHUP with zero downtime.
+		// it up on its next SIGHUP with zero downtime. The leakage score is
+		// measured here, where the head is held, and never by the server.
 		store, err := registry.Create(*modelDir)
 		if err != nil {
 			return fmt.Errorf("opening model dir: %w", err)
@@ -105,12 +109,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if name == "" {
 			name = *kindName
 		}
-		var v int
-		if *shards > 0 {
-			v, err = store.PublishSharded(name, e, *shards)
-		} else {
-			v, err = store.Publish(name, e)
+		leak, err := audit.Score(e)
+		if err != nil {
+			return fmt.Errorf("scoring leakage: %w", err)
 		}
+		fmt.Fprintf(stdout, "leakage: %s attack SSIM %.3f, PSNR %.2f dB (calibration floor %.3f)\n",
+			leak.Strategy, leak.SSIM, leak.PSNR, leak.Floor)
+		v, err := store.PublishWith(name, e, registry.PublishOptions{Shards: *shards, Leakage: &leak})
 		if err != nil {
 			return fmt.Errorf("publishing: %w", err)
 		}

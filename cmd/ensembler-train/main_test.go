@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ensembler/internal/audit"
 	"ensembler/internal/ensemble"
 	"ensembler/internal/registry"
 )
@@ -77,12 +78,24 @@ func TestTrainPublishesShardedManifest(t *testing.T) {
 	if man.N != 2 || man.P != 1 || man.Shards != 2 || len(man.ShardRanges) != 2 {
 		t.Errorf("manifest did not record the fleet layout: %+v", man)
 	}
-	e, v, err := store.Load("tiny", 0)
+	e, loaded, err := store.Load("tiny", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 || e.Cfg.N != 2 || e.Cfg.P != 1 {
-		t.Errorf("round-tripped pipeline wrong: v%d N=%d P=%d", v, e.Cfg.N, e.Cfg.P)
+	if loaded.Version != 1 || e.Cfg.N != 2 || e.Cfg.P != 1 {
+		t.Errorf("round-tripped pipeline wrong: v%d N=%d P=%d", loaded.Version, e.Cfg.N, e.Cfg.P)
+	}
+	// The recorded score is the published pipeline's own: rescoring the
+	// artifact reproduces it exactly.
+	want, err := audit.Score(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Leakage == nil || *man.Leakage != want {
+		t.Errorf("manifest leakage = %+v, want the artifact's score %+v", man.Leakage, want)
+	}
+	if !strings.Contains(out.String(), "leakage: oracle attack SSIM") {
+		t.Errorf("leakage line missing: %s", out.String())
 	}
 }
 

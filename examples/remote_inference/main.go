@@ -10,6 +10,11 @@
 // requests, and the pool re-wires to the rotated client runtime without a
 // restart.
 //
+// Each published version is scored by the secret holder — this process, which
+// holds the head — with the oracle inversion attack (audit.Score), the
+// number ensembler-train records in a version's manifest and ensembler-serve
+// reports. The server itself never runs an attack.
+//
 // The final act shards the same ensemble across a K=3 fleet: each shard
 // process hosts a disjoint body subset behind the unchanged wire protocol,
 // the scatter-gather client reassembles body order and selects locally, and
@@ -31,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ensembler/internal/attack"
 	"ensembler/internal/audit"
 	"ensembler/internal/comm"
 	"ensembler/internal/data"
@@ -67,6 +71,18 @@ func printMetrics(treg *telemetry.Registry, prefixes ...string) {
 	}
 }
 
+// score measures a published version's leakage the way the secret holder
+// does at publish time, and prints it.
+func score(label string, p *ensemble.Ensembler) registry.Leakage {
+	l, err := audit.Score(p)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("leakage of %s: %s attack SSIM %.3f, PSNR %.2f dB (calibration floor %.3f)\n",
+		label, l.Strategy, l.SSIM, l.PSNR, l.Floor)
+	return l
+}
+
 func main() {
 	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, Train: 256, Aux: 16, Test: 64, Seed: 3})
 	cfg := ensemble.Config{
@@ -87,18 +103,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	score(fmt.Sprintf("v%d", ep.Version()), e)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	// The server is born instrumented: per-request telemetry plus the audit
-	// engine's reservoir sampler mirroring every 2nd request's transmitted
-	// features. Both hooks are nil checks on the hot path when absent.
+	// The server is born instrumented with per-request telemetry, a nil
+	// check on the hot path when absent.
 	treg := telemetry.NewRegistry()
-	sampler := audit.NewSampler(2, 64, 5)
-	srv := comm.NewModelServer(reg, comm.WithWorkers(4),
-		comm.WithMetrics(comm.NewServerMetrics(treg)), comm.WithObserver(sampler))
+	srv := comm.NewModelServer(reg, comm.WithWorkers(4), comm.WithMetrics(comm.NewServerMetrics(treg)))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	served := make(chan error, 1)
@@ -248,6 +262,9 @@ func main() {
 		fmt.Printf("post-swap result matches the rotated pipeline exactly ✓ (new selection %v, accuracy %.3f)\n",
 			rotated.Selector.Indices, rotated.Accuracy(sp.Test))
 	}
+	// The tuned rotation fine-tuned the head, so the version leaks
+	// differently and is scored afresh.
+	measured := score(fmt.Sprintf("v%d (tuned rotation)", rotatedEp.Version()), rotated)
 
 	// Multi-model routing on the same socket: publish a canary under its own
 	// name and pin one request to it by header.
@@ -271,71 +288,23 @@ func main() {
 		fmt.Printf("routed a pinned request to %s v%d on the same socket ✓\n", model, version)
 	}
 
-	// --- Online privacy audit: the server reports, the secret holder acts ---
+	// --- Leakage alert: the server reports, the secret holder acts ---
 	//
-	// The sampler has been mirroring live transmitted features all along;
-	// now an auditor replays the repo's inversion attack against the live
-	// epoch — oracle-grade, with the attacker's aux set drawn from the same
-	// distribution as the victim data — and scores reconstructions against
-	// the calibration floor. The auditor is a gauge: it reports leakage
-	// against a threshold and never touches the selection.
-	fmt.Println("\nonline privacy audit: attack replay against the live epoch")
-	auditAttack := attack.Config{DecoderEpochs: 4, BatchSize: 16, Seed: 123}
-
-	// First, measure what the oracle attack extracts right now.
-	probe, err := audit.New(audit.Config{
-		Registry: reg, Model: "cifar", Sampler: sampler, MinSamples: 4,
-		Aux: sp.Aux, Eval: sp.Test, EvalSamples: 8,
-		Oracle: true, Attack: auditAttack, Threshold: 0.99,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := 0; i < 8; i++ { // traffic for the sampler to mirror
-		if _, _, err := pool.Infer(ctx, x); err != nil {
-			log.Fatal(err)
-		}
-	}
-	measured := probe.RunOnce()
-	if measured.LastErr != "" {
-		log.Fatal(measured.LastErr)
-	}
-	fmt.Printf("measured leakage: oracle reconstruction SSIM %.3f (calibration floor %.3f)\n",
-		measured.LastSSIM, measured.Floor)
-	if measured.LastSSIM < measured.Floor {
+	// An operator sets the threshold where leakage becomes unacceptable; to
+	// watch the alert fire, set it just below what we measured. A server
+	// would report the recorded score against it on /leakage.
+	threshold := max(measured.SSIM-0.02, 0.01)
+	fmt.Printf("\nleakage alert: v%d's recorded SSIM %.3f vs threshold %.3f\n", rotatedEp.Version(), measured.SSIM, threshold)
+	if measured.SSIM < measured.Floor {
 		fmt.Println("the defense holds: even the oracle attacker reconstructs below the input-independent floor")
-	}
-
-	// Then, alert: an operator would set the threshold where leakage
-	// becomes unacceptable; to watch the alert fire, set it just below what
-	// we measured.
-	threshold := max(measured.LastSSIM-0.02, 0.01)
-	auditor, err := audit.New(audit.Config{
-		Registry: reg, Model: "cifar", Sampler: sampler, MinSamples: 4,
-		Aux: sp.Aux, Eval: sp.Test, EvalSamples: 8,
-		Oracle: true, Attack: auditAttack, Threshold: threshold, Alpha: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	auditor.RegisterMetrics(treg)
-	var st audit.State
-	for audits := 0; audits < 2; audits++ {
-		for i := 0; i < 8; i++ { // each audit consumes the reservoir; refill it
-			if _, _, err := pool.Infer(ctx, x); err != nil {
-				log.Fatal(err)
-			}
-		}
-		st = auditor.RunOnce()
-		fmt.Printf("audit %d: leakage %.3f vs threshold %.3f\n", audits+1, st.Leakage, threshold)
 	}
 
 	// Acting on the alert is the secret holder's move, never the server's:
 	// this process holds the pipeline, so it re-draws the selection itself,
-	// publishes it, and re-wires its own clients. A separate server would
-	// pick the new version up on SIGHUP.
+	// scores and publishes it, and re-wires its own clients. A separate
+	// server would pick the new version up on SIGHUP.
 	live := rotated // the pipeline clients must run after each swap
-	if st.Leakage > threshold {
+	if measured.SSIM > threshold {
 		ep, err := reg.RotateSelector("cifar", ensemble.RotateOptions{Seed: 777})
 		if err != nil {
 			log.Fatal(err)
@@ -348,20 +317,22 @@ func main() {
 			c.Tail = rt.Tail
 			return nil
 		})
-		fmt.Printf("leakage above threshold: the secret holder published v%d with a re-drawn selection\n", ep.Version())
+		fmt.Printf("leakage above threshold: the secret holder published v%d with a re-drawn selection %v\n",
+			ep.Version(), live.Selector.Indices)
+		if after := score(fmt.Sprintf("v%d (untuned rotation)", ep.Version()), live); after == measured {
+			fmt.Println("the score did not move: an untuned rotation keeps the head and the noise, so the " +
+				"features on the wire, and what they leak, are bit-identical (ROADMAP item 6). " +
+				"The rotation did not cure the alert; only re-tuning the head changes the score.")
+		}
 	}
 	if post, _, err := pool.Infer(ctx, x); err != nil {
 		log.Fatal(err)
 	} else if post.AllClose(live.Predict(x), 1e-9) {
-		fmt.Printf("post-audit traffic matches the live pipeline exactly ✓ (selection %v)\n",
+		fmt.Printf("post-rotation traffic matches the live pipeline exactly ✓ (selection %v)\n",
 			live.Selector.Indices)
 	}
-	fmt.Println("the control plane's /metrics view of the same story:")
-	printMetrics(treg,
-		"ensembler_server_requests_total",
-		"ensembler_audit_leakage",
-		"ensembler_audit_threshold",
-		"ensembler_audit_features_sampled_total")
+	fmt.Println("the control plane's /metrics view of the traffic:")
+	printMetrics(treg, "ensembler_server_requests_total")
 
 	cancel()
 	if err := <-served; err != nil {

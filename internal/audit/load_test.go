@@ -14,12 +14,11 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// TestSamplingUnderEightClientLoad is the audit loop's serving integration
+// TestSamplingUnderEightClientLoad is the sampler's serving integration
 // test: a registry-backed server with the reservoir sampler attached via
-// the comm observer hook, eight concurrent clients hammering it, and an
-// audit (stub scorer, so -race runs fast) consuming the mirrored features
-// mid-load. Every request must succeed — sampling is observation, never
-// interference — and the reservoir must hold real transmitted features.
+// the comm observer hook and eight concurrent clients hammering it. Every
+// request must succeed — sampling is observation, never interference — and
+// the reservoir must hold real transmitted features of the served epoch.
 func TestSamplingUnderEightClientLoad(t *testing.T) {
 	const (
 		nBodies  = 4
@@ -49,32 +48,6 @@ func TestSamplingUnderEightClientLoad(t *testing.T) {
 	}()
 
 	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, H: 8, Train: 8, Aux: 16, Test: 16, Seed: 62})
-	auditor, err := audit.New(audit.Config{
-		Registry:   reg,
-		Model:      "m",
-		Sampler:    sampler,
-		MinSamples: 4,
-		Aux:        sp.Aux,
-		Eval:       sp.Test,
-		Threshold:  0.3,
-		Alpha:      1,
-		Scorer: func(ep *registry.Epoch, observed *tensor.Tensor) (float64, float64, error) {
-			// The stub asserts what the real attack would consume: stacked
-			// live features of the served shape.
-			if observed == nil {
-				t.Error("audit ran without mirrored features")
-				return 0, 0, nil
-			}
-			c, h, w := arch.HeadC, arch.H, arch.W
-			if observed.Shape[1] != c || observed.Shape[2] != h || observed.Shape[3] != w {
-				t.Errorf("observed shape %v, want [*, %d, %d, %d]", observed.Shape, c, h, w)
-			}
-			return 0.9, 10, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var wg sync.WaitGroup
 	var failures sync.Map
@@ -100,7 +73,7 @@ func TestSamplingUnderEightClientLoad(t *testing.T) {
 					return
 				}
 				if i == requests/2 && cidx == 0 {
-					auditor.RunOnce() // audit mid-load, concurrent with traffic
+					sampler.Snapshot() // read the reservoir mid-load, concurrent with traffic
 				}
 			}
 		}(cidx)
@@ -118,7 +91,16 @@ func TestSamplingUnderEightClientLoad(t *testing.T) {
 	if wantMin := seen / 3; sampled != wantMin {
 		t.Errorf("sampled = %d, want every 3rd of %d = %d", sampled, seen, wantMin)
 	}
-	if st := auditor.State(); st.Audits != 1 || st.Leakage != 0.9 {
-		t.Errorf("auditor state %+v, want one mid-load audit reporting leakage 0.9", st)
+	snap := sampler.Snapshot()
+	if len(snap) != 16 {
+		t.Fatalf("reservoir holds %d tensors, want its capacity 16", len(snap))
+	}
+	for _, smp := range snap {
+		f := smp.Features
+		if smp.Model != "m" || smp.Version != 1 || len(f.Shape) != 4 ||
+			f.Shape[1] != arch.HeadC || f.Shape[2] != arch.H || f.Shape[3] != arch.W {
+			t.Errorf("mirrored %s v%d features of shape %v, want m v1 [*, %d, %d, %d]",
+				smp.Model, smp.Version, f.Shape, arch.HeadC, arch.H, arch.W)
+		}
 	}
 }

@@ -75,12 +75,12 @@ func TestPrecisionDriftSeedNetwork(t *testing.T) {
 	}
 }
 
-// TestPrecisionAttackSSIMUnchanged pins the audit plane to production
-// precision: replaying the oracle inversion attack against features rounded
-// to float32 (what an f32-compute, f32-wire deployment actually transmits)
-// must score within 0.05 SSIM of the f64 replay. A drift larger than that
-// could flip the reported alert on precision alone, which would make the
-// auditor score a pipeline that never serves.
+// TestPrecisionAttackSSIMUnchanged bounds what precision does to the
+// leakage score: the oracle inversion attack against features rounded to
+// float32 (what an f32-compute, f32-wire deployment actually transmits) must
+// score within 0.05 SSIM of the f64 attack Score runs. A drift larger than
+// that could flip the reported alert on precision alone, which would make
+// the publish-time score describe a pipeline that never serves.
 func TestPrecisionAttackSSIMUnchanged(t *testing.T) {
 	pipe := commtest.Pipeline(commtest.TinyArch(), 4, 2, 33)
 	sp := data.Generate(data.Config{Kind: data.CIFAR10Like, H: 8, Train: 8, Aux: 32, Test: 16, Seed: 11})

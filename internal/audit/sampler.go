@@ -1,19 +1,3 @@
-// Package audit closes the loop between the paper's offline privacy
-// evaluation and the live serving stack: it mirrors a bounded sample of the
-// intermediate features clients actually transmit, periodically replays the
-// repo's own model-inversion attacks against the currently published
-// pipeline, and scores the reconstructions the way Tables I/II do (SSIM/PSNR
-// against a calibration floor). The auditor is a gauge: it reports leakage
-// against a threshold and never acts on it. Choosing a new selection is the
-// secret holder's move, and the serving process does not hold that secret's
-// authority — it only reloads what the holder publishes.
-//
-// The auditor is the defender auditing itself — it runs on the serving box,
-// holds the full pipeline (head, secret selector, tail) the way the model
-// owner already does, and therefore can measure an upper bound no real
-// attacker reaches (see the threat-model discussion in DESIGN.md: mirroring
-// features on-box widens no attack surface, because the box already holds
-// them in memory on every request).
 package audit
 
 import (
@@ -35,7 +19,9 @@ type Sample struct {
 // comm.FeatureObserver. It mirrors every rate-th observed feature tensor
 // into a bounded reservoir with uniform replacement, so the retained set is
 // a uniform sample of everything mirrored since the last reset regardless
-// of traffic volume.
+// of traffic volume. Nothing reads the reservoir any more (the leakage
+// score is measured at publish, see Score): the sampler is kept only for
+// bench/ until ROADMAP item 2.
 //
 // Cost contract (asserted by TestDisabledSamplerDoesNotAllocate):
 //   - disabled (rate 0) or skipped observations: one atomic add, zero
@@ -82,8 +68,8 @@ func (s *Sampler) ObserveFeatures(model string, version int, f *tensor.Tensor) {
 
 // ObserveFeatures32 implements the comm.FeatureObserver32 hot-path hook: on
 // an f32-precision server the sampler receives the float32 tensors the
-// compute path actually runs on, so the attack replay and SSIM scoring
-// consume what production traffic really leaked, rounded nowhere further.
+// compute path actually runs on, so what it mirrors is what production
+// traffic really carried, rounded nowhere further.
 func (s *Sampler) ObserveFeatures32(model string, version int, f *tensor.Tensor32) {
 	observe(s, model, version, f)
 }
@@ -130,9 +116,8 @@ func (s *Sampler) Snapshot() []Sample {
 	return append([]Sample(nil), s.reservoir...)
 }
 
-// Reset empties the reservoir — called after an audit consumed it, so the
-// next audit scores fresh traffic (and features served after a reload never
-// mix with those served before it).
+// Reset empties the reservoir, so features mirrored afterwards never mix
+// with those mirrored before.
 func (s *Sampler) Reset() {
 	if s == nil {
 		return

@@ -27,9 +27,9 @@
 // The serving path is observable without being slowed: WithMetrics attaches
 // a telemetry bundle (requests, errors, images, per-request serve-time and
 // batch-size histograms) and WithObserver mirrors transmitted features into
-// the privacy-audit engine's sampler. Both are nil checks on the hot path
-// when absent, and the attached implementations are lock-free (telemetry)
-// or amortized to an atomic add (audit sampling).
+// an observer (kept only for bench/ until ROADMAP item 2). Both are nil
+// checks on the hot path when absent, and the attached implementations are
+// lock-free (telemetry) or amortized to an atomic add (audit.Sampler).
 //
 // The server no longer owns its bodies: every request resolves a
 // (model, version) pair through a ModelProvider — a registry of published

@@ -2,10 +2,9 @@ package comm
 
 // Serving-path observability: a ServerMetrics bundle of telemetry series the
 // server updates per request, and a FeatureObserver hook that mirrors
-// transmitted features into the privacy-audit engine. Both are opt-in and
-// cost exactly one nil check each on the hot path when disabled — the
-// contract BenchmarkServing holds the serving subsystem to (±5%), asserted
-// by the allocation tests in the audit package.
+// transmitted features to an observer. Both are opt-in and cost exactly one
+// nil check each on the hot path when disabled, which the zero-allocation
+// serve-loop tests and benchmarks pin.
 
 import (
 	"time"
@@ -16,8 +15,9 @@ import (
 )
 
 // FeatureObserver receives the intermediate feature tensors clients
-// transmit, exactly as the serving worker is about to compute on them. The
-// audit engine's reservoir sampler implements it.
+// transmit, exactly as the serving worker is about to compute on them.
+// audit.Sampler implements it. No serving binary attaches one: the hook is
+// kept only for bench/ until ROADMAP item 2.
 //
 // ObserveFeatures is called synchronously on the worker goroutine once per
 // input tensor (batched requests observe each input), after the request
@@ -31,17 +31,18 @@ type FeatureObserver interface {
 // FeatureObserver32 is the optional float32 ingress of a FeatureObserver: on
 // a PrecisionF32 server, observers that implement it receive the f32-decoded
 // tensors the compute path actually runs on, with no widening copy on the
-// hot path. The audit sampler implements it (widening only inside its
-// sampled branch); an observer that does not is handed a widened copy — one
-// allocation per observed tensor, the honest fallback that keeps the audit
-// plane seeing production-precision features either way.
+// hot path. audit.Sampler implements it (widening only inside its sampled
+// branch); an observer that does not is handed a widened copy — one
+// allocation per observed tensor, the honest fallback that keeps the
+// observer seeing production-precision features either way. Kept only for
+// bench/ until ROADMAP item 2.
 type FeatureObserver32 interface {
 	ObserveFeatures32(model string, version int, features *tensor.Tensor32)
 }
 
-// WithObserver mirrors every request's transmitted features into o — the
-// comm-side half of the audit subsystem's sampling loop. A nil observer
-// (the default) leaves the hot path untouched.
+// WithObserver mirrors every request's transmitted features into o. A nil
+// observer (the default) leaves the hot path untouched. Kept only for bench/
+// until ROADMAP item 2.
 func WithObserver(o FeatureObserver) ServerOption {
 	return func(opts *serverOptions) { opts.observer = o }
 }
@@ -119,8 +120,8 @@ func (m *ServerMetrics) record(j *job, dur time.Duration) {
 // observer may copy) and routes one tensor to the observer at the precision
 // the compute path actually runs on: float64 tensors through ObserveFeatures,
 // float32 tensors through the FeatureObserver32 side interface (or a widened
-// copy when the observer predates it), so the auditor scores leakage against
-// what production really computed on.
+// copy when the observer predates it), so the observer sees what production
+// really computed on.
 func observeTensor[T tensor.Float](o FeatureObserver, model string, version int, t *tensor.Dense[T]) {
 	if validateFeatures(t) != nil {
 		return

@@ -158,6 +158,7 @@ func (p *payload[T]) size() (inputs, rows int) {
 // handed: an attacker-controlled Shape claiming 2^62 elements over an empty
 // Data slice must be rejected here, not allocated by the sampler (the
 // compute path re-validates later; that redundancy is the trust boundary).
+// Kept only for bench/ until ROADMAP item 2.
 func (p *payload[T]) observe(o FeatureObserver, model string, version int) {
 	for _, in := range p.inputs {
 		observeTensor(o, model, version, in)

@@ -758,7 +758,7 @@ func (s *Server) compute(j *job, bodies *bodyCache) {
 		return
 	}
 	epoch.Model, epoch.Version = m.Name(), m.Version()
-	if o := s.opts.observer; o != nil {
+	if o := s.opts.observer; o != nil { // kept only for bench/ until ROADMAP item 2
 		j.pay.observe(o, epoch.Model, epoch.Version)
 	}
 	run, err := bodies.bodiesFor(m)

@@ -176,12 +176,12 @@ func TestChaosRegistryTornPublishes(t *testing.T) {
 	if len(entries) > 8 {
 		t.Fatalf("quarantine area grew to %d entries, want ≤ 8", len(entries))
 	}
-	loaded, v, err := s2.Load("m", 0)
+	loaded, man, err := s2.Load("m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int(v) != published {
-		t.Fatalf("latest version %d, want %d (one per successful publish)", v, published)
+	if man.Version != published {
+		t.Fatalf("latest version %d, want %d (one per successful publish)", man.Version, published)
 	}
 	wantPipeline := commtest.Pipeline(arch, 3, 2, lastGoodSeed)
 	if !loaded.Predict(x).AllClose(wantPipeline.Predict(x), 1e-12) {

@@ -329,9 +329,8 @@ func (e *Ensembler) ServerCompute(features *tensor.Tensor) []*tensor.Tensor {
 
 // BodyScratch is the reusable per-body inference storage for
 // ServerComputeWith: one nn.Scratch per ensemble body plus the output list,
-// owned by one goroutine. The audit engine's replay loop and other
-// steady-state callers hold one and reuse it across calls, so repeated
-// server-side passes stop allocating per layer.
+// owned by one goroutine. Steady-state callers hold one and reuse it across
+// calls, so repeated server-side passes stop allocating per layer.
 type BodyScratch struct {
 	per []*nn.Scratch[float64]
 	out []*tensor.Tensor

@@ -214,7 +214,7 @@ func (l *Ledger) level(spent int64) int32 {
 }
 
 // ClientBudget is one account's externally visible state — the /budget admin
-// payload and the auditor's worst-drained-client input.
+// payload and the ensembler_privacy_worst_drained gauge's input.
 type ClientBudget struct {
 	Client    string  `json:"client"`
 	Spent     int64   `json:"spent_rows"`

@@ -69,8 +69,7 @@ func NewGuard(l *Ledger, cfg PolicyConfig) (*Guard, error) {
 	return &Guard{ledger: l, cfg: cfg}, nil
 }
 
-// Ledger returns the guard's budget store (the admin plane and auditor read
-// it).
+// Ledger returns the guard's budget store (the admin plane reads it).
 func (g *Guard) Ledger() *Ledger { return g.ledger }
 
 // AccountFor resolves the account one connection charges against: the

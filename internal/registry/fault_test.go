@@ -91,12 +91,12 @@ func TestTornPublishQuarantinedOnReopen(t *testing.T) {
 			t.Fatalf("Models() leaked internal entry %q", m)
 		}
 	}
-	loaded, v, err := s2.Load("m", 0)
+	loaded, man, err := s2.Load("m", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 1 {
-		t.Fatalf("latest version after recovery = %d, want 1", v)
+	if man.Version != 1 {
+		t.Fatalf("latest version after recovery = %d, want 1", man.Version)
 	}
 	x := images(4, 2)
 	if !loaded.Predict(x).AllClose(e.Predict(x), 1e-12) {

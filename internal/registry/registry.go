@@ -22,6 +22,7 @@ type Epoch struct {
 	version  int
 	seq      uint64
 	pipeline *ensemble.Ensembler
+	leakage  *Leakage
 }
 
 // Name returns the model name this epoch belongs to.
@@ -37,6 +38,11 @@ func (ep *Epoch) Version() int { return ep.version }
 // tells the server to compile the new bodies once, and an unchanged one lets
 // every worker keep them across a rotation.
 func (ep *Epoch) Seq() uint64 { return ep.seq }
+
+// Leakage returns the leakage score recorded in the version's manifest, or
+// nil when none was recorded: an in-memory publish or rotation, or a store
+// version published without one. Treat it as read-only.
+func (ep *Epoch) Leakage() *Leakage { return ep.leakage }
 
 // Pipeline returns the published pipeline. Treat it as read-only.
 func (ep *Epoch) Pipeline() *ensemble.Ensembler { return ep.pipeline }
@@ -139,12 +145,13 @@ func (r *Registry) state(name string) *modelState {
 
 // install registers a pipeline as the given version and makes it current if
 // it is newer than what is live. seq is the body generation of e: 0 mints a
-// new one. It does not touch the store.
-func (r *Registry) install(name string, version int, e *ensemble.Ensembler, seq uint64) *Epoch {
+// new one. leak is the version's recorded score (nil: none). It does not
+// touch the store.
+func (r *Registry) install(name string, version int, e *ensemble.Ensembler, seq uint64, leak *Leakage) *Epoch {
 	if seq == 0 {
 		seq = r.seq.Add(1)
 	}
-	ep := &Epoch{name: name, version: version, seq: seq, pipeline: e}
+	ep := &Epoch{name: name, version: version, seq: seq, pipeline: e, leakage: leak}
 	ms := r.state(name)
 	ms.mu.Lock()
 	if cur := ms.current.Load(); cur == nil || cur.version <= version {
@@ -188,7 +195,7 @@ func (r *Registry) publishLocked(name string, e *ensemble.Ensembler, seq uint64)
 		ms.mu.Unlock()
 		version++
 	}
-	return r.install(name, version, e, seq), nil
+	return r.install(name, version, e, seq, nil), nil
 }
 
 // RotateSelector re-draws the secret P-of-N subset of the named model (""
@@ -297,13 +304,13 @@ func (r *Registry) Epoch(name string, version int) (*Epoch, error) {
 	if r.store == nil {
 		return nil, fmt.Errorf("registry: model %q has no version %d", name, version)
 	}
-	e, v, err := r.store.Load(name, version)
+	e, man, err := r.store.Load(name, version)
 	if err != nil {
 		return nil, err
 	}
-	ep = &Epoch{name: name, version: v, seq: r.seq.Add(1), pipeline: e}
+	ep = &Epoch{name: name, version: man.Version, seq: r.seq.Add(1), pipeline: e, leakage: man.Leakage}
 	state.mu.Lock()
-	if cached := state.epochs[v]; cached != nil {
+	if cached := state.epochs[man.Version]; cached != nil {
 		ep = cached // another resolver won the race; keep one epoch per version
 	} else {
 		state.retain(ep)
@@ -378,12 +385,12 @@ func (r *Registry) LoadStore() (int, error) {
 		if cur, err := r.Current(name); err == nil && cur.version >= latest {
 			continue
 		}
-		e, v, err := r.store.Load(name, latest)
+		e, man, err := r.store.Load(name, latest)
 		if err != nil {
 			return updated, err
 		}
 		r.mu.Lock()
-		r.install(name, v, e, 0)
+		r.install(name, man.Version, e, 0, man.Leakage)
 		r.mu.Unlock()
 		updated++
 	}

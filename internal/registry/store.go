@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -87,6 +88,47 @@ type Manifest struct {
 	// loudly instead of serving the wrong body subset.
 	Shards      int          `json:"shards,omitempty"`
 	ShardRanges []ShardRange `json:"shard_ranges,omitempty"`
+
+	// Leakage is the version's leakage score, measured once by the secret
+	// holder at publish time (audit.Score). Absent means not recorded: a
+	// version published before scores were recorded, or by a caller that
+	// does not score. ensembler-serve reports it on /leakage.
+	Leakage *Leakage `json:"leakage,omitempty"`
+}
+
+// Leakage is a recorded leakage score: how well an inversion attack
+// reconstructs calibration images from the features the version's client
+// transmits, next to the calibration floor (the SSIM of the best
+// input-independent reconstruction). A score is a property of the version,
+// so it is measured once, where the secret is held, and never by the server.
+type Leakage struct {
+	Strategy    string  `json:"strategy"`    // attack that produced the score ("oracle")
+	SSIM        float64 `json:"ssim"`        // reconstruction SSIM on the eval images
+	PSNR        float64 `json:"psnr"`        // reconstruction PSNR in dB
+	Floor       float64 `json:"floor"`       // calibration floor SSIM
+	Seed        int64   `json:"seed"`        // attack seed
+	Calibration int     `json:"calibration"` // synthetic calibration images the attacker trained on
+}
+
+// validLeakage reports whether a score can be recorded and trusted when
+// read back: finite numbers, SSIMs in [-1, 1], a named strategy and a
+// positive calibration size.
+func validLeakage(l *Leakage) error {
+	for _, v := range []float64{l.SSIM, l.PSNR, l.Floor} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("leakage score %+v is not finite", *l)
+		}
+	}
+	if l.SSIM < -1 || l.SSIM > 1 || l.Floor < -1 || l.Floor > 1 {
+		return fmt.Errorf("leakage SSIM %v or floor %v outside [-1, 1]", l.SSIM, l.Floor)
+	}
+	if l.Strategy == "" {
+		return fmt.Errorf("leakage score names no strategy")
+	}
+	if l.Calibration <= 0 {
+		return fmt.Errorf("leakage score has calibration size %d", l.Calibration)
+	}
+	return nil
 }
 
 // Store is a versioned on-disk model store with the layout
@@ -341,38 +383,54 @@ func (s *Store) Latest(name string) (int, error) {
 	return versions[len(versions)-1], nil
 }
 
-// Publish writes the pipeline as the next version of the named model and
-// returns that version. The artifact is written to a temp directory and
-// renamed into place, so readers only ever see complete versions; on any
-// failure the temp directory is removed and the store is unchanged.
-func (s *Store) Publish(name string, e *ensemble.Ensembler) (int, error) {
-	return s.publish(name, e, 0, "")
+// PublishOptions are the commitments a publisher may record in a version's
+// manifest. The zero value records none.
+type PublishOptions struct {
+	// Shards records a K-shard fleet layout (shard.Plan over the pipeline's
+	// N), so every fleet member can validate its -shard k/K against what
+	// training intended. 0 makes no sharding commitment.
+	Shards int
+	// Precision commits the version to "f64" or "f32" compute:
+	// ensembler-serve defaults its -precision to it and refuses a flag that
+	// contradicts it. "" makes no commitment.
+	Precision string
+	// Leakage is the version's leakage score (audit.Score); nil records
+	// none.
+	Leakage *Leakage
 }
 
-// PublishSharded is Publish with a sharding commitment: the manifest
-// records the K-shard layout (shard.Plan over the pipeline's N) so every
-// fleet member can validate its -shard k/K against what training intended.
-func (s *Store) PublishSharded(name string, e *ensemble.Ensembler, shards int) (int, error) {
-	return s.publish(name, e, shards, "")
+// Publish writes the pipeline as the next version of the named model and
+// returns that version, recording no commitments.
+func (s *Store) Publish(name string, e *ensemble.Ensembler) (int, error) {
+	return s.PublishWith(name, e, PublishOptions{})
 }
 
 // PublishPrecision is Publish with a compute-precision commitment ("f64" or
-// "f32") recorded in the manifest: ensembler-serve defaults its -precision
-// to the commitment and refuses a flag that contradicts it.
+// "f32") recorded in the manifest.
 func (s *Store) PublishPrecision(name string, e *ensemble.Ensembler, precision string) (int, error) {
-	return s.publish(name, e, 0, precision)
+	return s.PublishWith(name, e, PublishOptions{Precision: precision})
 }
 
-func (s *Store) publish(name string, e *ensemble.Ensembler, shards int, precision string) (int, error) {
+// PublishWith writes the pipeline as the next version of the named model,
+// recording opts in its manifest, and returns that version. The artifact is
+// written to a temp directory and renamed into place, so readers only ever
+// see complete versions; on any failure the temp directory is removed and
+// the store is unchanged.
+func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOptions) (int, error) {
 	if err := validName(name); err != nil {
 		return 0, err
 	}
-	if err := validPrecision(precision); err != nil {
+	if err := validPrecision(opts.Precision); err != nil {
 		return 0, err
 	}
+	if opts.Leakage != nil {
+		if err := validLeakage(opts.Leakage); err != nil {
+			return 0, fmt.Errorf("registry: publishing %q: %w", name, err)
+		}
+	}
 	var shardRanges []ShardRange
-	if shards > 0 {
-		plan, err := shard.Plan(e.Cfg.N, shards)
+	if opts.Shards > 0 {
+		plan, err := shard.Plan(e.Cfg.N, opts.Shards)
 		if err != nil {
 			return 0, fmt.Errorf("registry: publishing %q: %w", name, err)
 		}
@@ -420,9 +478,10 @@ func (s *Store) publish(name string, e *ensemble.Ensembler, shards int, precisio
 		N:              e.Cfg.N,
 		P:              e.Cfg.P,
 		CreatedUnix:    time.Now().Unix(),
-		Precision:      precision,
-		Shards:         shards,
+		Precision:      opts.Precision,
+		Shards:         opts.Shards,
 		ShardRanges:    shardRanges,
+		Leakage:        opts.Leakage,
 	}
 	if err := writeManifest(filepath.Join(tmp, manifestFile), man); err != nil {
 		crashed = errors.Is(err, faultpoint.ErrInjected)
@@ -568,6 +627,11 @@ func parseManifest(b []byte, name string, version int) (*Manifest, error) {
 			return nil, fmt.Errorf("manifest shard ranges cover %d bodies, N=%d", lo, man.N)
 		}
 	}
+	if man.Leakage != nil {
+		if err := validLeakage(man.Leakage); err != nil {
+			return nil, fmt.Errorf("manifest %w", err)
+		}
+	}
 	return &man, nil
 }
 
@@ -624,23 +688,26 @@ func (s *Store) Prune(name string, keep int) (int, error) {
 }
 
 // Load verifies and loads one version of a model; version <= 0 means latest.
-func (s *Store) Load(name string, version int) (*ensemble.Ensembler, int, error) {
+// The returned manifest names the version loaded and carries what its
+// publisher recorded.
+func (s *Store) Load(name string, version int) (*ensemble.Ensembler, *Manifest, error) {
 	if err := fpEpochLoad.Inject(); err != nil {
-		return nil, 0, fmt.Errorf("registry: model %q: loading epoch: %w", name, err)
+		return nil, nil, fmt.Errorf("registry: model %q: loading epoch: %w", name, err)
 	}
 	if version <= 0 {
 		latest, err := s.Latest(name)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		version = latest
 	}
-	if _, err := s.verify(name, version); err != nil {
-		return nil, 0, err
+	man, err := s.verify(name, version)
+	if err != nil {
+		return nil, nil, err
 	}
 	e, err := ensemble.LoadFile(filepath.Join(s.dir, name, versionDir(version), modelFile))
 	if err != nil {
-		return nil, 0, fmt.Errorf("registry: model %q v%d: %w", name, version, err)
+		return nil, nil, fmt.Errorf("registry: model %q v%d: %w", name, version, err)
 	}
-	return e, version, nil
+	return e, man, nil
 }

@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,19 +43,19 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 		t.Fatalf("first publish got version %d, want 1", v)
 	}
 
-	loaded, lv, err := s.Load("cifar", 0)
+	loaded, man, err := s.Load("cifar", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv != 1 {
-		t.Fatalf("latest load got version %d, want 1", lv)
+	if man.Version != 1 {
+		t.Fatalf("latest load got version %d, want 1", man.Version)
 	}
 	x := images(2, 3)
 	if !loaded.Predict(x).AllClose(e.Predict(x), 1e-12) {
 		t.Error("stored pipeline predicts differently after load")
 	}
 
-	man, err := s.Manifest("cifar", 1)
+	man, err = s.Manifest("cifar", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +64,59 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	}
 	if man.SHA256 == "" || man.SizeBytes <= 0 {
 		t.Error("manifest missing checksum or size")
+	}
+}
+
+// TestStoreRecordsLeakage: a score published with a version round-trips
+// through its manifest and rides the epoch a registry loads, whether as the
+// current version or lazily as a pinned one; a version published without a
+// score reads as not recorded, and a score that cannot be trusted is
+// refused at publish with the store unchanged.
+func TestStoreRecordsLeakage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := registry.Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Publish("m", pipeline(1)); err != nil {
+		t.Fatal(err)
+	}
+	leak := registry.Leakage{Strategy: "oracle", SSIM: 0.125, PSNR: 13.6, Floor: 0.148, Seed: 7920, Calibration: 64}
+	if _, err := s.PublishWith("m", pipeline(2), registry.PublishOptions{Shards: 3, Leakage: &leak}); err != nil {
+		t.Fatal(err)
+	}
+	if man, err := s.Manifest("m", 1); err != nil || man.Leakage != nil {
+		t.Errorf("unscored v1 manifest = %+v (%v), want no score", man, err)
+	}
+	if man, err := s.Manifest("m", 2); err != nil || man.Leakage == nil || *man.Leakage != leak || man.Shards != 3 {
+		t.Errorf("scored v2 manifest = %+v (%v), want score %+v over 3 shards", man, err, leak)
+	}
+
+	reg, err := registry.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := reg.Current("m")
+	if err != nil || cur.Version() != 2 || cur.Leakage() == nil || *cur.Leakage() != leak {
+		t.Fatalf("current epoch = %v (%v), want v2 carrying %+v", cur, err, leak)
+	}
+	pinned, err := reg.Epoch("m", 1)
+	if err != nil || pinned.Leakage() != nil {
+		t.Errorf("lazily loaded v1 = %v (%v), want no score", pinned, err)
+	}
+
+	for _, bad := range []registry.Leakage{
+		{Strategy: "oracle", SSIM: math.NaN(), Calibration: 64},
+		{Strategy: "oracle", SSIM: 0.1, PSNR: math.Inf(1), Calibration: 64},
+		{Strategy: "oracle", SSIM: 1.5, Calibration: 64},
+		{SSIM: 0.1, Calibration: 64},
+	} {
+		if _, err := s.PublishWith("m", pipeline(3), registry.PublishOptions{Leakage: &bad}); err == nil {
+			t.Errorf("published leakage %+v", bad)
+		}
+	}
+	if versions, err := s.Versions("m"); err != nil || len(versions) != 2 {
+		t.Errorf("versions after refused publishes = %v (%v), want [1 2]", versions, err)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package telemetry is the serving stack's metrics substrate: lock-free
 // atomic counters, gauges, and histograms collected into a Registry that
 // renders the Prometheus text exposition format (version 0.0.4). It exists
-// so the control plane (cmd/ensembler-serve's -admin-addr endpoints and the
-// internal/audit engine) can observe a production deployment — QPS, latency,
-// batch sizes, shard health, live epoch, leakage — without the serving hot
-// path ever taking a lock or allocating.
+// so the control plane (cmd/ensembler-serve's -admin-addr endpoints) can
+// observe a production deployment — QPS, latency, batch sizes, shard health,
+// live epoch, recorded leakage — without the serving hot path ever taking a
+// lock or allocating.
 //
 // Design constraints, in order:
 //
