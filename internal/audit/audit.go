@@ -28,9 +28,9 @@ import (
 // versions' scores differ only because their pipelines do.
 const (
 	strategy      = "oracle" // the attack Score mounts
-	calibImages   = 64       // attacker's auxiliary images; the eval set is half as many
+	calibImages   = 64       // attacker's auxiliary images
 	calibSeed     = 424242
-	evalSamples   = 16 // eval images reconstructed and scored
+	evalSamples   = 16 // eval images generated, reconstructed and scored
 	decoderEpochs = 2
 	attackBatch   = 16
 	attackSeed    = 1 + 7919
@@ -50,7 +50,7 @@ func Score(e *ensemble.Ensembler) (registry.Leakage, error) {
 	// The score never reads the Train split; 8 keeps it small (0 means 512).
 	calib := data.Generate(data.Config{
 		Kind: data.CIFAR10Like, H: arch.H, W: arch.W,
-		Train: 8, Aux: calibImages, Test: calibImages / 2, Seed: calibSeed,
+		Train: 8, Aux: calibImages, Test: evalSamples, Seed: calibSeed,
 	})
 	victim := runtimeVictim{features: e.NewClientRuntime().Features}
 	cfg := attack.Config{Arch: arch, DecoderEpochs: decoderEpochs, BatchSize: attackBatch, Seed: attackSeed}

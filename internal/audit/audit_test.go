@@ -113,7 +113,7 @@ func TestCalibrationFloor(t *testing.T) {
 		t.Errorf("floor = %.3f, want a value clearly below perfect reconstruction", floor)
 	}
 	// A constant dataset's mean image is a perfect reconstruction: floor 1.
-	one := sp.Test.Image(0)
+	one := sp.Test.Images.SampleView(0)
 	flat := tensor.New(4, one.Shape[0], one.Shape[1], one.Shape[2])
 	for i := 0; i < 4; i++ {
 		copy(flat.Data[i*one.Size():], one.Data)

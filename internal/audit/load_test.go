@@ -66,7 +66,7 @@ func TestSamplingUnderEightClientLoad(t *testing.T) {
 			client.Select = rt.Select
 			client.Tail = rt.Tail
 			x := tensor.New(1, arch.InC, arch.H, arch.W)
-			copy(x.Data, sp.Test.Image(cidx%sp.Test.Len()).Data)
+			copy(x.Data, sp.Test.Images.SampleView(cidx%sp.Test.Len()).Data)
 			for i := 0; i < requests; i++ {
 				if _, _, err := client.Infer(ctx, x); err != nil {
 					failures.Store(cidx, err)

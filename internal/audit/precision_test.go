@@ -34,7 +34,7 @@ func TestPrecisionDriftSeedNetwork(t *testing.T) {
 		bodies32[i] = n32
 	}
 	s64 := nn.NewScratch()
-	s32 := nn.NewScratch32()
+	s32 := new(nn.Scratch[float32])
 	r := rng.New(32)
 	for trial := 0; trial < trials; trial++ {
 		x := tensor.New(1, 3, 8, 8)

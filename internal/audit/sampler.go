@@ -58,9 +58,6 @@ func NewSampler(rate, capacity int, seed int64) *Sampler {
 	}
 }
 
-// Enabled reports whether the sampler mirrors anything at all.
-func (s *Sampler) Enabled() bool { return s != nil && s.rate > 0 }
-
 // ObserveFeatures implements the comm.FeatureObserver hot-path hook.
 func (s *Sampler) ObserveFeatures(model string, version int, f *tensor.Tensor) {
 	observe(s, model, version, f)

@@ -232,7 +232,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	// The f32 response path perturbs the f32 payload.
 	j3 := newJob[float32]()
 	j3.noiseSigma = sigma
-	f32 := tensor.New32(1, n)
+	f32 := tensor.NewOf[float32](1, n)
 	p3 := payloadOf[float32](j3)
 	p3.outputs, p3.served = [][]*tensor.Tensor32{{f32}}, true
 	noiseResponse(j3)

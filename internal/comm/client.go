@@ -183,11 +183,6 @@ func newClientConn(ctx context.Context, conn net.Conn, wire WireFormat, clientID
 	return &Client{conn: cc, codec: binClientCodec{framer}}, nil
 }
 
-// LastTraceID reports the trace ID the server echoed on the client's last
-// successful round trip — the caller's proof that the server joined its leg
-// to the trace. Zero when the request was untraced.
-func (c *Client) LastTraceID() uint64 { return c.lastTraceID }
-
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 

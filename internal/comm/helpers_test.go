@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ensembler/internal/nn"
 	"ensembler/internal/privacy"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -235,3 +236,49 @@ func (l *serveLoop) bench(b *testing.B) {
 		l.cycle()
 	}
 }
+
+// NewServer is the single-model server the tests run: NewModelServer over a
+// fixed body slice, which it compiles once and only reads (see
+// ServedModel). A single-worker server (WithWorkers(1)) fans each request's
+// per-body passes out across goroutines instead.
+func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
+	if len(bodies) == 0 {
+		panic("comm: server needs at least one body")
+	}
+	return NewModelServer(&staticModel{bodies: bodies}, opts...)
+}
+
+// staticModel adapts a fixed body slice to the ModelProvider contract: one
+// unnamed model, version 0, epoch never changing.
+type staticModel struct {
+	bodies []*nn.Network
+}
+
+func (m *staticModel) Resolve(model string, version int) (ServedModel, error) {
+	if model != "" {
+		return nil, fmt.Errorf("comm: unknown model %q (this server hosts a single unnamed model)", model)
+	}
+	if version != 0 {
+		return nil, fmt.Errorf("comm: version pinning (v%d requested) requires a registry-backed server", version)
+	}
+	return m, nil
+}
+
+func (m *staticModel) Name() string          { return "" }
+func (m *staticModel) Version() int          { return 0 }
+func (m *staticModel) Seq() uint64           { return 0 }
+func (m *staticModel) Bodies() []*nn.Network { return m.bodies }
+
+// WithDrainTimeout replaces DefaultDrainTimeout: how long a graceful
+// shutdown waits for in-flight responses to flush before force-closing
+// connections.
+func WithDrainTimeout(d time.Duration) ServerOption {
+	return func(o *serverOptions) {
+		if d > 0 {
+			o.drain = d
+		}
+	}
+}
+
+// payloadOf returns j's payload at its (known) element type.
+func payloadOf[T tensor.Float](j *job) *payload[T] { return j.pay.(*payload[T]) }

@@ -120,9 +120,6 @@ func (p *payload[T]) reset() {
 	p.arena.Reset()
 }
 
-// payloadOf returns j's payload at its (known) element type.
-func payloadOf[T tensor.Float](j *job) *payload[T] { return j.pay.(*payload[T]) }
-
 func (p *payload[T]) parse(body []byte, req *Request, tc *trace.Context) error {
 	return parseRequestInto(body, req, p, tc)
 }

@@ -21,7 +21,7 @@ func directF32(t testing.TB, n int, x32 *tensor.Tensor32) []*tensor.Tensor32 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs[i] = n32.ForwardInfer(x32, nn.NewScratch32())
+		outs[i] = n32.ForwardInfer(x32, new(nn.Scratch[float32]))
 	}
 	return outs
 }

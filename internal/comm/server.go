@@ -101,21 +101,10 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithDrainTimeout bounds how long a graceful shutdown waits for in-flight
-// responses to flush before force-closing connections (a client that stops
-// reading its responses must not be able to hold Serve open forever).
-func WithDrainTimeout(d time.Duration) ServerOption {
-	return func(o *serverOptions) {
-		if d > 0 {
-			o.drain = d
-		}
-	}
-}
-
 // Server hosts ensemble bodies for remote clients behind a bounded worker
 // pool, resolving every request through a ModelProvider. Construct with
-// NewServer (fixed bodies) or NewModelServer (registry-backed, hot-swap
-// capable), then call Serve; Serve may be called at most once per Server.
+// NewModelServer, then call Serve; Serve may be called at most once per
+// Server.
 type Server struct {
 	provider ModelProvider
 	opts     serverOptions
@@ -198,42 +187,6 @@ func (j *job) reset() {
 	j.tr.Reset()
 }
 
-// staticModel adapts a fixed body slice to the ModelProvider contract: one
-// unnamed model, version 0, epoch never changing.
-type staticModel struct {
-	bodies []*nn.Network
-}
-
-func (m *staticModel) Resolve(model string, version int) (ServedModel, error) {
-	if model != "" {
-		return nil, fmt.Errorf("comm: unknown model %q (this server hosts a single unnamed model)", model)
-	}
-	if version != 0 {
-		return nil, fmt.Errorf("comm: version pinning (v%d requested) requires a registry-backed server", version)
-	}
-	return m, nil
-}
-
-func (m *staticModel) Name() string          { return "" }
-func (m *staticModel) Version() int          { return 0 }
-func (m *staticModel) Seq() uint64           { return 0 }
-func (m *staticModel) Bodies() []*nn.Network { return m.bodies }
-
-// NewServer creates a single-model server over the given bodies, which it
-// compiles once and only reads (see ServedModel). A single-worker server
-// (WithWorkers(1)) fans each request's per-body passes out across goroutines
-// instead — that fan-out, not the kernels, is then its only parallelism.
-func NewServer(bodies []*nn.Network, opts ...ServerOption) *Server {
-	if len(bodies) == 0 {
-		panic("comm: server needs at least one body")
-	}
-	o := serverOptions{workers: runtime.GOMAXPROCS(0), maxBatch: DefaultMaxBatch, drain: DefaultDrainTimeout}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newServer(&staticModel{bodies: bodies}, o)
-}
-
 // NewModelServer creates a server that resolves every request's
 // (model, version) header through the provider — typically a
 // registry.Registry. Publishing a new version or rotating a selector in the
@@ -249,10 +202,6 @@ func NewModelServer(p ModelProvider, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newServer(p, o)
-}
-
-func newServer(p ModelProvider, o serverOptions) *Server {
 	s := &Server{
 		provider: p,
 		opts:     o,
@@ -270,7 +219,7 @@ func (s *Server) Workers() int { return s.opts.workers }
 // handling each client in its own goroutine. On cancellation it stops
 // accepting, lets requests already decoded finish, flushes their responses,
 // closes every connection, and returns nil. Clients that stop reading their
-// responses are force-closed after the drain timeout (WithDrainTimeout) so
+// responses are force-closed after the drain timeout (DefaultDrainTimeout) so
 // shutdown always completes.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	stop := make(chan struct{})

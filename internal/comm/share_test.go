@@ -14,7 +14,6 @@ import (
 	"ensembler/internal/commtest"
 	"ensembler/internal/nn"
 	"ensembler/internal/registry"
-	"ensembler/internal/rng"
 	"ensembler/internal/tensor"
 )
 
@@ -169,14 +168,12 @@ func (l *countingLayer) Backward(grad *tensor.Tensor) *tensor.Tensor { return gr
 func (l *countingLayer) Params() []*nn.Param                         { return nil }
 
 // TestUnshareableBodiesAreRefused pins the other half of sharing: a body
-// whose inference pass would write state — a custom Layer or a resample-mode
-// AdditiveNoise — does not compile, so its model's requests are answered
-// with the compile error, in the epoch's name, at either precision, and
-// nothing of it is ever computed.
+// whose inference pass could write state — a custom Layer, bare or nested in
+// a network — does not compile, so its model's requests are answered with
+// the compile error, in the epoch's name, at either precision, and nothing
+// of it is ever computed.
 func TestUnshareableBodiesAreRefused(t *testing.T) {
 	custom := &countingLayer{}
-	noise := nn.NewAdditiveNoise("resample", nn.NoiseResample, tiny.HeadC, tiny.H, tiny.W, 0.1, rng.New(171))
-	drawn := noise.Noise.Value.Clone()
 	frame := comm.RequestFrame(t, &comm.Request{Features: commtest.Input(tiny, 172, 1)}, false)
 	for _, prec := range []comm.Precision{comm.PrecisionF64, comm.PrecisionF32} {
 		for _, tc := range []struct {
@@ -184,7 +181,7 @@ func TestUnshareableBodiesAreRefused(t *testing.T) {
 			want string
 		}{
 			{nn.NewNetwork("custom", nn.NewReLU(), custom), "no compiled inference path"},
-			{nn.NewNetwork("noisy", noise), "resample mode"},
+			{nn.NewNetwork("nested", nn.NewNetwork("inner", custom)), "no compiled inference path"},
 		} {
 			bodies := append(commtest.Bodies(tiny, 2), tc.body)
 			serve := comm.FrameServer(t, comm.NewModelServer(&fixedModel{bodies}, comm.WithWorkers(2), comm.WithPrecision(prec)))
@@ -199,8 +196,5 @@ func TestUnshareableBodiesAreRefused(t *testing.T) {
 	}
 	if got := custom.calls.Load(); got != 0 {
 		t.Errorf("the custom layer ran %d times, want never", got)
-	}
-	if !noise.Noise.Value.AllClose(drawn, 0) {
-		t.Error("the resample-mode noise was redrawn: its body was computed")
 	}
 }

@@ -469,7 +469,7 @@ func servedBy(t *testing.T, e *ensemble.Ensembler, f *tensor.Tensor, lo, hi int,
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, tensor.Widen64(n32.ForwardInfer(tensor.Narrow32(f), nn.NewScratch32())))
+		out = append(out, tensor.Widen64(n32.ForwardInfer(tensor.Narrow32(f), new(nn.Scratch[float32]))))
 	}
 	return out
 }

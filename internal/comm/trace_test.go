@@ -77,7 +77,7 @@ func TestTracedRoundTripEchoesIDAndRetainsLeg(t *testing.T) {
 	if _, _, err := client.Infer(ctx, x); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.LastTraceID(); got != 0 {
+	if got := client.lastTraceID; got != 0 {
 		t.Fatalf("untraced request echoed trace ID %016x", got)
 	}
 
@@ -86,7 +86,7 @@ func TestTracedRoundTripEchoesIDAndRetainsLeg(t *testing.T) {
 	if _, _, err := client.Infer(ctx, x); err != nil {
 		t.Fatal(err)
 	}
-	if got := client.LastTraceID(); got != tc.ID {
+	if got := client.lastTraceID; got != tc.ID {
 		t.Fatalf("echoed trace ID = %016x, want %016x", got, tc.ID)
 	}
 

@@ -1,9 +1,15 @@
 package commtest_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +17,7 @@ import (
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
 	"ensembler/internal/ensemble"
+	"ensembler/internal/registry"
 	"ensembler/internal/rng"
 	"ensembler/internal/shard"
 	"ensembler/internal/tensor"
@@ -192,32 +199,118 @@ func TestRotationMidTrafficRetiresRuntimes(t *testing.T) {
 	}
 }
 
-// shardAllocCeiling bounds one warm 2-shard request, servers included (they
-// run in this process): the logits its caller keeps (3), and nothing else.
-// The gather and the scatter's leg closures live in the checked-out runtime,
-// and each shard server hands out its cached subsetModel for as long as the
-// epoch holds.
+// shardAllocCeiling bounds one warm 2-shard request on the client side: the
+// logits its caller keeps (3), and nothing else. The gather and the
+// scatter's leg closures live in the checked-out runtime.
 const shardAllocCeiling = 3
 
+// shardServersEnv, set in the environment, turns this test binary into the
+// two shard servers of TestShardClientInferLoopAllocs: testing.AllocsPerRun
+// counts every malloc in its process, so servers in the test's own process
+// would charge their allocations to the client.
+const shardServersEnv = "COMMTEST_SHARD_SERVERS"
+
+// allocsSeed seeds the pipeline both processes build, so the client's
+// runtime matches the servers' bodies.
+const allocsSeed = 65
+
+func TestMain(m *testing.M) {
+	if os.Getenv(shardServersEnv) != "" {
+		os.Exit(serveShards())
+	}
+	os.Exit(m.Run())
+}
+
+// serveShards publishes the seeded 2-shard fleet, prints its listen
+// addresses on one stdout line, and serves until stdin closes.
+func serveShards() int {
+	e := commtest.Pipeline(commtest.TinyArch(), 4, 2, allocsSeed)
+	reg := registry.New(nil)
+	if _, err := reg.Publish("fleet", e); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	f, err := commtest.StartShardServers(reg, e, 2)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	fmt.Println(strings.Join(f.Addrs, " "))
+	// Serve until the parent closes stdin or exits; a read error ends the
+	// wait just as EOF does.
+	_, _ = io.Copy(io.Discard, os.Stdin)
+	code := 0
+	for i := range f.Addrs {
+		if err := f.StopShard(i); err != nil {
+			fmt.Fprintf(os.Stderr, "shard %d serve: %v\n", i, err)
+			code = 1
+		}
+	}
+	return code
+}
+
+// startShardProcess re-executes the test binary as serveShards and returns
+// the shard addresses it listens on; cleanup stops it.
+func startShardProcess(t *testing.T) []string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), shardServersEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		stdin.Close()
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("shard server process: %v\n%s", err, stderr.String())
+		}
+	})
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	if err != nil {
+		t.Fatalf("shard server process printed no addresses: %v\n%s", err, stderr.String())
+	}
+	return strings.Fields(line)
+}
+
 func TestShardClientInferLoopAllocs(t *testing.T) {
-	f := commtest.StartShards(t, 2, 4, 2, 65)
-	cfg := f.ClientConfig()
-	cfg.PoolSize = 1
-	c, err := shard.NewClient(cfg)
+	addrs := startShardProcess(t)
+	e := commtest.Pipeline(commtest.TinyArch(), 4, 2, allocsSeed)
+	ranges, err := shard.Plan(e.Cfg.N, len(addrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := shard.NewClient(shard.Config{
+		Addrs: addrs, Ranges: ranges, N: e.Cfg.N,
+		NewRuntime: shard.PipelineRuntime(e), PoolSize: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx := context.Background()
-	x := images(650, 1)
-	infer := func() {
-		if _, _, err := c.Infer(ctx, x); err != nil {
-			t.Fatal(err)
-		}
+	x := images(650, 1) // the check below sizes the storage
+	if err := sameBits(mustInfer(t, c, x), e.Predict(x)); err != nil {
+		t.Fatalf("remote shards disagree with the local pipeline: %v", err)
 	}
-	infer() // sizes the storage
-	infer() // first pass over it
+	infer := func() { mustInfer(t, c, x) }
+	infer() // first pass over the sized storage
 	if allocs := testing.AllocsPerRun(100, infer); allocs > shardAllocCeiling {
 		t.Errorf("warm 2-shard Infer allocates %v times per call, ceiling %v", allocs, shardAllocCeiling)
 	}
+}
+
+func mustInfer(t *testing.T, c *shard.Client, x *tensor.Tensor) *tensor.Tensor {
+	logits, _, err := c.Infer(context.Background(), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logits
 }

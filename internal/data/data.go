@@ -72,9 +72,6 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return d.Images.Shape[0] }
 
-// Image returns sample i as a view sharing the dataset's storage.
-func (d *Dataset) Image(i int) *tensor.Tensor { return d.Images.SampleView(i) }
-
 // Batch gathers the given sample indices into a fresh [B,C,H,W] tensor and
 // label slice.
 func (d *Dataset) Batch(idxs []int) (*tensor.Tensor, []int) {

@@ -48,7 +48,7 @@ func TestSplitsAreDisjointStreams(t *testing.T) {
 	sp := Generate(Config{Kind: CIFAR10Like, Train: 10, Aux: 10, Test: 10, Seed: 3})
 	// Train[0] and Aux[0] share a label (both i%classes) but must not be the
 	// same image.
-	if sp.Train.Image(0).AllClose(sp.Aux.Image(0), 1e-9) {
+	if sp.Train.Images.SampleView(0).AllClose(sp.Aux.Images.SampleView(0), 1e-9) {
 		t.Error("train and aux must be sample-disjoint")
 	}
 }
@@ -75,7 +75,7 @@ func TestSameClassMoreSimilar(t *testing.T) {
 	diff, diffN := 0.0, 0
 	for i := 0; i < 30; i++ {
 		for j := i + 1; j < 30; j++ {
-			s := metrics.SSIM(ds.Image(i), ds.Image(j))
+			s := metrics.SSIM(ds.Images.SampleView(i), ds.Images.SampleView(j))
 			if ds.Labels[i] == ds.Labels[j] {
 				same += s
 				sameN++
@@ -98,7 +98,7 @@ func TestFacesIdentityStructure(t *testing.T) {
 	diff, diffN := 0.0, 0
 	for i := 0; i < 32; i++ {
 		for j := i + 1; j < 32; j++ {
-			s := metrics.SSIM(ds.Image(i), ds.Image(j))
+			s := metrics.SSIM(ds.Images.SampleView(i), ds.Images.SampleView(j))
 			if ds.Labels[i] == ds.Labels[j] {
 				same += s
 				sameN++
@@ -124,7 +124,7 @@ func TestBatchGathersCorrectSamples(t *testing.T) {
 		if labels[bi] != sp.Train.Labels[i] {
 			t.Errorf("label %d mismatch", bi)
 		}
-		if !x.SampleView(bi).AllClose(sp.Train.Image(i), 0) {
+		if !x.SampleView(bi).AllClose(sp.Train.Images.SampleView(i), 0) {
 			t.Errorf("sample %d mismatch", bi)
 		}
 	}

@@ -233,11 +233,6 @@ func SetSeed(s int64) {
 	seed = s
 }
 
-// Enabled reports whether any site is armed — the same gate the fast path
-// checks; callers wrap non-trivial injection plumbing (conn wrappers)
-// behind it.
-func Enabled() bool { return active.Load() }
-
 // Active lists armed site names (pending ones included), sorted.
 func Active() []string {
 	regMu.Lock()

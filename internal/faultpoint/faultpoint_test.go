@@ -26,23 +26,23 @@ func TestDisabledFastPathAllocs(t *testing.T) {
 func TestEnableDisable(t *testing.T) {
 	DisableAll()
 	s := New("test/enable")
-	if Enabled() {
-		t.Fatal("Enabled() true with nothing armed")
+	if active.Load() {
+		t.Fatal("fast path armed with nothing armed")
 	}
 	if err := s.Inject(); err != nil {
 		t.Fatalf("disarmed site injected: %v", err)
 	}
 	Enable("test/enable", Policy{Kind: Error})
-	if !Enabled() {
-		t.Fatal("Enabled() false after Enable")
+	if !active.Load() {
+		t.Fatal("fast path not armed after Enable")
 	}
 	err := s.Inject()
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed error site returned %v, want ErrInjected", err)
 	}
 	Disable("test/enable")
-	if Enabled() {
-		t.Fatal("Enabled() true after Disable")
+	if active.Load() {
+		t.Fatal("fast path still armed after Disable")
 	}
 	if err := s.Inject(); err != nil {
 		t.Fatalf("disarmed site injected: %v", err)
@@ -175,7 +175,7 @@ func TestPendingEnableBeforeNew(t *testing.T) {
 	DisableAll()
 	defer DisableAll()
 	Enable("test/pending-site", Policy{Kind: Error, Count: 1})
-	if !Enabled() {
+	if !active.Load() {
 		t.Fatal("pending policy did not flip the global gate")
 	}
 	s := New("test/pending-site")
@@ -190,8 +190,8 @@ func TestPendingEnableBeforeNew(t *testing.T) {
 	// Disabling a still-pending name must release the global gate too.
 	Enable("test/pending-never-created", Policy{Kind: Error})
 	Disable("test/pending-never-created")
-	if Enabled() {
-		t.Fatal("Enabled() stuck after disabling a pending-only policy")
+	if active.Load() {
+		t.Fatal("fast path stuck armed after disabling a pending-only policy")
 	}
 }
 

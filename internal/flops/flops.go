@@ -135,9 +135,6 @@ func (s *Spec) BodyFLOPs() float64 { return s.segment(s.HeadEnd, s.TailStart) }
 // TailFLOPs returns client-tail compute per image.
 func (s *Spec) TailFLOPs() float64 { return s.segment(s.TailStart, len(s.Layers)) }
 
-// TotalFLOPs returns the whole network's compute per image.
-func (s *Spec) TotalFLOPs() float64 { return s.segment(0, len(s.Layers)) }
-
 // FeatureBytes returns the size of the transmitted intermediate activation
 // (the head's output) per image.
 func (s *Spec) FeatureBytes() float64 { return s.Layers[s.HeadEnd-1].OutBytes }

@@ -159,36 +159,3 @@ func CosineSimilarity(a, b *tensor.Tensor) float64 {
 	}
 	return dot / math.Sqrt(na*nb)
 }
-
-// ConfusionMatrix tallies predictions[i] vs labels[i] into a K×K matrix
-// (rows = true class, cols = predicted).
-func ConfusionMatrix(preds, labels []int, k int) [][]int {
-	if len(preds) != len(labels) {
-		panic("metrics: preds/labels length mismatch")
-	}
-	m := make([][]int, k)
-	for i := range m {
-		m[i] = make([]int, k)
-	}
-	for i, p := range preds {
-		m[labels[i]][p]++
-	}
-	return m
-}
-
-// AccuracyFromCounts converts a confusion matrix back to accuracy.
-func AccuracyFromCounts(m [][]int) float64 {
-	correct, total := 0, 0
-	for i, row := range m {
-		for j, v := range row {
-			total += v
-			if i == j {
-				correct += v
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(correct) / float64(total)
-}

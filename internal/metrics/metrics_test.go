@@ -10,10 +10,16 @@ import (
 )
 
 func randImg(seed int64, c, h, w int) *tensor.Tensor {
-	r := rng.New(seed)
 	t := tensor.New(c, h, w)
-	r.FillUniform(t.Data, 0, 1)
+	fillUniform(rng.New(seed), t.Data)
 	return t
+}
+
+// fillUniform fills dst with uniform samples in [0, 1).
+func fillUniform(r *rng.RNG, dst []float64) {
+	for i := range dst {
+		dst[i] = r.Uniform(0, 1)
+	}
 }
 
 func TestMSEBasics(t *testing.T) {
@@ -109,7 +115,7 @@ func TestSSIMDetectsStructureLoss(t *testing.T) {
 		noisy.Data[i] += r.Normal(0, 0.05)
 	}
 	unrelated := tensor.New(1, 16, 16)
-	r.FillUniform(unrelated.Data, 0, 1)
+	fillUniform(r, unrelated.Data)
 	if SSIM(img, noisy) <= SSIM(img, unrelated) {
 		t.Error("noisy copy should be more structurally similar than unrelated noise")
 	}
@@ -168,7 +174,7 @@ func transpose(x *tensor.Tensor) *tensor.Tensor {
 func TestBatchMetrics(t *testing.T) {
 	r := rng.New(10)
 	a := tensor.New(4, 3, 8, 8)
-	r.FillUniform(a.Data, 0, 1)
+	fillUniform(r, a.Data)
 	if got := BatchSSIM(a, a); math.Abs(got-1) > 1e-9 {
 		t.Errorf("BatchSSIM self = %v", got)
 	}
@@ -205,21 +211,5 @@ func TestCosineScaleInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	m := ConfusionMatrix([]int{0, 1, 1, 2}, []int{0, 1, 2, 2}, 3)
-	if m[0][0] != 1 || m[1][1] != 1 || m[2][1] != 1 || m[2][2] != 1 {
-		t.Errorf("confusion = %v", m)
-	}
-	if got := AccuracyFromCounts(m); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("accuracy = %v", got)
-	}
-}
-
-func TestAccuracyFromCountsEmpty(t *testing.T) {
-	if AccuracyFromCounts([][]int{}) != 0 {
-		t.Error("empty matrix accuracy should be 0")
 	}
 }

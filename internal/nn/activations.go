@@ -87,29 +87,3 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; Sigmoid has no parameters.
 func (s *Sigmoid) Params() []*Param { return nil }
-
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	y *tensor.Tensor
-}
-
-// NewTanh returns a tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward computes tanh(x), caching the output for Backward.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t.y = tanhInfer(x, heapScratch())
-	return t.y
-}
-
-// Backward multiplies by 1 - y².
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	for i, y := range t.y.Data {
-		out.Data[i] *= 1 - y*y
-	}
-	return out
-}
-
-// Params returns nil; Tanh has no parameters.
-func (t *Tanh) Params() []*Param { return nil }

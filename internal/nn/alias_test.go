@@ -9,7 +9,7 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// Flatten and Reshape2D4D return views that ALIAS their input's backing
+// Flatten returns a view that ALIASES their input's backing
 // array (tensor.Reshape / arena.View — a reshape must not copy activations).
 // That is only sound while every downstream layer treats its input as
 // read-only: a single in-place consumer would corrupt the original header
@@ -31,7 +31,7 @@ func TestLayersDoNotMutateInput(t *testing.T) {
 		shape []int
 	}{
 		{"resnet", resnetLikeStack(), []int{2, 3, 16, 16}},
-		{"decoder", decoderLikeStack(), []int{3, 12}},
+		{"decoder", decoderLikeStack(), []int{3, 4, 4, 4}},
 	} {
 		warm := tensor.New(tc.shape...)
 		rng.New(41).FillNormal(warm.Data, 0, 1)
@@ -95,7 +95,7 @@ func TestForwardInferPreservesCallerInput(t *testing.T) {
 	}
 	x32 := tensor.Narrow32(x)
 	before32 := append([]float32(nil), x32.Data...)
-	n32.ForwardInfer(x32, nn.NewScratch32())
+	n32.ForwardInfer(x32, new(nn.Scratch[float32]))
 	for k, v := range x32.Data {
 		if math.Float32bits(v) != math.Float32bits(before32[k]) {
 			t.Fatalf("f32 ForwardInfer mutated the caller's input at %d", k)
@@ -117,9 +117,5 @@ func TestFlattenInferReturnsView(t *testing.T) {
 	}
 	if &out.Data[0] != &x.Data[0] {
 		t.Fatal("Flatten.ForwardInfer copied its input; it must alias")
-	}
-	out4d := nn.NewReshape2D4D(4, 3, 3).ForwardInfer(out, s)
-	if &out4d.Data[0] != &x.Data[0] {
-		t.Fatal("Reshape2D4D.ForwardInfer copied its input; it must alias")
 	}
 }

@@ -57,7 +57,7 @@ func TestGoldenBodyBits(t *testing.T) {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			c64.Write(buf[:])
 		}
-		for _, v := range n32.ForwardInfer(tensor.Narrow32(x), nn.NewScratch32()).Data {
+		for _, v := range n32.ForwardInfer(tensor.Narrow32(x), new(nn.Scratch[float32])).Data {
 			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(v))
 			h32.Write(buf[:4])
 		}

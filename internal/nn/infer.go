@@ -16,10 +16,10 @@ import (
 //   - Forward(x, train), the training entry, runs it at float64 over the live
 //     weights with a Scratch that is never Reset (heapScratch), so its
 //     results are fresh heap tensors the caller owns, and caches beside it
-//     only what the layer's Backward needs. Three steps are training-only
+//     only what the layer's Backward needs. Two steps are training-only
 //     because training computes something else there: batch norm's batch
-//     statistics (which it then normalizes with through the same op),
-//     dropout's mask, and resample-mode noise's redraw. The convolution fans
+//     statistics (which it then normalizes with through the same op) and
+//     dropout's mask. The convolution fans
 //     its samples out across goroutines (tensor.ConvForward), each running
 //     the op's serial kernel, ConvForwardInto.
 //   - (*Network).ForwardInfer runs it at float64 over the live weights with
@@ -65,9 +65,6 @@ func heapScratch() *Scratch[float64] { return &Scratch[float64]{} }
 // NewScratch returns an empty float64 scratch; the first ForwardInfer sizes
 // it.
 func NewScratch() *Scratch[float64] { return &Scratch[float64]{} }
-
-// NewScratch32 returns an empty float32 scratch.
-func NewScratch32() *Scratch[float32] { return &Scratch[float32]{} }
 
 // Reset reclaims the scratch for the next pass, invalidating every tensor
 // the previous pass returned.
@@ -128,9 +125,8 @@ type Compiled[T tensor.Float] struct {
 // Compile returns a network's inference form at element type T. Compilation
 // is closed-world: every built-in layer type compiles, while a custom Layer
 // implementation (which ForwardInfer runs via its caching Forward fallback)
-// and an AdditiveNoise in resample mode (which redraws its noise in place on
-// every pass) return an error — neither is safe to share between goroutines,
-// and precision dispatch must not silently change which code serves a model.
+// returns an error — it is not safe to share between goroutines, and
+// precision dispatch must not silently change which code serves a model.
 func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
 	out := &Compiled[T]{Name: n.Name, steps: make([]inferFunc[T], 0, len(n.Layers))}
 	for i := 0; i < len(n.Layers); i++ {
@@ -204,28 +200,13 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 		}, nil
 	case *Sigmoid:
 		return sigmoidInfer[T], nil
-	case *Tanh:
-		return tanhInfer[T], nil
 	case *MaxPool2D:
 		return poolStep[T](v, T(math.Inf(-1))), nil
 	case *GlobalAvgPool:
 		return globalAvgPoolInfer[T], nil
-	case *Upsample2D:
-		factor := v.Factor
-		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-			return upsampleInfer(x, factor, s)
-		}, nil
 	case *Flatten:
 		return flattenInfer[T], nil
-	case *Reshape2D4D:
-		c, h, w := v.C, v.H, v.W
-		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-			return s.arena.View(x, x.Shape[0], c, h, w)
-		}, nil
 	case *AdditiveNoise:
-		if v.Mode == NoiseResample {
-			return nil, fmt.Errorf("AdditiveNoise %s redraws its noise on every pass (resample mode), so no compiled form of it can be shared", v.Noise.Name)
-		}
 		noise := castTensor[T](v.Noise.Value).Data
 		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return addNoiseInfer(x, noise, s)
@@ -465,8 +446,8 @@ func leakyReLUInfer[T tensor.Float](x *tensor.Dense[T], alpha T, s *Scratch[T]) 
 	return out
 }
 
-// The transcendental activations evaluate through the float64 math library
-// at every precision and narrow the result: a float32 exp/tanh approximation
+// The sigmoid evaluates through the float64 math library at every precision
+// and narrows the result: a float32 exp approximation
 // would save little (activations are a sliver of conv/matmul time) and cost
 // drift headroom.
 
@@ -475,15 +456,6 @@ func sigmoidInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.Den
 	out := s.arena.NewTensor(x.Shape...)
 	for i, v := range x.Data {
 		out.Data[i] = T(1 / (1 + math.Exp(-float64(v))))
-	}
-	return out
-}
-
-// tanhInfer computes tanh without caching the output.
-func tanhInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-	out := s.arena.NewTensor(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = T(math.Tanh(float64(v)))
 	}
 	return out
 }
@@ -503,12 +475,7 @@ func (s *Sigmoid) ForwardInfer(x *tensor.Tensor, sc *Scratch[float64]) *tensor.T
 	return sigmoidInfer(x, sc)
 }
 
-// ForwardInfer computes tanh.
-func (t *Tanh) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	return tanhInfer(x, s)
-}
-
-// --- pooling and resampling ---
+// --- pooling ---
 
 // maxPoolInfer pools each window to the larger of its maximum and floor
 // (tensor.MaxPoolInto) without caching argmax indices: floor −Inf is the
@@ -546,29 +513,6 @@ func globalAvgPoolInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tens
 	return out
 }
 
-// upsampleInfer repeats each pixel f×f times.
-func upsampleInfer[T tensor.Float](x *tensor.Dense[T], f int, s *Scratch[T]) *tensor.Dense[T] {
-	if len(x.Shape) != 4 {
-		panic(fmt.Sprintf("nn: Upsample2D expects NCHW, got %v", x.Shape))
-	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out := s.arena.NewTensor(n, c, h*f, w*f)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			inBase := (ni*c + ci) * h * w
-			outBase := (ni*c + ci) * h * f * w * f
-			for iy := 0; iy < h*f; iy++ {
-				srcRow := inBase + (iy/f)*w
-				dstRow := outBase + iy*w*f
-				for ix := 0; ix < w*f; ix++ {
-					out.Data[dstRow+ix] = x.Data[srcRow+ix/f]
-				}
-			}
-		}
-	}
-	return out
-}
-
 // flattenInfer flattens via an arena-backed view — no data copy, no heap
 // header.
 func flattenInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
@@ -589,19 +533,9 @@ func (g *GlobalAvgPool) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *ten
 	return globalAvgPoolInfer(x, s)
 }
 
-// ForwardInfer repeats each pixel factor×factor times.
-func (u *Upsample2D) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	return upsampleInfer(x, u.Factor, s)
-}
-
 // ForwardInfer flattens via an arena-backed view.
 func (f *Flatten) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
 	return flattenInfer(x, s)
-}
-
-// ForwardInfer reshapes via an arena-backed view.
-func (r *Reshape2D4D) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	return s.arena.View(x, x.Shape[0], r.C, r.H, r.W)
 }
 
 // ForwardInfer is the identity: dropout only acts in training mode.
@@ -630,21 +564,8 @@ func addNoiseInfer[T tensor.Float](x *tensor.Dense[T], noise []T, s *Scratch[T])
 	return out
 }
 
-// resample redraws the noise tensor when the layer is in resample mode,
-// reporting whether it did. It mutates the layer, exactly as Forward does —
-// a layer in resample mode is not usable concurrently either way.
-func (a *AdditiveNoise) resample() bool {
-	if a.Mode != NoiseResample {
-		return false
-	}
-	a.r.FillNormal(a.Noise.Value.Data, 0, a.Sigma)
-	return true
-}
-
-// ForwardInfer adds the noise tensor (redrawn first in resample mode) to
-// every sample.
+// ForwardInfer adds the noise tensor to every sample.
 func (a *AdditiveNoise) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tensor.Tensor {
-	a.resample()
 	return addNoiseInfer(x, a.Noise.Value.Data, s)
 }
 
@@ -709,12 +630,9 @@ var (
 	_ InferenceLayer = (*ReLU)(nil)
 	_ InferenceLayer = (*LeakyReLU)(nil)
 	_ InferenceLayer = (*Sigmoid)(nil)
-	_ InferenceLayer = (*Tanh)(nil)
 	_ InferenceLayer = (*MaxPool2D)(nil)
 	_ InferenceLayer = (*GlobalAvgPool)(nil)
-	_ InferenceLayer = (*Upsample2D)(nil)
 	_ InferenceLayer = (*Flatten)(nil)
-	_ InferenceLayer = (*Reshape2D4D)(nil)
 	_ InferenceLayer = (*AdditiveNoise)(nil)
 	_ InferenceLayer = (*Dropout)(nil)
 	_ InferenceLayer = (*BasicBlock)(nil)

@@ -23,19 +23,15 @@ func resnetLikeStack() *nn.Network {
 		nn.NewGlobalAvgPool(),
 		nn.NewFlatten(),
 		nn.NewLinear("fc", 16, 10, r),
-		nn.NewTanh(),
 	)
 }
 
-// decoderLikeStack covers the remaining inventory: linear, reshape,
-// upsample, leaky rectifier, sigmoid, additive noise, dropout.
+// decoderLikeStack covers the remaining inventory: additive noise, leaky
+// rectifier, dropout, sigmoid.
 func decoderLikeStack() *nn.Network {
 	r := rng.New(8)
 	return nn.NewNetwork("decoder",
-		nn.NewLinear("fc", 12, 4*4*4, r),
-		nn.NewReshape2D4D(4, 4, 4),
 		nn.NewAdditiveNoise("noise", nn.NoiseFixed, 4, 4, 4, 0.1, r),
-		nn.NewUpsample2D(2),
 		nn.NewConv2D("c", 4, 3, 3, 1, 1, true, r),
 		nn.NewLeakyReLU(0.1),
 		nn.NewDropout(0.5, r),
@@ -63,7 +59,7 @@ func TestForwardInferMatchesForward(t *testing.T) {
 	}
 
 	dec := decoderLikeStack()
-	z := tensor.New(5, 12)
+	z := tensor.New(5, 4, 4, 4)
 	rng.New(10).FillNormal(z.Data, 0, 1)
 	wantDec := dec.Forward(z, false)
 	gotDec := dec.ForwardInfer(z, nn.NewScratch())

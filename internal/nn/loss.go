@@ -48,32 +48,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.
 	return loss / float64(n), grad
 }
 
-// Softmax returns row-wise softmax probabilities for logits [N,K].
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Shape[0], logits.Shape[1]
-	out := tensor.New(n, k)
-	for i := 0; i < n; i++ {
-		row := logits.Data[i*k : (i+1)*k]
-		maxv := math.Inf(-1)
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		orow := out.Data[i*k : (i+1)*k]
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}
-
 // MSELoss returns mean((pred-target)²) and dL/d(pred). The decoder
 // (inversion) training objective uses it with images as targets.
 func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {

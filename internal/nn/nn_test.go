@@ -100,10 +100,6 @@ func TestSigmoidGradients(t *testing.T) {
 	checkLayerGradients(t, "Sigmoid", NewSigmoid(), randInput(7, 2, 10), true)
 }
 
-func TestTanhGradients(t *testing.T) {
-	checkLayerGradients(t, "Tanh", NewTanh(), randInput(8, 2, 10), true)
-}
-
 func TestBatchNormTrainGradients(t *testing.T) {
 	l := NewBatchNorm2D("bn", 3)
 	// Nudge gamma/beta off their init so the test isn't at a special point.
@@ -123,7 +119,7 @@ func TestBatchNormEvalGradients(t *testing.T) {
 
 func TestBatchNormNormalizesBatch(t *testing.T) {
 	l := NewBatchNorm2D("bn", 2)
-	x := randInput(12, 8, 2, 6, 6).AddScalarInPlace(3)
+	x := randInput(12, 8, 2, 6, 6).AddInPlace(tensor.Full(3, 8, 2, 6, 6))
 	y := l.Forward(x, true)
 	// Per-channel mean ~0 and variance ~1 after normalization (gamma=1, beta=0).
 	n, c, h, w := y.Shape[0], y.Shape[1], y.Shape[2], y.Shape[3]
@@ -184,24 +180,6 @@ func TestGlobalAvgPoolValues(t *testing.T) {
 	}
 }
 
-func TestUpsampleGradients(t *testing.T) {
-	checkLayerGradients(t, "Upsample", NewUpsample2D(2), randInput(15, 2, 2, 3, 3), true)
-}
-
-func TestUpsampleValues(t *testing.T) {
-	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	y := NewUpsample2D(2).Forward(x, false)
-	want := tensor.FromSlice([]float64{
-		1, 1, 2, 2,
-		1, 1, 2, 2,
-		3, 3, 4, 4,
-		3, 3, 4, 4,
-	}, 1, 1, 4, 4)
-	if !y.AllClose(want, 0) {
-		t.Errorf("Upsample = %v", y.Data)
-	}
-}
-
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten()
 	x := randInput(16, 2, 3, 4, 4)
@@ -232,17 +210,6 @@ func TestAdditiveNoiseFixedIsConstant(t *testing.T) {
 	}
 	if y1.L2Norm() == 0 {
 		t.Error("noise should be nonzero")
-	}
-}
-
-func TestAdditiveNoiseResampleChanges(t *testing.T) {
-	r := rng.New(20)
-	l := NewAdditiveNoise("n", NoiseResample, 1, 2, 2, 0.5, r)
-	x := tensor.New(1, 1, 2, 2)
-	y1 := l.Forward(x, true).Clone()
-	y2 := l.Forward(x, true)
-	if y1.AllClose(y2, 1e-12) {
-		t.Error("resampled noise should differ between calls")
 	}
 }
 
@@ -343,19 +310,6 @@ func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
 	loss, _ := SoftmaxCrossEntropy(logits, []int{0, 1})
 	if loss > 1e-6 {
 		t.Errorf("loss for perfect prediction = %v", loss)
-	}
-}
-
-func TestSoftmaxRowsSumToOne(t *testing.T) {
-	p := Softmax(randInput(33, 5, 7))
-	for i := 0; i < 5; i++ {
-		s := 0.0
-		for j := 0; j < 7; j++ {
-			s += p.At(i, j)
-		}
-		if math.Abs(s-1) > 1e-9 {
-			t.Errorf("row %d sums to %v", i, s)
-		}
 	}
 }
 

@@ -15,10 +15,6 @@ const (
 	// broadcast over the batch — the paper's predefined N(0,σ) added after
 	// the client head (Stages 1 and 3).
 	NoiseFixed NoiseMode = iota
-	// NoiseResample draws fresh Gaussian noise on every forward pass — the
-	// classic DP-style perturbation baseline ("Single" [30] uses a fixed
-	// tensor; resampling is provided for ablations).
-	NoiseResample
 	// NoiseTrainable exposes the noise tensor as a trainable parameter —
 	// the Shredder-style learned noise baseline.
 	NoiseTrainable
@@ -29,9 +25,7 @@ const (
 // trainable mode the noise tensor also accumulates its own gradient.
 type AdditiveNoise struct {
 	Mode  NoiseMode
-	Sigma float64
 	Noise *Param // the [C,H,W] noise tensor (fixed or trainable)
-	r     *rng.RNG
 	batch int
 }
 
@@ -40,11 +34,10 @@ type AdditiveNoise struct {
 func NewAdditiveNoise(name string, mode NoiseMode, c, h, w int, sigma float64, r *rng.RNG) *AdditiveNoise {
 	noise := tensor.New(c, h, w)
 	r.FillNormal(noise.Data, 0, sigma)
-	return &AdditiveNoise{Mode: mode, Sigma: sigma, Noise: NewParam(name+".noise", noise), r: r}
+	return &AdditiveNoise{Mode: mode, Noise: NewParam(name+".noise", noise)}
 }
 
-// Forward adds the noise tensor (redrawn first in resample mode) to every
-// sample in the batch.
+// Forward adds the noise tensor to every sample in the batch.
 func (a *AdditiveNoise) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := a.ForwardInfer(x, heapScratch())
 	a.batch = x.Shape[0]

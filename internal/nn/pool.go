@@ -73,48 +73,6 @@ func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params returns nil; pooling has no parameters.
 func (g *GlobalAvgPool) Params() []*Param { return nil }
 
-// Upsample2D performs nearest-neighbour upsampling by an integer factor; the
-// attacker's decoder uses it (conv + upsample is a stabler inverse than
-// transposed convolution at this scale).
-type Upsample2D struct {
-	Factor  int
-	inShape []int
-}
-
-// NewUpsample2D creates a nearest-neighbour upsampler.
-func NewUpsample2D(factor int) *Upsample2D { return &Upsample2D{Factor: factor} }
-
-// Forward repeats each pixel factor×factor times.
-func (u *Upsample2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := upsampleInfer(x, u.Factor, heapScratch())
-	u.inShape = append([]int(nil), x.Shape...)
-	return y
-}
-
-// Backward sums gradients over each factor×factor block.
-func (u *Upsample2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := u.inShape[0], u.inShape[1], u.inShape[2], u.inShape[3]
-	f := u.Factor
-	out := tensor.New(u.inShape...)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			inBase := (ni*c + ci) * h * w
-			gBase := (ni*c + ci) * h * f * w * f
-			for iy := 0; iy < h*f; iy++ {
-				dstRow := inBase + (iy/f)*w
-				srcRow := gBase + iy*w*f
-				for ix := 0; ix < w*f; ix++ {
-					out.Data[dstRow+ix/f] += grad.Data[srcRow+ix]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Params returns nil; upsampling has no parameters.
-func (u *Upsample2D) Params() []*Param { return nil }
-
 // Flatten reshapes [N, ...] to [N, D].
 type Flatten struct {
 	inShape []int
@@ -140,27 +98,3 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // Params returns nil; flatten has no parameters.
 func (f *Flatten) Params() []*Param { return nil }
-
-// Reshape2D4D reshapes [N, C*H*W] vectors into [N, C, H, W] maps; the
-// attacker's decoder uses it to turn feature vectors back into spatial maps.
-type Reshape2D4D struct {
-	C, H, W int
-}
-
-// NewReshape2D4D creates the vector→map reshape layer.
-func NewReshape2D4D(c, h, w int) *Reshape2D4D { return &Reshape2D4D{C: c, H: h, W: w} }
-
-// Forward reshapes to NCHW, aliasing x's backing array (see Flatten.Forward
-// for the contract that makes the aliasing safe).
-func (r *Reshape2D4D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return r.ForwardInfer(x, heapScratch())
-}
-
-// Backward flattens the gradient back to [N, D], aliasing grad.
-func (r *Reshape2D4D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := grad.Shape[0]
-	return grad.Reshape(n, r.C*r.H*r.W)
-}
-
-// Params returns nil; reshape has no parameters.
-func (r *Reshape2D4D) Params() []*Param { return nil }

@@ -57,7 +57,7 @@ func TestSigmoidRangeMonotoneProperty(t *testing.T) {
 				return false
 			}
 		}
-		bigger := NewSigmoid().Forward(x.Clone().AddScalarInPlace(0.5), false)
+		bigger := NewSigmoid().Forward(x.Add(tensor.Full(0.5, x.Shape...)), false)
 		for i := range y.Data {
 			if bigger.Data[i] <= y.Data[i] {
 				return false
@@ -105,21 +105,6 @@ func TestMaxPoolDominatesMeanProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Upsample then GAP preserves the channel means (nearest-neighbour
-// repetition cannot change averages).
-func TestUpsamplePreservesChannelMeansProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		x := randTensor(seed, 2, 2, 3, 3)
-		up := NewUpsample2D(2).Forward(x, false)
-		a := NewGlobalAvgPool().Forward(x, false)
-		b := NewGlobalAvgPool().Forward(up, false)
-		return a.AllClose(b, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
@@ -187,7 +172,7 @@ func TestBatchNormShiftInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		x := randTensor(seed, 4, 2, 3, 3)
 		a := NewBatchNorm2D("a", 2).Forward(x, true)
-		b := NewBatchNorm2D("b", 2).Forward(x.Clone().AddScalarInPlace(3.7), true)
+		b := NewBatchNorm2D("b", 2).Forward(x.Add(tensor.Full(3.7, x.Shape...)), true)
 		return a.AllClose(b, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

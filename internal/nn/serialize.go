@@ -106,16 +106,6 @@ func (n *Network) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadFile restores the network state from path.
-func (n *Network) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.Load(f)
-}
-
 // CopyStateFrom copies parameter values and running statistics from src into
 // n; both networks must share the same structure (it matches by position,
 // not by name, so renamed clones work).

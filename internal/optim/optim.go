@@ -12,18 +12,6 @@ import (
 	"ensembler/internal/nn"
 )
 
-// Optimizer updates parameters from their accumulated gradients and clears
-// the gradients afterwards.
-type Optimizer interface {
-	// Step applies one update from the accumulated gradients, then zeroes
-	// them.
-	Step()
-	// SetLR changes the learning rate (for schedules).
-	SetLR(lr float64)
-	// LR reports the current learning rate.
-	LR() float64
-}
-
 // SGD is stochastic gradient descent with classical momentum and decoupled
 // L2 weight decay.
 type SGD struct {
@@ -137,16 +125,5 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 func StepDecay(base, factor float64, period int) func(epoch int) float64 {
 	return func(epoch int) float64 {
 		return base * math.Pow(factor, float64(epoch/period))
-	}
-}
-
-// CosineDecay returns a cosine annealing schedule from base to floor over
-// total epochs.
-func CosineDecay(base, floor float64, total int) func(epoch int) float64 {
-	return func(epoch int) float64 {
-		if epoch >= total {
-			return floor
-		}
-		return floor + 0.5*(base-floor)*(1+math.Cos(math.Pi*float64(epoch)/float64(total)))
 	}
 }

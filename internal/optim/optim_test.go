@@ -158,25 +158,12 @@ func TestStepDecaySchedule(t *testing.T) {
 	}
 }
 
-func TestCosineDecaySchedule(t *testing.T) {
-	sched := CosineDecay(1.0, 0.1, 100)
-	if math.Abs(sched(0)-1.0) > 1e-12 {
-		t.Errorf("start = %v", sched(0))
-	}
-	if got := sched(100); got != 0.1 {
-		t.Errorf("end = %v", got)
-	}
-	if mid := sched(50); math.Abs(mid-0.55) > 1e-9 {
-		t.Errorf("mid = %v, want 0.55", mid)
-	}
-	if sched(150) != 0.1 {
-		t.Error("past-total should clamp to floor")
-	}
-}
-
 func TestSetLR(t *testing.T) {
 	p := nn.NewParam("w", tensor.New(1))
-	var opts = []Optimizer{
+	var opts = []interface {
+		SetLR(lr float64)
+		LR() float64
+	}{
 		NewSGD([]*nn.Param{p}, 0.1, 0, 0),
 		NewAdam([]*nn.Param{p}, 0.1),
 	}

@@ -206,9 +206,6 @@ func Create(dir string) (*Store, error) {
 	return Open(dir)
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Quarantined lists the torn publishes the opening sweep moved into the
 // quarantine area, as "model/entry" strings. Non-empty means a prior
 // process crashed mid-publish; the published versions themselves are
@@ -660,31 +657,6 @@ func (s *Store) verify(name string, version int) (*Manifest, error) {
 		return nil, fmt.Errorf("registry: model %q v%d: model file checksum %s does not match manifest %s (corrupted)", name, version, sum, man.SHA256)
 	}
 	return man, nil
-}
-
-// Prune deletes the oldest published versions of a model beyond the newest
-// keep, returning how many were removed. The disk-side counterpart of the
-// registry's in-memory retention bound: a rotation cadence publishes a full
-// pipeline copy per tick, and without pruning the store (and every
-// checksum-verifying Open) grows linearly forever.
-func (s *Store) Prune(name string, keep int) (int, error) {
-	if keep < 1 {
-		keep = 1 // never delete the latest version
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	versions, err := s.Versions(name)
-	if err != nil {
-		return 0, err
-	}
-	pruned := 0
-	for _, v := range versions[:max(0, len(versions)-keep)] {
-		if err := os.RemoveAll(filepath.Join(s.dir, name, versionDir(v))); err != nil {
-			return pruned, fmt.Errorf("registry: pruning %q v%d: %w", name, v, err)
-		}
-		pruned++
-	}
-	return pruned, nil
 }
 
 // Load verifies and loads one version of a model; version <= 0 means latest.

@@ -121,7 +121,8 @@ func TestStoreRecordsLeakage(t *testing.T) {
 }
 
 func TestStoreVersionsAreSequential(t *testing.T) {
-	s, err := registry.Create(t.TempDir())
+	dir := t.TempDir()
+	s, err := registry.Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestStoreVersionsAreSequential(t *testing.T) {
 		t.Errorf("latest = %d, %v", latest, err)
 	}
 	// No publish temp residue.
-	entries, _ := os.ReadDir(filepath.Join(s.Dir(), "m"))
+	entries, _ := os.ReadDir(filepath.Join(dir, "m"))
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".") {
 			t.Errorf("leftover temp entry %s", e.Name())
@@ -333,36 +334,6 @@ func TestStoreIgnoresStrayVersionLikeEntries(t *testing.T) {
 	versions, err := s.Versions("m")
 	if err != nil || len(versions) != 1 || versions[0] != 1 {
 		t.Errorf("versions = %v, %v (stray entries parsed as versions)", versions, err)
-	}
-}
-
-func TestStorePruneKeepsNewest(t *testing.T) {
-	s, err := registry.Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := s.Publish("m", pipeline(int64(60+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pruned, err := s.Prune("m", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pruned != 4 {
-		t.Errorf("pruned %d versions, want 4", pruned)
-	}
-	versions, err := s.Versions("m")
-	if err != nil || len(versions) != 2 || versions[0] != 5 || versions[1] != 6 {
-		t.Errorf("versions after prune = %v, %v", versions, err)
-	}
-	// The latest survives even a degenerate keep.
-	if _, err := s.Prune("m", 0); err != nil {
-		t.Fatal(err)
-	}
-	if latest, err := s.Latest("m"); err != nil || latest != 6 {
-		t.Errorf("latest after keep-0 prune = %d, %v", latest, err)
 	}
 }
 

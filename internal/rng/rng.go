@@ -132,15 +132,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the first n elements using swap, Fisher-Yates
-// style, matching the contract of math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Choose returns k distinct indices drawn uniformly from [0, n), in random
 // order. It panics if k > n or k < 0. This is the primitive behind the
 // client's secret Selector (Stage 2 of Ensembler training).
@@ -156,12 +147,5 @@ func (r *RNG) Choose(n, k int) []int {
 func (r *RNG) FillNormal(dst []float64, mean, std float64) {
 	for i := range dst {
 		dst[i] = r.Normal(mean, std)
-	}
-}
-
-// FillUniform fills dst with uniform samples in [lo, hi).
-func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
-	for i := range dst {
-		dst[i] = r.Uniform(lo, hi)
 	}
 }

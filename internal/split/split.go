@@ -102,7 +102,7 @@ type Model struct {
 
 // NewModel builds a fresh single-body pipeline. sigma == 0 builds the
 // unprotected baseline (no noise layer); noiseMode selects fixed (the paper's
-// predefined N(0,σ)), resampled, or trainable (Shredder-style) noise; dropout
+// predefined N(0,σ)) or trainable (Shredder-style) noise; dropout
 // is forwarded to the tail.
 func NewModel(name string, a Arch, sigma float64, noiseMode nn.NoiseMode, dropout float64, r *rng.RNG) *Model {
 	m := &Model{

@@ -1,14 +1,14 @@
 // Package telemetry is the serving stack's metrics substrate: lock-free
-// atomic counters, gauges, and histograms collected into a Registry that
-// renders the Prometheus text exposition format (version 0.0.4). It exists
-// so the control plane (cmd/ensembler-serve's -admin-addr endpoints) can
-// observe a production deployment — QPS, latency, batch sizes, shard health,
-// live epoch, recorded leakage — without the serving hot path ever taking a
-// lock or allocating.
+// atomic counters and histograms, and gauges computed at scrape time,
+// collected into a Registry that renders the Prometheus text exposition
+// format (version 0.0.4). It exists so the control plane
+// (cmd/ensembler-serve's -admin-addr endpoints) can observe a production
+// deployment — QPS, latency, batch sizes, shard health, live epoch, recorded
+// leakage — without the serving hot path ever taking a lock or allocating.
 //
 // Design constraints, in order:
 //
-//  1. The update path (Counter.Add, Gauge.Set, Histogram.Observe) is a
+//  1. The update path (Counter.Add, Histogram.Observe) is a
 //     handful of atomic operations: safe from any goroutine, no allocation,
 //     no lock. Contention on one hot counter is a single cache line.
 //  2. Scraping is rare and may be slow: WriteProm takes the registry lock,
@@ -46,17 +46,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a float64 metric that may go up and down, stored as atomic bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value (zero before the first Set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram: per-bucket atomic counters plus an
 // atomically accumulated sum. Buckets are upper bounds in ascending order;
@@ -267,16 +256,6 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float
 	r.register(name, help, "counter", labels, func() string {
 		return fmt.Sprintf("%s%s %s", name, ls, formatFloat(fn()))
 	})
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	ls := labels.render()
-	r.register(name, help, "gauge", labels, func() string {
-		return fmt.Sprintf("%s%s %s", name, ls, formatFloat(g.Value()))
-	})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.

@@ -11,15 +11,11 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests", nil)
-	g := r.Gauge("leakage", "rolling SSIM", nil)
+	r.GaugeFunc("leakage", "rolling SSIM", nil, func() float64 { return 0.25 })
 	c.Add(3)
 	c.Inc()
-	g.Set(0.25)
 	if c.Value() != 4 {
 		t.Errorf("counter = %d, want 4", c.Value())
-	}
-	if g.Value() != 0.25 {
-		t.Errorf("gauge = %v, want 0.25", g.Value())
 	}
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
@@ -116,7 +112,7 @@ func TestRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ok_total", "", nil)
 	expectPanic("duplicate series", func() { r.Counter("ok_total", "", nil) })
-	expectPanic("type conflict", func() { r.Gauge("ok_total", "", Labels{"a": "b"}) })
+	expectPanic("type conflict", func() { r.GaugeFunc("ok_total", "", Labels{"a": "b"}, func() float64 { return 0 }) })
 	expectPanic("bad name", func() { r.Counter("bad name", "", nil) })
 	expectPanic("unsorted buckets", func() { r.Histogram("h", "", []float64{1, 1}, nil) })
 }
@@ -126,7 +122,6 @@ func TestRegistrationPanics(t *testing.T) {
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", nil)
-	g := r.Gauge("g", "", nil)
 	h := r.Histogram("h_seconds", "", DefaultLatencyBuckets, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -135,7 +130,6 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i%7) / 100)
 			}
 		}(w)
@@ -167,9 +161,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 func TestUpdatePathDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "", nil)
-	g := r.Gauge("g", "", nil)
 	h := r.Histogram("h_seconds", "", DefaultLatencyBuckets, nil)
-	if n := testing.AllocsPerRun(100, func() { c.Inc(); g.Set(1.5); h.Observe(0.003) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Inc(); h.Observe(0.003) }); n != 0 {
 		t.Errorf("update path allocates %.1f objects per op, want 0", n)
 	}
 }

@@ -4,6 +4,7 @@ import "unsafe"
 
 // Arena is a bump allocator for the inference hot path: tensors carved out
 // of one reusable backing buffer instead of individual heap allocations.
+// The zero Arena is empty and usable; the first cycle sizes it.
 // Alloc hands out slices sequentially; Reset reclaims everything at once and
 // grows the buffer to the cycle's high-water mark, so after one warm-up
 // cycle a steady-state workload performs zero heap allocations.
@@ -17,8 +18,7 @@ import "unsafe"
 //     serving worker, a codec direction, a benchmark loop.
 //   - Tensor data from NewTensor is NOT zeroed (the previous cycle's values
 //     remain). Kernels writing into arena tensors must fully overwrite or
-//     zero their output; NewTensorZeroed does the memset for callers that
-//     accumulate.
+//     zero their output.
 type Arena[T Float] struct {
 	data []T
 	off  int
@@ -32,10 +32,6 @@ type Arena[T Float] struct {
 	hoff  int
 	hneed int
 }
-
-// NewArena returns an empty float64 arena; the first cycle sizes it. (The
-// zero Arena[T] of any element type is equally usable.)
-func NewArena() *Arena[float64] { return &Arena[float64]{} }
 
 // Alloc returns an n-element float slice from the arena, falling back to a
 // fresh heap allocation when capacity is exhausted (Reset then grows the
@@ -96,15 +92,6 @@ func (a *Arena[T]) NewTensor(shape ...int) *Dense[T] {
 	t.Shape = a.allocInts(len(shape))
 	copy(t.Shape, shape)
 	t.Data = a.Alloc(prodDims(shape))
-	return t
-}
-
-// NewTensorZeroed returns a zero-filled arena tensor.
-func (a *Arena[T]) NewTensorZeroed(shape ...int) *Dense[T] {
-	t := a.NewTensor(shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 	return t
 }
 

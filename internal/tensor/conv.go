@@ -13,34 +13,6 @@ func ConvOutSize(in, k, stride, pad int) int {
 	return out
 }
 
-// Im2Col expands one image x of shape [C,H,W] into a patch matrix of shape
-// [C*KH*KW, OH*OW], where column (oy*OW+ox) holds the receptive field of
-// output position (oy,ox). Out-of-bounds taps (from zero padding) read 0.
-// A convolution then reduces to W[outC, C*KH*KW] × cols.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	if len(x.Shape) != 3 {
-		panic("tensor: Im2Col expects [C,H,W]")
-	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	oh := ConvOutSize(h, kh, stride, pad)
-	ow := ConvOutSize(w, kw, stride, pad)
-	return Im2ColInto(New(c*kh*kw, oh*ow), x, kh, kw, stride, pad)
-}
-
-// Col2Im scatter-adds a patch matrix of shape [C*KH*KW, OH*OW] (as produced
-// by Im2Col) back into an image of shape [C,H,W]. Overlapping taps
-// accumulate, which is exactly the adjoint of Im2Col and therefore the
-// gradient path of a convolution's input.
-func Col2Im(cols *Tensor, c, h, w, kh, kw, stride, pad int) *Tensor {
-	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
-	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != t.oh*t.ow {
-		panic(fmt.Sprintf("tensor: Col2Im shape %v incompatible with c=%d h=%d w=%d kh=%d kw=%d", cols.Shape, c, h, w, kh, kw))
-	}
-	img := New(c, h, w)
-	col2imAdd(img.Data, cols.Data, c, h*w, t)
-	return img
-}
-
 // SampleView returns sample n of a batched [N, ...] tensor as a tensor that
 // shares t's backing array (writes are visible in both).
 func (t *Dense[T]) SampleView(n int) *Dense[T] {

@@ -15,10 +15,8 @@ import (
 // directly, and training's ConvForward/ConvBackward fan its per-sample calls
 // out across goroutines. All *Into kernels are strictly serial — a serving
 // process parallelizes at exactly one level, its worker pool, never inside a
-// kernel. The allocating MatMul, MatMulTransB, Im2Col and Col2Im have no
-// caller outside this package's tests; the first two are independent
-// references for the panels, the last two run through the same gather table
-// as the kernels, which kernels_ref_test.go holds to the loops it replaced.
+// kernel. kernels_ref_test.go holds the panels and the gather table to the
+// loops they replaced.
 //
 // Every kernel is written once over the element type. Exactly two pieces of
 // arithmetic are per-type, both selected inside the generic function by the
@@ -35,22 +33,19 @@ import (
 // GOMAXPROCS (the historical behavior).
 var kernelWorkers atomic.Int32
 
-// SetKernelParallelism bounds the goroutines the allocating kernels (MatMul,
-// ConvForward, …) may fan out across; n <= 0 restores the GOMAXPROCS
-// default. Serving processes whose comm worker pool already saturates the
-// cores set this to 1 so kernels never nest a second level of parallelism
-// under the pool — the oversubscription behind a once-measured 0.94×
-// concurrent "speedup". The *Into kernels are always serial and ignore this
-// knob.
+// SetKernelParallelism bounds the goroutines the training kernels
+// (ConvForward, ConvBackward) may fan out across; n <= 0 restores the
+// GOMAXPROCS default. Serving processes whose comm worker pool already
+// saturates the cores set this to 1 so kernels never nest a second level of
+// parallelism under the pool — the oversubscription behind a once-measured
+// 0.94× concurrent "speedup". The *Into kernels are always serial and ignore
+// this knob.
 func SetKernelParallelism(n int) {
 	if n < 0 {
 		n = 0
 	}
 	kernelWorkers.Store(int32(n))
 }
-
-// KernelParallelism reports the current cap (0 = GOMAXPROCS).
-func KernelParallelism() int { return int(kernelWorkers.Load()) }
 
 // matmulRows computes out[i0:i1) = a[i0:i1)×b for row-major a:[m,k],
 // b:[k,n], out:[m,n], overwriting those rows and touching no others. float32
@@ -270,8 +265,7 @@ func dot32(x, y []float32) float32 {
 }
 
 // matMulDims validates the operand shapes of dst = op(a)×op(b), where op
-// transposes when the matching flag is set, and returns (m, k, n). A nil dst
-// shape skips the destination check (the allocating kernels size their own).
+// transposes when the matching flag is set, and returns (m, k, n).
 func matMulDims(op string, dst, a, b []int, transA, transB bool) (m, k, n int) {
 	if len(a) != 2 || len(b) != 2 {
 		panic(fmt.Sprintf("tensor: %s requires 2-D tensors", op))
@@ -287,7 +281,7 @@ func matMulDims(op string, dst, a, b []int, transA, transB bool) (m, k, n int) {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: %s inner dims %d vs %d", op, k, k2))
 	}
-	if dst != nil && (len(dst) != 2 || dst[0] != m || dst[1] != n) {
+	if len(dst) != 2 || dst[0] != m || dst[1] != n {
 		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", op, dst, m, n))
 	}
 	return m, k, n
@@ -295,7 +289,8 @@ func matMulDims(op string, dst, a, b []int, transA, transB bool) (m, k, n int) {
 
 // MatMulInto computes dst = a×b for 2-D tensors [m,k]·[k,n] → [m,n] into the
 // caller-owned dst, serially, with the register-tiled kernel. dst must not
-// alias a or b. At float64 the result is bit-identical to MatMul.
+// alias a or b. At float64 every element is summed in ascending k order
+// from zero, skipping zero weights: the naive loop's bits.
 func MatMulInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
 	m, k, n := matMulDims("MatMulInto", dst.Shape, a.Shape, b.Shape, false, false)
 	matmulRows(dst.Data, a.Data, b.Data, 0, m, k, n)
@@ -346,22 +341,6 @@ func AddInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
 	}
-	return dst
-}
-
-// Im2ColInto expands one [C,H,W] image into the caller-owned patch matrix
-// dst of shape [C*KH*KW, OH*OW] (see Im2Col). dst is fully overwritten,
-// zero-padding included.
-func Im2ColInto[T Float](dst, x *Dense[T], kh, kw, stride, pad int) *Dense[T] {
-	if len(x.Shape) != 3 {
-		panic("tensor: Im2ColInto expects [C,H,W]")
-	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
-	if len(dst.Shape) != 2 || dst.Shape[0] != c*kh*kw || dst.Shape[1] != t.oh*t.ow {
-		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want [%d %d]", dst.Shape, c*kh*kw, t.oh*t.ow))
-	}
-	im2colSlice(dst.Data, x.Data, c, h*w, t)
 	return dst
 }
 

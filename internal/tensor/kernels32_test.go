@@ -17,7 +17,7 @@ func fill32(t *Tensor32, seed int64) {
 // the same values: every element within 1e-5 relative of the float64 result.
 func TestMatMulInto32MatchesF64(t *testing.T) {
 	const m, k, n = 7, 71, 65 // off-size dims exercise the k-unroll and panel tails
-	a32, b32, dst32 := New32(m, k), New32(k, n), New32(m, n)
+	a32, b32, dst32 := NewOf[float32](m, k), NewOf[float32](k, n), NewOf[float32](m, n)
 	fill32(a32, 1)
 	fill32(b32, 2)
 	MatMulInto32(dst32, a32, b32)
@@ -57,7 +57,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 }
 
 func BenchmarkMatMulInto32(b *testing.B) {
-	a, x, dst := New32(bm, bk), New32(bk, bn), New32(bm, bn)
+	a, x, dst := NewOf[float32](bm, bk), NewOf[float32](bk, bn), NewOf[float32](bm, bn)
 	for i := range a.Data {
 		a.Data[i] = float32(i%13) - 6
 	}
@@ -76,7 +76,7 @@ func BenchmarkMatMulInto32(b *testing.B) {
 // the f64 inline loop — the k-unrolled kernel must stay ahead here too.
 func BenchmarkMatMulInto32TinyPanel(b *testing.B) {
 	const m, k, n = 16, 144, 4
-	a, x, dst := New32(m, k), New32(k, n), New32(m, n)
+	a, x, dst := NewOf[float32](m, k), NewOf[float32](k, n), NewOf[float32](m, n)
 	fill32(a, 3)
 	fill32(x, 4)
 	b.ReportAllocs()
@@ -89,7 +89,7 @@ func BenchmarkMatMulInto32TinyPanel(b *testing.B) {
 func BenchmarkMatMulIntoTinyPanel(b *testing.B) {
 	const m, k, n = 16, 144, 4
 	a, x, dst := New(m, k), New(k, n), New(m, n)
-	a32, x32 := New32(m, k), New32(k, n)
+	a32, x32 := NewOf[float32](m, k), NewOf[float32](k, n)
 	fill32(a32, 3)
 	fill32(x32, 4)
 	for i, v := range a32.Data {

@@ -1,8 +1,12 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// This file keeps the kernels that faster ones replaced, as references.
+// This file keeps the kernels that faster ones replaced, as references, and
+// the allocating and table-looking-up entry points only the tests call.
 //
 // The matmul panels matmulRows ran before it held its output tiles in
 // registers — cache-blocked over (k, j), one axpy pass over an output row
@@ -222,6 +226,46 @@ func refMaxPoolGrad(dx, x, dy []float64, n, c, h, w, k, stride int) {
 			}
 		}
 	}
+}
+
+// refMatMul is a×b for [m,k]·[k,n] through refMatmulRowsF64.
+func refMatMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := New(m, n)
+	refMatmulRowsF64(out.Data, a.Data, b.Data, 0, m, k, n)
+	return out
+}
+
+// matMul is a×b through the serving kernel MatMulInto.
+func matMul(a, b *Tensor) *Tensor { return MatMulInto(New(a.Shape[0], b.Shape[1]), a, b) }
+
+// transpose returns the transpose of a 2-D tensor.
+func transpose(t *Tensor) *Tensor {
+	m, n := t.Shape[0], t.Shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.Data[j*m+i] = t.Data[i*n+j]
+		}
+	}
+	return out
+}
+
+// Im2ColInto expands one [C,H,W] image into the caller-owned patch matrix
+// dst of shape [C*KH*KW, OH*OW] through the convolution's own gather,
+// im2colSlice, with its table looked up. dst is fully overwritten,
+// zero-padding included.
+func Im2ColInto[T Float](dst, x *Dense[T], kh, kw, stride, pad int) *Dense[T] {
+	if len(x.Shape) != 3 {
+		panic("tensor: Im2ColInto expects [C,H,W]")
+	}
+	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	t := windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad})
+	if len(dst.Shape) != 2 || dst.Shape[0] != c*kh*kw || dst.Shape[1] != t.oh*t.ow {
+		panic(fmt.Sprintf("tensor: Im2ColInto dst shape %v, want [%d %d]", dst.Shape, c*kh*kw, t.oh*t.ow))
+	}
+	im2colSlice(dst.Data, x.Data, c, h*w, t)
+	return dst
 }
 
 // col2imAddTable is col2imAdd with its table looked up, for the external

@@ -69,9 +69,6 @@ func NewOf[T Float](shape ...int) *Dense[T] {
 // New returns a zero-filled float64 tensor with the given shape.
 func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
 
-// New32 returns a zero-filled float32 tensor with the given shape.
-func New32(shape ...int) *Tensor32 { return NewOf[float32](shape...) }
-
 // ConvertInto writes src into the caller-owned dst (sizes must match),
 // converting each element exactly once: float64→float32 rounds to nearest,
 // float32→float64 is exact.
@@ -156,9 +153,9 @@ func (t *Dense[T]) Set(v T, idx ...int) { t.Data[t.offset(idx)] = v }
 // Reshape returns a view of t with a new shape of equal size. The returned
 // tensor ALIASES t: both share one backing Data array, so a write through
 // either is visible in the other. Only the header and shape are fresh.
-// Callers that need an independent copy must Clone first; the layers that
-// deliberately rely on the aliasing (nn.Flatten, nn.Reshape2D4D — a reshape
-// in a forward pass must not copy activations) annotate it at the call site.
+// Callers that need an independent copy must Clone first; the layer that
+// deliberately relies on the aliasing (nn.Flatten — a reshape in a forward
+// pass must not copy activations) annotates it at the call site.
 func (t *Dense[T]) Reshape(shape ...int) *Dense[T] {
 	if numElems(shape) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
@@ -218,14 +215,6 @@ func (t *Dense[T]) ScaleInPlace(s T) *Dense[T] {
 // Scale returns s * t.
 func (t *Dense[T]) Scale(s T) *Dense[T] { return t.Clone().ScaleInPlace(s) }
 
-// AddScalarInPlace adds s to every element and returns t.
-func (t *Dense[T]) AddScalarInPlace(s T) *Dense[T] {
-	for i := range t.Data {
-		t.Data[i] += s
-	}
-	return t
-}
-
 // AddScaledInPlace performs t += s*o elementwise and returns t. This is the
 // axpy primitive used by the optimizers.
 func (t *Dense[T]) AddScaledInPlace(o *Dense[T], s T) *Dense[T] {
@@ -263,28 +252,6 @@ func (t *Dense[T]) Sum() T {
 
 // Mean returns the mean of all elements.
 func (t *Dense[T]) Mean() T { return t.Sum() / T(len(t.Data)) }
-
-// Max returns the largest element.
-func (t *Dense[T]) Max() T {
-	m := T(math.Inf(-1))
-	for _, v := range t.Data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the flat index of the largest element (first on ties).
-func (t *Dense[T]) ArgMax() int {
-	best, bi := T(math.Inf(-1)), 0
-	for i, v := range t.Data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
 
 // Dot returns the inner product of t and o viewed as flat vectors.
 func (t *Dense[T]) Dot(o *Dense[T]) T {
@@ -360,43 +327,4 @@ func parallelForChunks(n int, body func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// MatMul returns the matrix product a×b for 2-D tensors [m,k]·[k,n] → [m,n].
-// Row blocks of the output are computed in parallel with the register-tiled
-// kernel (see matmulRows); results are bit-identical to the serial
-// MatMulInto because accumulation order per output element is fixed.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := matMulDims("MatMul", nil, a.Shape, b.Shape, false, false)
-	out := New(m, n)
-	parallelForChunks(m, func(lo, hi int) {
-		matmulRows(out.Data, a.Data, b.Data, lo, hi, k, n)
-	})
-	return out
-}
-
-// MatMulTransB returns a × bᵀ for a:[m,k], b:[n,k] → [m,n]. Using the
-// transposed layout directly avoids materializing bᵀ in conv backward passes.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k, n := matMulDims("MatMulTransB", nil, a.Shape, b.Shape, false, true)
-	out := New(m, n)
-	parallelFor(m, func(i int) {
-		matmulTransBRow(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, k)
-	})
-	return out
-}
-
-// Transpose2D returns the transpose of a 2-D tensor.
-func (t *Dense[T]) Transpose2D() *Dense[T] {
-	if len(t.Shape) != 2 {
-		panic("tensor: Transpose2D on non-matrix")
-	}
-	m, n := t.Shape[0], t.Shape[1]
-	out := NewOf[T](n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
-		}
-	}
-	return out
 }

@@ -122,7 +122,6 @@ type Context struct {
 type Active struct {
 	id      uint64
 	forced  bool
-	err     bool
 	live    bool
 	start   time.Time
 	dropped uint32
@@ -133,22 +132,13 @@ type Active struct {
 // Reset reclaims the Active for the next request. Only the bookkeeping head
 // is cleared; span slots past n were never valid.
 func (a *Active) Reset() {
-	a.id, a.forced, a.err, a.live = 0, false, false, false
+	a.id, a.forced, a.live = 0, false, false
 	a.start = time.Time{}
 	a.dropped, a.n = 0, 0
 }
 
-// Live reports whether the leg is between Begin and Finish.
-func (a *Active) Live() bool { return a.live }
-
 // ID returns the leg's trace ID (zero before Begin).
 func (a *Active) ID() uint64 { return a.id }
-
-// MarkErr tags the leg as failed; tail sampling always retains it.
-func (a *Active) MarkErr() { a.err = true }
-
-// Context returns what downstream legs of this request should carry.
-func (a *Active) Context() Context { return Context{ID: a.id, Sampled: a.forced} }
 
 func (a *Active) addSpan(s Stage, arg int32, off, dur time.Duration) {
 	if !a.live {
@@ -397,8 +387,7 @@ func (t *Tracer) Finish(a *Active, errFlag bool) bool {
 	if n%slowDecayEvery == 0 {
 		t.decaySlow()
 	}
-	failed := a.err || errFlag
-	retain := failed || a.forced
+	retain := errFlag || a.forced
 	if !retain && t.slowRetain(int64(total)) {
 		retain = true
 	}
@@ -408,7 +397,7 @@ func (t *Tracer) Finish(a *Active, errFlag bool) bool {
 	if !retain {
 		return false
 	}
-	t.store(a, total, failed)
+	t.store(a, total, errFlag)
 	return true
 }
 
