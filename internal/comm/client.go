@@ -69,10 +69,6 @@ type Client struct {
 	servedModel   string
 	servedVersion int
 
-	// lastTraceID is the trace ID the server echoed on the last successful
-	// round trip (0 when the request was untraced).
-	lastTraceID uint64
-
 	// Model and Version route requests on a multi-model server. The zero
 	// values ("", 0) mean the server's default model at its current version,
 	// and a positive Version pins one published version.
@@ -228,11 +224,9 @@ func (c *Client) roundTrip(ctx context.Context, ex *Exchanged) error {
 		return c.fail(ctx, fmt.Errorf("comm: sending features: %w", err))
 	}
 	resp := &ex.resp
-	echo, err := c.codec.readResponse(resp, &ex.arena)
-	if err != nil {
+	if _, err := c.codec.readResponse(resp, &ex.arena); err != nil {
 		return c.fail(ctx, fmt.Errorf("comm: receiving features: %w", err))
 	}
-	c.lastTraceID = echo
 	// A server-reported error leaves the stream synchronized; the
 	// connection stays usable. A privacy-budget refusal surfaces as
 	// ErrBudgetExhausted, which retries must NOT chase — the budget does not

@@ -9,7 +9,9 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"ensembler/internal/nn"
 	"ensembler/internal/rng"
@@ -404,6 +406,54 @@ func benchServeRequestLoop(b *testing.B, workers int, tr *trace.Tracer) {
 	loop := newServeLoop(b, srv, &Request{Features: wireTensor(22, 4, 4, 8, 8)}, false)
 	loop.tracer = tr
 	loop.bench(b)
+}
+
+// BenchmarkLoopBands measures the CI perf gate's two ratio bands in one
+// process, over the loops of BenchmarkServeRequestLoop,
+// BenchmarkServeRequestLoopF32 and BenchmarkServeRequestLoopTracedDefault.
+// Each of b.N rounds times bandCycles cycles of each loop, in an order that
+// rotates every round, and the benchmark reports the median over rounds of
+// the f64 loop's time over the f32 loop's ("f64/f32") and of the traced
+// loop's time over the untraced loop's ("traced/untraced"). A round lasts a
+// few milliseconds, so a slow stretch of a shared host moves the rows each
+// ratio compares alike; separate benchmark runs of the same loops, even
+// back to back, read ratios that swung by ±30 % from round to round.
+func BenchmarkLoopBands(b *testing.B) {
+	const bandCycles = 20
+	req := &Request{Features: wireTensor(22, 4, 4, 8, 8)}
+	tr := trace.New(trace.Config{Capacity: 256})
+	loops := [3]*serveLoop{ // untraced f64, f32, traced f64
+		newServeLoop(b, NewServer(codecBodies(4), WithWorkers(2)), req, false),
+		newServeLoop(b, newF32Server(4), req, true),
+		newServeLoop(b, NewServer(codecBodies(4), WithWorkers(2), WithTracer(tr)), req, false),
+	}
+	loops[2].tracer = tr
+	for _, l := range loops {
+		l.warm()
+	}
+	f32, traced := make([]float64, b.N), make([]float64, b.N)
+	b.ResetTimer()
+	for i := range b.N {
+		var d [3]time.Duration
+		for k := range loops {
+			k = (i + k) % len(loops)
+			start := time.Now()
+			for range bandCycles {
+				loops[k].cycle()
+			}
+			d[k] = time.Since(start)
+		}
+		f32[i] = float64(d[0]) / float64(d[1])
+		traced[i] = float64(d[2]) / float64(d[0])
+	}
+	b.StopTimer()
+	for _, band := range []struct {
+		unit   string
+		ratios []float64
+	}{{"f64/f32", f32}, {"traced/untraced", traced}} {
+		sort.Float64s(band.ratios)
+		b.ReportMetric(band.ratios[len(band.ratios)/2], band.unit)
+	}
 }
 
 // flatBodies builds two bodies with a Flatten→Linear boundary: a request

@@ -53,8 +53,28 @@ func waitForTrace(t *testing.T, tr *trace.Tracer, id uint64, want int) []trace.R
 	return nil
 }
 
-// TestTracedRoundTripEchoesIDAndRetainsLeg is the wire half of the tentpole:
-// a client-supplied trace context rides a v3 binary connection, the server
+// echoedTraceID sends x's features on c's connection under the trace
+// context tc and returns the trace ID the response echoed, as the client
+// codec decodes it.
+func echoedTraceID(t *testing.T, c *Client, x *tensor.Tensor, tc trace.Context) uint64 {
+	t.Helper()
+	var ex Exchanged
+	req := Request{Features: c.ComputeFeatures(x)}
+	if err := c.codec.writeRequest(&req, tc); err != nil {
+		t.Fatal(err)
+	}
+	echo, err := c.codec.readResponse(&ex.resp, &ex.arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.resp.Err != "" {
+		t.Fatalf("server error: %s", ex.resp.Err)
+	}
+	return echo
+}
+
+// TestTracedRoundTripEchoesIDAndRetainsLeg is the wire half of tracing: a
+// client-supplied trace context rides a binary connection, the server
 // echoes the ID on the response, and the server's leg — with its decode,
 // queue, forward, and encode spans — lands in the tracer's ring because the
 // upstream Sampled flag forces retention.
@@ -74,19 +94,12 @@ func TestTracedRoundTripEchoesIDAndRetainsLeg(t *testing.T) {
 	x := instrumentInput(1)
 
 	// Untraced request first: no context set, so the response must not echo.
-	if _, _, err := client.Infer(ctx, x); err != nil {
-		t.Fatal(err)
-	}
-	if got := client.lastTraceID; got != 0 {
+	if got := echoedTraceID(t, client, x, trace.Context{}); got != 0 {
 		t.Fatalf("untraced request echoed trace ID %016x", got)
 	}
 
 	tc := trace.Context{ID: tr.NewID(), Sampled: true}
-	client.Trace = tc
-	if _, _, err := client.Infer(ctx, x); err != nil {
-		t.Fatal(err)
-	}
-	if got := client.lastTraceID; got != tc.ID {
+	if got := echoedTraceID(t, client, x, tc); got != tc.ID {
 		t.Fatalf("echoed trace ID = %016x, want %016x", got, tc.ID)
 	}
 

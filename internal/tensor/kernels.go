@@ -18,16 +18,18 @@ import (
 // kernel. kernels_ref_test.go holds the panels and the gather table to the
 // loops they replaced.
 //
-// Every kernel is written once over the element type. Exactly two pieces of
-// arithmetic are per-type, both selected inside the generic function by the
-// element type alone: the inner matmul panel (matmulRows → matmulRowsF32)
-// and the a×bᵀ row of dot products (matmulTransBRow → dot32). They are the
-// only places where the f64 oracle's bit-identity (strictly sequential
-// accumulation) and the f32 backend's association (a reassociated, unrolled
-// reduction, pinned by the f32 golden digests) genuinely conflict; see
-// DESIGN.md §2i. The f32 panel's 2×4 tile is the one kernel with a SIMD form
-// (kernels_amd64.s, behind tile2x4F32); its portable form tile2x4F32Go runs
-// on every other GOARCH and is the order the assembly must reproduce.
+// Every kernel is written once over the element type, except the inner
+// matmul panel (matmulRows → matmulRowsF64, matmulRowsF32) and the a×bᵀ row
+// of dot products (matmulTransBRow → dot32), each selected inside the
+// generic function by the element type alone. The f32 two are where the f64
+// oracle's bit-identity (strictly sequential accumulation) and the f32
+// backend's association (a reassociated, unrolled reduction, pinned by the
+// f32 golden digests) genuinely conflict; see DESIGN.md §2i. matmulRowsF64
+// keeps the oracle's order and is concrete only so that its tile can call
+// assembly. Each panel's 2×4 tile has one definition in Go (tile2x4F64Go,
+// tile2x4F32Go), which is the tile on every GOARCH but amd64, and one SSE
+// transcription in kernels_amd64.s (behind tile2x4F64, tile2x4F32) that the
+// tests hold to it bit for bit.
 
 // kernelWorkers caps how many goroutines parallelFor may use; 0 means
 // GOMAXPROCS (the historical behavior).
@@ -48,55 +50,43 @@ func SetKernelParallelism(n int) {
 }
 
 // matmulRows computes out[i0:i1) = a[i0:i1)×b for row-major a:[m,k],
-// b:[k,n], out:[m,n], overwriting those rows and touching no others. float32
-// takes the panel below; every other element type — float64, the oracle —
-// accumulates in strictly ascending p order from zero, skipping zero
-// weights, matching the naive kernel bit for bit, so parallel and serial
-// callers agree exactly.
+// b:[k,n], out:[m,n], overwriting those rows and touching no others. Each
+// element type has its panel: float64, the oracle, takes matmulRowsF64 and
+// float32 matmulRowsF32.
+func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
+	if o, ok := any(out).([]float32); ok {
+		matmulRowsF32(o, any(a).([]float32), any(b).([]float32), i0, i1, k, n)
+		return
+	}
+	matmulRowsF64(any(out).([]float64), any(a).([]float64), any(b).([]float64), i0, i1, k, n)
+}
+
+// matmulRowsF64 is the f64 oracle's panel: every output accumulates in
+// strictly ascending p order from +0, skipping zero weights, matching the
+// naive kernel bit for bit, so parallel and serial callers agree exactly.
 //
 // The output is register-tiled: a 2-row × 4-column tile of out lives in
-// eight local accumulators for the whole k loop and is stored once at the
-// end, so each step of p costs two loads of a, four of b and eight
+// registers for the whole k loop and is stored once at the end
+// (tile2x4F64), so each step of p costs two loads of a, four of b and eight
 // multiply-adds, with no load or store of out. The serving bodies' panels
 // are tiny (n = oh*ow of 16, 4, even 1 after the stride-2 blocks), where an
 // axpy form that re-loads and re-stores out[i][j] for every (i, p) pair
 // spends more on that traffic than on the arithmetic. The n mod 4 columns
 // left over run as 2×1 tiles, and an odd last row runs as a pair with itself
 // (panelRow): both halves compute the same sums and store them to the same
-// place. gc does not auto-vectorize: this panel's win is fewer loads and
-// stores, not SIMD.
-func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
-	if o, ok := any(out).([]float32); ok {
-		matmulRowsF32(o, any(a).([]float32), any(b).([]float32), i0, i1, k, n)
-		return
-	}
+// place.
+func matmulRowsF64(out, a, b []float64, i0, i1, k, n int) {
 	for i := i0; i < i1; i += 2 {
 		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
 		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
 		for j := 0; j+4 <= n; j += 4 {
-			var c00, c01, c02, c03, c10, c11, c12, c13 T
-			off := j
-			for p, x0 := range a0 {
-				b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
-				off += n
-				if x0 != 0 {
-					c00 += x0 * b0
-					c01 += x0 * b1
-					c02 += x0 * b2
-					c03 += x0 * b3
-				}
-				if x1 := a1[p]; x1 != 0 {
-					c10 += x1 * b0
-					c11 += x1 * b1
-					c12 += x1 * b2
-					c13 += x1 * b3
-				}
-			}
-			*(*[4]T)(o0[j : j+4]) = [4]T{c00, c01, c02, c03}
-			*(*[4]T)(o1[j : j+4]) = [4]T{c10, c11, c12, c13}
+			var c [8]float64
+			tile2x4F64(&c, a0, a1, b[j:], n, k)
+			*(*[4]float64)(o0[j : j+4]) = [4]float64(c[:4])
+			*(*[4]float64)(o1[j : j+4]) = [4]float64(c[4:])
 		}
 		for j := n &^ 3; j < n; j++ {
-			var c0, c1 T
+			var c0, c1 float64
 			off := j
 			for p, x0 := range a0 {
 				bv := b[off]
@@ -113,6 +103,35 @@ func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
 	}
 }
 
+// tile2x4F64Go adds the first steps products to a 2×4 tile, one at a time
+// in ascending p: c[0:4] += a0[p]·b row p, columns 0..3, skipped where
+// a0[p] == 0, and c[4:8] likewise from a1, where row p of b starts at
+// b[p*n]. It is the portable form of tile2x4F64 and defines the bits its
+// SIMD form must reproduce: each product rounded, then added and rounded
+// (gc fuses neither on amd64 nor on 386); a NaN weight is added
+// (NaN != 0), a ±0 one skipped.
+func tile2x4F64Go(c *[8]float64, a0, a1, b []float64, n, steps int) {
+	c00, c01, c02, c03, c10, c11, c12, c13 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+	off := 0
+	for p, x0 := range a0[:steps] {
+		b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
+		off += n
+		if x0 != 0 {
+			c00 += x0 * b0
+			c01 += x0 * b1
+			c02 += x0 * b2
+			c03 += x0 * b3
+		}
+		if x1 := a1[p]; x1 != 0 {
+			c10 += x1 * b0
+			c11 += x1 * b1
+			c12 += x1 * b2
+			c13 += x1 * b3
+		}
+	}
+	*c = [8]float64{c00, c01, c02, c03, c10, c11, c12, c13}
+}
+
 // panelRow returns row i of the row-major [.., w] matrix s, or row i1-1 when
 // i is past the panel's last row: the short last row pair of a panel
 // recomputes that row rather than taking a code path of its own.
@@ -121,8 +140,8 @@ func panelRow[T Float](s []T, i, i1, w int) []T {
 	return s[i*w : (i+1)*w]
 }
 
-// matmulRowsF32 is matmulRows' float32 panel: the same 2×4 and 2×1 tiles,
-// but each output sums its products in groups of four k-rows,
+// matmulRowsF32 is matmulRows' float32 panel: the same 2×4 tiles, but each
+// output sums its products in groups of four k-rows,
 // s += a0·b0 + a1·b1 + a2·b2 + a3·b3, and adds the last k mod 4 terms one at
 // a time, skipping zero weights.
 //
@@ -139,7 +158,11 @@ func panelRow[T Float](s []T, i, i1, w int) []T {
 //
 // The association is what lets the 2×4 tiles' groups run four columns to a
 // SIMD register (tile2x4F32): one lane per column, each lane computing
-// exactly the scalar expression above.
+// exactly the scalar expression above. The n mod 4 columns left over run
+// in Go as 4×1 tiles, four rows per pass, so four independent sums share
+// each b load: a serving body's last panels can be all columns (n = 1 once
+// a block reaches 1×1), where two running sums left the adds' latency
+// exposed. Rows past the panel's end repeat its last row (panelRow).
 func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	k4 := k &^ 3
 	for i := i0; i < i1; i += 2 {
@@ -166,15 +189,28 @@ func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 			*(*[4]float32)(o0[j : j+4]) = [4]float32(c[:4])
 			*(*[4]float32)(o1[j : j+4]) = [4]float32(c[4:])
 		}
+	}
+	if n&3 == 0 {
+		return
+	}
+	for i := i0; i < i1; i += 4 {
+		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
+		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
+		a2, o2 := panelRow(a, i+2, i1, k)[:len(a0)], panelRow(out, i+2, i1, n)
+		a3, o3 := panelRow(a, i+3, i1, k)[:len(a0)], panelRow(out, i+3, i1, n)
 		for j := n &^ 3; j < n; j++ {
-			var c0, c1 float32
+			var c0, c1, c2, c3 float32
 			p := 0
 			for off := j; p < k4; p, off = p+4, off+4*n {
 				b0, b1, b2, b3 := b[off], b[off+n], b[off+2*n], b[off+3*n]
 				x := (*[4]float32)(a0[p : p+4])
 				y := (*[4]float32)(a1[p : p+4])
+				z := (*[4]float32)(a2[p : p+4])
+				w := (*[4]float32)(a3[p : p+4])
 				c0 += x[0]*b0 + x[1]*b1 + x[2]*b2 + x[3]*b3
 				c1 += y[0]*b0 + y[1]*b1 + y[2]*b2 + y[3]*b3
+				c2 += z[0]*b0 + z[1]*b1 + z[2]*b2 + z[3]*b3
+				c3 += w[0]*b0 + w[1]*b1 + w[2]*b2 + w[3]*b3
 			}
 			for ; p < k; p++ {
 				bv := b[p*n+j]
@@ -184,8 +220,14 @@ func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 				if x1 := a1[p]; x1 != 0 {
 					c1 += x1 * bv
 				}
+				if x2 := a2[p]; x2 != 0 {
+					c2 += x2 * bv
+				}
+				if x3 := a3[p]; x3 != 0 {
+					c3 += x3 * bv
+				}
 			}
-			o0[j], o1[j] = c0, c1
+			o0[j], o1[j], o2[j], o3[j] = c0, c1, c2, c3
 		}
 	}
 }

@@ -105,6 +105,24 @@ func BenchmarkMatMulIntoTinyPanel(b *testing.B) {
 	}
 }
 
+// tileOperands returns a filler for the tile tests' operands: about a
+// quarter drawn from specials, the rest spread over [-4, 4), from a fixed
+// seed.
+func tileOperands[T float32 | float64](seed uint64, specials []T) func([]T) []T {
+	s := seed
+	return func(v []T) []T {
+		for i := range v {
+			s = s*2862933555777941757 + 3037000493
+			if s>>60 < 4 {
+				v[i] = specials[(s>>33)%uint64(len(specials))]
+			} else {
+				v[i] = T(int32(s>>33))/T(1<<28) - 4
+			}
+		}
+		return v
+	}
+}
+
 // TestTile2x4F32MatchesGo pins the f32 panel's SIMD tile to its portable
 // form bit for bit: zero, negative-zero, subnormal, huge and infinite
 // operands (so 0·Inf and Inf−Inf make NaNs, and large products overflow)
@@ -112,21 +130,7 @@ func BenchmarkMatMulIntoTinyPanel(b *testing.B) {
 // tile that already holds values. Where the tile is the portable form
 // (every GOARCH but amd64) the test compares it with itself.
 func TestTile2x4F32MatchesGo(t *testing.T) {
-	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-40, -3e-39, 3e38, -2e38, float32(math.Inf(1)), float32(math.Inf(-1))}
-	s := uint64(7)
-	next := func() float32 {
-		s = s*2862933555777941757 + 3037000493
-		if r := s >> 60; r < 4 {
-			return specials[(s>>33)%uint64(len(specials))]
-		}
-		return float32(int32(s>>33))/float32(1<<28) - 4
-	}
-	fill := func(v []float32) []float32 {
-		for i := range v {
-			v[i] = next()
-		}
-		return v
-	}
+	fill := tileOperands(7, []float32{0, float32(math.Copysign(0, -1)), 1e-40, -3e-39, 3e38, -2e38, float32(math.Inf(1)), float32(math.Inf(-1))})
 	for _, n := range []int{4, 5, 9} {
 		for steps := 0; steps <= 17; steps++ {
 			for trial := 0; trial < 8; trial++ {
@@ -141,6 +145,36 @@ func TestTile2x4F32MatchesGo(t *testing.T) {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("n=%d steps=%d trial %d: c[%d] = %v (%#x), portable tile %v (%#x)",
 							n, steps, trial, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTile2x4F64MatchesGo pins the f64 panel's SIMD tile to its portable
+// form bit for bit: +0, −0, NaN, subnormal, ±1e308 and ±Inf operands in
+// both weight rows and in b (so a NaN weight must be added and a ±0 one
+// skipped, 0·Inf and Inf−Inf make NaNs, and large products overflow) over
+// every step count up to 17, at b row strides of 4, 5 and 9, from a tile
+// that already holds values. Where the tile is the portable form (every
+// GOARCH but amd64) the test compares it with itself.
+func TestTile2x4F64MatchesGo(t *testing.T) {
+	fill := tileOperands(11, []float64{0, math.Copysign(0, -1), hardwareNaN(), 5e-324, -2.5e-310, 1e308, -1e308, math.Inf(1), math.Inf(-1)})
+	for _, n := range []int{4, 5, 9} {
+		for steps := 0; steps <= 17; steps++ {
+			for trial := 0; trial < 8; trial++ {
+				a0, a1 := fill(make([]float64, steps)), fill(make([]float64, steps))
+				b := fill(make([]float64, max(steps*n, 4)))
+				var start [8]float64
+				fill(start[:])
+				got, want := start, start
+				tile2x4F64(&got, a0, a1, b, n, steps)
+				tile2x4F64Go(&want, a0, a1, b, n, steps)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d steps=%d trial %d: c[%d] = %v (%#x), portable tile %v (%#x)",
+							n, steps, trial, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
 			}

@@ -69,3 +69,68 @@ step:
 	MOVUPS X0, 0(DI)
 	MOVUPS X1, 16(DI)
 	RET
+
+// func tile2x4F64SSE2(c *[8]float64, a0, a1, b *float64, n, steps int)
+//
+// X0 and X1 hold tile row 0's column pairs (0,1) and (2,3), X2 and X3 row
+// 1's. Each step loads b row p's four columns (X4, X5); for each tile row
+// whose weight x is not zero (UCOMISD: ZF clear, or PF set for a NaN) it
+// adds x·B to the row lane by lane, the product rounded before the add.
+// steps must be at least 1.
+TEXT ·tile2x4F64SSE2(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a0+8(FP), SI
+	MOVQ a1+16(FP), DX
+	MOVQ b+24(FP), BX
+	MOVQ n+32(FP), R8
+	MOVQ steps+40(FP), CX
+	SHLQ $3, R8          // R8 = one b row in bytes
+	MOVUPD 0(DI), X0
+	MOVUPD 16(DI), X1
+	MOVUPD 32(DI), X2
+	MOVUPD 48(DI), X3
+	XORPD  X15, X15      // +0, what each weight is tested against
+
+step:
+	MOVUPD (BX), X4
+	MOVUPD 16(BX), X5
+
+	// Row 0: weight a0[p] in X6.
+	MOVSD   (SI), X6
+	UCOMISD X15, X6
+	JNE     row0
+	JPC     skip0        // ordered and equal: a ±0 weight
+row0:
+	UNPCKLPD X6, X6
+	MOVAPD   X6, X7
+	MULPD    X4, X6
+	MULPD    X5, X7
+	ADDPD    X6, X0
+	ADDPD    X7, X1
+skip0:
+
+	// Row 1: weight a1[p] in X8.
+	MOVSD   (DX), X8
+	UCOMISD X15, X8
+	JNE     row1
+	JPC     skip1
+row1:
+	UNPCKLPD X8, X8
+	MOVAPD   X8, X9
+	MULPD    X4, X8
+	MULPD    X5, X9
+	ADDPD    X8, X2
+	ADDPD    X9, X3
+skip1:
+
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ R8, BX
+	DECQ CX
+	JNZ  step
+
+	MOVUPD X0, 0(DI)
+	MOVUPD X1, 16(DI)
+	MOVUPD X2, 32(DI)
+	MOVUPD X3, 48(DI)
+	RET

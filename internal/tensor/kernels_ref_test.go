@@ -239,6 +239,15 @@ func refMatMul(a, b *Tensor) *Tensor {
 // matMul is a×b through the serving kernel MatMulInto.
 func matMul(a, b *Tensor) *Tensor { return MatMulInto(New(a.Shape[0], b.Shape[1]), a, b) }
 
+// hardwareNaN returns the NaN this CPU's arithmetic makes, 0·Inf. It is the
+// only NaN the bit-for-bit kernel tests put in an operand: when both
+// operands of an add are NaNs of different payloads, which payload the sum
+// keeps depends on operand order, and neither a Go tile nor its reference
+// fixes that order.
+//
+//go:noinline
+func hardwareNaN() float64 { return 0 * math.Inf(1) }
+
 // transpose returns the transpose of a 2-D tensor.
 func transpose(t *Tensor) *Tensor {
 	m, n := t.Shape[0], t.Shape[1]
@@ -282,6 +291,7 @@ var (
 	MatmulRows32    = matmulRows[float32]
 	RefMatmulRows64 = refMatmulRowsF64
 	RefMatmulRows32 = refMatmulRowsF32
+	HardwareNaN     = hardwareNaN
 
 	RefIm2col64    = refIm2col[float64]
 	RefIm2col32    = refIm2col[float32]

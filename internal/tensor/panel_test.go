@@ -68,10 +68,13 @@ func convPanels(arch split.Arch) [][3]int {
 // whose n leaves 1–3 columns past the last four-column tile, whose m is odd,
 // and whose k crosses the replaced f32 panel's 64-wide blocks. The
 // weights hold exact zeros, and the last k-row of b holds a +Inf under an
-// all-zero weight column: the f64 oracle skips zero weights, so its output
-// stays finite; the f32 panel skips them only in the k mod 4 tail, so a zero
-// inside a group of four multiplies the +Inf into NaN — both exactly as
-// before.
+// all-zero weight column, +0 in even rows and −0 in odd ones: the f64
+// oracle skips zero weights of either sign, so its output stays finite; the
+// f32 panel skips them only in the k mod 4 tail, so a zero inside a group of
+// four multiplies the +Inf into NaN — both exactly as before. Rows 1 and 2
+// each hold one NaN weight, which both panels add (NaN != 0), so those rows
+// read NaN throughout: a tile that took a NaN for a zero (UCOMISD sets ZF
+// for both) would leave them finite.
 func TestPanelsMatchReference(t *testing.T) {
 	shapes := map[string][3]int{}
 	for _, a := range []struct {
@@ -108,6 +111,15 @@ func TestPanelsMatchReference(t *testing.T) {
 				if i%7 == 3 || i%k == k-1 {
 					a[i] = 0
 				}
+				if i%k == k-1 && i/k%2 == 1 {
+					a[i] = math.Copysign(0, -1)
+				}
+			}
+			nan := tensor.HardwareNaN()
+			for _, row := range []int{1, 2} {
+				if row < m {
+					a[row*k+k/2] = nan
+				}
 			}
 			b[(k-1)*n] = math.Inf(1)
 			a32, b32 := narrow(a), narrow(b)
@@ -141,11 +153,12 @@ func TestPanelsMatchReference(t *testing.T) {
 						if math.Float32bits(got32[e]) != math.Float32bits(want32[e]) {
 							t.Fatalf("rows [%d,%d): f32 out[%d][%d] = %v, reference %v", i0, i1, i, j, got32[e], want32[e])
 						}
-						if math.IsInf(got[e], 0) || math.IsNaN(got[e]) {
-							t.Fatalf("f64 out[%d][%d] = %v: a zero weight reached the +Inf", i, j, got[e])
+						nanRow := i == 1 || i == 2
+						if math.IsInf(got[e], 0) || math.IsNaN(got[e]) != nanRow {
+							t.Fatalf("f64 out[%d][%d] = %v: want NaN exactly in rows 1 and 2 (a NaN weight is added) and no zero weight reaching the +Inf", i, j, got[e])
 						}
-						if nan := math.IsNaN(float64(got32[e])); nan != (poisoned && j == 0) {
-							t.Fatalf("f32 out[%d][%d] = %v, want NaN only in column 0 when the +Inf sits in a group of four (%v)", i, j, got32[e], poisoned)
+						if nan := math.IsNaN(float64(got32[e])); nan != (nanRow || poisoned && j == 0) {
+							t.Fatalf("f32 out[%d][%d] = %v, want NaN in rows 1 and 2, elsewhere only in column 0 when the +Inf sits in a group of four (%v)", i, j, got32[e], poisoned)
 						}
 					}
 				}
