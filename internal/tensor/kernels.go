@@ -26,10 +26,18 @@ import (
 // backend's association (a reassociated, unrolled reduction, pinned by the
 // f32 golden digests) genuinely conflict; see DESIGN.md §2i. matmulRowsF64
 // keeps the oracle's order and is concrete only so that its tile can call
-// assembly. Each panel's 2×4 tile has one definition in Go (tile2x4F64Go,
-// tile2x4F32Go), which is the tile on every GOARCH but amd64, and one SSE
-// transcription in kernels_amd64.s (behind tile2x4F64, tile2x4F32) that the
-// tests hold to it bit for bit.
+// assembly. Each tile has one definition in Go (tile8x4F64Go, tile2x4F32Go,
+// tile4x1F32Go), which is the tile on every GOARCH but amd64, and one
+// transcription in kernels_amd64.s (behind tile8x4F64, tile2x4F32,
+// tile4x1F32) that the tests hold to it bit for bit: AVX2 for the f64 tile,
+// chosen by a CPU check made once at package init (the Go form runs where
+// it fails), and SSE, baseline amd64, for the f32 ones.
+//
+// Every product these kernels (and Dense.Dot and AddScaledInPlace) add is
+// converted to its type first, as in c += float64(x*b). The conversion
+// rounds the product (Go spec, "Floating-point operators"), so gc fuses the
+// multiply and the add on no GOARCH (it does on arm64 without it), and the
+// Go forms compute the same bits everywhere.
 
 // kernelWorkers caps how many goroutines parallelFor may use; 0 means
 // GOMAXPROCS (the historical behavior).
@@ -65,71 +73,107 @@ func matmulRows[T Float](out, a, b []T, i0, i1, k, n int) {
 // strictly ascending p order from +0, skipping zero weights, matching the
 // naive kernel bit for bit, so parallel and serial callers agree exactly.
 //
-// The output is register-tiled: a 2-row × 4-column tile of out lives in
+// The output is register-tiled: an 8-row × 4-column tile of out lives in
 // registers for the whole k loop and is stored once at the end
-// (tile2x4F64), so each step of p costs two loads of a, four of b and eight
-// multiply-adds, with no load or store of out. The serving bodies' panels
-// are tiny (n = oh*ow of 16, 4, even 1 after the stride-2 blocks), where an
-// axpy form that re-loads and re-stores out[i][j] for every (i, p) pair
-// spends more on that traffic than on the arithmetic. The n mod 4 columns
-// left over run as 2×1 tiles, and an odd last row runs as a pair with itself
-// (panelRow): both halves compute the same sums and store them to the same
-// place.
+// (tile8x4F64), so each step of p costs eight loads of a, one four-wide
+// load of b and 32 multiply-adds, with no load or store of out. The
+// serving bodies' panels are tiny (n = oh*ow of 16, 4, even 1 after the
+// stride-2 blocks), where an axpy form that re-loads and re-stores
+// out[i][j] for every (i, p) pair spends more on that traffic than on the
+// arithmetic. Rows past the panel's end repeat its last row (panelRow):
+// they compute the same sums as that row and store them to the same place.
+// The n mod 4 columns left over run in a pass of their own, in Go, as 4×1
+// tiles (matmulColsF64): a serving body's last panels can be all columns
+// (n = 1 once a block reaches 1×1).
 func matmulRowsF64(out, a, b []float64, i0, i1, k, n int) {
-	for i := i0; i < i1; i += 2 {
+	if n >= 4 {
+		var rows, outs [8][]float64
+		for i := i0; i < i1; i += 8 {
+			for r := range rows {
+				rows[r] = panelRow(a, i+r, i1, k)
+				outs[r] = panelRow(out, i+r, i1, n)
+			}
+			for j := 0; j+4 <= n; j += 4 {
+				var c [8][4]float64
+				tile8x4F64(&c, &rows, b[j:], n, k)
+				for r, o := range outs {
+					*(*[4]float64)(o[j : j+4]) = c[r]
+				}
+			}
+		}
+	}
+	if n&3 != 0 {
+		matmulColsF64(out, a, b, i0, i1, k, n)
+	}
+}
+
+// matmulColsF64 computes matmulRowsF64's n mod 4 columns left over, four
+// rows per pass so that four sums share each b load. It is a function of
+// its own so that its loop has the registers to itself; inside
+// matmulRowsF64 gc spilled the loop counter and b to the stack.
+func matmulColsF64(out, a, b []float64, i0, i1, k, n int) {
+	for i := i0; i < i1; i += 4 {
 		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
 		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
-		for j := 0; j+4 <= n; j += 4 {
-			var c [8]float64
-			tile2x4F64(&c, a0, a1, b[j:], n, k)
-			*(*[4]float64)(o0[j : j+4]) = [4]float64(c[:4])
-			*(*[4]float64)(o1[j : j+4]) = [4]float64(c[4:])
-		}
+		a2, o2 := panelRow(a, i+2, i1, k)[:len(a0)], panelRow(out, i+2, i1, n)
+		a3, o3 := panelRow(a, i+3, i1, k)[:len(a0)], panelRow(out, i+3, i1, n)
 		for j := n &^ 3; j < n; j++ {
-			var c0, c1 float64
+			var c0, c1, c2, c3 float64
 			off := j
 			for p, x0 := range a0 {
 				bv := b[off]
 				off += n
 				if x0 != 0 {
-					c0 += x0 * bv
+					c0 += float64(x0 * bv)
 				}
 				if x1 := a1[p]; x1 != 0 {
-					c1 += x1 * bv
+					c1 += float64(x1 * bv)
+				}
+				if x2 := a2[p]; x2 != 0 {
+					c2 += float64(x2 * bv)
+				}
+				if x3 := a3[p]; x3 != 0 {
+					c3 += float64(x3 * bv)
 				}
 			}
-			o0[j], o1[j] = c0, c1
+			o0[j], o1[j], o2[j], o3[j] = c0, c1, c2, c3
 		}
 	}
 }
 
-// tile2x4F64Go adds the first steps products to a 2×4 tile, one at a time
-// in ascending p: c[0:4] += a0[p]·b row p, columns 0..3, skipped where
-// a0[p] == 0, and c[4:8] likewise from a1, where row p of b starts at
-// b[p*n]. It is the portable form of tile2x4F64 and defines the bits its
-// SIMD form must reproduce: each product rounded, then added and rounded
-// (gc fuses neither on amd64 nor on 386); a NaN weight is added
-// (NaN != 0), a ±0 one skipped.
-func tile2x4F64Go(c *[8]float64, a0, a1, b []float64, n, steps int) {
-	c00, c01, c02, c03, c10, c11, c12, c13 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
-	off := 0
-	for p, x0 := range a0[:steps] {
-		b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
-		off += n
-		if x0 != 0 {
-			c00 += x0 * b0
-			c01 += x0 * b1
-			c02 += x0 * b2
-			c03 += x0 * b3
+// tile8x4F64Go adds the first steps products to an 8×4 tile, one at a time
+// in ascending p: c[r] += a[r][p]·b row p, columns 0..3, skipped where
+// a[r][p] == 0, where row p of b starts at b[p*n]. It is the portable form
+// of tile8x4F64 and defines the bits its SIMD form must reproduce: each
+// product rounded (the explicit float64 conversion keeps gc from fusing it
+// into the add on any GOARCH), then added and rounded; a NaN weight is
+// added (NaN != 0), a ±0 one skipped. It walks the tile two rows at a
+// time, so eight accumulators fit the registers of every GOARCH; each
+// output's sum is the same whatever the walk.
+func tile8x4F64Go(c *[8][4]float64, a *[8][]float64, b []float64, n, steps int) {
+	for r := 0; r < 8; r += 2 {
+		c00, c01, c02, c03 := c[r][0], c[r][1], c[r][2], c[r][3]
+		c10, c11, c12, c13 := c[r+1][0], c[r+1][1], c[r+1][2], c[r+1][3]
+		a0, a1 := a[r][:steps], a[r+1][:steps]
+		off := 0
+		for p, x0 := range a0 {
+			b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
+			off += n
+			if x0 != 0 {
+				c00 += float64(x0 * b0)
+				c01 += float64(x0 * b1)
+				c02 += float64(x0 * b2)
+				c03 += float64(x0 * b3)
+			}
+			if x1 := a1[p]; x1 != 0 {
+				c10 += float64(x1 * b0)
+				c11 += float64(x1 * b1)
+				c12 += float64(x1 * b2)
+				c13 += float64(x1 * b3)
+			}
 		}
-		if x1 := a1[p]; x1 != 0 {
-			c10 += x1 * b0
-			c11 += x1 * b1
-			c12 += x1 * b2
-			c13 += x1 * b3
-		}
+		c[r], c[r+1] = [4]float64{c00, c01, c02, c03}, [4]float64{c10, c11, c12, c13}
 	}
-	*c = [8]float64{c00, c01, c02, c03, c10, c11, c12, c13}
 }
 
 // panelRow returns row i of the row-major [.., w] matrix s, or row i1-1 when
@@ -159,10 +203,10 @@ func panelRow[T Float](s []T, i, i1, w int) []T {
 // The association is what lets the 2×4 tiles' groups run four columns to a
 // SIMD register (tile2x4F32): one lane per column, each lane computing
 // exactly the scalar expression above. The n mod 4 columns left over run
-// in Go as 4×1 tiles, four rows per pass, so four independent sums share
-// each b load: a serving body's last panels can be all columns (n = 1 once
-// a block reaches 1×1), where two running sums left the adds' latency
-// exposed. Rows past the panel's end repeat its last row (panelRow).
+// as 4×1 tiles, four rows per pass (tile4x1F32, one lane per row), with the
+// k mod 4 tail in Go: a serving body's last panels can be all columns
+// (n = 1 once a block reaches 1×1). Rows past the panel's end repeat its
+// last row (panelRow).
 func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	k4 := k &^ 3
 	for i := i0; i < i1; i += 2 {
@@ -174,16 +218,16 @@ func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 			for p := k4; p < k; p++ {
 				q := (*[4]float32)(b[p*n+j : p*n+j+4])
 				if x0 := a0[p]; x0 != 0 {
-					c[0] += x0 * q[0]
-					c[1] += x0 * q[1]
-					c[2] += x0 * q[2]
-					c[3] += x0 * q[3]
+					c[0] += float32(x0 * q[0])
+					c[1] += float32(x0 * q[1])
+					c[2] += float32(x0 * q[2])
+					c[3] += float32(x0 * q[3])
 				}
 				if x1 := a1[p]; x1 != 0 {
-					c[4] += x1 * q[0]
-					c[5] += x1 * q[1]
-					c[6] += x1 * q[2]
-					c[7] += x1 * q[3]
+					c[4] += float32(x1 * q[0])
+					c[5] += float32(x1 * q[1])
+					c[6] += float32(x1 * q[2])
+					c[7] += float32(x1 * q[3])
 				}
 			}
 			*(*[4]float32)(o0[j : j+4]) = [4]float32(c[:4])
@@ -193,41 +237,25 @@ func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	if n&3 == 0 {
 		return
 	}
+	var rows [4][]float32
 	for i := i0; i < i1; i += 4 {
-		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
-		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
-		a2, o2 := panelRow(a, i+2, i1, k)[:len(a0)], panelRow(out, i+2, i1, n)
-		a3, o3 := panelRow(a, i+3, i1, k)[:len(a0)], panelRow(out, i+3, i1, n)
+		for r := range rows {
+			rows[r] = panelRow(a, i+r, i1, k)
+		}
+		o0, o1 := panelRow(out, i, i1, n), panelRow(out, i+1, i1, n)
+		o2, o3 := panelRow(out, i+2, i1, n), panelRow(out, i+3, i1, n)
 		for j := n &^ 3; j < n; j++ {
-			var c0, c1, c2, c3 float32
-			p := 0
-			for off := j; p < k4; p, off = p+4, off+4*n {
-				b0, b1, b2, b3 := b[off], b[off+n], b[off+2*n], b[off+3*n]
-				x := (*[4]float32)(a0[p : p+4])
-				y := (*[4]float32)(a1[p : p+4])
-				z := (*[4]float32)(a2[p : p+4])
-				w := (*[4]float32)(a3[p : p+4])
-				c0 += x[0]*b0 + x[1]*b1 + x[2]*b2 + x[3]*b3
-				c1 += y[0]*b0 + y[1]*b1 + y[2]*b2 + y[3]*b3
-				c2 += z[0]*b0 + z[1]*b1 + z[2]*b2 + z[3]*b3
-				c3 += w[0]*b0 + w[1]*b1 + w[2]*b2 + w[3]*b3
-			}
-			for ; p < k; p++ {
+			var c [4]float32
+			tile4x1F32(&c, &rows, b[j:], n, k4/4)
+			for p := k4; p < k; p++ {
 				bv := b[p*n+j]
-				if x0 := a0[p]; x0 != 0 {
-					c0 += x0 * bv
-				}
-				if x1 := a1[p]; x1 != 0 {
-					c1 += x1 * bv
-				}
-				if x2 := a2[p]; x2 != 0 {
-					c2 += x2 * bv
-				}
-				if x3 := a3[p]; x3 != 0 {
-					c3 += x3 * bv
+				for r, row := range rows {
+					if x := row[p]; x != 0 {
+						c[r] += float32(x * bv)
+					}
 				}
 			}
-			o0[j], o1[j], o2[j], o3[j] = c0, c1, c2, c3
+			o0[j], o1[j], o2[j], o3[j] = c[0], c[1], c[2], c[3]
 		}
 	}
 }
@@ -246,16 +274,39 @@ func tile2x4F32Go(c *[8]float32, a0, a1, b []float32, n, steps int) {
 		// after their two uses, which keeps the tile, the eight weights and
 		// the live b values close to the 15 registers gc allocates.
 		r1, r2, r3 := off+n, off+2*n, off+3*n
-		c00 += x[0]*b[off] + x[1]*b[r1] + x[2]*b[r2] + x[3]*b[r3]
-		c10 += y[0]*b[off] + y[1]*b[r1] + y[2]*b[r2] + y[3]*b[r3]
-		c01 += x[0]*b[off+1] + x[1]*b[r1+1] + x[2]*b[r2+1] + x[3]*b[r3+1]
-		c11 += y[0]*b[off+1] + y[1]*b[r1+1] + y[2]*b[r2+1] + y[3]*b[r3+1]
-		c02 += x[0]*b[off+2] + x[1]*b[r1+2] + x[2]*b[r2+2] + x[3]*b[r3+2]
-		c12 += y[0]*b[off+2] + y[1]*b[r1+2] + y[2]*b[r2+2] + y[3]*b[r3+2]
-		c03 += x[0]*b[off+3] + x[1]*b[r1+3] + x[2]*b[r2+3] + x[3]*b[r3+3]
-		c13 += y[0]*b[off+3] + y[1]*b[r1+3] + y[2]*b[r2+3] + y[3]*b[r3+3]
+		c00 += float32(x[0]*b[off]) + float32(x[1]*b[r1]) + float32(x[2]*b[r2]) + float32(x[3]*b[r3])
+		c10 += float32(y[0]*b[off]) + float32(y[1]*b[r1]) + float32(y[2]*b[r2]) + float32(y[3]*b[r3])
+		c01 += float32(x[0]*b[off+1]) + float32(x[1]*b[r1+1]) + float32(x[2]*b[r2+1]) + float32(x[3]*b[r3+1])
+		c11 += float32(y[0]*b[off+1]) + float32(y[1]*b[r1+1]) + float32(y[2]*b[r2+1]) + float32(y[3]*b[r3+1])
+		c02 += float32(x[0]*b[off+2]) + float32(x[1]*b[r1+2]) + float32(x[2]*b[r2+2]) + float32(x[3]*b[r3+2])
+		c12 += float32(y[0]*b[off+2]) + float32(y[1]*b[r1+2]) + float32(y[2]*b[r2+2]) + float32(y[3]*b[r3+2])
+		c03 += float32(x[0]*b[off+3]) + float32(x[1]*b[r1+3]) + float32(x[2]*b[r2+3]) + float32(x[3]*b[r3+3])
+		c13 += float32(y[0]*b[off+3]) + float32(y[1]*b[r1+3]) + float32(y[2]*b[r2+3]) + float32(y[3]*b[r3+3])
 	}
 	*c = [8]float32{c00, c01, c02, c03, c10, c11, c12, c13}
+}
+
+// tile4x1F32Go adds the first steps groups of four products to a 4×1
+// tile: c[r] += a[r][4s:4s+4]·b rows 4s..4s+3, column 0, for s in
+// [0, steps), where row p of b starts at b[p*n]: one output column of four
+// panel rows, each summing its group as matmulRowsF32 does. It is the
+// portable form of tile4x1F32 and the order its SIMD form must reproduce
+// bit for bit.
+func tile4x1F32Go(c *[4]float32, a *[4][]float32, b []float32, n, steps int) {
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	a0, a1, a2, a3 := a[0][:4*steps], a[1][:4*steps], a[2][:4*steps], a[3][:4*steps]
+	for p, off := 0, 0; p < 4*steps; p, off = p+4, off+4*n {
+		b0, b1, b2, b3 := b[off], b[off+n], b[off+2*n], b[off+3*n]
+		x := (*[4]float32)(a0[p : p+4])
+		y := (*[4]float32)(a1[p : p+4])
+		z := (*[4]float32)(a2[p : p+4])
+		w := (*[4]float32)(a3[p : p+4])
+		c0 += float32(x[0]*b0) + float32(x[1]*b1) + float32(x[2]*b2) + float32(x[3]*b3)
+		c1 += float32(y[0]*b0) + float32(y[1]*b1) + float32(y[2]*b2) + float32(y[3]*b3)
+		c2 += float32(z[0]*b0) + float32(z[1]*b1) + float32(z[2]*b2) + float32(z[3]*b3)
+		c3 += float32(w[0]*b0) + float32(w[1]*b1) + float32(w[2]*b2) + float32(w[3]*b3)
+	}
+	*c = [4]float32{c0, c1, c2, c3}
 }
 
 // matmulTransBRow computes one output row of a×bᵀ: orow[j] = arow·b[j] over
@@ -273,7 +324,7 @@ func matmulTransBRow[T Float](orow, arow, b []T, k int) {
 		brow := b[j*k : (j+1)*k]
 		var s T
 		for p, av := range arow {
-			s += av * brow[p]
+			s += T(av * brow[p])
 		}
 		orow[j] = s
 	}
@@ -290,18 +341,18 @@ func dot32(x, y []float32) float32 {
 	for ; i+8 <= len(x) && i+8 <= len(y); i += 8 {
 		xv := x[i : i+8 : i+8]
 		yv := y[i : i+8 : i+8]
-		s0 += xv[0] * yv[0]
-		s1 += xv[1] * yv[1]
-		s2 += xv[2] * yv[2]
-		s3 += xv[3] * yv[3]
-		s4 += xv[4] * yv[4]
-		s5 += xv[5] * yv[5]
-		s6 += xv[6] * yv[6]
-		s7 += xv[7] * yv[7]
+		s0 += float32(xv[0] * yv[0])
+		s1 += float32(xv[1] * yv[1])
+		s2 += float32(xv[2] * yv[2])
+		s3 += float32(xv[3] * yv[3])
+		s4 += float32(xv[4] * yv[4])
+		s5 += float32(xv[5] * yv[5])
+		s6 += float32(xv[6] * yv[6])
+		s7 += float32(xv[7] * yv[7])
 	}
 	s := ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
 	for ; i < len(x); i++ {
-		s += x[i] * y[i]
+		s += float32(x[i] * y[i])
 	}
 	return s
 }
@@ -368,7 +419,7 @@ func MatMulTransAInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
 			}
 			orow := dst.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += T(av * bv)
 			}
 		}
 	}

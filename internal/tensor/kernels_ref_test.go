@@ -282,22 +282,3 @@ func Im2ColInto[T Float](dst, x *Dense[T], kh, kw, stride, pad int) *Dense[T] {
 func col2imAddTable(dst, src []float64, c, h, w, kh, kw, stride, pad int) {
 	col2imAdd(dst, src, c, h*w, windows.get(window{h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad}))
 }
-
-// Exported for panel_test.go and gather_test.go, which enumerate split's
-// architectures and so must live in the external test package (split
-// imports this one).
-var (
-	MatmulRows64    = matmulRows[float64]
-	MatmulRows32    = matmulRows[float32]
-	RefMatmulRows64 = refMatmulRowsF64
-	RefMatmulRows32 = refMatmulRowsF32
-	HardwareNaN     = hardwareNaN
-
-	RefIm2col64    = refIm2col[float64]
-	RefIm2col32    = refIm2col[float32]
-	Col2imAdd      = col2imAddTable
-	RefCol2imAdd   = refCol2imAdd
-	RefMaxPool64   = refMaxPool[float64]
-	RefMaxPool32   = refMaxPool[float32]
-	RefMaxPoolGrad = refMaxPoolGrad
-)

@@ -65,16 +65,19 @@ func convPanels(arch split.Arch) [][3]int {
 // TestPanelsMatchReference pins the register-tiled matmul panels to the
 // panels they replaced (kernels_ref_test.go) bit for bit, at both
 // precisions: every conv panel the serving architectures run, plus panels
-// whose n leaves 1–3 columns past the last four-column tile, whose m is odd,
-// and whose k crosses the replaced f32 panel's 64-wide blocks. The
+// whose n leaves 1–3 columns past the last four-column tile, whose m is odd
+// or leaves a short last block of the f64 panel's eight-row tiles (9, 15,
+// 17), and whose k crosses the replaced f32 panel's 64-wide blocks. The
 // weights hold exact zeros, and the last k-row of b holds a +Inf under an
 // all-zero weight column, +0 in even rows and −0 in odd ones: the f64
 // oracle skips zero weights of either sign, so its output stays finite; the
 // f32 panel skips them only in the k mod 4 tail, so a zero inside a group of
 // four multiplies the +Inf into NaN — both exactly as before. Rows 1 and 2
 // each hold one NaN weight, which both panels add (NaN != 0), so those rows
-// read NaN throughout: a tile that took a NaN for a zero (UCOMISD sets ZF
-// for both) would leave them finite.
+// read NaN throughout: a tile that took a NaN for a zero (VUCOMISD sets ZF
+// for both) would leave them finite. The f64 panel runs once per path its
+// tile can take on this host (WithF64Tiles): the Go form, and AVX2 where
+// the CPU has it.
 func TestPanelsMatchReference(t *testing.T) {
 	shapes := map[string][3]int{}
 	for _, a := range []struct {
@@ -94,7 +97,7 @@ func TestPanelsMatchReference(t *testing.T) {
 		}
 	}
 	for _, k := range []int{8, 27, 64, 65, 130, 288} {
-		for _, m := range []int{3, 8} {
+		for _, m := range []int{3, 8, 9, 15, 17} {
 			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 9} {
 				shapes[fmt.Sprintf("edge/%dx%dx%d", m, k, n)] = [3]int{m, k, n}
 			}
@@ -127,42 +130,44 @@ func TestPanelsMatchReference(t *testing.T) {
 			// when k has no k mod 4 tail.
 			poisoned := k%4 == 0
 
-			for _, rows := range [][2]int{{0, m}, {1, m}, {0, m - 1}} {
-				i0, i1 := rows[0], rows[1]
-				if i0 >= i1 {
-					continue
-				}
-				want, got := make([]float64, m*n), filled(m*n, math.NaN())
-				tensor.RefMatmulRows64(want, a, b, i0, i1, k, n)
-				tensor.MatmulRows64(got, a, b, i0, i1, k, n)
-				want32, got32 := make([]float32, m*n), narrow(filled(m*n, math.NaN()))
-				tensor.RefMatmulRows32(want32, a32, b32, i0, i1, k, n)
-				tensor.MatmulRows32(got32, a32, b32, i0, i1, k, n)
-				for i := 0; i < m; i++ {
-					for j := 0; j < n; j++ {
-						e := i*n + j
-						if i < i0 || i >= i1 {
-							if !math.IsNaN(got[e]) || !math.IsNaN(float64(got32[e])) {
-								t.Fatalf("rows [%d,%d): wrote out[%d][%d] outside the range", i0, i1, i, j)
+			tensor.WithF64Tiles(func(path string) {
+				for _, rows := range [][2]int{{0, m}, {1, m}, {0, m - 1}} {
+					i0, i1 := rows[0], rows[1]
+					if i0 >= i1 {
+						continue
+					}
+					want, got := make([]float64, m*n), filled(m*n, math.NaN())
+					tensor.RefMatmulRows64(want, a, b, i0, i1, k, n)
+					tensor.MatmulRows64(got, a, b, i0, i1, k, n)
+					want32, got32 := make([]float32, m*n), narrow(filled(m*n, math.NaN()))
+					tensor.RefMatmulRows32(want32, a32, b32, i0, i1, k, n)
+					tensor.MatmulRows32(got32, a32, b32, i0, i1, k, n)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							e := i*n + j
+							if i < i0 || i >= i1 {
+								if !math.IsNaN(got[e]) || !math.IsNaN(float64(got32[e])) {
+									t.Fatalf("%s tile, rows [%d,%d): wrote out[%d][%d] outside the range", path, i0, i1, i, j)
+								}
+								continue
 							}
-							continue
-						}
-						if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
-							t.Fatalf("rows [%d,%d): f64 out[%d][%d] = %v, reference %v", i0, i1, i, j, got[e], want[e])
-						}
-						if math.Float32bits(got32[e]) != math.Float32bits(want32[e]) {
-							t.Fatalf("rows [%d,%d): f32 out[%d][%d] = %v, reference %v", i0, i1, i, j, got32[e], want32[e])
-						}
-						nanRow := i == 1 || i == 2
-						if math.IsInf(got[e], 0) || math.IsNaN(got[e]) != nanRow {
-							t.Fatalf("f64 out[%d][%d] = %v: want NaN exactly in rows 1 and 2 (a NaN weight is added) and no zero weight reaching the +Inf", i, j, got[e])
-						}
-						if nan := math.IsNaN(float64(got32[e])); nan != (nanRow || poisoned && j == 0) {
-							t.Fatalf("f32 out[%d][%d] = %v, want NaN in rows 1 and 2, elsewhere only in column 0 when the +Inf sits in a group of four (%v)", i, j, got32[e], poisoned)
+							if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+								t.Fatalf("%s tile, rows [%d,%d): f64 out[%d][%d] = %v, reference %v", path, i0, i1, i, j, got[e], want[e])
+							}
+							if math.Float32bits(got32[e]) != math.Float32bits(want32[e]) {
+								t.Fatalf("rows [%d,%d): f32 out[%d][%d] = %v, reference %v", i0, i1, i, j, got32[e], want32[e])
+							}
+							nanRow := i == 1 || i == 2
+							if math.IsInf(got[e], 0) || math.IsNaN(got[e]) != nanRow {
+								t.Fatalf("%s tile: f64 out[%d][%d] = %v: want NaN exactly in rows 1 and 2 (a NaN weight is added) and no zero weight reaching the +Inf", path, i, j, got[e])
+							}
+							if nan := math.IsNaN(float64(got32[e])); nan != (nanRow || poisoned && j == 0) {
+								t.Fatalf("f32 out[%d][%d] = %v, want NaN in rows 1 and 2, elsewhere only in column 0 when the +Inf sits in a group of four (%v)", i, j, got32[e], poisoned)
+							}
 						}
 					}
 				}
-			}
+			})
 		})
 	}
 }

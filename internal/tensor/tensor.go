@@ -220,7 +220,7 @@ func (t *Dense[T]) Scale(s T) *Dense[T] { return t.Clone().ScaleInPlace(s) }
 func (t *Dense[T]) AddScaledInPlace(o *Dense[T], s T) *Dense[T] {
 	t.checkSame(o, "AddScaled")
 	for i, v := range o.Data {
-		t.Data[i] += s * v
+		t.Data[i] += T(s * v)
 	}
 	return t
 }
@@ -258,7 +258,7 @@ func (t *Dense[T]) Dot(o *Dense[T]) T {
 	t.checkSame(o, "Dot")
 	var s T
 	for i, v := range t.Data {
-		s += v * o.Data[i]
+		s += T(v * o.Data[i])
 	}
 	return s
 }
