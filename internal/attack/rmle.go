@@ -47,15 +47,15 @@ func tvLossGrad(x *tensor.Tensor) (float64, *tensor.Tensor) {
 					idx := base + y*w + xx
 					if xx+1 < w {
 						d := x.Data[idx+1] - x.Data[idx]
-						total += d * d * norm
-						grad.Data[idx] -= 2 * d * norm
-						grad.Data[idx+1] += 2 * d * norm
+						total += float64(d * d * norm)
+						grad.Data[idx] -= float64(2 * d * norm)
+						grad.Data[idx+1] += float64(2 * d * norm)
 					}
 					if y+1 < h {
 						d := x.Data[idx+w] - x.Data[idx]
-						total += d * d * norm
-						grad.Data[idx] -= 2 * d * norm
-						grad.Data[idx+w] += 2 * d * norm
+						total += float64(d * d * norm)
+						grad.Data[idx] -= float64(2 * d * norm)
+						grad.Data[idx+w] += float64(2 * d * norm)
 					}
 				}
 			}

@@ -86,7 +86,7 @@ func ComputeChannelStats(f *tensor.Tensor) ChannelStats {
 			base := (ni*c + ci) * h * w
 			for j := 0; j < h*w; j++ {
 				d := f.Data[base+j] - mean
-				vsum += d * d
+				vsum += float64(d * d)
 			}
 		}
 		st.Mean[ci] = mean
@@ -107,7 +107,7 @@ func alignLossGrad(h *tensor.Tensor, obs ChannelStats) (float64, *tensor.Tensor)
 	for ci := 0; ci < c; ci++ {
 		dm := cur.Mean[ci] - obs.Mean[ci]
 		ds := cur.Std[ci] - obs.Std[ci]
-		loss += dm*dm + ds*ds
+		loss += float64(dm*dm) + float64(ds*ds)
 		for ni := 0; ni < n; ni++ {
 			base := (ni*c + ci) * hh * ww
 			for j := 0; j < hh*ww; j++ {
@@ -148,7 +148,7 @@ func meanMapLossGrad(h *tensor.Tensor, obsMap *tensor.Tensor) (float64, *tensor.
 	inv := 1 / float64(per)
 	for j := 0; j < per; j++ {
 		d := cur.Data[j] - obsMap.Data[j]
-		loss += d * d * inv
+		loss += float64(d * d * inv)
 		g := 2 * d * inv / float64(n)
 		for ni := 0; ni < n; ni++ {
 			grad.Data[ni*per+j] = g
@@ -338,7 +338,7 @@ func TrainShadow(cfg Config, bodies []*nn.Network, adaptive bool, aux *data.Data
 			if align {
 				aLoss, aGrad := alignLossGrad(s.headOut, obs)
 				mLoss, mGrad := meanMapLossGrad(s.headOut, obsMap)
-				loss += cfg.AlignWeight * (aLoss + mLoss)
+				loss += float64(cfg.AlignWeight * (aLoss + mLoss))
 				extra = aGrad.AddInPlace(mGrad).ScaleInPlace(cfg.AlignWeight)
 			}
 			s.Backward(grad, extra)

@@ -386,6 +386,49 @@ func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 	}
 }
 
+// TestServerComputeLoopMixedRowsZeroAllocs: one worker alternating 1-row and
+// 8-row requests reaches a steady state that allocates nothing — the
+// worker's scratch and the set's per-body outputs grow to the larger pass
+// once and then serve both — and every answer stays bit-exact whichever
+// size came before it.
+func TestServerComputeLoopMixedRowsZeroAllocs(t *testing.T) {
+	const nBodies = 4
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			srv := NewServer(codecBodies(nBodies), WithWorkers(workers))
+			xs := []*tensor.Tensor{wireTensor(27, 1, 4, 8, 8), wireTensor(28, 8, 4, 8, 8)}
+			frames := make([][]byte, len(xs))
+			for i, x := range xs {
+				frames[i] = RequestFrame(t, &Request{Features: x}, false)
+			}
+			loop := newServeLoop(t, srv, &Request{Features: xs[0]}, false)
+			cycle := func() {
+				for _, f := range frames {
+					loop.body = f
+					loop.cycle()
+				}
+			}
+			cycle()
+			cycle()
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				t.Errorf("alternating 1- and 8-row requests allocate %v times per pair, want 0", allocs)
+			}
+			serve := jobServer(srv, loop.bodies)
+			for _, x := range []*tensor.Tensor{xs[1], xs[0], xs[1], xs[0]} {
+				j := jobFor(Request{Features: x})
+				if resp := serve(j); resp.Err != "" {
+					t.Fatal(resp.Err)
+				}
+				for b, want := range referenceBodies(nBodies, x) {
+					if err := bitsDiffer(payloadOf[float64](j).outputs[0][b], want); err != nil {
+						t.Errorf("%d-row request, body %d: %v", x.Shape[0], b, err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServeRequestLoop measures the per-request server loop in
 // isolation — binary decode, resolve, body-set lookup, every body pass,
 // response copy-out, binary encode — and reports its allocation count,
@@ -501,23 +544,12 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	if resp := serve(bad); resp.Err == "" {
 		t.Fatal("hostile-shape request must produce an error response")
 	}
-	m, err := srv.provider.Resolve("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := cache.bodiesFor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Let the post-failure state settle into steady state, then record it.
 	serve(good)
 	serve(bad)
 	footprint := func() int {
-		total := 0
-		for _, sc := range run.(*bodySet[float64]).scratches {
-			total += sc.Footprint()
-		}
-		return total
+		_, bytes := scratchFootprint[float64](cache)
+		return bytes
 	}
 	before := footprint()
 	for i := 0; i < 50; i++ {
@@ -526,5 +558,61 @@ func TestMalformedRequestsDoNotGrowScratches(t *testing.T) {
 	serve(good)
 	if after := footprint(); after > before {
 		t.Errorf("50 malformed requests grew the worker's scratches from %d to %d bytes", before, after)
+	}
+}
+
+// seqModel serves its bodies under a Seq the test moves: each move is a new
+// body generation, as a publish makes.
+type seqModel struct {
+	staticModel
+	seq uint64
+}
+
+func (m *seqModel) Resolve(string, int) (ServedModel, error) { return m, nil }
+func (m *seqModel) Seq() uint64                              { return m.seq }
+
+// TestWorkerScratchIsOneBodyPass pins where activation memory lives: with
+// the worker, not with each body. After serving N=10 bodies over two
+// generations, a multi-worker server's worker holds one scratch, the size
+// of one body pass, and a single-worker server's worker, which fans each
+// pass out, holds min(N, GOMAXPROCS), each no larger than one body pass.
+func TestWorkerScratchIsOneBodyPass(t *testing.T) {
+	const nBodies = 10
+	x := wireTensor(29, 2, 4, 8, 8)
+	body, err := nn.Compile[float64](codecBodies(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	onePass := body.InferScratch(x.Shape...).Footprint()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			m := &seqModel{}
+			srv := NewModelServer(m, WithWorkers(workers))
+			cache := srv.newBodyCache()
+			serve := jobServer(srv, cache)
+			all := codecBodies(2 * nBodies)
+			for gen := range 2 {
+				m.seq, m.bodies = uint64(gen+1), all[gen*nBodies:(gen+1)*nBodies]
+				for range 3 {
+					if resp := serve(jobFor(Request{Features: x})); resp.Err != "" {
+						t.Fatal(resp.Err)
+					}
+				}
+			}
+			want := 1
+			if workers == 1 {
+				want = min(nBodies, runtime.GOMAXPROCS(0))
+			}
+			scratches, bytes := scratchFootprint[float64](cache)
+			if scratches != want {
+				t.Errorf("worker holds %d scratches after %d bodies over 2 generations, want %d", scratches, nBodies, want)
+			}
+			if workers > 1 && bytes != onePass {
+				t.Errorf("serial worker's scratch is %d bytes, one body pass's is %d", bytes, onePass)
+			}
+			if bytes > scratches*onePass {
+				t.Errorf("worker's %d scratches hold %d bytes, more than %d body passes' %d", scratches, bytes, scratches, scratches*onePass)
+			}
+		})
 	}
 }

@@ -9,11 +9,15 @@
 // accepts many simultaneous connections, pipelines requests per connection,
 // and dispatches them to a bounded worker pool. A multi-worker pool is the
 // parallelism: each worker runs its request's N body passes serially. A
-// single-worker server fans the N body passes of each request out across
-// goroutines instead, joining them before the reply. Every worker runs the
-// same bodies: the server compiles each body generation once (nn.Compile)
-// into a read-only inference form, and a worker owns only the scratches its
-// passes write — so body memory is paid once per server, not per worker.
+// single-worker server fans the N body passes of each request out over
+// min(N, GOMAXPROCS) tasks instead, joining them before the reply. Every
+// worker runs the same bodies: the server compiles each body generation once
+// (nn.Compile) into a read-only inference form, so body memory is paid once
+// per server, not per worker. Activation memory is paid once per worker, not
+// per body: a worker owns one scratch at the serving precision (one per
+// fan-out task on a single-worker server), shared by every generation it
+// meets, and copies each body's output rows aside before the next body
+// reuses it.
 //
 // One round trip can carry a whole batch: a Request either holds a single
 // [B,C,H,W] feature tensor or a list of them (InferBatch). Every request

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -419,50 +420,77 @@ func TestMalformedTensorsDoNotKillServer(t *testing.T) {
 }
 
 // TestFanoutPanicInLaterBodyClearsForNextRequest: on a single-worker server
-// the bodies fan out across goroutines, and a request that panics only in
-// bodies other than body 0 must fail alone — the next, healthy request on
-// the same connection is answered bit-exactly, not with a stale panic.
+// the bodies fan out over min(N, GOMAXPROCS) tasks, and a request that
+// panics in any body — or in every body but the first — must fail alone:
+// the pass joins every task before refusing it, and the next, healthy
+// request on the same connection is answered bit-exactly, not with a stale
+// panic. There are more bodies than GOMAXPROCS, so tasks take several
+// bodies each and a task whose body panicked leaves its remaining bodies to
+// the others.
 func TestFanoutPanicInLaterBodyClearsForNextRequest(t *testing.T) {
-	// Body 0 takes any channel count; bodies 1 and 2 want tiny.HeadC.
-	bodies := func() []*nn.Network {
-		return append([]*nn.Network{nn.NewNetwork("any", nn.NewReLU())}, commtest.Bodies(tiny, 3)[1:]...)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	srv := comm.NewServer(bodies(), comm.WithWorkers(1))
-	if srv.Workers() != 1 {
-		t.Fatalf("workers = %d, want the single-worker fan-out", srv.Workers())
-	}
-	go srv.Serve(context.Background(), ln)
-
-	client, err := comm.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	ctx := context.Background()
-	x := commtest.Input(tiny, 67, 1)
-	ref := bodies()
-	for round := 0; round < 2; round++ {
-		wrong := tensor.New(1, tiny.HeadC+3, tiny.H, tiny.W)
-		if _, _, err := client.Exchange(ctx, wrong); err == nil {
-			t.Fatalf("round %d: a request bodies 1 and 2 cannot take was answered", round)
+	n := runtime.GOMAXPROCS(0) + 3
+	// bodies builds the n bodies: those named in strict want tiny.HeadC
+	// channels, the rest take any count.
+	bodies := func(strict ...int) []*nn.Network {
+		out := make([]*nn.Network, n)
+		seeded := commtest.Bodies(tiny, n)
+		for i := range out {
+			out[i] = nn.NewNetwork("any", nn.NewReLU())
 		}
-		ex, _, err := client.Exchange(ctx, x)
-		if err != nil {
-			t.Fatalf("round %d: healthy request after a body panic failed: %v", round, err)
+		for _, i := range strict {
+			out[i] = seeded[i]
 		}
-		if len(ex.Features) != len(ref) {
-			t.Fatalf("round %d: %d feature tensors, want %d", round, len(ex.Features), len(ref))
-		}
-		for i, b := range ref {
-			if want := b.Forward(x, false); !ex.Features[i].AllClose(want, 0) {
-				t.Errorf("round %d: body %d features are not bit-exact", round, i)
+		return out
+	}
+	cases := map[string][]int{}
+	for k := range n {
+		cases[fmt.Sprintf("body %d", k)] = []int{k}
+	}
+	var allButFirst []int
+	for k := 1; k < n; k++ {
+		allButFirst = append(allButFirst, k)
+	}
+	cases["every body but 0"] = allButFirst
+	for name, strict := range cases {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			t.Cleanup(func() { ln.Close() })
+			srv := comm.NewServer(bodies(strict...), comm.WithWorkers(1))
+			if srv.Workers() != 1 {
+				t.Fatalf("workers = %d, want the single-worker fan-out", srv.Workers())
+			}
+			go srv.Serve(context.Background(), ln)
+
+			client, err := comm.Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			ctx := context.Background()
+			x := commtest.Input(tiny, 67, 1)
+			ref := bodies(strict...)
+			for round := 0; round < 2; round++ {
+				wrong := tensor.New(1, tiny.HeadC+3, tiny.H, tiny.W)
+				if _, _, err := client.Exchange(ctx, wrong); err == nil {
+					t.Fatalf("round %d: a request bodies %v cannot take was answered", round, strict)
+				}
+				ex, _, err := client.Exchange(ctx, x)
+				if err != nil {
+					t.Fatalf("round %d: healthy request after a body panic failed: %v", round, err)
+				}
+				if len(ex.Features) != len(ref) {
+					t.Fatalf("round %d: %d feature tensors, want %d", round, len(ex.Features), len(ref))
+				}
+				for i, b := range ref {
+					if err := comm.BitsDiffer(ex.Features[i], b.Forward(x, false)); err != nil {
+						t.Errorf("round %d: body %d features: %v", round, i, err)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -280,5 +280,25 @@ func WithDrainTimeout(d time.Duration) ServerOption {
 	}
 }
 
+// scratchFootprint reports how many nn.Scratch the worker behind c holds at
+// element type T — its own and any its body sets reach — and their backing
+// bytes.
+func scratchFootprint[T tensor.Float](c *bodyCache) (scratches, bytes int) {
+	seen := map[*workerScratch[T]]bool{}
+	if mem, ok := c.mem.(*workerScratch[T]); ok {
+		seen[mem] = true
+	}
+	for _, bs := range c.sets {
+		seen[bs.(*bodySet[T]).mem] = true
+	}
+	for mem := range seen {
+		for _, sc := range mem.scratches {
+			bytes += sc.Footprint()
+		}
+		scratches += len(mem.scratches)
+	}
+	return scratches, bytes
+}
+
 // payloadOf returns j's payload at its (known) element type.
 func payloadOf[T tensor.Float](j *job) *payload[T] { return j.pay.(*payload[T]) }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
@@ -174,7 +175,7 @@ func (p *payload[T]) noise(rng *uint64, sigma float64) {
 }
 
 // part copies rows [row, row+r) of one body's stacked output out of the
-// body's scratch into the job arena.
+// body set's output storage into the job arena.
 func (p *payload[T]) part(out *tensor.Dense[T], row, r int) *tensor.Dense[T] {
 	per := out.Size() / out.Shape[0]
 	shape := append(p.shape[:0], r)
@@ -209,8 +210,8 @@ func (p *payload[T]) validate(maxBatch int) error {
 // for both request forms. An invalid request is answered with its error. A
 // lone input is forwarded where it was decoded; a client-batched request's
 // inputs, which validate holds to one [C,H,W], stack along the batch axis
-// into the body set's stack, as private to the pass as the scratches its
-// outputs land in. The job then copies its rows of every body's output into
+// into the worker's stack, as private to the pass as the scratches its
+// bodies run over. The job then copies its rows of every body's output into
 // its own arena and is noised per its budget verdict.
 func (p *payload[T]) pass(s *Server, j *job, run any, epoch Response) {
 	if err := p.validate(s.opts.maxBatch); err != nil {
@@ -225,14 +226,14 @@ func (p *payload[T]) pass(s *Server, j *job, run any, epoch Response) {
 		for _, in := range p.inputs {
 			total += in.Shape[0]
 		}
-		bodies.stack.Reset()
-		x = bodies.stack.NewTensor(total, x.Shape[1], x.Shape[2], x.Shape[3])
+		bodies.mem.stack.Reset()
+		x = bodies.mem.stack.NewTensor(total, x.Shape[1], x.Shape[2], x.Shape[3])
 		off := 0
 		for _, in := range p.inputs {
 			off += copy(x.Data[off:], in.Data)
 		}
 	}
-	outs := bodies.forward(s.opts.workers, x)
+	outs := bodies.forward(x)
 	if cap(p.outputs) < len(p.inputs) {
 		p.outputs = make([][]*tensor.Dense[T], len(p.inputs))
 	}
@@ -252,108 +253,128 @@ func (p *payload[T]) pass(s *Server, j *job, run any, epoch Response) {
 	noiseResponse(j)
 }
 
-// bodySet is one worker's bodies of one generation at the serving precision:
-// the compiled nets, shared read-only with every other worker, and one
-// inference scratch per body, private to the worker (one goroutine computes
-// on it at a time) and holding every activation buffer a body pass needs, so
-// steady-state requests allocate nothing.
+// bodySet is one generation's bodies as one worker runs them at the serving
+// precision: the compiled nets, shared read-only with every other worker,
+// the worker's scratch they run over, and one output tensor per body, which
+// holds the body's rows of the set's latest pass until its next request.
+// That storage grows only past the largest pass the set has served, so
+// steady-state requests allocate nothing whatever their row counts.
 type bodySet[T tensor.Float] struct {
-	nets      []*nn.Compiled[T]
-	scratches []*nn.Scratch[T]
-	outs      []*tensor.Dense[T] // reusable per-body output list, valid until the next forward
-	stack     tensor.Arena[T]    // backs a pass's stacked input when it has several
-
-	// The single-worker fan-out's state (see forwardParallel), built with the
-	// set so a fanned-out pass allocates nothing: x is the pass's input,
-	// tasks[i-1] runs body i ≥ 1 and joins on wg, and panics[i] holds what
-	// body i's pass panicked with.
-	x      *tensor.Dense[T]
-	tasks  []func()
-	panics []any
-	wg     sync.WaitGroup
+	nets []*nn.Compiled[T]
+	mem  *workerScratch[T]
+	kept []tensor.Dense[T]  // body i's output of the latest pass
+	outs []*tensor.Dense[T] // &kept[i], the list forward returns
 }
 
-func newBodySet[T tensor.Float](nets []*nn.Compiled[T]) *bodySet[T] {
+func newBodySet[T tensor.Float](nets []*nn.Compiled[T], mem *workerScratch[T]) *bodySet[T] {
 	n := len(nets)
-	bs := &bodySet[T]{nets: nets, scratches: make([]*nn.Scratch[T], n),
-		outs: make([]*tensor.Dense[T], 0, n), panics: make([]any, n)}
-	for i := range bs.scratches {
-		bs.scratches[i] = &nn.Scratch[T]{}
-		if i > 0 {
-			bs.tasks = append(bs.tasks, func() {
-				defer bs.wg.Done()
-				bs.run(i)
-			})
-		}
+	bs := &bodySet[T]{nets: nets, mem: mem, kept: make([]tensor.Dense[T], n), outs: make([]*tensor.Dense[T], n)}
+	for i := range bs.outs {
+		bs.outs[i] = &bs.kept[i]
 	}
 	return bs
 }
 
-// forward runs every body of the set over x in inference mode, each over its
-// private scratch, returning outputs in body order. Each scratch is Reset at
-// the START of its body's pass, never after: the results stay valid until
-// the same set's next request, and a pass that panics mid-network
-// (hostile shapes that clear validateFeatures but break deeper in) cannot
-// leave un-reset arenas accumulating demand across malformed requests — the
-// next request's reset reclaims them.
-//
-// With a multi-worker pool the bodies run serially — the pool is the one
-// level of parallelism, and N workers × serial bodies keeps every core on
-// dedicated cache-resident work instead of oversubscribing N×bodies
-// goroutines. A single-worker server fans the bodies out instead: its pool
-// has no parallelism to offer, and ForwardInfer's kernels are serial.
-func (bs *bodySet[T]) forward(workers int, x *tensor.Dense[T]) []*tensor.Dense[T] {
-	if workers > 1 || len(bs.nets) == 1 {
-		outs := bs.outs[:0]
-		for i, b := range bs.nets {
-			sc := bs.scratches[i]
-			sc.Reset()
-			outs = append(outs, b.ForwardInfer(x, sc))
-		}
-		bs.outs = outs
-		return outs
-	}
-	return bs.forwardParallel(x)
+// forward runs every body of the set over x in inference mode and returns
+// their outputs in body order (see workerScratch.forward).
+func (bs *bodySet[T]) forward(x *tensor.Dense[T]) []*tensor.Dense[T] {
+	bs.mem.forward(bs, x)
+	return bs.outs
 }
 
-// forwardParallel is the single-worker server's per-body fan-out: body 0 runs
-// on the calling goroutine, every other body on a goroutine started from its
-// prebuilt task (a go statement over a stored no-argument func allocates
-// nothing). Once all have joined, every panic slot is cleared — a stale one
+// workerScratch is one worker's activation memory at the serving precision,
+// shared by every generation it meets: the stack a batched pass's inputs are
+// stacked into, and one nn.Scratch per task. A multi-worker server's worker
+// runs one task, its bodies one after another: the pool is the one level of
+// parallelism, and N workers × serial bodies keeps every core on dedicated
+// cache-resident work. A single-worker server's pool has none to offer and
+// ForwardInfer's kernels are serial, so its worker runs min(N, GOMAXPROCS)
+// tasks: itself and goroutines started from prebuilt funcs (a go statement
+// over a stored no-argument func allocates nothing), each taking body
+// indices from next until none is left. The zero value has no tasks; grow
+// adds them.
+type workerScratch[T tensor.Float] struct {
+	stack tensor.Arena[T] // a pass's stacked input, when it has several
+
+	scratches []*nn.Scratch[T] // task t's scratch; task 0 is the worker itself
+	panics    []any            // what task t's share of the pass panicked with
+	tasks     []func()         // tasks[t-1] runs task t ≥ 1 and joins on wg
+	wg        sync.WaitGroup
+
+	// The pass in flight: its set and input, and the next body to take.
+	set  *bodySet[T]
+	x    *tensor.Dense[T]
+	next atomic.Int32
+}
+
+// grow gives the worker k tasks, if it has fewer. It runs only between
+// passes, when the worker meets a generation of more bodies than any before.
+func (w *workerScratch[T]) grow(k int) {
+	for t := len(w.scratches); t < k; t++ {
+		w.scratches = append(w.scratches, &nn.Scratch[T]{})
+		w.panics = append(w.panics, nil)
+		if t > 0 {
+			w.tasks = append(w.tasks, func() {
+				defer w.wg.Done()
+				w.run(t)
+			})
+		}
+	}
+}
+
+// forward runs every body of bs over x and leaves body i's output in
+// bs.kept[i]: task 0 on the calling goroutine, and as many other tasks as
+// there are bodies beyond the first, up to the worker's tasks, on goroutines
+// of their own. The worker keeps a share for itself: one that only started
+// its tasks and waited saw them exit on other Ps, whose free lists its next
+// go statements do not draw on, and allocated fresh goroutines (3 allocs
+// per request in TestServerComputeLoopZeroAllocs under -race at -cpu 4).
+// Each scratch is Reset at the START of a body's pass, never after, so a pass
+// that panics mid-network (hostile shapes that clear validateFeatures but
+// break deeper in) cannot leave un-reset arenas accumulating demand across
+// malformed requests — the next body's reset reclaims them. Once every task
+// has joined, the counter and every panic slot are cleared — a stale one
 // would fail the next, healthy pass — and the first panic is re-raised on
 // the calling goroutine for compute's recover to absorb.
-func (bs *bodySet[T]) forwardParallel(x *tensor.Dense[T]) []*tensor.Dense[T] {
-	bs.x = x
-	bs.outs = bs.outs[:len(bs.nets)]
-	bs.wg.Add(len(bs.tasks))
-	for _, task := range bs.tasks {
+func (w *workerScratch[T]) forward(bs *bodySet[T], x *tensor.Dense[T]) {
+	w.set, w.x = bs, x
+	k := min(len(bs.nets), len(w.scratches))
+	w.wg.Add(k - 1)
+	for _, task := range w.tasks[:k-1] {
 		go task()
 	}
-	bs.run(0)
-	bs.wg.Wait()
-	bs.x = nil
+	w.run(0)
+	w.wg.Wait()
+	w.set, w.x = nil, nil
+	w.next.Store(0)
 	var first any
-	for i, r := range bs.panics {
+	for t, r := range w.panics {
 		if first == nil {
 			first = r
 		}
-		bs.panics[i] = nil
+		w.panics[t] = nil
 	}
 	if first != nil {
 		panic(first)
 	}
-	return bs.outs
 }
 
-// run is body i's share of a fanned-out pass, recording a panic in its slot
-// so that the pass still joins every body before re-raising it.
-func (bs *bodySet[T]) run(i int) {
+// run is task t's share of a pass: it takes the next untaken body until none
+// is left, and records a panic in its slot so that the pass still joins every
+// task before re-raising it.
+func (w *workerScratch[T]) run(t int) {
 	defer func() {
 		if r := recover(); r != nil {
-			bs.panics[i] = r
+			w.panics[t] = r
 		}
 	}()
-	sc := bs.scratches[i]
-	sc.Reset()
-	bs.outs[i] = bs.nets[i].ForwardInfer(bs.x, sc)
+	sc, bs := w.scratches[t], w.set
+	for {
+		i := int(w.next.Add(1)) - 1
+		if i >= len(bs.nets) {
+			return
+		}
+		sc.Reset()
+		bs.kept[i].CopyFrom(bs.nets[i].ForwardInfer(w.x, sc))
+	}
 }

@@ -65,8 +65,9 @@ type serverOptions struct {
 }
 
 // WithWorkers bounds the compute worker pool (default GOMAXPROCS). Every
-// worker runs the server's one compiled copy of the bodies over scratches of
-// its own, so a worker costs activation memory, not body memory.
+// worker runs the server's one compiled copy of the bodies over a scratch of
+// its own, so a worker costs one body pass's activation memory, not body
+// memory.
 func WithWorkers(n int) ServerOption {
 	return func(o *serverOptions) {
 		if n > 0 {
@@ -83,7 +84,7 @@ func WithWorkers(n int) ServerOption {
 // measured 0.94× of one that way). A single-worker
 // pool leaves the knob alone: ForwardInfer runs only the serial *Into
 // kernels, which ignore it, and such a server's parallelism is its per-body
-// fan-out (see bodySet.forward). The knob is process-global: serving binaries
+// fan-out (see workerScratch). The knob is process-global: serving binaries
 // call this once at startup; harnesses that later run training in the same
 // process restore with tensor.SetKernelParallelism(0).
 func PinKernelParallelism(workers int) {
@@ -527,7 +528,7 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // maxGenerations bounds how many body generations the server keeps compiled,
-// and each worker keeps scratches for. A newer Seq of a model retires the
+// and each worker keeps a body set for. A newer Seq of a model retires the
 // model's older ones (see retire), so the bound is reached only when many
 // models, or pinned versions of distinct publishes, are live at once.
 const maxGenerations = 16
@@ -541,11 +542,12 @@ type epochKey struct {
 
 // generation is one body generation compiled once for the whole server:
 // newSet builds one worker's *bodySet[T] over the compiled nets, which every
-// worker shares read-only. A non-nil err answers the generation's requests
-// instead: a model that cannot compile is never computed.
+// worker shares read-only, and the worker's scratch. A non-nil err answers
+// the generation's requests instead: a model that cannot compile is never
+// computed.
 type generation struct {
 	once   sync.Once
-	newSet func() any
+	newSet func(*bodyCache) any
 	err    error
 }
 
@@ -582,7 +584,7 @@ func (g *generations) get(key epochKey, m ServedModel) *generation {
 }
 
 // compileBodies compiles every body at element type T.
-func compileBodies[T tensor.Float](bodies []*nn.Network) (func() any, error) {
+func compileBodies[T tensor.Float](bodies []*nn.Network) (func(*bodyCache) any, error) {
 	nets := make([]*nn.Compiled[T], len(bodies))
 	for i, b := range bodies {
 		var err error
@@ -590,7 +592,19 @@ func compileBodies[T tensor.Float](bodies []*nn.Network) (func() any, error) {
 			return nil, err
 		}
 	}
-	return func() any { return newBodySet(nets) }, nil
+	return func(c *bodyCache) any {
+		mem, _ := c.mem.(*workerScratch[T])
+		if mem == nil {
+			mem = &workerScratch[T]{}
+			c.mem = mem
+		}
+		tasks := 1
+		if c.fan {
+			tasks = min(len(nets), runtime.GOMAXPROCS(0))
+		}
+		mem.grow(tasks)
+		return newBodySet(nets, mem)
+	}, nil
 }
 
 // retire drops what caching key supersedes — older Seqs of the same model —
@@ -614,15 +628,18 @@ func retire[V any](m map[epochKey]V, key epochKey) {
 }
 
 // bodyCache is one worker's view of the server's generations: a bodySet of
-// its own — scratches, stack arena, fan-out tasks — over each generation's
-// shared nets, found without a lock once built.
+// its own over each generation's shared nets, found without a lock once
+// built, and the one scratch every set runs over — made with the first set,
+// at the serving precision, and kept across generations.
 type bodyCache struct {
 	gens *generations
 	sets map[epochKey]any // *bodySet[T] at the serving precision
+	mem  any              // *workerScratch[T] at the serving precision, nil until the first set
+	fan  bool             // fan passes out across bodies: the server has a single worker
 }
 
 func (s *Server) newBodyCache() *bodyCache {
-	return &bodyCache{gens: &s.gens, sets: map[epochKey]any{}}
+	return &bodyCache{gens: &s.gens, sets: map[epochKey]any{}, fan: s.opts.workers == 1}
 }
 
 // bodiesFor returns this worker's body set for m's generation.
@@ -635,7 +652,7 @@ func (c *bodyCache) bodiesFor(m ServedModel) (any, error) {
 	if gen.err != nil {
 		return nil, gen.err
 	}
-	bs := gen.newSet()
+	bs := gen.newSet(c)
 	c.sets[key] = bs
 	retire(c.sets, key)
 	return bs, nil
@@ -644,8 +661,8 @@ func (c *bodyCache) bodiesFor(m ServedModel) (any, error) {
 // worker serves pool jobs over its body cache: a request whose generation
 // the worker has not met (a publish or reload happened) takes the shared
 // lock once — to compile it, or to find it compiled by another worker — and
-// sizes the worker's scratches; every later one finds its bodies without a
-// lock. A selector rotation, which keeps the bodies, costs nothing.
+// builds the set's output storage; every later one finds its bodies without
+// a lock. A selector rotation, which keeps the bodies, costs nothing.
 func (s *Server) worker(stop <-chan struct{}) {
 	bodies := s.newBodyCache()
 	for {

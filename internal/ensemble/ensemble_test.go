@@ -246,28 +246,39 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 }
 
 // TestServerComputeWithMatchesServerCompute pins the scratch-backed serial
-// server pass against the goroutine fan-out form, bit for bit, and asserts
-// its warmed steady state allocates nothing.
+// server pass against the goroutine fan-out form, bit for bit, whatever row
+// count the pass before it had, and asserts that its warmed steady state
+// allocates nothing over a mix of row counts and that all N bodies ran
+// through one scratch, sized for one body pass.
 func TestServerComputeWithMatchesServerCompute(t *testing.T) {
 	e := New(tinyConfig(91))
-	x := tensor.New(2, e.Cfg.Arch.HeadC, e.Cfg.Arch.H, e.Cfg.Arch.W)
-	rng.New(92).FillNormal(x.Data, 0, 1)
-
-	want := e.ServerCompute(x)
-	bs := e.NewBodyScratch()
-	got := e.ServerComputeWith(x, bs)
-	if len(got) != len(want) {
-		t.Fatalf("scratch pass computed %d bodies, want %d", len(got), len(want))
+	xs := make([]*tensor.Tensor, 2)
+	for i, rows := range []int{2, 1} {
+		xs[i] = tensor.New(rows, e.Cfg.Arch.HeadC, e.Cfg.Arch.H, e.Cfg.Arch.W)
+		rng.New(int64(92+i)).FillNormal(xs[i].Data, 0, 1)
 	}
-	for i := range want {
-		if !got[i].AllClose(want[i], 0) {
-			t.Errorf("body %d diverges between ServerCompute and ServerComputeWith", i)
+
+	bs := e.NewBodyScratch()
+	for _, x := range []*tensor.Tensor{xs[0], xs[1], xs[0]} {
+		want := e.ServerCompute(x)
+		got := e.ServerComputeWith(x, bs)
+		if len(got) != len(want) {
+			t.Fatalf("scratch pass computed %d bodies, want %d", len(got), len(want))
 		}
+		for i := range want {
+			if !got[i].SameShape(want[i]) || !got[i].AllClose(want[i], 0) {
+				t.Errorf("%d rows: body %d diverges between ServerCompute and ServerComputeWith", x.Shape[0], i)
+			}
+		}
+	}
+	if one := e.Members[0].Body.InferScratch(xs[0].Shape...).Footprint(); bs.sc.Footprint() != one {
+		t.Errorf("the %d bodies' scratch holds %d bytes, one body pass's holds %d", len(e.Members), bs.sc.Footprint(), one)
 	}
 	// Results stay valid until the NEXT call, then the buffers recycle.
 	if allocs := testing.AllocsPerRun(10, func() {
-		e.ServerComputeWith(x, bs)
+		e.ServerComputeWith(xs[0], bs)
+		e.ServerComputeWith(xs[1], bs)
 	}); allocs != 0 {
-		t.Errorf("warmed ServerComputeWith allocates %v times per pass, want 0", allocs)
+		t.Errorf("warmed ServerComputeWith allocates %v times per pair of passes, want 0", allocs)
 	}
 }

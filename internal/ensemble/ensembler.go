@@ -199,7 +199,7 @@ func (e *Ensembler) trainStage3(train *data.Dataset, log io.Writer) {
 			// Eq. 3 regularizer: penalize max_i cosine similarity between
 			// the new head's output and stage-1 head i's output.
 			regVal, regGrad := maxCosineRegularizer(headOut, x, regHeads)
-			loss += e.Cfg.Lambda * regVal
+			loss += float64(e.Cfg.Lambda * regVal)
 			gradHeadOut.AddScaledInPlace(regGrad, e.Cfg.Lambda)
 
 			e.Head.Backward(gradHeadOut)
@@ -257,7 +257,7 @@ func maxCosineRegularizer(headOut, x *tensor.Tensor, heads []*nn.Network) (float
 		g := grad.Data[s*d : (s+1)*d]
 		inv := 1 / (na * nb)
 		for j := range g {
-			g[j] = 2 * cos * (b[j]*inv - cos*a[j]/(na*na)) / float64(n)
+			g[j] = 2 * cos * (float64(b[j]*inv) - cos*a[j]/(na*na)) / float64(n)
 		}
 	}
 	return total / float64(n), grad
@@ -266,9 +266,9 @@ func maxCosineRegularizer(headOut, x *tensor.Tensor, heads []*nn.Network) (float
 func cosine(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 0
@@ -279,7 +279,7 @@ func cosine(a, b []float64) float64 {
 func norm(a []float64) float64 {
 	s := 0.0
 	for _, v := range a {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -327,21 +327,24 @@ func (e *Ensembler) ServerCompute(features *tensor.Tensor) []*tensor.Tensor {
 	return out
 }
 
-// BodyScratch is the reusable per-body inference storage for
-// ServerComputeWith: one nn.Scratch per ensemble body plus the output list,
-// owned by one goroutine. Steady-state callers hold one and reuse it across
-// calls, so repeated server-side passes stop allocating per layer.
+// BodyScratch is the reusable inference storage for ServerComputeWith,
+// owned by one goroutine: one nn.Scratch that every body's pass runs over in
+// turn, and one output tensor per body, into which each pass copies its
+// features before the next body reuses the scratch. Steady-state callers
+// hold one and reuse it across calls, so repeated server-side passes stop
+// allocating per layer, and activation memory is one body pass's, not N.
 type BodyScratch struct {
-	per []*nn.Scratch[float64]
-	out []*tensor.Tensor
+	sc   nn.Scratch[float64]
+	kept []tensor.Tensor  // body i's output of the latest call
+	out  []*tensor.Tensor // &kept[i], the list ServerComputeWith returns
 }
 
-// NewBodyScratch builds an empty scratch set for the ensemble's N bodies;
-// the first ServerComputeWith pass sizes it.
+// NewBodyScratch builds empty storage for the ensemble's N bodies; the first
+// ServerComputeWith pass sizes it.
 func (e *Ensembler) NewBodyScratch() *BodyScratch {
-	bs := &BodyScratch{per: make([]*nn.Scratch[float64], len(e.Members)), out: make([]*tensor.Tensor, len(e.Members))}
-	for i := range bs.per {
-		bs.per[i] = nn.NewScratch()
+	bs := &BodyScratch{kept: make([]tensor.Tensor, len(e.Members)), out: make([]*tensor.Tensor, len(e.Members))}
+	for i := range bs.out {
+		bs.out[i] = &bs.kept[i]
 	}
 	return bs
 }
@@ -353,8 +356,8 @@ func (e *Ensembler) NewBodyScratch() *BodyScratch {
 // Callers that retain a result across calls must copy it.
 func (e *Ensembler) ServerComputeWith(features *tensor.Tensor, bs *BodyScratch) []*tensor.Tensor {
 	for i, m := range e.Members {
-		bs.per[i].Reset()
-		bs.out[i] = m.Body.ForwardInfer(features, bs.per[i])
+		bs.sc.Reset()
+		bs.kept[i].CopyFrom(m.Body.ForwardInfer(features, &bs.sc))
 	}
 	return bs.out
 }

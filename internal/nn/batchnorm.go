@@ -82,13 +82,13 @@ func (b *BatchNorm2D) batchStats(x *tensor.Tensor) {
 		for ni := 0; ni < n; ni++ {
 			for _, v := range x.Data[(ni*c+ci)*hw : (ni*c+ci+1)*hw] {
 				d := v - mean
-				vsum += d * d
+				vsum += float64(d * d)
 			}
 		}
 		variance := vsum / m
 		b.mean[ci], b.invStd[ci] = mean, 1/math.Sqrt(variance+b.Eps)
-		b.RunMean.Data[ci] = b.Momentum*b.RunMean.Data[ci] + (1-b.Momentum)*mean
-		b.RunVar.Data[ci] = b.Momentum*b.RunVar.Data[ci] + (1-b.Momentum)*variance
+		b.RunMean.Data[ci] = float64(b.Momentum*b.RunMean.Data[ci]) + float64((1-b.Momentum)*mean)
+		b.RunVar.Data[ci] = float64(b.Momentum*b.RunVar.Data[ci]) + float64((1-b.Momentum)*variance)
 	}
 }
 
@@ -111,7 +111,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			for j := 0; j < hw; j++ {
 				dy := grad.Data[base+j]
 				sumDy += dy
-				sumDyXhat += dy * ((b.x.Data[base+j] - mean) * inv)
+				sumDyXhat += float64(dy * ((b.x.Data[base+j] - mean) * inv))
 			}
 		}
 		b.Beta.Grad.Data[ci] += sumDy
@@ -131,7 +131,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			base := (ni*c + ci) * hw
 			for j := 0; j < hw; j++ {
 				xh := (b.x.Data[base+j] - mean) * inv
-				out.Data[base+j] = g * inv / m * (m*grad.Data[base+j] - sumDy - xh*sumDyXhat)
+				out.Data[base+j] = g * inv / m * (float64(m*grad.Data[base+j]) - sumDy - float64(xh*sumDyXhat))
 			}
 		}
 	}

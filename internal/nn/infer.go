@@ -400,7 +400,7 @@ func (b bnOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			for j, v := range src {
 				// BatchNorm2D.Backward recomputes x̂ as this same
 				// (x-mean)*inv; the two expressions must stay identical.
-				dst[j] = g*((v-mean)*inv) + bt
+				dst[j] = T(g*((v-mean)*inv)) + bt
 			}
 		}
 	}
@@ -422,14 +422,44 @@ func reluInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[
 	return out
 }
 
-// reluSlice writes max(0, src) into dst; dst may alias src.
+// reluSlice writes max(0, src) into dst; dst may alias src. Every element
+// that is not greater than zero — negatives, −0 and NaN — becomes +0, and +Inf
+// stays.
+//
+// It selects on the bits instead of branching on v > 0, which mispredicts
+// over live activations, about half of them negative. An element's bits b
+// are kept when b−1, unsigned, is below the bits of +Inf: exactly when b is
+// a positive float up to +Inf, since +0 wraps to the top and −0, negatives
+// and NaNs lie above. A plain if-assignment over integers compiles to a
+// conditional move (CMOVQHI on amd64). reluRef in relu_ref_test.go is the
+// branchy form it reproduces bit for bit.
 func reluSlice[T tensor.Float](dst, src []T) {
+	if d, ok := any(dst).([]float32); ok {
+		reluF32(d, any(src).([]float32))
+		return
+	}
+	reluF64(any(dst).([]float64), any(src).([]float64))
+}
+
+func reluF64(dst, src []float64) {
+	dst = dst[:len(src)]
 	for i, v := range src {
-		if v > 0 {
-			dst[i] = v
-		} else {
-			dst[i] = 0
+		b, r := math.Float64bits(v), uint64(0)
+		if b-1 < 0x7FF0000000000000 {
+			r = b
 		}
+		dst[i] = math.Float64frombits(r)
+	}
+}
+
+func reluF32(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b, r := math.Float32bits(v), uint32(0)
+		if b-1 < 0x7F800000 {
+			r = b
+		}
+		dst[i] = math.Float32frombits(r)
 	}
 }
 

@@ -59,7 +59,7 @@ func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
 	loss := 0.0
 	for i, v := range pred.Data {
 		d := v - target.Data[i]
-		loss += d * d
+		loss += float64(d * d)
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / n, grad

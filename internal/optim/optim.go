@@ -37,9 +37,9 @@ func (s *SGD) Step() {
 	for i, p := range s.params {
 		v := s.velocity[i]
 		for j := range p.Value.Data {
-			g := p.Grad.Data[j] + s.decay*p.Value.Data[j]
-			v[j] = s.momentum*v[j] + g
-			p.Value.Data[j] -= s.lr * v[j]
+			g := p.Grad.Data[j] + float64(s.decay*p.Value.Data[j])
+			v[j] = float64(s.momentum*v[j]) + g
+			p.Value.Data[j] -= float64(s.lr * v[j])
 		}
 		p.ZeroGrad()
 	}
@@ -84,8 +84,8 @@ func (a *Adam) Step() {
 		m, v := a.m[i], a.v[i]
 		for j := range p.Value.Data {
 			g := p.Grad.Data[j]
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g*g
+			m[j] = float64(a.beta1*m[j]) + float64((1-a.beta1)*g)
+			v[j] = float64(a.beta2*v[j]) + float64((1-a.beta2)*g*g)
 			mh := m[j] / c1
 			vh := v[j] / c2
 			p.Value.Data[j] -= a.lr * mh / (math.Sqrt(vh) + a.eps)
@@ -107,7 +107,7 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

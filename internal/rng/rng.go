@@ -76,7 +76,7 @@ func (r *RNG) Split() *RNG {
 
 // Float64 returns a uniform sample in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
+	return float64(float64(r.Uint64()>>11) * (1.0 / (1 << 53)))
 }
 
 // Intn returns a uniform sample in [0, n). It panics if n <= 0.
@@ -89,7 +89,7 @@ func (r *RNG) Intn(n int) int {
 
 // Uniform returns a uniform sample in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Norm returns a standard Gaussian sample (Box-Muller with spare caching).
@@ -102,7 +102,7 @@ func (r *RNG) Norm() float64 {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -116,7 +116,7 @@ func (r *RNG) Norm() float64 {
 // Normal returns a Gaussian sample with the given mean and standard
 // deviation.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.Norm()
+	return mean + float64(std*r.Norm())
 }
 
 // Perm returns a random permutation of [0, n) (Fisher-Yates).

@@ -113,6 +113,19 @@ func (t *Dense[T]) Clone() *Dense[T] {
 	return &Dense[T]{Shape: append([]int(nil), t.Shape...), Data: append([]T(nil), t.Data...)}
 }
 
+// CopyFrom makes t a copy of src in t's own storage, which grows only past
+// the largest src t has held: a tensor kept per slot and copied into on
+// every pass, whatever mix of shapes the passes bring, stops allocating once
+// it has held the largest.
+func (t *Dense[T]) CopyFrom(src *Dense[T]) {
+	if cap(t.Data) < len(src.Data) {
+		t.Data = make([]T, len(src.Data))
+	}
+	t.Data = t.Data[:len(src.Data)]
+	copy(t.Data, src.Data)
+	t.Shape = append(t.Shape[:0], src.Shape...)
+}
+
 // Size returns the total number of elements.
 func (t *Dense[T]) Size() int { return len(t.Data) }
 
