@@ -87,7 +87,7 @@ func TestHealthzFleetBreakerSummary(t *testing.T) {
 			return []shard.Health{
 				{Addr: "127.0.0.1:1", Bodies: shard.Range{Lo: 0, Hi: 2}, Breaker: shard.BreakerClosed, Requests: 10},
 				{Addr: "127.0.0.1:2", Bodies: shard.Range{Lo: 2, Hi: 4}, Breaker: shard.BreakerOpen,
-					Down: true, Requests: 7, Failures: 3, ShortCircuits: 4, BreakerOpens: 1,
+					Requests: 7, Failures: 3, ShortCircuits: 4, BreakerOpens: 1,
 					ReopenIn: 250 * time.Millisecond, ConsecutiveFailures: 3, LastErr: "connection refused"},
 			}
 		},

@@ -3,12 +3,12 @@
 // them through a model registry; the client keeps its head, fixed noise,
 // secret selector, and tail, and performs classification over the wire. The
 // example verifies the remote result matches local inference bit-for-bit,
-// drives the concurrent serving path (a connection pool issuing simultaneous
-// single and batched requests), and then hot-swaps the pipeline mid-traffic:
-// the registry rotates the secret selector and publishes the result as a new
-// version while pooled clients keep hammering the server — zero failed
-// requests, and the pool re-wires to the rotated client runtime without a
-// restart.
+// drives the concurrent serving path (a one-shard scatter-gather client that
+// pools connections and client runtimes), and then hot-swaps the pipeline
+// mid-traffic: the registry rotates the secret selector and publishes the
+// result as a new version while concurrent requests keep hammering the
+// server — zero failed requests, and the client re-wires to the rotated
+// client runtime without a restart.
 //
 // Each published version is scored by the secret holder — this process, which
 // holds the head — with the oracle inversion attack (audit.Score), the
@@ -165,19 +165,24 @@ func main() {
 			bt.RoundTrip.Seconds()*1e3)
 	}
 
-	// Concurrent serving: a connection pool, each connection wired through
-	// its own clone of the client-side networks.
-	pool, err := comm.NewPool(ln.Addr().String(), 4, func(c *comm.Client) error {
-		rt := e.NewClientRuntime()
-		c.ComputeFeatures = rt.Features
-		c.Select = rt.Select
-		c.Tail = rt.Tail
-		return nil
+	// Concurrent serving: the scatter-gather client over one shard that
+	// hosts every body — the monolith. It pools connections, and each
+	// concurrent request runs on its own clone of the client-side networks.
+	whole, err := shard.Plan(cfg.N, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mono, err := shard.NewClient(shard.Config{
+		Addrs:      []string{ln.Addr().String()},
+		Ranges:     whole,
+		N:          cfg.N,
+		NewRuntime: shard.PipelineRuntime(e),
+		PoolSize:   4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer pool.Close()
+	defer mono.Close()
 
 	const requests = 16
 	var wg sync.WaitGroup
@@ -186,7 +191,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := pool.Infer(ctx, x); err != nil {
+			if _, _, err := mono.Infer(ctx, x); err != nil {
 				log.Printf("pooled request: %v", err)
 			}
 		}()
@@ -202,7 +207,7 @@ func main() {
 	// subset (the switching-ensembles rationale): rotate it while pooled
 	// clients keep the server busy. Server bodies are unchanged by rotation,
 	// so requests in flight during the swap still match the old pipeline
-	// bit-for-bit; afterwards the pool re-wires to the rotated runtime.
+	// bit-for-bit; afterwards the client runs the rotated runtime.
 	fmt.Printf("\nhot swap: rotating the secret selector under load (old selection %v)\n", e.Selector.Indices)
 	var swapErrs atomic.Int64
 	stopLoad := make(chan struct{})
@@ -217,7 +222,7 @@ func main() {
 					return
 				default:
 				}
-				if _, _, err := pool.Infer(ctx, x); err != nil {
+				if _, _, err := mono.Infer(ctx, x); err != nil {
 					swapErrs.Add(1)
 					log.Printf("in-flight request during swap: %v", err)
 				}
@@ -237,16 +242,11 @@ func main() {
 		log.Fatal(err)
 	}
 	rotated := rotatedEp.Pipeline()
-	// Client-side half of the swap: the pool's connections re-wire to the
-	// rotated head/noise/selector/tail as they are released; no caller ever
-	// sees an error.
-	pool.Reconfigure(func(c *comm.Client) error {
-		rt := rotated.NewClientRuntime()
-		c.ComputeFeatures = rt.Features
-		c.Select = rt.Select
-		c.Tail = rt.Tail
-		return nil
-	})
+	// Client-side half of the swap: requests after it run on clones of the
+	// rotated head/noise/selector/tail, in-flight ones finish on the runtime
+	// they hold, and the pooled connections stay open; no caller ever sees
+	// an error.
+	mono.RotateTo(rotated)
 	close(stopLoad)
 	load.Wait()
 	fmt.Printf("published %s v%d in %v with traffic flowing; failed requests: %d\n",
@@ -254,7 +254,7 @@ func main() {
 
 	// The rotated pipeline serves through the same socket; results match its
 	// local predictions bit-for-bit.
-	post, _, err := pool.Infer(ctx, x)
+	post, _, err := mono.Infer(ctx, x)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -310,13 +310,7 @@ func main() {
 			log.Fatal(err)
 		}
 		live = ep.Pipeline()
-		pool.Reconfigure(func(c *comm.Client) error {
-			rt := live.NewClientRuntime()
-			c.ComputeFeatures = rt.Features
-			c.Select = rt.Select
-			c.Tail = rt.Tail
-			return nil
-		})
+		mono.RotateTo(live)
 		fmt.Printf("leakage above threshold: the secret holder published v%d with a re-drawn selection %v\n",
 			ep.Version(), live.Selector.Indices)
 		if after := score(fmt.Sprintf("v%d (untuned rotation)", ep.Version()), live); after == measured {
@@ -325,7 +319,7 @@ func main() {
 				"The rotation did not cure the alert; only re-tuning the head changes the score.")
 		}
 	}
-	if post, _, err := pool.Infer(ctx, x); err != nil {
+	if post, _, err := mono.Infer(ctx, x); err != nil {
 		log.Fatal(err)
 	} else if post.AllClose(live.Predict(x), 1e-9) {
 		fmt.Printf("post-rotation traffic matches the live pipeline exactly ✓ (selection %v)\n",
@@ -472,12 +466,8 @@ func main() {
 
 	fmt.Printf("served %d requests across the kill; failed requests: %d\n", fleetReqs.Load(), fleetErrs.Load())
 	for _, h := range fleet.Health() {
-		status := "up"
-		if h.Down {
-			status = "down"
-		}
-		fmt.Printf("  shard %s (bodies %s): %s — %d requests, %d failures\n",
-			h.Addr, h.Bodies, status, h.Requests, h.Failures)
+		fmt.Printf("  shard %s (bodies %s): circuit %s — %d requests, %d failures\n",
+			h.Addr, h.Bodies, h.Breaker, h.Requests, h.Failures)
 	}
 	fmt.Println("the same health, as a scraper sees it:")
 	printMetrics(treg, "ensembler_shard_up")

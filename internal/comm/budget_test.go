@@ -46,14 +46,14 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	var attempts atomic.Uint64
 	addr := refuseOnceBinary(t, &attempts)
 
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
+	pool, err := NewPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	x := wireTensor(433, 1, 4, 8, 8)
-	_, _, err = pool.Exchange(context.Background(), x)
+	_, _, err = pooledExchange(context.Background(), pool, x)
 	// The server would have served a second attempt: the pool must not
 	// spend it.
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -62,7 +62,7 @@ func TestPoolBudgetExhaustedTerminalBinary(t *testing.T) {
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("budget-refused exchange hit the server %d times, want exactly 1", got)
 	}
-	if _, _, err := pool.Exchange(context.Background(), x); err != nil {
+	if _, _, err := pooledExchange(context.Background(), pool, x); err != nil {
 		t.Fatalf("connection unusable after a binary budget refusal: %v", err)
 	}
 }

@@ -41,7 +41,9 @@ func WithClientID(id string) DialOption {
 // bodies, local secret selection and tail. A Client is bound to one
 // connection and is safe for one goroutine at a time (the head and tail
 // networks cache forward state, and the client decodes and runs the tail over
-// storage it reuses); use a Pool for concurrent callers.
+// storage it reuses); concurrent callers use a shard.Client, which pools
+// connections and client runtimes (one shard hosting every body is this
+// monolith).
 //
 // Result lifetimes: logits returned by Infer and InferBatch are fresh
 // tensors the caller owns. What Exchange returns lives in the client and is
@@ -61,9 +63,6 @@ type Client struct {
 	// return the previous request's response. A broken client fails fast
 	// until redialed.
 	broken bool
-	// cfgEpoch tags which Pool configuration wired this client; the pool
-	// discards clients wired under a superseded configuration on release.
-	cfgEpoch uint64
 	// servedModel/servedVersion record what the server reports serving on
 	// the last successful round trip.
 	servedModel   string
@@ -324,7 +323,8 @@ func validateTensors(features []*tensor.Tensor) error {
 // every exchange into the same value — so the features belong to whoever
 // owns the Exchanged, until its next exchange. The one inside a Client makes
 // that the connection; a caller that must outlive the connection's release
-// (Pool.Exchange, a sharded request's gather) decodes into one of its own.
+// (a sharded request's gather, through Pool.ExchangeTraced) decodes into one
+// of its own.
 type Exchanged struct {
 	Features []*tensor.Tensor
 	Model    string

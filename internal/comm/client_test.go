@@ -167,19 +167,20 @@ func TestRefusedResponseBytesAreCounted(t *testing.T) {
 }
 
 // TestExchangeResultLifetimes pins who owns a decoded response: the Client's
-// own Exchange hands out storage the next request reuses, Pool.Exchange hands
-// out a result that survives anything the released connection does next.
+// own Exchange hands out storage the next request reuses, a pooled exchange
+// into the caller's Exchanged leaves a result that survives anything the
+// released connection does next.
 func TestExchangeResultLifetimes(t *testing.T) {
 	const n = 2
 	addr := startCodecServer(t, n)
-	pool, err := NewPool(addr, 1, func(*Client) error { return nil })
+	pool, err := NewPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 	ctx := context.Background()
 	a, b := wireTensor(520, 1, 4, 8, 8), wireTensor(521, 1, 4, 8, 8)
-	kept, _, err := pool.Exchange(ctx, a)
+	kept, _, err := pooledExchange(ctx, pool, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +189,12 @@ func TestExchangeResultLifetimes(t *testing.T) {
 		want[i] = f.Clone()
 	}
 	for i := 0; i < 3; i++ { // the pool's only connection answers other requests
-		if _, _, err := pool.Exchange(ctx, b); err != nil {
+		if _, _, err := pooledExchange(ctx, pool, b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, f := range kept.Features {
-		requireSameBits(t, "Pool.Exchange result after later requests", f, want[i])
+		requireSameBits(t, "pooled exchange result after later requests", f, want[i])
 	}
 
 	client, err := Dial(addr)

@@ -447,14 +447,17 @@ func readTensor[T tensor.Float](r *wireReader, a *tensor.Arena[T], shapeBuf []in
 		if err != nil {
 			return nil, err
 		}
-		// n stays ≤ maxElems (< 2^28) before each multiply and d < 2^32, so
-		// the product cannot overflow a 64-bit int before the bound check.
+		// The bound is checked before the multiply, in uint64: n·d ≤ maxElems
+		// exactly when d ≤ maxElems/n, so neither int(d) nor the product can
+		// overflow, whatever the width of int (a u32 dimension ≥ 2^31 is
+		// negative as a 32-bit int).
 		if d == 0 {
 			return nil, fmt.Errorf("comm: zero tensor dimension")
 		}
-		if n *= int(d); n > maxElems {
-			return nil, fmt.Errorf("comm: tensor of %d elements exceeds frame size", n)
+		if uint64(d) > uint64(maxElems/n) {
+			return nil, fmt.Errorf("comm: tensor dimension %d exceeds frame size (%d elements left)", d, maxElems)
 		}
+		n *= int(d)
 		shape = append(shape, int(d))
 	}
 	if r.remaining() < n*width {

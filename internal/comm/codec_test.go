@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -192,6 +193,45 @@ func TestHostileFramesRejected(t *testing.T) {
 		if err := parseResponse(body, &resp, nil); err == nil {
 			t.Errorf("%s: hostile response frame accepted", name)
 		}
+	}
+}
+
+// TestWireDimensionsBoundedOnEveryGOARCH: a u32 dimension is bounded by the
+// bytes left in the frame before it becomes an int, so a dimension of 2^31
+// or more — negative as a 32-bit int — is rejected as too large on every
+// GOARCH instead of reaching tensor allocation as a non-positive dimension
+// (a panic on the connection's reader goroutine, where nothing recovers).
+func TestWireDimensionsBoundedOnEveryGOARCH(t *testing.T) {
+	for _, d := range []uint32{1 << 31, 1<<32 - 1, 1 << 28} {
+		// rank 4, f64, dims [1, d, 1, 1], one element of payload.
+		body := []byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 4, wireDtypeF64, 1, 0, 0, 0}
+		body = binary.LittleEndian.AppendUint32(body, d)
+		body = append(body, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+		if _, err := parseRequest(body, nil); err == nil {
+			t.Errorf("dimension %d: request frame accepted", d)
+		}
+		var (
+			p   payload[float32]
+			req Request
+			tc  trace.Context
+		)
+		if err := parseRequestInto(body, &req, &p, &tc); err == nil {
+			t.Errorf("dimension %d: request frame accepted by the f32 decode", d)
+		}
+	}
+}
+
+// TestValidateTensorProductCannotWrap: a claimed shape whose element count
+// wraps the int — to 0 for four dimensions of 2^16 on a 64-bit int, and for
+// two of 2^30 on a 32-bit one — must not pass for a tensor with no data.
+func TestValidateTensorProductCannotWrap(t *testing.T) {
+	for _, shape := range [][]int{{65536, 65536, 65536, 65536}, {1 << 30, 1 << 30, 2, 2}, {2, 3}} {
+		if err := validateTensor(&tensor.Tensor{Shape: shape}); err == nil {
+			t.Errorf("shape %v with no data accepted", shape)
+		}
+	}
+	if err := validateTensor(tensor.New(2, 3)); err != nil {
+		t.Errorf("honest [2 3] tensor rejected: %v", err)
 	}
 }
 

@@ -134,10 +134,15 @@ func validateTensor[T tensor.Float](f *tensor.Dense[T]) error {
 	if len(f.Shape) == 0 {
 		return fmt.Errorf("comm: tensor has empty shape")
 	}
+	// The running product stops once it would pass len(Data): a claimed
+	// shape whose product wraps the int (to 0, say) must not match.
 	n := 1
 	for _, d := range f.Shape {
 		if d <= 0 {
 			return fmt.Errorf("comm: tensor has non-positive dimension in shape %v", f.Shape)
+		}
+		if d > len(f.Data)/n {
+			return fmt.Errorf("comm: tensor carries %d values for shape %v", len(f.Data), f.Shape)
 		}
 		n *= d
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"ensembler/internal/commtest"
 	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
+	"ensembler/internal/trace"
 )
 
 // These tests exercise the concurrent serving path through the exported API
@@ -119,22 +121,23 @@ func TestConcurrentMixedClients(t *testing.T) {
 }
 
 // TestPoolConcurrentInference drives a connection pool from more goroutines
-// than it has connections; every result must match the reference.
+// than it has connections, each exchange decoding into its caller's own
+// Exchanged; every caller's features must match the bodies' bit for bit.
 func TestPoolConcurrentInference(t *testing.T) {
 	const nBodies = 3
 	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 2)
 
-	pool, err := comm.NewPool(addr, 4, func(c *comm.Client) error {
-		commtest.Wire(c, tiny, nBodies)
-		return nil
-	})
+	pool, err := comm.NewPool(addr, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	x := commtest.Input(tiny, 51, 1)
-	want := commtest.Reference(tiny, nBodies, x)
+	var want []*tensor.Tensor
+	for _, b := range commtest.Bodies(tiny, nBodies) {
+		want = append(want, b.Forward(x, false))
+	}
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -143,23 +146,18 @@ func TestPoolConcurrentInference(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var got *tensor.Tensor
-			var err error
-			if i%3 == 0 {
-				var batch []*tensor.Tensor
-				batch, _, err = pool.InferBatch(ctx, []*tensor.Tensor{x, x})
-				if err == nil {
-					got = batch[1]
+			var ex comm.Exchanged
+			for round := 0; round < 3; round++ {
+				if _, err := pool.ExchangeTraced(ctx, x, trace.Context{}, &ex); err != nil {
+					errs <- err
+					return
 				}
-			} else {
-				got, _, err = pool.Infer(ctx, x)
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !got.AllClose(want, 1e-12) {
-				errs <- fmt.Errorf("goroutine %d: pooled result diverged", i)
+				for k, f := range ex.Features {
+					if !f.AllClose(want[k], 0) {
+						errs <- fmt.Errorf("goroutine %d round %d: body %d features diverged", i, round, k)
+						return
+					}
+				}
 			}
 		}(i)
 	}
@@ -515,10 +513,7 @@ func TestPoolRecoversFromBrokenConnections(t *testing.T) {
 		}
 	}()
 
-	pool, err := comm.NewPool(ln.Addr().String(), 1, func(c *comm.Client) error {
-		commtest.Wire(c, tiny, 1)
-		return nil
-	})
+	pool, err := comm.NewPool(ln.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +527,8 @@ func TestPoolRecoversFromBrokenConnections(t *testing.T) {
 			defer wg.Done()
 			// Every request must fail with an error — never hang, even for
 			// the goroutines that queued while the pool was at capacity.
-			if _, _, err := pool.Infer(context.Background(), x); err == nil {
+			var ex comm.Exchanged
+			if _, err := pool.ExchangeTraced(context.Background(), x, trace.Context{}, &ex); err == nil {
 				t.Error("request against a slamming server must fail")
 			}
 		}()
@@ -551,30 +547,49 @@ func TestPoolRecoversFromBrokenConnections(t *testing.T) {
 // its connection.
 func TestPoolKeepsConnectionAfterBenignError(t *testing.T) {
 	const nBodies = 2
-	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 1, comm.WithMaxBatch(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepts := &countingListener{Listener: ln}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- comm.NewServer(commtest.Bodies(tiny, nBodies)).Serve(ctx, accepts) }()
+	defer func() { cancel(); ln.Close(); <-served }()
 
-	dials := 0
-	pool, err := comm.NewPool(addr, 1, func(c *comm.Client) error {
-		dials++
-		commtest.Wire(c, tiny, nBodies)
-		return nil
-	})
+	pool, err := comm.NewPool(ln.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	ctx := context.Background()
-	x := commtest.Input(tiny, 62, 1)
-	if _, _, err := pool.InferBatch(ctx, []*tensor.Tensor{x, x}); err == nil {
-		t.Fatal("batch above the server cap must be rejected")
+	var ex comm.Exchanged
+	// Features of the wrong channel count: the server answers with an error
+	// over a synchronized stream.
+	wrong := commtest.Input(tiny, 62, 1).Reshape(1, 2*tiny.HeadC, tiny.H/2, tiny.W)
+	if _, err := pool.ExchangeTraced(ctx, wrong, trace.Context{}, &ex); err == nil {
+		t.Fatal("features of the wrong shape must be rejected")
 	}
-	if _, _, err := pool.Infer(ctx, x); err != nil {
+	if _, err := pool.ExchangeTraced(ctx, commtest.Input(tiny, 62, 1), trace.Context{}, &ex); err != nil {
 		t.Fatalf("healthy request after a benign rejection failed: %v", err)
 	}
-	if dials != 1 {
-		t.Errorf("pool redialed after a benign error: %d dials, want 1", dials)
+	if n := accepts.n.Load(); n != 1 {
+		t.Errorf("pool redialed after a benign error: %d dials, want 1", n)
 	}
+}
+
+// countingListener counts the connections a server accepts.
+type countingListener struct {
+	net.Listener
+	n atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
 }
 
 // TestClientRejectsHostileResponses plays a malicious server: responses

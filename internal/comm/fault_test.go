@@ -17,14 +17,14 @@ import (
 func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	defer faultpoint.DisableAll()
 	addr := startServer(t, codecBodies(2))
-	pool, err := NewPool(addr, 1, func(c *Client) error { return nil })
+	pool, err := NewPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	x := wireTensor(600, 1, 4, 8, 8)
-	want, _, err := pool.Exchange(context.Background(), x)
+	want, _, err := pooledExchange(context.Background(), pool, x)
 	if err != nil {
 		t.Fatalf("baseline exchange: %v", err)
 	}
@@ -33,13 +33,13 @@ func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	}
 
 	faultpoint.Enable("comm/frame-write", faultpoint.Policy{Kind: kind, Count: 1, Frac: 0.5})
-	if _, _, err := pool.Exchange(context.Background(), x); err == nil {
+	if _, _, err := pooledExchange(context.Background(), pool, x); err == nil {
 		t.Fatal("mid-frame write fault did not surface as an exchange error")
 	}
 
 	// The pool must have discarded the broken connection; this exchange
 	// rides a fresh dial and must be bit-exact with the baseline.
-	got, _, err := pool.Exchange(context.Background(), x)
+	got, _, err := pooledExchange(context.Background(), pool, x)
 	if err != nil {
 		t.Fatalf("exchange after reconnect: %v", err)
 	}

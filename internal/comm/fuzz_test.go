@@ -32,6 +32,10 @@ func FuzzWireRequestFrame(f *testing.F) {
 	}
 	f.Add(batched)
 	f.Add([]byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 1, wireDtypeF64, 1, 0, 0, 0})
+	// A dimension of 2^31: negative as a 32-bit int, so it must be bounded
+	// by the frame before it becomes one.
+	f.Add([]byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 4, wireDtypeF64,
+		1, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	// The traced frame: same payload behind the trace header. A corrupted
 	// variant (trace ID zeroed, which the parser must reject) seeds the
 	// invalid branch.

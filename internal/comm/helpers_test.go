@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -25,6 +26,14 @@ func encodeResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byt
 func parseResponse(body []byte, resp *Response, echo *uint64) error {
 	var heap tensor.Arena[float64]
 	return parseResponseInto(body, resp, echo, &heap)
+}
+
+// pooledExchange runs one pooled exchange into an Exchanged of its own, which
+// the test keeps past the connection's release.
+func pooledExchange(ctx context.Context, p *Pool, features *tensor.Tensor) (*Exchanged, Timing, error) {
+	ex := new(Exchanged)
+	t, err := p.ExchangeTraced(ctx, features, trace.Context{}, ex)
+	return ex, t, err
 }
 
 // GobStreamOpener is how a client of the retired gob protocol opened its

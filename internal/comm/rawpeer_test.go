@@ -17,6 +17,7 @@ import (
 	"ensembler/internal/comm"
 	"ensembler/internal/commtest"
 	"ensembler/internal/tensor"
+	"ensembler/internal/trace"
 )
 
 // The raw peer: tests that play one end of the socket by hand assemble their
@@ -277,13 +278,14 @@ func TestPoolDoesNotRetryServerErrors(t *testing.T) {
 		frames.Add(1)
 		return rawErrorFrame("server overloaded", 429)
 	})
-	pool, err := comm.NewPool(addr, 1, func(*comm.Client) error { return nil })
+	pool, err := comm.NewPool(addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	_, _, err = pool.Exchange(context.Background(), commtest.Input(tiny, 90, 1))
+	var ex comm.Exchanged
+	_, err = pool.ExchangeTraced(context.Background(), commtest.Input(tiny, 90, 1), trace.Context{}, &ex)
 	if err == nil || !strings.Contains(err.Error(), "server overloaded") {
 		t.Fatalf("exchange against an always-failing server returned %v, want the server's error", err)
 	}

@@ -257,95 +257,6 @@ func TestVersionPinning(t *testing.T) {
 	<-served
 }
 
-// TestPoolReconfigureMidTraffic drives the client-side half of a hot swap: a
-// pool under concurrent load is re-pointed at a new wiring, no request
-// fails, and traffic converges to the new configuration.
-func TestPoolReconfigureMidTraffic(t *testing.T) {
-	const nBodies = 3
-	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 2)
-
-	x := commtest.Input(tiny, 121, 1)
-	want1 := commtest.Reference(tiny, nBodies, x)
-	// The rewired pool doubles the selected features; the tail is linear, so
-	// the expected logits double too.
-	want2 := want1.Scale(2)
-
-	pool, err := comm.NewPool(addr, 4, func(c *comm.Client) error {
-		commtest.Wire(c, tiny, nBodies)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	var (
-		wg      sync.WaitGroup
-		stop    = make(chan struct{})
-		failed  atomic.Int64
-		swapped atomic.Int64
-	)
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				got, _, err := pool.Infer(context.Background(), x)
-				if err != nil {
-					failed.Add(1)
-					errs <- fmt.Errorf("goroutine %d: %w", i, err)
-					return
-				}
-				switch {
-				case got.AllClose(want1, 1e-12):
-				case got.AllClose(want2, 1e-12):
-					swapped.Add(1)
-				default:
-					failed.Add(1)
-					errs <- fmt.Errorf("goroutine %d: result matches neither wiring", i)
-					return
-				}
-			}
-		}(i)
-	}
-
-	time.Sleep(30 * time.Millisecond)
-	pool.Reconfigure(func(c *comm.Client) error {
-		commtest.Wire(c, tiny, nBodies)
-		inner := c.Select
-		c.Select = func(features []*tensor.Tensor) *tensor.Tensor {
-			return inner(features).Scale(2)
-		}
-		return nil
-	})
-
-	deadline := time.After(10 * time.Second)
-	for swapped.Load() < 8 {
-		select {
-		case <-deadline:
-			close(stop)
-			wg.Wait()
-			t.Fatalf("pool served only %d new-wiring results within 10s", swapped.Load())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if n := failed.Load(); n != 0 {
-		t.Errorf("reconfigure dropped %d requests, want 0", n)
-	}
-}
-
 // TestSubsetProviderCachesPerEpoch pins the shard server's per-request
 // resolve: within one epoch the subset provider hands out one cached
 // restriction (no allocation per request), and the first resolve after a

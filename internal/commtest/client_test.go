@@ -116,26 +116,39 @@ func TestConcurrentCallersStayBitExact(t *testing.T) {
 		})
 	})
 
-	t.Run("comm.Pool", func(t *testing.T) {
+	t.Run("monolith", func(t *testing.T) {
 		f := commtest.StartShards(t, 1, 4, 2, 62) // one shard hosting every body is a monolith
-		pool, err := comm.NewPool(f.Addrs[0], 2, func(c *comm.Client) error {
-			rt := f.Pipeline.NewClientRuntime()
-			c.ComputeFeatures, c.Select, c.Tail = rt.Features, rt.Select, rt.Tail
-			return nil
-		})
+		cfg := f.ClientConfig()
+		cfg.PoolSize = 2
+		c, err := shard.NewClient(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pool.Close()
+		defer c.Close()
 		xs, want := distinctInputs(620, f.Pipeline)
 		hammer(t, 25, xs, want, func(x *tensor.Tensor) (*tensor.Tensor, error) {
-			logits, _, err := pool.Infer(ctx, x)
+			logits, _, err := c.Infer(ctx, x)
 			return logits, err
 		})
+		// Two wired connections shared by every caller, so each batched
+		// request decodes into storage the one before it used.
+		conns := make(chan *comm.Client, 2)
+		for range cap(conns) {
+			cc, err := comm.Dial(f.Addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cc.Close()
+			rt := f.Pipeline.NewClientRuntime()
+			cc.ComputeFeatures, cc.Select, cc.Tail = rt.Features, rt.Select, rt.Tail
+			conns <- cc
+		}
 		hammer(t, 10, xs, want, func(x *tensor.Tensor) (*tensor.Tensor, error) {
+			cc := <-conns
+			defer func() { conns <- cc }()
 			// The same input three times over: the batched path copies each
 			// input's features out of the runtime before computing the next.
-			logits, _, err := pool.InferBatch(ctx, []*tensor.Tensor{x, x, x})
+			logits, _, err := cc.InferBatch(ctx, []*tensor.Tensor{x, x, x})
 			if err != nil {
 				return nil, err
 			}

@@ -54,71 +54,71 @@ func (s BreakerState) String() string {
 	return "invalid"
 }
 
-// breaker is one shard's circuit. Its mutex is taken once per request per
-// shard — noise next to a network round trip, same as the health counters.
+// breaker is one shard's circuit and its wire counters, under one mutex
+// taken once per attempt (and once by allow) — noise next to a network round
+// trip. Requests and failures count actual wire attempts; short-circuited
+// requests count only in shortCircuits — an open circuit generating zero
+// traffic must not look like a shard failing traffic.
 type breaker struct {
 	mu sync.Mutex
 
-	threshold int           // consecutive failures that open the circuit
-	base      time.Duration // first reopen wait
-	maxWait   time.Duration // reopen wait cap
-	jitter    float64       // ± fraction applied to each reopen wait
-	r         *rng.RNG      // jitter source, seeded for deterministic tests
+	p policy   // threshold, reopen waits and jitter
+	r *rng.RNG // jitter source, seeded for deterministic tests
 
 	state       BreakerState
 	consecFails int
 	wait        time.Duration // current un-jittered reopen wait
 	reopenAt    time.Time     // open → half-open eligibility instant
 	opens       uint64        // total closed/half-open → open transitions
+
+	requests      uint64
+	failures      uint64
+	shortCircuits uint64
+	lastErr       string
 }
 
-func newBreaker(threshold int, base, maxWait time.Duration, jitter float64, seed int64) *breaker {
-	return &breaker{
-		threshold: threshold,
-		base:      base,
-		maxWait:   maxWait,
-		jitter:    jitter,
-		r:         rng.New(seed),
-	}
+func newBreaker(p policy, seed int64) *breaker {
+	return &breaker{p: p, r: rng.New(seed)}
 }
 
 // jittered spreads a reopen wait by ±jitter so a fleet of clients that
 // opened their circuits together does not re-probe the recovering shard in
 // lockstep.
 func (b *breaker) jittered(d time.Duration) time.Duration {
-	if b.jitter <= 0 {
+	if b.p.Jitter <= 0 {
 		return d
 	}
-	f := 1 + b.jitter*(2*b.r.Float64()-1)
+	f := 1 + b.p.Jitter*(2*b.r.Float64()-1)
 	return time.Duration(float64(d) * f)
 }
 
 // allow decides one request's fate: admit normally, admit as the half-open
-// probe (the caller must make a single bounded attempt), or short-circuit.
+// probe (the caller must make a single bounded attempt), or short-circuit,
+// which it counts.
 func (b *breaker) allow(now time.Time) (admit, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
+	switch {
+	case b.state == BreakerClosed:
 		return true, false
-	case BreakerOpen:
-		if now.Before(b.reopenAt) {
-			return false, false
-		}
+	case b.state == BreakerOpen && !now.Before(b.reopenAt):
 		// Backoff elapsed: this caller becomes the probe, and the state
 		// moves to half-open so every concurrent caller short-circuits
 		// until the probe's verdict arrives.
 		b.state = BreakerHalfOpen
 		return true, true
-	default: // BreakerHalfOpen: the single probe slot is taken
+	default: // open and waiting, or half-open with the probe slot taken
+		b.shortCircuits++
 		return false, false
 	}
 }
 
-// recordSuccess closes the circuit from any state and resets the failure
-// streak and backoff.
+// recordSuccess counts one answered exchange: it closes the circuit from any
+// state and resets the failure streak and backoff.
 func (b *breaker) recordSuccess() {
 	b.mu.Lock()
+	b.requests++
+	b.lastErr = ""
 	b.consecFails = 0
 	b.state = BreakerClosed
 	b.wait = 0
@@ -141,13 +141,16 @@ func (b *breaker) releaseProbe() {
 // recordFailure counts one failed exchange at the given instant: a closed
 // circuit opens once the streak reaches the threshold; a failed half-open
 // probe reopens with doubled (capped, jittered) backoff.
-func (b *breaker) recordFailure(now time.Time) {
+func (b *breaker) recordFailure(now time.Time, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.requests++
+	b.failures++
+	b.lastErr = err.Error()
 	b.consecFails++
 	switch b.state {
 	case BreakerClosed:
-		if b.consecFails >= b.threshold {
+		if b.consecFails >= b.p.DownAfter {
 			b.open(now)
 		}
 	case BreakerHalfOpen:
@@ -161,26 +164,34 @@ func (b *breaker) recordFailure(now time.Time) {
 // open (re)opens the circuit, doubling the reopen wait; caller holds b.mu.
 func (b *breaker) open(now time.Time) {
 	if b.wait <= 0 {
-		b.wait = b.base
+		b.wait = b.p.Backoff
 	} else {
 		b.wait *= 2
 	}
-	if b.wait > b.maxWait {
-		b.wait = b.maxWait
+	if b.wait > b.p.MaxBackoff {
+		b.wait = b.p.MaxBackoff
 	}
 	b.state = BreakerOpen
 	b.reopenAt = now.Add(b.jittered(b.wait))
 	b.opens++
 }
 
-// snapshot reads the breaker for Health()/metrics.
-func (b *breaker) snapshot(now time.Time) (state BreakerState, consecFails int, opens uint64, reopenIn time.Duration) {
+// snapshot reads the breaker for Health() and the metrics; the caller fills
+// in the shard's address and bodies.
+func (b *breaker) snapshot(now time.Time) Health {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == BreakerOpen {
-		if d := b.reopenAt.Sub(now); d > 0 {
-			reopenIn = d
-		}
+	h := Health{
+		Breaker:             b.state,
+		Requests:            b.requests,
+		Failures:            b.failures,
+		ShortCircuits:       b.shortCircuits,
+		BreakerOpens:        b.opens,
+		ConsecutiveFailures: b.consecFails,
+		LastErr:             b.lastErr,
 	}
-	return b.state, b.consecFails, b.opens, reopenIn
+	if b.state == BreakerOpen {
+		h.ReopenIn = max(b.reopenAt.Sub(now), 0)
+	}
+	return h
 }

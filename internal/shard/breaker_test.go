@@ -8,7 +8,16 @@ import (
 
 func testBreaker() *breaker {
 	// jitter 0 so reopen instants are exact; threshold 3 like the default.
-	return newBreaker(3, 100*time.Millisecond, 800*time.Millisecond, 0, 7)
+	return newBreaker(policy{DownAfter: 3, Backoff: 100 * time.Millisecond, MaxBackoff: 800 * time.Millisecond}, 7)
+}
+
+// errExchange is the failure the unit tests record.
+var errExchange = errors.New("exchange failed")
+
+// read returns the snapshot fields the state-machine tests check.
+func read(b *breaker, now time.Time) (BreakerState, int, uint64, time.Duration) {
+	h := b.snapshot(now)
+	return h.Breaker, h.ConsecutiveFailures, h.BreakerOpens, h.ReopenIn
 }
 
 // TestBreakerStateMachine walks the full circuit: closed → open on the
@@ -23,13 +32,13 @@ func TestBreakerStateMachine(t *testing.T) {
 		if admit, probe := b.allow(t0); !admit || probe {
 			t.Fatalf("closed circuit: allow = (%v,%v), want (true,false)", admit, probe)
 		}
-		b.recordFailure(t0)
-		if st, _, _, _ := b.snapshot(t0); st != BreakerClosed {
+		b.recordFailure(t0, errExchange)
+		if st, _, _, _ := read(b, t0); st != BreakerClosed {
 			t.Fatalf("after %d failures state = %v, want closed", i+1, st)
 		}
 	}
-	b.recordFailure(t0)
-	st, fails, opens, reopenIn := b.snapshot(t0)
+	b.recordFailure(t0, errExchange)
+	st, fails, opens, reopenIn := read(b, t0)
 	if st != BreakerOpen || fails != 3 || opens != 1 {
 		t.Fatalf("after threshold: state=%v fails=%d opens=%d, want open/3/1", st, fails, opens)
 	}
@@ -52,13 +61,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if admit, _ := b.allow(t1); admit {
 		t.Fatal("second caller admitted while a half-open probe is in flight")
 	}
-	if st, _, _, _ := b.snapshot(t1); st != BreakerHalfOpen {
+	if st, _, _, _ := read(b, t1); st != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
 	}
 
 	// Failed probe: reopen with doubled backoff.
-	b.recordFailure(t1)
-	st, _, opens, reopenIn = b.snapshot(t1)
+	b.recordFailure(t1, errExchange)
+	st, _, opens, reopenIn = read(b, t1)
 	if st != BreakerOpen || opens != 2 || reopenIn != 200*time.Millisecond {
 		t.Fatalf("failed probe: state=%v opens=%d reopenIn=%v, want open/2/200ms", st, opens, reopenIn)
 	}
@@ -69,14 +78,14 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second probe not admitted after doubled backoff")
 	}
 	b.recordSuccess()
-	st, fails, _, _ = b.snapshot(t2)
+	st, fails, _, _ = read(b, t2)
 	if st != BreakerClosed || fails != 0 {
 		t.Fatalf("after probe success: state=%v fails=%d, want closed/0", st, fails)
 	}
-	b.recordFailure(t2)
-	b.recordFailure(t2)
-	b.recordFailure(t2)
-	if _, _, _, reopenIn := b.snapshot(t2); reopenIn != 100*time.Millisecond {
+	b.recordFailure(t2, errExchange)
+	b.recordFailure(t2, errExchange)
+	b.recordFailure(t2, errExchange)
+	if _, _, _, reopenIn := read(b, t2); reopenIn != 100*time.Millisecond {
 		t.Fatalf("backoff after recovery = %v, want reset to 100ms base", reopenIn)
 	}
 }
@@ -87,16 +96,16 @@ func TestBreakerBackoffCap(t *testing.T) {
 	b := testBreaker()
 	now := time.Unix(2000, 0)
 	for i := 0; i < 3; i++ {
-		b.recordFailure(now)
+		b.recordFailure(now, errExchange)
 	}
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Hour)
 		if admit, probe := b.allow(now); !admit || !probe {
 			t.Fatalf("probe %d not admitted after an hour", i)
 		}
-		b.recordFailure(now)
+		b.recordFailure(now, errExchange)
 	}
-	if _, _, _, reopenIn := b.snapshot(now); reopenIn != 800*time.Millisecond {
+	if _, _, _, reopenIn := read(b, now); reopenIn != 800*time.Millisecond {
 		t.Fatalf("reopenIn = %v, want capped at 800ms", reopenIn)
 	}
 }
@@ -105,12 +114,12 @@ func TestBreakerBackoffCap(t *testing.T) {
 // reproducible from the seed and stay within ±jitter of the nominal wait.
 func TestBreakerJitterDeterministicAndBounded(t *testing.T) {
 	run := func(seed int64) []time.Duration {
-		b := newBreaker(1, 100*time.Millisecond, time.Minute, 0.3, seed)
+		b := newBreaker(policy{DownAfter: 1, Backoff: 100 * time.Millisecond, MaxBackoff: time.Minute, Jitter: 0.3}, seed)
 		now := time.Unix(3000, 0)
 		var waits []time.Duration
 		for i := 0; i < 8; i++ {
-			b.recordFailure(now)
-			_, _, _, reopenIn := b.snapshot(now)
+			b.recordFailure(now, errExchange)
+			_, _, _, reopenIn := read(b, now)
 			waits = append(waits, reopenIn)
 			now = now.Add(2 * time.Minute)
 			b.allow(now) // take the probe slot
@@ -148,7 +157,7 @@ func TestBreakerReleaseProbe(t *testing.T) {
 	b := testBreaker()
 	now := time.Unix(4000, 0)
 	for i := 0; i < 3; i++ {
-		b.recordFailure(now)
+		b.recordFailure(now, errExchange)
 	}
 	now = now.Add(time.Second)
 	if admit, probe := b.allow(now); !admit || !probe {
@@ -161,7 +170,7 @@ func TestBreakerReleaseProbe(t *testing.T) {
 	// releaseProbe on a non-half-open circuit is a no-op.
 	b.recordSuccess()
 	b.releaseProbe()
-	if st, _, _, _ := b.snapshot(now); st != BreakerClosed {
+	if st, _, _, _ := read(b, now); st != BreakerClosed {
 		t.Fatalf("releaseProbe disturbed a closed circuit: %v", st)
 	}
 }
@@ -172,11 +181,11 @@ func TestBreakerLateFailureWhileOpen(t *testing.T) {
 	b := testBreaker()
 	now := time.Unix(5000, 0)
 	for i := 0; i < 3; i++ {
-		b.recordFailure(now)
+		b.recordFailure(now, errExchange)
 	}
-	_, _, opens, reopenBefore := b.snapshot(now)
-	b.recordFailure(now) // straggler
-	_, _, opensAfter, reopenAfter := b.snapshot(now)
+	_, _, opens, reopenBefore := read(b, now)
+	b.recordFailure(now, errExchange) // straggler
+	_, _, opensAfter, reopenAfter := read(b, now)
 	if opensAfter != opens || reopenAfter != reopenBefore {
 		t.Fatalf("straggler failure re-opened the circuit: opens %d→%d reopen %v→%v",
 			opens, opensAfter, reopenBefore, reopenAfter)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -55,7 +56,9 @@ func PipelineRuntime(e *ensemble.Ensembler) func() (*Runtime, error) {
 	}
 }
 
-// Config describes a sharded fleet from the client's point of view.
+// Config describes a sharded fleet from the client's point of view. One
+// shard hosting every body (Plan(N, 1)) is the monolith, so this is also the
+// concurrent, hot-swappable client of a single server.
 type Config struct {
 	// Addrs are the K shard server addresses, in shard order.
 	Addrs []string
@@ -69,52 +72,62 @@ type Config struct {
 	NewRuntime func() (*Runtime, error)
 	// PoolSize bounds the connection pool per shard (default 4).
 	PoolSize int
-	// Model and Version are the optional routing header each shard request
-	// carries; zero values mean the shard's default model at its current
-	// version.
-	Model   string
-	Version int
-	// Retries is how many additional attempts a failed shard exchange gets
-	// before the shard is declared failed for the request (default 1: one
-	// immediate retry on any error, no backoff; < 0 disables retries). It is
-	// the fleet's only retry: comm.Pool makes exactly one attempt. The pool
-	// discards broken connections, so a retry dials fresh.
-	Retries int
-	// DownAfter is the circuit-breaker threshold: this many consecutive
-	// failures open a shard's circuit (default 3). An open circuit
-	// short-circuits requests to the shard — no dial, no retry storm — and
-	// recovery runs through the half-open single-probe admission below.
-	DownAfter int
-	// ProbeTimeout bounds the single half-open probe a recovering shard
-	// gets (default 1s). A cleanly dead process refuses connections
-	// immediately, but a black-holed host (partition, dropped SYNs) would
-	// otherwise stall the probing gather for the kernel connect timeout.
-	ProbeTimeout time.Duration
-	// BreakerBackoff is the first reopen wait after a circuit opens
-	// (default 500ms); each failed half-open probe doubles it up to
-	// BreakerMaxBackoff (default 15s), with ±BreakerJitter fractional
-	// jitter (default 0.2; negative disables) so a fleet of clients does
-	// not re-probe a recovering shard in lockstep.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
-	BreakerJitter     float64
-	// BreakerSeed seeds the jitter rng (shard k uses BreakerSeed+k), so
-	// tests replay exact reopen schedules. 0 means seed 1.
-	BreakerSeed int64
 	// Tracer, when set, makes every Infer a root trace leg: head compute,
 	// per-shard scatter round trips (retries marked), and
 	// select+tail each become spans, and the minted trace ID rides every
 	// shard exchange on the wire so the shard servers' own legs stitch
 	// under the same trace (see internal/trace).
 	Tracer *trace.Tracer
+
+	// policy replaces defaultPolicy when set. Only the package's tests set
+	// it (export_test.go), to run a fast or exact breaker schedule.
+	policy *policy
 }
 
-// Health is one shard's observed state. Down is the compatibility view of
-// the circuit: true whenever the breaker is not closed.
+// policy is the client's failure policy: how often a shard exchange is
+// retried, when a shard's circuit opens, and how it recovers.
+type policy struct {
+	// Retries is how many additional attempts a failed shard exchange gets
+	// before the shard is declared failed for the request: immediate, no
+	// backoff, on any error but a budget refusal. It is the fleet's only
+	// retry (comm.Pool makes exactly one attempt); the pool discards broken
+	// connections, so a retry dials fresh.
+	Retries int
+	// DownAfter consecutive failures open a shard's circuit. An open
+	// circuit short-circuits requests to the shard — no dial, no retry
+	// storm — and recovery runs through half-open single-probe admission.
+	DownAfter int
+	// ProbeTimeout bounds the single half-open probe a recovering shard
+	// gets. A cleanly dead process refuses connections immediately, but a
+	// black-holed host (partition, dropped SYNs) would otherwise stall the
+	// probing gather for the kernel connect timeout.
+	ProbeTimeout time.Duration
+	// Backoff is the first reopen wait after a circuit opens; each failed
+	// half-open probe doubles it up to MaxBackoff, with ±Jitter fractional
+	// jitter (0 disables it) so a fleet of clients does not re-probe a
+	// recovering shard in lockstep.
+	Backoff    time.Duration
+	MaxBackoff time.Duration
+	Jitter     float64
+	// Seed seeds the jitter rng: shard k uses Seed+k.
+	Seed int64
+}
+
+// defaultPolicy is the policy every program runs.
+var defaultPolicy = policy{
+	Retries:      1,
+	DownAfter:    3,
+	ProbeTimeout: time.Second,
+	Backoff:      500 * time.Millisecond,
+	MaxBackoff:   15 * time.Second,
+	Jitter:       0.2,
+	Seed:         1,
+}
+
+// Health is one shard's observed state.
 type Health struct {
 	Addr                string
 	Bodies              Range
-	Down                bool
 	Breaker             BreakerState
 	Requests            uint64
 	Failures            uint64
@@ -124,48 +137,6 @@ type Health struct {
 	ReopenIn            time.Duration
 	ConsecutiveFailures int
 	LastErr             string
-}
-
-// shardHealth tracks one shard's wire counters under a mutex plus its
-// circuit breaker (the counters are touched once per request per shard;
-// contention is negligible next to a network round trip). Requests and
-// failures count actual wire attempts; short-circuited requests count only
-// in shortCircuits — an open circuit generating zero traffic must not look
-// like a shard failing traffic.
-type shardHealth struct {
-	mu            sync.Mutex
-	requests      uint64
-	failures      uint64
-	shortCircuits uint64
-	lastErr       string
-	br            *breaker
-}
-
-// succeed records one successful exchange: it closes the circuit and clears
-// the failure streak.
-func (h *shardHealth) succeed() {
-	h.mu.Lock()
-	h.requests++
-	h.lastErr = ""
-	h.mu.Unlock()
-	h.br.recordSuccess()
-}
-
-func (h *shardHealth) fail(err error) {
-	h.mu.Lock()
-	h.requests++
-	h.failures++
-	if err != nil {
-		h.lastErr = err.Error()
-	}
-	h.mu.Unlock()
-	h.br.recordFailure(time.Now())
-}
-
-func (h *shardHealth) shortCircuit() {
-	h.mu.Lock()
-	h.shortCircuits++
-	h.mu.Unlock()
 }
 
 // taggedRuntime ties a runtime to the configuration epoch that built it, so
@@ -206,9 +177,10 @@ type gathered struct {
 // shards, reassembly of the N feature vectors in body order, and the secret
 // selection applied locally. Safe for concurrent use.
 type Client struct {
-	cfg    Config
-	pools  []*comm.Pool
-	health []*shardHealth
+	cfg      Config
+	policy   policy
+	pools    []*comm.Pool
+	breakers []*breaker
 	// fps are the per-shard exchange fault sites (shard/exchange/<k>),
 	// consulted once per attempt leg — one atomic load each when disarmed.
 	fps []*faultpoint.Site
@@ -250,38 +222,13 @@ func NewClient(cfg Config) (*Client, error) {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 4
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 1
+	c := &Client{cfg: cfg, policy: defaultPolicy, newRuntime: cfg.NewRuntime}
+	if cfg.policy != nil {
+		c.policy = *cfg.policy
 	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = time.Second
-	}
-	if cfg.BreakerBackoff <= 0 {
-		cfg.BreakerBackoff = 500 * time.Millisecond
-	}
-	if cfg.BreakerMaxBackoff <= 0 {
-		cfg.BreakerMaxBackoff = 15 * time.Second
-	}
-	if cfg.BreakerJitter == 0 {
-		cfg.BreakerJitter = 0.2
-	}
-	if cfg.BreakerSeed == 0 {
-		cfg.BreakerSeed = 1
-	}
-	c := &Client{cfg: cfg, newRuntime: cfg.NewRuntime}
 	c.acts.New = func() any { return new(trace.Active) }
 	for k, addr := range cfg.Addrs {
-		pool, err := comm.NewPool(addr, cfg.PoolSize, func(cc *comm.Client) error {
-			cc.Model = cfg.Model
-			cc.Version = cfg.Version
-			return nil
-		}, comm.WithDialFault(fmt.Sprintf("shard/dial/%d", k)))
+		pool, err := comm.NewPool(addr, cfg.PoolSize, comm.WithDialFault(fmt.Sprintf("shard/dial/%d", k)))
 		if err != nil {
 			for _, p := range c.pools {
 				p.Close()
@@ -289,9 +236,7 @@ func NewClient(cfg Config) (*Client, error) {
 			return nil, err
 		}
 		c.pools = append(c.pools, pool)
-		c.health = append(c.health, &shardHealth{br: newBreaker(
-			cfg.DownAfter, cfg.BreakerBackoff, cfg.BreakerMaxBackoff,
-			cfg.BreakerJitter, cfg.BreakerSeed+int64(k))})
+		c.breakers = append(c.breakers, newBreaker(c.policy, c.policy.Seed+int64(k)))
 		c.fps = append(c.fps, faultpoint.New(fmt.Sprintf("shard/exchange/%d", k)))
 	}
 	return c, nil
@@ -303,24 +248,10 @@ func (c *Client) Shards() int { return len(c.pools) }
 // Health snapshots every shard's observed state, in shard order.
 func (c *Client) Health() []Health {
 	now := time.Now()
-	out := make([]Health, len(c.health))
-	for k, h := range c.health {
-		state, consecFails, opens, reopenIn := h.br.snapshot(now)
-		h.mu.Lock()
-		out[k] = Health{
-			Addr:                c.cfg.Addrs[k],
-			Bodies:              c.cfg.Ranges[k],
-			Down:                state != BreakerClosed,
-			Breaker:             state,
-			Requests:            h.requests,
-			Failures:            h.failures,
-			ShortCircuits:       h.shortCircuits,
-			BreakerOpens:        opens,
-			ReopenIn:            reopenIn,
-			ConsecutiveFailures: consecFails,
-			LastErr:             h.lastErr,
-		}
-		h.mu.Unlock()
+	out := make([]Health, len(c.breakers))
+	for k, b := range c.breakers {
+		out[k] = b.snapshot(now)
+		out[k].Addr, out[k].Bodies = c.cfg.Addrs[k], c.cfg.Ranges[k]
 	}
 	return out
 }
@@ -547,53 +478,48 @@ func (tg *taggedRuntime) finish(features []*tensor.Tensor) (logits *tensor.Tenso
 	return tg.rt.Tail.ForwardInfer(tg.rt.Select(features), &tg.tail).Clone(), nil
 }
 
-// exchange runs the feature round trip against one shard with the
-// configured retry policy, decoding the answer into res and updating the
-// shard's circuit breaker; it reports the attempts beyond the first, which
-// Infer marks in the trace after the join (the legs must not touch the shared
+// exchange runs the feature round trip against one shard with the client's
+// retry policy, decoding the answer into res and updating the shard's
+// circuit breaker; it reports the attempts beyond the first, which Infer
+// marks in the trace after the join (the legs must not touch the shared
 // trace.Active). An open circuit short-circuits without touching the wire; a
 // half-open one admits this request as the single recovery probe. Every
 // attempt passes the shard's exchange fault site first, and the trace context
 // (if any) rides it, stitching the shard server's leg into the caller's trace.
 func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context, res *comm.Exchanged) (comm.Timing, int, error) {
-	h := c.health[k]
+	b := c.breakers[k]
 	var total comm.Timing
-	retries := 0
-	admit, probe := h.br.allow(time.Now())
+	admit, probe := b.allow(time.Now())
 	if !admit {
 		// Short-circuit: no dial, no retries, a constant-cost refusal. The
 		// decision depends only on the shard's observed health — never on
 		// the selection — so the traffic pattern stays selection-
 		// independent, and Infer's graceful degradation decides whether the
 		// missing features matter.
-		h.shortCircuit()
-		return total, retries, fmt.Errorf("shard: shard %d (%s): %w", k, c.cfg.Addrs[k], ErrBreakerOpen)
+		return total, 0, fmt.Errorf("shard: shard %d (%s): %w", k, c.cfg.Addrs[k], ErrBreakerOpen)
 	}
-	attempts := 1 + c.cfg.Retries
+	attempts := 1 + c.policy.Retries
 	if probe {
 		// The half-open probe is a single bounded attempt: its verdict alone
 		// decides whether the circuit closes or reopens with doubled backoff.
 		attempts = 1
 	}
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			lastErr = err
+	var err error
+	a := 0
+	for ; a < attempts; a++ {
+		if err = ctx.Err(); err != nil {
 			break
-		}
-		if a > 0 {
-			retries++
 		}
 		attemptCtx := ctx
 		if probe {
 			// Bound the probe: a black-holed host must not stall the
 			// gather for the kernel connect timeout.
 			var cancel context.CancelFunc
-			attemptCtx, cancel = context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+			attemptCtx, cancel = context.WithTimeout(ctx, c.policy.ProbeTimeout)
 			defer cancel()
 		}
 		var t comm.Timing
-		err := c.fps[k].Inject()
+		err = c.fps[k].Inject()
 		if err == nil {
 			t, err = c.pools[k].ExchangeTraced(attemptCtx, feats, tc, res)
 		}
@@ -608,21 +534,24 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 		if err == nil && len(res.Features) != c.cfg.Ranges[k].Len() {
 			err = fmt.Errorf("shard: shard %d returned %d features for %d hosted bodies", k, len(res.Features), c.cfg.Ranges[k].Len())
 		}
-		if err == nil {
-			h.succeed()
-			return total, retries, nil
+		// A budget refusal is an answer, not a failure: the shard is up and
+		// its stream in sync, and the account it refused does not refill, so
+		// asking again only burns another refusal.
+		if err == nil || errors.Is(err, comm.ErrBudgetExhausted) {
+			b.recordSuccess()
+			return total, a, err
 		}
-		lastErr = err
 	}
+	retries := max(a-1, 0)
 	// A caller-side cancellation or deadline says nothing about the
 	// shard's health — charging it would open circuits on healthy shards
 	// under an impatient client. An admitted half-open probe must still
 	// hand its slot back, or the circuit wedges half-open with every
 	// future request short-circuited.
 	if ctx.Err() == nil {
-		h.fail(lastErr)
+		b.recordFailure(time.Now(), err)
 	} else if probe {
-		h.br.releaseProbe()
+		b.releaseProbe()
 	}
-	return total, retries, lastErr
+	return total, retries, err
 }

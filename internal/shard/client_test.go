@@ -73,7 +73,7 @@ func TestShardedInferMatchesMonolith(t *testing.T) {
 		t.Errorf("timing byte counters not aggregated: %+v", timing)
 	}
 	for _, h := range c.Health() {
-		if h.Requests != 1 || h.Failures != 0 || h.Down {
+		if h.Requests != 1 || h.Failures != 0 || h.Breaker != shard.BreakerClosed {
 			t.Errorf("healthy shard snapshot wrong: %+v", h)
 		}
 	}
@@ -172,11 +172,11 @@ func TestShardDeathUnderConcurrentTraffic(t *testing.T) {
 		t.Errorf("%d requests returned wrong logits", n)
 	}
 	h := c.Health()
-	if h[unsel].Failures == 0 || !h[unsel].Down {
+	if h[unsel].Failures == 0 || h[unsel].Breaker == shard.BreakerClosed {
 		t.Errorf("killed shard health should show failures and down: %+v", h[unsel])
 	}
 	for k, hs := range h {
-		if k != unsel && (hs.Failures != 0 || hs.Down) {
+		if k != unsel && (hs.Failures != 0 || hs.Breaker != shard.BreakerClosed) {
 			t.Errorf("live shard %d health shows failures: %+v", k, hs)
 		}
 	}

@@ -20,13 +20,10 @@ import (
 func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 	defer faultpoint.DisableAll()
 	f := commtest.StartShards(t, 3, 4, 2, 63)
-	cfg := f.ClientConfig()
-	cfg.Retries = -1
-	cfg.DownAfter = 2
-	cfg.BreakerBackoff = 50 * time.Millisecond
-	cfg.BreakerMaxBackoff = 50 * time.Millisecond
-	cfg.BreakerJitter = -1 // exact schedule
-	c, err := shard.NewClient(cfg)
+	p := shard.DefaultPolicy
+	p.Retries, p.DownAfter, p.Jitter = 0, 2, 0 // no retries, no jitter: an exact schedule
+	p.Backoff, p.MaxBackoff = 50*time.Millisecond, 50*time.Millisecond
+	c, err := shard.NewClient(shard.WithPolicy(f.ClientConfig(), p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +46,7 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 	}
 	h := c.Health()[unsel]
 	if h.Breaker != shard.BreakerOpen || h.BreakerOpens != 1 {
-		t.Fatalf("after %d failures: %+v, want an open circuit", cfg.DownAfter, h)
+		t.Fatalf("after %d failures: %+v, want an open circuit", p.DownAfter, h)
 	}
 
 	// Open circuit: requests short-circuit — no wire attempts accumulate —
@@ -101,11 +98,10 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 func TestBreakerOpenOnSelectedShardFailsFast(t *testing.T) {
 	defer faultpoint.DisableAll()
 	f := commtest.StartShards(t, 3, 4, 2, 63)
-	cfg := f.ClientConfig()
-	cfg.Retries = -1
-	cfg.DownAfter = 1
-	cfg.BreakerBackoff = time.Hour // stays open for the whole test
-	c, err := shard.NewClient(cfg)
+	p := shard.DefaultPolicy
+	p.Retries, p.DownAfter = 0, 1
+	p.Backoff = time.Hour // stays open for the whole test
+	c, err := shard.NewClient(shard.WithPolicy(f.ClientConfig(), p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 
 // RegisterMetrics exports the fleet's per-shard health into a telemetry
 // registry: one labelled series per shard for liveness, breaker state,
-// requests, failures, and short circuits. Everything is computed at scrape time from the same counters
-// Health() snapshots, so the request path pays nothing — a scrape takes each
-// shard's health mutex briefly, which is contended once per request at most.
+// requests, failures, and short circuits. Everything is computed at scrape
+// time from the breaker snapshot Health() reads, so the request path pays
+// nothing — a scrape takes each shard's breaker mutex briefly.
 //
 // The labels deliberately name the shard index and its body range but never
 // anything selection-dependent: the metrics endpoint is part of the server-
@@ -20,54 +20,37 @@ import (
 // too (a scraper learning "shard 2 is down yet requests succeed" learns only
 // what a wire observer already could).
 func (c *Client) RegisterMetrics(reg *telemetry.Registry) {
-	for k := range c.pools {
-		h := c.health[k]
+	for k, b := range c.breakers {
 		labels := telemetry.Labels{
 			"shard":  strconv.Itoa(k + 1),
 			"bodies": c.cfg.Ranges[k].String(),
 		}
+		series := func(f func(Health) float64) func() float64 {
+			return func() float64 { return f(b.snapshot(time.Now())) }
+		}
 		reg.GaugeFunc("ensembler_shard_up",
 			"1 while the shard's circuit is closed, 0 once it opens.",
-			labels, func() float64 {
-				state, _, _, _ := h.br.snapshot(time.Now())
-				if state != BreakerClosed {
+			labels, series(func(h Health) float64 {
+				if h.Breaker != BreakerClosed {
 					return 0
 				}
 				return 1
-			})
+			}))
 		reg.GaugeFunc("ensembler_shard_breaker_state",
 			"Circuit breaker state: 0 closed, 1 open, 2 half-open.",
-			labels, func() float64 {
-				state, _, _, _ := h.br.snapshot(time.Now())
-				return float64(state)
-			})
+			labels, series(func(h Health) float64 { return float64(h.Breaker) }))
 		reg.CounterFunc("ensembler_shard_breaker_opens_total",
 			"Times the shard's circuit opened (threshold trip or failed probe).",
-			labels, func() float64 {
-				_, _, opens, _ := h.br.snapshot(time.Now())
-				return float64(opens)
-			})
+			labels, series(func(h Health) float64 { return float64(h.BreakerOpens) }))
 		reg.CounterFunc("ensembler_shard_short_circuits_total",
 			"Requests answered by an open circuit without touching the wire.",
-			labels, func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				return float64(h.shortCircuits)
-			})
+			labels, series(func(h Health) float64 { return float64(h.ShortCircuits) }))
 		reg.CounterFunc("ensembler_shard_requests_total",
 			"Feature exchanges attempted against the shard.",
-			labels, func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				return float64(h.requests)
-			})
+			labels, series(func(h Health) float64 { return float64(h.Requests) }))
 		reg.CounterFunc("ensembler_shard_failures_total",
 			"Feature exchanges that exhausted their attempts.",
-			labels, func() float64 {
-				h.mu.Lock()
-				defer h.mu.Unlock()
-				return float64(h.failures)
-			})
+			labels, series(func(h Health) float64 { return float64(h.Failures) }))
 	}
 }
 

@@ -79,10 +79,9 @@ func TestFleetMetricsExportAndRotateFanOut(t *testing.T) {
 func TestFleetMetricsReportDownShard(t *testing.T) {
 	// P=1 guarantees one of the two shards hosts no selected body.
 	f := commtest.StartShards(t, 2, 4, 1, 53)
-	cfg := f.ClientConfig()
-	cfg.DownAfter = 1
-	cfg.Retries = 0
-	client, err := shard.NewClient(cfg)
+	p := shard.DefaultPolicy
+	p.Retries, p.DownAfter = 0, 1
+	client, err := shard.NewClient(shard.WithPolicy(f.ClientConfig(), p))
 	if err != nil {
 		t.Fatal(err)
 	}
