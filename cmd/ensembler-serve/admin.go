@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/privacy"
 	"ensembler/internal/registry"
 	"ensembler/internal/shard"
@@ -227,11 +226,6 @@ func (a *adminPlane) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if !allClosed {
 			resp["status"] = "degraded"
 		}
-	}
-	// Armed fault-injection sites are surfaced loudly: a scraper must be
-	// able to tell a chaos run from an organic incident.
-	if armed := faultpoint.Active(); len(armed) > 0 {
-		resp["faultpoints"] = armed
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -63,7 +63,6 @@ import (
 
 	"ensembler/internal/comm"
 	"ensembler/internal/ensemble"
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/privacy"
 	"ensembler/internal/registry"
 	"ensembler/internal/shard"
@@ -102,7 +101,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	auditThreshold := fs.Float64("audit-threshold", 0.35, "reconstruction SSIM above which /leakage reports the live version's recorded score as a breach")
 	privacyBudget := fs.Int64("privacy-budget-rows", 0, "rows each client identity may be served; as a client drains its budget responses are noised, then noised harder, and finally refused (0 disables the ledger)")
 	privacyPolicy := fs.String("privacy-policy", "enforce", `privacy-budget policy: "enforce" (noise, then refusal as budgets drain) or "observe" (account and report only)`)
-	allowFaultpoints := fs.Bool("allow-faultpoints", false, "permit fault injection via "+faultpoint.EnvVar+" (chaos testing only — never set in production)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -129,22 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *privacyPolicy != "enforce" && *privacyPolicy != "observe" {
 		return fmt.Errorf(`-privacy-policy must be "enforce" or "observe", got %q`, *privacyPolicy)
-	}
-
-	// Fault injection never arms silently: a process started with
-	// ENSEMBLER_FAULTPOINTS in its environment refuses to serve unless the
-	// operator also passed -allow-faultpoints — an env var inherited from a
-	// chaos harness must not ride into a production restart.
-	if spec := os.Getenv(faultpoint.EnvVar); spec != "" {
-		if !*allowFaultpoints {
-			return fmt.Errorf("%s is set (%q) but -allow-faultpoints was not passed: refusing to serve with fault injection armed", faultpoint.EnvVar, spec)
-		}
-		enabled, deferred, err := faultpoint.EnableFromEnv()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "faultpoints: FAULT INJECTION ACTIVE — armed %v, deferred %v (disarm by unsetting %s)\n",
-			enabled, deferred, faultpoint.EnvVar)
 	}
 
 	reg, err := openRegistry(*modelPath, *modelDir, *modelName)

@@ -102,12 +102,6 @@ func (s *Server) chargeJob(j *job) bool {
 	if g == nil {
 		return true
 	}
-	// Fault site: an injected charge failure refuses the request before any
-	// compute, like a ledger that cannot render a verdict — fail closed.
-	if err := fpBudget.Inject(); err != nil {
-		j.resp = Response{Err: err.Error()}
-		return false
-	}
 	if j.account == nil {
 		return true
 	}

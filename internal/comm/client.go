@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -17,9 +16,8 @@ import (
 type DialOption func(*dialOptions)
 
 type dialOptions struct {
-	wire      WireFormat
-	clientID  string
-	faultSite *faultpoint.Site // nil: only the global comm/dial site applies
+	wire     WireFormat
+	clientID string
 }
 
 // WithWire selects the payload width the client puts on the wire: WireBinary
@@ -110,14 +108,6 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	var o dialOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if err := fpDial.Inject(); err != nil {
-		return nil, fmt.Errorf("comm: dialing %s: %w", addr, err)
-	}
-	if o.faultSite != nil {
-		if err := o.faultSite.Inject(); err != nil {
-			return nil, fmt.Errorf("comm: dialing %s: %w", addr, err)
-		}
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

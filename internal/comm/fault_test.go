@@ -1,84 +1,143 @@
-package comm
+package comm_test
 
 import (
 	"context"
-	"errors"
+	"net"
+	"strings"
 	"testing"
+	"time"
 
+	"ensembler/internal/comm"
+	"ensembler/internal/commtest"
 	"ensembler/internal/faultpoint"
+	"ensembler/internal/trace"
 )
 
+// startSeamServer serves n seeded bodies behind a fault seam and stops the
+// server (waiting for Serve to return) when the test ends.
+func startSeamServer(t *testing.T, n int) *faultpoint.Listener {
+	t.Helper()
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := faultpoint.Wrap(tcp, 1, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- comm.NewServer(commtest.Bodies(tiny, n), comm.WithWorkers(2)).Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-served; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return ln
+}
+
+// exchangeExact runs one pooled exchange and reports its error; an answer it
+// admits must be every body's output, bit for bit.
+func exchangeExact(t *testing.T, pool *comm.Pool, n int) error {
+	t.Helper()
+	x := commtest.Input(tiny, 600, 1)
+	var ex comm.Exchanged
+	if _, err := pool.ExchangeTraced(context.Background(), x, trace.Context{}, &ex); err != nil {
+		return err
+	}
+	if len(ex.Features) != n {
+		t.Fatalf("exchange returned %d features, want %d", len(ex.Features), n)
+	}
+	for i, b := range commtest.Bodies(tiny, n) {
+		if err := comm.BitsDiffer(ex.Features[i], b.Forward(x, false)); err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+	}
+	return nil
+}
+
 // testMidFrameFaultReconnects drives a pooled client through a server whose
-// response write is torn mid-frame by the given fault kind, and pins the
-// recovery contract: the faulted exchange fails (a torn frame is a transport
-// error), the pool discards the desynced connection,
-// and the next exchange succeeds bit-exactly over a fresh dial — never by
-// reusing the poisoned stream.
+// conn fails once by the given fault kind, and pins the recovery contract:
+// the faulted exchange fails (a torn frame or a lost request is a transport
+// error), the pool discards the desynced connection, and the next exchange
+// succeeds bit-exactly over a fresh dial — never by reusing the poisoned
+// stream. The exchange before the fault, over the disarmed seam, is
+// bit-exact too.
 func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
-	defer faultpoint.DisableAll()
-	addr := startServer(t, codecBodies(2))
-	pool, err := NewPool(addr, 1)
+	commtest.LeakCheck(t)
+	const n = 2
+	ln := startSeamServer(t, n)
+	pool, err := comm.NewPool(ln.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
-	x := wireTensor(600, 1, 4, 8, 8)
-	want, _, err := pooledExchange(context.Background(), pool, x)
-	if err != nil {
+	if err := exchangeExact(t, pool, n); err != nil {
 		t.Fatalf("baseline exchange: %v", err)
 	}
-	if len(want.Features) != 2 {
-		t.Fatalf("baseline returned %d features, want 2", len(want.Features))
+	ln.Arm(faultpoint.Policy{Kind: kind, Count: 1})
+	if err := exchangeExact(t, pool, n); err == nil {
+		t.Fatalf("%v fault did not surface as an exchange error", kind)
 	}
-
-	faultpoint.Enable("comm/frame-write", faultpoint.Policy{Kind: kind, Count: 1, Frac: 0.5})
-	if _, _, err := pooledExchange(context.Background(), pool, x); err == nil {
-		t.Fatal("mid-frame write fault did not surface as an exchange error")
-	}
-
-	// The pool must have discarded the broken connection; this exchange
-	// rides a fresh dial and must be bit-exact with the baseline.
-	got, _, err := pooledExchange(context.Background(), pool, x)
-	if err != nil {
+	if err := exchangeExact(t, pool, n); err != nil {
 		t.Fatalf("exchange after reconnect: %v", err)
 	}
-	for i := range want.Features {
-		if !got.Features[i].AllClose(want.Features[i], 0) {
-			t.Fatalf("feature %d differs after reconnect — desynced stream reuse", i)
-		}
+	if got := ln.Triggers(kind); got != 1 {
+		t.Fatalf("%v fired %d times, want 1", kind, got)
 	}
 }
 
 func TestPoolReconnectsAfterMidFramePartialWriteBinary(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.PartialWrite)
+	testMidFrameFaultReconnects(t, faultpoint.TornWrite)
 }
 
 func TestPoolReconnectsAfterMidFrameConnResetBinary(t *testing.T) {
-	testMidFrameFaultReconnects(t, faultpoint.ConnReset)
+	testMidFrameFaultReconnects(t, faultpoint.Reset)
 }
 
-// TestDialFaultSurfaces: the client-side dial site fails the connection
-// before any socket traffic, with the address in the error.
-func TestDialFaultSurfaces(t *testing.T) {
-	defer faultpoint.DisableAll()
-	addr := startServer(t, codecBodies(2))
-	faultpoint.Enable("comm/dial", faultpoint.Policy{Kind: faultpoint.Error, Count: 1})
-	if _, err := Dial(addr); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("dial fault surfaced as %v, want injected", err)
-	}
-	c, err := Dial(addr)
+func TestPoolReconnectsAfterReadError(t *testing.T) {
+	testMidFrameFaultReconnects(t, faultpoint.ReadError)
+}
+
+// TestPoolStallDelaysButAnswers: a stalled response write delays the
+// exchange and its answer is still bit-exact.
+func TestPoolStallDelaysButAnswers(t *testing.T) {
+	commtest.LeakCheck(t)
+	const n = 2
+	ln := startSeamServer(t, n)
+	pool, err := comm.NewPool(ln.Addr().String(), 1)
 	if err != nil {
-		t.Fatalf("dial after fault exhausted: %v", err)
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if err := exchangeExact(t, pool, n); err != nil {
+		t.Fatal(err)
+	}
+	ln.Arm(faultpoint.Policy{Kind: faultpoint.Stall, Delay: 30 * time.Millisecond, Count: 1})
+	start := time.Now()
+	if err := exchangeExact(t, pool, n); err != nil {
+		t.Fatalf("stalled exchange: %v", err)
+	}
+	if took := time.Since(start); took < 20*time.Millisecond {
+		t.Fatalf("stalled exchange took %v, want the 30ms stall", took)
+	}
+}
+
+// TestDialFaultSurfaces: a conn dropped at accept fails the dial in the
+// hello, and the next dial succeeds.
+func TestDialFaultSurfaces(t *testing.T) {
+	commtest.LeakCheck(t)
+	ln := startSeamServer(t, 2)
+	addr := ln.Addr().String()
+	ln.Arm(faultpoint.Policy{Kind: faultpoint.Drop, Count: 1})
+	if c, err := comm.Dial(addr); err == nil {
+		c.Close()
+		t.Fatal("dial through a dropped accept succeeded")
+	} else if !strings.Contains(err.Error(), "hello") {
+		t.Fatalf("dial through a dropped accept failed with %q, want a failed hello", err)
+	}
+	c, err := comm.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial after the drop: %v", err)
 	}
 	c.Close()
-}
-
-// BenchmarkServeRequestLoopFaultpointsDisabled is BenchmarkServeRequestLoop
-// with the faultpoint layer explicitly disarmed: CI gates this at 0
-// allocs/op to pin that compiled-in fault sites cost the serving loop
-// nothing — one atomic load per site, no allocations, no branches taken.
-func BenchmarkServeRequestLoopFaultpointsDisabled(b *testing.B) {
-	faultpoint.DisableAll()
-	benchServeRequestLoop(b, 2, nil)
 }

@@ -2,11 +2,10 @@ package comm
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
-	"ensembler/internal/faultpoint"
+	"ensembler/internal/privacy"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
 )
@@ -73,34 +72,26 @@ func TestCrossFormDifferential(t *testing.T) {
 	}
 }
 
-// TestBudgetChargeFaultSite pins the one rule for the comm/budget-charge
-// site: a guarded server consults it once per job, and a job it refuses is
-// answered with the fault's error, charged nothing and observed never, while
-// the requests around it stay bit-exact. An unguarded server has no
-// verdict to fail, so it never consults the site at all.
-func TestBudgetChargeFaultSite(t *testing.T) {
-	defer faultpoint.DisableAll()
+// TestBudgetRefusalChargesNothing pins the one rule for a budget refusal:
+// the guard charges once per job, and a job it refuses is answered with
+// CodeBudgetExhausted, charged nothing and observed never, while the
+// requests around it stay bit-exact. The middle one of three requests
+// overdraws a 16-row budget; its neighbours leave more than half of it, so
+// they are served clean.
+func TestBudgetRefusalChargesNothing(t *testing.T) {
 	const nBodies = 2
-	const site = "comm/budget-charge"
-	ledgerDown := errors.New("ledger unreachable")
-	g := benchGuard(t)
-	acct := g.AccountFor("fault")
+	ledger, err := privacy.NewLedger(privacy.LedgerConfig{BudgetRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := privacy.NewGuard(ledger, privacy.PolicyConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := g.AccountFor("drained")
 	obs := &recordingObserver{}
 	srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithBudget(g), WithObserver(obs))
 	cache := srv.newBodyCache()
-	serve := func(jobs ...*job) {
-		for _, j := range jobs {
-			j.account = acct
-			srv.serve(j, cache)
-			<-j.reply
-		}
-	}
-	refused := func(what string, j *job) {
-		t.Helper()
-		if j.resp.Err != ledgerDown.Error() || j.pay.answered() {
-			t.Errorf("%s: resp %+v served=%v, want refused with the fault's error", what, j.resp, j.pay.answered())
-		}
-	}
 	exact := func(what string, j *job) {
 		t.Helper()
 		p := payloadOf[float64](j)
@@ -113,48 +104,27 @@ func TestBudgetChargeFaultSite(t *testing.T) {
 			}
 		}
 	}
-	rowsCharged := func() uint64 { return g.Ledger().Stats().Rows }
 
-	// A plain request, refused.
-	faultpoint.Enable(site, faultpoint.Policy{Err: ledgerDown, Count: 1})
-	plain := jobFor(Request{Features: wireTensor(700, 2, 4, 8, 8)})
-	serve(plain)
-	refused("plain request", plain)
-	if got := rowsCharged(); got != 0 {
-		t.Errorf("refused plain request charged %d rows", got)
-	}
-	if len(obs.calls) != 0 {
-		t.Errorf("refused plain request observed %d times", len(obs.calls))
-	}
-
-	// The middle one of three requests, refused; its neighbours served.
-	faultpoint.Enable(site, faultpoint.Policy{Err: ledgerDown, After: 1, Count: 1})
 	reqs := []*job{
 		jobFor(Request{Features: wireTensor(701, 1, 4, 8, 8)}),
-		jobFor(Request{Features: wireTensor(702, 2, 4, 8, 8)}),
+		jobFor(Request{Features: wireTensor(702, 16, 4, 8, 8)}),
 		jobFor(Request{Features: wireTensor(703, 3, 4, 8, 8)}),
 	}
-	serve(reqs...)
-	refused("request 1", reqs[1])
+	for _, j := range reqs {
+		j.account = acct
+		srv.serve(j, cache)
+		<-j.reply
+	}
+	if r := reqs[1]; r.resp.Code != CodeBudgetExhausted || r.resp.Err != budgetExhaustedMsg || r.pay.answered() {
+		t.Errorf("overdrawing request: resp %+v served=%v, want refused with CodeBudgetExhausted", r.resp, r.pay.answered())
+	}
 	exact("request 0", reqs[0])
 	exact("request 2", reqs[2])
-	if got := rowsCharged(); got != 1+3 {
+	if got := ledger.Stats().Rows; got != 1+3 {
 		t.Errorf("three requests charged %d rows, want the 4 of the served two", got)
 	}
 	if len(obs.calls) != 2 || obs.rows != 1+3 {
 		t.Errorf("observer saw %d tensors of %d rows, want the 2 served requests' 4", len(obs.calls), obs.rows)
-	}
-
-	// An unguarded server ignores the armed site.
-	faultpoint.Enable(site, faultpoint.Policy{Err: ledgerDown})
-	bare := NewServer(codecBodies(nBodies))
-	j := jobFor(Request{Features: wireTensor(704, 1, 4, 8, 8)})
-	jobServer(bare, bare.newBodyCache())(j)
-	exact("unguarded request", j)
-	for _, st := range faultpoint.SiteStats() {
-		if st.Name == site && st.Hits != 0 {
-			t.Errorf("unguarded server consulted %s %d times", site, st.Hits)
-		}
 	}
 }
 

@@ -250,12 +250,6 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			acceptErr = err
 			break
 		}
-		// Fault site: an injected accept error drops the fresh connection
-		// (the peer sees an immediate close) without poisoning the listener.
-		if err := fpAccept.Inject(); err != nil {
-			conn.Close()
-			continue
-		}
 		s.track(conn)
 		handlers.Add(1)
 		go func() {
@@ -338,9 +332,6 @@ type binServerCodec struct {
 // readRequest decodes the next request into j (arena-backed), recording the
 // job's wire trace context and, with timing on, its decode timing.
 func (c *binServerCodec) readRequest(j *job) error {
-	if err := fpFrameRead.Inject(); err != nil {
-		return err
-	}
 	body, err := c.readBody()
 	if err != nil {
 		return err
@@ -374,11 +365,6 @@ func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 	if err != nil {
 		return err
 	}
-	if out, ok := fpFrameWrite.Fire(); ok {
-		if handled, err := injectFrameWrite(c.w, buf, out); handled {
-			return err
-		}
-	}
 	return writeFrame(c.w, buf)
 }
 
@@ -390,9 +376,6 @@ func (c *binServerCodec) writeResponse(j *job, resp *Response) error {
 // is refused before a byte past the hello is read: no magic, no answer; the
 // magic with another version, a version-0 ack the peer can report.
 func (s *Server) negotiate(conn net.Conn, br *bufio.Reader) (*binServerCodec, string, error) {
-	if err := fpHello.Inject(); err != nil {
-		return nil, "", err
-	}
 	var hello [8]byte
 	if _, err := io.ReadFull(br, hello[:4]); err != nil {
 		return nil, "", err

@@ -1,12 +1,14 @@
 package commtest
 
 // The chaos runner: deterministic fault-schedule orchestration for e2e
-// robustness tests. A seeded scheduler flips faultpoint sites on and off
-// while traffic workers hammer the system under test; the runner counts
-// outcomes and then verifies recovery once every fault is disarmed. The
-// whole run is reproducible from ChaosConfig.Seed — the schedule (which
-// site, which policy, when) is a pure function of the seed, so a chaos
-// failure in CI replays locally with the same flips in the same order.
+// robustness tests. A seeded scheduler arms and disarms faults on the
+// faultpoint.Listener seams in front of the servers under test while traffic
+// workers hammer the system; the runner counts outcomes and then verifies
+// recovery once every fault is disarmed. The schedule (which fault, which
+// policy, when) is a pure function of ChaosConfig.Seed and every listener's
+// trigger stream of its own seed, so a chaos failure in CI replays locally
+// with the same arms in the same order. The interleaving of traffic with the
+// schedule is the host's: replaying it bit for bit needs a virtual clock.
 //
 // The invariant chaos enforces is NOT "no errors" — faults are supposed to
 // fail requests — but "no lies": every ADMITTED response must be bit-exact
@@ -32,21 +34,24 @@ import (
 // separately from honest errors.
 var ErrChaosMismatch = errors.New("commtest: admitted response mismatched reference")
 
-// ChaosSite is one faultpoint the scheduler may arm, with the candidate
-// policies it chooses among (uniformly, from the schedule rng).
-type ChaosSite struct {
-	Name     string
-	Policies []faultpoint.Policy
+// ChaosFault is one fault the scheduler may arm: the listeners an arm event
+// arms it on (one listener for a fault local to that server, every listener
+// for a wire-wide one) and the candidate policies it chooses among
+// (uniformly, from the schedule rng).
+type ChaosFault struct {
+	Name      string
+	Listeners []*faultpoint.Listener
+	Policies  []faultpoint.Policy
 }
 
 // ChaosConfig parameterises one chaos run.
 type ChaosConfig struct {
-	Seed     int64         // drives the schedule AND the faultpoint master seed
+	Seed     int64         // drives the schedule
 	Workers  int           // concurrent traffic workers (default 4)
-	Flips    int           // schedule length: arm/rotate events (default 32)
+	Flips    int           // schedule length: arm events (default 32)
 	FlipGap  time.Duration // pause between schedule events (default 2ms)
-	MaxArmed int           // sites armed simultaneously (default 2; oldest rotates out)
-	Sites    []ChaosSite
+	MaxArmed int           // faults armed simultaneously (default 2; oldest disarms)
+	Faults   []ChaosFault
 }
 
 // ChaosReport is what a run observed.
@@ -55,14 +60,14 @@ type ChaosReport struct {
 	Errors     uint64            // honest failures (fault surfaced as an error)
 	Mismatches uint64            // admitted-but-wrong responses; any non-zero value is a bug
 	Flips      int               // schedule events executed
-	Armed      map[string]int    // times each site was armed
-	Triggers   map[string]uint64 // per-site faults actually fired during the run
+	Armed      map[string]int    // times each fault was armed
+	Triggers   map[string]uint64 // faults fired, keyed "name/kind"; unfired ones absent
 	Recovered  bool              // clean service converged after disarm
 	RecoverIn  time.Duration     // how long convergence took
 }
 
-// TotalTriggers sums every site's fired faults — a storm that triggered
-// nothing proved nothing.
+// TotalTriggers sums every fired fault — a storm that triggered nothing
+// proved nothing.
 func (r ChaosReport) TotalTriggers() uint64 {
 	var n uint64
 	for _, t := range r.Triggers {
@@ -86,8 +91,15 @@ func (c *ChaosConfig) defaults() {
 	}
 }
 
+// armed is one schedule event's fault, armed on each of its listeners.
+type armed struct {
+	key    string
+	lns    []*faultpoint.Listener
+	faults []*faultpoint.Fault
+}
+
 // RunChaos drives traffic from cfg.Workers goroutines while the seeded
-// scheduler walks cfg.Flips arm/rotate events over cfg.Sites, then disarms
+// scheduler walks cfg.Flips arm events over cfg.Faults, then disarms
 // everything and verifies recovery: the traffic closure must produce
 // recoveryStreak consecutive clean calls within recoveryDeadline. The
 // traffic closure is called concurrently and must be goroutine-safe; it
@@ -95,8 +107,6 @@ func (c *ChaosConfig) defaults() {
 // wrong answer, and any other error for an honest failure.
 func RunChaos(cfg ChaosConfig, traffic func(worker int) error) ChaosReport {
 	cfg.defaults()
-	faultpoint.SetSeed(cfg.Seed)
-	defer faultpoint.DisableAll()
 
 	var requests, errCount, mismatches atomic.Uint64
 	stop := make(chan struct{})
@@ -123,32 +133,32 @@ func RunChaos(cfg ChaosConfig, traffic func(worker int) error) ChaosReport {
 		}(w)
 	}
 
-	// The storm: arm a site per event; past MaxArmed the oldest disarms.
-	// Trigger accounting: arming a site resets its counters, so each site's
-	// count is credited at every re-arm boundary (just before the reset) and
-	// once more after the storm — every arm period is counted exactly once.
+	// The storm: arm a fault per event; past MaxArmed the oldest disarms and
+	// its triggers are credited.
 	report := ChaosReport{Armed: make(map[string]int), Triggers: make(map[string]uint64)}
-	faultpoint.ResetStats()
-	credit := func(name string) {
-		for _, st := range faultpoint.SiteStats() {
-			if st.Name == name {
-				report.Triggers[name] += st.Triggers
+	disarm := func(a armed) {
+		for i, l := range a.lns {
+			l.Disarm(a.faults[i])
+			if n := a.faults[i].Triggers(); n > 0 {
+				report.Triggers[a.key] += n
 			}
 		}
 	}
 	r := rng.New(cfg.Seed)
-	var armed []string
+	var live []armed
 	for i := 0; i < cfg.Flips; i++ {
-		site := cfg.Sites[r.Intn(len(cfg.Sites))]
-		policy := site.Policies[r.Intn(len(site.Policies))]
-		credit(site.Name)
-		faultpoint.Enable(site.Name, policy)
-		report.Armed[site.Name]++
+		f := cfg.Faults[r.Intn(len(cfg.Faults))]
+		policy := f.Policies[r.Intn(len(f.Policies))]
+		a := armed{key: f.Name + "/" + policy.Kind.String(), lns: f.Listeners}
+		for _, l := range f.Listeners {
+			a.faults = append(a.faults, l.Arm(policy))
+		}
+		report.Armed[f.Name]++
 		report.Flips++
-		armed = append(armed, site.Name)
-		if len(armed) > cfg.MaxArmed {
-			faultpoint.Disable(armed[0])
-			armed = armed[1:]
+		live = append(live, a)
+		if len(live) > cfg.MaxArmed {
+			disarm(live[0])
+			live = live[1:]
 		}
 		time.Sleep(cfg.FlipGap)
 	}
@@ -157,17 +167,11 @@ func RunChaos(cfg ChaosConfig, traffic func(worker int) error) ChaosReport {
 	report.Requests = requests.Load()
 	report.Errors = errCount.Load()
 	report.Mismatches = mismatches.Load()
-	for _, site := range cfg.Sites {
-		credit(site.Name)
-	}
-	for name, n := range report.Triggers {
-		if n == 0 {
-			delete(report.Triggers, name)
-		}
-	}
 
 	// Recovery: with every fault disarmed, clean service must converge.
-	faultpoint.DisableAll()
+	for _, a := range live {
+		disarm(a)
+	}
 	const recoveryStreak = 5
 	const recoveryDeadline = 10 * time.Second
 	start := time.Now()

@@ -1,63 +1,58 @@
 package commtest_test
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ensembler/internal/commtest"
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/registry"
 	"ensembler/internal/rng"
 	"ensembler/internal/tensor"
 )
 
-// chaosSeed fixes the whole storm: every publish's fault draws derive from
-// it. (The fleet storm lives with the shard client's tests, which can set its
-// breaker schedule.)
+// chaosSeed fixes the whole storm: which publishes crash, and where. (The
+// fleet storm lives with the shard client's tests, which can set its breaker
+// schedule.)
 const chaosSeed = 20250807
 
 // TestChaosRegistryTornPublishes storms the registry's durability path: a
-// seeded loop of publishes races probabilistic crash faults at the manifest
-// fsync and the final rename. The integrity contract: a fresh Open always
-// succeeds, the latest loadable version is exactly the last publish that
-// reported success (bit-for-bit), every torn publish lands in quarantine,
-// and the quarantine area stays bounded.
+// seeded loop of publishes in which three in ten die mid-way, leaving what a
+// process death leaves — a temp dir with the model file cut short, or with
+// the whole model and its manifest but no rename. The integrity contract: a
+// fresh Open always succeeds, the latest loadable version is exactly the
+// last publish that completed (bit-for-bit), every torn publish lands in
+// quarantine, and the quarantine area stays bounded.
 func TestChaosRegistryTornPublishes(t *testing.T) {
 	commtest.LeakCheck(t)
-	defer faultpoint.DisableAll()
 
 	dir := t.TempDir()
 	s, err := registry.Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultpoint.SetSeed(chaosSeed)
-	faultpoint.Enable("registry/publish-rename", faultpoint.Policy{Kind: faultpoint.Error, Prob: 0.3})
-	faultpoint.Enable("registry/manifest-fsync", faultpoint.Policy{Kind: faultpoint.Error, Prob: 0.3})
-
 	arch := commtest.TinyArch()
 	x := tensor.New(2, arch.InC, arch.H, arch.W)
 	rng.New(chaosSeed+1).FillNormal(x.Data, 0, 1)
 
+	r := rng.New(chaosSeed)
 	var lastGoodSeed int64
 	torn, published := 0, 0
 	for i := 0; i < 20; i++ {
 		seed := int64(100 + i)
-		_, err := s.Publish("m", commtest.Pipeline(arch, 3, 2, seed))
-		switch {
-		case err == nil:
-			published++
-			lastGoodSeed = seed
-		case errors.Is(err, faultpoint.ErrInjected):
+		e := commtest.Pipeline(arch, 3, 2, seed)
+		if r.Float64() < 0.3 {
+			commtest.PlantTornPublish(t, dir, "m", e, r.Float64() < 0.5)
 			torn++
-		default:
-			t.Fatalf("publish %d failed outside the injected fault: %v", i, err)
+			continue
 		}
+		if _, err := s.Publish("m", e); err != nil {
+			t.Fatalf("publish %d with %d torn publishes on disk: %v", i, torn, err)
+		}
+		published++
+		lastGoodSeed = seed
 	}
-	faultpoint.DisableAll()
 	if torn == 0 || published == 0 {
 		t.Fatalf("degenerate storm: %d torn, %d published — the seed must exercise both paths", torn, published)
 	}

@@ -9,13 +9,17 @@
 package commtest
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ensembler/internal/comm"
 	"ensembler/internal/ensemble"
+	"ensembler/internal/faultpoint"
 	"ensembler/internal/nn"
 	"ensembler/internal/registry"
 	"ensembler/internal/rng"
@@ -50,6 +54,40 @@ func Pipeline(arch split.Arch, n, p int, seed int64) *ensemble.Ensembler {
 	return ensemble.New(ensemble.Config{
 		Arch: arch, N: n, P: p, Sigma: 0.05, Lambda: 0.5, Seed: seed, Stage1Noise: true,
 	})
+}
+
+// PlantTornPublish leaves in a store directory what a publish of e as model
+// name leaves when its process dies before the final rename: a ".publish-*"
+// temp dir holding the model file cut short, or (late) the whole model file
+// and a manifest. Nothing in it is a visible version; the store's next Open
+// must quarantine it.
+func PlantTornPublish(t testing.TB, dir, name string, e *ensemble.Ensembler, late bool) {
+	t.Helper()
+	modelDir := filepath.Join(dir, name)
+	if err := os.MkdirAll(modelDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := os.MkdirTemp(modelDir, ".publish-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := e.Save(&model); err != nil {
+		t.Fatal(err)
+	}
+	b := model.Bytes()
+	if !late {
+		b = b[:len(b)/2]
+	}
+	if err := os.WriteFile(filepath.Join(tmp, "model.gob"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if late {
+		manifest := fmt.Sprintf(`{"format": 1, "model": %q}`, name)
+		if err := os.WriteFile(filepath.Join(tmp, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // Tail deterministically builds the concat-all linear tail matching n
@@ -94,10 +132,12 @@ type Fleet struct {
 	Registry *registry.Registry
 	Addrs    []string
 	Ranges   []shard.Range
+	// Listeners are the shards' fault seams, in shard order: a fault armed
+	// on one fails only that shard's conns.
+	Listeners []*faultpoint.Listener
 
 	cancels []context.CancelFunc
 	serves  []chan error
-	lns     []net.Listener
 }
 
 // StartShards launches a K-shard fleet over a deterministic untrained
@@ -129,24 +169,26 @@ func StartShards(t testing.TB, k, n, p int, seed int64, opts ...comm.ServerOptio
 }
 
 // StartShardServers starts one comm.Server per shard of the plan, each over
-// a subset provider on the registry, each on its own :0 listener. The
-// caller owns teardown via StopShard; StartShards wraps this with t.Cleanup
-// for tests.
+// a subset provider on the registry, each on its own :0 listener behind a
+// fault seam seeded from the pipeline's seed and the shard index (nothing is
+// armed on it until a test arms it). The caller owns teardown via StopShard;
+// StartShards wraps this with t.Cleanup for tests.
 func StartShardServers(reg *registry.Registry, e *ensemble.Ensembler, k int, opts ...comm.ServerOption) (*Fleet, error) {
 	ranges, err := shard.Plan(e.Cfg.N, k)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{Pipeline: e, Registry: reg, Ranges: ranges}
-	for _, r := range ranges {
+	for i, r := range ranges {
 		provider, err := comm.NewSubsetProvider(reg, r.Lo, r.Hi)
 		if err != nil {
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
+		ln := faultpoint.Wrap(tcp, e.Cfg.Seed, i)
 		srv := comm.NewModelServer(provider, append([]comm.ServerOption{comm.WithWorkers(2)}, opts...)...)
 		ctx, cancel := context.WithCancel(context.Background())
 		served := make(chan error, 1)
@@ -154,7 +196,7 @@ func StartShardServers(reg *registry.Registry, e *ensemble.Ensembler, k int, opt
 		f.Addrs = append(f.Addrs, ln.Addr().String())
 		f.cancels = append(f.cancels, cancel)
 		f.serves = append(f.serves, served)
-		f.lns = append(f.lns, ln)
+		f.Listeners = append(f.Listeners, ln)
 	}
 	return f, nil
 }
@@ -168,7 +210,7 @@ func (f *Fleet) StopShard(i int) error {
 	f.cancels[i]()
 	f.cancels[i] = nil
 	err := <-f.serves[i]
-	f.lns[i].Close()
+	f.Listeners[i].Close()
 	return err
 }
 

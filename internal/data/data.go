@@ -204,9 +204,9 @@ func clamp01(img *tensor.Tensor) {
 func palette(k, classes int) (float64, float64, float64) {
 	t := float64(k) / float64(classes)
 	// Three phase-shifted cosines give well-separated, saturated colors.
-	r := 0.5 + 0.45*math.Cos(2*math.Pi*t)
-	g := 0.5 + 0.45*math.Cos(2*math.Pi*t+2.1)
-	b := 0.5 + 0.45*math.Cos(2*math.Pi*t+4.2)
+	r := 0.5 + float64(0.45*math.Cos(2*math.Pi*t))
+	g := 0.5 + float64(0.45*math.Cos(float64(2*math.Pi*t)+2.1))
+	b := 0.5 + float64(0.45*math.Cos(float64(2*math.Pi*t)+4.2))
 	return r, g, b
 }
 
@@ -216,9 +216,9 @@ func setPx(img *tensor.Tensor, y, x int, cr, cg, cb, a float64) {
 	if y < 0 || y >= h || x < 0 || x >= w {
 		return
 	}
-	img.Data[0*h*w+y*w+x] = (1-a)*img.Data[0*h*w+y*w+x] + a*cr
-	img.Data[1*h*w+y*w+x] = (1-a)*img.Data[1*h*w+y*w+x] + a*cg
-	img.Data[2*h*w+y*w+x] = (1-a)*img.Data[2*h*w+y*w+x] + a*cb
+	img.Data[0*h*w+y*w+x] = float64((1-a)*img.Data[0*h*w+y*w+x]) + float64(a*cr)
+	img.Data[1*h*w+y*w+x] = float64((1-a)*img.Data[1*h*w+y*w+x]) + float64(a*cg)
+	img.Data[2*h*w+y*w+x] = float64((1-a)*img.Data[2*h*w+y*w+x]) + float64(a*cb)
 }
 
 // drawObject renders a CIFAR-style sample. The class determines *what* is in
@@ -245,8 +245,8 @@ func drawObject(img *tensor.Tensor, label, classes int, fineTexture bool, r *rng
 	diag := math.Hypot(float64(h-1), float64(w-1))
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			proj := (gx*float64(x) + gy*float64(y)) / diag
-			shade := base + span*(0.5+proj/2)
+			proj := (float64(gx*float64(x)) + float64(gy*float64(y))) / diag
+			shade := base + float64(span*(0.5+float64(proj/2)))
 			setPx(img, y, x, cr*shade, cg*shade, cb*shade, 1)
 		}
 	}
@@ -255,7 +255,7 @@ func drawObject(img *tensor.Tensor, label, classes int, fineTexture bool, r *rng
 	// contrast are per-sample.
 	freq := 2 * math.Pi / float64(w) * (2 + float64(label%3))
 	if fineTexture {
-		freq = 2 * math.Pi / float64(w) * (2 + 0.5*float64(label%7))
+		freq = 2 * math.Pi / float64(w) * (2 + float64(0.5*float64(label%7)))
 	}
 	angle := r.Uniform(0, math.Pi)
 	phase := r.Uniform(0, 2*math.Pi)
@@ -263,16 +263,16 @@ func drawObject(img *tensor.Tensor, label, classes int, fineTexture bool, r *rng
 	dirY, dirX := math.Sin(angle), math.Cos(angle)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			s := 0.5 + 0.5*math.Sin(freq*(dirX*float64(x)+dirY*float64(y))+phase)
+			s := 0.5 + float64(0.5*math.Sin(float64(freq*(float64(dirX*float64(x))+float64(dirY*float64(y))))+phase))
 			setPx(img, y, x, 1, 1, 1, contrast*s)
 		}
 	}
 
 	// Foreground shape (class mod 4 selects the family) anywhere in frame,
 	// wide scale range, jittered contrasting color.
-	cx := r.Uniform(0.2, 0.8) * float64(w)
-	cy := r.Uniform(0.2, 0.8) * float64(h)
-	rad := float64(min(h, w)) * r.Uniform(0.12, 0.34)
+	cx := float64(r.Uniform(0.2, 0.8) * float64(w))
+	cy := float64(r.Uniform(0.2, 0.8) * float64(h))
+	rad := float64(float64(min(h, w)) * r.Uniform(0.12, 0.34))
 	sr, sg, sb := palette((label+classes/2)%classes, classes)
 	sr, sg, sb = jit(sr), jit(sg), jit(sb)
 	switch label % 4 {
@@ -281,7 +281,7 @@ func drawObject(img *tensor.Tensor, label, classes int, fineTexture bool, r *rng
 	case 1: // square
 		fillRect(img, cx-rad, cy-rad, cx+rad, cy+rad, sr, sg, sb)
 	case 2: // cross
-		t := rad * 0.45
+		t := float64(rad * 0.45)
 		fillRect(img, cx-rad, cy-t, cx+rad, cy+t, sr, sg, sb)
 		fillRect(img, cx-t, cy-rad, cx+t, cy+rad, sr, sg, sb)
 	case 3: // ring
@@ -303,32 +303,32 @@ func drawFace(img *tensor.Tensor, id, ids int, r *rng.RNG) {
 	}
 
 	t := float64(id) / float64(ids)
-	skinR := 0.75 + 0.2*math.Cos(2*math.Pi*t)
-	skinG := 0.55 + 0.15*math.Cos(2*math.Pi*t+1.3)
-	skinB := 0.45 + 0.1*math.Cos(2*math.Pi*t+2.6)
+	skinR := 0.75 + float64(0.2*math.Cos(2*math.Pi*t))
+	skinG := 0.55 + float64(0.15*math.Cos(float64(2*math.Pi*t)+1.3))
+	skinB := 0.45 + float64(0.1*math.Cos(float64(2*math.Pi*t)+2.6))
 
-	cx := float64(w)/2 + r.Uniform(-1.5, 1.5)
-	cy := float64(h)/2 + r.Uniform(-1.5, 1.5)
+	cx := float64(float64(w)/2) + r.Uniform(-1.5, 1.5)
+	cy := float64(float64(h)/2) + r.Uniform(-1.5, 1.5)
 	// Identity-specific aspect ratio.
-	rx := float64(w) * (0.28 + 0.08*math.Sin(2*math.Pi*t))
-	ry := float64(h) * (0.34 + 0.06*math.Cos(2*math.Pi*t))
+	rx := float64(w) * (0.28 + float64(0.08*math.Sin(2*math.Pi*t)))
+	ry := float64(h) * (0.34 + float64(0.06*math.Cos(2*math.Pi*t)))
 	fillEllipse(img, cx, cy, rx, ry, skinR, skinG, skinB)
 
 	// Eyes: spacing and height encode identity.
-	eyeDX := rx * (0.4 + 0.15*math.Sin(4*math.Pi*t))
-	eyeY := cy - ry*0.25
+	eyeDX := float64(rx * (0.4 + float64(0.15*math.Sin(4*math.Pi*t))))
+	eyeY := cy - float64(ry*0.25)
 	eyeR := math.Max(0.8, float64(min(h, w))*0.05)
 	fillDisc(img, cx-eyeDX, eyeY, eyeR, 0.05, 0.05, 0.1)
 	fillDisc(img, cx+eyeDX, eyeY, eyeR, 0.05, 0.05, 0.1)
 
 	// Mouth: width and vertical position encode identity.
-	mouthW := rx * (0.5 + 0.3*math.Cos(6*math.Pi*t))
-	mouthY := cy + ry*0.45
-	fillRect(img, cx-mouthW/2, mouthY-0.7, cx+mouthW/2, mouthY+0.7, 0.55, 0.1, 0.15)
+	mouthW := rx * (0.5 + float64(0.3*math.Cos(6*math.Pi*t)))
+	mouthY := cy + float64(ry*0.45)
+	fillRect(img, cx-float64(mouthW/2), mouthY-0.7, cx+float64(mouthW/2), mouthY+0.7, 0.55, 0.1, 0.15)
 
 	// Hairline: identity-colored band across the top of the face.
 	hr, hg, hb := palette(id, ids)
-	fillEllipseBand(img, cx, cy-ry*0.75, rx*0.95, ry*0.45, hr*0.5, hg*0.5, hb*0.5)
+	fillEllipseBand(img, cx, cy-float64(ry*0.75), rx*0.95, ry*0.45, hr*0.5, hg*0.5, hb*0.5)
 }
 
 // fillDisc paints a filled circle with soft edges.
@@ -355,7 +355,7 @@ func fillEllipse(img *tensor.Tensor, cx, cy, rx, ry, cr, cg, cb float64) {
 		for x := 0; x < w; x++ {
 			dx := (float64(x) - cx) / rx
 			dy := (float64(y) - cy) / ry
-			d := dx*dx + dy*dy
+			d := float64(dx*dx) + float64(dy*dy)
 			if d <= 1 {
 				setPx(img, y, x, cr, cg, cb, 1)
 			}
@@ -373,7 +373,7 @@ func fillEllipseBand(img *tensor.Tensor, cx, cy, rx, ry, cr, cg, cb float64) {
 		for x := 0; x < w; x++ {
 			dx := (float64(x) - cx) / rx
 			dy := (float64(y) - cy) / ry
-			if dx*dx+dy*dy <= 1 {
+			if float64(dx*dx)+float64(dy*dy) <= 1 {
 				setPx(img, y, x, cr, cg, cb, 1)
 			}
 		}

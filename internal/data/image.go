@@ -29,7 +29,7 @@ func EncodePPM(w io.Writer, img *tensor.Tensor) error {
 				} else if v > 1 {
 					v = 1
 				}
-				buf = append(buf, byte(v*255+0.5))
+				buf = append(buf, byte(float64(v*255)+0.5))
 			}
 		}
 	}

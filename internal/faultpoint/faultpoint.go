@@ -1,28 +1,23 @@
-// Package faultpoint is a deterministic fault-injection registry: named
-// sites compiled into production code paths at trust boundaries (accept,
-// negotiation, frame I/O, budget charge, registry publish,
-// shard exchange), armed only by tests, the chaos harness, or an operator
-// who explicitly opted in (ensembler-serve refuses ENSEMBLER_FAULTPOINTS
-// without -allow-faultpoints).
+// Package faultpoint is the test-side fault seam: Wrap puts a seeded
+// net.Listener in front of a server under test, and while a fault is armed on
+// it the connections it accepts fail the way a network does. A conn can be
+// dropped at accept (the client's dial fails in the hello), fail a read (the
+// request is lost and the server drops the conn), tear a write (a prefix
+// goes out, then the conn closes), reset mid-frame (a prefix, then an RST),
+// or stall a read or a write. Every wire fault the robustness suites fire is
+// one of these, so no production package holds fault code: the server under
+// test runs its shipped path over a conn that misbehaves.
 //
-// The design constraint is the serving hot path: a disabled site must cost
-// one atomic load and a predicted branch — 0 allocations, ~1ns — so sites
-// can live inside loops that are CI-pinned at 0 allocs/op
-// (BenchmarkServeRequestLoopFaultpointsDisabled gates exactly this). The
-// fast path therefore checks a single package-global atomic.Bool that is
-// true iff ANY site is armed; per-site state is consulted only behind it.
-//
-// Determinism: every armed site draws its trigger decisions from its own
-// rng stream, seeded as masterSeed ^ fnv64(siteName). Re-arming a site
-// resets its stream and counters, so a fixed (seed, policy, hit sequence)
-// always yields the same fault sequence — the property the chaos harness
-// needs to replay a failure from its logged seed.
+// Determinism: each listener draws its triggers from its own rng, seeded
+// from the run seed and the listener's index, so a fixed (seed, policies,
+// hit order) always yields the same trigger sequence.
 package faultpoint
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,344 +25,191 @@ import (
 	"ensembler/internal/rng"
 )
 
-// Kind is the failure a triggered site injects.
+// Kind is the failure a triggered fault injects.
 type Kind uint8
 
 const (
-	// Error makes the site return an injected error.
-	Error Kind = iota
-	// Panic makes the site panic (exercises recover paths).
-	Panic
-	// Delay makes the site sleep before proceeding normally.
-	Delay
-	// PartialWrite instructs a write-capable site to emit only a fraction
-	// of the payload before failing — a torn frame. Sites that cannot cut a
-	// write treat it as Error.
-	PartialWrite
-	// ConnReset instructs a connection-owning site to cut the payload and
-	// abruptly close the underlying connection mid-frame. Sites without a
-	// connection treat it as Error.
-	ConnReset
+	// Drop closes a freshly accepted conn before the hello.
+	Drop Kind = iota
+	// ReadError fails a read that delivered bytes, losing them.
+	ReadError
+	// TornWrite writes a prefix of a write, then closes the conn.
+	TornWrite
+	// Reset writes a prefix of a write, then resets the conn.
+	Reset
+	// Stall sleeps before a read returns or a write proceeds.
+	Stall
+	numKinds
 )
 
+var kindNames = [numKinds]string{"drop", "read-error", "torn-write", "reset", "stall"}
+
 func (k Kind) String() string {
-	switch k {
-	case Error:
-		return "error"
-	case Panic:
-		return "panic"
-	case Delay:
-		return "delay"
-	case PartialWrite:
-		return "partial-write"
-	case ConnReset:
-		return "conn-reset"
+	if k < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// ErrInjected is the default error an Error/PartialWrite/ConnReset trigger
-// returns; call sites and tests match it with errors.Is.
+// ErrInjected is what a failed read or a torn write returns.
 var ErrInjected = errors.New("faultpoint: injected fault")
 
-// Policy says when a site triggers and what it does. The zero value is a
-// always-trigger Error policy.
+// DefaultStall is a Stall's sleep when its policy names none.
+const DefaultStall = 10 * time.Millisecond
+
+// Policy says when an armed fault triggers and what it does. The zero value
+// drops every accepted conn.
 type Policy struct {
 	Kind Kind
-	// Err overrides the injected error (default ErrInjected, wrapped with
-	// the site name).
-	Err error
-	// Delay is the sleep for Kind Delay.
-	Delay time.Duration
-	// Frac is the fraction of the payload a PartialWrite/ConnReset site
-	// emits before cutting, clamped to [0,1); 0 means half.
-	Frac float64
-	// Prob is the per-hit trigger probability; 0 or ≥1 means always.
+	// Prob is the per-hit trigger probability; 0 or ≥ 1 means always.
 	Prob float64
 	// After skips the first After hits before triggering starts.
 	After int
 	// Count caps the number of triggers; 0 means unlimited.
 	Count int
-}
-
-// Outcome is one triggered fault, resolved against the policy defaults.
-type Outcome struct {
-	Kind  Kind
-	Err   error
+	// Delay is a Stall's sleep (DefaultStall when 0).
 	Delay time.Duration
-	Frac  float64
 }
 
-// Stats is one site's hit/trigger accounting since it was last armed.
-type Stats struct {
-	Name     string
-	Armed    bool
-	Hits     uint64
-	Triggers uint64
+// Fault is one policy armed on one listener.
+type Fault struct {
+	p          Policy
+	hits, done int // under the listener's mu
+	triggers   atomic.Uint64
 }
 
-// Site is one named injection point. Obtain via New at package init (or
-// lazily for dynamic names like per-shard sites); arm via Enable.
-type Site struct {
-	name  string
-	state atomic.Pointer[siteState]
-	// hits/triggers survive disarming so Stats stays readable after a
-	// chaos window closes; re-arming resets them.
-	hits     atomic.Uint64
-	triggers atomic.Uint64
+// Triggers reports how many times the fault fired.
+func (f *Fault) Triggers() uint64 { return f.triggers.Load() }
+
+// Listener wraps a net.Listener; see the package comment.
+type Listener struct {
+	net.Listener
+	armed    atomic.Bool // any fault armed: the one load a disarmed conn pays
+	mu       sync.Mutex
+	r        *rng.RNG
+	faults   []*Fault
+	triggers [numKinds]atomic.Uint64
 }
 
-type siteState struct {
-	mu   sync.Mutex
-	p    Policy
-	r    *rng.RNG
-	hits int
-	done int // triggers consumed against p.Count
+// Wrap returns ln behind the seam, its trigger stream seeded from the run
+// seed and the listener's index.
+func Wrap(ln net.Listener, seed int64, index int) *Listener {
+	return &Listener{Listener: ln, r: rng.New(seed ^ int64(uint64(index+1)*0x9E3779B97F4A7C15))}
 }
 
-var (
-	regMu   sync.Mutex
-	sites   = map[string]*Site{}
-	pending = map[string]Policy{} // Enable before New (dynamic sites)
-	armed   int                   // number of armed sites
-	seed    int64                 = 1
+// Arm arms p on l until Disarm; faults of one kind are consulted in the
+// order they were armed, and a hit triggers at most one of them.
+func (l *Listener) Arm(p Policy) *Fault {
+	f := &Fault{p: p}
+	l.mu.Lock()
+	l.faults = append(l.faults, f)
+	l.armed.Store(true)
+	l.mu.Unlock()
+	return f
+}
 
-	// active is the global fast-path gate: true iff armed > 0. Every
-	// disabled Fire/Inject is exactly one load of this plus a branch.
-	active atomic.Bool
-)
+// Disarm disarms f; its trigger count stays readable.
+func (l *Listener) Disarm(f *Fault) {
+	l.mu.Lock()
+	l.faults = slices.DeleteFunc(l.faults, func(g *Fault) bool { return g == f })
+	l.armed.Store(len(l.faults) > 0)
+	l.mu.Unlock()
+}
 
-// fnv64 hashes a site name for seed derivation (FNV-1a).
-func fnv64(s string) int64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// Triggers reports how many faults of kind k fired on l.
+func (l *Listener) Triggers(k Kind) uint64 { return l.triggers[k].Load() }
+
+// fire counts one hit of kind k and reports the policy that triggered on
+// it, if any.
+func (l *Listener) fire(k Kind) (Policy, bool) {
+	if !l.armed.Load() {
+		return Policy{}, false
 	}
-	return int64(h)
-}
-
-// New registers (or returns the existing) site with the given name. Safe at
-// package init and from concurrent constructors; a policy Enabled before
-// registration arms the new site immediately.
-func New(name string) *Site {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if s, ok := sites[name]; ok {
-		return s
-	}
-	s := &Site{name: name}
-	sites[name] = s
-	if p, ok := pending[name]; ok {
-		// The pending entry already counted toward armed when Enabled;
-		// transfer it to the live site without recounting.
-		delete(pending, name)
-		s.state.Store(&siteState{p: p, r: rng.New(seed ^ fnv64(name))})
-	}
-	return s
-}
-
-// Name reports the site's registered name.
-func (s *Site) Name() string { return s.name }
-
-// armLocked arms s with p; caller holds regMu.
-func armLocked(s *Site, p Policy) {
-	if s.state.Load() == nil {
-		armed++
-	}
-	s.hits.Store(0)
-	s.triggers.Store(0)
-	s.state.Store(&siteState{p: p, r: rng.New(seed ^ fnv64(s.name))})
-	active.Store(armed > 0)
-}
-
-// Enable arms the named site with p, resetting its counters and rng stream.
-// An unknown name is stashed and applied when the site registers — dynamic
-// sites (per-shard) may not exist yet when a chaos schedule is built.
-func Enable(name string, p Policy) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if s, ok := sites[name]; ok {
-		armLocked(s, p)
-		return
-	}
-	pending[name] = p
-	armed++ // pending policies count as armed: the site fires on creation
-	active.Store(true)
-}
-
-// Disable disarms the named site (or drops its pending policy). Counters
-// remain readable via SiteStats.
-func Disable(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if s, ok := sites[name]; ok {
-		if s.state.Swap(nil) != nil {
-			armed--
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, f := range l.faults {
+		if f.p.Kind != k {
+			continue
 		}
-	} else if _, ok := pending[name]; ok {
-		delete(pending, name)
-		armed--
-	}
-	active.Store(armed > 0)
-}
-
-// DisableAll disarms every site and clears pending policies — the test/
-// chaos teardown that restores the zero-overhead state.
-func DisableAll() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, s := range sites {
-		s.state.Store(nil)
-	}
-	pending = map[string]Policy{}
-	armed = 0
-	active.Store(false)
-}
-
-// SetSeed sets the master seed future Enable calls derive per-site streams
-// from. It does not reseed already-armed sites.
-func SetSeed(s int64) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	seed = s
-}
-
-// Active lists armed site names (pending ones included), sorted.
-func Active() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	var out []string
-	for name, s := range sites {
-		if s.state.Load() != nil {
-			out = append(out, name)
+		f.hits++
+		if f.hits <= f.p.After || (f.p.Count > 0 && f.done >= f.p.Count) ||
+			(f.p.Prob > 0 && f.p.Prob < 1 && l.r.Float64() >= f.p.Prob) {
+			continue
 		}
+		f.done++
+		f.triggers.Add(1)
+		l.triggers[k].Add(1)
+		return f.p, true
 	}
-	for name := range pending {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return Policy{}, false
 }
 
-// Names lists every registered site, sorted — the operator's menu.
-func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(sites))
-	for name := range sites {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SiteStats snapshots hit/trigger counters for every registered site,
-// sorted by name.
-func SiteStats() []Stats {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]Stats, 0, len(sites))
-	for name, s := range sites {
-		out = append(out, Stats{
-			Name:     name,
-			Armed:    s.state.Load() != nil,
-			Hits:     s.hits.Load(),
-			Triggers: s.triggers.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ResetStats zeroes every site's hit/trigger counters (arming a site
-// already resets its own). Harnesses that account triggers per run call it
-// so the ledger starts from a clean slate.
-func ResetStats() {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for _, s := range sites {
-		s.hits.Store(0)
-		s.triggers.Store(0)
+// stall counts a Stall hit and sleeps through it if it triggers.
+func (l *Listener) stall() {
+	if p, ok := l.fire(Stall); ok {
+		if p.Delay <= 0 {
+			p.Delay = DefaultStall
+		}
+		time.Sleep(p.Delay)
 	}
 }
 
-// Fire is the general site check: reports whether the site triggers on this
-// hit and, if so, the resolved fault. The disabled cost is one atomic load
-// and a branch — no allocation (the zero Outcome never escapes).
-func (s *Site) Fire() (Outcome, bool) {
-	if !active.Load() {
-		return Outcome{}, false
+// Accept accepts the next conn that no armed Drop closes.
+func (l *Listener) Accept() (net.Conn, error) {
+	for {
+		c, err := l.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := l.fire(Drop); ok {
+			c.Close()
+			continue
+		}
+		return &conn{Conn: c, l: l}, nil
 	}
-	return s.fireSlow()
 }
 
-// Inject is the one-line form for sites that can only fail, stall, or
-// panic: it sleeps through Delay triggers itself and returns the injected
-// error otherwise (PartialWrite/ConnReset degrade to Error here). Same
-// disabled cost as Fire.
-func (s *Site) Inject() error {
-	if !active.Load() {
-		return nil
-	}
-	out, ok := s.fireSlow()
-	if !ok {
-		return nil
-	}
-	if out.Kind == Delay {
-		time.Sleep(out.Delay)
-		return nil
-	}
-	return out.Err
+// conn is an accepted conn behind the seam.
+type conn struct {
+	net.Conn
+	l *Listener
 }
 
-func (s *Site) fireSlow() (Outcome, bool) {
-	st := s.state.Load()
-	if st == nil {
-		return Outcome{}, false
+// Read fails or stalls a read only once it has delivered bytes, so an armed
+// fault hits a request in flight, not an idle wait.
+func (c *conn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if n > 0 {
+		if _, ok := c.l.fire(ReadError); ok {
+			return 0, ErrInjected
+		}
+		c.l.stall()
 	}
-	st.mu.Lock()
-	st.hits++
-	s.hits.Add(1)
-	trigger := st.hits > st.p.After &&
-		(st.p.Count <= 0 || st.done < st.p.Count) &&
-		(st.p.Prob <= 0 || st.p.Prob >= 1 || st.r.Float64() < st.p.Prob)
-	if trigger {
-		st.done++
-	}
-	p := st.p
-	st.mu.Unlock()
-	if !trigger {
-		return Outcome{}, false
-	}
-	s.triggers.Add(1)
-	out := Outcome{Kind: p.Kind, Err: p.Err, Delay: p.Delay, Frac: p.Frac}
-	if out.Err == nil {
-		out.Err = fmt.Errorf("%w at %s", ErrInjected, s.name)
-	}
-	if out.Frac <= 0 || out.Frac >= 1 {
-		out.Frac = 0.5
-	}
-	if p.Kind == Panic {
-		panic(fmt.Sprintf("faultpoint: injected panic at %s", s.name))
-	}
-	return out, true
+	return n, err
 }
 
-// CutLen is the byte count a PartialWrite/ConnReset outcome lets through:
-// Frac of the payload, at least 1 byte when the payload is non-empty (a
-// 0-byte "partial" write is indistinguishable from a clean failure) and
-// always short of the full length.
-func (o Outcome) CutLen(n int) int {
-	if n <= 0 {
-		return 0
+func (c *conn) Write(b []byte) (int, error) {
+	c.l.stall()
+	if _, ok := c.l.fire(TornWrite); ok {
+		return c.tear(b, false)
 	}
-	cut := int(float64(n) * o.Frac)
-	if cut < 1 {
-		cut = 1
+	if _, ok := c.l.fire(Reset); ok {
+		return c.tear(b, true)
 	}
-	if cut >= n {
-		cut = n - 1
-	}
-	return cut
+	return c.Conn.Write(b)
 }
+
+// tear writes a prefix of b, then closes the conn: with reset, abortively,
+// so the peer reads an RST instead of an end of stream.
+func (c *conn) tear(b []byte, reset bool) (int, error) {
+	n, _ := c.Conn.Write(b[:cutLen(len(b))])
+	if tc, ok := c.Conn.(*net.TCPConn); ok && reset {
+		tc.SetLinger(0)
+	}
+	c.Conn.Close()
+	return n, ErrInjected
+}
+
+// cutLen is the prefix of an n-byte write a tear lets through: half, so at
+// least one byte and always short of the whole once n > 1.
+func cutLen(n int) int { return n / 2 }

@@ -1,128 +1,162 @@
-package faultpoint
+package faultpoint_test
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
+	"syscall"
 	"testing"
 	"time"
+
+	"ensembler/internal/commtest"
+	"ensembler/internal/faultpoint"
 )
 
-// TestDisabledFastPathAllocs pins the contract the serving loop depends on:
-// a site check with nothing armed performs no allocation.
+// listen wraps a fresh loopback listener, closed when the test ends.
+func listen(t *testing.T, seed int64, index int) *faultpoint.Listener {
+	t.Helper()
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := faultpoint.Wrap(tcp, seed, index)
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// pair dials l and returns the accepted (wrapped) end and the dialed end.
+func pair(t *testing.T, l *faultpoint.Listener) (srv, cli net.Conn) {
+	t.Helper()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	cli, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = <-accepted
+	if srv == nil {
+		t.FailNow()
+	}
+	t.Cleanup(func() { srv.Close(); cli.Close() })
+	return srv, cli
+}
+
+// TestDisabledFastPathAllocs pins what a disarmed seam costs a conn: no
+// allocation on a read or a write (and none for the benchmark module's empty
+// site check).
 func TestDisabledFastPathAllocs(t *testing.T) {
-	DisableAll()
-	s := New("test/disabled-allocs")
+	commtest.LeakCheck(t)
+	srv, cli := pair(t, listen(t, 1, 0))
+	msg, buf := []byte("0123456789abcdef"), make([]byte, 16)
+	site := faultpoint.New("bench/micro")
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := s.Inject(); err != nil {
+		if _, err := srv.Write(msg); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Fire(); ok {
-			t.Fatal("disabled site fired")
+		if _, err := io.ReadFull(cli, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cli.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(srv, buf); err != nil {
+			t.Fatal(err)
+		}
+		if site.Inject() != nil {
+			t.Fatal("the benchmark's site check failed")
 		}
 	}); allocs != 0 {
-		t.Errorf("disabled site check allocates %v times, want 0", allocs)
+		t.Errorf("a disarmed seam allocates %v times per round trip, want 0", allocs)
 	}
 }
 
+// TestEnableDisable: an armed read error fails the read that delivered
+// bytes and loses them; once disarmed, reads pass through untouched.
 func TestEnableDisable(t *testing.T) {
-	DisableAll()
-	s := New("test/enable")
-	if active.Load() {
-		t.Fatal("fast path armed with nothing armed")
+	commtest.LeakCheck(t)
+	l := listen(t, 1, 0)
+	srv, cli := pair(t, l)
+	buf := make([]byte, 4)
+	f := l.Arm(faultpoint.Policy{Kind: faultpoint.ReadError})
+	if _, err := cli.Write([]byte("lost")); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Inject(); err != nil {
-		t.Fatalf("disarmed site injected: %v", err)
+	if n, err := srv.Read(buf); n != 0 || !errors.Is(err, faultpoint.ErrInjected) {
+		t.Fatalf("armed read = %d, %v; want 0, ErrInjected", n, err)
 	}
-	Enable("test/enable", Policy{Kind: Error})
-	if !active.Load() {
-		t.Fatal("fast path not armed after Enable")
+	l.Disarm(f)
+	if _, err := cli.Write([]byte("kept")); err != nil {
+		t.Fatal(err)
 	}
-	err := s.Inject()
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("armed error site returned %v, want ErrInjected", err)
+	if _, err := io.ReadFull(srv, buf); err != nil || string(buf) != "kept" {
+		t.Fatalf("disarmed read = %q, %v; want the bytes written after the fault", buf, err)
 	}
-	Disable("test/enable")
-	if active.Load() {
-		t.Fatal("fast path still armed after Disable")
-	}
-	if err := s.Inject(); err != nil {
-		t.Fatalf("disarmed site injected: %v", err)
+	if f.Triggers() != 1 || l.Triggers(faultpoint.ReadError) != 1 {
+		t.Fatalf("triggers: fault %d, listener %d; want 1 and 1", f.Triggers(), l.Triggers(faultpoint.ReadError))
 	}
 }
 
-// TestArmedOtherSiteDoesNotTrigger: arming site A must not make site B
-// fire, only flip the global gate.
+// TestArmedOtherSiteDoesNotTrigger: a fault armed on one listener never
+// fires on another, nor on the same listener for another kind.
 func TestArmedOtherSiteDoesNotTrigger(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	a := New("test/armed-a")
-	b := New("test/armed-b")
-	Enable("test/armed-a", Policy{Kind: Error})
-	if err := b.Inject(); err != nil {
-		t.Fatalf("unarmed site fired: %v", err)
+	a, b := faultpoint.Wrap(nil, 1, 0), faultpoint.Wrap(nil, 1, 1)
+	a.Arm(faultpoint.Policy{Kind: faultpoint.TornWrite})
+	if _, ok := b.Fire(faultpoint.TornWrite); ok {
+		t.Fatal("a fault armed on listener a fired on listener b")
 	}
-	if err := a.Inject(); err == nil {
-		t.Fatal("armed site did not fire")
+	if _, ok := a.Fire(faultpoint.Reset); ok {
+		t.Fatal("an armed torn write fired as a reset")
+	}
+	if _, ok := a.Fire(faultpoint.TornWrite); !ok {
+		t.Fatal("the armed fault did not fire")
 	}
 }
 
 func TestCountAndAfter(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	s := New("test/count")
-	Enable("test/count", Policy{Kind: Error, After: 2, Count: 3})
-	var errs int
+	l := faultpoint.Wrap(nil, 1, 0)
+	f := l.Arm(faultpoint.Policy{Kind: faultpoint.Drop, After: 2, Count: 3})
+	var fired int
 	for i := 0; i < 10; i++ {
-		if s.Inject() != nil {
-			errs++
+		if _, ok := l.Fire(faultpoint.Drop); ok {
+			fired++
 			if i < 2 {
-				t.Fatalf("triggered on hit %d, want first 2 skipped", i)
+				t.Fatalf("triggered on hit %d, want the first 2 skipped", i)
 			}
 		}
 	}
-	if errs != 3 {
-		t.Fatalf("got %d triggers, want 3 (count cap)", errs)
+	if fired != 3 || f.Triggers() != 3 || l.Triggers(faultpoint.Drop) != 3 {
+		t.Fatalf("fired %d, fault counts %d, listener counts %d; want 3 each (the count cap)",
+			fired, f.Triggers(), l.Triggers(faultpoint.Drop))
 	}
-	st := SiteStats()
-	var found bool
-	for _, row := range st {
-		if row.Name == "test/count" {
-			found = true
-			if row.Hits != 10 || row.Triggers != 3 || !row.Armed {
-				t.Fatalf("stats %+v, want 10 hits / 3 triggers / armed", row)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("site missing from SiteStats")
-	}
-
-	// ResetStats zeroes the counters without touching the armed policy.
-	ResetStats()
-	for _, row := range SiteStats() {
-		if row.Name == "test/count" {
-			if row.Hits != 0 || row.Triggers != 0 || !row.Armed {
-				t.Fatalf("after ResetStats: %+v, want 0 hits / 0 triggers / still armed", row)
-			}
-		}
+	// A second fault of the kind is consulted once the first is spent, and
+	// the listener's per-kind count keeps adding up.
+	g := l.Arm(faultpoint.Policy{Kind: faultpoint.Drop, Count: 1})
+	if _, ok := l.Fire(faultpoint.Drop); !ok || g.Triggers() != 1 || l.Triggers(faultpoint.Drop) != 4 {
+		t.Fatalf("second fault: triggers %d, listener %d; want 1 and 4", g.Triggers(), l.Triggers(faultpoint.Drop))
 	}
 }
 
-// TestProbabilityDeterministic: the same seed yields the same trigger
-// sequence; a different seed yields a different one (overwhelmingly).
+// TestProbabilityDeterministic: the same seed, listener index and hit order
+// give the same trigger sequence; another index gives another one.
 func TestProbabilityDeterministic(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	s := New("test/prob")
-	run := func(seed int64) []bool {
-		SetSeed(seed)
-		Enable("test/prob", Policy{Kind: Error, Prob: 0.5})
-		out := make([]bool, 64)
+	run := func(seed int64, index int) []bool {
+		l := faultpoint.Wrap(nil, seed, index)
+		l.Arm(faultpoint.Policy{Kind: faultpoint.ReadError, Prob: 0.5})
+		l.Arm(faultpoint.Policy{Kind: faultpoint.Stall, Prob: 0.5})
+		out := make([]bool, 128)
 		for i := range out {
-			out[i] = s.Inject() != nil
+			_, out[i] = l.Fire([]faultpoint.Kind{faultpoint.ReadError, faultpoint.Stall}[i%2])
 		}
 		return out
 	}
-	a1, a2, b := run(42), run(42), run(43)
+	a1, a2, b := run(42, 0), run(42, 0), run(42, 1)
 	var trig int
 	sameA, sameB := true, true
 	for i := range a1 {
@@ -133,130 +167,69 @@ func TestProbabilityDeterministic(t *testing.T) {
 		sameB = sameB && a1[i] == b[i]
 	}
 	if !sameA {
-		t.Fatal("same seed produced different trigger sequences")
+		t.Fatal("the same seed and index gave different trigger sequences")
 	}
 	if sameB {
-		t.Fatal("different seeds produced identical 64-hit sequences")
+		t.Fatal("two listener indices gave identical 128-hit sequences")
 	}
-	if trig < 16 || trig > 48 {
-		t.Fatalf("p=0.5 triggered %d/64 times — rng or probability gate broken", trig)
-	}
-}
-
-func TestDelayAndPanic(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	d := New("test/delay")
-	Enable("test/delay", Policy{Kind: Delay, Delay: 20 * time.Millisecond, Count: 1})
-	start := time.Now()
-	if err := d.Inject(); err != nil {
-		t.Fatalf("delay trigger returned error %v", err)
-	}
-	if since := time.Since(start); since < 15*time.Millisecond {
-		t.Fatalf("delay trigger slept %v, want ~20ms", since)
-	}
-	if err := d.Inject(); err != nil {
-		t.Fatal("count=1 site fired twice")
-	}
-
-	p := New("test/panic")
-	Enable("test/panic", Policy{Kind: Panic})
-	var recovered any
-	func() {
-		defer func() { recovered = recover() }()
-		_ = p.Inject()
-	}()
-	if recovered == nil {
-		t.Fatal("panic site did not panic")
+	if trig < 32 || trig > 96 {
+		t.Fatalf("p=0.5 triggered %d/128 times: the rng or the probability gate is broken", trig)
 	}
 }
 
-func TestPendingEnableBeforeNew(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	Enable("test/pending-site", Policy{Kind: Error, Count: 1})
-	if !active.Load() {
-		t.Fatal("pending policy did not flip the global gate")
-	}
-	s := New("test/pending-site")
-	if err := s.Inject(); err == nil {
-		t.Fatal("pending policy not applied on registration")
-	}
-	Disable("test/pending-site")
-	if err := s.Inject(); err != nil {
-		t.Fatal("site fired after Disable")
-	}
-
-	// Disabling a still-pending name must release the global gate too.
-	Enable("test/pending-never-created", Policy{Kind: Error})
-	Disable("test/pending-never-created")
-	if active.Load() {
-		t.Fatal("fast path stuck armed after disabling a pending-only policy")
-	}
-}
-
-func TestFireOutcomeDefaults(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	s := New("test/outcome")
-	Enable("test/outcome", Policy{Kind: PartialWrite})
-	out, ok := s.Fire()
-	if !ok {
-		t.Fatal("armed site did not fire")
-	}
-	if out.Kind != PartialWrite || !errors.Is(out.Err, ErrInjected) || out.Frac != 0.5 {
-		t.Fatalf("outcome %+v, want partial-write/ErrInjected/frac 0.5", out)
-	}
-	if n := out.CutLen(100); n != 50 {
-		t.Fatalf("CutLen(100) = %d, want 50", n)
-	}
-	if n := out.CutLen(1); n != 0 {
-		// frac 0.5 of 1 byte floors to 1... then clamps below n.
-		t.Fatalf("CutLen(1) = %d, want 0", n)
-	}
-	if n := out.CutLen(0); n != 0 {
-		t.Fatalf("CutLen(0) = %d, want 0", n)
-	}
-	custom := errors.New("custom")
-	Enable("test/outcome", Policy{Kind: ConnReset, Err: custom, Frac: 0.99})
-	out, ok = s.Fire()
-	if !ok || out.Err != custom {
-		t.Fatalf("outcome %+v ok=%v, want custom error", out, ok)
-	}
-	if n := out.CutLen(100); n != 99 {
-		t.Fatalf("CutLen(100) frac=0.99 = %d, want 99", n)
-	}
-}
-
-func TestNamesAndActive(t *testing.T) {
-	DisableAll()
-	defer DisableAll()
-	New("test/names-a")
-	New("test/names-b")
-	names := Names()
-	has := func(list []string, want string) bool {
-		for _, n := range list {
-			if n == want {
-				return true
-			}
+// TestStallDelaysOnce: an armed stall sleeps its delay before a write
+// proceeds, and the write then goes out whole.
+func TestStallDelaysOnce(t *testing.T) {
+	commtest.LeakCheck(t)
+	l := listen(t, 1, 0)
+	srv, cli := pair(t, l)
+	l.Arm(faultpoint.Policy{Kind: faultpoint.Stall, Delay: 20 * time.Millisecond, Count: 1})
+	buf := make([]byte, 5)
+	for i, wantSlow := range []bool{true, false} {
+		start := time.Now()
+		if _, err := srv.Write([]byte("stall")); err != nil {
+			t.Fatal(err)
 		}
-		return false
+		if took := time.Since(start); wantSlow && took < 15*time.Millisecond {
+			t.Fatalf("write %d took %v, want the 20ms stall", i, took)
+		}
+		if _, err := io.ReadFull(cli, buf); err != nil || string(buf) != "stall" {
+			t.Fatalf("write %d read back %q, %v", i, buf, err)
+		}
 	}
-	if !has(names, "test/names-a") || !has(names, "test/names-b") {
-		t.Fatalf("Names() = %v missing registered sites", names)
+	if l.Triggers(faultpoint.Stall) != 1 {
+		t.Fatalf("count=1 stall fired %d times", l.Triggers(faultpoint.Stall))
 	}
-	Enable("test/names-b", Policy{})
-	Enable("test/names-pending", Policy{})
-	act := Active()
-	if !has(act, "test/names-b") || !has(act, "test/names-pending") || has(act, "test/names-a") {
-		t.Fatalf("Active() = %v, want exactly the armed + pending sites", act)
+}
+
+// TestFireOutcomeDefaults: a stall naming no delay sleeps DefaultStall, and
+// a tear lets half a write through — at least a byte, never all of it.
+func TestFireOutcomeDefaults(t *testing.T) {
+	commtest.LeakCheck(t)
+	l := listen(t, 1, 0)
+	srv, cli := pair(t, l)
+	l.Arm(faultpoint.Policy{Kind: faultpoint.Stall, Count: 1})
+	start := time.Now()
+	if _, err := cli.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < faultpoint.DefaultStall*3/4 {
+		t.Fatalf("a stall with no delay slept %v, want DefaultStall (%v)", took, faultpoint.DefaultStall)
+	}
+	for n, want := range map[int]int{0: 0, 1: 0, 2: 1, 3: 1, 100: 50} {
+		if got := faultpoint.CutLen(n); got != want {
+			t.Errorf("CutLen(%d) = %d, want %d", n, got, want)
+		}
 	}
 }
 
 func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		Error: "error", Panic: "panic", Delay: "delay",
-		PartialWrite: "partial-write", ConnReset: "conn-reset", Kind(250): "kind(250)",
+	for k, want := range map[faultpoint.Kind]string{
+		faultpoint.Drop: "drop", faultpoint.ReadError: "read-error", faultpoint.TornWrite: "torn-write",
+		faultpoint.Reset: "reset", faultpoint.Stall: "stall", faultpoint.Kind(250): "kind(250)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
@@ -264,45 +237,72 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestNewIdempotent(t *testing.T) {
-	a := New("test/idempotent")
-	b := New("test/idempotent")
-	if a != b {
-		t.Fatal("New returned distinct sites for one name")
-	}
-	if a.Name() != "test/idempotent" {
-		t.Fatalf("Name() = %q", a.Name())
+// TestTornWriteAndReset: a torn write lets half the bytes out and then ends
+// the stream; a reset lets at most that prefix out and then aborts it. The
+// peer never reads the whole write.
+func TestTornWriteAndReset(t *testing.T) {
+	commtest.LeakCheck(t)
+	msg := bytes.Repeat([]byte("frame"), 20)
+	for _, kind := range []faultpoint.Kind{faultpoint.TornWrite, faultpoint.Reset} {
+		t.Run(kind.String(), func(t *testing.T) {
+			l := listen(t, 1, 0)
+			srv, cli := pair(t, l)
+			l.Arm(faultpoint.Policy{Kind: kind})
+			if n, err := srv.Write(msg); n != len(msg)/2 || !errors.Is(err, faultpoint.ErrInjected) {
+				t.Fatalf("torn write = %d, %v; want %d, ErrInjected", n, err, len(msg)/2)
+			}
+			got, err := io.ReadAll(cli)
+			switch kind {
+			case faultpoint.TornWrite:
+				if err != nil || !bytes.Equal(got, msg[:len(msg)/2]) {
+					t.Fatalf("peer read %d bytes, %v; want the %d-byte prefix, then the end of the stream", len(got), err, len(msg)/2)
+				}
+			case faultpoint.Reset:
+				if !errors.Is(err, syscall.ECONNRESET) || len(got) > len(msg)/2 {
+					t.Fatalf("peer read %d bytes, %v; want at most the prefix, then a reset", len(got), err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkSiteDisabled measures the fast path the serving loop pays per
-// site when nothing is armed: one atomic load and a branch. CI gates 0
-// allocs/op; the ns/op should sit at or below ~1ns on any modern core.
-func BenchmarkSiteDisabled(b *testing.B) {
-	DisableAll()
-	s := New("bench/disabled")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Inject(); err != nil {
-			b.Fatal(err)
-		}
+// TestDropAtAccept: a dropped conn is closed before the server sees it, and
+// the next one is accepted as usual.
+func TestDropAtAccept(t *testing.T) {
+	commtest.LeakCheck(t)
+	l := listen(t, 1, 0)
+	l.Arm(faultpoint.Policy{Kind: faultpoint.Drop, Count: 1})
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	dropped, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// BenchmarkSiteArmedOtherSite: the cost when the global gate is open but
-// THIS site is disarmed — the price every other site pays during a chaos
-// window.
-func BenchmarkSiteArmedOtherSite(b *testing.B) {
-	DisableAll()
-	defer DisableAll()
-	s := New("bench/disarmed")
-	Enable("bench/armed-elsewhere", Policy{Kind: Error})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Inject(); err != nil {
-			b.Fatal(err)
-		}
+	defer dropped.Close()
+	if n, err := dropped.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("dropped conn read %d, %v; want it closed", n, err)
+	}
+	kept, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Close()
+	srv := <-accepted
+	if srv == nil {
+		t.Fatal("the conn after the drop was not accepted")
+	}
+	defer srv.Close()
+	if _, err := kept.Write([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(srv, buf); err != nil || string(buf) != "ok" {
+		t.Fatalf("accepted conn read %q, %v", buf, err)
+	}
+	if l.Triggers(faultpoint.Drop) != 1 {
+		t.Fatalf("drop fired %d times, want 1", l.Triggers(faultpoint.Drop))
 	}
 }

@@ -33,7 +33,7 @@ type Spec struct {
 func (s *Spec) conv(name string, inC, outC, k, stride, pad, inH, inW int, bias bool) (int, int) {
 	outH := (inH+2*pad-k)/stride + 1
 	outW := (inW+2*pad-k)/stride + 1
-	fl := 2 * float64(k*k*inC) * float64(outC) * float64(outH*outW)
+	fl := float64(2 * float64(k*k*inC) * float64(outC) * float64(outH*outW))
 	if bias {
 		fl += float64(outC * outH * outW)
 	}
@@ -56,7 +56,7 @@ func (s *Spec) simple(name string, c, h, w int, opsPerElem float64) {
 // linear appends a fully connected layer.
 func (s *Spec) linear(name string, in, out int) {
 	s.Layers = append(s.Layers, LayerCost{
-		Name: name, FLOPs: 2*float64(in)*float64(out) + float64(out),
+		Name: name, FLOPs: float64(2*float64(in)*float64(out)) + float64(out),
 		OutBytes: 4 * float64(out), OutC: out, OutH: 1, OutW: 1,
 	})
 }

@@ -41,10 +41,10 @@ type Link struct {
 }
 
 // Upload returns the time to move bytes client→server.
-func (l Link) Upload(bytes float64) float64 { return bytes/l.UpBps + l.RTTSeconds/2 }
+func (l Link) Upload(bytes float64) float64 { return bytes/l.UpBps + float64(l.RTTSeconds/2) }
 
 // Download returns the time to move bytes server→client.
-func (l Link) Download(bytes float64) float64 { return bytes/l.DownBps + l.RTTSeconds/2 }
+func (l Link) Download(bytes float64) float64 { return bytes/l.DownBps + float64(l.RTTSeconds/2) }
 
 // RaspberryPi4 approximates a Raspberry Pi-class edge client. The value is
 // calibrated so the ResNet-18 head+tail on a batch of 128 costs ≈0.66 s as
@@ -122,7 +122,7 @@ func Run(sc Scenario) Breakdown {
 	// charge a 0.4% per-body contention overhead (calibrated to the paper's
 	// +0.04 s server delta at N=10).
 	if n > 1 {
-		server *= 1 + 0.004*float64(n)
+		server *= 1 + float64(0.004*float64(n))
 	}
 	up := sc.Link.Upload(b * sc.Spec.FeatureBytes())
 	down := sc.Link.Download(b * float64(n) * sc.Spec.ServerReturnBytes())

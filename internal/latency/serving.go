@@ -116,8 +116,8 @@ func servingTimes(sc *ServingScenario) (request, service float64) {
 	}
 	base.Batch = sc.Batch
 	b := Run(base)
-	server := compute * b.Server
-	return b.Client + server + wire*b.Communication, server
+	server := float64(compute * b.Server)
+	return b.Client + server + float64(wire*b.Communication), server
 }
 
 // EstimateServing evaluates the closed-system model: throughput is bounded

@@ -61,15 +61,15 @@ func shardedTimes(sc *ShardedScenario) (client, maxServer, comm float64) {
 	waves := (maxBodies + base.Server.Parallelism - 1) / base.Server.Parallelism
 	maxServer = b * base.Spec.BodyFLOPs() * float64(waves) / base.Server.EffectiveFLOPS
 	if maxBodies > 1 {
-		maxServer *= 1 + 0.004*float64(maxBodies)
+		maxServer *= 1 + float64(0.004*float64(maxBodies))
 	}
 
 	// Upload: the identical feature tensor goes to all K shards, sharing
 	// the client's uplink — K× the payload, one round-trip latency charge
 	// (the sends overlap). Download: the N return vectors are split across
 	// shards but share the downlink, so total bytes are unchanged.
-	up := float64(k)*b*base.Spec.FeatureBytes()/base.Link.UpBps + base.Link.RTTSeconds/2
-	down := b*float64(n)*base.Spec.ServerReturnBytes()/base.Link.DownBps + base.Link.RTTSeconds/2
+	up := float64(k)*b*base.Spec.FeatureBytes()/base.Link.UpBps + float64(base.Link.RTTSeconds/2)
+	down := b*float64(n)*base.Spec.ServerReturnBytes()/base.Link.DownBps + float64(base.Link.RTTSeconds/2)
 	comm = up + down
 	// Mirror Run's encrypted-inference reference point: a uniform slowdown
 	// over every component, so K=1 stays exactly EstimateServing for

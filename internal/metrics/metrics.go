@@ -19,7 +19,7 @@ func MSE(a, b *tensor.Tensor) float64 {
 	s := 0.0
 	for i, v := range a.Data {
 		d := v - b.Data[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(a.Size())
 }
@@ -48,7 +48,7 @@ func PSNRCapped(a, b *tensor.Tensor, cap float64) float64 {
 func gaussianKernel(size int, sigma float64) []float64 {
 	k := make([]float64, size)
 	sum := 0.0
-	mid := float64(size-1) / 2
+	mid := float64(float64(size-1) / 2)
 	for i := range k {
 		d := float64(i) - mid
 		k[i] = math.Exp(-d * d / (2 * sigma * sigma))
@@ -93,8 +93,8 @@ func SSIM(a, b *tensor.Tensor) float64 {
 					rowB := pb[(wy+ky)*w+wx:]
 					for kx := 0; kx < win; kx++ {
 						wgt := kern[ky] * kern[kx]
-						mx += wgt * rowA[kx]
-						my += wgt * rowB[kx]
+						mx += float64(wgt * rowA[kx])
+						my += float64(wgt * rowB[kx])
 					}
 				}
 				var vx, vy, cov float64
@@ -105,13 +105,13 @@ func SSIM(a, b *tensor.Tensor) float64 {
 						wgt := kern[ky] * kern[kx]
 						da := rowA[kx] - mx
 						db := rowB[kx] - my
-						vx += wgt * da * da
-						vy += wgt * db * db
-						cov += wgt * da * db
+						vx += float64(wgt * da * da)
+						vy += float64(wgt * db * db)
+						cov += float64(wgt * da * db)
 					}
 				}
-				num := (2*mx*my + c1) * (2*cov + c2)
-				den := (mx*mx + my*my + c1) * (vx + vy + c2)
+				num := (float64(2*mx*my) + c1) * (float64(2*cov) + c2)
+				den := (float64(mx*mx) + float64(my*my) + c1) * (vx + vy + c2)
 				total += num / den
 				count++
 			}
@@ -150,9 +150,9 @@ func CosineSimilarity(a, b *tensor.Tensor) float64 {
 	var dot, na, nb float64
 	for i, v := range a.Data {
 		w := b.Data[i]
-		dot += v * w
-		na += v * v
-		nb += w * w
+		dot += float64(v * w)
+		na += float64(v * v)
+		nb += float64(w * w)
 	}
 	if na == 0 || nb == 0 {
 		return 0

@@ -1,25 +1,14 @@
 package registry_test
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"ensembler/internal/faultpoint"
+	"ensembler/internal/commtest"
 	"ensembler/internal/registry"
 )
-
-// tornPublish drives one publish into the given fault and asserts it failed
-// with the injected error, leaving a crash-simulating temp dir behind.
-func tornPublish(t *testing.T, s *registry.Store, site string, seed int64) {
-	t.Helper()
-	faultpoint.Enable(site, faultpoint.Policy{Kind: faultpoint.Error, Count: 1})
-	if _, err := s.Publish("m", pipeline(seed)); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("publish with %s fault: err = %v, want injected", site, err)
-	}
-}
 
 // countTempDirs counts stale .publish-* dirs left in one model's directory.
 func countTempDirs(t *testing.T, modelDir string) int {
@@ -37,12 +26,11 @@ func countTempDirs(t *testing.T, modelDir string) int {
 	return n
 }
 
-// TestTornPublishQuarantinedOnReopen: a publish that crashes at the rename
-// (or at the manifest fsync) leaves only a temp dir — never a visible
-// version — and the next Open sweeps it into the quarantine area while the
-// previously published version keeps loading bit-for-bit.
+// TestTornPublishQuarantinedOnReopen: a publish whose process died mid
+// model file or just before the rename leaves only a temp dir — never a
+// visible version — and the next Open sweeps it into the quarantine area
+// while the previously published version keeps loading bit-for-bit.
 func TestTornPublishQuarantinedOnReopen(t *testing.T) {
-	defer faultpoint.DisableAll()
 	dir := t.TempDir()
 	s, err := registry.Create(dir)
 	if err != nil {
@@ -53,8 +41,11 @@ func TestTornPublishQuarantinedOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tornPublish(t, s, "registry/publish-rename", 2)
-	tornPublish(t, s, "registry/manifest-fsync", 3)
+	commtest.PlantTornPublish(t, dir, "m", pipeline(2), false)
+	commtest.PlantTornPublish(t, dir, "m", pipeline(3), true)
+	if v, err := s.Latest("m"); err != nil || v != 1 {
+		t.Fatalf("latest version with two torn publishes on disk = %d, %v; want 1", v, err)
+	}
 	if n := countTempDirs(t, filepath.Join(dir, "m")); n != 2 {
 		t.Fatalf("%d stale temp dirs after two torn publishes, want 2", n)
 	}
@@ -122,7 +113,6 @@ func TestTornPublishQuarantinedOnReopen(t *testing.T) {
 // maxQuarantined (8) torn publishes per model — a crash-looping publisher
 // cannot fill the disk with evidence.
 func TestQuarantinePruneCap(t *testing.T) {
-	defer faultpoint.DisableAll()
 	dir := t.TempDir()
 	s, err := registry.Create(dir)
 	if err != nil {
@@ -132,7 +122,7 @@ func TestQuarantinePruneCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 11; i++ {
-		tornPublish(t, s, "registry/publish-rename", int64(10+i))
+		commtest.PlantTornPublish(t, dir, "m", pipeline(int64(10+i)), i%2 == 0)
 	}
 	s2, err := registry.Open(dir)
 	if err != nil {
@@ -150,26 +140,33 @@ func TestQuarantinePruneCap(t *testing.T) {
 	}
 }
 
-// TestEpochLoadFault: a fault at epoch load surfaces as a wrapped injected
-// error and a clean retry succeeds — the load path has no sticky state.
+// TestEpochLoadFault: a version whose model file cannot be read fails to
+// load with the model's identity in the error, and once the file is back a
+// retry succeeds — the load path has no sticky state.
 func TestEpochLoadFault(t *testing.T) {
-	defer faultpoint.DisableAll()
-	s, err := registry.Create(t.TempDir())
+	dir := t.TempDir()
+	s, err := registry.Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Publish("m", pipeline(1)); err != nil {
 		t.Fatal(err)
 	}
-	faultpoint.Enable("registry/epoch-load", faultpoint.Policy{Kind: faultpoint.Error, Count: 1})
+	model := filepath.Join(dir, "m", "v0001", "model.gob")
+	if err := os.Rename(model, model+".away"); err != nil {
+		t.Fatal(err)
+	}
 	_, _, err = s.Load("m", 0)
-	if !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("Load with epoch fault: err = %v, want injected", err)
+	if err == nil {
+		t.Fatal("loaded a version with no model file")
 	}
 	if !strings.Contains(err.Error(), `model "m"`) {
-		t.Fatalf("load fault error lost the model identity: %v", err)
+		t.Fatalf("load failure lost the model identity: %v", err)
+	}
+	if err := os.Rename(model+".away", model); err != nil {
+		t.Fatal(err)
 	}
 	if _, _, err := s.Load("m", 0); err != nil {
-		t.Fatalf("clean retry after load fault failed: %v", err)
+		t.Fatalf("retry once the model file is back failed: %v", err)
 	}
 }

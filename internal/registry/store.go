@@ -15,7 +15,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,20 +27,7 @@ import (
 	"time"
 
 	"ensembler/internal/ensemble"
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/shard"
-)
-
-// Fault-injection sites at the store's durability boundaries (see
-// internal/faultpoint; disarmed sites cost one atomic load). The
-// publish-rename and manifest-fsync sites simulate a crash, not a clean
-// failure: a trigger returns an error AND leaves the publish temp dir on
-// disk, exactly what a process death between MkdirTemp and the final rename
-// leaves behind — the state the Open-time sweep must recover from.
-var (
-	fpPublishRename = faultpoint.New("registry/publish-rename")
-	fpManifestFsync = faultpoint.New("registry/manifest-fsync")
-	fpEpochLoad     = faultpoint.New("registry/epoch-load")
 )
 
 // ManifestFormat identifies the manifest.json schema.
@@ -451,15 +437,10 @@ func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOpti
 	if err != nil {
 		return 0, fmt.Errorf("registry: publishing %q: %w", name, err)
 	}
-	// A clean failure removes the temp dir; an injected crash (the
-	// publish-rename / manifest-fsync fault sites) leaves it behind, like a
-	// process death would — the torn state the Open-time sweep recovers.
-	crashed := false
-	defer func() {
-		if !crashed {
-			os.RemoveAll(tmp) // no-op after a successful rename
-		}
-	}()
+	// A failure removes the temp dir. Only a process death leaves one
+	// behind, and until the final rename nothing in it is visible: the
+	// Open-time sweep quarantines it.
+	defer os.RemoveAll(tmp) // no-op after a successful rename
 
 	sum, size, err := writeModel(filepath.Join(tmp, modelFile), e)
 	if err != nil {
@@ -481,11 +462,6 @@ func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOpti
 		Leakage:        opts.Leakage,
 	}
 	if err := writeManifest(filepath.Join(tmp, manifestFile), man); err != nil {
-		crashed = errors.Is(err, faultpoint.ErrInjected)
-		return 0, fmt.Errorf("registry: publishing %q v%d: %w", name, version, err)
-	}
-	if err := fpPublishRename.Inject(); err != nil {
-		crashed = true
 		return 0, fmt.Errorf("registry: publishing %q v%d: %w", name, version, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(modelDir, versionDir(version))); err != nil {
@@ -534,10 +510,6 @@ func writeManifest(path string, man Manifest) error {
 		return err
 	}
 	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := fpManifestFsync.Inject(); err != nil {
 		f.Close()
 		return err
 	}
@@ -663,9 +635,6 @@ func (s *Store) verify(name string, version int) (*Manifest, error) {
 // The returned manifest names the version loaded and carries what its
 // publisher recorded.
 func (s *Store) Load(name string, version int) (*ensemble.Ensembler, *Manifest, error) {
-	if err := fpEpochLoad.Inject(); err != nil {
-		return nil, nil, fmt.Errorf("registry: model %q: loading epoch: %w", name, err)
-	}
 	if version <= 0 {
 		latest, err := s.Latest(name)
 		if err != nil {

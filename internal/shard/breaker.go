@@ -88,7 +88,7 @@ func (b *breaker) jittered(d time.Duration) time.Duration {
 	if b.p.Jitter <= 0 {
 		return d
 	}
-	f := 1 + b.p.Jitter*(2*b.r.Float64()-1)
+	f := 1 + float64(b.p.Jitter*(float64(2*b.r.Float64())-1))
 	return time.Duration(float64(d) * f)
 }
 

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +13,16 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// chaosSeed fixes the whole storm: the schedule (which site, which policy,
-// in what order), every per-site trigger stream and the breakers' jitter
-// derive from it.
+// chaosSeed fixes the storm's schedule (which fault, which policy, in what
+// order) and the breakers' jitter; the fleet's seed fixes every shard
+// listener's trigger stream.
 const chaosSeed = 20250807
 
 // TestChaosFleetUnderSeededFaultSchedule is the chaos e2e: a 3-shard fleet
-// takes concurrent traffic while a seeded schedule flips wire-layer and
-// shard-layer faults. The invariants are the robustness contract, not "no
-// errors":
+// takes concurrent traffic while a seeded schedule arms and disarms faults on
+// the shards' listeners — on every listener at once, or on one shard's only.
+// Every fault class fires: refused dials, read errors, torn writes, resets
+// and stalls. The invariants are the robustness contract, not "no errors":
 //
 //   - zero bit-inexact admitted responses — a fault may fail a request but
 //     must never corrupt one;
@@ -31,7 +33,6 @@ const chaosSeed = 20250807
 //   - no goroutine leaks after teardown.
 func TestChaosFleetUnderSeededFaultSchedule(t *testing.T) {
 	commtest.LeakCheck(t) // registered first → checked last, after fleet teardown
-	defer faultpoint.DisableAll()
 
 	f := commtest.StartShards(t, 3, 4, 2, 91)
 	// Two retries and fast reopen waits: the storm must see circuits open
@@ -65,26 +66,23 @@ func TestChaosFleetUnderSeededFaultSchedule(t *testing.T) {
 	mild := func(p float64, kind faultpoint.Kind) faultpoint.Policy {
 		return faultpoint.Policy{Kind: kind, Prob: p}
 	}
+	stall := faultpoint.Policy{Kind: faultpoint.Stall, Prob: 0.5, Delay: 2 * time.Millisecond}
+	ln := f.Listeners
 	report := commtest.RunChaos(commtest.ChaosConfig{
 		Seed:     chaosSeed,
 		Workers:  4,
 		Flips:    40,
 		FlipGap:  5 * time.Millisecond,
 		MaxArmed: 2,
-		Sites: []commtest.ChaosSite{
-			{Name: "comm/frame-write", Policies: []faultpoint.Policy{
-				mild(0.4, faultpoint.ConnReset),
-				{Kind: faultpoint.PartialWrite, Prob: 0.4, Frac: 0.5},
-				{Kind: faultpoint.Delay, Prob: 0.5, Delay: 2 * time.Millisecond},
+		Faults: []commtest.ChaosFault{
+			{Name: "wire", Listeners: ln, Policies: []faultpoint.Policy{
+				mild(0.15, faultpoint.Reset), mild(0.15, faultpoint.TornWrite), stall,
 			}},
-			{Name: "comm/frame-read", Policies: []faultpoint.Policy{mild(0.4, faultpoint.Error)}},
-			{Name: "comm/dial", Policies: []faultpoint.Policy{mild(0.5, faultpoint.Error)}},
-			{Name: "shard/exchange/0", Policies: []faultpoint.Policy{
-				mild(0.5, faultpoint.Error),
-				{Kind: faultpoint.Delay, Prob: 0.5, Delay: 2 * time.Millisecond},
-			}},
-			{Name: "shard/exchange/1", Policies: []faultpoint.Policy{mild(0.5, faultpoint.Error)}},
-			{Name: "shard/exchange/2", Policies: []faultpoint.Policy{mild(0.5, faultpoint.Error)}},
+			{Name: "wire", Listeners: ln, Policies: []faultpoint.Policy{mild(0.15, faultpoint.ReadError)}},
+			{Name: "wire", Listeners: ln, Policies: []faultpoint.Policy{mild(0.3, faultpoint.Drop)}},
+			{Name: "shard0", Listeners: ln[:1], Policies: []faultpoint.Policy{mild(0.3, faultpoint.ReadError), stall}},
+			{Name: "shard1", Listeners: ln[1:2], Policies: []faultpoint.Policy{mild(0.3, faultpoint.TornWrite)}},
+			{Name: "shard2", Listeners: ln[2:], Policies: []faultpoint.Policy{mild(0.3, faultpoint.Reset)}},
 		},
 	}, traffic)
 
@@ -101,8 +99,19 @@ func TestChaosFleetUnderSeededFaultSchedule(t *testing.T) {
 	if report.Requests == 0 {
 		t.Fatal("no traffic flowed during the storm")
 	}
-	if report.TotalTriggers() == 0 {
-		t.Fatal("the storm never fired a fault — the schedule proved nothing")
+	// A storm that never fired a class proved nothing about it.
+	fired := map[string]uint64{}
+	for key, n := range report.Triggers {
+		name, kind, _ := strings.Cut(key, "/")
+		fired[kind] += n
+		if name != "wire" {
+			fired["one shard"] += n
+		}
+	}
+	for _, class := range []string{"drop", "read-error", "torn-write", "reset", "stall", "one shard"} {
+		if fired[class] == 0 {
+			t.Errorf("the storm never fired a %s fault", class)
+		}
 	}
 	// The error budget: the redundant ensemble plus retries must carry at
 	// least a tenth of the traffic through the storm (in practice far more;

@@ -9,7 +9,6 @@ import (
 
 	"ensembler/internal/comm"
 	"ensembler/internal/ensemble"
-	"ensembler/internal/faultpoint"
 	"ensembler/internal/nn"
 	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
@@ -181,9 +180,6 @@ type Client struct {
 	policy   policy
 	pools    []*comm.Pool
 	breakers []*breaker
-	// fps are the per-shard exchange fault sites (shard/exchange/<k>),
-	// consulted once per attempt leg — one atomic load each when disarmed.
-	fps []*faultpoint.Site
 
 	// acts recycles trace span storage across requests so a traced Infer
 	// performs no per-request span allocation.
@@ -228,7 +224,7 @@ func NewClient(cfg Config) (*Client, error) {
 	}
 	c.acts.New = func() any { return new(trace.Active) }
 	for k, addr := range cfg.Addrs {
-		pool, err := comm.NewPool(addr, cfg.PoolSize, comm.WithDialFault(fmt.Sprintf("shard/dial/%d", k)))
+		pool, err := comm.NewPool(addr, cfg.PoolSize)
 		if err != nil {
 			for _, p := range c.pools {
 				p.Close()
@@ -237,7 +233,6 @@ func NewClient(cfg Config) (*Client, error) {
 		}
 		c.pools = append(c.pools, pool)
 		c.breakers = append(c.breakers, newBreaker(c.policy, c.policy.Seed+int64(k)))
-		c.fps = append(c.fps, faultpoint.New(fmt.Sprintf("shard/exchange/%d", k)))
 	}
 	return c, nil
 }
@@ -331,9 +326,9 @@ func (c *Client) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, c
 		return nil, comm.Timing{}, err
 	}
 	logits, t, err := c.infer(ctx, tagged, x)
-	// Not deferred: a request that panics (an armed panic fault on shard 0's
-	// leg, which runs on this goroutine) must not recycle a runtime whose
-	// other legs may still be in flight.
+	// Not deferred: a request that panics (shard 0's leg runs on this
+	// goroutine) must not recycle a runtime whose other legs may still be in
+	// flight.
 	c.releaseRuntime(tagged)
 	return logits, t, err
 }
@@ -483,9 +478,9 @@ func (tg *taggedRuntime) finish(features []*tensor.Tensor) (logits *tensor.Tenso
 // circuit breaker; it reports the attempts beyond the first, which Infer
 // marks in the trace after the join (the legs must not touch the shared
 // trace.Active). An open circuit short-circuits without touching the wire; a
-// half-open one admits this request as the single recovery probe. Every
-// attempt passes the shard's exchange fault site first, and the trace context
-// (if any) rides it, stitching the shard server's leg into the caller's trace.
+// half-open one admits this request as the single recovery probe. The trace
+// context (if any) rides every attempt, stitching the shard server's leg into
+// the caller's trace.
 func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc trace.Context, res *comm.Exchanged) (comm.Timing, int, error) {
 	b := c.breakers[k]
 	var total comm.Timing
@@ -519,10 +514,7 @@ func (c *Client) exchange(ctx context.Context, k int, feats *tensor.Tensor, tc t
 			defer cancel()
 		}
 		var t comm.Timing
-		err = c.fps[k].Inject()
-		if err == nil {
-			t, err = c.pools[k].ExchangeTraced(attemptCtx, feats, tc, res)
-		}
+		t, err = c.pools[k].ExchangeTraced(attemptCtx, feats, tc, res)
 		total.BytesUp += t.BytesUp
 		total.BytesDown += t.BytesDown
 		total.RoundTrip += t.RoundTrip

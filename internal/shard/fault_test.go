@@ -3,7 +3,6 @@ package shard_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,12 +12,11 @@ import (
 )
 
 // TestBreakerShortCircuitsAndRecovers drives the circuit end to end over a
-// live fleet: injected exchange faults on an unselected shard open its
+// live fleet: read errors armed on an unselected shard's listener open its
 // circuit, further requests short-circuit without wire traffic (and still
 // succeed — graceful degradation), and once the fault clears, the half-open
 // probe closes the circuit again.
 func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
-	defer faultpoint.DisableAll()
 	f := commtest.StartShards(t, 3, 4, 2, 63)
 	p := shard.DefaultPolicy
 	p.Retries, p.DownAfter, p.Jitter = 0, 2, 0 // no retries, no jitter: an exact schedule
@@ -32,9 +30,8 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 	x := imageBatch(1, 64)
 	want := f.Pipeline.Predict(x)
 	_, unsel := shardHosting(t, f)
-	site := fmt.Sprintf("shard/exchange/%d", unsel)
 
-	faultpoint.Enable(site, faultpoint.Policy{Kind: faultpoint.Error})
+	fault := f.Listeners[unsel].Arm(faultpoint.Policy{Kind: faultpoint.ReadError})
 	for i := 0; i < 2; i++ {
 		logits, _, err := c.Infer(ctx, x)
 		if err != nil {
@@ -72,7 +69,7 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 
 	// Fault cleared: after the reopen backoff, one probe is admitted and
 	// its success closes the circuit.
-	faultpoint.Disable(site)
+	f.Listeners[unsel].Disarm(fault)
 	time.Sleep(60 * time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -96,7 +93,6 @@ func TestBreakerShortCircuitsAndRecovers(t *testing.T) {
 // open-circuit shard fails with ErrBreakerOpen without touching the wire —
 // the caller sees the refusal in microseconds, not a connect timeout.
 func TestBreakerOpenOnSelectedShardFailsFast(t *testing.T) {
-	defer faultpoint.DisableAll()
 	f := commtest.StartShards(t, 3, 4, 2, 63)
 	p := shard.DefaultPolicy
 	p.Retries, p.DownAfter = 0, 1
@@ -110,7 +106,7 @@ func TestBreakerOpenOnSelectedShardFailsFast(t *testing.T) {
 	x := imageBatch(1, 66)
 	sel, _ := shardHosting(t, f)
 
-	faultpoint.Enable(fmt.Sprintf("shard/exchange/%d", sel), faultpoint.Policy{Kind: faultpoint.Error, Count: 1})
+	f.Listeners[sel].Arm(faultpoint.Policy{Kind: faultpoint.ReadError, Count: 1})
 	if _, _, err := c.Infer(ctx, x); err == nil {
 		t.Fatal("selected-shard fault did not fail the request")
 	}

@@ -234,7 +234,7 @@ func EvaluateFn(ds *data.Dataset, logitsFn func(x *tensor.Tensor) *tensor.Tensor
 		}
 		x, labels := ds.Batch(idxs)
 		logits := logitsFn(x)
-		correct += nn.Accuracy(logits, labels) * float64(len(idxs))
+		correct += float64(nn.Accuracy(logits, labels) * float64(len(idxs)))
 		total += len(idxs)
 	}
 	return correct / float64(total)

@@ -128,7 +128,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	} else if q > 1 {
 		q = 1
 	}
-	rank := q * float64(total)
+	rank := float64(q * float64(total))
 	cum := uint64(0)
 	for i, c := range counts {
 		cum += c
