@@ -74,14 +74,14 @@ func testMidFrameFaultReconnects(t *testing.T, kind faultpoint.Kind) {
 	if err := exchangeExact(t, pool, n); err != nil {
 		t.Fatalf("baseline exchange: %v", err)
 	}
-	ln.Arm(faultpoint.Policy{Kind: kind, Count: 1})
+	fault := ln.Arm(faultpoint.Policy{Kind: kind, Count: 1})
 	if err := exchangeExact(t, pool, n); err == nil {
 		t.Fatalf("%v fault did not surface as an exchange error", kind)
 	}
 	if err := exchangeExact(t, pool, n); err != nil {
 		t.Fatalf("exchange after reconnect: %v", err)
 	}
-	if got := ln.Triggers(kind); got != 1 {
+	if got := fault.Triggers(); got != 1 {
 		t.Fatalf("%v fired %d times, want 1", kind, got)
 	}
 }

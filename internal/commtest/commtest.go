@@ -57,9 +57,10 @@ func Pipeline(arch split.Arch, n, p int, seed int64) *ensemble.Ensembler {
 }
 
 // PlantTornPublish leaves in a store directory what a publish of e as model
-// name leaves when its process dies before the final rename: a ".publish-*"
-// temp dir holding the model file cut short, or (late) the whole model file
-// and a manifest. Nothing in it is a visible version; the store's next Open
+// name leaves when its process dies before the final rename: a
+// registry.PublishTempPrefix temp dir holding the model file cut short, or
+// (late) the whole model file and a manifest, laid out with the registry's
+// own file names. Nothing in it is a visible version; the store's next Open
 // must quarantine it.
 func PlantTornPublish(t testing.TB, dir, name string, e *ensemble.Ensembler, late bool) {
 	t.Helper()
@@ -67,7 +68,7 @@ func PlantTornPublish(t testing.TB, dir, name string, e *ensemble.Ensembler, lat
 	if err := os.MkdirAll(modelDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tmp, err := os.MkdirTemp(modelDir, ".publish-*")
+	tmp, err := os.MkdirTemp(modelDir, registry.PublishTempPrefix+"*")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +80,12 @@ func PlantTornPublish(t testing.TB, dir, name string, e *ensemble.Ensembler, lat
 	if !late {
 		b = b[:len(b)/2]
 	}
-	if err := os.WriteFile(filepath.Join(tmp, "model.gob"), b, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tmp, registry.ModelFile), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if late {
-		manifest := fmt.Sprintf(`{"format": 1, "model": %q}`, name)
-		if err := os.WriteFile(filepath.Join(tmp, "manifest.json"), []byte(manifest), 0o644); err != nil {
+		manifest := fmt.Sprintf(`{"format": %d, "model": %q}`, registry.ManifestFormat, name)
+		if err := os.WriteFile(filepath.Join(tmp, registry.ManifestFile), []byte(manifest), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

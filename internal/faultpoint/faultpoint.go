@@ -54,28 +54,22 @@ func (k Kind) String() string {
 // ErrInjected is what a failed read or a torn write returns.
 var ErrInjected = errors.New("faultpoint: injected fault")
 
-// DefaultStall is a Stall's sleep when its policy names none.
-const DefaultStall = 10 * time.Millisecond
-
 // Policy says when an armed fault triggers and what it does. The zero value
 // drops every accepted conn.
 type Policy struct {
 	Kind Kind
 	// Prob is the per-hit trigger probability; 0 or ≥ 1 means always.
 	Prob float64
-	// After skips the first After hits before triggering starts.
-	After int
 	// Count caps the number of triggers; 0 means unlimited.
 	Count int
-	// Delay is a Stall's sleep (DefaultStall when 0).
+	// Delay is a Stall's sleep.
 	Delay time.Duration
 }
 
 // Fault is one policy armed on one listener.
 type Fault struct {
-	p          Policy
-	hits, done int // under the listener's mu
-	triggers   atomic.Uint64
+	p        Policy
+	triggers atomic.Uint64 // added to under the listener's mu
 }
 
 // Triggers reports how many times the fault fired.
@@ -84,11 +78,10 @@ func (f *Fault) Triggers() uint64 { return f.triggers.Load() }
 // Listener wraps a net.Listener; see the package comment.
 type Listener struct {
 	net.Listener
-	armed    atomic.Bool // any fault armed: the one load a disarmed conn pays
-	mu       sync.Mutex
-	r        *rng.RNG
-	faults   []*Fault
-	triggers [numKinds]atomic.Uint64
+	armed  atomic.Bool // any fault armed: the one load a disarmed conn pays
+	mu     sync.Mutex
+	r      *rng.RNG
+	faults []*Fault
 }
 
 // Wrap returns ln behind the seam, its trigger stream seeded from the run
@@ -116,11 +109,8 @@ func (l *Listener) Disarm(f *Fault) {
 	l.mu.Unlock()
 }
 
-// Triggers reports how many faults of kind k fired on l.
-func (l *Listener) Triggers(k Kind) uint64 { return l.triggers[k].Load() }
-
-// fire counts one hit of kind k and reports the policy that triggered on
-// it, if any.
+// fire consults the faults armed for kind k on one hit and reports the
+// policy that triggered, if any.
 func (l *Listener) fire(k Kind) (Policy, bool) {
 	if !l.armed.Load() {
 		return Policy{}, false
@@ -131,14 +121,11 @@ func (l *Listener) fire(k Kind) (Policy, bool) {
 		if f.p.Kind != k {
 			continue
 		}
-		f.hits++
-		if f.hits <= f.p.After || (f.p.Count > 0 && f.done >= f.p.Count) ||
+		if (f.p.Count > 0 && f.triggers.Load() >= uint64(f.p.Count)) ||
 			(f.p.Prob > 0 && f.p.Prob < 1 && l.r.Float64() >= f.p.Prob) {
 			continue
 		}
-		f.done++
 		f.triggers.Add(1)
-		l.triggers[k].Add(1)
 		return f.p, true
 	}
 	return Policy{}, false
@@ -147,9 +134,6 @@ func (l *Listener) fire(k Kind) (Policy, bool) {
 // stall counts a Stall hit and sleeps through it if it triggers.
 func (l *Listener) stall() {
 	if p, ok := l.fire(Stall); ok {
-		if p.Delay <= 0 {
-			p.Delay = DefaultStall
-		}
 		time.Sleep(p.Delay)
 	}
 }

@@ -19,7 +19,7 @@ func countTempDirs(t *testing.T, modelDir string) int {
 	}
 	n := 0
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".publish-") {
+		if strings.HasPrefix(e.Name(), registry.PublishTempPrefix) {
 			n++
 		}
 	}
@@ -60,7 +60,7 @@ func TestTornPublishQuarantinedOnReopen(t *testing.T) {
 		t.Fatalf("Quarantined() = %v, want 2 entries", q)
 	}
 	for _, name := range q {
-		if !strings.HasPrefix(name, "m/.publish-") {
+		if !strings.HasPrefix(name, "m/"+registry.PublishTempPrefix) {
 			t.Fatalf("quarantined entry %q not of form m/.publish-*", name)
 		}
 		if _, err := os.Stat(filepath.Join(dir, ".quarantine", name)); err != nil {

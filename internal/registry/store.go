@@ -33,9 +33,13 @@ import (
 // ManifestFormat identifies the manifest.json schema.
 const ManifestFormat = 1
 
+// The on-disk layout of a version and of a publish in flight: a version
+// directory holds ModelFile and ManifestFile, and a publish writes both into
+// a PublishTempPrefix temp dir of the model directory, then renames it.
 const (
-	modelFile    = "model.gob"
-	manifestFile = "manifest.json"
+	ModelFile         = "model.gob"
+	ManifestFile      = "manifest.json"
+	PublishTempPrefix = ".publish-"
 )
 
 // ShardRange is one shard's body assignment as recorded in a manifest —
@@ -218,7 +222,7 @@ func (s *Store) sweepTornPublishes() error {
 		}
 		swept := false
 		for _, e := range entries {
-			if !e.IsDir() || !strings.HasPrefix(e.Name(), ".publish-") {
+			if !e.IsDir() || !strings.HasPrefix(e.Name(), PublishTempPrefix) {
 				continue
 			}
 			qdir := filepath.Join(s.dir, quarantineDir, m.Name())
@@ -433,7 +437,7 @@ func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOpti
 		version = versions[len(versions)-1] + 1
 	}
 
-	tmp, err := os.MkdirTemp(modelDir, ".publish-*")
+	tmp, err := os.MkdirTemp(modelDir, PublishTempPrefix+"*")
 	if err != nil {
 		return 0, fmt.Errorf("registry: publishing %q: %w", name, err)
 	}
@@ -442,7 +446,7 @@ func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOpti
 	// Open-time sweep quarantines it.
 	defer os.RemoveAll(tmp) // no-op after a successful rename
 
-	sum, size, err := writeModel(filepath.Join(tmp, modelFile), e)
+	sum, size, err := writeModel(filepath.Join(tmp, ModelFile), e)
 	if err != nil {
 		return 0, fmt.Errorf("registry: publishing %q v%d: %w", name, version, err)
 	}
@@ -461,7 +465,7 @@ func (s *Store) PublishWith(name string, e *ensemble.Ensembler, opts PublishOpti
 		ShardRanges:    shardRanges,
 		Leakage:        opts.Leakage,
 	}
-	if err := writeManifest(filepath.Join(tmp, manifestFile), man); err != nil {
+	if err := writeManifest(filepath.Join(tmp, ManifestFile), man); err != nil {
 		return 0, fmt.Errorf("registry: publishing %q v%d: %w", name, version, err)
 	}
 	if err := os.Rename(tmp, filepath.Join(modelDir, versionDir(version))); err != nil {
@@ -526,7 +530,7 @@ func (s *Store) Manifest(name string, version int) (*Manifest, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(s.dir, name, versionDir(version), manifestFile)
+	path := filepath.Join(s.dir, name, versionDir(version), ManifestFile)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("registry: model %q v%d: reading manifest: %w", name, version, err)
@@ -611,7 +615,7 @@ func (s *Store) verify(name string, version int) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(s.dir, name, versionDir(version), modelFile)
+	path := filepath.Join(s.dir, name, versionDir(version), ModelFile)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("registry: model %q v%d: missing model file: %w", name, version, err)
@@ -646,7 +650,7 @@ func (s *Store) Load(name string, version int) (*ensemble.Ensembler, *Manifest, 
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := ensemble.LoadFile(filepath.Join(s.dir, name, versionDir(version), modelFile))
+	e, err := ensemble.LoadFile(filepath.Join(s.dir, name, versionDir(version), ModelFile))
 	if err != nil {
 		return nil, nil, fmt.Errorf("registry: model %q v%d: %w", name, version, err)
 	}
