@@ -117,7 +117,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	c, err := newClientConn(ctx, conn, o.wire, o.clientID)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("comm: dialing %s: %w", addr, err)
 	}
 	return c, nil
 }

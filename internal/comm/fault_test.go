@@ -123,7 +123,7 @@ func TestPoolStallDelaysButAnswers(t *testing.T) {
 }
 
 // TestDialFaultSurfaces: a conn dropped at accept fails the dial in the
-// hello, and the next dial succeeds.
+// hello, with an error naming the server, and the next dial succeeds.
 func TestDialFaultSurfaces(t *testing.T) {
 	commtest.LeakCheck(t)
 	ln := startSeamServer(t, 2)
@@ -132,8 +132,8 @@ func TestDialFaultSurfaces(t *testing.T) {
 	if c, err := comm.Dial(addr); err == nil {
 		c.Close()
 		t.Fatal("dial through a dropped accept succeeded")
-	} else if !strings.Contains(err.Error(), "hello") {
-		t.Fatalf("dial through a dropped accept failed with %q, want a failed hello", err)
+	} else if !strings.Contains(err.Error(), "hello") || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("dial through a dropped accept failed with %q, want a failed hello naming %s", err, addr)
 	}
 	c, err := comm.Dial(addr)
 	if err != nil {

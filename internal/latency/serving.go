@@ -55,7 +55,7 @@ const (
 // kernels. Measured on the repo's own blocked kernels (BenchmarkServeRequestLoop
 // in both precisions): the float32 backend halves memory traffic and doubles
 // effective SIMD width, landing near 0.7× the f64 body-pass time on the CI
-// host — conservative against the ≥1.2× throughput gate the CI enforces.
+// host — conservative against the ≥3× throughput gate the CI enforces.
 const (
 	// ComputeFactorF64: the reference float64 path the FLOP model is
 	// calibrated against.

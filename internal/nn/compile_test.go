@@ -114,6 +114,37 @@ func TestForwardInfer32Allocs(t *testing.T) {
 	}
 }
 
+// TestCompileF32PacksFiniteConvs pins which convolutions Compile[float32]
+// hands the direct kernel: every one whose weights narrow to finite values,
+// holding only the packed copy, while one ±Inf or NaN weight, or one finite
+// at float64 that overflows float32, keeps the layer on the im2col panel
+// (the padding products the direct kernel leaves out are then NaN). At
+// float64 no layer is packed: Compile[float64] views the live weights.
+func TestCompileF32PacksFiniteConvs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		weight float64
+		packed bool
+	}{
+		{"finite", 0.5, true},
+		{"zero", 0, true},
+		{"max-f32", math.MaxFloat32, true},
+		{"overflows-f32", 1e39, false},
+		{"+inf", math.Inf(1), false},
+		{"-inf", math.Inf(-1), false},
+		{"nan", math.NaN(), false},
+	} {
+		conv := nn.NewConv2D("c", 3, 12, 3, 1, 1, true, rng.New(5))
+		conv.W.Value.Data[40] = tc.weight
+		if got := nn.ConvPacked[float32](conv); got != tc.packed {
+			t.Errorf("%s weight: Compile[float32] packs the conv: %v, want %v", tc.name, got, tc.packed)
+		}
+		if nn.ConvPacked[float64](conv) {
+			t.Errorf("%s weight: Compile[float64] packs the conv", tc.name)
+		}
+	}
+}
+
 // TestCompileF64IsTheOracle pins the float64 compile to the oracle's bits:
 // Compile[float64] views the live weights and precomputes only what
 // ForwardInfer evaluates per pass, so over the test stacks, the seeded split

@@ -271,11 +271,15 @@ func castSlice[T tensor.Float](src []float64) []T {
 
 // convOp is a convolution's inference-time state at element type T: the
 // live float64 parameters viewed in place (Conv2D.inferOp), or their
-// float32 narrowing held by a Compiled[float32].
+// float32 narrowing held by a Compiled[float32]. A float32 op whose
+// narrowed weights are all finite holds them only packed for the direct
+// kernel (direct, with w nil); any other op holds w in the [OutC,
+// C·KH·KW] layout the im2col panel reads.
 type convOp[T tensor.Float] struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
 	w, b                           *tensor.Dense[T] // b is nil when bias is disabled
+	direct                         *tensor.DirectConv32
 }
 
 func (c *Conv2D) inferOp() convOp[float64] {
@@ -287,11 +291,22 @@ func (c *Conv2D) inferOp() convOp[float64] {
 	return op
 }
 
+// castConv returns c at element type T. At float32 the weights are packed
+// for the direct kernel when they narrow to finite values (a padding
+// product w·0 is then ±0, which the kernel leaves out without moving a
+// bit); a weight that narrows to ±Inf or NaN keeps the layer on the im2col
+// panel.
 func castConv[T tensor.Float](c convOp[float64]) convOp[T] {
 	op := convOp[T]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
-		stride: c.stride, pad: c.pad, w: castTensor[T](c.w)}
+		stride: c.stride, pad: c.pad}
 	if c.b != nil {
 		op.b = castTensor[T](c.b)
+	}
+	if _, f32 := any(op.w).(*tensor.Tensor32); f32 {
+		op.direct = tensor.PackConv32(c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
+	}
+	if op.direct == nil {
+		op.w = castTensor[T](c.w)
 	}
 	return op
 }
@@ -305,11 +320,16 @@ func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 	return tensor.ConvOutSize(x.Shape[2], c.kh, c.stride, c.pad), tensor.ConvOutSize(x.Shape[3], c.kw, c.stride, c.pad)
 }
 
-// infer computes the convolution serially per sample with the
-// register-tiled matmul kernel, retaining no im2col matrices.
+// infer computes the convolution serially per sample, retaining nothing:
+// with the direct kernel where the op holds packed weights, else through
+// im2col and the register-tiled matmul kernel.
 func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	oh, ow := c.outSize(x)
 	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)
+	if c.direct != nil {
+		tensor.ConvDirectInto32(any(y).(*tensor.Tensor32), any(x).(*tensor.Tensor32), c.direct, any(c.b).(*tensor.Tensor32))
+		return y
+	}
 	cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
 	return tensor.ConvForwardInto(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)
 }

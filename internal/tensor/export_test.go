@@ -1,12 +1,14 @@
 package tensor
 
-// withF64Tiles calls f once per path the f64 tile can take on this host,
-// with tile8x4F64 switched to it through useAVX2: "go", the portable form,
-// then "avx2" where the CPU check passed. It restores the switch afterwards,
-// so a test that calls it must not run in parallel with other tests of this
-// package. On amd64 CI this is what runs the Go fallback, which the panels
-// otherwise take only on CPUs without AVX2 and on other GOARCHes.
-func withF64Tiles(f func(path string)) {
+// withAVX2 calls f once per path the SIMD kernels behind useAVX2 can take
+// on this host — the f64 panel's tile (tile8x4F64) and the direct f32
+// convolution (convDirectF32) — with the switch set to it: "go", the
+// portable forms, then "avx2" where the CPU check passed. It restores the
+// switch afterwards, so a test that calls it must not run in parallel with
+// other tests of this package. On amd64 CI this is what runs the Go forms,
+// which the kernels otherwise take only on CPUs without AVX2 and on other
+// GOARCHes.
+func withAVX2(f func(path string)) {
 	hasAVX2 := useAVX2
 	defer func() { useAVX2 = hasAVX2 }()
 	useAVX2 = false
@@ -26,7 +28,7 @@ var (
 	RefMatmulRows64 = refMatmulRowsF64
 	RefMatmulRows32 = refMatmulRowsF32
 	HardwareNaN     = hardwareNaN
-	WithF64Tiles    = withF64Tiles
+	WithAVX2        = withAVX2
 
 	RefIm2col64    = refIm2col[float64]
 	RefIm2col32    = refIm2col[float32]

@@ -29,8 +29,8 @@ type gather struct {
 	oh, ow int
 }
 
-// buildGather computes g's table, walking the entries in ascending order.
-func buildGather(g window) gather {
+// build computes g's gather table, walking the entries in ascending order.
+func (g window) build() gather {
 	if g.h*g.w > math.MaxInt32 {
 		panic(fmt.Sprintf("tensor: %dx%d plane too large for a gather table", g.h, g.w))
 	}
@@ -55,24 +55,32 @@ func buildGather(g window) gather {
 	return gather{idx: idx, oh: oh, ow: ow}
 }
 
-// gatherCache holds every table built so far. Lookups load the current map
-// and read it with no lock and no allocation; a miss builds the table under
-// the mutex and publishes a copy of the map with it added. The indices do
-// not depend on the element type, so every body, worker and precision of a
-// process shares one table per geometry — a serving process sees a handful
-// of geometries (one per distinct conv or pool shape of its architecture).
-type gatherCache struct {
-	mu     sync.Mutex
-	tables atomic.Pointer[map[window]gather]
+// tableKey is a geometry a table is built from: a window for the gathers
+// (gather) or a window over c channels for the direct f32 convolution
+// (convTaps, direct.go).
+type tableKey[V any] interface {
+	comparable
+	build() V
 }
 
-// windows is the process-wide table cache.
-var windows gatherCache
+// tableCache holds every table built so far. Lookups load the current map
+// and read it with no lock and no allocation; a miss builds the table under
+// the mutex and publishes a copy of the map with it added. A table holds
+// positions, not values, so every body, worker and precision of a process
+// shares one table per geometry — a serving process sees a handful of
+// geometries (one per distinct conv or pool shape of its architecture).
+type tableCache[K tableKey[V], V any] struct {
+	mu     sync.Mutex
+	tables atomic.Pointer[map[K]V]
+}
 
-// get returns g's table, building it on first use.
-func (c *gatherCache) get(g window) gather {
+// windows is the process-wide gather table cache.
+var windows tableCache[window, gather]
+
+// get returns k's table, building it on first use.
+func (c *tableCache[K, V]) get(k K) V {
 	if m := c.tables.Load(); m != nil {
-		if t, ok := (*m)[g]; ok {
+		if t, ok := (*m)[k]; ok {
 			return t
 		}
 	}
@@ -80,18 +88,18 @@ func (c *gatherCache) get(g window) gather {
 	defer c.mu.Unlock()
 	old := c.tables.Load()
 	if old != nil {
-		if t, ok := (*old)[g]; ok {
+		if t, ok := (*old)[k]; ok {
 			return t
 		}
 	}
-	next := make(map[window]gather, 1)
+	next := make(map[K]V, 1)
 	if old != nil {
 		for k, v := range *old {
 			next[k] = v
 		}
 	}
-	t := buildGather(g)
-	next[g] = t
+	t := k.build()
+	next[k] = t
 	c.tables.Store(&next)
 	return t
 }

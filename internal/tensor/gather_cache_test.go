@@ -21,7 +21,7 @@ func TestGatherCacheConcurrentBuilds(t *testing.T) {
 	}
 	const workers = 8
 	var (
-		c     gatherCache
+		c     tableCache[window, gather]
 		wg    sync.WaitGroup
 		start = make(chan struct{})
 		got   [workers][]gather
@@ -42,7 +42,7 @@ func TestGatherCacheConcurrentBuilds(t *testing.T) {
 	for g := range workers {
 		for j, tab := range got[g] {
 			geom := geoms[(g+j)%len(geoms)]
-			want := buildGather(geom)
+			want := geom.build()
 			if tab.oh != want.oh || tab.ow != want.ow || !slices.Equal(tab.idx, want.idx) {
 				t.Fatalf("worker %d got a table for %+v that differs from a fresh build", g, geom)
 			}

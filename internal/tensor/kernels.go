@@ -33,6 +33,15 @@ import (
 // chosen by a CPU check made once at package init (the Go form runs where
 // it fails), and SSE, baseline amd64, for the f32 ones.
 //
+// The compiled f32 convolution does not come through here: nn.Compile
+// packs its weights for the direct kernel of direct.go (ConvDirectInto32),
+// which computes matmulRowsF32's bits over each output position's taps
+// inside the image, with no im2col and no product against padding. It too
+// has one Go definition (convDirectF32Go) and one transcription, on AVX2
+// behind the same CPU check. ConvForwardInto, im2col and the f32 panel
+// remain the public f32 convolution, the fallback for a layer with a
+// non-finite weight, and what the f64 oracle and training run.
+//
 // Every product these kernels (and Dense.Dot and AddScaledInPlace) add is
 // converted to its type first, as in c += float64(x*b). The conversion
 // rounds the product (Go spec, "Floating-point operators"), so gc fuses the

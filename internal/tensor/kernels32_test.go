@@ -188,10 +188,10 @@ func TestTile4x1F32MatchesGo(t *testing.T) {
 // 0·Inf and Inf−Inf make NaNs, and large products overflow) over every
 // step count up to 17, at b row strides of 4, 5 and 9, from a tile that
 // already holds values. It runs once per path the tile can take on this
-// host (withF64Tiles): the portable form compared with itself, and the
+// host (withAVX2): the portable form compared with itself, and the
 // AVX2 transcription where the CPU has it.
 func TestTile8x4F64MatchesGo(t *testing.T) {
-	withF64Tiles(func(path string) {
+	withAVX2(func(path string) {
 		t.Logf("the %s tile", path)
 		fill := tileOperands(11, []float64{0, math.Copysign(0, -1), hardwareNaN(), 5e-324, -2.5e-310, 1e308, -1e308, math.Inf(1), math.Inf(-1)})
 		for _, n := range []int{4, 5, 9} {

@@ -41,8 +41,9 @@ func tile4x1F32(c *[4]float32, a *[4][]float32, b []float32, n, steps int) {
 //go:noescape
 func tile4x1F32SSE(c *[4]float32, a *[4][]float32, b *float32, n, steps int)
 
-// useAVX2 selects the f64 tile: the AVX2 transcription where the CPU and
-// the OS support it, checked once at package init, else the Go form.
+// useAVX2 selects the f64 tile and the direct f32 convolution: their AVX2
+// transcriptions where the CPU and the OS support it, checked once at
+// package init, else the Go forms.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether AVX2 instructions can run here: CPUID leaf 1
@@ -94,3 +95,52 @@ func tile8x4F64(c *[8][4]float64, a *[8][]float64, b []float64, n, steps int) {
 
 //go:noescape
 func tile8x4F64AVX2(c *[8][4]float64, a *[8][]float64, b *float64, n, steps int)
+
+// convDirectF32 computes one image's direct convolution, convDirectF32Go
+// over every output channel, on AVX2 where the CPU has it: whole blocks of
+// eight output channels run in the assembly, four, two or one blocks to a
+// pass over the tap table, with one YMM lane per output channel. Each tap
+// broadcasts its input value and multiplies it by the weight row's blocks,
+// and each product is added to its group's sum, then each group to the
+// position's — VMULPS then VADDPS, never a fused multiply-add, the same IEEE
+// single operations per lane as MULSS and ADDSS, so the bits match
+// convDirectF32Go exactly (TestConvDirectMatchesGo). A tail tap's product is
+// masked to +0 where its weight is ±0 (VCMPPS, not-equal-or-unordered),
+// which adds nothing to a sum that is never −0. The last OutC mod 8 output
+// channels, and every channel where the CPU check failed, run in Go.
+func convDirectF32(y, x []float32, d *DirectConv32, taps []int32, hw int) {
+	b, full := 0, d.outC/8
+	if useAVX2 && full > 0 {
+		// The assembly reads x at the table's offsets, inside the one
+		// [C,H,W] image of the table's geometry that ConvDirectInto32
+		// passes, rows p < C·KH·KW of w at columns below ldw, and writes
+		// the first 8·full planes of y: check those once here.
+		_ = y[d.outC*hw-1]
+		for b < full {
+			yb, wb := &y[8*b*hw], &d.w[8*b]
+			switch {
+			case full-b >= 4:
+				convDirect8x4AVX2(yb, &x[0], wb, &taps[0], hw, d.ldw)
+				b += 4
+			case full-b >= 2:
+				convDirect8x2AVX2(yb, &x[0], wb, &taps[0], hw, d.ldw)
+				b += 2
+			default:
+				convDirect8x1AVX2(yb, &x[0], wb, &taps[0], hw, d.ldw)
+				b++
+			}
+		}
+	}
+	if 8*b < d.outC {
+		convDirectF32Go(y, x, d.w, d.ldw, d.outC, hw, taps, b, (d.outC+7)/8)
+	}
+}
+
+//go:noescape
+func convDirect8x4AVX2(y, x, w *float32, taps *int32, hw, ldw int)
+
+//go:noescape
+func convDirect8x2AVX2(y, x, w *float32, taps *int32, hw, ldw int)
+
+//go:noescape
+func convDirect8x1AVX2(y, x, w *float32, taps *int32, hw, ldw int)

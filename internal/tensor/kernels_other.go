@@ -2,7 +2,8 @@
 
 package tensor
 
-// useAVX2 is always false here: off amd64 there is no AVX2 tile to select.
+// useAVX2 is always false here: off amd64 there is no AVX2 kernel to
+// select.
 var useAVX2 = false
 
 // tile2x4F32 runs the portable tile where there is no SIMD form.
@@ -18,4 +19,10 @@ func tile4x1F32(c *[4]float32, a *[4][]float32, b []float32, n, steps int) {
 // tile8x4F64 runs the portable tile where there is no SIMD form.
 func tile8x4F64(c *[8][4]float64, a *[8][]float64, b []float64, n, steps int) {
 	tile8x4F64Go(c, a, b, n, steps)
+}
+
+// convDirectF32 runs the portable direct convolution where there is no
+// SIMD form.
+func convDirectF32(y, x []float32, d *DirectConv32, taps []int32, hw int) {
+	convDirectF32Go(y, x, d.w, d.ldw, d.outC, hw, taps, 0, (d.outC+7)/8)
 }

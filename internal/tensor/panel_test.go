@@ -76,7 +76,7 @@ func convPanels(arch split.Arch) [][3]int {
 // each hold one NaN weight, which both panels add (NaN != 0), so those rows
 // read NaN throughout: a tile that took a NaN for a zero (VUCOMISD sets ZF
 // for both) would leave them finite. The f64 panel runs once per path its
-// tile can take on this host (WithF64Tiles): the Go form, and AVX2 where
+// tile can take on this host (WithAVX2): the Go form, and AVX2 where
 // the CPU has it.
 func TestPanelsMatchReference(t *testing.T) {
 	shapes := map[string][3]int{}
@@ -130,7 +130,7 @@ func TestPanelsMatchReference(t *testing.T) {
 			// when k has no k mod 4 tail.
 			poisoned := k%4 == 0
 
-			tensor.WithF64Tiles(func(path string) {
+			tensor.WithAVX2(func(path string) {
 				for _, rows := range [][2]int{{0, m}, {1, m}, {0, m - 1}} {
 					i0, i1 := rows[0], rows[1]
 					if i0 >= i1 {
