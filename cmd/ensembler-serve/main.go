@@ -287,9 +287,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer ln.Close()
 	srv := comm.NewModelServer(provider, serverOpts...)
-	// Pin against the pool size the server actually runs (a non-positive
-	// -workers keeps the GOMAXPROCS default), not the raw flag value.
-	comm.PinKernelParallelism(srv.Workers())
 
 	// A shard that ends up serving a layout-divergent model must stop
 	// serving — wrong-subset responses are shape-identical to right ones,

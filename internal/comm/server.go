@@ -76,17 +76,16 @@ func WithWorkers(n int) ServerOption {
 	}
 }
 
-// PinKernelParallelism applies the serving-path parallelism invariant for a
-// process about to run a worker pool of the given size: a multi-worker pool
-// is the one level of parallelism, so kernel-level goroutines are disabled
-// (tensor.SetKernelParallelism(1)) — nesting them under the pool only
-// oversubscribes the cores the pool already saturates (8 connections once
-// measured 0.94× of one that way). A single-worker
-// pool leaves the knob alone: ForwardInfer runs only the serial *Into
-// kernels, which ignore it, and such a server's parallelism is its per-body
-// fan-out (see workerScratch). The knob is process-global: serving binaries
-// call this once at startup; harnesses that later run training in the same
-// process restore with tensor.SetKernelParallelism(0).
+// PinKernelParallelism caps the training kernels at one goroutine
+// (tensor.SetKernelParallelism(1)) in a process about to run a worker pool
+// of the given size beside them, so the two levels do not nest: kernel
+// goroutines under a pool only oversubscribe the cores it saturates (8
+// connections once measured 0.94× of one that way). A single-worker pool
+// leaves the knob alone. A serving pass never reads the cap — ForwardInfer
+// runs only the serial *Into kernels — so a serving binary need not call
+// this; a harness that computes oracle predictions (tensor.ConvForward)
+// while its servers run does. The knob is process-global: restore it with
+// tensor.SetKernelParallelism(0).
 func PinKernelParallelism(workers int) {
 	if workers > 1 {
 		tensor.SetKernelParallelism(1)

@@ -171,25 +171,40 @@ func (l *countingLayer) Params() []*nn.Param                         { return ni
 // whose inference pass could write state — a custom Layer, bare or nested in
 // a network — does not compile, so its model's requests are answered with
 // the compile error, in the epoch's name, at either precision, and nothing
-// of it is ever computed.
+// of it is ever computed. A body with a conv weight that overflows float32
+// is refused the same way at f32, the error naming the layer, and served at
+// f64.
 func TestUnshareableBodiesAreRefused(t *testing.T) {
 	custom := &countingLayer{}
+	overflow := commtest.Bodies(tiny, 3)[2]
+	for _, l := range overflow.Layers {
+		if b, ok := l.(*nn.BasicBlock); ok {
+			b.Conv1.W.Value.Data[0] = 1e39
+			break
+		}
+	}
 	frame := comm.RequestFrame(t, &comm.Request{Features: commtest.Input(tiny, 172, 1)}, false)
 	for _, prec := range []comm.Precision{comm.PrecisionF64, comm.PrecisionF32} {
 		for _, tc := range []struct {
 			body *nn.Network
 			want string
+			f64  bool // an f64 server serves the body
 		}{
-			{nn.NewNetwork("custom", nn.NewReLU(), custom), "no compiled inference path"},
-			{nn.NewNetwork("nested", nn.NewNetwork("inner", custom)), "no compiled inference path"},
+			{nn.NewNetwork("custom", nn.NewReLU(), custom), "no compiled inference path", false},
+			{nn.NewNetwork("nested", nn.NewNetwork("inner", custom)), "no compiled inference path", false},
+			{overflow, "Conv2D b2.block0.conv1.w: weight [0 0] = 1e+39 is not finite at float32", true},
 		} {
+			want := tc.want
+			if prec == comm.PrecisionF64 && tc.f64 {
+				want = ""
+			}
 			bodies := append(commtest.Bodies(tiny, 2), tc.body)
 			serve := comm.FrameServer(t, comm.NewModelServer(&fixedModel{bodies}, comm.WithWorkers(2), comm.WithPrecision(prec)))
 			for r := 0; r < 2; r++ {
 				resp := serve(frame)
-				if !strings.Contains(resp.Err, tc.want) || resp.Model != "fixed" || resp.Version != 1 {
-					t.Errorf("%s %s request %d: answered %s v%d %q, want fixed v1 and an error naming %q",
-						prec, tc.body.Name, r, resp.Model, resp.Version, resp.Err, tc.want)
+				if !strings.Contains(resp.Err, want) || (want == "") != (resp.Err == "") || resp.Model != "fixed" || resp.Version != 1 {
+					t.Errorf("%s %s request %d: answered %s v%d %q, want fixed v1 and an error naming %q (served if empty)",
+						prec, tc.body.Name, r, resp.Model, resp.Version, resp.Err, want)
 				}
 			}
 		}

@@ -116,10 +116,11 @@ func TestForwardInfer32Allocs(t *testing.T) {
 
 // TestCompileF32PacksFiniteConvs pins which convolutions Compile[float32]
 // hands the direct kernel: every one whose weights narrow to finite values,
-// holding only the packed copy, while one ±Inf or NaN weight, or one finite
-// at float64 that overflows float32, keeps the layer on the im2col panel
-// (the padding products the direct kernel leaves out are then NaN). At
-// float64 no layer is packed: Compile[float64] views the live weights.
+// holding only the packed copy. One ±Inf or NaN weight, or one finite at
+// float64 that overflows float32, is refused with an error naming the
+// layer (the padding products the direct kernel leaves out are then NaN,
+// and no other path serves an f32 body). At float64 no layer is packed and
+// none is refused: Compile[float64] views the live weights.
 func TestCompileF32PacksFiniteConvs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -139,8 +140,16 @@ func TestCompileF32PacksFiniteConvs(t *testing.T) {
 		if got := nn.ConvPacked[float32](conv); got != tc.packed {
 			t.Errorf("%s weight: Compile[float32] packs the conv: %v, want %v", tc.name, got, tc.packed)
 		}
+		net := nn.NewNetwork("n", conv)
+		_, err := nn.Compile[float32](net)
+		if refused := err != nil; refused == tc.packed || refused && !strings.Contains(err.Error(), "Conv2D c.w:") {
+			t.Errorf("%s weight: Compile[float32] error %v, want a refusal naming Conv2D c.w exactly when the conv is not packed", tc.name, err)
+		}
 		if nn.ConvPacked[float64](conv) {
 			t.Errorf("%s weight: Compile[float64] packs the conv", tc.name)
+		}
+		if _, err := nn.Compile[float64](net); err != nil {
+			t.Errorf("%s weight: Compile[float64]: %v", tc.name, err)
 		}
 	}
 }

@@ -9,6 +9,6 @@ func CompiledSteps[T tensor.Float](c *Compiled[T]) int { return len(c.steps) }
 // ConvPacked reports whether compiling c at T packs its weights for the
 // direct kernel, holding no standard-layout copy beside them.
 func ConvPacked[T tensor.Float](c *Conv2D) bool {
-	op := castConv[T](c.inferOp())
-	return op.direct != nil && op.w == nil
+	op, err := castConv[T](c.inferOp())
+	return err == nil && op.direct != nil && op.w == nil
 }

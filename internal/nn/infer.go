@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -185,7 +186,8 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 		}
 		return c.ForwardInfer, nil
 	case *Conv2D:
-		return castConv[T](v.inferOp()).infer, nil
+		op, err := castConv[T](v.inferOp())
+		return op.infer, err
 	case *Linear:
 		return linearOp[T]{name: v.W.Name, in: v.In, out: v.Out,
 			w: castTensor[T](v.W.Value), b: castTensor[T](v.B.Value)}.infer, nil
@@ -214,15 +216,16 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 	case *Dropout:
 		return identityInfer[T], nil
 	case *BasicBlock:
-		op := blockOp[T]{
-			conv1: castConv[T](v.Conv1.inferOp()), bn1: compileBN[T](v.BN1),
-			conv2: castConv[T](v.Conv2.inferOp()), bn2: compileBN[T](v.BN2),
-		}
+		conv1, err1 := castConv[T](v.Conv1.inferOp())
+		conv2, err2 := castConv[T](v.Conv2.inferOp())
+		op := blockOp[T]{conv1: conv1, bn1: compileBN[T](v.BN1), conv2: conv2, bn2: compileBN[T](v.BN2)}
+		var err3 error
 		if v.ShortConv != nil {
 			op.short = true
-			op.shortConv, op.shortBN = castConv[T](v.ShortConv.inferOp()), compileBN[T](v.ShortBN)
+			op.shortConv, err3 = castConv[T](v.ShortConv.inferOp())
+			op.shortBN = compileBN[T](v.ShortBN)
 		}
-		return op.infer, nil
+		return op.infer, errors.Join(err1, err2, err3)
 	default:
 		return nil, fmt.Errorf("no compiled inference path for layer type %T", l)
 	}
@@ -271,10 +274,9 @@ func castSlice[T tensor.Float](src []float64) []T {
 
 // convOp is a convolution's inference-time state at element type T: the
 // live float64 parameters viewed in place (Conv2D.inferOp), or their
-// float32 narrowing held by a Compiled[float32]. A float32 op whose
-// narrowed weights are all finite holds them only packed for the direct
-// kernel (direct, with w nil); any other op holds w in the [OutC,
-// C·KH·KW] layout the im2col panel reads.
+// float32 narrowing held by a Compiled[float32]. A float32 op holds its
+// weights only packed for the direct kernel (direct, with w nil); a float64
+// op holds w in the [OutC, C·KH·KW] layout the im2col panel reads.
 type convOp[T tensor.Float] struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
@@ -292,23 +294,27 @@ func (c *Conv2D) inferOp() convOp[float64] {
 }
 
 // castConv returns c at element type T. At float32 the weights are packed
-// for the direct kernel when they narrow to finite values (a padding
-// product w·0 is then ±0, which the kernel leaves out without moving a
-// bit); a weight that narrows to ±Inf or NaN keeps the layer on the im2col
-// panel.
-func castConv[T tensor.Float](c convOp[float64]) convOp[T] {
+// for the direct kernel, which leaves out the padding products w·0: with w
+// finite they are ±0 and drop out without moving a bit. A weight that does
+// not narrow to a finite float32 (±Inf, NaN, or above MaxFloat32 at
+// float64) is refused with an error naming the layer: an f32 body holding
+// one does not compile, and is served by no other path.
+func castConv[T tensor.Float](c convOp[float64]) (convOp[T], error) {
 	op := convOp[T]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
 		stride: c.stride, pad: c.pad}
 	if c.b != nil {
 		op.b = castTensor[T](c.b)
 	}
-	if _, f32 := any(op.w).(*tensor.Tensor32); f32 {
-		op.direct = tensor.PackConv32(c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
-	}
-	if op.direct == nil {
+	if _, f32 := any(op.w).(*tensor.Tensor32); !f32 {
 		op.w = castTensor[T](c.w)
+		return op, nil
 	}
-	return op
+	d, err := tensor.PackConv32(c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
+	if err != nil {
+		return op, fmt.Errorf("Conv2D %s: %w", c.name, err)
+	}
+	op.direct = d
+	return op, nil
 }
 
 // outSize validates x against the convolution and returns the output's
@@ -321,8 +327,8 @@ func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 }
 
 // infer computes the convolution serially per sample, retaining nothing:
-// with the direct kernel where the op holds packed weights, else through
-// im2col and the register-tiled matmul kernel.
+// at float32 with the direct kernel, at float64 through im2col and the
+// register-tiled matmul kernel.
 func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	oh, ow := c.outSize(x)
 	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)

@@ -123,3 +123,80 @@ func TestChaosFleetUnderSeededFaultSchedule(t *testing.T) {
 		t.Fatal("service never converged back to clean bit-exact responses after the storm")
 	}
 }
+
+// TestChaosFleetUnderHeavyWireFaults holds the fleet to the same contract
+// under a wire-wide fault rate that fails most requests: every listener is
+// armed at p = 0.4 with resets, torn writes or refused dials, two kinds at
+// a time. An error is the honest outcome there, so no error budget is set;
+// what must hold is that no admitted answer is bit-inexact, that every
+// shard's circuit opens, that service converges back to bit-exact answers
+// once the faults are disarmed, and that nothing leaks.
+func TestChaosFleetUnderHeavyWireFaults(t *testing.T) {
+	commtest.LeakCheck(t) // registered first → checked last, after fleet teardown
+
+	f := commtest.StartShards(t, 3, 4, 2, 92)
+	// Fast reopen waits, so circuits open and close many times in the storm
+	// and recovery waits at most MaxBackoff per shard.
+	p := shard.DefaultPolicy
+	p.Backoff, p.MaxBackoff = 10*time.Millisecond, 50*time.Millisecond
+	p.Seed = chaosSeed
+	c, err := shard.NewClient(shard.WithPolicy(f.ClientConfig(), p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	arch := commtest.TinyArch()
+	x := tensor.New(2, arch.InC, arch.H, arch.W)
+	rng.New(chaosSeed+1).FillNormal(x.Data, 0, 1)
+	want := f.Pipeline.Predict(x)
+	traffic := func(int) error {
+		logits, _, err := c.Infer(context.Background(), x)
+		if err != nil {
+			return err
+		}
+		if !logits.AllClose(want, 1e-9) {
+			return commtest.ErrChaosMismatch
+		}
+		return nil
+	}
+
+	heavy := func(kind faultpoint.Kind) faultpoint.Policy { return faultpoint.Policy{Kind: kind, Prob: 0.4} }
+	report := commtest.RunChaos(commtest.ChaosConfig{
+		Seed:     chaosSeed,
+		Workers:  4,
+		Flips:    30,
+		FlipGap:  5 * time.Millisecond,
+		MaxArmed: 2,
+		Faults: []commtest.ChaosFault{{Name: "wire", Listeners: f.Listeners, Policies: []faultpoint.Policy{
+			heavy(faultpoint.Reset), heavy(faultpoint.TornWrite), heavy(faultpoint.Drop),
+		}}},
+	}, traffic)
+
+	t.Logf("heavy chaos: %d requests, %d errors, %d mismatches, faults fired %v, recovered in %v",
+		report.Requests, report.Errors, report.Mismatches, report.Triggers, report.RecoverIn)
+
+	if report.Mismatches != 0 {
+		t.Fatalf("%d admitted responses were bit-inexact — faults must fail requests, never corrupt them", report.Mismatches)
+	}
+	if report.Requests == 0 {
+		t.Fatal("no traffic flowed during the storm")
+	}
+	for _, kind := range []string{"reset", "torn-write", "drop"} {
+		if report.Triggers["wire/"+kind] == 0 {
+			t.Errorf("the storm never fired a %s fault", kind)
+		}
+	}
+	for k, h := range c.Health() {
+		if h.BreakerOpens == 0 {
+			t.Errorf("shard %d: circuit never opened under a 0.4 fault rate (%+v)", k, h)
+		}
+	}
+	// Recovery takes a few reopen waits of at most MaxBackoff each; the
+	// ceiling is a hundred of them, loose enough for -race scheduling.
+	const ceiling = 5 * time.Second
+	if !report.Recovered || report.RecoverIn > ceiling {
+		t.Fatalf("service did not converge back to clean bit-exact responses within %v of the storm (recovered %v in %v)",
+			ceiling, report.Recovered, report.RecoverIn)
+	}
+}

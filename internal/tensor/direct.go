@@ -25,7 +25,7 @@ import (
 // image, in ascending p, grouped by p/4 as matmulRowsF32 groups them, with
 // the tail's zero weights skipped. A weight that is not finite makes a
 // padding product NaN, which this kernel would drop: PackConv32 refuses such
-// weights, and their layer keeps the im2col panel.
+// weights, so an f32 body holding one does not compile (nn.Compile).
 
 // DirectConv32 is a float32 convolution's weights in the layout the direct
 // kernel reads: row p of the [C·KH·KW, OutC] transpose of the [OutC,
@@ -41,9 +41,10 @@ type DirectConv32 struct {
 
 // PackConv32 narrows the float64 weights w ([OutC, inC·KH·KW]) of a
 // convolution with the given window into the direct kernel's layout. It
-// returns nil when a narrowed weight is not finite: that layer must keep
-// ConvForwardInto, whose padding products this kernel does not compute.
-func PackConv32(w *Tensor, inC, kh, kw, stride, pad int) *DirectConv32 {
+// returns an error for a weight that does not narrow to a finite float32
+// (±Inf, NaN, or a finite float64 above MaxFloat32): its padding products
+// are NaN, which this kernel does not compute.
+func PackConv32(w *Tensor, inC, kh, kw, stride, pad int) (*DirectConv32, error) {
 	if len(w.Shape) != 2 || w.Shape[1] != inC*kh*kw {
 		panic(fmt.Sprintf("tensor: PackConv32 weight %v vs c*kh*kw=%d", w.Shape, inC*kh*kw))
 	}
@@ -54,12 +55,12 @@ func PackConv32(w *Tensor, inC, kh, kw, stride, pad int) *DirectConv32 {
 		for p, v := range w.Data[o*k : (o+1)*k] {
 			f := float32(v)
 			if math.IsInf(float64(f), 0) || f != f {
-				return nil
+				return nil, fmt.Errorf("weight [%d %d] = %v is not finite at float32", o, p, v)
 			}
 			d.w[p*d.ldw+o] = f
 		}
 	}
-	return d
+	return d, nil
 }
 
 // convWindow is the geometry of a direct convolution's tap table: a window

@@ -3,6 +3,7 @@ package tensor_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ensembler/internal/commtest"
@@ -14,7 +15,7 @@ import (
 )
 
 // TestCompiledConvMatchesPanel holds the compiled f32 convolution — the
-// direct kernel wherever Compile[float32] packs the weights — to
+// direct kernel, over the weights Compile[float32] packs for it — to
 // ConvForwardInto at float32 over the standard-layout narrowed weights,
 // bit for bit: every conv geometry of both DefaultArch kinds and of
 // TinyArch, plus geometries with a k mod 4 tail, output channel counts that
@@ -23,11 +24,11 @@ import (
 // other output channel; the activations hold +0, −0 and negatives, and
 // three of the eight images a NaN, a +Inf or a −Inf, so a zero weight in a
 // group meets an Inf on a valid tap (NaN) while a zero tail weight skips
-// it. Each geometry also runs with one weight +Inf
-// and with one NaN, at weight row 0, whose window tap lies in the padding
-// of every top-row position: the panel multiplies it by the padding's +0
-// into NaN, so the layer must keep the panel's bits. It runs once per path
-// the kernels can take on this host (WithAVX2).
+// it. It runs once per path the kernels can take on this host (WithAVX2).
+// Each geometry also tries one weight +Inf and one NaN, at weight row 0,
+// whose window tap lies in the padding of every top-row position: the panel
+// multiplies it by the padding's +0 into NaN, which the direct kernel does
+// not compute, so Compile[float32] must refuse the layer, naming it.
 func TestCompiledConvMatchesPanel(t *testing.T) {
 	type geom struct{ outC, c, h, w, kh, kw, stride, pad int }
 	geoms := map[string]geom{}
@@ -78,6 +79,12 @@ func TestCompiledConvMatchesPanel(t *testing.T) {
 					w[0] = nan
 				}
 				c32, err := nn.Compile[float32](nn.NewNetwork("conv", conv))
+				if weight != "finite" {
+					if err == nil || !strings.Contains(err.Error(), "Conv2D w:") {
+						t.Fatalf("Compile[float32] with a %s weight: error %v, want a refusal naming Conv2D w", weight, err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +124,7 @@ func TestCompiledConvMatchesPanel(t *testing.T) {
 								finite++
 							}
 						}
-						if weight == "finite" && finite < len(got.Data)/2 {
+						if finite < len(got.Data)/2 {
 							t.Fatalf("%s, %d rows: only %d of %d outputs finite", path, rows, finite, len(got.Data))
 						}
 					})

@@ -23,15 +23,13 @@ import (
 // of dot products (matmulTransBRow → dot32), each selected inside the
 // generic function by the element type alone. The f32 two are where the f64
 // oracle's bit-identity (strictly sequential accumulation) and the f32
-// backend's association (a reassociated, unrolled reduction, pinned by the
-// f32 golden digests) genuinely conflict; see DESIGN.md §2i. matmulRowsF64
-// keeps the oracle's order and is concrete only so that its tile can call
-// assembly. Each tile has one definition in Go (tile8x4F64Go, tile2x4F32Go,
-// tile4x1F32Go), which is the tile on every GOARCH but amd64, and one
-// transcription in kernels_amd64.s (behind tile8x4F64, tile2x4F32,
-// tile4x1F32) that the tests hold to it bit for bit: AVX2 for the f64 tile,
-// chosen by a CPU check made once at package init (the Go form runs where
-// it fails), and SSE, baseline amd64, for the f32 ones.
+// backend's association (a reassociated reduction, pinned by the f32 golden
+// digests) genuinely conflict; see DESIGN.md §2i. matmulRowsF64 keeps the
+// oracle's order in a register tile with one definition in Go
+// (tile8x4F64Go, the tile on every GOARCH but amd64) and one AVX2
+// transcription in kernels_amd64.s (behind tile8x4F64), chosen by a CPU
+// check made once at package init, that the tests hold to it bit for bit.
+// matmulRowsF32 is one plain loop: no serving body runs it.
 //
 // The compiled f32 convolution does not come through here: nn.Compile
 // packs its weights for the direct kernel of direct.go (ConvDirectInto32),
@@ -39,8 +37,8 @@ import (
 // inside the image, with no im2col and no product against padding. It too
 // has one Go definition (convDirectF32Go) and one transcription, on AVX2
 // behind the same CPU check. ConvForwardInto, im2col and the f32 panel
-// remain the public f32 convolution, the fallback for a layer with a
-// non-finite weight, and what the f64 oracle and training run.
+// remain the public f32 convolution, which the per-layer bench rows time;
+// the f64 oracle and training run ConvForwardInto at float64.
 //
 // Every product these kernels (and Dense.Dot and AddScaledInPlace) add is
 // converted to its type first, as in c += float64(x*b). The conversion
@@ -54,11 +52,10 @@ var kernelWorkers atomic.Int32
 
 // SetKernelParallelism bounds the goroutines the training kernels
 // (ConvForward, ConvBackward) may fan out across; n <= 0 restores the
-// GOMAXPROCS default. Serving processes whose comm worker pool already
-// saturates the cores set this to 1 so kernels never nest a second level of
-// parallelism under the pool — the oversubscription behind a once-measured
-// 0.94× concurrent "speedup". The *Into kernels are always serial and ignore
-// this knob.
+// GOMAXPROCS default. A process that runs those kernels beside a goroutine
+// pool of its own caps them so the two levels do not nest
+// (comm.PinKernelParallelism). The *Into kernels, and so every serving
+// pass, are always serial and ignore this knob.
 func SetKernelParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -193,10 +190,10 @@ func panelRow[T Float](s []T, i, i1, w int) []T {
 	return s[i*w : (i+1)*w]
 }
 
-// matmulRowsF32 is matmulRows' float32 panel: the same 2×4 tiles, but each
-// output sums its products in groups of four k-rows,
-// s += a0·b0 + a1·b1 + a2·b2 + a3·b3, and adds the last k mod 4 terms one at
-// a time, skipping zero weights.
+// matmulRowsF32 is matmulRows' float32 panel: each output sums its
+// products in groups of four k-rows, s += a0·b0 + a1·b1 + a2·b2 + a3·b3,
+// from s = +0, and adds the last k mod 4 terms one at a time, skipping zero
+// weights.
 //
 // This is NOT the sequential summation order. By the Go spec the group
 // evaluates as s + (((a0*b0 + a1*b1) + a2*b2) + a3*b3): the four products
@@ -204,118 +201,30 @@ func panelRow[T Float](s []T, i, i1, w int) []T {
 // running total, where the sequential loop adds each product to the total
 // in turn. The results differ in the last bits, which is why this panel
 // stays per-type (the f64 oracle must not reassociate, and the f32 golden
-// digests pin this association) and why what holds it to the oracle is the
-// 1e-5 relative drift tests
-// (TestMatMulInto32MatchesF64, nn.TestCompileDrift, audit/precision_test),
-// not order equality. The zero-skip applies only to the tail.
-//
-// The association is what lets the 2×4 tiles' groups run four columns to a
-// SIMD register (tile2x4F32): one lane per column, each lane computing
-// exactly the scalar expression above. The n mod 4 columns left over run
-// as 4×1 tiles, four rows per pass (tile4x1F32, one lane per row), with the
-// k mod 4 tail in Go: a serving body's last panels can be all columns
-// (n = 1 once a block reaches 1×1). Rows past the panel's end repeat its
-// last row (panelRow).
+// digests pin this association, which the direct kernel of direct.go
+// computes) and why what holds it to the oracle is the 1e-5 relative drift
+// tests (TestMatMulInto32MatchesF64, nn.TestCompileDrift,
+// audit/precision_test), not order equality. The zero-skip applies only to
+// the tail.
 func matmulRowsF32(out, a, b []float32, i0, i1, k, n int) {
 	k4 := k &^ 3
-	for i := i0; i < i1; i += 2 {
-		a0, o0 := panelRow(a, i, i1, k), panelRow(out, i, i1, n)
-		a1, o1 := panelRow(a, i+1, i1, k)[:len(a0)], panelRow(out, i+1, i1, n)
-		for j := 0; j+4 <= n; j += 4 {
-			var c [8]float32
-			tile2x4F32(&c, a0, a1, b[j:], n, k4/4)
-			for p := k4; p < k; p++ {
-				q := (*[4]float32)(b[p*n+j : p*n+j+4])
-				if x0 := a0[p]; x0 != 0 {
-					c[0] += float32(x0 * q[0])
-					c[1] += float32(x0 * q[1])
-					c[2] += float32(x0 * q[2])
-					c[3] += float32(x0 * q[3])
-				}
-				if x1 := a1[p]; x1 != 0 {
-					c[4] += float32(x1 * q[0])
-					c[5] += float32(x1 * q[1])
-					c[6] += float32(x1 * q[2])
-					c[7] += float32(x1 * q[3])
+	for i := i0; i < i1; i++ {
+		arow, orow := a[i*k:(i+1)*k], out[i*n:(i+1)*n]
+		for j := range orow {
+			var s float32
+			q := j
+			for p := 0; p < k4; p, q = p+4, q+4*n {
+				s += float32(arow[p]*b[q]) + float32(arow[p+1]*b[q+n]) +
+					float32(arow[p+2]*b[q+2*n]) + float32(arow[p+3]*b[q+3*n])
+			}
+			for p := k4; p < k; p, q = p+1, q+n {
+				if x := arow[p]; x != 0 {
+					s += float32(x * b[q])
 				}
 			}
-			*(*[4]float32)(o0[j : j+4]) = [4]float32(c[:4])
-			*(*[4]float32)(o1[j : j+4]) = [4]float32(c[4:])
+			orow[j] = s
 		}
 	}
-	if n&3 == 0 {
-		return
-	}
-	var rows [4][]float32
-	for i := i0; i < i1; i += 4 {
-		for r := range rows {
-			rows[r] = panelRow(a, i+r, i1, k)
-		}
-		o0, o1 := panelRow(out, i, i1, n), panelRow(out, i+1, i1, n)
-		o2, o3 := panelRow(out, i+2, i1, n), panelRow(out, i+3, i1, n)
-		for j := n &^ 3; j < n; j++ {
-			var c [4]float32
-			tile4x1F32(&c, &rows, b[j:], n, k4/4)
-			for p := k4; p < k; p++ {
-				bv := b[p*n+j]
-				for r, row := range rows {
-					if x := row[p]; x != 0 {
-						c[r] += float32(x * bv)
-					}
-				}
-			}
-			o0[j], o1[j], o2[j], o3[j] = c[0], c[1], c[2], c[3]
-		}
-	}
-}
-
-// tile2x4F32Go adds the first steps groups of four products to a 2×4 tile:
-// c[0:4] += a0[4s:4s+4]·b rows 4s..4s+3, columns 0..3, and c[4:8] likewise
-// from a1, for s in [0, steps), where row p of b starts at b[p*n]. It is the
-// portable form of tile2x4F32 and the order its SIMD form must reproduce bit
-// for bit.
-func tile2x4F32Go(c *[8]float32, a0, a1, b []float32, n, steps int) {
-	c00, c01, c02, c03, c10, c11, c12, c13 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
-	for p, off := 0, 0; p < 4*steps; p, off = p+4, off+4*n {
-		x := (*[4]float32)(a0[p : p+4])
-		y := (*[4]float32)(a1[p : p+4])
-		// Column by column, both rows: each column's four b values die
-		// after their two uses, which keeps the tile, the eight weights and
-		// the live b values close to the 15 registers gc allocates.
-		r1, r2, r3 := off+n, off+2*n, off+3*n
-		c00 += float32(x[0]*b[off]) + float32(x[1]*b[r1]) + float32(x[2]*b[r2]) + float32(x[3]*b[r3])
-		c10 += float32(y[0]*b[off]) + float32(y[1]*b[r1]) + float32(y[2]*b[r2]) + float32(y[3]*b[r3])
-		c01 += float32(x[0]*b[off+1]) + float32(x[1]*b[r1+1]) + float32(x[2]*b[r2+1]) + float32(x[3]*b[r3+1])
-		c11 += float32(y[0]*b[off+1]) + float32(y[1]*b[r1+1]) + float32(y[2]*b[r2+1]) + float32(y[3]*b[r3+1])
-		c02 += float32(x[0]*b[off+2]) + float32(x[1]*b[r1+2]) + float32(x[2]*b[r2+2]) + float32(x[3]*b[r3+2])
-		c12 += float32(y[0]*b[off+2]) + float32(y[1]*b[r1+2]) + float32(y[2]*b[r2+2]) + float32(y[3]*b[r3+2])
-		c03 += float32(x[0]*b[off+3]) + float32(x[1]*b[r1+3]) + float32(x[2]*b[r2+3]) + float32(x[3]*b[r3+3])
-		c13 += float32(y[0]*b[off+3]) + float32(y[1]*b[r1+3]) + float32(y[2]*b[r2+3]) + float32(y[3]*b[r3+3])
-	}
-	*c = [8]float32{c00, c01, c02, c03, c10, c11, c12, c13}
-}
-
-// tile4x1F32Go adds the first steps groups of four products to a 4×1
-// tile: c[r] += a[r][4s:4s+4]·b rows 4s..4s+3, column 0, for s in
-// [0, steps), where row p of b starts at b[p*n]: one output column of four
-// panel rows, each summing its group as matmulRowsF32 does. It is the
-// portable form of tile4x1F32 and the order its SIMD form must reproduce
-// bit for bit.
-func tile4x1F32Go(c *[4]float32, a *[4][]float32, b []float32, n, steps int) {
-	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	a0, a1, a2, a3 := a[0][:4*steps], a[1][:4*steps], a[2][:4*steps], a[3][:4*steps]
-	for p, off := 0, 0; p < 4*steps; p, off = p+4, off+4*n {
-		b0, b1, b2, b3 := b[off], b[off+n], b[off+2*n], b[off+3*n]
-		x := (*[4]float32)(a0[p : p+4])
-		y := (*[4]float32)(a1[p : p+4])
-		z := (*[4]float32)(a2[p : p+4])
-		w := (*[4]float32)(a3[p : p+4])
-		c0 += float32(x[0]*b0) + float32(x[1]*b1) + float32(x[2]*b2) + float32(x[3]*b3)
-		c1 += float32(y[0]*b0) + float32(y[1]*b1) + float32(y[2]*b2) + float32(y[3]*b3)
-		c2 += float32(z[0]*b0) + float32(z[1]*b1) + float32(z[2]*b2) + float32(z[3]*b3)
-		c3 += float32(w[0]*b0) + float32(w[1]*b1) + float32(w[2]*b2) + float32(w[3]*b3)
-	}
-	*c = [4]float32{c0, c1, c2, c3}
 }
 
 // matmulTransBRow computes one output row of a×bᵀ: orow[j] = arow·b[j] over

@@ -123,65 +123,6 @@ func tileOperands[T float32 | float64](seed uint64, specials []T) func([]T) []T 
 	}
 }
 
-// TestTile2x4F32MatchesGo pins the f32 panel's SIMD tile to its portable
-// form bit for bit: zero, negative-zero, subnormal, huge and infinite
-// operands (so 0·Inf and Inf−Inf make NaNs, and large products overflow)
-// over every step count up to 17, at b row strides of 4, 5 and 9, from a
-// tile that already holds values. Where the tile is the portable form
-// (every GOARCH but amd64) the test compares it with itself.
-func TestTile2x4F32MatchesGo(t *testing.T) {
-	fill := tileOperands(7, []float32{0, float32(math.Copysign(0, -1)), 1e-40, -3e-39, 3e38, -2e38, float32(math.Inf(1)), float32(math.Inf(-1))})
-	for _, n := range []int{4, 5, 9} {
-		for steps := 0; steps <= 17; steps++ {
-			for trial := 0; trial < 8; trial++ {
-				a0, a1 := fill(make([]float32, 4*steps)), fill(make([]float32, 4*steps))
-				b := fill(make([]float32, max(4*steps*n, 4)))
-				var start [8]float32
-				fill(start[:])
-				got, want := start, start
-				tile2x4F32(&got, a0, a1, b, n, steps)
-				tile2x4F32Go(&want, a0, a1, b, n, steps)
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("n=%d steps=%d trial %d: c[%d] = %v (%#x), portable tile %v (%#x)",
-							n, steps, trial, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTile4x1F32MatchesGo pins the f32 panel's SIMD column tile to its
-// portable form bit for bit, with the operands of TestTile2x4F32MatchesGo,
-// over every step count up to 17 at b row strides of 1 (the n = 1 panels),
-// 3, 5 and 9.
-func TestTile4x1F32MatchesGo(t *testing.T) {
-	fill := tileOperands(13, []float32{0, float32(math.Copysign(0, -1)), 1e-40, -3e-39, 3e38, -2e38, float32(math.Inf(1)), float32(math.Inf(-1))})
-	for _, n := range []int{1, 3, 5, 9} {
-		for steps := 0; steps <= 17; steps++ {
-			for trial := 0; trial < 8; trial++ {
-				var a [4][]float32
-				for r := range a {
-					a[r] = fill(make([]float32, 4*steps))
-				}
-				b := fill(make([]float32, max(4*steps*n, 1)))
-				var start [4]float32
-				fill(start[:])
-				got, want := start, start
-				tile4x1F32(&got, &a, b, n, steps)
-				tile4x1F32Go(&want, &a, b, n, steps)
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("n=%d steps=%d trial %d: c[%d] = %v (%#x), portable tile %v (%#x)",
-							n, steps, trial, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestTile8x4F64MatchesGo pins the f64 panel's tile to its portable form
 // bit for bit: +0, −0, NaN, subnormal, ±1e308 and ±Inf operands in every
 // weight row and in b (so a NaN weight must be added and a ±0 one skipped,

@@ -1,46 +1,5 @@
 package tensor
 
-// tile2x4F32 is tile2x4F32Go on SSE: one XMM register holds a row's four
-// columns, and each step of four k-rows multiplies the four b rows by the
-// row's four weights broadcast across lanes and sums the products in the
-// scalar expression's order — MULPS and ADDPS, never a fused multiply-add,
-// are the same IEEE single operations per lane as MULSS and ADDSS, so the
-// bits match tile2x4F32Go exactly (TestTile2x4F32MatchesGo). SSE is part of
-// every amd64 CPU, so there is no feature check.
-func tile2x4F32(c *[8]float32, a0, a1, b []float32, n, steps int) {
-	if steps == 0 {
-		return
-	}
-	// The assembly reads a0[:4*steps], a1[:4*steps] and b rows
-	// 0..4*steps-1, columns 0..3: check them once here.
-	_, _, _ = a0[4*steps-1], a1[4*steps-1], b[(4*steps-1)*n+3]
-	tile2x4F32SSE(c, &a0[0], &a1[0], &b[0], n, steps)
-}
-
-//go:noescape
-func tile2x4F32SSE(c *[8]float32, a0, a1, b *float32, n, steps int)
-
-// tile4x1F32 is tile4x1F32Go on SSE: one XMM lane per tile row. Each step
-// gathers column 0 of four b rows into one register, multiplies each row's
-// four weights by it, and transposes the four product vectors, so that lane
-// r of the k'th vector holds row r's k'th product; the four vectors are then
-// summed in the scalar expression's order and added to the tile (MULPS and
-// ADDPS, never fused: TestTile4x1F32MatchesGo).
-func tile4x1F32(c *[4]float32, a *[4][]float32, b []float32, n, steps int) {
-	if steps == 0 {
-		return
-	}
-	// The assembly reads a[r][:4*steps] and b rows 0..4*steps-1, column 0.
-	for _, row := range a {
-		_ = row[4*steps-1]
-	}
-	_ = b[(4*steps-1)*n]
-	tile4x1F32SSE(c, a, &b[0], n, steps)
-}
-
-//go:noescape
-func tile4x1F32SSE(c *[4]float32, a *[4][]float32, b *float32, n, steps int)
-
 // useAVX2 selects the f64 tile and the direct f32 convolution: their AVX2
 // transcriptions where the CPU and the OS support it, checked once at
 // package init, else the Go forms.

@@ -10,12 +10,13 @@ import (
 //
 // The matmul panels matmulRows ran before it held its output tiles in
 // registers — cache-blocked over (k, j), one axpy pass over an output row
-// per k-row — kept unchanged as references: the register-tiled panels must
+// per k-row — kept unchanged as references: the panels that replaced them
+// (the f64 one register-tiled, the f32 one a plain per-output loop) must
 // reproduce their bits exactly (panel_test.go), not merely come close.
 
 // refBlockK is the k extent of the references' cache blocks. The f32
 // reference restarts its groups of four at every block; 64 being a multiple
-// of four, its groups fall where the tiled panel's do, and only the last
+// of four, its groups fall where matmulRowsF32's do, and only the last
 // block has a tail.
 const refBlockK = 64
 

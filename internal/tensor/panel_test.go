@@ -62,9 +62,10 @@ func convPanels(arch split.Arch) [][3]int {
 	return panels
 }
 
-// TestPanelsMatchReference pins the register-tiled matmul panels to the
-// panels they replaced (kernels_ref_test.go) bit for bit, at both
-// precisions: every conv panel the serving architectures run, plus panels
+// TestPanelsMatchReference pins the matmul panels — the f64 one
+// register-tiled, the f32 one a plain per-output loop — to the panels they
+// replaced (kernels_ref_test.go) bit for bit, at both precisions: every
+// conv panel the serving architectures run, plus panels
 // whose n leaves 1–3 columns past the last four-column tile, whose m is odd
 // or leaves a short last block of the f64 panel's eight-row tiles (9, 15,
 // 17), and whose k crosses the replaced f32 panel's 64-wide blocks. The

@@ -294,21 +294,15 @@ func (t *Dense[T]) AllClose(o *Dense[T], tol float64) bool {
 
 // parallelFor runs body(i) for i in [0, n), splitting the range across
 // workers in fixed chunks. For small n it runs inline to avoid goroutine
-// overhead. The worker count defaults to GOMAXPROCS, capped by
-// SetKernelParallelism — serving processes set the cap to 1 so kernels never
-// nest a second level of parallelism under the comm worker pool.
+// overhead. Only the training kernels (ConvForward, ConvBackward) call it:
+// the worker count defaults to GOMAXPROCS, capped by SetKernelParallelism.
+// A serving pass never comes here; its *Into kernels are serial.
 func parallelFor(n int, body func(i int)) {
-	parallelForChunks(n, func(lo, hi int) {
+	run := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(i)
 		}
-	})
-}
-
-// parallelForChunks runs body(lo, hi) over a fixed-order partition of
-// [0, n) — the chunked form lets a kernel tile a whole chunk of rows
-// instead of re-entering per index.
-func parallelForChunks(n int, body func(lo, hi int)) {
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if limit := int(kernelWorkers.Load()); limit > 0 && limit < workers {
 		workers = limit
@@ -317,27 +311,17 @@ func parallelForChunks(n int, body func(lo, hi int)) {
 		workers = n
 	}
 	if workers <= 1 || n < 4 {
-		if n > 0 {
-			body(0, n)
-		}
+		run(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+			run(lo, min(lo+chunk, n))
+		}()
 	}
 	wg.Wait()
 }
