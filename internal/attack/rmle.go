@@ -78,7 +78,7 @@ func RMLE(head *nn.Network, observed *tensor.Tensor, imgShape []int, cfg RMLECon
 		gx := head.Backward(gradPred)
 		head.ZeroGrad() // attacker never updates the shadow head here
 		_, gtv := tvLossGrad(x)
-		xp.Grad.AddInPlace(gx).AddScaledInPlace(gtv, cfg.TVWeight)
+		xp.Grad().AddInPlace(gx).AddScaledInPlace(gtv, cfg.TVWeight)
 		opt.Step()
 		for i, v := range x.Data {
 			if v < 0 {

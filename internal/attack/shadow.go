@@ -273,7 +273,7 @@ func (s *Shadow) Backward(gradLogits, extraHeadGrad *tensor.Tensor) {
 	for i, b := range s.Bodies {
 		if s.Gates != nil {
 			// d(gate_i · f_i)/d gate_i = <grad_i, f_i>.
-			s.Gates.Grad.Data[i] += parts[i].Dot(s.feats[i])
+			s.Gates.Grad().Data[i] += parts[i].Dot(s.feats[i])
 		}
 		gf := parts[i].Scale(s.gate(i))
 		g := b.Backward(gf)

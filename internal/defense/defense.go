@@ -112,7 +112,7 @@ func TrainShredder(arch split.Arch, sigma, mu float64, train *data.Dataset, opts
 			m.Backward(grad)
 			// Noise-power bonus: ∂(−μ‖n‖²)/∂n = −2μn, added to the
 			// accumulated gradient so SGD grows the noise where CE allows.
-			noise.Grad.AddScaledInPlace(noise.Value, -2*mu)
+			noise.Grad().AddScaledInPlace(noise.Value, -2*mu)
 			opt.Step()
 		}
 		if log != nil {

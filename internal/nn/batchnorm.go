@@ -103,6 +103,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	hw := grad.Shape[2] * grad.Shape[3]
 	m := float64(n * hw)
 	out := tensor.New(grad.Shape...)
+	gGamma, gBeta := b.Gamma.Grad().Data, b.Beta.Grad().Data
 	for ci := 0; ci < c; ci++ {
 		g, mean, inv := b.Gamma.Value.Data[ci], b.mean[ci], b.invStd[ci]
 		sumDy, sumDyXhat := 0.0, 0.0
@@ -114,8 +115,8 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += float64(dy * ((b.x.Data[base+j] - mean) * inv))
 			}
 		}
-		b.Beta.Grad.Data[ci] += sumDy
-		b.Gamma.Grad.Data[ci] += sumDyXhat
+		gBeta[ci] += sumDy
+		gGamma[ci] += sumDyXhat
 		if !b.trainMode {
 			// Running stats are constants: dx = dy * gamma * invStd.
 			k := g * inv

@@ -114,39 +114,44 @@ func TestForwardInfer32Allocs(t *testing.T) {
 	}
 }
 
-// TestCompileF32PacksFiniteConvs pins which convolutions Compile[float32]
-// hands the direct kernel: every one whose weights narrow to finite values,
-// holding only the packed copy. One ±Inf or NaN weight, or one finite at
-// float64 that overflows float32, is refused with an error naming the
-// layer (the padding products the direct kernel leaves out are then NaN,
-// and no other path serves an f32 body). At float64 no layer is packed and
-// none is refused: Compile[float64] views the live weights.
-func TestCompileF32PacksFiniteConvs(t *testing.T) {
+// TestCompilePacksFiniteConvs pins which convolutions Compile hands the
+// direct kernel at each precision: every one whose weights are finite at T,
+// holding only the packed copy. A weight that is not finite at T (±Inf,
+// NaN, or at float32 one finite at float64 that overflows float32) makes
+// the padding products the direct kernel leaves out NaN. At float32 such a
+// layer is refused with an error naming it, since no other path serves an
+// f32 body; at float64 it keeps the im2col panel over the live weights, so
+// Compile[float64] never refuses.
+func TestCompilePacksFiniteConvs(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		weight float64
-		packed bool
+		name             string
+		weight           float64
+		packed32, packed bool
 	}{
-		{"finite", 0.5, true},
-		{"zero", 0, true},
-		{"max-f32", math.MaxFloat32, true},
-		{"overflows-f32", 1e39, false},
-		{"+inf", math.Inf(1), false},
-		{"-inf", math.Inf(-1), false},
-		{"nan", math.NaN(), false},
+		{"finite", 0.5, true, true},
+		{"zero", 0, true, true},
+		{"max-f32", math.MaxFloat32, true, true},
+		{"overflows-f32", 1e39, false, true},
+		{"max-f64", math.MaxFloat64, false, true},
+		{"+inf", math.Inf(1), false, false},
+		{"-inf", math.Inf(-1), false, false},
+		{"nan", math.NaN(), false, false},
 	} {
 		conv := nn.NewConv2D("c", 3, 12, 3, 1, 1, true, rng.New(5))
 		conv.W.Value.Data[40] = tc.weight
-		if got := nn.ConvPacked[float32](conv); got != tc.packed {
-			t.Errorf("%s weight: Compile[float32] packs the conv: %v, want %v", tc.name, got, tc.packed)
+		if got := nn.ConvPacked[float32](conv); got != tc.packed32 {
+			t.Errorf("%s weight: Compile[float32] packs the conv: %v, want %v", tc.name, got, tc.packed32)
 		}
 		net := nn.NewNetwork("n", conv)
 		_, err := nn.Compile[float32](net)
-		if refused := err != nil; refused == tc.packed || refused && !strings.Contains(err.Error(), "Conv2D c.w:") {
+		if refused := err != nil; refused == tc.packed32 || refused && !strings.Contains(err.Error(), "Conv2D c.w:") {
 			t.Errorf("%s weight: Compile[float32] error %v, want a refusal naming Conv2D c.w exactly when the conv is not packed", tc.name, err)
 		}
-		if nn.ConvPacked[float64](conv) {
-			t.Errorf("%s weight: Compile[float64] packs the conv", tc.name)
+		if got := nn.ConvPacked[float64](conv); got != tc.packed {
+			t.Errorf("%s weight: Compile[float64] packs the conv: %v, want %v", tc.name, got, tc.packed)
+		}
+		if !tc.packed && !nn.ConvViewsLiveWeights(conv) {
+			t.Errorf("%s weight: Compile[float64] does not view the live weights", tc.name)
 		}
 		if _, err := nn.Compile[float64](net); err != nil {
 			t.Errorf("%s weight: Compile[float64]: %v", tc.name, err)
@@ -155,8 +160,10 @@ func TestCompileF32PacksFiniteConvs(t *testing.T) {
 }
 
 // TestCompileF64IsTheOracle pins the float64 compile to the oracle's bits:
-// Compile[float64] views the live weights and precomputes only what
-// ForwardInfer evaluates per pass, so over the test stacks, the seeded split
+// Compile[float64] packs the conv weights for the direct kernel, which adds
+// the oracle's products in its order and leaves out only padding products
+// that add nothing, views everything else in place and precomputes only
+// what ForwardInfer evaluates per pass, so over the test stacks, the seeded split
 // body and the commtest bodies every output element matches
 // (*Network).ForwardInfer bit for bit — and a warmed compiled pass allocates
 // nothing.

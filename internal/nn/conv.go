@@ -56,9 +56,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Conv2D Backward before Forward")
 	}
 	gx, gw, gb := tensor.ConvBackward(grad, c.W.Value, c.cols, c.InC, c.inH, c.inW, c.KH, c.KW, c.Stride, c.Pad)
-	c.W.Grad.AddInPlace(gw)
+	c.W.Grad().AddInPlace(gw)
 	if c.B != nil {
-		c.B.Grad.AddInPlace(gb)
+		c.B.Grad().AddInPlace(gb)
 	}
 	return gx
 }
@@ -100,12 +100,12 @@ func (l *Linear) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear Backward before Forward")
 	}
 	// dW = grad^T × x : [Out, In]
-	l.W.Grad.AddInPlace(tensor.MatMulTransAInto(tensor.New(l.Out, l.In), grad, l.x))
-	n := grad.Shape[0]
+	l.W.Grad().AddInPlace(tensor.MatMulTransAInto(tensor.New(l.Out, l.In), grad, l.x))
+	n, gb := grad.Shape[0], l.B.Grad().Data
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*l.Out : (i+1)*l.Out]
 		for j := range row {
-			l.B.Grad.Data[j] += row[j]
+			gb[j] += row[j]
 		}
 	}
 	// dx = grad × W : [N, In]

@@ -12,3 +12,13 @@ func ConvPacked[T tensor.Float](c *Conv2D) bool {
 	op, err := castConv[T](c.inferOp())
 	return err == nil && op.direct != nil && op.w == nil
 }
+
+// ConvViewsLiveWeights reports whether compiling c at float64 keeps the
+// im2col panel over c's own weight tensor.
+func ConvViewsLiveWeights(c *Conv2D) bool {
+	op, err := castConv[float64](c.inferOp())
+	return err == nil && op.direct == nil && op.w == c.W.Value
+}
+
+// HasGrad reports whether p holds gradient storage.
+func HasGrad(p *Param) bool { return p.grad != nil }

@@ -29,7 +29,8 @@ import (
 //     reference oracle: bit-identical to Forward(x, false) and to every prior
 //     release.
 //   - Compile[T] turns a closed world of built-in layers into a Compiled[T]
-//     once: at float64 it views the live weights in place (bit-identical to
+//     once: at float64 it views the live weights in place but for the
+//     convolutions', which it packs for the direct kernel (bit-identical to
 //     the oracle), at float32 it narrows them — the precision the serving
 //     path selects with -precision f32. f32 drift policy (DESIGN.md §2i):
 //     weights and features are each rounded to float32 exactly once, kernels
@@ -116,8 +117,10 @@ type inferFunc[T tensor.Float] func(x *tensor.Dense[T], s *Scratch[T]) *tensor.D
 // is read-only after Compile, so one Compiled serves any number of
 // goroutines at once, each over its own Scratch. At float64 it views the
 // source network's weights and statistics in place — the source must not
-// change while the Compiled is in use — and at float32 it holds narrowed
-// copies of them.
+// change while the Compiled is in use — except each convolution's weights,
+// of which it holds a copy packed for the direct kernel (the im2col view
+// where a weight is not finite); at float32 it holds narrowed copies of
+// them all, the conv weights packed.
 type Compiled[T tensor.Float] struct {
 	Name  string
 	steps []inferFunc[T]
@@ -273,15 +276,17 @@ func castSlice[T tensor.Float](src []float64) []T {
 // --- convolution ---
 
 // convOp is a convolution's inference-time state at element type T: the
-// live float64 parameters viewed in place (Conv2D.inferOp), or their
-// float32 narrowing held by a Compiled[float32]. A float32 op holds its
-// weights only packed for the direct kernel (direct, with w nil); a float64
-// op holds w in the [OutC, C·KH·KW] layout the im2col panel reads.
+// live float64 parameters viewed in place (Conv2D.inferOp), or what a
+// Compiled[T] holds of them. A compiled op holds its weights packed for the
+// direct kernel (direct, with w nil): a converted copy, at float64 too. An
+// f64 conv with a weight that is not finite, and the live op, hold w in the
+// [OutC, C·KH·KW] layout the im2col panel reads, at float64 a view of the
+// live weights.
 type convOp[T tensor.Float] struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
 	w, b                           *tensor.Dense[T] // b is nil when bias is disabled
-	direct                         *tensor.DirectConv32
+	direct                         *tensor.DirectConv[T]
 }
 
 func (c *Conv2D) inferOp() convOp[float64] {
@@ -293,27 +298,30 @@ func (c *Conv2D) inferOp() convOp[float64] {
 	return op
 }
 
-// castConv returns c at element type T. At float32 the weights are packed
-// for the direct kernel, which leaves out the padding products w·0: with w
-// finite they are ±0 and drop out without moving a bit. A weight that does
-// not narrow to a finite float32 (±Inf, NaN, or above MaxFloat32 at
-// float64) is refused with an error naming the layer: an f32 body holding
-// one does not compile, and is served by no other path.
+// castConv returns c at element type T, its weights packed for the direct
+// kernel, which leaves out the padding products w·0: with w finite they are
+// ±0 and drop out without moving a bit. A weight that is not finite at T
+// (±Inf, NaN, or above MaxFloat32 at float32) makes those products NaN. At
+// float32 such a conv is refused with an error naming the layer: an f32 body
+// holding one does not compile, and is served by no other path. At float64
+// it keeps the im2col panel over a view of the live weights, so
+// Compile[float64] never refuses a built-in layer and stays the oracle for
+// every model. Everything but the packed weights is a view at float64.
 func castConv[T tensor.Float](c convOp[float64]) (convOp[T], error) {
 	op := convOp[T]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
 		stride: c.stride, pad: c.pad}
 	if c.b != nil {
 		op.b = castTensor[T](c.b)
 	}
-	if _, f32 := any(op.w).(*tensor.Tensor32); !f32 {
-		op.w = castTensor[T](c.w)
+	d, err := tensor.PackConv[T](c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
+	if err == nil {
+		op.direct = d
 		return op, nil
 	}
-	d, err := tensor.PackConv32(c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
-	if err != nil {
+	if _, f64 := any(op.w).(*tensor.Tensor); !f64 {
 		return op, fmt.Errorf("Conv2D %s: %w", c.name, err)
 	}
-	op.direct = d
+	op.w = castTensor[T](c.w)
 	return op, nil
 }
 
@@ -327,14 +335,13 @@ func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 }
 
 // infer computes the convolution serially per sample, retaining nothing:
-// at float32 with the direct kernel, at float64 through im2col and the
+// with the direct kernel over packed weights, else through im2col and the
 // register-tiled matmul kernel.
 func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	oh, ow := c.outSize(x)
 	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)
 	if c.direct != nil {
-		tensor.ConvDirectInto32(any(y).(*tensor.Tensor32), any(x).(*tensor.Tensor32), c.direct, any(c.b).(*tensor.Tensor32))
-		return y
+		return tensor.ConvDirectInto(y, x, c.direct, c.b)
 	}
 	cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
 	return tensor.ConvForwardInto(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)

@@ -22,19 +22,36 @@ import (
 // Param is a trainable tensor with its accumulated gradient. Optimizers
 // update Value from Grad; Backward passes accumulate (+=) into Grad so
 // multi-branch architectures combine naturally.
+//
+// The gradient's storage is allocated on first use: a process that only
+// runs inference, such as a server holding N bodies, never pays for it.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
-	Grad  *tensor.Tensor
+	grad  *tensor.Tensor // nil until Grad is first called
 }
 
-// NewParam allocates a parameter with a zeroed gradient of matching shape.
+// NewParam returns a parameter over value with no gradient storage yet.
 func NewParam(name string, value *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Shape...)}
+	return &Param{Name: name, Value: value}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+// Grad returns the accumulated gradient, of Value's shape, allocating it
+// zeroed on first use. It is not safe for concurrent first use.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.grad == nil {
+		p.grad = tensor.New(p.Value.Shape...)
+	}
+	return p.grad
+}
+
+// ZeroGrad clears the accumulated gradient; one never allocated is already
+// zero.
+func (p *Param) ZeroGrad() {
+	if p.grad != nil {
+		p.grad.Zero()
+	}
+}
 
 // Layer is a differentiable module. Forward computes outputs, caching
 // whatever Backward needs; train selects training-time behaviour (batch-norm

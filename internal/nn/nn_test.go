@@ -56,7 +56,7 @@ func checkLayerGradients(t *testing.T, name string, l Layer, x *tensor.Tensor, t
 	for _, p := range l.Params() {
 		pidxs := []int{0, p.Value.Size() / 2, p.Value.Size() - 1}
 		for _, idx := range pidxs {
-			checkOne(p.Name, p.Value.Data, p.Grad.Data[idx], idx)
+			checkOne(p.Name, p.Value.Data, p.Grad().Data[idx], idx)
 		}
 		// The probe re-ran Forward/Backward? No — projLoss only reruns
 		// Forward, so accumulated grads are unchanged.
@@ -222,7 +222,7 @@ func TestAdditiveNoiseTrainableGradient(t *testing.T) {
 	l.Noise.ZeroGrad()
 	l.Backward(g)
 	// dL/dnoise = sum over batch of ones = batch size.
-	for i, v := range l.Noise.Grad.Data {
+	for i, v := range l.Noise.Grad().Data {
 		if v != 3 {
 			t.Errorf("noise grad[%d] = %v, want 3", i, v)
 		}

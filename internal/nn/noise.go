@@ -48,11 +48,11 @@ func (a *AdditiveNoise) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // batch gradient into the noise parameter.
 func (a *AdditiveNoise) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if a.Mode == NoiseTrainable {
-		per := a.Noise.Value.Size()
+		per, g := a.Noise.Value.Size(), a.Noise.Grad().Data
 		for n := 0; n < a.batch; n++ {
 			base := n * per
 			for j := 0; j < per; j++ {
-				a.Noise.Grad.Data[j] += grad.Data[base+j]
+				g[j] += grad.Data[base+j]
 			}
 		}
 	}

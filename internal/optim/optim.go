@@ -35,9 +35,9 @@ func NewSGD(params []*nn.Param, lr, momentum, weightDecay float64) *SGD {
 // Step applies v ← m·v + g + wd·w ; w ← w − lr·v, then zeroes gradients.
 func (s *SGD) Step() {
 	for i, p := range s.params {
-		v := s.velocity[i]
+		v, grad := s.velocity[i], p.Grad().Data
 		for j := range p.Value.Data {
-			g := p.Grad.Data[j] + float64(s.decay*p.Value.Data[j])
+			g := grad[j] + float64(s.decay*p.Value.Data[j])
 			v[j] = float64(s.momentum*v[j]) + g
 			p.Value.Data[j] -= float64(s.lr * v[j])
 		}
@@ -81,9 +81,9 @@ func (a *Adam) Step() {
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.beta2, float64(a.t))
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
+		m, v, grad := a.m[i], a.v[i], p.Grad().Data
 		for j := range p.Value.Data {
-			g := p.Grad.Data[j]
+			g := grad[j]
 			m[j] = float64(a.beta1*m[j]) + float64((1-a.beta1)*g)
 			v[j] = float64(a.beta2*v[j]) + float64((1-a.beta2)*g*g)
 			mh := m[j] / c1
@@ -106,7 +106,7 @@ func (a *Adam) LR() float64 { return a.lr }
 func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range params {
-		for _, g := range p.Grad.Data {
+		for _, g := range p.Grad().Data {
 			total += float64(g * g)
 		}
 	}
@@ -114,7 +114,7 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 	if norm > maxNorm && norm > 0 {
 		scale := maxNorm / norm
 		for _, p := range params {
-			p.Grad.ScaleInPlace(scale)
+			p.Grad().ScaleInPlace(scale)
 		}
 	}
 	return norm

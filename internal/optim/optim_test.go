@@ -12,7 +12,7 @@ import (
 // quadratic sets up a single parameter with loss L = 0.5*||w - target||².
 func quadGrad(p *nn.Param, target []float64) {
 	for i := range p.Value.Data {
-		p.Grad.Data[i] += p.Value.Data[i] - target[i]
+		p.Grad().Data[i] += p.Value.Data[i] - target[i]
 	}
 }
 
@@ -61,9 +61,9 @@ func TestSGDWeightDecayShrinks(t *testing.T) {
 func TestSGDZeroesGradAfterStep(t *testing.T) {
 	p := nn.NewParam("w", tensor.FromSlice([]float64{1}, 1))
 	opt := NewSGD([]*nn.Param{p}, 0.1, 0.9, 0)
-	p.Grad.Data[0] = 3
+	p.Grad().Data[0] = 3
 	opt.Step()
-	if p.Grad.Data[0] != 0 {
+	if p.Grad().Data[0] != 0 {
 		t.Error("Step must clear gradients")
 	}
 }
@@ -89,8 +89,8 @@ func TestAdamHandlesSparseScales(t *testing.T) {
 	p := nn.NewParam("w", tensor.FromSlice([]float64{1, 1}, 2))
 	opt := NewAdam([]*nn.Param{p}, 0.05)
 	for i := 0; i < 400; i++ {
-		p.Grad.Data[0] += 1000 * p.Value.Data[0]
-		p.Grad.Data[1] += 0.001 * p.Value.Data[1]
+		p.Grad().Data[0] += 1000 * p.Value.Data[0]
+		p.Grad().Data[1] += 0.001 * p.Value.Data[1]
 		opt.Step()
 	}
 	if math.Abs(p.Value.Data[0]) > 1e-2 {
@@ -131,19 +131,19 @@ func TestLinearRegressionEndToEnd(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := nn.NewParam("w", tensor.New(2))
-	p.Grad.Data[0] = 3
-	p.Grad.Data[1] = 4
+	p.Grad().Data[0] = 3
+	p.Grad().Data[1] = 4
 	norm := ClipGradNorm([]*nn.Param{p}, 1)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Errorf("pre-clip norm = %v, want 5", norm)
 	}
-	after := math.Hypot(p.Grad.Data[0], p.Grad.Data[1])
+	after := math.Hypot(p.Grad().Data[0], p.Grad().Data[1])
 	if math.Abs(after-1) > 1e-12 {
 		t.Errorf("post-clip norm = %v, want 1", after)
 	}
 	// Below the threshold nothing changes.
 	norm2 := ClipGradNorm([]*nn.Param{p}, 10)
-	if math.Abs(norm2-1) > 1e-12 || math.Abs(math.Hypot(p.Grad.Data[0], p.Grad.Data[1])-1) > 1e-12 {
+	if math.Abs(norm2-1) > 1e-12 || math.Abs(math.Hypot(p.Grad().Data[0], p.Grad().Data[1])-1) > 1e-12 {
 		t.Error("clip below threshold should be a no-op")
 	}
 }

@@ -14,21 +14,23 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// TestCompiledConvMatchesPanel holds the compiled f32 convolution — the
-// direct kernel, over the weights Compile[float32] packs for it — to
-// ConvForwardInto at float32 over the standard-layout narrowed weights,
+// TestCompiledConvMatchesPanel holds the compiled convolution at both
+// precisions — the direct kernel, over the weights Compile packs for it —
+// to ConvForwardInto over the standard-layout weights at that precision,
 // bit for bit: every conv geometry of both DefaultArch kinds and of
 // TinyArch, plus geometries with a k mod 4 tail, output channel counts that
-// are not a multiple of 8 and a non-square window, at 1 and 8 rows. The
-// weights hold +0 and −0, some in groups of four and in the tail of every
-// other output channel; the activations hold +0, −0 and negatives, and
-// three of the eight images a NaN, a +Inf or a −Inf, so a zero weight in a
-// group meets an Inf on a valid tap (NaN) while a zero tail weight skips
-// it. It runs once per path the kernels can take on this host (WithAVX2).
-// Each geometry also tries one weight +Inf and one NaN, at weight row 0,
-// whose window tap lies in the padding of every top-row position: the panel
-// multiplies it by the padding's +0 into NaN, which the direct kernel does
-// not compute, so Compile[float32] must refuse the layer, naming it.
+// are not a multiple of 8 (nor of 4) and a non-square window, at 1 and 8
+// rows. The weights hold +0 and −0, some in groups of four and in the tail
+// of every other output channel; the activations hold +0, −0 and negatives,
+// and three of the eight images a NaN, a +Inf or a −Inf, so a zero weight
+// in a group meets an Inf on a valid tap (NaN at float32) while a zero tail
+// weight, and at float64 every zero weight, skips it. It runs once per path
+// the kernels can take on this host (WithAVX2). Each geometry also tries
+// one weight +Inf and one NaN, at weight row 0, whose window tap lies in
+// the padding of every top-row position: the panel multiplies it by the
+// padding's +0 into NaN, which the direct kernel does not compute, so
+// Compile[float32] must refuse the layer, naming it, and Compile[float64]
+// must keep the panel.
 func TestCompiledConvMatchesPanel(t *testing.T) {
 	type geom struct{ outC, c, h, w, kh, kw, stride, pad int }
 	geoms := map[string]geom{}
@@ -50,6 +52,7 @@ func TestCompiledConvMatchesPanel(t *testing.T) {
 	geoms["tail/outC=3"] = geom{3, 3, 5, 5, 3, 3, 2, 1}
 	geoms["outC=20"] = geom{20, 16, 4, 4, 3, 3, 1, 1}
 	geoms["nonsquare/outC=9"] = geom{9, 6, 5, 7, 2, 3, 1, 1}
+	geoms["tail/outC=6"] = geom{6, 4, 6, 6, 3, 3, 1, 1}
 	nan := tensor.HardwareNaN()
 	for name, g := range geoms {
 		for _, weight := range []string{"finite", "inf", "nan"} {
@@ -78,14 +81,16 @@ func TestCompiledConvMatchesPanel(t *testing.T) {
 				case "nan":
 					w[0] = nan
 				}
+				c64, err := nn.Compile[float64](nn.NewNetwork("conv", conv))
+				if err != nil {
+					t.Fatalf("Compile[float64] with a %s weight: %v", weight, err)
+				}
 				c32, err := nn.Compile[float32](nn.NewNetwork("conv", conv))
 				if weight != "finite" {
 					if err == nil || !strings.Contains(err.Error(), "Conv2D w:") {
 						t.Fatalf("Compile[float32] with a %s weight: error %v, want a refusal naming Conv2D w", weight, err)
 					}
-					return
-				}
-				if err != nil {
+				} else if err != nil {
 					t.Fatal(err)
 				}
 				w32, b32 := tensor.Narrow32(conv.W.Value), tensor.Narrow32(conv.B.Value)
@@ -108,17 +113,38 @@ func TestCompiledConvMatchesPanel(t *testing.T) {
 							x.Data[img*per+per-g.h*g.w+g.h/2*g.w+g.w/2] = v
 						}
 					}
-					x32 := tensor.Narrow32(x)
 					oh, ow := tensor.ConvOutSize(g.h, g.kh, g.stride, g.pad), tensor.ConvOutSize(g.w, g.kw, g.stride, g.pad)
-					want := tensor.ConvForwardInto(tensor.NewOf[float32](rows, g.outC, oh, ow), x32, w32, b32,
+					want := tensor.ConvForwardInto(tensor.New(rows, g.outC, oh, ow), x, conv.W.Value, conv.B.Value,
+						tensor.New(k, oh*ow), g.kh, g.kw, g.stride, g.pad)
+					tensor.WithAVX2(func(path string) {
+						got := c64.ForwardInfer(x, nn.NewScratch())
+						finite := 0
+						for i, v := range got.Data {
+							if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+								t.Fatalf("f64 %s, %d rows: out %d = %v (%#x), panel %v (%#x)",
+									path, rows, i, v, math.Float64bits(v), want.Data[i], math.Float64bits(want.Data[i]))
+							}
+							if !math.IsNaN(v) && !math.IsInf(v, 0) {
+								finite++
+							}
+						}
+						if weight == "finite" && finite < len(got.Data)/2 {
+							t.Fatalf("f64 %s, %d rows: only %d of %d outputs finite", path, rows, finite, len(got.Data))
+						}
+					})
+					if c32 == nil {
+						continue
+					}
+					x32 := tensor.Narrow32(x)
+					want32 := tensor.ConvForwardInto(tensor.NewOf[float32](rows, g.outC, oh, ow), x32, w32, b32,
 						tensor.NewOf[float32](k, oh*ow), g.kh, g.kw, g.stride, g.pad)
 					tensor.WithAVX2(func(path string) {
 						got := c32.ForwardInfer(x32, new(nn.Scratch[float32]))
 						finite := 0
 						for i, v := range got.Data {
-							if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+							if math.Float32bits(v) != math.Float32bits(want32.Data[i]) {
 								t.Fatalf("%s, %d rows: out %d = %v (%#x), panel %v (%#x)",
-									path, rows, i, v, math.Float32bits(v), want.Data[i], math.Float32bits(want.Data[i]))
+									path, rows, i, v, math.Float32bits(v), want32.Data[i], math.Float32bits(want32.Data[i]))
 							}
 							if !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) {
 								finite++

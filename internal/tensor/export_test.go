@@ -1,13 +1,13 @@
 package tensor
 
 // withAVX2 calls f once per path the SIMD kernels behind useAVX2 can take
-// on this host — the f64 panel's tile (tile8x4F64) and the direct f32
-// convolution (convDirectF32) — with the switch set to it: "go", the
-// portable forms, then "avx2" where the CPU check passed. It restores the
-// switch afterwards, so a test that calls it must not run in parallel with
-// other tests of this package. On amd64 CI this is what runs the Go forms,
-// which the kernels otherwise take only on CPUs without AVX2 and on other
-// GOARCHes.
+// on this host — the f64 panel's tile (tile8x4F64) and the direct
+// convolutions (convDirectF32, convDirectF64) — with the switch set to
+// it: "go", the portable forms, then "avx2" where the CPU check passed. It
+// restores the switch afterwards, so a test that calls it must not run in
+// parallel with other tests of this package. On amd64 CI this is what runs
+// the Go forms, which the kernels otherwise take only on CPUs without AVX2
+// and on other GOARCHes.
 func withAVX2(f func(path string)) {
 	hasAVX2 := useAVX2
 	defer func() { useAVX2 = hasAVX2 }()

@@ -56,7 +56,7 @@ func (g window) build() gather {
 }
 
 // tableKey is a geometry a table is built from: a window for the gathers
-// (gather) or a window over c channels for the direct f32 convolution
+// (gather) or a window over c channels for the direct convolution
 // (convTaps, direct.go).
 type tableKey[V any] interface {
 	comparable

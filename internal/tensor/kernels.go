@@ -31,14 +31,17 @@ import (
 // check made once at package init, that the tests hold to it bit for bit.
 // matmulRowsF32 is one plain loop: no serving body runs it.
 //
-// The compiled f32 convolution does not come through here: nn.Compile
-// packs its weights for the direct kernel of direct.go (ConvDirectInto32),
-// which computes matmulRowsF32's bits over each output position's taps
-// inside the image, with no im2col and no product against padding. It too
-// has one Go definition (convDirectF32Go) and one transcription, on AVX2
-// behind the same CPU check. ConvForwardInto, im2col and the f32 panel
-// remain the public f32 convolution, which the per-layer bench rows time;
-// the f64 oracle and training run ConvForwardInto at float64.
+// The compiled convolution does not come through here: nn.Compile packs
+// its weights for the direct kernel of direct.go (ConvDirectInto), which
+// computes the panel's bits at each precision — matmulRowsF32's at
+// float32, matmulRowsF64's at float64 — over each output position's taps
+// inside the image, with no im2col and no product against padding. It has
+// one Go definition per precision (convDirectF32Go, convDirectF64Go) and
+// one transcription each, on AVX2 behind the same CPU check. An f64 conv
+// with a weight that is not finite compiles to ConvForwardInto instead.
+// ConvForwardInto, im2col and the panels remain the public convolution,
+// which the per-layer bench rows time; the live f64 oracle
+// (nn.Network.ForwardInfer) and training run it at float64.
 //
 // Every product these kernels (and Dense.Dot and AddScaledInPlace) add is
 // converted to its type first, as in c += float64(x*b). The conversion

@@ -1,6 +1,6 @@
 package tensor
 
-// useAVX2 selects the f64 tile and the direct f32 convolution: their AVX2
+// useAVX2 selects the f64 tile and the direct convolutions: their AVX2
 // transcriptions where the CPU and the OS support it, checked once at
 // package init, else the Go forms.
 var useAVX2 = cpuHasAVX2()
@@ -67,11 +67,11 @@ func tile8x4F64AVX2(c *[8][4]float64, a *[8][]float64, b *float64, n, steps int)
 // masked to +0 where its weight is ±0 (VCMPPS, not-equal-or-unordered),
 // which adds nothing to a sum that is never −0. The last OutC mod 8 output
 // channels, and every channel where the CPU check failed, run in Go.
-func convDirectF32(y, x []float32, d *DirectConv32, taps []int32, hw int) {
+func convDirectF32(y, x []float32, d *DirectConv[float32], taps []int32, hw int) {
 	b, full := 0, d.outC/8
 	if useAVX2 && full > 0 {
 		// The assembly reads x at the table's offsets, inside the one
-		// [C,H,W] image of the table's geometry that ConvDirectInto32
+		// [C,H,W] image of the table's geometry that ConvDirectInto
 		// passes, rows p < C·KH·KW of w at columns below ldw, and writes
 		// the first 8·full planes of y: check those once here.
 		_ = y[d.outC*hw-1]
@@ -103,3 +103,42 @@ func convDirect8x2AVX2(y, x, w *float32, taps *int32, hw, ldw int)
 
 //go:noescape
 func convDirect8x1AVX2(y, x, w *float32, taps *int32, hw, ldw int)
+
+// convDirectF64 computes one image's direct convolution at float64,
+// convDirectF64Go over every output channel, on AVX2 where the CPU has it:
+// whole blocks of eight output channels run in the assembly, two or one
+// blocks to a pass over the tap table, with four YMM lanes per register
+// and one lane per output channel. Each tap broadcasts its input value,
+// multiplies it by the weight row's blocks, masks each product to +0 where
+// its weight is ±0 (VCMPPD, not-equal-or-unordered) and adds it to the
+// position's sum — VMULPD then VADDPD, never a fused multiply-add, so the
+// bits match convDirectF64Go exactly (TestConvDirectF64MatchesGo). The
+// masked +0 adds nothing to a sum that is never −0, as the Go form's skip
+// adds nothing. The last OutC mod 8 output channels, and every channel
+// where the CPU check failed, run in Go.
+func convDirectF64(y, x []float64, d *DirectConv[float64], taps []int32, hw int) {
+	b, full := 0, d.outC/8
+	if useAVX2 && full > 0 {
+		// The same bounds as convDirectF32's, checked once here.
+		_ = y[d.outC*hw-1]
+		for b < full {
+			yb, wb := &y[8*b*hw], &d.w[8*b]
+			if full-b >= 2 {
+				convDirect4x4AVX2(yb, &x[0], wb, &taps[0], hw, d.ldw)
+				b += 2
+			} else {
+				convDirect4x2AVX2(yb, &x[0], wb, &taps[0], hw, d.ldw)
+				b++
+			}
+		}
+	}
+	if 8*b < d.outC {
+		convDirectF64Go(y, x, d.w, d.ldw, d.outC, hw, taps, b, (d.outC+7)/8)
+	}
+}
+
+//go:noescape
+func convDirect4x4AVX2(y, x, w *float64, taps *int32, hw, ldw int)
+
+//go:noescape
+func convDirect4x2AVX2(y, x, w *float64, taps *int32, hw, ldw int)

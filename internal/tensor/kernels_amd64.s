@@ -10,8 +10,11 @@
 // set ZF jumps out of line to a stub that comes back to the add when PF is
 // set (x is a NaN) and otherwise skips the row. The eight row pointers run
 // to their ends and CX counts the negated byte offset up to zero. R14 and
-// R15 are not touched. steps must be at least 1.
+// R15 are not touched. steps must be at least 1. Like every routine in
+// this file it starts on a 64-byte boundary (PCALIGN; see the direct
+// convolutions below).
 TEXT ·tile8x4F64AVX2(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ a+8(FP), AX
 	MOVQ 0(AX), SI       // the eight rows' weights
 	MOVQ 24(AX), DI
@@ -172,11 +175,11 @@ zero7:
 // of them, read about 3 % on batch8_f32's infer_p50_ms.
 
 // CONVSTRIDES turns the strides loaded into CX (hw) and R9 (ldw) into
-// bytes, and zeroes Y13.
-#define CONVSTRIDES \
-	SHLQ   $2, R9; \
+// bytes, elements of 1<<log bytes, and zeroes Y13.
+#define CONVSTRIDES(log) \
+	SHLQ   $log, R9; \
 	MOVQ   CX, R13; \
-	SHLQ   $2, R13; \
+	SHLQ   $log, R13; \
 	LEAQ   (R13)(R13*2), R8; \
 	VXORPS Y13, Y13, Y13
 
@@ -234,7 +237,7 @@ TEXT ·convDirect8x4AVX2(SB), NOSPLIT, $0-48
 	MOVQ taps+24(FP), R10
 	MOVQ hw+32(FP), CX
 	MOVQ ldw+40(FP), R9
-	CONVSTRIDES
+	CONVSTRIDES(2)
 
 pos4:
 	VXORPS  Y0, Y0, Y0
@@ -310,7 +313,7 @@ TEXT ·convDirect8x2AVX2(SB), NOSPLIT, $0-48
 	MOVQ taps+24(FP), R10
 	MOVQ hw+32(FP), CX
 	MOVQ ldw+40(FP), R9
-	CONVSTRIDES
+	CONVSTRIDES(2)
 
 pos2:
 	VXORPS  Y0, Y0, Y0
@@ -374,7 +377,7 @@ TEXT ·convDirect8x1AVX2(SB), NOSPLIT, $0-48
 	MOVQ taps+24(FP), R10
 	MOVQ hw+32(FP), CX
 	MOVQ ldw+40(FP), R9
-	CONVSTRIDES
+	CONVSTRIDES(2)
 
 pos1:
 	VXORPS  Y0, Y0, Y0
@@ -420,6 +423,140 @@ store1:
 	ADDQ $4, DI
 	DECQ CX
 	JNZ  pos1
+	VZEROUPPER
+	RET
+
+// The direct f64 convolution, convDirectF64Go on AVX2: the f32 routines'
+// walk with four lanes to a register (Y0..Y(nr-1), one lane per output
+// channel, two registers to a block of eight channels) and every tap a tail
+// tap. The registers are the f32 routines',
+// with DX counting the position's runs of taps left: its ng groups, then
+// its tail, each a count and its taps. Each product is ANDed with the mask
+// of its weight being ≠ +0 (Y13) before its add. Each routine starts on a
+// 64-byte boundary (PCALIGN).
+
+// NEXTTAP64 reads the next tap: its input value broadcast in Y8, its weight
+// row's byte offset in R12.
+#define NEXTTAP64 \
+	MOVLQSX      (R10), R11; \
+	MOVLQSX      4(R10), R12; \
+	ADDQ         $8, R10; \
+	IMULQ        R9, R12; \
+	VBROADCASTSD (SI)(R11*8), Y8
+
+// TAP64 adds the tap's product with the weights at byte off of its row to
+// the position's sum s, lane by lane where the weight is not ±0. The
+// weights are loaded once for the compare and the multiply, as TAILTAP
+// loads them: taking both from memory read about 40 % slower per f64 conv
+// on the body's geometries, bound by loads.
+#define TAP64(off, s) \
+	VMOVUPD off(BX)(R12*1), Y9; \
+	VCMPPD  $4, Y13, Y9, Y10; \
+	VMULPD  Y9, Y8, Y9; \
+	VANDPD  Y10, Y9, Y9; \
+	VADDPD  Y9, s, s
+
+// STORE4 writes the four lanes of y (x its low half) to four planes from
+// AX and moves AX on to the next block's first plane.
+#define STORE4(y, x) \
+	VMOVSD       x, (AX); \
+	VMOVHPD      x, (AX)(R13*1); \
+	VEXTRACTF128 $1, y, X9; \
+	VMOVSD       X9, (AX)(R13*2); \
+	VMOVHPD      X9, (AX)(R8*1); \
+	LEAQ         (AX)(R13*4), AX
+
+// func convDirect4x4AVX2(y, x, w *float64, taps *int32, hw, ldw int)
+TEXT ·convDirect4x4AVX2(SB), NOSPLIT, $0-48
+	PCALIGN $64
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ taps+24(FP), R10
+	MOVQ hw+32(FP), CX
+	MOVQ ldw+40(FP), R9
+	CONVSTRIDES(3)
+
+pos:
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	MOVLQSX (R10), DX
+	ADDQ    $4, R10
+	INCQ    DX
+
+run:
+	MOVLQSX (R10), AX
+	ADDQ    $4, R10
+	TESTQ   AX, AX
+	JZ      endrun
+
+tap:
+	NEXTTAP64
+	TAP64(0, Y0)
+	TAP64(32, Y1)
+	TAP64(64, Y2)
+	TAP64(96, Y3)
+	DECQ AX
+	JNZ  tap
+
+endrun:
+	DECQ DX
+	JNZ  run
+
+	MOVQ DI, AX
+	STORE4(Y0, X0)
+	STORE4(Y1, X1)
+	STORE4(Y2, X2)
+	STORE4(Y3, X3)
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  pos
+	VZEROUPPER
+	RET
+
+// func convDirect4x2AVX2(y, x, w *float64, taps *int32, hw, ldw int)
+TEXT ·convDirect4x2AVX2(SB), NOSPLIT, $0-48
+	PCALIGN $64
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ taps+24(FP), R10
+	MOVQ hw+32(FP), CX
+	MOVQ ldw+40(FP), R9
+	CONVSTRIDES(3)
+
+pos:
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	MOVLQSX (R10), DX
+	ADDQ    $4, R10
+	INCQ    DX
+
+run:
+	MOVLQSX (R10), AX
+	ADDQ    $4, R10
+	TESTQ   AX, AX
+	JZ      endrun
+
+tap:
+	NEXTTAP64
+	TAP64(0, Y0)
+	TAP64(32, Y1)
+	DECQ AX
+	JNZ  tap
+
+endrun:
+	DECQ DX
+	JNZ  run
+
+	MOVQ DI, AX
+	STORE4(Y0, X0)
+	STORE4(Y1, X1)
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  pos
 	VZEROUPPER
 	RET
 
