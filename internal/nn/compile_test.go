@@ -280,22 +280,34 @@ func TestReLUFoldsIntoMaxPool(t *testing.T) {
 	}
 }
 
-// TestReLUFoldOnlyBeforeAPool pins where the fold applies: a ReLU directly
-// followed by a MaxPool2D in the same layer list, and nowhere else. The
-// CIFAR-100 body has no pool, so its compile keeps one step per layer; the
-// CIFAR-10 body's BN→ReLU→MaxPool2D loses one.
+// TestReLUFoldOnlyBeforeAPool pins where Compile fuses layers into one step
+// (compileRun): a ReLU directly followed by a MaxPool2D, a BatchNorm2D,
+// ReLU and MaxPool2D run, and a Conv2D followed by a BatchNorm2D and
+// optionally a ReLU, each in the same layer list, and nowhere else. The
+// CIFAR-100 body has no pool and no top-level convolution, so its compile
+// keeps one step per layer; the CIFAR-10 body's BN→ReLU→MaxPool2D becomes
+// one step. Batch norm then a pool, or then a ReLU with no pool, does not
+// fuse.
 func TestReLUFoldOnlyBeforeAPool(t *testing.T) {
+	conv := func() *nn.Conv2D { return nn.NewConv2D("c", 2, 2, 1, 1, 0, false, rng.New(2)) }
+	bn := func() *nn.BatchNorm2D { return nn.NewBatchNorm2D("bn", 2) }
 	for _, tc := range []struct {
 		name  string
 		net   *nn.Network
 		folds int
 	}{
-		{"cifar10 body", split.DefaultArch(data.CIFAR10Like).NewBody("b", rng.New(1)), 1},
+		{"cifar10 body", split.DefaultArch(data.CIFAR10Like).NewBody("b", rng.New(1)), 2},
 		{"cifar100 body", split.DefaultArch(data.CIFAR100Like).NewBody("b", rng.New(1)), 0},
 		{"pool then relu", nn.NewNetwork("pr", nn.NewMaxPool2D(2, 2), nn.NewReLU()), 0},
 		{"relu last", nn.NewNetwork("r", nn.NewReLU()), 0},
-		{"relu, conv, pool", nn.NewNetwork("rcp", nn.NewReLU(), nn.NewConv2D("c", 2, 2, 1, 1, 0, false, rng.New(2)), nn.NewMaxPool2D(2, 2)), 0},
+		{"relu, conv, pool", nn.NewNetwork("rcp", nn.NewReLU(), conv(), nn.NewMaxPool2D(2, 2)), 0},
 		{"relu, relu, pool", nn.NewNetwork("rrp", nn.NewReLU(), nn.NewReLU(), nn.NewMaxPool2D(2, 2)), 1},
+		{"bn, pool", nn.NewNetwork("bp", bn(), nn.NewMaxPool2D(2, 2)), 0},
+		{"bn, relu", nn.NewNetwork("br", bn(), nn.NewReLU()), 0},
+		{"bn, relu, pool", nn.NewNetwork("brp", bn(), nn.NewReLU(), nn.NewMaxPool2D(2, 2)), 2},
+		{"conv, bn", nn.NewNetwork("cb", conv(), bn()), 1},
+		{"conv, bn, relu, pool", nn.NewNetwork("cbrp", conv(), bn(), nn.NewReLU(), nn.NewMaxPool2D(2, 2)), 2},
+		{"conv, relu, bn", nn.NewNetwork("crb", conv(), nn.NewReLU(), bn()), 0},
 	} {
 		c, err := nn.Compile[float32](tc.net)
 		if err != nil {
@@ -303,6 +315,39 @@ func TestReLUFoldOnlyBeforeAPool(t *testing.T) {
 		}
 		if got, want := nn.CompiledSteps(c), len(tc.net.Layers)-tc.folds; got != want {
 			t.Errorf("%s: %d compiled steps for %d layers, want %d", tc.name, got, len(tc.net.Layers), want)
+		}
+	}
+}
+
+// TestConvBNChannelMismatchPanicsAtInfer holds a conv followed by a batch
+// norm over another number of channels to what the two layers do as
+// separate steps: Compile succeeds, and inference panics with the batch
+// norm's shape message, at both precisions.
+func TestConvBNChannelMismatchPanicsAtInfer(t *testing.T) {
+	for _, bnC := range []int{2, 4} {
+		net := nn.NewNetwork("cb", nn.NewConv2D("c", 2, 3, 1, 1, 0, false, rng.New(2)), nn.NewBatchNorm2D("bn", bnC))
+		x := tensor.New(1, 2, 4, 4)
+		rng.New(3).FillNormal(x.Data, 0, 1)
+		c64, err := nn.Compile[float64](net)
+		if err != nil {
+			t.Fatalf("bn over %d channels: Compile[float64]: %v", bnC, err)
+		}
+		c32, err := nn.Compile[float32](net)
+		if err != nil {
+			t.Fatalf("bn over %d channels: Compile[float32]: %v", bnC, err)
+		}
+		for name, run := range map[string]func(){
+			"f64": func() { c64.ForwardInfer(x, nn.NewScratch()) },
+			"f32": func() { c32.ForwardInfer(tensor.Narrow32(x), new(nn.Scratch[float32])) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "BatchNorm2D bn.gamma expects") {
+						t.Errorf("bn over %d channels, %s: panic %v, want the batch norm's shape check", bnC, name, r)
+					}
+				}()
+				run()
+			}()
 		}
 	}
 }

@@ -38,7 +38,15 @@ import (
 //     enough to eat the budget, accumulates in float64 at every precision),
 //     and the end-to-end divergence from the f64 oracle is held under 1e-5
 //     relative by TestCompileDrift and the seed-network property test in
-//     internal/audit.
+//     internal/audit. Compile also fuses the elementwise steps into their
+//     neighbours, computing the same bits (compileRun): a batch norm and
+//     its ReLU become the epilogue of the convolution before them, a
+//     BasicBlock's residual sum and ReLU one pass (tensor.AddReLUInto), and
+//     a pooled body's entry — batch norm, ReLU, max-pool — one step
+//     (tensor.NormReLUPoolInto); on AVX2 each of these is vector code, so a
+//     compiled f32 body runs no batch-norm, ReLU or pooling pass of its own
+//     in Go. Where a vector form is missing the Go passes run as they are,
+//     one after another.
 //
 // After one warm-up pass either inference entry point is allocation-free
 // (asserted by TestForwardInferAllocs, TestCompileF64IsTheOracle,
@@ -112,15 +120,17 @@ func (n *Network) InferScratch(inputShape ...int) *Scratch[float64] {
 type inferFunc[T tensor.Float] func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T]
 
 // Compiled is a Network compiled for inference at element type T: every step
-// the same generic arithmetic (*Network).ForwardInfer runs, with every
-// per-pass constant (batch norm's reciprocal deviations) computed once. It
+// the same generic arithmetic (*Network).ForwardInfer runs, bit for bit,
+// some steps fused into one (compileRun), with every per-pass constant
+// (batch norm's reciprocal deviations) computed once. It
 // is read-only after Compile, so one Compiled serves any number of
 // goroutines at once, each over its own Scratch. At float64 it views the
 // source network's weights and statistics in place — the source must not
 // change while the Compiled is in use — except each convolution's weights,
 // of which it holds a copy packed for the direct kernel (the im2col view
 // where a weight is not finite); at float32 it holds narrowed copies of
-// them all, the conv weights packed.
+// them all, the conv weights packed, with the batch norm each conv's
+// epilogue applies packed beside them.
 type Compiled[T tensor.Float] struct {
 	Name  string
 	steps []inferFunc[T]
@@ -131,39 +141,68 @@ type Compiled[T tensor.Float] struct {
 // implementation (which ForwardInfer runs via its caching Forward fallback)
 // returns an error — it is not safe to share between goroutines, and
 // precision dispatch must not silently change which code serves a model.
+// Three runs of layers compile to one step each (compileRun).
 func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
 	out := &Compiled[T]{Name: n.Name, steps: make([]inferFunc[T], 0, len(n.Layers))}
-	for i := 0; i < len(n.Layers); i++ {
-		if pool, ok := foldedPool(n.Layers, i); ok {
-			out.steps = append(out.steps, poolStep[T](pool, 0))
-			i++
-			continue
-		}
-		step, err := compileLayer[T](n.Layers[i])
+	for i := 0; i < len(n.Layers); {
+		step, k, err := compileRun[T](n.Layers[i:])
 		if err != nil {
 			return nil, fmt.Errorf("nn: compiling %s layer %d: %w", n.Name, i, err)
 		}
 		out.steps = append(out.steps, step)
+		i += k
 	}
 	return out, nil
 }
 
-// foldedPool reports whether layers[i] is a ReLU directly followed by a
-// MaxPool2D, which compile to one pool step whose running maximum starts at
-// +0 instead of −Inf. That is the same function bit for bit: the pool takes
-// a tap only when it is strictly greater than the running maximum, so
-// starting at +0 skips exactly the taps ReLU would have turned into +0
-// (negatives, −0, +0 and NaN, none of which is > +0) and keeps every
-// positive tap's own bits, and a window the ReLU would have left all +0
-// pools to the starting +0 (never −0, never NaN). The fold saves one pass
-// over the activation and its scratch buffer; the live ForwardInfer, the
-// oracle, keeps the two layers.
-func foldedPool(layers []Layer, i int) (*MaxPool2D, bool) {
-	if _, ok := layers[i].(*ReLU); !ok || i+1 == len(layers) {
-		return nil, false
+// compileRun compiles the layers at the head of ls that become one step,
+// and returns the step and how many layers it took. Each fusion computes
+// the layers' own bits; the live ForwardInfer, the oracle, keeps them
+// apart.
+//
+//   - Conv2D, BatchNorm2D and an optional ReLU: the convolution with the
+//     batch norm and ReLU as its epilogue (castConv).
+//   - BatchNorm2D, ReLU, MaxPool2D, the entry of a pooled body: one pass
+//     where tensor.NormReLUPoolInto has a vector form, else the batch norm
+//     and then the pool below.
+//   - ReLU, MaxPool2D: one pool step whose running maximum starts at +0
+//     instead of −Inf. That is the same function bit for bit: the pool
+//     takes a tap only when it is strictly greater than the running
+//     maximum, so starting at +0 skips exactly the taps ReLU would have
+//     turned into +0 (negatives, −0, +0 and NaN, none of which is > +0) and
+//     keeps every positive tap's own bits, and a window the ReLU would have
+//     left all +0 pools to the starting +0 (never −0, never NaN).
+//
+// Each saves its passes over the activation and their scratch buffers.
+func compileRun[T tensor.Float](ls []Layer) (inferFunc[T], int, error) {
+	next := func(i int) Layer {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return nil
 	}
-	pool, ok := layers[i+1].(*MaxPool2D)
-	return pool, ok
+	_, relu1 := next(1).(*ReLU)
+	_, relu2 := next(2).(*ReLU)
+	switch l := ls[0].(type) {
+	case *Conv2D:
+		if bn, ok := next(1).(*BatchNorm2D); ok {
+			op, err := castConv[T](l.inferOp().then(bn.inferOp(make([]float64, bn.C)), relu2))
+			if relu2 {
+				return op.infer, 3, err
+			}
+			return op.infer, 2, err
+		}
+	case *BatchNorm2D:
+		if pool, ok := next(2).(*MaxPool2D); ok && relu1 {
+			return entryOp[T]{bn: compileBN[T](l), k: pool.K, stride: pool.Stride}.infer, 3, nil
+		}
+	case *ReLU:
+		if pool, ok := next(1).(*MaxPool2D); ok {
+			return poolStep[T](pool, 0), 2, nil
+		}
+	}
+	step, err := compileLayer[T](ls[0])
+	return step, 1, err
 }
 
 // poolStep is the compiled MaxPool2D with its running maximum starting at
@@ -173,6 +212,26 @@ func poolStep[T tensor.Float](p *MaxPool2D, floor T) inferFunc[T] {
 	return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 		return maxPoolInfer(x, k, stride, floor, s)
 	}
+}
+
+// entryOp is batch norm, ReLU and a max-pool compiled to one step.
+type entryOp[T tensor.Float] struct {
+	bn        bnOp[T]
+	k, stride int
+}
+
+// infer runs the step's vector pass where this host has it for x's
+// geometry, else its definition: batch norm, then the pool with the ReLU
+// folded in (floor +0).
+func (e entryOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+	e.bn.check(x)
+	oh := tensor.ConvOutSize(x.Shape[2], e.k, e.stride, 0)
+	ow := tensor.ConvOutSize(x.Shape[3], e.k, e.stride, 0)
+	y := s.arena.NewTensor(x.Shape[0], x.Shape[1], oh, ow)
+	if tensor.NormReLUPoolInto(y, x, e.bn.mean, e.bn.inv, e.bn.gamma, e.bn.beta, e.k, e.stride) {
+		return y
+	}
+	return tensor.MaxPoolInto(y, e.bn.infer(x, s), e.k, e.stride, 0)
 }
 
 // CompileF32 is Compile[float32], the float32 serving backend.
@@ -219,14 +278,13 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 	case *Dropout:
 		return identityInfer[T], nil
 	case *BasicBlock:
-		conv1, err1 := castConv[T](v.Conv1.inferOp())
-		conv2, err2 := castConv[T](v.Conv2.inferOp())
-		op := blockOp[T]{conv1: conv1, bn1: compileBN[T](v.BN1), conv2: conv2, bn2: compileBN[T](v.BN2)}
+		live := v.inferOp(heapScratch())
+		conv1, err1 := castConv[T](live.conv1)
+		conv2, err2 := castConv[T](live.conv2)
+		op := blockOp[T]{conv1: conv1, conv2: conv2, short: live.short}
 		var err3 error
-		if v.ShortConv != nil {
-			op.short = true
-			op.shortConv, err3 = castConv[T](v.ShortConv.inferOp())
-			op.shortBN = compileBN[T](v.ShortBN)
+		if op.short {
+			op.shortConv, err3 = castConv[T](live.shortConv)
 		}
 		return op.infer, errors.Join(err1, err2, err3)
 	default:
@@ -282,11 +340,18 @@ func castSlice[T tensor.Float](src []float64) []T {
 // f64 conv with a weight that is not finite, and the live op, hold w in the
 // [OutC, C·KH·KW] layout the im2col panel reads, at float64 a view of the
 // live weights.
+//
+// norm, where its constants are set, is a batch norm that follows the
+// convolution, and relu a ReLU after it (then), which infer applies as a Go
+// pass over the output: the live op's and the im2col panel's. A compiled
+// op whose direct kernel takes them as its epilogue holds neither.
 type convOp[T tensor.Float] struct {
 	name                           string
 	inC, outC, kh, kw, stride, pad int
 	w, b                           *tensor.Dense[T] // b is nil when bias is disabled
 	direct                         *tensor.DirectConv[T]
+	norm                           bnOp[T]
+	relu                           bool
 }
 
 func (c *Conv2D) inferOp() convOp[float64] {
@@ -298,6 +363,12 @@ func (c *Conv2D) inferOp() convOp[float64] {
 	return op
 }
 
+// then returns c followed by the batch norm bn and, if relu, a ReLU.
+func (c convOp[T]) then(bn bnOp[T], relu bool) convOp[T] {
+	c.norm, c.relu = bn, relu
+	return c
+}
+
 // castConv returns c at element type T, its weights packed for the direct
 // kernel, which leaves out the padding products w·0: with w finite they are
 // ±0 and drop out without moving a bit. A weight that is not finite at T
@@ -306,16 +377,29 @@ func (c *Conv2D) inferOp() convOp[float64] {
 // holding one does not compile, and is served by no other path. At float64
 // it keeps the im2col panel over a view of the live weights, so
 // Compile[float64] never refuses a built-in layer and stays the oracle for
-// every model. Everything but the packed weights is a view at float64.
+// every model. Everything but the packed weights is a view at float64. A
+// batch norm and ReLU that follow c become the direct kernel's epilogue
+// (tensor.DirectConv.SetEpilogue), packed beside the weights, unless c has
+// a bias, which the epilogue does not take, or the batch norm is over
+// another number of channels than c's outputs; else infer's Go pass
+// applies them, and the batch norm's shape check panics as the layer's own
+// step would.
 func castConv[T tensor.Float](c convOp[float64]) (convOp[T], error) {
 	op := convOp[T]{name: c.name, inC: c.inC, outC: c.outC, kh: c.kh, kw: c.kw,
-		stride: c.stride, pad: c.pad}
+		stride: c.stride, pad: c.pad, relu: c.relu}
 	if c.b != nil {
 		op.b = castTensor[T](c.b)
+	}
+	if c.norm.mean != nil {
+		op.norm = castBN[T](c.norm)
 	}
 	d, err := tensor.PackConv[T](c.w, c.inC, c.kh, c.kw, c.stride, c.pad)
 	if err == nil {
 		op.direct = d
+		if op.norm.mean != nil && op.b == nil && len(op.norm.mean) == op.outC {
+			d.SetEpilogue(op.norm.mean, op.norm.inv, op.norm.gamma, op.norm.beta, op.relu)
+			op.norm, op.relu = bnOp[T]{}, false
+		}
 		return op, nil
 	}
 	if _, f64 := any(op.w).(*tensor.Tensor); !f64 {
@@ -336,15 +420,24 @@ func (c convOp[T]) outSize(x *tensor.Dense[T]) (oh, ow int) {
 
 // infer computes the convolution serially per sample, retaining nothing:
 // with the direct kernel over packed weights, else through im2col and the
-// register-tiled matmul kernel.
+// register-tiled matmul kernel; then the batch norm and ReLU of norm and
+// relu, in place.
 func (c convOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	oh, ow := c.outSize(x)
 	y := s.arena.NewTensor(x.Shape[0], c.outC, oh, ow)
 	if c.direct != nil {
-		return tensor.ConvDirectInto(y, x, c.direct, c.b)
+		tensor.ConvDirectInto(y, x, c.direct, c.b)
+	} else {
+		cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
+		tensor.ConvForwardInto(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)
 	}
-	cols := s.arena.NewTensor(c.inC*c.kh*c.kw, oh*ow)
-	return tensor.ConvForwardInto(y, x, c.w, c.b, cols, c.kh, c.kw, c.stride, c.pad)
+	if c.norm.mean != nil {
+		c.norm.into(y, y)
+		if c.relu {
+			tensor.ReLU(y.Data, y.Data)
+		}
+	}
+	return y
 }
 
 // ForwardInfer runs the convolution's inference path over the live weights.
@@ -409,35 +502,33 @@ func (b *BatchNorm2D) inferOp(inv []float64) bnOp[float64] {
 // ForwardInfer evaluates per pass, so the float64 form keeps its bits — and
 // casts each per-channel constant to T.
 func compileBN[T tensor.Float](b *BatchNorm2D) bnOp[T] {
-	op := b.inferOp(make([]float64, b.C))
-	return bnOp[T]{name: op.name, mean: castSlice[T](op.mean), inv: castSlice[T](op.inv),
-		gamma: castSlice[T](op.gamma), beta: castSlice[T](op.beta)}
+	return castBN[T](b.inferOp(make([]float64, b.C)))
 }
 
-// infer normalizes with the running statistics, folding the affine
-// transform into one multiply-add per element and caching nothing.
-func (b bnOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-	c := len(b.mean)
-	if len(x.Shape) != 4 || x.Shape[1] != c {
+// castBN returns the float64 op b at element type T.
+func castBN[T tensor.Float](b bnOp[float64]) bnOp[T] {
+	return bnOp[T]{name: b.name, mean: castSlice[T](b.mean), inv: castSlice[T](b.inv),
+		gamma: castSlice[T](b.gamma), beta: castSlice[T](b.beta)}
+}
+
+// check panics unless x is [N, C, H, W] over the op's C channels.
+func (b bnOp[T]) check(x *tensor.Dense[T]) {
+	if c := len(b.mean); len(x.Shape) != 4 || x.Shape[1] != c {
 		panic(fmt.Sprintf("nn: BatchNorm2D %s expects [N,%d,H,W], got %v", b.name, c, x.Shape))
 	}
-	n, hw := x.Shape[0], x.Shape[2]*x.Shape[3]
-	out := s.arena.NewTensor(x.Shape...)
-	for ci := 0; ci < c; ci++ {
-		inv, mean := b.inv[ci], b.mean[ci]
-		g, bt := b.gamma[ci], b.beta[ci]
-		for ni := 0; ni < n; ni++ {
-			base := (ni*c + ci) * hw
-			src := x.Data[base : base+hw]
-			dst := out.Data[base : base+hw]
-			for j, v := range src {
-				// BatchNorm2D.Backward recomputes x̂ as this same
-				// (x-mean)*inv; the two expressions must stay identical.
-				dst[j] = T(g*((v-mean)*inv)) + bt
-			}
-		}
-	}
-	return out
+}
+
+// infer normalizes with the running statistics into the scratch
+// (tensor.BatchNormInto: one multiply-add per element after the
+// subtraction), caching nothing.
+func (b bnOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+	return b.into(s.arena.NewTensor(x.Shape...), x)
+}
+
+// into normalizes x into y (x's shape; y may be x).
+func (b bnOp[T]) into(y, x *tensor.Dense[T]) *tensor.Dense[T] {
+	b.check(x)
+	return tensor.BatchNormInto(y, x, b.mean, b.inv, b.gamma, b.beta)
 }
 
 // ForwardInfer normalizes with the live running statistics; the per-channel
@@ -448,52 +539,11 @@ func (b *BatchNorm2D) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *tenso
 
 // --- activations ---
 
-// reluInfer clamps negatives to zero without caching a mask.
+// reluInfer clamps negatives to zero (tensor.ReLU) without caching a mask.
 func reluInfer[T tensor.Float](x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	out := s.arena.NewTensor(x.Shape...)
-	reluSlice(out.Data, x.Data)
+	tensor.ReLU(out.Data, x.Data)
 	return out
-}
-
-// reluSlice writes max(0, src) into dst; dst may alias src. Every element
-// that is not greater than zero — negatives, −0 and NaN — becomes +0, and +Inf
-// stays.
-//
-// It selects on the bits instead of branching on v > 0, which mispredicts
-// over live activations, about half of them negative. An element's bits b
-// are kept when b−1, unsigned, is below the bits of +Inf: exactly when b is
-// a positive float up to +Inf, since +0 wraps to the top and −0, negatives
-// and NaNs lie above. A plain if-assignment over integers compiles to a
-// conditional move (CMOVQHI on amd64). reluRef in relu_ref_test.go is the
-// branchy form it reproduces bit for bit.
-func reluSlice[T tensor.Float](dst, src []T) {
-	if d, ok := any(dst).([]float32); ok {
-		reluF32(d, any(src).([]float32))
-		return
-	}
-	reluF64(any(dst).([]float64), any(src).([]float64))
-}
-
-func reluF64(dst, src []float64) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		b, r := math.Float64bits(v), uint64(0)
-		if b-1 < 0x7FF0000000000000 {
-			r = b
-		}
-		dst[i] = math.Float64frombits(r)
-	}
-}
-
-func reluF32(dst, src []float32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		b, r := math.Float32bits(v), uint32(0)
-		if b-1 < 0x7F800000 {
-			r = b
-		}
-		dst[i] = math.Float32frombits(r)
-	}
 }
 
 // leakyReLUInfer applies the leaky rectifier without caching the input.
@@ -634,11 +684,12 @@ func (a *AdditiveNoise) ForwardInfer(x *tensor.Tensor, s *Scratch[float64]) *ten
 
 // --- residual block ---
 
-// blockOp is a BasicBlock's inference-time state; short marks a projection
-// shortcut (identity otherwise).
+// blockOp is a BasicBlock's inference-time state, each batch norm carried
+// by the convolution it follows (convOp.then): conv1 with BN1 and the
+// first ReLU, conv2 with BN2, and, where short marks a projection
+// shortcut (identity otherwise), shortConv with ShortBN.
 type blockOp[T tensor.Float] struct {
 	conv1, conv2, shortConv convOp[T]
-	bn1, bn2, shortBN       bnOp[T]
 	short                   bool
 }
 
@@ -646,35 +697,29 @@ type blockOp[T tensor.Float] struct {
 // deviations land in s.
 func (b *BasicBlock) inferOp(s *Scratch[float64]) blockOp[float64] {
 	op := blockOp[float64]{
-		conv1: b.Conv1.inferOp(), bn1: b.BN1.inferOp(s.arena.Alloc(b.BN1.C)),
-		conv2: b.Conv2.inferOp(), bn2: b.BN2.inferOp(s.arena.Alloc(b.BN2.C)),
+		conv1: b.Conv1.inferOp().then(b.BN1.inferOp(s.arena.Alloc(b.BN1.C)), true),
+		conv2: b.Conv2.inferOp().then(b.BN2.inferOp(s.arena.Alloc(b.BN2.C)), false),
 	}
 	if b.ShortConv != nil {
 		op.short = true
-		op.shortConv = b.ShortConv.inferOp()
-		op.shortBN = b.ShortBN.inferOp(s.arena.Alloc(b.ShortBN.C))
+		op.shortConv = b.ShortConv.inferOp().then(b.ShortBN.inferOp(s.arena.Alloc(b.ShortBN.C)), false)
 	}
 	return op
 }
 
-// infer runs both branches over the scratch and applies both rectifiers and
-// the residual sum in place on the main branch's buffers (this block owns
-// them — nothing else aliases an activation the block just produced).
+// infer runs both branches over the scratch, then the residual sum and its
+// ReLU in place on the main branch's buffer (this block owns it — nothing
+// else aliases an activation the block just produced).
 func (b blockOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-	main := b.bn1.infer(b.conv1.infer(x, s), s)
-	reluSlice(main.Data, main.Data)
-	main = b.bn2.infer(b.conv2.infer(main, s), s)
-
+	main := b.conv2.infer(b.conv1.infer(x, s), s)
 	short := x
 	if b.short {
-		short = b.shortBN.infer(b.shortConv.infer(x, s), s)
+		short = b.shortConv.infer(x, s)
 	}
 	if !main.SameShape(short) {
 		panic(fmt.Sprintf("nn: BasicBlock branch shapes %v vs %v", main.Shape, short.Shape))
 	}
-	tensor.AddInto(main, main, short)
-	reluSlice(main.Data, main.Data)
-	return main
+	return tensor.AddReLUInto(main, main, short)
 }
 
 // ForwardInfer runs the residual block's inference path over the live

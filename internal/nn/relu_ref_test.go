@@ -8,7 +8,7 @@ import (
 	"ensembler/internal/tensor"
 )
 
-// reluRef is the branchy rectifier reluSlice replaced, kept as its
+// reluRef is the branchy rectifier tensor.ReLU replaced, kept as its
 // reference: v where v > 0, else +0.
 func reluRef[T tensor.Float](dst, src []T) {
 	for i, v := range src {
@@ -49,9 +49,9 @@ func testReluSlice[T tensor.Float, B comparable](t *testing.T, src []T, bits fun
 	want := make([]T, len(src))
 	reluRef(want, src)
 	got := make([]T, len(src))
-	reluSlice(got, src)
+	tensor.ReLU(got, src)
 	inPlace := append([]T(nil), src...)
-	reluSlice(inPlace, inPlace)
+	tensor.ReLU(inPlace, inPlace)
 	for i := range src {
 		if bits(got[i]) != bits(want[i]) || bits(inPlace[i]) != bits(want[i]) {
 			t.Errorf("relu(%v) = %v (in place %v), reference %v", src[i], got[i], inPlace[i], want[i])

@@ -55,7 +55,12 @@ var directGeoms = []convWindow{
 // the AVX2 transcription where the CPU has it. In a masked trial the zeroed
 // channels must read +0 whatever their inputs where every tap is a tail tap
 // (at float64, or at float32 with k < 4: a group's ±0 weight times an Inf
-// is NaN, as in matmulRowsF32).
+// is NaN, as in matmulRowsF32). Each case runs three times: with no
+// epilogue, with a batch-norm epilogue and with one ending in ReLU, its
+// constants drawn like the operands (so the trial's specials meet the
+// sums in every step of it); the portable form is then goForm followed by
+// the epilogue's Go pass, and the kernel's output takes that pass on the
+// channels it leaves to Go (vectorOutC), as ConvDirectInto applies it.
 func testConvDirectMatchesGo[T Float](t *testing.T, trials []directTrial[T],
 	goForm func(y, x, w []T, ldw, outC, hw int, taps []int32, b0, b1 int)) {
 	_, f64 := any(T(0)).(float64)
@@ -77,17 +82,32 @@ func testConvDirectMatchesGo[T Float](t *testing.T, trials []directTrial[T],
 						}
 					}
 					x := fill(make([]T, g.c*g.h*g.w))
-					got, want := make([]T, outC*hw), make([]T, outC*hw)
-					convDirectKernel[T]()(got, x, d, tab.taps, hw)
-					goForm(want, x, d.w, d.ldw, outC, hw, tab.taps, 0, d.ldw/8)
-					for i := range got {
-						if !sameBits(got[i], want[i]) {
-							t.Fatalf("%s: %+v outC=%d %s: out[%d][%d] = %v, portable form %v",
-								path, g, outC, tr.name, i/hw, i%hw, got[i], want[i])
+					bn := [4][]T{}
+					for r := range bn {
+						bn[r] = fill(make([]T, outC))
+					}
+					for _, epi := range []string{"", "bn", "bn+relu"} {
+						name := tr.name + " " + epi
+						plain := *d
+						if epi != "" {
+							plain.SetEpilogue(bn[0], bn[1], bn[2], bn[3], epi == "bn+relu")
 						}
-						if tr.masked && (f64 || k < 4) && i/hw%3 == 0 && !sameBits(got[i], 0) {
-							t.Fatalf("%s: %+v outC=%d %s: out[%d][%d] = %v under all-zero weights, want +0",
-								path, g, outC, tr.name, i/hw, i%hw, got[i])
+						got, want := make([]T, outC*hw), make([]T, outC*hw)
+						convDirectKernel[T]()(got, x, &plain, tab.taps, hw)
+						goForm(want, x, d.w, d.ldw, outC, hw, tab.taps, 0, d.ldw/8)
+						if epi != "" {
+							plain.epilogue(&Dense[T]{Data: got, Shape: []int{1, outC, hw, 1}}, vectorOutC(outC))
+							plain.epilogue(&Dense[T]{Data: want, Shape: []int{1, outC, hw, 1}}, 0)
+						}
+						for i := range got {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("%s: %+v outC=%d %s: out[%d][%d] = %v, portable form %v",
+									path, g, outC, name, i/hw, i%hw, got[i], want[i])
+							}
+							if epi == "" && tr.masked && (f64 || k < 4) && i/hw%3 == 0 && !sameBits(got[i], 0) {
+								t.Fatalf("%s: %+v outC=%d %s: out[%d][%d] = %v under all-zero weights, want +0",
+									path, g, outC, name, i/hw, i%hw, got[i])
+							}
 						}
 					}
 				}

@@ -1,8 +1,9 @@
 package tensor
 
 // withAVX2 calls f once per path the SIMD kernels behind useAVX2 can take
-// on this host — the f64 panel's tile (tile8x4F64) and the direct
-// convolutions (convDirectF32, convDirectF64) — with the switch set to
+// on this host — the f64 panel's tile (tile8x4F64), the direct
+// convolutions (convDirectF32, convDirectF64) and the elementwise passes
+// (addReLU, normReLUPool) — with the switch set to
 // it: "go", the portable forms, then "avx2" where the CPU check passed. It
 // restores the switch afterwards, so a test that calls it must not run in
 // parallel with other tests of this package. On amd64 CI this is what runs

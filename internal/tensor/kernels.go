@@ -39,6 +39,9 @@ import (
 // one Go definition per precision (convDirectF32Go, convDirectF64Go) and
 // one transcription each, on AVX2 behind the same CPU check. An f64 conv
 // with a weight that is not finite compiles to ConvForwardInto instead.
+// Batch norm, ReLU, the residual add and pooling have Go forms here and in
+// elementwise.go and gather.go; a compiled body runs them fused into the
+// convolution's epilogue and two vector passes (elementwise.go).
 // ConvForwardInto, im2col and the panels remain the public convolution,
 // which the per-layer bench rows time; the live f64 oracle
 // (nn.Network.ForwardInfer) and training run it at float64.

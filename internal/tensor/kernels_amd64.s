@@ -166,7 +166,9 @@ zero7:
 //
 // A group's first product is its sum (Y4..), each further product is added
 // to it, and the sum is then added to the position's; a tail product is
-// ANDed with the mask of its weight being ≠ +0 (Y13) before its add. The
+// ANDed with the mask of its weight being ≠ +0 (Y13) before its add. At a
+// position's store, R11 and R12 point into the packed epilogue, which the
+// sums take first if the convolution has one (EPSTART, EPILOGUE), and the
 // stores write each lane to its own plane.
 //
 // Each routine starts on a 64-byte boundary (PCALIGN), so where its loops
@@ -228,8 +230,33 @@ zero7:
 	VEXTRACTPS   $3, X9, (AX)(R12*1); \
 	LEAQ         (AX)(R13*8), AX
 
-// func convDirect8x4AVX2(y, x, w *float32, taps *int32, hw, ldw int)
-TEXT ·convDirect8x4AVX2(SB), NOSPLIT, $0-48
+// EPSTART takes R11, loaded with the argument ep, as the routine's first
+// block in the mean row of the convolution's packed epilogue, and points
+// R12 at it in the beta row, three rows (of R9 bytes) on, or jumps to l if
+// ep is nil: the convolution has no epilogue.
+#define EPSTART(l) \
+	TESTQ R11, R11; \
+	JZ    l; \
+	LEAQ  (R11)(R9*2), R12; \
+	ADDQ  R9, R12
+
+// EPILOGUE is the epilogue's batch norm of the sums y of the output
+// channels at byte off of its rows: y − mean, times inv, times gamma, plus
+// beta, BatchNormInto's operations in their order, never fused. SUB, MUL
+// and ADD are VSUBPS, VMULPS and VADDPS in the f32 routines and their PD
+// forms in the f64 ones, which share the macro.
+#define EPILOGUE(SUB, MUL, ADD, off, y) \
+	SUB off(R11), y, y; \
+	MUL off(R11)(R9*1), y, y; \
+	MUL off(R11)(R9*2), y, y; \
+	ADD off(R12), y, y
+
+// After it, where the argument relu is set, each sum is rectified: VMAXPS
+// (VMAXPD) against Y13's +0 returns the sum where it is greater than +0,
+// else +0 (its second operand), NaN and −0 included.
+
+// func convDirect8x4AVX2(y, x, w *float32, taps *int32, hw, ldw int, ep *float32, relu bool)
+TEXT ·convDirect8x4AVX2(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -293,6 +320,20 @@ tailtap4:
 	JNZ  tailtap4
 
 store4:
+	MOVQ ep+48(FP), R11
+	EPSTART(plain4)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 0, Y0)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 32, Y1)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 64, Y2)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 96, Y3)
+	CMPB relu+56(FP), $0
+	JEQ  plain4
+	VMAXPS Y13, Y0, Y0
+	VMAXPS Y13, Y1, Y1
+	VMAXPS Y13, Y2, Y2
+	VMAXPS Y13, Y3, Y3
+
+plain4:
 	STOREPOS
 	STORE8(Y0, X0)
 	STORE8(Y1, X1)
@@ -304,8 +345,8 @@ store4:
 	VZEROUPPER
 	RET
 
-// func convDirect8x2AVX2(y, x, w *float32, taps *int32, hw, ldw int)
-TEXT ·convDirect8x2AVX2(SB), NOSPLIT, $0-48
+// func convDirect8x2AVX2(y, x, w *float32, taps *int32, hw, ldw int, ep *float32, relu bool)
+TEXT ·convDirect8x2AVX2(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -359,6 +400,16 @@ tailtap2:
 	JNZ  tailtap2
 
 store2:
+	MOVQ ep+48(FP), R11
+	EPSTART(plain2)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 0, Y0)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 32, Y1)
+	CMPB relu+56(FP), $0
+	JEQ  plain2
+	VMAXPS Y13, Y0, Y0
+	VMAXPS Y13, Y1, Y1
+
+plain2:
 	STOREPOS
 	STORE8(Y0, X0)
 	STORE8(Y1, X1)
@@ -368,8 +419,8 @@ store2:
 	VZEROUPPER
 	RET
 
-// func convDirect8x1AVX2(y, x, w *float32, taps *int32, hw, ldw int)
-TEXT ·convDirect8x1AVX2(SB), NOSPLIT, $0-48
+// func convDirect8x1AVX2(y, x, w *float32, taps *int32, hw, ldw int, ep *float32, relu bool)
+TEXT ·convDirect8x1AVX2(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -418,6 +469,14 @@ tailtap1:
 	JNZ  tailtap1
 
 store1:
+	MOVQ ep+48(FP), R11
+	EPSTART(plain1)
+	EPILOGUE(VSUBPS, VMULPS, VADDPS, 0, Y0)
+	CMPB relu+56(FP), $0
+	JEQ  plain1
+	VMAXPS Y13, Y0, Y0
+
+plain1:
 	STOREPOS
 	STORE8(Y0, X0)
 	ADDQ $4, DI
@@ -432,8 +491,9 @@ store1:
 // tap. The registers are the f32 routines',
 // with DX counting the position's runs of taps left: its ng groups, then
 // its tail, each a count and its taps. Each product is ANDed with the mask
-// of its weight being ≠ +0 (Y13) before its add. Each routine starts on a
-// 64-byte boundary (PCALIGN).
+// of its weight being ≠ +0 (Y13) before its add, and the epilogue is the
+// f32 routines' macro with the PD forms. Each routine starts on a 64-byte
+// boundary (PCALIGN).
 
 // NEXTTAP64 reads the next tap: its input value broadcast in Y8, its weight
 // row's byte offset in R12.
@@ -466,8 +526,8 @@ store1:
 	VMOVHPD      X9, (AX)(R8*1); \
 	LEAQ         (AX)(R13*4), AX
 
-// func convDirect4x4AVX2(y, x, w *float64, taps *int32, hw, ldw int)
-TEXT ·convDirect4x4AVX2(SB), NOSPLIT, $0-48
+// func convDirect4x4AVX2(y, x, w *float64, taps *int32, hw, ldw int, ep *float64, relu bool)
+TEXT ·convDirect4x4AVX2(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -505,6 +565,20 @@ endrun:
 	DECQ DX
 	JNZ  run
 
+	MOVQ ep+48(FP), R11
+	EPSTART(store)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 0, Y0)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 32, Y1)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 64, Y2)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 96, Y3)
+	CMPB relu+56(FP), $0
+	JEQ  store
+	VMAXPD Y13, Y0, Y0
+	VMAXPD Y13, Y1, Y1
+	VMAXPD Y13, Y2, Y2
+	VMAXPD Y13, Y3, Y3
+
+store:
 	MOVQ DI, AX
 	STORE4(Y0, X0)
 	STORE4(Y1, X1)
@@ -516,8 +590,8 @@ endrun:
 	VZEROUPPER
 	RET
 
-// func convDirect4x2AVX2(y, x, w *float64, taps *int32, hw, ldw int)
-TEXT ·convDirect4x2AVX2(SB), NOSPLIT, $0-48
+// func convDirect4x2AVX2(y, x, w *float64, taps *int32, hw, ldw int, ep *float64, relu bool)
+TEXT ·convDirect4x2AVX2(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
@@ -551,12 +625,217 @@ endrun:
 	DECQ DX
 	JNZ  run
 
+	MOVQ ep+48(FP), R11
+	EPSTART(store)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 0, Y0)
+	EPILOGUE(VSUBPD, VMULPD, VADDPD, 32, Y1)
+	CMPB relu+56(FP), $0
+	JEQ  store
+	VMAXPD Y13, Y0, Y0
+	VMAXPD Y13, Y1, Y1
+
+store:
 	MOVQ DI, AX
 	STORE4(Y0, X0)
 	STORE4(Y1, X1)
 	ADDQ $8, DI
 	DECQ CX
 	JNZ  pos
+	VZEROUPPER
+	RET
+
+// The residual add and its ReLU, AddReLUInto on AVX2: n values (a whole
+// number of vectors, at least one) of dst = max(a + b, +0), VADDPS then
+// VMAXPS against +0 (VADDPD, VMAXPD at f64). AX counts bytes up to CX.
+
+// func addReLU32AVX2(dst, a, b *float32, n int)
+TEXT ·addReLU32AVX2(SB), NOSPLIT, $0-32
+	PCALIGN $64
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), BX
+	MOVQ   n+24(FP), CX
+	SHLQ   $2, CX
+	XORQ   AX, AX
+	VXORPS Y15, Y15, Y15
+
+add32:
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS  (BX)(AX*1), Y0, Y0
+	VMAXPS  Y15, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     add32
+	VZEROUPPER
+	RET
+
+// func addReLU64AVX2(dst, a, b *float64, n int)
+TEXT ·addReLU64AVX2(SB), NOSPLIT, $0-32
+	PCALIGN $64
+	MOVQ   dst+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   b+16(FP), BX
+	MOVQ   n+24(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y15, Y15, Y15
+
+add64:
+	VMOVUPD (SI)(AX*1), Y0
+	VADDPD  (BX)(AX*1), Y0, Y0
+	VMAXPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JNE     add64
+	VZEROUPPER
+	RET
+
+// A body's entry, NormReLUPoolInto on AVX2: batch norm, ReLU and a 2×2
+// max-pool of stride 2 over one image's c planes, each walked in units of
+// 32 values that pool to 8 (see normReLUPool):
+//
+//	DI  the output, SI the unit's first value
+//	R8..R11  the next channel's mean, inv, gamma and beta
+//	R12 one row in bytes (w), R13 the unit's second half in bytes (boff)
+//	CX  planes left, DX units left in the plane
+//	Y10..Y13 the plane's constants broadcast, Y15 +0
+//
+// Every value loaded is normalized and rectified (NORMRELU), so each is +0
+// or positive, never −0 or NaN; then each window's two rows are reduced
+// by one VMAXPS (VMAXPD), the row pairs' even and odd columns split apart
+// (VSHUFPS/VSHUFPD) and reduced by another, and VPERMPD puts the 64-bit
+// pairs of results back in column order. Over such values max is exact
+// and independent of order, so it is MaxPoolInto's maximum at floor +0.
+
+// NORMRELU normalizes v with the plane's constants (v − mean, times inv,
+// times gamma, plus beta: BatchNormInto's order) and rectifies it against
+// +0.
+#define NORMRELU(SUB, MUL, ADD, MAX, v) \
+	SUB Y10, v, v; \
+	MUL Y11, v, v; \
+	MUL Y12, v, v; \
+	ADD Y13, v, v; \
+	MAX Y15, v, v
+
+// func normReLUPool32AVX2(y, x, mean, inv, gamma, beta *float32, c, units, w, boff int)
+TEXT ·normReLUPool32AVX2(SB), NOSPLIT, $0-80
+	PCALIGN $64
+	MOVQ   y+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   mean+16(FP), R8
+	MOVQ   inv+24(FP), R9
+	MOVQ   gamma+32(FP), R10
+	MOVQ   beta+40(FP), R11
+	MOVQ   c+48(FP), CX
+	MOVQ   w+64(FP), R12
+	MOVQ   boff+72(FP), R13
+	VXORPS Y15, Y15, Y15
+
+plane32:
+	VBROADCASTSS (R8), Y10
+	VBROADCASTSS (R9), Y11
+	VBROADCASTSS (R10), Y12
+	VBROADCASTSS (R11), Y13
+	ADDQ         $4, R8
+	ADDQ         $4, R9
+	ADDQ         $4, R10
+	ADDQ         $4, R11
+	MOVQ         units+56(FP), DX
+
+unit32:
+	LEAQ    (SI)(R13*1), AX
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(R12*1), Y1
+	VMOVUPS (AX), Y2
+	VMOVUPS (AX)(R12*1), Y3
+	NORMRELU(VSUBPS, VMULPS, VADDPS, VMAXPS, Y0)
+	NORMRELU(VSUBPS, VMULPS, VADDPS, VMAXPS, Y1)
+	NORMRELU(VSUBPS, VMULPS, VADDPS, VMAXPS, Y2)
+	NORMRELU(VSUBPS, VMULPS, VADDPS, VMAXPS, Y3)
+	VMAXPS  Y1, Y0, Y0
+	VMAXPS  Y3, Y2, Y2
+	VSHUFPS $0x88, Y2, Y0, Y4
+	VSHUFPS $0xDD, Y2, Y0, Y5
+	VMAXPS  Y5, Y4, Y4
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPS Y4, (DI)
+	ADDQ    $128, SI
+	ADDQ    $32, DI
+	DECQ    DX
+	JNZ     unit32
+	DECQ    CX
+	JNZ     plane32
+	VZEROUPPER
+	RET
+
+// POOL4 pools a unit's half at f64 from its rows' left (a) and right (b)
+// four columns, t a scratch register, to four values stored at dst.
+#define POOL4(a, b, t, dst) \
+	VSHUFPD $0, b, a, t; \
+	VSHUFPD $15, b, a, a; \
+	VMAXPD  a, t, t; \
+	VPERMPD $0xD8, t, t; \
+	VMOVUPD t, dst
+
+// func normReLUPool64AVX2(y, x, mean, inv, gamma, beta *float64, c, units, w, boff int)
+TEXT ·normReLUPool64AVX2(SB), NOSPLIT, $0-80
+	PCALIGN $64
+	MOVQ   y+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   mean+16(FP), R8
+	MOVQ   inv+24(FP), R9
+	MOVQ   gamma+32(FP), R10
+	MOVQ   beta+40(FP), R11
+	MOVQ   c+48(FP), CX
+	MOVQ   w+64(FP), R12
+	MOVQ   boff+72(FP), R13
+	VXORPS Y15, Y15, Y15
+
+plane64:
+	VBROADCASTSD (R8), Y10
+	VBROADCASTSD (R9), Y11
+	VBROADCASTSD (R10), Y12
+	VBROADCASTSD (R11), Y13
+	ADDQ         $8, R8
+	ADDQ         $8, R9
+	ADDQ         $8, R10
+	ADDQ         $8, R11
+	MOVQ         units+56(FP), DX
+
+unit64:
+	LEAQ    (SI)(R12*1), AX
+	LEAQ    (SI)(R13*1), BX
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD (AX), Y2
+	VMOVUPD 32(AX), Y3
+	LEAQ    (BX)(R12*1), AX
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD (AX), Y6
+	VMOVUPD 32(AX), Y7
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y0)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y1)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y2)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y3)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y4)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y5)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y6)
+	NORMRELU(VSUBPD, VMULPD, VADDPD, VMAXPD, Y7)
+	VMAXPD  Y2, Y0, Y0
+	VMAXPD  Y3, Y1, Y1
+	VMAXPD  Y6, Y4, Y4
+	VMAXPD  Y7, Y5, Y5
+	POOL4(Y0, Y1, Y8, (DI))
+	POOL4(Y4, Y5, Y9, 32(DI))
+	ADDQ    $256, SI
+	ADDQ    $64, DI
+	DECQ    DX
+	JNZ     unit64
+	DECQ    CX
+	JNZ     plane64
 	VZEROUPPER
 	RET
 

@@ -22,3 +22,14 @@ func convDirectF32(y, x []float32, d *DirectConv[float32], taps []int32, hw int)
 func convDirectF64(y, x []float64, d *DirectConv[float64], taps []int32, hw int) {
 	convDirectF64Go(y, x, d.w, d.ldw, d.outC, hw, taps, 0, (d.outC+7)/8)
 }
+
+// vectorOutC is 0 here: ConvDirectInto applies every channel's epilogue
+// in Go.
+func vectorOutC(outC int) int { return 0 }
+
+// addReLU has no vector form here: AddReLUInto runs AddInto and ReLU.
+func addReLU[T Float](dst, a, b []T) bool { return false }
+
+// normReLUPool has no vector form here: the caller of NormReLUPoolInto runs
+// BatchNormInto and MaxPoolInto.
+func normReLUPool[T Float](y, x []T, n, c, w int, mean, inv, gamma, beta []T) bool { return false }
