@@ -31,7 +31,7 @@
 //
 // -admin-addr opens the operational control plane on a second listener:
 // /healthz (liveness + live epoch), /metrics (Prometheus exposition of QPS,
-// latency, batch sizes, epoch version, worker utilization, and the live
+// latency, rows served, epoch version, worker utilization, and the live
 // version's leakage score), /leakage, /budget and /traces.
 //
 // The server runs no attack. A version's leakage score is measured once by
@@ -41,7 +41,7 @@
 // a single-file model or a version published without one. Acting on a
 // score above the threshold is the secret holder's move.
 //
-//	ensembler-serve -model ensembler.gob -addr :7946 -workers 4 -max-batch 64
+//	ensembler-serve -model ensembler.gob -addr :7946 -workers 4
 //	ensembler-serve -model-dir models/ -model-name cifar
 //	ensembler-serve -model-dir models/ -shard 2/3 -addr :7948
 //	ensembler-serve -model-dir models/ -admin-addr 127.0.0.1:9100 -audit-threshold 0.35
@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	modelName := fs.String("model-name", "", "default model name (registry mode; defaults to the first model found)")
 	addr := fs.String("addr", "127.0.0.1:7946", "listen address (use :0 to pick a free port)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "compute worker pool size (workers share the bodies; each holds its own activation scratch)")
-	maxBatch := fs.Int("max-batch", comm.DefaultMaxBatch, "max inputs per batched request")
 	shardSpec := fs.String("shard", "", `host shard k of a K-shard fleet ("k/K"): only that shard's body subset`)
 	precisionName := fs.String("precision", "", `compute precision for the hosted body passes: "f64" (reference kernels) or "f32" (vectorized backend, ~1e-7 relative drift); empty defaults to the manifest's commitment, else f64`)
 	adminAddr := fs.String("admin-addr", "", "admin plane listen address (/healthz, /metrics, /leakage, /budget, /traces); empty disables")
@@ -106,9 +105,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
-	}
-	if *maxBatch <= 0 {
-		*maxBatch = comm.DefaultMaxBatch // mirror the server's clamping in the banner
 	}
 	if !(*auditThreshold > 0) {
 		return fmt.Errorf("-audit-threshold must be positive, got %v", *auditThreshold)
@@ -242,7 +238,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	treg := telemetry.NewRegistry()
 	serverOpts := []comm.ServerOption{
 		comm.WithWorkers(*workers),
-		comm.WithMaxBatch(*maxBatch),
 		comm.WithPrecision(precision),
 	}
 	telemetry.RegisterRuntimeMetrics(treg)
@@ -385,8 +380,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		privacyBanner = fmt.Sprintf("; privacy budget %d rows per client (%s)", *privacyBudget, mode)
 	}
-	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, max batch %d, %s compute; selector stays client-side%s\n",
-		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), *maxBatch, precision, privacyBanner)
+	fmt.Fprintf(stdout, "%sserving %s v%d (%d bodies) as default — %d models total, %d workers, %s compute; selector stays client-side%s\n",
+		shardBanner, defaultModel, cur.Version(), cur.Pipeline().Cfg.N, len(reg.Models()), srv.Workers(), precision, privacyBanner)
 	var fatalMu sync.Mutex
 	var fatalErr error
 	failServe := func(err error) {

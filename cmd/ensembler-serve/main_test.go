@@ -112,6 +112,9 @@ func TestRunFlagValidation(t *testing.T) {
 		// window or intake queue to size.
 		{[]string{"-batch-window", "1ms"}, "flag provided but not defined: -batch-window"},
 		{[]string{"-max-queue", "8"}, "flag provided but not defined: -max-queue"},
+		// A request is one feature tensor, so there is no list of inputs
+		// to cap.
+		{[]string{"-max-batch", "64"}, "flag provided but not defined: -max-batch"},
 		// The server runs no leakage attack: the score is recorded at
 		// publish time, so there is nothing to sample, cadence or calibrate.
 		{[]string{"-audit-sample", "4"}, "flag provided but not defined: -audit-sample"},

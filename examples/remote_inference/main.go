@@ -45,7 +45,6 @@ import (
 	"ensembler/internal/shard"
 	"ensembler/internal/split"
 	"ensembler/internal/telemetry"
-	"ensembler/internal/tensor"
 )
 
 // printMetrics renders the telemetry registry and prints the sample lines
@@ -152,16 +151,15 @@ func main() {
 	fmt.Printf("wire:   %.1f KiB up (features), %.1f KiB down (%d bodies × features)\n",
 		float64(timing.BytesUp)/1024, float64(timing.BytesDown)/1024, cfg.N)
 
-	// One round trip can carry several inputs: the server stacks them, runs
-	// each body once over the stack, and splits the results back.
-	a, _ := sp.Test.Batch([]int{0, 1, 2, 3})
-	b, _ := sp.Test.Batch([]int{4, 5, 6, 7})
-	batched, bt, err := client.InferBatch(ctx, []*tensor.Tensor{a, b})
+	// A batch rides in the request's leading axis: 8 images are one head
+	// output of 8 rows, and each body runs once over all of them.
+	b8, _ := sp.Test.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	batched, bt, err := client.Infer(ctx, b8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if batched[0].AllClose(e.Predict(a), 1e-9) && batched[1].AllClose(e.Predict(b), 1e-9) {
-		fmt.Printf("batched round trip (2 inputs, %.1fms) matches local inference ✓\n",
+	if batched.AllClose(e.Predict(b8), 1e-9) {
+		fmt.Printf("8-row round trip (%.1fms) matches local inference ✓\n",
 			bt.RoundTrip.Seconds()*1e3)
 	}
 

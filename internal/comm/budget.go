@@ -105,8 +105,7 @@ func (s *Server) chargeJob(j *job) bool {
 	if j.account == nil {
 		return true
 	}
-	_, rows := j.pay.size()
-	v := g.Charge(j.account, rows)
+	v := g.Charge(j.account, j.pay.rows())
 	if v.Refuse {
 		// Metrics stay honest without special-casing: serve records the
 		// refusal like any other answer (Err non-empty, so it counts as an

@@ -194,7 +194,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	j.noiseSigma = sigma
 	feat := tensor.New(1, n)
 	p := payloadOf[float64](j)
-	p.outputs, p.served = [][]*tensor.Tensor{{feat}}, true
+	p.outputs, p.served = []*tensor.Tensor{feat}, true
 	noiseResponse(j)
 
 	var sum, sumSq float64
@@ -218,7 +218,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 		clean.Data[i] = float64(i)
 	}
 	p2 := payloadOf[float64](j2)
-	p2.outputs, p2.served = [][]*tensor.Tensor{{clean}}, true
+	p2.outputs, p2.served = []*tensor.Tensor{clean}, true
 	noiseResponse(j2)
 	for i, v := range clean.Data {
 		if v != float64(i) {
@@ -234,7 +234,7 @@ func TestNoiseResponseStatistics(t *testing.T) {
 	j3.noiseSigma = sigma
 	f32 := tensor.NewOf[float32](1, n)
 	p3 := payloadOf[float32](j3)
-	p3.outputs, p3.served = [][]*tensor.Tensor32{{f32}}, true
+	p3.outputs, p3.served = []*tensor.Tensor32{f32}, true
 	noiseResponse(j3)
 	var nonzero int
 	for _, v := range f32.Data {

@@ -43,19 +43,18 @@ func WithClientID(id string) DialOption {
 // connections and client runtimes (one shard hosting every body is this
 // monolith).
 //
-// Result lifetimes: logits returned by Infer and InferBatch are fresh
-// tensors the caller owns. What Exchange returns lives in the client and is
+// Result lifetimes: logits returned by Infer are fresh tensors the caller
+// owns. What Exchange returns lives in the client and is
 // valid only until the client's next request.
 type Client struct {
 	conn  *countingConn
 	codec binClientCodec
 	// req and ex are the request being sent and the response being decoded —
-	// kept here so an exchange allocates neither — inputs the storage behind a
-	// batched request's list, and tail the scratch the tail pass runs over.
-	req    Request
-	ex     Exchanged
-	inputs []*tensor.Tensor
-	tail   nn.Scratch[float64]
+	// kept here so an exchange allocates neither — and tail the scratch the
+	// tail pass runs over.
+	req  Request
+	ex   Exchanged
+	tail nn.Scratch[float64]
 	// broken is set after any transport failure: the wire stream may hold a
 	// partial or stale message, so reusing the connection could silently
 	// return the previous request's response. A broken client fails fast
@@ -355,49 +354,4 @@ func (c *Client) exchangeInto(ctx context.Context, features *tensor.Tensor, ex *
 	}
 	ex.Features, ex.Model, ex.Version = ex.resp.Features, ex.resp.Model, ex.resp.Version
 	return t, nil
-}
-
-// InferBatch runs the collaborative pipeline for B image batches in a single
-// round trip and returns one logits tensor per input. The server stacks the
-// transmitted features, runs each body once over the stack, and splits the
-// results back — amortizing both the protocol overhead and the per-body
-// dispatch across the whole batch.
-func (c *Client) InferBatch(ctx context.Context, xs []*tensor.Tensor) ([]*tensor.Tensor, Timing, error) {
-	var t Timing
-	if len(xs) == 0 {
-		return nil, t, fmt.Errorf("comm: empty inference batch")
-	}
-
-	start := time.Now()
-	// Each input's features are copied as they are computed: the hook may
-	// hand back storage its next call overwrites.
-	c.ex.arena.Reset()
-	inputs := c.inputs[:0]
-	for _, x := range xs {
-		inputs = append(inputs, c.ex.arena.Clone(c.ComputeFeatures(x)))
-	}
-	c.inputs = inputs
-	c.req = Request{Model: c.Model, Version: c.Version, Inputs: inputs}
-	t.Client += time.Since(start)
-
-	if err := c.send(ctx, &c.ex, &t); err != nil {
-		return nil, t, err
-	}
-	outputs := c.ex.resp.Outputs
-	if len(outputs) != len(xs) {
-		return nil, t, fmt.Errorf("comm: server returned %d outputs for %d inputs", len(outputs), len(xs))
-	}
-
-	start = time.Now()
-	logits := make([]*tensor.Tensor, len(xs))
-	for i, features := range outputs {
-		out, err := c.finish(features)
-		if err != nil {
-			t.Client += time.Since(start)
-			return nil, t, fmt.Errorf("comm: output %d: %w", i, err)
-		}
-		logits[i] = out
-	}
-	t.Client += time.Since(start)
-	return logits, t, nil
 }

@@ -100,17 +100,6 @@ func TestRefusedResponseBytesAreCounted(t *testing.T) {
 	}
 	addr := scriptedBinary(t, func(i int, req *Request) *Response {
 		var resp Response
-		if req.Inputs != nil {
-			for _, in := range req.Inputs {
-				resp.Outputs = append(resp.Outputs, serve(in))
-			}
-			if i%2 == 1 {
-				for j, row := range resp.Outputs {
-					resp.Outputs[j] = row[1:] // a ragged grid would not even encode
-				}
-			}
-			return &resp
-		}
 		resp.Features = serve(req.Features)
 		if i%2 == 1 {
 			resp.Features = resp.Features[1:]
@@ -125,16 +114,18 @@ func TestRefusedResponseBytesAreCounted(t *testing.T) {
 	wireRuntime(client, e)
 	ctx := context.Background()
 
-	// Requests 0 and 2 are served honestly, 1 is one body short.
-	for i := 0; i < 3; i++ {
-		x := images(int64(500+i), 2)
+	// Even requests are served honestly, odd ones one body short; the row
+	// counts change after a refusal, so the storage it left dirty is reused
+	// at another size.
+	for i, rows := range []int{2, 2, 2, 3, 1} {
+		x := images(int64(500+i), rows)
 		got, tm, err := client.Infer(ctx, x)
 		if tm.BytesUp <= 0 || tm.BytesDown <= 0 {
 			t.Errorf("request %d: byte accounting missing: %+v", i, tm)
 		}
-		if i == 1 {
+		if i%2 == 1 {
 			if err == nil {
-				t.Fatal("a response one body short must be refused")
+				t.Fatalf("request %d: a response one body short must be refused", i)
 			}
 			continue
 		}
@@ -142,27 +133,6 @@ func TestRefusedResponseBytesAreCounted(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		requireSameBits(t, "Infer", got, e.Predict(x))
-	}
-	// The same over the batched form: 3 is refused (every row a body short),
-	// 4 served.
-	xs := []*tensor.Tensor{images(510, 1), images(511, 2), images(512, 1)}
-	for i := 3; i < 5; i++ {
-		got, tm, err := client.InferBatch(ctx, xs)
-		if tm.BytesUp <= 0 || tm.BytesDown <= 0 {
-			t.Errorf("request %d: byte accounting missing: %+v", i, tm)
-		}
-		if i == 3 {
-			if err == nil {
-				t.Fatal("a batched response one body short must be refused")
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		for j, x := range xs {
-			requireSameBits(t, "InferBatch", got[j], e.Predict(x))
-		}
 	}
 }
 
@@ -245,15 +215,11 @@ func loopbackClient(t testing.TB, e *ensemble.Ensembler) (*Client, *ensemble.Cli
 	return client, rt
 }
 
-// Allocation ceilings of one warm request, server side included (it runs in
-// this process and is pinned at zero by the serve-loop benchmarks). Infer
-// pays for the logits it hands its caller — header, shape, data — and
-// InferBatch for one such tensor per input plus the list.
-const (
-	inferAllocCeiling      = 3
-	inferBatchAllocCeiling = 1 + 3*inferBatchInputs
-	inferBatchInputs       = 4
-)
+// inferAllocCeiling is the allocation ceiling of one warm request, server
+// side included (it runs in this process and is pinned at zero by the
+// serve-loop benchmarks): Infer pays for the logits it hands its caller —
+// header, shape, data.
+const inferAllocCeiling = 3
 
 // TestClientInferLoopAllocs pins the edge client's memory model: each piece
 // of a request is allocation-free when looped on its own over warm storage,
@@ -263,17 +229,13 @@ func TestClientInferLoopAllocs(t *testing.T) {
 	client, rt := loopbackClient(t, e)
 	ctx := context.Background()
 	x := images(530, 1)
-	xs := make([]*tensor.Tensor, inferBatchInputs)
-	for i := range xs {
-		xs[i] = images(int64(531+i), 1)
-	}
 
 	served := e.ServerCompute(e.ClientFeatures(x))
 	frame, err := encodeResponse(nil, &Response{Model: "m", Version: 3, Features: served}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := encodeResponse(nil, &Response{Model: "m", Outputs: [][]*tensor.Tensor{served, served}}, true, 0)
+	frame32, err := encodeResponse(nil, &Response{Model: "m", Features: served}, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +258,10 @@ func TestClientInferLoopAllocs(t *testing.T) {
 		f       func()
 	}{
 		{"parse features frame", 0, parse(frame)},
-		{"parse f32 outputs grid", 0, parse(grid)},
+		{"parse f32 features frame", 0, parse(frame32)},
 		{"tail", 0, func() { tail.Reset(); rt.Tail.ForwardInfer(sel, &tail) }},
 		{"Client.Infer", inferAllocCeiling, func() {
 			if _, _, err := client.Infer(ctx, x); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"Client.InferBatch", inferBatchAllocCeiling, func() {
-			if _, _, err := client.InferBatch(ctx, xs); err != nil {
 				t.Fatal(err)
 			}
 		}},

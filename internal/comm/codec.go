@@ -14,11 +14,15 @@ package comm
 //	request   = 0x01 modelLen(u16) model version(u32) kind(u8) count(u16) tensor*
 //	          | 0x03 traceID(u64) tflags(u8) modelLen(u16) model ...
 //	response  = 0x02 modelLen(u16) model version(u32) errLen(u16) err code(u16)
-//	            kind(u8)
-//	            features: count(u16) tensor*
-//	            outputs:  outer(u16) inner(u16) tensor*(outer×inner, row-major)
+//	            kind(u8) count(u16) tensor*
 //	          | 0x04 traceID(u64) modelLen(u16) model ...
 //	tensor    = rank(u8) dtype(u8) dims(u32)*rank payload(f64|f32 ×n)
+//
+// The one kind is 0x00: a request carries one [B,C,H,W] feature tensor
+// (count 1) and a response one tensor per hosted body. The kind and count
+// fields stay in the layout so that version-4 frames keep their bytes; a
+// frame of any other kind is refused as an unknown kind, which drops its
+// connection.
 //
 // Handshake: the client's hello names wireVersion and the flags it wants
 // (0x01 float32 payloads, 0x02 "I will declare a client identity"); the
@@ -112,13 +116,12 @@ const (
 	wireTraceSampled = 0x01
 
 	wireKindFeatures = 0x00
-	wireKindBatched  = 0x01
 
 	wireDtypeF64 = 0x00
 	wireDtypeF32 = 0x01
 
-	// maxWireFrame bounds one frame; larger requests must batch across
-	// frames. 256 MiB comfortably holds the largest supported batch.
+	// maxWireFrame bounds one frame; larger batches must split across
+	// requests. 256 MiB comfortably holds the largest supported batch.
 	maxWireFrame = 1 << 28
 	maxWireModel = 4096
 	maxWireRank  = 8
@@ -185,20 +188,6 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Model)))
 	buf = append(buf, req.Model...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Version))
-	if req.Inputs != nil {
-		if len(req.Inputs) > math.MaxUint16 {
-			return buf, fmt.Errorf("comm: batch of %d exceeds wire limit %d", len(req.Inputs), math.MaxUint16)
-		}
-		buf = append(buf, wireKindBatched)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(req.Inputs)))
-		for _, t := range req.Inputs {
-			if t == nil {
-				return buf, fmt.Errorf("comm: nil tensor in batched request")
-			}
-			buf = appendTensor(buf, t, f32)
-		}
-		return buf, nil
-	}
 	if req.Features == nil {
 		return buf, fmt.Errorf("comm: request carries no features")
 	}
@@ -208,13 +197,12 @@ func appendRequest(buf []byte, req *Request, f32 bool, tc trace.Context) ([]byte
 }
 
 // appendResponse encodes a response body (no length prefix): the header from
-// resp, the tensors from feats (one per body) or, when outputs is non-nil,
-// from the batched [input][body] grid — the server passes its job payload's
-// parts at the compute precision, anything holding a float64 Response passes
-// resp.Features and resp.Outputs. A nonzero traceID echoes the request's trace
+// resp, the tensors from feats (one per body) — the server passes its job
+// payload's outputs at the compute precision, anything holding a float64
+// Response passes resp.Features. A nonzero traceID echoes the request's trace
 // context in the traced layout (0x04); callers must only pass one for requests
 // that arrived traced.
-func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.Dense[T], outputs [][]*tensor.Dense[T], f32 bool, traceID uint64) ([]byte, error) {
+func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.Dense[T], f32 bool, traceID uint64) ([]byte, error) {
 	if len(resp.Model) > maxWireModel {
 		return buf, fmt.Errorf("comm: model name of %d bytes exceeds wire limit %d", len(resp.Model), maxWireModel)
 	}
@@ -236,31 +224,6 @@ func appendResponse[T tensor.Float](buf []byte, resp *Response, feats []*tensor.
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(resp.Err)))
 	buf = append(buf, resp.Err...)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(resp.Code))
-	if outputs != nil {
-		outer := len(outputs)
-		inner := 0
-		if outer > 0 {
-			inner = len(outputs[0])
-		}
-		if outer > math.MaxUint16 || inner > math.MaxUint16 {
-			return buf, fmt.Errorf("comm: response outputs %d×%d exceed wire limits", outer, inner)
-		}
-		buf = append(buf, wireKindBatched)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(outer))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(inner))
-		for _, row := range outputs {
-			if len(row) != inner {
-				return buf, fmt.Errorf("comm: ragged response outputs (%d vs %d per input)", len(row), inner)
-			}
-			for _, t := range row {
-				if t == nil {
-					return buf, fmt.Errorf("comm: nil tensor in response outputs")
-				}
-				buf = appendTensor(buf, t, f32)
-			}
-		}
-		return buf, nil
-	}
 	buf = append(buf, wireKindFeatures)
 	if len(feats) > math.MaxUint16 {
 		return buf, fmt.Errorf("comm: response of %d feature maps exceeds wire limit", len(feats))
@@ -480,11 +443,10 @@ func readTensor[T tensor.Float](r *wireReader, a *tensor.Arena[T], shapeBuf []in
 }
 
 // parseRequestInto decodes a request frame body: the routing header into
-// req, the tensors into p (over p's arena and reusable Inputs storage, so
-// the serving path's steady state allocates nothing) — req.Features and
-// req.Inputs stay nil. tc (optional) receives the trace context when the
-// frame uses the traced layout; a traced frame with a nil tc is decoded and
-// its trace header discarded (the wiretap path).
+// req, the tensor into p (over p's arena, so the serving path's steady state
+// allocates nothing) — req.Features stays nil. tc (optional) receives the
+// trace context when the frame uses the traced layout; a traced frame with a
+// nil tc is decoded and its trace header discarded (the wiretap path).
 func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], tc *trace.Context) error {
 	r := wireReader{b: body}
 	msg, err := r.u8()
@@ -534,36 +496,18 @@ func parseRequestInto[T tensor.Float](body []byte, req *Request, p *payload[T], 
 	if err != nil {
 		return err
 	}
+	if kind != wireKindFeatures {
+		return fmt.Errorf("comm: unknown request kind %d", kind)
+	}
 	count, err := r.u16()
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case wireKindFeatures:
-		if count != 1 {
-			return fmt.Errorf("comm: feature request carries %d tensors, want 1", count)
-		}
-		t, err := readTensor(&r, &p.arena, p.shape[:0])
-		if err != nil {
-			return err
-		}
-		p.inputs = append(p.inputs[:0], t)
-	case wireKindBatched:
-		if count == 0 {
-			return fmt.Errorf("comm: batched request carries no inputs")
-		}
-		p.batched = true
-		inputs := p.inputs[:0]
-		for i := 0; i < count; i++ {
-			t, err := readTensor(&r, &p.arena, p.shape[:0])
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, t)
-		}
-		p.inputs = inputs
-	default:
-		return fmt.Errorf("comm: unknown request kind %d", kind)
+	if count != 1 {
+		return fmt.Errorf("comm: feature request carries %d tensors, want 1", count)
+	}
+	if p.input, err = readTensor(&r, &p.arena, p.shape[:0]); err != nil {
+		return err
 	}
 	if r.remaining() != 0 {
 		return fmt.Errorf("comm: %d trailing bytes after request", r.remaining())
@@ -580,23 +524,19 @@ func parseRequest(body []byte, tc *trace.Context) (*Request, error) {
 	if err := parseRequestInto(body, req, &p, tc); err != nil {
 		return nil, err
 	}
-	if p.batched {
-		req.Inputs = p.inputs
-	} else {
-		req.Features = p.inputs[0]
-	}
+	req.Features = p.input
 	return req, nil
 }
 
 // parseResponseInto decodes a response frame body into resp: the tensors into
-// a, the lists into resp's own Features/Outputs storage, which is reused (as
-// is an unchanged Model string), so a steady connection decodes without
+// a, the list into resp's own Features storage, which is reused (as is an
+// unchanged Model string), so a steady connection decodes without
 // allocating. What resp then holds is valid until resp's next parse or a's
 // next Reset, whichever the owner of the two does first; a caller that must
 // keep the result hands in a fresh Response and a zero arena. echo (optional)
 // receives the trace ID when the frame uses the traced layout.
 func parseResponseInto(body []byte, resp *Response, echo *uint64, a *tensor.Arena[float64]) error {
-	resp.Features, resp.Outputs = resp.Features[:0], resp.Outputs[:0]
+	resp.Features = resp.Features[:0]
 	resp.Version, resp.Err, resp.Code = 0, "", 0
 	r := wireReader{b: body}
 	msg, err := r.u8()
@@ -651,52 +591,20 @@ func parseResponseInto(body []byte, resp *Response, echo *uint64, a *tensor.Aren
 	if err != nil {
 		return err
 	}
-	var shapeBuf [maxWireRank]int
-	switch kind {
-	case wireKindFeatures:
-		count, err := r.u16()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < count; i++ {
-			t, err := readTensor(&r, a, shapeBuf[:0])
-			if err != nil {
-				return err
-			}
-			resp.Features = append(resp.Features, t)
-		}
-	case wireKindBatched:
-		outer, err := r.u16()
-		if err != nil {
-			return err
-		}
-		inner, err := r.u16()
-		if err != nil {
-			return err
-		}
-		// Bound the slice headers against the bytes present: each tensor
-		// costs at least 2 bytes of header.
-		if outer*inner > r.remaining()/2+1 {
-			return fmt.Errorf("comm: response grid %d×%d exceeds frame size", outer, inner)
-		}
-		grid := resp.Outputs[:cap(resp.Outputs)] // rows keep their storage too
-		for len(grid) < outer {
-			grid = append(grid, nil)
-		}
-		resp.Outputs = grid[:outer]
-		for i := range resp.Outputs {
-			row := resp.Outputs[i][:0]
-			for b := 0; b < inner; b++ {
-				t, err := readTensor(&r, a, shapeBuf[:0])
-				if err != nil {
-					return err
-				}
-				row = append(row, t)
-			}
-			resp.Outputs[i] = row
-		}
-	default:
+	if kind != wireKindFeatures {
 		return fmt.Errorf("comm: unknown response kind %d", kind)
+	}
+	count, err := r.u16()
+	if err != nil {
+		return err
+	}
+	var shapeBuf [maxWireRank]int
+	for i := 0; i < count; i++ {
+		t, err := readTensor(&r, a, shapeBuf[:0])
+		if err != nil {
+			return err
+		}
+		resp.Features = append(resp.Features, t)
 	}
 	if r.remaining() != 0 {
 		return fmt.Errorf("comm: %d trailing bytes after response", r.remaining())

@@ -54,13 +54,13 @@ func startCodecServer(t *testing.T, n int) string {
 	return ln.Addr().String()
 }
 
-// TestBinaryRequestRoundTrip pins encode→decode identity for both request
-// forms, on both the heap and arena decode paths.
+// TestBinaryRequestRoundTrip pins encode→decode identity of requests, on
+// both the heap and arena decode paths.
 func TestBinaryRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
 		{Model: "m", Version: 3, Features: wireTensor(1, 2, 4, 8, 8)},
 		{Features: wireTensor(2, 1, 3, 4, 4)},
-		{Model: "batch", Inputs: []*tensor.Tensor{wireTensor(3, 2, 3, 4, 4), wireTensor(4, 1, 3, 4, 4)}},
+		{Model: "batch", Features: wireTensor(3, 8, 3, 4, 4)},
 	}
 	for i, req := range reqs {
 		body, err := appendRequest(nil, req, false, trace.Context{})
@@ -79,31 +79,20 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 			if got.Model != req.Model || got.Version != req.Version {
 				t.Errorf("request %d header: got (%q,%d), want (%q,%d)", i, got.Model, got.Version, req.Model, req.Version)
 			}
-			if req.Features != nil && !got.Features.AllClose(req.Features, 0) {
+			if !got.Features.AllClose(req.Features, 0) {
 				t.Errorf("request %d features diverge", i)
-			}
-			if len(got.Inputs) != len(req.Inputs) {
-				t.Fatalf("request %d inputs: got %d, want %d", i, len(got.Inputs), len(req.Inputs))
-			}
-			for k := range req.Inputs {
-				if !got.Inputs[k].AllClose(req.Inputs[k], 0) {
-					t.Errorf("request %d input %d diverges", i, k)
-				}
 			}
 		}
 	}
 }
 
-// TestBinaryResponseRoundTrip pins encode→decode identity for both response
-// forms, error strings and headers included.
+// TestBinaryResponseRoundTrip pins encode→decode identity of responses,
+// error strings and headers included.
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	resps := []*Response{
 		{Model: "m", Version: 7, Features: []*tensor.Tensor{wireTensor(5, 2, 16), wireTensor(6, 2, 16)}},
 		{Err: "comm: something broke"},
-		{Outputs: [][]*tensor.Tensor{
-			{wireTensor(7, 1, 16), wireTensor(8, 1, 16)},
-			{wireTensor(9, 1, 16), wireTensor(10, 1, 16)},
-		}},
+		{Features: []*tensor.Tensor{wireTensor(7, 8, 16), wireTensor(8, 8, 16), wireTensor(9, 8, 16)}},
 	}
 	for i, resp := range resps {
 		body, err := encodeResponse(nil, resp, false, 0)
@@ -125,16 +114,66 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 				t.Errorf("response %d feature %d diverges", i, k)
 			}
 		}
-		if len(got.Outputs) != len(resp.Outputs) {
-			t.Fatalf("response %d outputs: %d vs %d", i, len(got.Outputs), len(resp.Outputs))
+	}
+}
+
+// retiredBatchedRequest is a request frame body of the client-batched kind
+// (0x01) the wire no longer carries, holding x as its one input: that layout
+// put its input count where a plain frame puts its count of 1, so it is a
+// plain frame of x with the kind byte changed.
+func retiredBatchedRequest(tb testing.TB, x *tensor.Tensor, f32 bool) []byte {
+	tb.Helper()
+	body, err := appendRequest(nil, &Request{Features: x}, f32, trace.Context{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const kindAt = 1 + 2 + 4 // message byte, empty model name, version
+	if body[kindAt] != wireKindFeatures {
+		tb.Fatalf("request frame layout moved: byte %d is %#x", kindAt, body[kindAt])
+	}
+	body[kindAt] = 0x01
+	return body
+}
+
+// retiredBatchedResponse is a response frame body of the retired
+// client-batched kind: one input's per-body outputs feats as a 1×len(feats)
+// grid, announced as kind 0x01, outer u16 and inner u16 where a plain
+// response announces kind 0x00 and a u16 count.
+func retiredBatchedResponse(tb testing.TB, feats []*tensor.Tensor) []byte {
+	tb.Helper()
+	plain, err := encodeResponse(nil, &Response{Features: feats}, false, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const kindAt = 1 + 2 + 4 + 2 + 2 // message byte, empty model name, version, empty error, code
+	if plain[kindAt] != wireKindFeatures {
+		tb.Fatalf("response frame layout moved: byte %d is %#x", kindAt, plain[kindAt])
+	}
+	grid := append(append([]byte(nil), plain[:kindAt]...), 0x01, 1, 0)
+	grid = binary.LittleEndian.AppendUint16(grid, uint16(len(feats)))
+	return append(grid, plain[kindAt+3:]...)
+}
+
+// TestRetiredBatchedKindRefused pins what became of the client-batched kind:
+// its request frame meets the parser's unknown-kind refusal at both element
+// types, on either wire, and its response frame the client's.
+func TestRetiredBatchedKindRefused(t *testing.T) {
+	x := wireTensor(730, 2, 4, 8, 8)
+	for _, f32 := range []bool{false, true} {
+		body := retiredBatchedRequest(t, x, f32)
+		const want = "comm: unknown request kind 1"
+		var req Request
+		if err := parseRequestInto(body, &req, &payload[float64]{}, nil); err == nil || err.Error() != want {
+			t.Errorf("f32 wire %v: float64 parse gives %v, want %q", f32, err, want)
 		}
-		for a := range resp.Outputs {
-			for b := range resp.Outputs[a] {
-				if !got.Outputs[a][b].AllClose(resp.Outputs[a][b], 0) {
-					t.Errorf("response %d output [%d][%d] diverges", i, a, b)
-				}
-			}
+		if err := parseRequestInto(body, &req, &payload[float32]{}, nil); err == nil || err.Error() != want {
+			t.Errorf("f32 wire %v: float32 parse gives %v, want %q", f32, err, want)
 		}
+	}
+	var resp Response
+	body := retiredBatchedResponse(t, []*tensor.Tensor{wireTensor(731, 1, 16), wireTensor(732, 1, 16)})
+	if err := parseResponse(body, &resp, nil); err == nil || err.Error() != "comm: unknown response kind 1" {
+		t.Errorf("retired response kind: %v, want the unknown-kind refusal", err)
 	}
 }
 
@@ -419,11 +458,6 @@ func testServerComputeLoopZeroAllocs(t *testing.T, workers int) {
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state server compute loop allocates %v times per request, want 0", allocs)
 	}
-	// The batched form reaches steady state too (after its own warm-up).
-	loop.request(&Request{Inputs: []*tensor.Tensor{wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}})
-	if allocs := loop.allocs(); allocs != 0 {
-		t.Errorf("steady-state batched compute loop allocates %v times per request, want 0", allocs)
-	}
 }
 
 // TestServerComputeLoopMixedRowsZeroAllocs: one worker alternating 1-row and
@@ -460,7 +494,7 @@ func TestServerComputeLoopMixedRowsZeroAllocs(t *testing.T) {
 					t.Fatal(resp.Err)
 				}
 				for b, want := range referenceBodies(nBodies, x) {
-					if err := bitsDiffer(payloadOf[float64](j).outputs[0][b], want); err != nil {
+					if err := bitsDiffer(payloadOf[float64](j).outputs[b], want); err != nil {
 						t.Errorf("%d-row request, body %d: %v", x.Shape[0], b, err)
 					}
 				}

@@ -19,18 +19,17 @@
 // meets, and copies each body's output rows aside before the next body
 // reuses it.
 //
-// One round trip can carry a whole batch: a Request either holds a single
-// [B,C,H,W] feature tensor or a list of them (InferBatch). Every request
-// takes the same serve pass — charge → resolve → observe → stack → forward →
-// split → noise, in Server.serve and payload.pass — whether it arrived plain
-// or client-batched: the pass stacks a batched request's inputs along the
-// batch axis, pushes the stack through each body once, and splits the
-// outputs back per input. Context plumbing runs through Serve and Infer for
+// A request is one [B,C,H,W] feature tensor — the head output for a batch of
+// B images — and its response one feature tensor per hosted body, each of B
+// rows. Every request takes the same serve pass — charge → resolve → observe
+// → forward → copy → noise, in Server.serve and payload.pass: the B rows go
+// through each body in one pass, and each body's output is copied into the
+// job's own storage. Context plumbing runs through Serve and Infer for
 // graceful shutdown and per-request deadlines.
 //
 // The serving path is observable without being slowed: WithMetrics attaches
-// a telemetry bundle (requests, errors, images, per-request serve-time and
-// batch-size histograms) and WithObserver mirrors transmitted features into
+// a telemetry bundle (requests, errors, images, and a per-request serve-time
+// histogram) and WithObserver mirrors transmitted features into
 // an observer (kept only for bench/ until ROADMAP item 2). Both are nil
 // checks on the hot path when absent, and the attached implementations are
 // lock-free (telemetry) or amortized to an atomic add (audit.Sampler).
@@ -63,10 +62,8 @@ var ErrBudgetExhausted = errors.New("privacy budget exhausted")
 // CodeBudgetExhausted is Response.Code for a budget-refused request.
 const CodeBudgetExhausted = 430
 
-// Request is the client→server message. Exactly one of the two payload
-// fields is set: Features carries the intermediate activations
-// Mc,h(x)+noise for one input batch, Inputs carries B of them to be served
-// in a single round trip.
+// Request is the client→server message: Features carries the intermediate
+// activations Mc,h(x)+noise for one input batch.
 //
 // Model and Version route the request on a multi-model server: Model ""
 // falls back to the server's default model and Version 0 to its current
@@ -75,20 +72,16 @@ type Request struct {
 	Model    string
 	Version  int
 	Features *tensor.Tensor
-	Inputs   []*tensor.Tensor
 }
 
-// Response is the server→client message mirroring the request form.
-// Features holds one feature matrix per hosted body (the server cannot know
-// which the client will use); Outputs holds that per-body list for each of
-// the B batched inputs. Model and Version echo what actually served the
-// request — how a client observes a hot swap; a single-model server leaves
-// them zero.
+// Response is the server→client message. Features holds one feature matrix
+// per hosted body (the server cannot know which the client will use). Model
+// and Version echo what actually served the request — how a client observes
+// a hot swap; a single-model server leaves them zero.
 type Response struct {
 	Model    string
 	Version  int
 	Features []*tensor.Tensor
-	Outputs  [][]*tensor.Tensor
 	Err      string
 	// Code classifies a non-empty Err so clients can react mechanically:
 	// 0 is an ordinary request failure (terminal for that request),

@@ -59,8 +59,8 @@ func dialWired(t *testing.T, addr string, n int) *comm.Client {
 }
 
 // TestConcurrentMixedClients hammers a worker-pool server with
-// simultaneous clients issuing a mix of single and batched requests, every
-// one of which must match the locally computed reference bit-for-bit.
+// simultaneous clients issuing a mix of 2-row and 6-row requests, every one
+// of which must match the locally computed reference bit-for-bit.
 func TestConcurrentMixedClients(t *testing.T) {
 	const (
 		nBodies = 3
@@ -69,8 +69,8 @@ func TestConcurrentMixedClients(t *testing.T) {
 	)
 	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 4)
 
-	x := commtest.Input(tiny, 50, 2)
-	want := commtest.Reference(tiny, nBodies, x)
+	xs := []*tensor.Tensor{commtest.Input(tiny, 50, 2), commtest.Input(tiny, 51, 6)}
+	wants := []*tensor.Tensor{commtest.Reference(tiny, nBodies, xs[0]), commtest.Reference(tiny, nBodies, xs[1])}
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -86,29 +86,16 @@ func TestConcurrentMixedClients(t *testing.T) {
 			}
 			defer client.Close()
 			commtest.Wire(client, tiny, nBodies)
+			x, want := xs[id%2], wants[id%2]
 			for round := 0; round < rounds; round++ {
-				if id%2 == 0 {
-					got, _, err := client.Infer(ctx, x)
-					if err != nil {
-						errs <- fmt.Errorf("client %d round %d: %w", id, round, err)
-						return
-					}
-					if !got.AllClose(want, 1e-12) {
-						errs <- fmt.Errorf("client %d round %d: single result diverged", id, round)
-						return
-					}
-				} else {
-					got, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x, x})
-					if err != nil {
-						errs <- fmt.Errorf("client %d round %d: %w", id, round, err)
-						return
-					}
-					for j, g := range got {
-						if !g.AllClose(want, 1e-12) {
-							errs <- fmt.Errorf("client %d round %d: batched result %d diverged", id, round, j)
-							return
-						}
-					}
+				got, _, err := client.Infer(ctx, x)
+				if err != nil {
+					errs <- fmt.Errorf("client %d round %d: %w", id, round, err)
+					return
+				}
+				if !got.AllClose(want, 1e-12) {
+					errs <- fmt.Errorf("client %d round %d: %d-row result diverged", id, round, x.Shape[0])
+					return
 				}
 			}
 		}(id)
@@ -381,8 +368,7 @@ func TestMalformedTensorsDoNotKillServer(t *testing.T) {
 		{"zero dimension", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{0, 3, 8, 8}, nil)), false},
 		{"dims claim more than the payload holds", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 5))), false},
 		{"payload holds more than the dims claim", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 1, 2, 2}, make([]float64, 5))), false},
-		{"batched zero dimension", rawFrame(rawRequestHead(1, 1), rawTensor([]uint32{0, 4, 8, 8}, nil)), false},
-		{"batch announcing more inputs than it carries", rawFrame(rawRequestHead(1, 2), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 256))), false},
+		{"announcing more tensors than one", rawFrame(rawRequestHead(0, 2), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 256))), false},
 		{"wrong rank", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{4, 64}, make([]float64, 256))), true},
 		// Wrong channels: structurally honest, panics inside the body.
 		{"wrong channels", rawFrame(rawRequestHead(0, 1), rawTensor([]uint32{1, 7, 8, 8}, make([]float64, 7*64))), true},
@@ -631,32 +617,37 @@ func TestClientRejectsHostileResponses(t *testing.T) {
 	}
 }
 
-// TestBatchedRequestValidation covers the server-side batch guardrails.
-func TestBatchedRequestValidation(t *testing.T) {
+// TestRetiredBatchedKindDropsItsConnection pins the server side of the
+// retired client-batched request kind (0x01): a frame of it, honest in every
+// other byte, ends its own connection unanswered, as every frame the parser
+// refuses does, while a second connection is served bit-exactly before and
+// after.
+func TestRetiredBatchedKindDropsItsConnection(t *testing.T) {
 	const nBodies = 2
-	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 1, comm.WithMaxBatch(2))
-
+	addr, _ := startConcurrentServer(t, context.Background(), nBodies, 1)
 	client := dialWired(t, addr, nBodies)
 	ctx := context.Background()
-	x := commtest.Input(tiny, 54, 1)
-
-	if _, _, err := client.InferBatch(ctx, nil); err == nil {
-		t.Error("empty batch must be rejected client-side")
+	x := commtest.Input(tiny, 54, 2)
+	want := commtest.Reference(tiny, nBodies, x)
+	infer := func(when string) {
+		t.Helper()
+		got, _, err := client.Infer(ctx, x)
+		if err != nil {
+			t.Fatalf("%s the retired frame: %v", when, err)
+		}
+		if !got.AllClose(want, 1e-12) {
+			t.Fatalf("%s the retired frame: result diverged", when)
+		}
 	}
-	if _, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x, x}); err == nil {
-		t.Error("batch above the server cap must be rejected")
+	infer("before")
+	conn := rawDial(t, addr)
+	if _, err := conn.Write(rawFrame(rawRequestHead(1, 1), rawTensor([]uint32{1, 4, 8, 8}, make([]float64, 256)))); err != nil {
+		t.Fatal(err)
 	}
-	// The connection must survive a rejected request.
-	if _, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x}); err != nil {
-		t.Errorf("in-cap batch after rejection failed: %v", err)
+	if body, err := rawReadFrame(conn); err == nil {
+		t.Errorf("retired batched kind answered (%q) instead of dropped", rawResponseErr(t, body))
 	}
-	// Mismatched trailing shapes within one batch are a protocol error.
-	other := commtest.Input(commtest.TinyArch(), 55, 1)
-	other.Shape[2] /= 2
-	other.Data = other.Data[:other.Shape[0]*other.Shape[1]*other.Shape[2]*other.Shape[3]]
-	if _, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, other}); err == nil {
-		t.Error("shape-mismatched batch must be rejected")
-	}
+	infer("after")
 }
 
 // TestDialContextCancelAbortsHello pins the negotiation's cancellation

@@ -26,11 +26,8 @@ func FuzzWireRequestFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	batched, err := appendRequest(nil, &Request{Inputs: []*tensor.Tensor{wireTensor(42, 1, 2, 4, 4)}}, true, trace.Context{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batched)
+	// The retired client-batched kind, which the parser refuses.
+	f.Add(retiredBatchedRequest(f, wireTensor(42, 1, 2, 4, 4), true))
 	f.Add([]byte{wireMsgRequest, 0, 0, 0, 0, 0, 0, wireKindFeatures, 1, 0, 1, wireDtypeF64, 1, 0, 0, 0})
 	// A dimension of 2^31: negative as a 32-bit int, so it must be bounded
 	// by the frame before it becomes one.
@@ -66,21 +63,10 @@ func FuzzWireRequestFrame(f *testing.F) {
 		if err64 != nil {
 			return
 		}
-		if req64.Model != req32.Model || req64.Version != req32.Version || tc64 != tc32 || p64.batched != p32.batched {
+		if req64.Model != req32.Model || req64.Version != req32.Version || tc64 != tc32 {
 			t.Fatal("instantiations decode different headers")
 		}
-		in64, in32 := p64.inputs, p32.inputs
-		if len(in64) != len(in32) {
-			t.Fatalf("instantiations decode %d vs %d tensors", len(in64), len(in32))
-		}
-		for i, t64 := range in64 {
-			if (t64 == nil) != (in32[i] == nil) {
-				t.Fatalf("tensor %d present in one instantiation only", i)
-			}
-			if t64 != nil {
-				sameNarrowed(t, t64, in32[i])
-			}
-		}
+		sameNarrowed(t, p64.input, p32.input)
 		// Whatever parsed must re-encode and re-parse to the same header.
 		req, err := parseRequest(body, nil)
 		if err != nil {
@@ -175,15 +161,16 @@ func FuzzWireResponseFrame(f *testing.F) {
 	}
 	f.Add(echoed)
 	f.Add([]byte{wireMsgResponseTraced, 0xEF, 0xBE})
-	// The batched grid on the f32 wire, which is also what dirties the reused
-	// decode target before each input.
-	stale, err := encodeResponse(nil, &Response{Model: "stale", Version: 9, Outputs: [][]*tensor.Tensor{
-		{wireTensor(45, 1, 6), wireTensor(46, 1, 6), wireTensor(47, 1, 6)},
-		{wireTensor(48, 3, 6), wireTensor(49, 3, 6), wireTensor(50, 3, 6)}}}, true, 0)
+	// A multi-row response on the f32 wire, which is also what dirties the
+	// reused decode target before each input.
+	stale, err := encodeResponse(nil, &Response{Model: "stale", Version: 9, Features: []*tensor.Tensor{
+		wireTensor(48, 3, 6), wireTensor(49, 3, 6), wireTensor(50, 3, 6)}}, true, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(stale)
+	// The retired client-batched grid, which the parser refuses.
+	f.Add(retiredBatchedResponse(f, []*tensor.Tensor{wireTensor(45, 1, 6), wireTensor(46, 1, 6)}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp Response
 		err := parseResponse(body, &resp, nil)
@@ -205,24 +192,17 @@ func FuzzWireResponseFrame(f *testing.F) {
 		}
 
 		feats32 := narrowAll(resp.Features)
-		var outs32 [][]*tensor.Tensor32
-		if resp.Outputs != nil {
-			outs32 = make([][]*tensor.Tensor32, len(resp.Outputs))
-			for i, row := range resp.Outputs {
-				outs32[i] = narrowAll(row)
-			}
-		}
 		from64, err64 := encodeResponse(nil, &resp, true, 0)
-		from32, err32 := appendResponse(nil, &resp, feats32, outs32, true, 0)
+		from32, err32 := appendResponse(nil, &resp, feats32, true, 0)
 		if (err64 == nil) != (err32 == nil) {
 			t.Fatalf("writer instantiations disagree: f64 %v, f32 %v", err64, err32)
 		}
 		if err64 == nil && !bytes.Equal(from64, from32) {
 			t.Fatal("f32-wire frames differ between the float64 and float32 writers")
 		}
-		wide, err := appendResponse(nil, &resp, feats32, outs32, false, 0)
+		wide, err := appendResponse(nil, &resp, feats32, false, 0)
 		if err != nil {
-			return // ragged grids are rejected identically at either precision
+			t.Fatalf("float32 writer does not encode the f64 wire: %v", err)
 		}
 		var widened Response
 		if err := parseResponse(wide, &widened, nil); err != nil {
@@ -230,11 +210,6 @@ func FuzzWireResponseFrame(f *testing.F) {
 		}
 		for i, t32 := range feats32 {
 			sameNarrowed(t, widened.Features[i], t32)
-		}
-		for i, row := range outs32 {
-			for b, t32 := range row {
-				sameNarrowed(t, widened.Outputs[i][b], t32)
-			}
 		}
 	})
 }
@@ -249,14 +224,12 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 	var got Response
 	var arena tensor.Arena[float64]
 	scribble := func() {
-		for _, row := range append(got.Outputs[:len(got.Outputs):len(got.Outputs)], got.Features) {
-			for _, ts := range row {
-				for i := range ts.Data {
-					ts.Data[i] = math.NaN()
-				}
-				for i := range ts.Shape {
-					ts.Shape[i] = 0
-				}
+		for _, ts := range got.Features {
+			for i := range ts.Data {
+				ts.Data[i] = math.NaN()
+			}
+			for i := range ts.Shape {
+				ts.Shape[i] = 0
 			}
 		}
 		arena.Reset()
@@ -265,16 +238,6 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 		scribble()
 		if err := parseResponseInto(stale, &got, nil, &arena); err != nil {
 			t.Fatal(err)
-		}
-	}
-	sameList := func(what string, got, want []*tensor.Tensor) {
-		if len(got) != len(want) {
-			t.Fatalf("arena parse yields %d %s, heap parse %d", len(got), what, len(want))
-		}
-		for i, g := range got {
-			if err := bitsDiffer(g, want[i]); err != nil {
-				t.Fatalf("arena parse against heap parse, %s %d: %v", what, i, err)
-			}
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -290,12 +253,13 @@ func sameAsHeapParse(t *testing.T, body, stale []byte, want *Response, wantErr e
 			t.Fatalf("arena parse %d header (%q v%d, %q/%d), heap parse (%q v%d, %q/%d)", pass,
 				got.Model, got.Version, got.Err, got.Code, want.Model, want.Version, want.Err, want.Code)
 		}
-		sameList("features", got.Features, want.Features)
-		if len(got.Outputs) != len(want.Outputs) {
-			t.Fatalf("arena parse yields %d output rows, heap parse %d", len(got.Outputs), len(want.Outputs))
+		if len(got.Features) != len(want.Features) {
+			t.Fatalf("arena parse yields %d features, heap parse %d", len(got.Features), len(want.Features))
 		}
-		for i, row := range got.Outputs {
-			sameList("outputs", row, want.Outputs[i])
+		for i, g := range got.Features {
+			if err := bitsDiffer(g, want.Features[i]); err != nil {
+				t.Fatalf("arena parse against heap parse, feature %d: %v", i, err)
+			}
 		}
 	}
 }

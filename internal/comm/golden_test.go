@@ -6,19 +6,18 @@ import (
 	"runtime"
 	"testing"
 
-	"ensembler/internal/tensor"
 	"ensembler/internal/trace"
 )
 
 // TestGoldenServeFrames pins the response frame bytes of a full
-// parse → serve → append cycle — three plain requests, a repeat of the
-// second and a client-batched request — on a float64 server over the f64
-// wire and on a float32 server over the f32 wire, to digests recorded at the
-// commit before the serving path became generic over the element type (the
-// first three were then one stacked pass; each row's bits are the same
-// served alone). Any change to the frame layout, the decode/encode
-// conversions, the stacking and splitting, or the kernels' bits shows up
-// here. (amd64 only: see nn.TestGoldenBodyBits.)
+// parse → serve → append cycle — three requests of 1, 2 and 1 rows and a
+// repeat of the second — on a float64 server over the f64 wire and on a
+// float32 server over the f32 wire. The digests are those of the same four
+// frames when the wire still carried client-batched requests (a batched
+// request then followed them); those frames were in turn unchanged since
+// the serving path became generic over the element type. Any change to the
+// frame layout, the decode/encode conversions, the copy-out or the kernels'
+// bits shows up here. (amd64 only: see nn.TestGoldenBodyBits.)
 func TestGoldenServeFrames(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits are pinned on amd64")
@@ -29,13 +28,12 @@ func TestGoldenServeFrames(t *testing.T) {
 		{Features: wireTensor(1402, 2, 4, 8, 8)},
 		{Features: wireTensor(1403, 1, 4, 8, 8)},
 	}
-	batched := &Request{Inputs: []*tensor.Tensor{wireTensor(1404, 1, 4, 8, 8), wireTensor(1405, 3, 4, 8, 8)}}
 	for _, tc := range []struct {
 		precision Precision
 		want      string
 	}{
-		{PrecisionF64, "7243053f99eac3aad6912a3def5f8bef68057f53328b12e5d51acd079198e441"},
-		{PrecisionF32, "0338d1d0571f3a94bd6475983a98b6dd261f913247601b5b63edc9ec18e8c7f3"},
+		{PrecisionF64, "2e78e41d4d26e8f31074a947ca7ad16cfa5013386a7bd00567d422d057d72f1c"},
+		{PrecisionF32, "9949d213a403f0b703c656d1e5f320baa74dceb313c4d25058a8d94cd1822ee7"},
 	} {
 		f32 := tc.precision == PrecisionF32
 		srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(tc.precision))
@@ -63,7 +61,7 @@ func TestGoldenServeFrames(t *testing.T) {
 			}
 			h.Write(enc)
 		}
-		for _, r := range append(reqs, reqs[1], batched) {
+		for _, r := range append(reqs, reqs[1]) {
 			j := parse(r)
 			frame(j, serve(j))
 		}

@@ -16,9 +16,9 @@ import (
 
 // encodeResponse encodes a float64 Response — a literal, or one a fake
 // server in a test built — the way any holder of one does: its own Features
-// and Outputs are the tensors.
+// are the tensors.
 func encodeResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error) {
-	return appendResponse(buf, resp, resp.Features, resp.Outputs, f32, traceID)
+	return appendResponse(buf, resp, resp.Features, f32, traceID)
 }
 
 // parseResponse decodes a response frame body onto the heap: the zero arena
@@ -77,13 +77,7 @@ func CompiledSeqs(srv *Server) []uint64 {
 // path's own validation exists to catch.
 func setRequest(j *job, req Request) {
 	j.req = Request{Model: req.Model, Version: req.Version}
-	p := payloadOf[float64](j)
-	p.batched = req.Inputs != nil
-	if p.batched {
-		p.inputs = append(p.inputs[:0], req.Inputs...)
-	} else {
-		p.inputs = append(p.inputs[:0], req.Features)
-	}
+	payloadOf[float64](j).input = req.Features
 }
 
 // jobFor returns a fresh float64 job carrying req (see setRequest).
@@ -121,11 +115,7 @@ func serveOne(s *Server, req Request) *Response {
 	j := jobFor(req)
 	resp := *jobServer(s, s.newBodyCache())(j)
 	if p := payloadOf[float64](j); p.served {
-		if p.batched {
-			resp.Outputs = p.outputs
-		} else {
-			resp.Features = p.outputs[0]
-		}
+		resp.Features = p.outputs
 	}
 	return &resp
 }
@@ -133,14 +123,7 @@ func serveOne(s *Server, req Request) *Response {
 // jobRequest views a float64 job's binary-decoded request as a Request:
 // routing header from j.req, tensors from the payload.
 func jobRequest(j *job) *Request {
-	p := payloadOf[float64](j)
-	req := &Request{Model: j.req.Model, Version: j.req.Version}
-	if p.batched {
-		req.Inputs = p.inputs
-	} else {
-		req.Features = p.inputs[0]
-	}
-	return req
+	return &Request{Model: j.req.Model, Version: j.req.Version, Features: payloadOf[float64](j).input}
 }
 
 // serveLoop drives the server loop the way a connection and a worker do,

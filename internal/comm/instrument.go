@@ -20,8 +20,7 @@ import (
 // kept only for bench/ until ROADMAP item 2.
 //
 // ObserveFeatures is called synchronously on the worker goroutine once per
-// input tensor (batched requests observe each input), after the request
-// resolved its model but before any body pass. The tensor is owned by the
+// request, after the request resolved its model but before any body pass. The tensor is owned by the
 // request: an implementation that retains it must copy, and must return
 // quickly — its latency is request latency.
 type FeatureObserver interface {
@@ -73,15 +72,12 @@ type ServerMetrics struct {
 	Requests *telemetry.Counter
 	// Errors counts requests answered with an error response.
 	Errors *telemetry.Counter
-	// Images counts input rows served (batch rows × inputs per request).
+	// Images counts input rows served (the batch rows of each request).
 	Images *telemetry.Counter
 	// ServeSeconds observes per-request server-side time: resolve + body-set
 	// lookup (or compile) + all hosted body passes. Its Sum divided by
 	// workers × uptime is the pool utilization.
 	ServeSeconds *telemetry.Histogram
-	// BatchInputs observes the number of feature tensors per request (1 for
-	// a plain Infer, len(Inputs) for InferBatch).
-	BatchInputs *telemetry.Histogram
 }
 
 // NewServerMetrics registers the serving metric family into r under the
@@ -98,9 +94,6 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 		ServeSeconds: r.Histogram("ensembler_server_serve_seconds",
 			"Server-side time per request: resolve, body-set lookup, body passes.",
 			telemetry.DefaultLatencyBuckets, nil),
-		BatchInputs: r.Histogram("ensembler_server_batch_inputs",
-			"Feature tensors per request (batched requests carry several).",
-			telemetry.DefaultSizeBuckets, nil),
 	}
 }
 
@@ -110,9 +103,7 @@ func (m *ServerMetrics) record(j *job, dur time.Duration) {
 	if j.resp.Err != "" {
 		m.Errors.Inc()
 	}
-	inputs, rows := j.pay.size()
-	m.BatchInputs.Observe(float64(inputs))
-	m.Images.Add(uint64(rows))
+	m.Images.Add(uint64(j.pay.rows()))
 	m.ServeSeconds.Observe(dur.Seconds())
 }
 

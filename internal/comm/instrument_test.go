@@ -45,9 +45,9 @@ func (o *recordingObserver) ObserveFeatures(model string, version int, f *tensor
 	o.mu.Unlock()
 }
 
-// TestServerMetricsAndObserver drives plain, batched, and failing requests
+// TestServerMetricsAndObserver drives 2-row, 6-row and failing requests
 // through an instrumented server and checks every series advances as
-// specified — including that the observer saw one call per input tensor.
+// specified — including that the observer saw one call per valid request.
 func TestServerMetricsAndObserver(t *testing.T) {
 	treg := telemetry.NewRegistry()
 	sm := NewServerMetrics(treg)
@@ -80,7 +80,7 @@ func TestServerMetricsAndObserver(t *testing.T) {
 	if _, _, err := client.Infer(ctx, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x, x}); err != nil {
+	if _, _, err := client.Infer(ctx, instrumentInput(6)); err != nil {
 		t.Fatal(err)
 	}
 	// A failing request (wrong rank) still counts, as an error.
@@ -95,24 +95,21 @@ func TestServerMetricsAndObserver(t *testing.T) {
 	if got := sm.Errors.Value(); got != 1 {
 		t.Errorf("errors = %d, want 1", got)
 	}
-	// 2 rows + 3×2 rows; the rank-3 request contributes its leading dim (4).
+	// 2 rows + 6 rows; the rank-3 request contributes its leading dim (4).
 	if got := sm.Images.Value(); got != 2+6+4 {
 		t.Errorf("images = %d, want 12", got)
 	}
 	if got := sm.ServeSeconds.Count(); got != 3 {
 		t.Errorf("serve histogram count = %d, want 3", got)
 	}
-	if got := sm.BatchInputs.Count(); got != 3 {
-		t.Errorf("batch histogram count = %d, want 3", got)
-	}
 
-	// The observer saw the single request's tensor and each batched input,
-	// but not the rank-3 garbage.
+	// The observer saw both valid requests' tensors, but not the rank-3
+	// garbage.
 	obs.mu.Lock()
 	calls, rows := len(obs.calls), obs.rows
 	obs.mu.Unlock()
-	if calls != 4 {
-		t.Errorf("observer calls = %d, want 4 (1 single + 3 batched)", calls)
+	if calls != 2 {
+		t.Errorf("observer calls = %d, want 2", calls)
 	}
 	if rows != 8 {
 		t.Errorf("observer rows = %d, want 8", rows)
@@ -151,25 +148,17 @@ func TestObserverRejectsMaliciousShapes(t *testing.T) {
 	srv := NewServer(instrumentBodies(2), WithObserver(obs))
 
 	bomb := &tensor.Tensor{Shape: []int{1 << 30, 1 << 30, 2, 2}} // 2^62 claimed elements, no data
-	for _, req := range []Request{
-		{Features: bomb},
-		{Inputs: []*tensor.Tensor{bomb, instrumentInput(1)}},
-	} {
-		resp := serveOne(srv, req)
-		if resp.Err == "" {
-			t.Errorf("request %+v must be rejected", req)
-		}
+	if resp := serveOne(srv, Request{Features: bomb}); resp.Err == "" {
+		t.Error("a tensor claiming 2^62 elements over no data must be rejected")
 	}
-	// The well-formed input of the batched request was still safe to
-	// mirror; the bomb never was.
+	// The server still serves, and the observer saw only the valid tensor.
+	if resp := serveOne(srv, Request{Features: instrumentInput(1)}); resp.Err != "" {
+		t.Errorf("server dead after malicious request: %s", resp.Err)
+	}
 	obs.mu.Lock()
 	calls := len(obs.calls)
 	obs.mu.Unlock()
 	if calls != 1 {
 		t.Errorf("observer saw %d tensors, want only the valid one", calls)
-	}
-	// The server still serves.
-	if resp := serveOne(srv, Request{Features: instrumentInput(1)}); resp.Err != "" {
-		t.Errorf("server dead after malicious request: %s", resp.Err)
 	}
 }

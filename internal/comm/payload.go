@@ -3,15 +3,14 @@ package comm
 // The element-typed half of the serving path. A server computes in one
 // precision (WithPrecision: float64, the reference oracle and default, or
 // float32), and everything about a request that depends on that choice — the
-// arena its tensors live in, the decoded inputs, the response parts, the
-// validate → stack → forward → split → noise pass over the bodies — is
-// payload[T] and bodySet[T], written once over the element type and once
-// for both request forms: a plain request is one input, a client-batched
-// request several, and both take the same pass. The rest of the server (job
-// recycling, codec's framing, metrics, tracing, budget) never names an
-// element type: it reaches
-// the tensors through the tensors interface, and the server's Precision
-// picks the instantiation in exactly two places, newJob and generations.get.
+// arena its tensors live in, the decoded input, the response tensors, the
+// validate → forward → copy → noise pass over the bodies — is payload[T] and
+// bodySet[T], written once over the element type. A request is one
+// [B,C,H,W] feature tensor, and its B rows go through every body in one
+// pass. The rest of the server (job recycling, codec's framing, metrics,
+// tracing, budget) never names an element type: it reaches the tensors
+// through the tensors interface, and the server's Precision picks the
+// instantiation in exactly two places, newJob and generations.get.
 //
 // On a float32 server whose connection negotiated the f32 wire, decode →
 // forward → encode performs no float64 conversion at all: the payload bits
@@ -20,7 +19,6 @@ package comm
 // server precision serves either payload width with one rounding step.
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -83,9 +81,9 @@ type tensors interface {
 	// appendResponse encodes resp's header and, if served, the payload's
 	// response tensors as a response frame body.
 	appendResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error)
-	// size reports the request's input tensor and total row counts.
-	size() (inputs, rows int)
-	// observe mirrors the request's validated tensors into o.
+	// rows reports the request's row count.
+	rows() int
+	// observe mirrors the request's validated tensor into o.
 	observe(o FeatureObserver, model string, version int)
 	// noise perturbs a served response in place.
 	noise(rng *uint64, sigma float64)
@@ -93,29 +91,26 @@ type tensors interface {
 	answered() bool
 	// pass runs one forward pass over run, a worker's *bodySet[T], for j —
 	// the job this payload belongs to — answering it in the epoch's name.
-	pass(s *Server, j *job, run any, epoch Response)
+	pass(j *job, run any, epoch Response)
 }
 
 // payload is one job's tensors at the serving precision: the decoded
-// request, the response parts, and the arena backing both. It recycles with
-// its job, which is what keeps the steady-state loop allocation-free.
+// request, the response, and the arena backing both. It recycles with its
+// job, which is what keeps the steady-state loop allocation-free.
 type payload[T tensor.Float] struct {
-	// arena backs the decoded request tensors and every response tensor;
+	// arena backs the decoded request tensor and every response tensor;
 	// reset by the connection writer once the response is encoded.
 	arena tensor.Arena[T]
 
-	inputs  []*tensor.Dense[T] // the request's tensors: one, or one per client-batched input
-	batched bool               // the request was client-batched, which fixes its response's wire form
+	input   *tensor.Dense[T]   // the request's feature tensor
+	outputs []*tensor.Dense[T] // the response, one tensor per body
+	served  bool               // outputs hold a complete response
 
-	outputs [][]*tensor.Dense[T] // the response, [input][body]; a plain response is outputs[0]
-	served  bool                 // outputs hold a complete response
-
-	shape [maxWireRank]int // scratch for composing output shapes
+	shape [maxWireRank]int // scratch for decoding the input's shape
 }
 
 func (p *payload[T]) reset() {
-	p.inputs = p.inputs[:0]
-	p.batched = false
+	p.input = nil
 	p.outputs = p.outputs[:0]
 	p.served = false
 	p.arena.Reset()
@@ -129,124 +124,53 @@ func (p *payload[T]) answered() bool { return p.served }
 
 func (p *payload[T]) appendResponse(buf []byte, resp *Response, f32 bool, traceID uint64) ([]byte, error) {
 	var feats []*tensor.Dense[T]
-	var outputs [][]*tensor.Dense[T]
 	if p.served {
-		if p.batched {
-			outputs = p.outputs
-		} else {
-			feats = p.outputs[0]
-		}
+		feats = p.outputs
 	}
-	return appendResponse(buf, resp, feats, outputs, f32, traceID)
+	return appendResponse(buf, resp, feats, f32, traceID)
 }
 
-// size tolerates malformed wire data (shapes are validated later, on the
+// rows tolerates malformed wire data (shapes are validated later, on the
 // compute path).
-func (p *payload[T]) size() (inputs, rows int) {
-	for _, in := range p.inputs {
-		if in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
-			rows += in.Shape[0]
-		}
+func (p *payload[T]) rows() int {
+	if in := p.input; in != nil && len(in.Shape) > 0 && in.Shape[0] > 0 {
+		return in.Shape[0]
 	}
-	return len(p.inputs), rows
+	return 0
 }
 
-// observe validates each tensor fully first — the same structural-honesty
-// check the compute path applies — because the observer may copy what it is
-// handed: an attacker-controlled Shape claiming 2^62 elements over an empty
-// Data slice must be rejected here, not allocated by the sampler (the
-// compute path re-validates later; that redundancy is the trust boundary).
-// Kept only for bench/ until ROADMAP item 2.
+// observe hands the observer the request's tensor. observeTensor validates
+// it fully first — the same structural-honesty check the compute path
+// applies — because the observer may copy what it is handed: an
+// attacker-controlled Shape claiming 2^62 elements over an empty Data slice
+// must be rejected there, not allocated by the sampler (the compute path
+// re-validates later; that redundancy is the trust boundary). Kept only for
+// bench/ until ROADMAP item 2.
 func (p *payload[T]) observe(o FeatureObserver, model string, version int) {
-	for _, in := range p.inputs {
-		observeTensor(o, model, version, in)
-	}
+	observeTensor(o, model, version, p.input)
 }
 
 func (p *payload[T]) noise(rng *uint64, sigma float64) {
 	if !p.served {
 		return
 	}
-	for _, row := range p.outputs {
-		for _, t := range row {
-			noiseData(rng, t.Data, sigma)
-		}
+	for _, t := range p.outputs {
+		noiseData(rng, t.Data, sigma)
 	}
 }
 
-// part copies rows [row, row+r) of one body's stacked output out of the
-// body set's output storage into the job arena.
-func (p *payload[T]) part(out *tensor.Dense[T], row, r int) *tensor.Dense[T] {
-	per := out.Size() / out.Shape[0]
-	shape := append(p.shape[:0], r)
-	shape = append(shape, out.Shape[1:]...)
-	part := p.arena.NewTensor(shape...)
-	copy(part.Data, out.Data[row*per:(row+r)*per])
-	return part
-}
-
-// validate checks a request's tensors before they join a pass: within the
-// server's cap, each a structurally honest [N,C,H,W], and one [C,H,W] across
-// a client-batched request's inputs, since stacking concatenates rows only.
-func (p *payload[T]) validate(maxBatch int) error {
-	if len(p.inputs) == 0 {
-		return errors.New("comm: batched request carries no inputs")
-	}
-	if len(p.inputs) > maxBatch {
-		return fmt.Errorf("comm: batch of %d exceeds server cap %d", len(p.inputs), maxBatch)
-	}
-	for _, in := range p.inputs {
-		if err := validateFeatures(in); err != nil {
-			return err
-		}
-		if a, b := p.inputs[0].Shape, in.Shape; a[1] != b[1] || a[2] != b[2] || a[3] != b[3] {
-			return fmt.Errorf("comm: batched inputs disagree on feature shape: %v vs %v", a[1:], b[1:])
-		}
-	}
-	return nil
-}
-
-// pass is the serve path's validate → stack → forward → split → noise, one
-// for both request forms. An invalid request is answered with its error. A
-// lone input is forwarded where it was decoded; a client-batched request's
-// inputs, which validate holds to one [C,H,W], stack along the batch axis
-// into the worker's stack, as private to the pass as the scratches its
-// bodies run over. The job then copies its rows of every body's output into
-// its own arena and is noised per its budget verdict.
-func (p *payload[T]) pass(s *Server, j *job, run any, epoch Response) {
-	if err := p.validate(s.opts.maxBatch); err != nil {
+// pass is the serve path's validate → forward → copy → noise. An invalid
+// request is answered with its error. A valid one is forwarded where it was
+// decoded; the job then copies every body's output out of the body set's
+// storage into its own arena and is noised per its budget verdict.
+func (p *payload[T]) pass(j *job, run any, epoch Response) {
+	if err := validateFeatures(p.input); err != nil {
 		j.resp = epoch
 		j.resp.Err = err.Error()
 		return
 	}
-	bodies := run.(*bodySet[T])
-	x := p.inputs[0]
-	if len(p.inputs) > 1 {
-		total := 0
-		for _, in := range p.inputs {
-			total += in.Shape[0]
-		}
-		bodies.mem.stack.Reset()
-		x = bodies.mem.stack.NewTensor(total, x.Shape[1], x.Shape[2], x.Shape[3])
-		off := 0
-		for _, in := range p.inputs {
-			off += copy(x.Data[off:], in.Data)
-		}
-	}
-	outs := bodies.forward(x)
-	if cap(p.outputs) < len(p.inputs) {
-		p.outputs = make([][]*tensor.Dense[T], len(p.inputs))
-	}
-	p.outputs = p.outputs[:len(p.inputs)]
-	row := 0
-	for i, in := range p.inputs {
-		r := in.Shape[0]
-		parts := p.outputs[i][:0]
-		for _, out := range outs {
-			parts = append(parts, p.part(out, row, r))
-		}
-		p.outputs[i] = parts
-		row += r
+	for _, out := range run.(*bodySet[T]).forward(p.input) {
+		p.outputs = append(p.outputs, p.arena.Clone(out))
 	}
 	p.served = true
 	j.resp = epoch
@@ -283,19 +207,16 @@ func (bs *bodySet[T]) forward(x *tensor.Dense[T]) []*tensor.Dense[T] {
 }
 
 // workerScratch is one worker's activation memory at the serving precision,
-// shared by every generation it meets: the stack a batched pass's inputs are
-// stacked into, and one nn.Scratch per task. A multi-worker server's worker
-// runs one task, its bodies one after another: the pool is the one level of
-// parallelism, and N workers × serial bodies keeps every core on dedicated
-// cache-resident work. A single-worker server's pool has none to offer and
-// ForwardInfer's kernels are serial, so its worker runs min(N, GOMAXPROCS)
-// tasks: itself and goroutines started from prebuilt funcs (a go statement
-// over a stored no-argument func allocates nothing), each taking body
-// indices from next until none is left. The zero value has no tasks; grow
-// adds them.
+// shared by every generation it meets: one nn.Scratch per task. A
+// multi-worker server's worker runs one task, its bodies one after another:
+// the pool is the one level of parallelism, and N workers × serial bodies
+// keeps every core on dedicated cache-resident work. A single-worker
+// server's pool has none to offer and ForwardInfer's kernels are serial, so
+// its worker runs min(N, GOMAXPROCS) tasks: itself and goroutines started
+// from prebuilt funcs (a go statement over a stored no-argument func
+// allocates nothing), each taking body indices from next until none is
+// left. The zero value has no tasks; grow adds them.
 type workerScratch[T tensor.Float] struct {
-	stack tensor.Arena[T] // a pass's stacked input, when it has several
-
 	scratches []*nn.Scratch[T] // task t's scratch; task 0 is the worker itself
 	panics    []any            // what task t's share of the pass panicked with
 	tasks     []func()         // tasks[t-1] runs task t ≥ 1 and joins on wg

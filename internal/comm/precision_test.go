@@ -137,20 +137,14 @@ func checkWidenedExact(t *testing.T, path string, got *Response, want []*tensor.
 	}
 }
 
-// TestF32BatchedWireBitExact extends the bit-exactness pin to the batched
-// request form: stacked forward, per-input split, f32 response payload.
+// TestF32BatchedWireBitExact extends the bit-exactness pin to a batch in
+// the request's leading axis: every row of a 3-row request served on the f32
+// wire is bit-equal to the direct float32 pass over that row alone.
 func TestF32BatchedWireBitExact(t *testing.T) {
 	const nBodies = 2
 	srv := newF32Server(nBodies)
-	in0, in1 := wireTensor(35, 1, 4, 8, 8), wireTensor(36, 2, 4, 8, 8)
-	// The server stacks the batch into one [3,C,H,W] pass; reproduce that
-	// stacking on the narrowed bits.
-	stacked := tensor.New(3, 4, 8, 8)
-	copy(stacked.Data, in0.Data)
-	copy(stacked.Data[in0.Size():], in1.Data)
-	want := directF32(t, nBodies, tensor.Narrow32(stacked))
-
-	body, err := appendRequest(nil, &Request{Inputs: []*tensor.Tensor{in0, in1}}, true, trace.Context{})
+	x := wireTensor(35, 3, 4, 8, 8)
+	body, err := appendRequest(nil, &Request{Features: x}, true, trace.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,29 +164,25 @@ func TestF32BatchedWireBitExact(t *testing.T) {
 	if err := parseResponse(enc, &got, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Outputs) != 2 {
-		t.Fatalf("batched response carries %d rows, want 2", len(got.Outputs))
+	if len(got.Features) != nBodies {
+		t.Fatalf("response carries %d feature maps, want %d", len(got.Features), nBodies)
 	}
-	rows := []int{1, 2}
-	off := 0
-	for i, row := range got.Outputs {
-		if len(row) != nBodies {
-			t.Fatalf("input %d: %d body outputs, want %d", i, len(row), nBodies)
-		}
-		for b, g := range row {
-			w := want[b]
-			per := w.Size() / w.Shape[0]
-			part := w.Data[off*per : (off+rows[i])*per]
-			if len(g.Data) != len(part) {
-				t.Fatalf("input %d body %d: %d values, want %d", i, b, len(g.Data), len(part))
+	per := x.Size() / x.Shape[0]
+	for r := 0; r < x.Shape[0]; r++ {
+		row := tensor.New(1, 4, 8, 8)
+		copy(row.Data, x.Data[r*per:])
+		for b, w := range directF32(t, nBodies, tensor.Narrow32(row)) {
+			g := got.Features[b]
+			if len(g.Data) != x.Shape[0]*w.Size() {
+				t.Fatalf("body %d: response shape %v for %d rows of %v", b, g.Shape, x.Shape[0], w.Shape)
 			}
-			for k, v := range part {
-				if math.Float64bits(g.Data[k]) != math.Float64bits(float64(v)) {
-					t.Fatalf("input %d body %d feature %d: served %v, direct f32 %v", i, b, k, g.Data[k], v)
+			part := g.Data[r*w.Size():]
+			for k, v := range w.Data {
+				if math.Float64bits(part[k]) != math.Float64bits(float64(v)) {
+					t.Fatalf("row %d body %d feature %d: served %v, direct f32 %v", r, b, k, part[k], v)
 				}
 			}
 		}
-		off += rows[i]
 	}
 }
 
@@ -205,11 +195,6 @@ func TestServerComputeLoopZeroAllocsF32(t *testing.T) {
 	loop := newServeLoop(t, newF32Server(3), &Request{Features: wireTensor(19, 2, 4, 8, 8)}, true)
 	if allocs := loop.allocs(); allocs != 0 {
 		t.Errorf("steady-state f32 server compute loop allocates %v times per request, want 0", allocs)
-	}
-	// The batched form reaches steady state too (after its own warm-up).
-	loop.request(&Request{Inputs: []*tensor.Tensor{wireTensor(20, 1, 4, 8, 8), wireTensor(21, 2, 4, 8, 8)}})
-	if allocs := loop.allocs(); allocs != 0 {
-		t.Errorf("steady-state batched f32 compute loop allocates %v times per request, want 0", allocs)
 	}
 }
 

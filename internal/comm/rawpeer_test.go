@@ -61,7 +61,8 @@ func rawHonestTensor(t *tensor.Tensor) []byte {
 }
 
 // rawRequestHead opens an untraced request for the default model at its
-// current version: kind 0 announces one feature tensor, kind 1 a batch.
+// current version: kind 0 announces count feature tensors (a valid request
+// has one), kind 1 the retired client-batched list the server refuses.
 func rawRequestHead(kind byte, count uint16) []byte {
 	return []byte{0x01, 0, 0, 0, 0, 0, 0, kind, byte(count), byte(count >> 8)}
 }

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -10,15 +9,14 @@ import (
 	"ensembler/internal/trace"
 )
 
-// This file pins the one serve pass (Server.serve → compute → payload.pass)
-// across the request forms it serves: plain and client-batched requests must
-// get the same bits, the same error answers and the same budget-charge rule.
+// This file pins the one serve pass (Server.serve → compute → payload.pass):
+// the same bits for a row whatever request it rides in, the same error
+// answers and the same budget-charge rule.
 
-// TestCrossFormDifferential serves the same rows two ways — K plain requests
-// and one client-batched request of K inputs — and requires bit-identical
-// per-row features from both, at both compute precisions: stacking rows into
-// one pass, or forwarding a lone input where it was decoded, must not change
-// a bit of any row's answer.
+// TestCrossFormDifferential serves the same rows two ways — one request of
+// K rows and K one-row requests — and requires bit-identical per-row
+// features from both, at both compute precisions: a row's answer must not
+// depend on the rows forwarded beside it.
 func TestCrossFormDifferential(t *testing.T) {
 	const nBodies = 3
 	for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
@@ -26,11 +24,11 @@ func TestCrossFormDifferential(t *testing.T) {
 			f32 := prec == PrecisionF32
 			srv := NewServer(codecBodies(nBodies), WithWorkers(2), WithPrecision(prec))
 			cache := srv.newBodyCache()
-			// answer serves req and decodes its response off the wire (the
+			// answer serves x and decodes its response off the wire (the
 			// f32 wire widens exactly).
 			serve := jobServer(srv, cache)
-			answer := func(req *Request) *Response {
-				body, err := appendRequest(nil, req, f32, trace.Context{})
+			answer := func(x *tensor.Tensor) []*tensor.Tensor {
+				body, err := appendRequest(nil, &Request{Features: x}, f32, trace.Context{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -50,20 +48,20 @@ func TestCrossFormDifferential(t *testing.T) {
 				if err := parseResponse(enc, out, nil); err != nil {
 					t.Fatal(err)
 				}
-				return out
+				return out.Features
 			}
-			for _, rows := range [][]int{{1, 2}, {2, 3}, {1, 1}, {4, 4}} {
-				inputs := make([]*tensor.Tensor, len(rows))
-				plain := make([]*Request, len(rows))
-				for i, r := range rows {
-					inputs[i] = wireTensor(int64(1500+10*r+i), r, 4, 8, 8)
-					plain[i] = &Request{Features: inputs[i]}
-				}
-				batched := answer(&Request{Inputs: inputs}).Outputs
-				for i, req := range plain {
-					for b, want := range answer(req).Features {
-						if err := bitsDiffer(batched[i][b], want); err != nil {
-							t.Errorf("rows %v input %d body %d: client-batched %v", rows, i, b, err)
+			for _, rows := range []int{2, 3, 4, 8} {
+				x := wireTensor(int64(1500+rows), rows, 4, 8, 8)
+				whole := answer(x)
+				per := x.Size() / rows
+				for r := 0; r < rows; r++ {
+					row := tensor.New(1, 4, 8, 8)
+					copy(row.Data, x.Data[r*per:])
+					for b, want := range answer(row) {
+						n := want.Size()
+						got := &tensor.Tensor{Shape: want.Shape, Data: whole[b].Data[r*n : (r+1)*n]}
+						if err := bitsDiffer(got, want); err != nil {
+							t.Errorf("%d rows, row %d body %d: %v", rows, r, b, err)
 						}
 					}
 				}
@@ -98,8 +96,8 @@ func TestBudgetRefusalChargesNothing(t *testing.T) {
 		if j.resp.Err != "" || !p.served {
 			t.Fatalf("%s not served: %q", what, j.resp.Err)
 		}
-		for b, want := range referenceBodies(nBodies, p.inputs[0]) {
-			if err := bitsDiffer(p.outputs[0][b], want); err != nil {
+		for b, want := range referenceBodies(nBodies, p.input) {
+			if err := bitsDiffer(p.outputs[b], want); err != nil {
 				t.Errorf("%s body %d: %v", what, b, err)
 			}
 		}
@@ -137,12 +135,10 @@ func (m *namedModel) Name() string                             { return "named" 
 func (m *namedModel) Version() int                             { return 7 }
 
 // TestErrorAnswersNameTheEpoch pins the one rule for error answers: every
-// answer given after a successful resolve names the epoch, in the same text
-// whatever form the request took. A lying input gets byte-identical response
-// frames plain and inside a client-batched request, and the request served
-// next is untouched; so does a request that passes validation but panics
-// mid-pass — whose panic text names the pass's stacked shape, so the plain
-// request carries the batched request's rows.
+// answer given after a successful resolve names the epoch. A lying input is
+// refused by validation and the request served next is untouched; a request
+// that passes validation but panics mid-pass is answered with the panic's
+// text.
 func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	srv := NewModelServer(&namedModel{staticModel{bodies: flatBodies()}}, WithWorkers(2))
 	cache := srv.newBodyCache()
@@ -160,12 +156,10 @@ func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	}
 	lying := &tensor.Tensor{Shape: []int{1, 4, 8, 8}, Data: make([]float64, 3)}
 
-	alone := jobFor(Request{Features: lying})
-	srv.serve(alone, cache)
-	bad := jobFor(Request{Inputs: []*tensor.Tensor{wireTensor(710, 1, 4, 8, 8), lying, wireTensor(711, 2, 4, 8, 8)}})
+	bad := jobFor(Request{Features: lying})
 	srv.serve(bad, cache)
-	if plain, batched := frame(alone), frame(bad); !bytes.Equal(plain, batched) {
-		t.Errorf("validation failure answered differently:\nplain   %q\nbatched %q", plain, batched)
+	if want := "comm: tensor carries 3 values for shape [1 4 8 8]"; !strings.Contains(string(frame(bad)), want) {
+		t.Errorf("validation failure does not read %q", want)
 	}
 	// The refusal left the worker's bodies as they were: the next request
 	// is served bit-exactly.
@@ -175,23 +169,17 @@ func TestErrorAnswersNameTheEpoch(t *testing.T) {
 	}
 	p := payloadOf[float64](next)
 	ref := flatBodies()
-	for b, out := range p.outputs[0] {
-		if err := bitsDiffer(out, ref[b].Forward(p.inputs[0], false)); err != nil {
+	for b, out := range p.outputs {
+		if err := bitsDiffer(out, ref[b].Forward(p.input, false)); err != nil {
 			t.Errorf("request after the refusal, body %d: %v", b, err)
 		}
 	}
 
 	// [.,4,4,4] clears validation and panics at the bodies' Linear.
-	alone = jobFor(Request{Features: wireTensor(712, 2, 4, 4, 4)})
-	srv.serve(alone, cache)
-	pair := jobFor(Request{Inputs: []*tensor.Tensor{wireTensor(713, 1, 4, 4, 4), wireTensor(714, 1, 4, 4, 4)}})
-	srv.serve(pair, cache)
-	plain := frame(alone)
-	if batched := frame(pair); !bytes.Equal(plain, batched) {
-		t.Errorf("mid-pass panic answered differently:\nplain   %q\nbatched %q", plain, batched)
-	}
-	if want := "comm: request failed: nn: Linear"; !strings.Contains(string(plain), want) {
-		t.Errorf("panic answer %q does not read %q", plain, want)
+	panicky := jobFor(Request{Features: wireTensor(712, 2, 4, 4, 4)})
+	srv.serve(panicky, cache)
+	if want := "comm: request failed: nn: Linear"; !strings.Contains(string(frame(panicky)), want) {
+		t.Errorf("panic answer does not read %q", want)
 	}
 }
 
@@ -212,15 +200,5 @@ func TestValidateFeaturesRejectsHostileTensors(t *testing.T) {
 		if err := validateFeatures(tc.f); err == nil {
 			t.Errorf("%s: must be rejected", tc.name)
 		}
-	}
-}
-
-// TestValidateRejectsMixedBatches pins that a client-batched request whose
-// inputs disagree on [C,H,W] cannot stack, with the error text a client sees.
-func TestValidateRejectsMixedBatches(t *testing.T) {
-	mixed := jobFor(Request{Inputs: []*tensor.Tensor{wireTensor(720, 2, 4, 8, 8), wireTensor(721, 1, 4, 4, 8)}})
-	err := payloadOf[float64](mixed).validate(DefaultMaxBatch)
-	if want := "comm: batched inputs disagree on feature shape: [4 8 8] vs [4 4 8]"; err == nil || err.Error() != want {
-		t.Errorf("mixed batch: %v, want %q", err, want)
 	}
 }

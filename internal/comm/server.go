@@ -16,10 +16,6 @@ import (
 	"ensembler/internal/trace"
 )
 
-// DefaultMaxBatch caps how many inputs one batched request may carry unless
-// overridden with WithMaxBatch.
-const DefaultMaxBatch = 64
-
 // DefaultDrainTimeout bounds how long a graceful shutdown waits for
 // in-flight responses to flush before force-closing connections.
 const DefaultDrainTimeout = 5 * time.Second
@@ -55,7 +51,6 @@ type ServerOption func(*serverOptions)
 
 type serverOptions struct {
 	workers   int
-	maxBatch  int
 	drain     time.Duration
 	metrics   *ServerMetrics  // nil: no telemetry, zero hot-path cost
 	observer  FeatureObserver // nil: no feature mirroring, zero hot-path cost
@@ -89,15 +84,6 @@ func WithWorkers(n int) ServerOption {
 func PinKernelParallelism(workers int) {
 	if workers > 1 {
 		tensor.SetKernelParallelism(1)
-	}
-}
-
-// WithMaxBatch caps the number of inputs a single batched request may carry.
-func WithMaxBatch(n int) ServerOption {
-	return func(o *serverOptions) {
-		if n > 0 {
-			o.maxBatch = n
-		}
 	}
 }
 
@@ -198,7 +184,7 @@ func NewModelServer(p ModelProvider, opts ...ServerOption) *Server {
 	if p == nil {
 		panic("comm: server needs a model provider")
 	}
-	o := serverOptions{workers: runtime.GOMAXPROCS(0), maxBatch: DefaultMaxBatch, drain: DefaultDrainTimeout}
+	o := serverOptions{workers: runtime.GOMAXPROCS(0), drain: DefaultDrainTimeout}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -715,5 +701,5 @@ func (s *Server) compute(j *job, bodies *bodyCache) {
 		j.resp = epoch
 		return
 	}
-	j.pay.pass(s, j, run, epoch)
+	j.pay.pass(j, run, epoch)
 }

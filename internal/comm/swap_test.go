@@ -215,14 +215,13 @@ func TestVersionPinning(t *testing.T) {
 	if _, v := client.Served(); v != 2 {
 		t.Errorf("served version = %d, want 2", v)
 	}
-	batch, _, err := client.InferBatch(ctx, []*tensor.Tensor{x, x})
+	x3 := commtest.Input(tiny, 114, 3)
+	got, _, err = client.Infer(ctx, x3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, got := range batch {
-		if !got.AllClose(ref2, 1e-12) {
-			t.Errorf("default routing did not serve batched input %d from the current version", i)
-		}
+	if !got.AllClose(bodyReference(e2, x3), 1e-12) {
+		t.Error("default routing did not serve a 3-row request from the current version")
 	}
 
 	// Pinned: the superseded version, on the same connection.

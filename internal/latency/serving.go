@@ -4,8 +4,8 @@ import "fmt"
 
 // This file models the serving regimes of the comm subsystem: many client
 // connections, a bounded pool of server-side workers (all running one shared
-// compiled copy of the N bodies), and batched requests that amortize protocol
-// overhead. It is the analytic counterpart of the closed-loop workloads
+// compiled copy of the N bodies), and multi-row requests that amortize
+// protocol overhead. It is the analytic counterpart of the closed-loop workloads
 // bench/run.sh measures (which report its error as
 // latency.loopback_pred_err_pct), built as a closed queueing system: each of
 // C clients keeps exactly one request in flight, the server completes at most
@@ -17,7 +17,7 @@ type ServingScenario struct {
 	Base    Scenario // device/link/model parameters; Base.Batch is ignored
 	Workers int      // server workers computing in parallel
 	Clients int      // concurrent client connections, one request in flight each
-	Batch   int      // images per request (InferBatch size × client batch)
+	Batch   int      // images per request: the rows of its one feature tensor
 
 	// EffectiveParallel caps how many workers actually compute
 	// concurrently — the host's usable cores (GOMAXPROCS on the bench

@@ -3,6 +3,9 @@ package nn_test
 import (
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -317,6 +320,91 @@ func TestReLUFoldOnlyBeforeAPool(t *testing.T) {
 			t.Errorf("%s: %d compiled steps for %d layers, want %d", tc.name, got, len(tc.net.Layers), want)
 		}
 	}
+}
+
+// TestDefaultArchBodiesTakeVectorForms holds a compiled split.DefaultArch
+// body, at both precisions and for every dataset kind, to the vector forms
+// of its elementwise steps. On every host each convolution's batch norm
+// (and ReLU) is the direct kernel's epilogue. On an AVX2 host the pooled
+// bodies' entry (bn0 → ReLU → 2×2 pool over 16×16 planes) runs
+// NormReLUPoolInto's vector pass, and each block's residual add and ReLU
+// AddReLUInto's. A body that fell back to the Go passes would compute the
+// same bits, and CI's f64/f32 speed band read inside its bounds with every
+// one of these steps scalar, so neither would see it.
+func TestDefaultArchBodiesTakeVectorForms(t *testing.T) {
+	avx2 := hostHasAVX2()
+	for _, kind := range []data.Kind{data.CIFAR10Like, data.CIFAR100Like, data.CelebALike} {
+		arch := split.DefaultArch(kind)
+		body := arch.NewBody("b", rng.New(1))
+		x := tensor.New(2, arch.HeadC, arch.H, arch.W)
+		rng.New(2).FillNormal(x.Data, 0, 1)
+		name := fmt.Sprint(kind)
+		checkVectorPlan(t, name+" f64", body, x, arch.UseMaxPool, avx2)
+		checkVectorPlan(t, name+" f32", body, tensor.Narrow32(x), arch.UseMaxPool, avx2)
+	}
+	if !avx2 {
+		t.Skip("no AVX2: the entry and the residual adds run their Go forms")
+	}
+}
+
+// checkVectorPlan compiles body at x's element type and checks its
+// VectorPlan: one epilogue per convolution (three per block, the shortcut
+// included), an entry step only in a pooled body, one residual step per
+// block, and, with avx2, the vector form of every entry and residual step.
+func checkVectorPlan[T tensor.Float](t *testing.T, name string, body *nn.Network, x *tensor.Dense[T], pooled, avx2 bool) {
+	t.Helper()
+	c, err := nn.Compile[T](body)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	plan := nn.VectorPlan(c, x)
+	var convs, entries, residuals int
+	for _, step := range plan {
+		kind, form, _ := strings.Cut(step, ": ")
+		switch {
+		case kind == "entry":
+			entries++
+		case kind == "residual":
+			residuals++
+		default:
+			convs++
+			if form != "epilogue" {
+				t.Errorf("%s: %s: batch norm runs as %q, want the direct kernel's epilogue", name, kind, form)
+			}
+			continue
+		}
+		if avx2 && form != "vector" {
+			t.Errorf("%s: %s runs its %q form on an AVX2 host", name, kind, form)
+		}
+	}
+	wantEntries := 0
+	if pooled {
+		wantEntries = 1
+	}
+	if convs != 6 || residuals != 2 || entries != wantEntries {
+		t.Errorf("%s: plan %q: %d convolutions, %d residual steps, %d entries; want 6, 2, %d",
+			name, plan, convs, residuals, entries, wantEntries)
+	}
+}
+
+// hostHasAVX2 reports whether the CPU lists AVX2 in /proc/cpuinfo (Linux on
+// amd64; false elsewhere). The tensor package's own check is not visible to
+// this package's tests, and asking the vector passes themselves would let a
+// dispatch that stopped taking them skip this test instead of failing it.
+func hostHasAVX2() bool {
+	if runtime.GOARCH != "amd64" {
+		return false
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return false
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if key, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "flags" {
+			return slices.Contains(strings.Fields(flags), "avx2")
+		}
+	}
+	return false
 }
 
 // TestConvBNChannelMismatchPanicsAtInfer holds a conv followed by a batch

@@ -116,8 +116,18 @@ func (n *Network) InferScratch(inputShape ...int) *Scratch[float64] {
 	return s
 }
 
-// inferFunc is one compiled inference step at element type T.
+// step is one compiled inference step at element type T: an op (convOp,
+// entryOp, blockOp, …) or an inferFunc. Ops are kept as themselves, not as
+// method values, so that which form each fused step takes can be checked
+// (TestDefaultArchBodiesTakeVectorForms).
+type step[T tensor.Float] interface {
+	infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T]
+}
+
+// inferFunc is a step that is a plain function.
 type inferFunc[T tensor.Float] func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T]
+
+func (f inferFunc[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] { return f(x, s) }
 
 // Compiled is a Network compiled for inference at element type T: every step
 // the same generic arithmetic (*Network).ForwardInfer runs, bit for bit,
@@ -133,7 +143,7 @@ type inferFunc[T tensor.Float] func(x *tensor.Dense[T], s *Scratch[T]) *tensor.D
 // epilogue applies packed beside them.
 type Compiled[T tensor.Float] struct {
 	Name  string
-	steps []inferFunc[T]
+	steps []step[T]
 }
 
 // Compile returns a network's inference form at element type T. Compilation
@@ -143,13 +153,13 @@ type Compiled[T tensor.Float] struct {
 // precision dispatch must not silently change which code serves a model.
 // Three runs of layers compile to one step each (compileRun).
 func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
-	out := &Compiled[T]{Name: n.Name, steps: make([]inferFunc[T], 0, len(n.Layers))}
+	out := &Compiled[T]{Name: n.Name, steps: make([]step[T], 0, len(n.Layers))}
 	for i := 0; i < len(n.Layers); {
-		step, k, err := compileRun[T](n.Layers[i:])
+		st, k, err := compileRun[T](n.Layers[i:])
 		if err != nil {
 			return nil, fmt.Errorf("nn: compiling %s layer %d: %w", n.Name, i, err)
 		}
-		out.steps = append(out.steps, step)
+		out.steps = append(out.steps, st)
 		i += k
 	}
 	return out, nil
@@ -174,7 +184,7 @@ func Compile[T tensor.Float](n *Network) (*Compiled[T], error) {
 //     left all +0 pools to the starting +0 (never −0, never NaN).
 //
 // Each saves its passes over the activation and their scratch buffers.
-func compileRun[T tensor.Float](ls []Layer) (inferFunc[T], int, error) {
+func compileRun[T tensor.Float](ls []Layer) (step[T], int, error) {
 	next := func(i int) Layer {
 		if i < len(ls) {
 			return ls[i]
@@ -188,21 +198,21 @@ func compileRun[T tensor.Float](ls []Layer) (inferFunc[T], int, error) {
 		if bn, ok := next(1).(*BatchNorm2D); ok {
 			op, err := castConv[T](l.inferOp().then(bn.inferOp(make([]float64, bn.C)), relu2))
 			if relu2 {
-				return op.infer, 3, err
+				return op, 3, err
 			}
-			return op.infer, 2, err
+			return op, 2, err
 		}
 	case *BatchNorm2D:
 		if pool, ok := next(2).(*MaxPool2D); ok && relu1 {
-			return entryOp[T]{bn: compileBN[T](l), k: pool.K, stride: pool.Stride}.infer, 3, nil
+			return entryOp[T]{bn: compileBN[T](l), k: pool.K, stride: pool.Stride}, 3, nil
 		}
 	case *ReLU:
 		if pool, ok := next(1).(*MaxPool2D); ok {
 			return poolStep[T](pool, 0), 2, nil
 		}
 	}
-	step, err := compileLayer[T](ls[0])
-	return step, 1, err
+	st, err := compileLayer[T](ls[0])
+	return st, 1, err
 }
 
 // poolStep is the compiled MaxPool2D with its running maximum starting at
@@ -239,44 +249,43 @@ func CompileF32(n *Network) (*Compiled[float32], error) { return Compile[float32
 
 // compileLayer compiles one layer. The type switch is the closed-world mirror
 // of the InferenceLayer conformance list at the bottom of this file.
-func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
+func compileLayer[T tensor.Float](l Layer) (step[T], error) {
 	switch v := l.(type) {
 	case *Network:
 		c, err := Compile[T](v)
 		if err != nil {
 			return nil, err
 		}
-		return c.ForwardInfer, nil
+		return inferFunc[T](c.ForwardInfer), nil
 	case *Conv2D:
-		op, err := castConv[T](v.inferOp())
-		return op.infer, err
+		return castConv[T](v.inferOp())
 	case *Linear:
 		return linearOp[T]{name: v.W.Name, in: v.In, out: v.Out,
-			w: castTensor[T](v.W.Value), b: castTensor[T](v.B.Value)}.infer, nil
+			w: castTensor[T](v.W.Value), b: castTensor[T](v.B.Value)}, nil
 	case *BatchNorm2D:
-		return compileBN[T](v).infer, nil
+		return compileBN[T](v), nil
 	case *ReLU:
-		return reluInfer[T], nil
+		return inferFunc[T](reluInfer[T]), nil
 	case *LeakyReLU:
 		alpha := T(v.Alpha)
-		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+		return inferFunc[T](func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return leakyReLUInfer(x, alpha, s)
-		}, nil
+		}), nil
 	case *Sigmoid:
-		return sigmoidInfer[T], nil
+		return inferFunc[T](sigmoidInfer[T]), nil
 	case *MaxPool2D:
 		return poolStep[T](v, T(math.Inf(-1))), nil
 	case *GlobalAvgPool:
-		return globalAvgPoolInfer[T], nil
+		return inferFunc[T](globalAvgPoolInfer[T]), nil
 	case *Flatten:
-		return flattenInfer[T], nil
+		return inferFunc[T](flattenInfer[T]), nil
 	case *AdditiveNoise:
 		noise := castTensor[T](v.Noise.Value).Data
-		return func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
+		return inferFunc[T](func(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 			return addNoiseInfer(x, noise, s)
-		}, nil
+		}), nil
 	case *Dropout:
-		return identityInfer[T], nil
+		return inferFunc[T](identityInfer[T]), nil
 	case *BasicBlock:
 		live := v.inferOp(heapScratch())
 		conv1, err1 := castConv[T](live.conv1)
@@ -286,7 +295,7 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 		if op.short {
 			op.shortConv, err3 = castConv[T](live.shortConv)
 		}
-		return op.infer, errors.Join(err1, err2, err3)
+		return op, errors.Join(err1, err2, err3)
 	default:
 		return nil, fmt.Errorf("no compiled inference path for layer type %T", l)
 	}
@@ -295,8 +304,8 @@ func compileLayer[T tensor.Float](l Layer) (inferFunc[T], error) {
 // ForwardInfer runs the compiled stack over the scratch. The result lives in
 // the scratch and is invalidated by Scratch.Reset, like the live path.
 func (c *Compiled[T]) ForwardInfer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
-	for _, step := range c.steps {
-		x = step(x, s)
+	for _, st := range c.steps {
+		x = st.infer(x, s)
 	}
 	return x
 }
@@ -709,7 +718,8 @@ func (b *BasicBlock) inferOp(s *Scratch[float64]) blockOp[float64] {
 
 // infer runs both branches over the scratch, then the residual sum and its
 // ReLU in place on the main branch's buffer (this block owns it — nothing
-// else aliases an activation the block just produced).
+// else aliases an activation the block just produced): one pass where
+// tensor.AddReLUInto has a vector form, else AddInto and then ReLU.
 func (b blockOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	main := b.conv2.infer(b.conv1.infer(x, s), s)
 	short := x
@@ -719,7 +729,11 @@ func (b blockOp[T]) infer(x *tensor.Dense[T], s *Scratch[T]) *tensor.Dense[T] {
 	if !main.SameShape(short) {
 		panic(fmt.Sprintf("nn: BasicBlock branch shapes %v vs %v", main.Shape, short.Shape))
 	}
-	return tensor.AddReLUInto(main, main, short)
+	if !tensor.AddReLUInto(main, main, short) {
+		tensor.AddInto(main, main, short)
+		tensor.ReLU(main.Data, main.Data)
+	}
+	return main
 }
 
 // ForwardInfer runs the residual block's inference path over the live

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"ensembler/internal/tensor"
 )
@@ -91,19 +90,6 @@ func (n *Network) Load(r io.Reader) error {
 		copy(bn.RunVar.Data, vr.Data)
 	}
 	return nil
-}
-
-// SaveFile writes the network state to path.
-func (n *Network) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := n.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
 }
 
 // CopyStateFrom copies parameter values and running statistics from src into

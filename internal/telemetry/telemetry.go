@@ -3,7 +3,7 @@
 // collected into a Registry that renders the Prometheus text exposition
 // format (version 0.0.4). It exists so the control plane
 // (cmd/ensembler-serve's -admin-addr endpoints) can observe a production
-// deployment — QPS, latency, batch sizes, shard health, live epoch, recorded
+// deployment — QPS, latency, rows served, shard health, live epoch, recorded
 // leakage — without the serving hot path ever taking a lock or allocating.
 //
 // Design constraints, in order:
@@ -64,10 +64,6 @@ var DefaultLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// DefaultSizeBuckets covers request batch sizes up to (and past) the comm
-// server's default cap.
-var DefaultSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 func newHistogram(bounds []float64) *Histogram {
 	for i := 1; i < len(bounds); i++ {

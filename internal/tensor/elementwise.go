@@ -92,19 +92,15 @@ func reluF32(dst, src []float32) {
 }
 
 // AddReLUInto writes ReLU(a + b) into dst (all one shape; dst may alias a
-// or b): AddInto then ReLU, which is what runs where there is no vector
-// form. On AVX2 it is one pass, VADDPS (VADDPD) then VMAXPS (VMAXPD)
-// against +0, which returns the sum where it is greater than +0 and +0
-// otherwise (−0 and NaN included), ReLU's select.
-func AddReLUInto[T Float](dst, a, b *Dense[T]) *Dense[T] {
+// or b) in one pass, and reports true, where this host has that pass's
+// vector form: on AVX2, VADDPS (VADDPD) then VMAXPS (VMAXPD) against +0,
+// which returns the sum where it is greater than +0 and +0 otherwise (−0
+// and NaN included), ReLU's select. Elsewhere it writes nothing and
+// reports false, and the caller runs the definition: AddInto, then ReLU.
+func AddReLUInto[T Float](dst, a, b *Dense[T]) bool {
 	dst.checkSame(a, "AddReLUInto")
 	dst.checkSame(b, "AddReLUInto")
-	if addReLU(dst.Data, a.Data, b.Data) {
-		return dst
-	}
-	AddInto(dst, a, b)
-	ReLU(dst.Data, dst.Data)
-	return dst
+	return addReLU(dst.Data, a.Data, b.Data)
 }
 
 // NormReLUPoolInto writes batch norm (BatchNormInto's constants), ReLU and

@@ -20,9 +20,10 @@ func elementwiseSpecials[T Float]() []T {
 }
 
 // testAddReLU holds AddReLUInto at T to its definition, AddInto then ReLU,
-// bit for bit on every path this host has (withAVX2), over lengths with and
-// without a tail past the last whole vector, with dst a third slice and
-// dst aliasing a. The operands hold the specials one in four, so sums meet
+// bit for bit on every path this host has (withAVX2): on the Go path it
+// must run nothing and report false; on AVX2 it must run over lengths with
+// and without a tail past the last whole vector, with dst a third slice
+// and dst aliasing a. The operands hold the specials one in four, so sums meet
 // −0 + −0, Inf − Inf, NaN and overflow, and half of b is −a, so sums of
 // +0 meet the rectifier too.
 func testAddReLU[T Float](t *testing.T) {
@@ -39,8 +40,20 @@ func testAddReLU[T Float](t *testing.T) {
 			}
 			ReLU(want, want)
 			dense := func(v []T) *Dense[T] { return &Dense[T]{Data: v, Shape: []int{n}} }
-			got := AddReLUInto(dense(make([]T, n)), dense(a), dense(b)).Data
-			inPlace := AddReLUInto(dense(a), dense(a), dense(b)).Data
+			got, inPlace := make([]T, n), append([]T(nil), a...)
+			ran := AddReLUInto(dense(got), dense(a), dense(b))
+			ranInPlace := AddReLUInto(dense(inPlace), dense(inPlace), dense(b))
+			if vector := path == "avx2"; ran != vector || ranInPlace != vector {
+				t.Fatalf("%s: n=%d: AddReLUInto reports %v (in place %v), want %v", path, n, ran, ranInPlace, vector)
+			}
+			if path != "avx2" {
+				for i := range got {
+					if got[i] != 0 || !sameBits(inPlace[i], a[i]) {
+						t.Fatalf("%s: n=%d: AddReLUInto wrote element %d without a vector form", path, n, i)
+					}
+				}
+				continue
+			}
 			for i := range want {
 				if !sameBits(got[i], want[i]) || !sameBits(inPlace[i], want[i]) {
 					t.Fatalf("%s: n=%d: relu(%v + %v) = %v (in place %v), AddInto then ReLU %v",

@@ -27,7 +27,8 @@ func convDirectF64(y, x []float64, d *DirectConv[float64], taps []int32, hw int)
 // in Go.
 func vectorOutC(outC int) int { return 0 }
 
-// addReLU has no vector form here: AddReLUInto runs AddInto and ReLU.
+// addReLU has no vector form here: the caller of AddReLUInto runs AddInto
+// and ReLU.
 func addReLU[T Float](dst, a, b []T) bool { return false }
 
 // normReLUPool has no vector form here: the caller of NormReLUPoolInto runs

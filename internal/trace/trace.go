@@ -577,10 +577,3 @@ func (t *Tracer) StageHistogram(s Stage) *telemetry.Histogram {
 	}
 	return t.hist[s]
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
